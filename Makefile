@@ -1,5 +1,5 @@
 # The one-command check CI and contributors run before merging.
-.PHONY: verify fmt vet build test bench perf-smoke telemetry-smoke forensics-smoke cache-ablation-smoke trace-demo fuzz-smoke check chaos-smoke soak soak-smoke soak-diff regen-golden
+.PHONY: verify fmt vet build test bench benchmark cache-ablation-smoke trace-demo fuzz-smoke check chaos-smoke soak soak-smoke soak-diff regen-golden
 
 verify: fmt vet build test fuzz-smoke
 
@@ -13,35 +13,21 @@ vet:
 build:
 	go build ./...
 
+# bench/ is a module of its own (its go.mod replaces difane => ../), so
+# ./... does not reach it.
 test:
 	go test -race ./...
+	go test -C bench ./...
 
 bench:
 	go test -bench=. -benchmem ./...
 
-# Quick wire-mode perf sweep gated against the committed baseline — the
-# same command CI's perf-smoke job runs (>15% regression fails, and the
-# cache-hit wire cells must hold the absolute allocs/op budget). The
-# report lands in gitignored bench-out/; refreshing the committed baseline
-# is an explicit act: difane-bench -wire -out BENCH_wire.baseline.json.
-perf-smoke:
-	go run ./cmd/difane-bench -wire -quick -compare BENCH_wire.baseline.json -alloc-budget 3
-
-# Price the telemetry layer: the cache-hit/wire cell with tracing off and
-# on. Tracing-off must stay within 2% of the committed baseline — the
-# flight recorder is one atomic load when disabled.
-telemetry-smoke:
-	go run ./cmd/difane-bench -telemetry-smoke -quick \
-		-compare BENCH_wire.baseline.json
-
-# Price journey sampling: the cache-hit/wire cell with sampling off (held
-# to the same 2% baseline gate — the sampler is one atomic load when off)
-# and at 1-in-256 (held to 5% of the sampling-off run). On failure the
-# journeys a sampled run assembles land in bench-out/ for CI's artifact
-# upload.
-forensics-smoke:
-	go run ./cmd/difane-bench -forensics-smoke -quick \
-		-compare BENCH_wire.baseline.json
+# The repo's one benchmark: four wire-mode workloads, rep-median
+# end-to-end metrics (BENCHMARK.json names them; bench/README.md explains
+# them). Add `-workload W -trace 1` by hand for the per-layer ledger. The
+# PR pipeline's parent-vs-change run of this is the only timing gate.
+benchmark:
+	go run -C bench .
 
 # The adaptive-caching gate: the short F6b eviction ablation on a fixed
 # seed — a flash-crowd + scan workload under hard TCAM budgets — fails

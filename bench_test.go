@@ -9,7 +9,6 @@
 package difane_test
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -196,6 +195,10 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 }
 
 // --- W1: wire-path microbenchmarks -------------------------------------------
+//
+// The only timing of the TCP control transport. Wire-mode throughput,
+// latency and allocation numbers come from the bench/ module
+// (go run -C bench .).
 
 // BenchmarkWirePath measures end-to-end wire-mode flow setups: inject a
 // new flow, it detours via the authority, and is delivered.
@@ -264,188 +267,6 @@ func BenchmarkWirePathTCP(b *testing.B) {
 			b.Fatal("delivery timeout")
 		}
 	}
-}
-
-// --- W2: wire data-plane throughput benchmarks -------------------------------
-//
-// An 8-switch wire cluster driven through the public Deployment API only,
-// so this file can be dropped unchanged into an older checkout to compare
-// numbers across commits (EXPERIMENTS.md records the history). Injection
-// and completion-waiting both go through the Deployment wrapper: Run()
-// blocks on cheap atomics, so the wait harness adds no per-poll cost that
-// scales with how much the run has already delivered.
-
-// benchWireIDs lists the 8-switch cluster's switch IDs.
-var benchWireIDs = []uint32{0, 1, 2, 3, 4, 5, 6, 7}
-
-// benchWirePolicy spreads flows across all eight egresses — rule i forwards
-// TPDst 1000+i to switch i — so aggregate throughput is not serialized on a
-// single switch's data loop.
-func benchWirePolicy() []difane.Rule {
-	policy := make([]difane.Rule, 0, 8)
-	for i := uint64(0); i < 8; i++ {
-		policy = append(policy, difane.Rule{
-			ID: i + 1, Priority: 10,
-			Match:  difane.MatchAll().WithExact(difane.FTPDst, 1000+i),
-			Action: difane.Action{Kind: difane.ActForward, Arg: uint32(i)},
-		})
-	}
-	return policy
-}
-
-// benchWireDeploy builds the benchmarks' shared cluster shape.
-func benchWireDeploy(b *testing.B, cacheCap int) *difane.WireDeployment {
-	b.Helper()
-	d, err := difane.NewWireDeployment(difane.ClusterConfig{
-		Switches:      benchWireIDs,
-		Authorities:   []uint32{2, 5},
-		Policy:        benchWirePolicy(),
-		Strategy:      difane.StrategyExact,
-		CacheCapacity: cacheCap,
-		QueueDepth:    4096,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return d
-}
-
-// benchWireKey builds a flow key for the TPDst-keyed benchmark policy.
-func benchWireKey(src uint32, dport uint16) difane.Key {
-	var k difane.Key
-	k[difane.FIPSrc] = uint64(src)
-	k[difane.FTPDst] = uint64(dport)
-	return k
-}
-
-// warmWireFlows pushes every (ingress, key) pair through the cluster and
-// repeats until a full round triggers no new authority redirects: cache
-// installs are asynchronous, so a detoured packet being delivered does not
-// yet mean the ingress cache rule has landed.
-func warmWireFlows(b *testing.B, d *difane.WireDeployment, at []uint32, ks []difane.Key) {
-	b.Helper()
-	for round := 0; round < 100; round++ {
-		before := d.Measurements().Redirects
-		for i := range ks {
-			d.InjectPacket(0, at[i], ks[i], 100, 0)
-		}
-		d.Run(120)
-		if d.Measurements().Redirects == before {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	b.Fatal("ingress caches never warmed")
-}
-
-// BenchmarkWireThroughput measures aggregate warm-cache data-plane
-// throughput on an 8-switch cluster: all eight ingresses inject
-// concurrently, every packet is a cache hit tunneled to one of eight
-// egresses, and an iteration is one packet terminally accounted.
-func BenchmarkWireThroughput(b *testing.B) {
-	d := benchWireDeploy(b, 0)
-	defer d.Close()
-	var at []uint32
-	var ks []difane.Key
-	for _, g := range benchWireIDs {
-		for e := uint32(0); e < 8; e++ {
-			at = append(at, g)
-			ks = append(ks, benchWireKey(0x0A000000|g<<8|e, uint16(1000+e)))
-		}
-	}
-	warmWireFlows(b, d, at, ks)
-	b.ReportAllocs()
-	b.ResetTimer()
-	per := len(ks) / 8
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		share := b.N / 8
-		if g < b.N%8 {
-			share++
-		}
-		wg.Add(1)
-		go func(g, share int) {
-			defer wg.Done()
-			batch := make([]difane.PacketIn, 0, 256)
-			for i := 0; i < share; i++ {
-				idx := g*per + i%per
-				batch = append(batch, difane.PacketIn{
-					Ingress: at[idx], Key: ks[idx], Size: 100, Seq: uint64(i),
-				})
-				if len(batch) == cap(batch) {
-					d.InjectBatch(batch)
-					batch = batch[:0]
-				}
-			}
-			if len(batch) > 0 {
-				d.InjectBatch(batch)
-			}
-		}(g, share)
-	}
-	wg.Wait()
-	d.Run(120)
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-}
-
-// BenchmarkWireCacheHit measures one switch's hot path: a single warm flow
-// injected back-to-back at ingress 0 and tunneled to egress 7, so the cost
-// is classify + encapsulate + fabric handoff + deliver with no authority
-// involvement.
-func BenchmarkWireCacheHit(b *testing.B) {
-	d := benchWireDeploy(b, 0)
-	defer d.Close()
-	k := benchWireKey(0x0A000001, 1007)
-	warmWireFlows(b, d, []uint32{0}, []difane.Key{k})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.InjectPacket(0, 0, k, 100, uint64(i))
-	}
-	d.Run(120)
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-}
-
-// BenchmarkWireMissStorm measures the full miss path under storm load:
-// every packet is a brand-new flow (exact-match strategy, unique IPSrc),
-// so each one redirects through an authority switch and triggers an async
-// cache install. Caches are capacity-bounded so per-op cost stays
-// independent of b.N.
-func BenchmarkWireMissStorm(b *testing.B) {
-	d := benchWireDeploy(b, 512)
-	defer d.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		share := b.N / 8
-		if g < b.N%8 {
-			share++
-		}
-		wg.Add(1)
-		go func(g, share int) {
-			defer wg.Done()
-			batch := make([]difane.PacketIn, 0, 256)
-			for i := 0; i < share; i++ {
-				k := benchWireKey(uint32(g)<<24|uint32(i+1), uint16(1000+(g+i)%8))
-				batch = append(batch, difane.PacketIn{
-					Ingress: uint32(g), Key: k, Size: 100, Seq: uint64(i),
-				})
-				if len(batch) == cap(batch) {
-					d.InjectBatch(batch)
-					batch = batch[:0]
-				}
-			}
-			if len(batch) > 0 {
-				d.InjectBatch(batch)
-			}
-		}(g, share)
-	}
-	wg.Wait()
-	d.Run(120)
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 }
 
 // BenchmarkProtoEncodeDecode measures control-message round trips.

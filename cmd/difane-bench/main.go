@@ -6,35 +6,17 @@
 //
 //	difane-bench [-quick] [-only T1,F1,...] [-seed N]
 //
-// With -wire it instead runs the reproducible data-plane benchmark suite
-// (fixed-seed cache-hit / miss-storm / failover workloads against the
-// simulator, the reactive baseline, and both wire-mode fabrics), writes
-// the report to -out (bench-out/ is gitignored scratch; refreshing the
-// committed baseline takes an explicit -out BENCH_wire.baseline.json),
-// and — when -compare names a baseline report — exits nonzero on
-// regression past the gate (15% throughput/allocs by default):
+// With -cache-ablation-smoke it instead runs the fixed-seed F6b eviction
+// ablation as a pass/fail gate (cost-aware miss rate <= LRU at every TCAM
+// budget), writing the rendered table to -out when the gate fails:
 //
-//	difane-bench -wire [-quick] [-seed N] [-out FILE] [-compare BENCH_wire.baseline.json]
+//	difane-bench -cache-ablation-smoke [-quick] [-seed N] [-out FILE]
 //
-// With -telemetry-smoke it prices the observability layer instead: the
-// cache-hit/wire cell runs with tracing off and again with tracing on,
-// the overhead is printed, and the tracing-off run is gated at 2%
-// against the committed baseline — the flight recorder must cost nothing
-// measurable when it is disabled:
-//
-//	difane-bench -telemetry-smoke [-quick] [-seed N] [-compare BENCH_wire.baseline.json]
-//
-// With -forensics-smoke it prices journey sampling: the cache-hit/wire
-// cell with sampling off (held to the same 2% baseline gate) and at
-// 1-in-256 (held to 5% of the sampling-off run). On a gate failure the
-// assembled journeys of a sampled run land next to -out for CI's
-// artifact upload:
-//
-//	difane-bench -forensics-smoke [-quick] [-seed N] [-compare BENCH_wire.baseline.json]
+// Wire-mode throughput, latency, allocation and tracing-overhead numbers
+// come from the repo's one benchmark harness: go run -C bench .
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,8 +25,6 @@ import (
 	"time"
 
 	"difane/experiments"
-	"difane/internal/perf"
-	"difane/internal/wire"
 )
 
 type renderer interface{ Render() string }
@@ -53,26 +33,12 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced-scale workloads")
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default all)")
 	seed := flag.Int64("seed", 42, "generator seed")
-	wireBench := flag.Bool("wire", false, "run the data-plane benchmark suite instead of the paper figures")
-	out := flag.String("out", "bench-out/BENCH_wire.json", "where -wire writes its JSON report")
-	compare := flag.String("compare", "", "baseline report to diff the -wire run against (exit 1 on regression)")
-	allocBudget := flag.Float64("alloc-budget", perf.DefaultAllocBudget, "absolute cache-hit wire allocs/op ceiling for -wire (0 disables)")
-	telemetrySmoke := flag.Bool("telemetry-smoke", false, "price the telemetry layer: cache-hit/wire with tracing off vs on, 2% disabled-overhead gate vs -compare")
-	forensicsSmoke := flag.Bool("forensics-smoke", false, "price journey sampling: cache-hit/wire with sampling off (2% gate vs -compare) and at 1-in-256 (5% gate vs off)")
+	out := flag.String("out", "bench-out/cache_ablation_smoke.txt", "where -cache-ablation-smoke writes its table when the gate fails")
 	cacheSmoke := flag.Bool("cache-ablation-smoke", false, "run the F6b eviction ablation and fail unless cost-aware miss rate <= LRU at every TCAM budget")
 	flag.Parse()
 
-	if *telemetrySmoke {
-		os.Exit(runTelemetrySmoke(*quick, *seed, *compare))
-	}
-	if *forensicsSmoke {
-		os.Exit(runForensicsSmoke(*quick, *seed, *compare, *out))
-	}
 	if *cacheSmoke {
 		os.Exit(runCacheAblationSmoke(*quick, *seed, *out))
-	}
-	if *wireBench {
-		os.Exit(runWireBench(*quick, *seed, *out, *compare, *allocBudget))
 	}
 
 	opts := experiments.Bench()
@@ -130,101 +96,11 @@ func main() {
 	}
 }
 
-// runWireBench executes the fixed-seed data-plane suite, writes the JSON
-// report, gates against a baseline when one is given, and asserts the
-// absolute cache-hit allocs/op budget.
-func runWireBench(quick bool, seed int64, out, compare string, allocBudget float64) int {
-	cfg := perf.Full()
-	if quick {
-		cfg = perf.Quick()
-	}
-	cfg.Seed = seed
-	start := time.Now()
-	rep, err := perf.Run(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Print(rep.Render())
-	fmt.Printf("(wire bench completed in %v)\n", time.Since(start).Round(time.Millisecond))
-	if allocBudget > 0 {
-		if overs := perf.CheckAllocBudget(rep, allocBudget); len(overs) > 0 {
-			// Same confirm-on-failure policy as the relative gate: a GC
-			// landing inside a short window inflates the count once, a real
-			// fast-path allocation inflates it every time.
-			again, err := perf.Run(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			rep = perf.MergeBest(rep, again)
-			if overs = perf.CheckAllocBudget(rep, allocBudget); len(overs) > 0 {
-				writeReport(rep, out)
-				fmt.Fprintln(os.Stderr, "ALLOC BUDGET EXCEEDED:")
-				for _, o := range overs {
-					fmt.Fprintf(os.Stderr, "  %s\n", o)
-				}
-				return 1
-			}
-		}
-		fmt.Printf("cache-hit wire allocs/op within budget (%.1f)\n", allocBudget)
-	}
-	if compare != "" {
-		base, err := perf.LoadReport(compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		regs := perf.Compare(base, rep, perf.DefaultTolerance())
-		// Confirm-on-failure: wall-clock benchmarks on shared hardware see
-		// transient contention bursts; a real regression survives fresh
-		// measurements, a burst does not.
-		for attempt := 0; len(regs) > 0 && attempt < 2; attempt++ {
-			fmt.Printf("possible regression; re-measuring to confirm (attempt %d/3)\n", attempt+2)
-			again, err := perf.Run(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			rep = perf.MergeBest(rep, again)
-			regs = perf.Compare(base, rep, perf.DefaultTolerance())
-		}
-		if len(regs) > 0 {
-			writeReport(rep, out)
-			fmt.Fprintf(os.Stderr, "PERF REGRESSION vs %s:\n", compare)
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			return 1
-		}
-		fmt.Printf("no regression vs %s\n", compare)
-	}
-	return writeReport(rep, out)
-}
-
-func writeReport(rep *perf.Report, out string) int {
-	if out == "" {
-		return 0
-	}
-	if dir := filepath.Dir(out); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if err := rep.WriteFile(out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("report written to %s\n", out)
-	return 0
-}
-
 // runCacheAblationSmoke is the CI gate on the adaptive-caching claim: it
 // runs the F6b eviction ablation (fixed seed, so the comparison is exact,
 // not statistical) and fails unless the cost-aware policy's miss rate is
 // at or below LRU's at every TCAM budget in the sweep. On failure the
-// rendered table lands next to the -out report for the CI artifact upload.
+// rendered table lands at -out for the CI artifact upload.
 func runCacheAblationSmoke(quick bool, seed int64, out string) int {
 	opts := experiments.Bench()
 	if quick {
@@ -256,12 +132,11 @@ func runCacheAblationSmoke(quick bool, seed int64, out string) int {
 		for _, f := range fails {
 			fmt.Fprintf(os.Stderr, "  %s\n", f)
 		}
-		if dir := filepath.Dir(out); out != "" {
-			if err := os.MkdirAll(dir, 0o755); err == nil {
-				path := filepath.Join(dir, "cache_ablation_smoke.txt")
+		if out != "" {
+			if err := os.MkdirAll(filepath.Dir(out), 0o755); err == nil {
 				report := r.Render() + "\n" + strings.Join(fails, "\n") + "\n"
-				if err := os.WriteFile(path, []byte(report), 0o644); err == nil {
-					fmt.Fprintf(os.Stderr, "report written to %s\n", path)
+				if err := os.WriteFile(out, []byte(report), 0o644); err == nil {
+					fmt.Fprintf(os.Stderr, "report written to %s\n", out)
 				}
 			}
 		}
@@ -269,244 +144,4 @@ func runCacheAblationSmoke(quick bool, seed int64, out string) int {
 	}
 	fmt.Println("cost-aware miss rate <= lru at every budget")
 	return 0
-}
-
-// runTelemetrySmoke prices the observability layer on the steadiest cell
-// (cache-hit / wire): one run with the flight recorder disabled, one with
-// it tracing every packet. The tracing-off run is then gated at 2%
-// (noise-widened) against the committed baseline's matching cell — the
-// telemetry hooks must be invisible when tracing is off. The tracing-on
-// overhead is printed but not gated: recording is an opt-in diagnostic.
-func runTelemetrySmoke(quick bool, seed int64, compare string) int {
-	cfg := perf.Full()
-	if quick {
-		cfg = perf.Quick()
-	}
-	cfg.Seed = seed
-	cfg.Backends = []string{perf.BackendWire}
-	cfg.Workloads = []string{perf.WorkloadCacheHit}
-
-	start := time.Now()
-	off, err := perf.Run(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	cfgOn := cfg
-	cfgOn.Telemetry = wire.TelemetryConfig{Tracing: true}
-	on, err := perf.Run(cfgOn)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	offR, onR := off.Results[0], on.Results[0]
-	overhead := 0.0
-	if offR.PktsPerSec > 0 {
-		overhead = (offR.PktsPerSec - onR.PktsPerSec) / offR.PktsPerSec * 100
-	}
-	fmt.Printf("telemetry smoke (%s/%s, seed %d):\n", offR.Workload, offR.Backend, seed)
-	fmt.Printf("  tracing off: %10.0f pkts/s  %6.1f allocs/op\n", offR.PktsPerSec, offR.AllocsPerOp)
-	fmt.Printf("  tracing on:  %10.0f pkts/s  %6.1f allocs/op  (%.1f%% overhead)\n",
-		onR.PktsPerSec, onR.AllocsPerOp, overhead)
-	fmt.Printf("(telemetry smoke completed in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	if compare == "" {
-		return 0
-	}
-	base, err := perf.LoadReport(compare)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	filtered := filterCacheHitWire(base)
-	if len(filtered.Results) == 0 {
-		fmt.Fprintf(os.Stderr, "telemetry smoke: %s has no %s/%s row to gate against\n",
-			compare, perf.WorkloadCacheHit, perf.BackendWire)
-		return 1
-	}
-	tol := perf.DefaultTolerance()
-	tol.Throughput, tol.Allocs = 0.02, 0.02
-	regs := perf.Compare(filtered, off, tol)
-	// Same confirm-on-failure dance as the main gate: a 2% wall-clock gate
-	// on shared hardware needs re-measurement before it may fail the build.
-	for attempt := 0; len(regs) > 0 && attempt < 2; attempt++ {
-		fmt.Printf("possible tracing-off overhead; re-measuring to confirm (attempt %d/3)\n", attempt+2)
-		again, err := perf.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		off = perf.MergeBest(off, again)
-		regs = perf.Compare(filtered, off, tol)
-	}
-	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "TELEMETRY OVERHEAD (tracing off) vs %s:\n", compare)
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
-		}
-		return 1
-	}
-	fmt.Printf("tracing-off overhead within gate vs %s\n", compare)
-	return 0
-}
-
-// filterCacheHitWire keeps only the cache-hit/wire row of a baseline
-// report — the one-cell smokes gate against a full report, and Compare
-// would flag every other row as missing.
-func filterCacheHitWire(base *perf.Report) *perf.Report {
-	filtered := &perf.Report{
-		Version: base.Version, Quick: base.Quick, Seed: base.Seed,
-		GoMaxProcs: base.GoMaxProcs,
-	}
-	for _, r := range base.Results {
-		if r.Workload == perf.WorkloadCacheHit && r.Backend == perf.BackendWire {
-			filtered.Results = append(filtered.Results, r)
-		}
-	}
-	return filtered
-}
-
-// runForensicsSmoke prices journey sampling on the cache-hit/wire cell:
-// the sampling-off run must hold the telemetry layer's 2% gate against
-// the committed baseline, and 1-in-256 sampling may cost at most 5%
-// against the sampling-off run. When a gate fails, the journeys a sampled
-// run assembles are written next to -out so CI uploads them as the
-// debugging artifact.
-func runForensicsSmoke(quick bool, seed int64, compare, out string) int {
-	const (
-		sampleN    = 256
-		sampleGate = 0.05
-	)
-	cfg := perf.Full()
-	if quick {
-		cfg = perf.Quick()
-	}
-	cfg.Seed = seed
-	cfg.Backends = []string{perf.BackendWire}
-	cfg.Workloads = []string{perf.WorkloadCacheHit}
-
-	start := time.Now()
-	off, err := perf.Run(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	cfgOn := cfg
-	cfgOn.Telemetry = wire.TelemetryConfig{Tracing: true, TraceSample: sampleN, TraceBuffer: 1 << 16}
-	on, err := perf.Run(cfgOn)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	overhead := func() float64 {
-		offR, onR := off.Results[0], on.Results[0]
-		if offR.PktsPerSec <= 0 {
-			return 0
-		}
-		return (offR.PktsPerSec - onR.PktsPerSec) / offR.PktsPerSec
-	}
-	fmt.Printf("forensics smoke (cache-hit/wire, seed %d):\n", seed)
-	fmt.Printf("  sampling off:    %10.0f pkts/s  %6.1f allocs/op\n",
-		off.Results[0].PktsPerSec, off.Results[0].AllocsPerOp)
-	fmt.Printf("  sampling 1/%d:  %10.0f pkts/s  %6.1f allocs/op  (%.1f%% overhead)\n",
-		sampleN, on.Results[0].PktsPerSec, on.Results[0].AllocsPerOp, 100*overhead())
-
-	// Confirm-on-failure for the 5% sampled gate: wall-clock ratios on
-	// shared hardware need fresh measurements of both sides before they
-	// may fail the build.
-	for attempt := 0; overhead() > sampleGate && attempt < 2; attempt++ {
-		fmt.Printf("possible sampling overhead; re-measuring to confirm (attempt %d/3)\n", attempt+2)
-		offAgain, err := perf.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		off = perf.MergeBest(off, offAgain)
-		onAgain, err := perf.Run(cfgOn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		on = perf.MergeBest(on, onAgain)
-	}
-	failed := false
-	if ov := overhead(); ov > sampleGate {
-		fmt.Fprintf(os.Stderr, "FORENSICS GATE: 1-in-%d sampling costs %.1f%% on cache-hit/wire (gate %.0f%%)\n",
-			sampleN, 100*ov, 100*sampleGate)
-		failed = true
-	}
-
-	if compare != "" {
-		// The sampling-off run must also hold the telemetry layer's 2%
-		// disabled gate — the sampler is one atomic load when off.
-		base, err := perf.LoadReport(compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		filtered := filterCacheHitWire(base)
-		if len(filtered.Results) == 0 {
-			fmt.Fprintf(os.Stderr, "forensics smoke: %s has no %s/%s row to gate against\n",
-				compare, perf.WorkloadCacheHit, perf.BackendWire)
-			return 1
-		}
-		tol := perf.DefaultTolerance()
-		tol.Throughput, tol.Allocs = 0.02, 0.02
-		regs := perf.Compare(filtered, off, tol)
-		for attempt := 0; len(regs) > 0 && attempt < 2; attempt++ {
-			fmt.Printf("possible sampling-off overhead; re-measuring to confirm (attempt %d/3)\n", attempt+2)
-			again, err := perf.Run(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			off = perf.MergeBest(off, again)
-			regs = perf.Compare(filtered, off, tol)
-		}
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "FORENSICS GATE (sampling off) vs %s:\n", compare)
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			failed = true
-		}
-	}
-	fmt.Printf("(forensics smoke completed in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	if failed {
-		writeJourneyArtifact(cfg, sampleN, out)
-		return 1
-	}
-	fmt.Printf("sampling-off within gate; 1-in-%d sampling %.1f%% (gate %.0f%%)\n",
-		sampleN, 100*overhead(), 100*sampleGate)
-	return 0
-}
-
-// writeJourneyArtifact replays one sampled cache-hit run and drops the
-// assembled journeys next to -out for the CI artifact upload.
-func writeJourneyArtifact(cfg perf.Config, sampleN int, out string) {
-	art, err := perf.JourneyArtifact(cfg, sampleN)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	dir := "bench-out"
-	if out != "" {
-		dir = filepath.Dir(out)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	path := filepath.Join(dir, "forensics_journeys.json")
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "journey artifact written to %s\n", path)
 }

@@ -86,12 +86,8 @@ func printHA(st difane.HAStatus) {
 	}
 	fmt.Println("bfd sessions (controller's view of each switch):")
 	for _, s := range st.BFD {
-		demand := ""
-		if s.Demand {
-			demand = "  demand"
-		}
-		fmt.Printf("  sw%-4d %-5s (remote %-5s discr %d)  detect %dµs  transitions %d%s\n",
+		fmt.Printf("  sw%-4d %-5s (remote %-5s discr %d)  detect %dµs  transitions %d\n",
 			s.Switch, s.State, s.RemoteState, s.RemoteDiscr,
-			s.DetectUsec, s.Transitions, demand)
+			s.DetectUsec, s.Transitions)
 	}
 }

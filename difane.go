@@ -329,14 +329,13 @@ type HAStatus = wire.HAStatus
 type RetryPolicy = wire.RetryPolicy
 
 // OverloadConfig tunes wire mode's miss-storm protection (token-bucket
-// redirect/install budgets) and the controller-outage event buffer.
+// redirect/install budgets).
 type OverloadConfig = wire.OverloadConfig
 
-// FabricConfig is wire mode's single data-plane options block: the
-// burst/ring geometry of the in-process fast path (Burst, RingDepth) and
-// the optional batched loopback-TCP carrier (UseTCP, with
-// FlushInterval/FlushBytes tuning the write coalescing). It replaces the
-// former DataFabricConfig (ClusterConfig.Data is now ClusterConfig.Fabric).
+// FabricConfig tunes wire mode's optional batched loopback-TCP data
+// carrier (UseTCP, with FlushInterval/FlushBytes tuning the write
+// coalescing). Burst size and ring depth are fixed: 64 frames, and
+// ClusterConfig.QueueDepth rounded up to a power of two.
 type FabricConfig = wire.FabricConfig
 
 // WireDeployment adapts a wire-mode Cluster to the Deployment interface.

@@ -39,7 +39,18 @@ func (s CacheStrategy) String() string {
 }
 
 // cacheIDBase offsets generated cache-rule IDs away from policy rule IDs.
-const cacheIDBase uint64 = 1 << 40
+// A generated ID is cacheIDBase + switch<<36 + (RegionIndex+1)<<24 + a
+// per-Authority counter: every (switch, partition) pair mints from a
+// range of its own, so two partitions hosted on one switch never hand the
+// same ID to two different cache rules (an ingress cache replaces by ID,
+// and flows of the two partitions would evict each other for ever). 16k
+// switch IDs × 4095 partitions × 16M rules stay below partitionIDBase
+// (1<<50).
+const (
+	cacheIDBase      uint64 = 1 << 40
+	cacheIDSlotShift        = 24
+	cacheIDHostShift        = 36
+)
 
 // Authority is the control logic an authority switch runs for one
 // partition: answer cache misses with a forwarding decision plus cache
@@ -126,7 +137,8 @@ func (a *Authority) OriginOf(cacheID uint64) (uint64, bool) {
 
 func (a *Authority) allocID(origin uint64) uint64 {
 	a.nextID++
-	id := cacheIDBase + (uint64(a.SwitchID) << 24) + a.nextID
+	id := cacheIDBase + uint64(a.SwitchID)<<cacheIDHostShift +
+		uint64(a.RegionIndex+1)<<cacheIDSlotShift + a.nextID
 	a.originOf[id] = origin
 	return id
 }

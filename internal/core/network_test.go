@@ -356,3 +356,47 @@ func TestPartitionTableInstalledEverywhere(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheRuleIDsUniqueAcrossPartitions pins the cache-rule ID layout:
+// with more partitions than authority switches (the paper's normal case)
+// every authority switch answers misses for several partitions, and the
+// cache rules they generate must not share IDs — an ingress cache replaces
+// by ID, so colliding rules evict each other and a fixed flow set never
+// stops missing.
+func TestCacheRuleIDsUniqueAcrossPartitions(t *testing.T) {
+	var policy []flowspace.Rule
+	for i := uint64(0); i < 8; i++ {
+		policy = append(policy, flowspace.Rule{
+			ID: i + 1, Priority: 10,
+			Match:  flowspace.MatchAll().WithExact(flowspace.FTPDst, 1000+i),
+			Action: flowspace.Action{Kind: flowspace.ActForward, Arg: 4},
+		})
+	}
+	n, err := NewNetwork(topo.Linear(5, 0.001), []uint32{1, 3}, policy, NetworkConfig{
+		Strategy:  StrategyExact,
+		Partition: PartitionConfig{MaxRulesPerPartition: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(n.Assignment.Partitions); got < 4 {
+		t.Fatalf("want >=4 partitions on 2 authority switches, got %d", got)
+	}
+	pass := func(at float64) {
+		for src := uint32(1); src <= 8; src++ {
+			for port := uint64(1000); port < 1008; port++ {
+				n.InjectPacket(at, 0, flowKey(src, port), 100, 0)
+			}
+		}
+		n.Run(at + 1)
+	}
+	pass(0)
+	warm := n.M.Redirects
+	pass(2)
+	if extra := n.M.Redirects - warm; extra != 0 {
+		t.Fatalf("second pass over a warmed trace redirected %d of 64 packets", extra)
+	}
+	if n.M.Delivered != 128 {
+		t.Fatalf("delivered = %d, want 128 (drops %+v)", n.M.Delivered, n.M.Drops)
+	}
+}

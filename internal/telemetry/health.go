@@ -80,16 +80,6 @@ type HealthView struct {
 	cur   map[string][]Point
 }
 
-func flattenScrape(snap []MetricSnapshot) map[string][]Point {
-	out := make(map[string][]Point, len(snap))
-	for i := range snap {
-		if len(snap[i].Points) > 0 {
-			out[snap[i].Name] = snap[i].Points
-		}
-	}
-	return out
-}
-
 func sumPoints(pts []Point) float64 {
 	var s float64
 	for i := range pts {
@@ -281,8 +271,7 @@ func NewWatchdog(reg *Registry, rules []HealthRule) *Watchdog {
 // scrape, and returns the new statuses. nowNS is the caller's clock
 // (monotonic ns in wire mode, virtual ns in the simulator).
 func (w *Watchdog) EvalOnce(nowNS int64) []RuleStatus {
-	snap := w.reg.Snapshot() // outside the lock: collectors may read our gauges
-	cur := flattenScrape(snap)
+	cur := w.reg.points() // outside the lock: collectors may read our gauges
 
 	w.mu.Lock()
 	defer w.mu.Unlock()

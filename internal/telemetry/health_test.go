@@ -244,3 +244,26 @@ func TestWatchdogViewAndMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestWatchdogNeverCollectsSummaries pins the watchdog's scrape to counters
+// and gauges: no HealthView accessor can read a summary, and a latency
+// summary's collector merges and sorts every sample, so a tick that
+// invoked it would pay that once a second for nothing.
+func TestWatchdogNeverCollectsSummaries(t *testing.T) {
+	f := newFakeCluster()
+	collected := 0
+	f.reg.RegisterSummary("difane_first_packet_delay_seconds", "", func() SummaryView {
+		collected++
+		return SummaryView{Count: 1, Sum: 1, Quantiles: [][2]float64{{0.5, 1}}}
+	})
+	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w.EvalOnce(1e9)
+	f.delivered, f.cacheHits = 1000, 1000
+	w.EvalOnce(2e9)
+	if collected != 0 {
+		t.Fatalf("EvalOnce invoked the summary collector %d times", collected)
+	}
+	if f.reg.Snapshot(); collected != 1 {
+		t.Fatalf("a full Snapshot must still collect summaries (collected=%d)", collected)
+	}
+}

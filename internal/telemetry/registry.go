@@ -136,6 +136,26 @@ func (g *Registry) Snapshot() []MetricSnapshot {
 	return out
 }
 
+// points scrapes the counters and gauges only, keyed by metric name: all
+// a HealthView can read. Summary collectors are never invoked — a latency
+// summary merges and sorts every sample it holds, which the watchdog's
+// once-a-second tick would pay for and then discard.
+func (g *Registry) points() map[string][]Point {
+	g.mu.Lock()
+	ms := append([]metric(nil), g.metrics...)
+	g.mu.Unlock()
+	out := make(map[string][]Point, len(ms))
+	for _, m := range ms {
+		if m.typ == TypeSummary {
+			continue
+		}
+		if pts := m.collect(); len(pts) > 0 {
+			out[m.name] = pts
+		}
+	}
+	return out
+}
+
 // scrapeBuf pools the scratch buffers WritePrometheus renders into, so a
 // scrape reuses one buffer across every collector instead of allocating
 // per line. Concurrent scrapes each check out their own buffer.

@@ -38,8 +38,6 @@ func (c *Cluster) initNodeBFD(n *node) {
 	cfg := bfd.Config{
 		DesiredMinTx: b.Interval,
 		DetectMult:   b.DetectMult,
-		Demand:       b.Demand,
-		PollInterval: b.PollInterval,
 	}
 	ctrlCfg := cfg
 	ctrlCfg.LocalDiscr = uint32(2*n.slot + 1)

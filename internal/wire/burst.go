@@ -57,7 +57,7 @@ type burstScratch struct {
 }
 
 func newBurstScratch(c *Cluster) *burstScratch {
-	b := c.cfg.Fabric.Burst
+	const b = fabricBurst
 	s := &burstScratch{
 		frames:       make([]dataFrame, b),
 		cidx:         make([]int, 0, b),

@@ -37,14 +37,13 @@ type ClusterConfig struct {
 	// CacheAdaptInterval paces the cost-aware adaptation loop (default
 	// 250ms; only runs under core.EvictCostAware).
 	CacheAdaptInterval time.Duration
-	// QueueDepth sizes the delivery-notification channel and is the default
-	// depth of each per-producer data ring (see FabricConfig.RingDepth).
+	// QueueDepth sizes the delivery-notification channel and, rounded up
+	// to a power of two, each per-producer data ring (see ringDepth).
 	QueueDepth int
 	// UseTCP runs the control plane over loopback TCP sockets instead of
 	// in-process pipes, exercising real kernel socket framing.
 	UseTCP bool
-	// Fabric tunes the data plane: burst and ring geometry of the
-	// in-process path, plus the optional batched loopback-TCP carrier.
+	// Fabric tunes the optional batched loopback-TCP data carrier.
 	Fabric FabricConfig
 	// Heartbeat tunes the coarse heartbeat failure detector (now the
 	// fallback behind BFD).
@@ -71,12 +70,24 @@ type ClusterConfig struct {
 	trans transport
 }
 
-// FabricConfig is the single options block for the data plane carrying
-// frames between switches: the burst/ring geometry of the in-process fast
-// path, the frame-slab pool, and the optional batched loopback-TCP carrier
-// (UseTCP). It consolidates what used to be spread across DataFabricConfig
-// and ad-hoc constants. Zero values mean "validated default"; cfg.Validate
-// fills them in place.
+// fabricBurst caps how many frames a switch pulls from its input rings and
+// runs through one classification pass — one TCAM snapshot acquisition,
+// one stats update, one downstream handoff per destination — per
+// iteration. It also sizes the pooled injection slabs.
+const fabricBurst = 64
+
+// outageBuffer bounds the per-switch queue of controller-bound events held
+// while the controller is unreachable. Overflow is shed oldest-first and
+// counted in OutageDropped.
+const outageBuffer = 256
+
+// healthInterval paces the SLO watchdog's registry scrapes.
+const healthInterval = time.Second
+
+// FabricConfig tunes the optional batched loopback-TCP carrier for frames
+// between switches (UseTCP); the default is direct in-process ring
+// handoff. Zero values mean "validated default"; cfg.Validate fills them
+// in place.
 type FabricConfig struct {
 	// UseTCP carries inter-switch data frames over per-pair loopback TCP
 	// connections with a batching writer: the first frame of a batch wakes
@@ -91,45 +102,25 @@ type FabricConfig struct {
 	// batches still go out whole, but their buffers are released afterward
 	// instead of pinning the burst's high-water mark (default 16 KiB).
 	FlushBytes int
-	// Burst caps how many frames a switch pulls from its input rings and
-	// runs through one classification pass — one TCAM snapshot acquisition,
-	// one stats update, one downstream handoff per destination — per
-	// iteration. It also sizes the pooled injection slabs (default 64).
-	Burst int
-	// RingDepth sizes each per-producer SPSC data ring, rounded up to a
-	// power of two (default: QueueDepth). Every switch has one ring slot
-	// per peer switch plus one injection slot; small clusters pre-populate
-	// every slot at boot, while large ones allocate rings lazily on first
-	// use so memory scales with the producer→consumer pairs traffic
-	// actually exercises — not with switches². Worst-case buffering per
-	// switch is (peers+1)·RingDepth frames.
-	RingDepth int
 }
 
-func (d *FabricConfig) applyDefaults(queueDepth int) error {
+func (d *FabricConfig) applyDefaults() {
 	if d.FlushInterval <= 0 {
 		d.FlushInterval = 200 * time.Microsecond
 	}
 	if d.FlushBytes <= 0 {
 		d.FlushBytes = 16 << 10
 	}
-	if d.Burst <= 0 {
-		d.Burst = 64
-	}
-	if d.RingDepth <= 0 {
-		d.RingDepth = queueDepth
-	}
-	// Round the ring up to a power of two so occupancy math is a mask.
-	n := 1
-	for n < d.RingDepth {
-		n <<= 1
-	}
-	d.RingDepth = n
-	if d.Burst > d.RingDepth {
-		return fmt.Errorf("wire: fabric burst %d exceeds ring depth %d", d.Burst, d.RingDepth)
-	}
-	return nil
 }
+
+// ringDepth is the depth of each per-producer SPSC data ring: QueueDepth
+// rounded up to a power of two so occupancy math is a mask. Every switch
+// has one ring slot per peer switch plus one injection slot; small
+// clusters pre-populate every slot at boot, while large ones allocate
+// rings lazily on first use so memory scales with the producer→consumer
+// pairs traffic actually exercises — not with switches². Worst-case
+// buffering per switch is (peers+1)·ringDepth frames.
+func (cfg *ClusterConfig) ringDepth() int { return ceilPow2(cfg.QueueDepth) }
 
 // HeartbeatConfig tunes the heartbeat-based failure detector between the
 // controller and every switch.
@@ -139,11 +130,13 @@ type HeartbeatConfig struct {
 	// MissThreshold is how many silent intervals mark a switch dead
 	// (default 3).
 	MissThreshold int
-	// RedirectTimeout is how long a redirect may stay unacknowledged by an
-	// authority switch's data plane before the switch is treated as dead
-	// even if its control plane still echoes heartbeats (default
-	// 2·Interval·MissThreshold).
-	RedirectTimeout time.Duration
+}
+
+// redirectTimeout is how long a redirect may stay unacknowledged by an
+// authority switch's data plane before the switch is treated as dead even
+// if its control plane still echoes heartbeats.
+func (h HeartbeatConfig) redirectTimeout() time.Duration {
+	return 2 * time.Duration(h.MissThreshold) * h.Interval
 }
 
 func (h *HeartbeatConfig) applyDefaults() {
@@ -152,9 +145,6 @@ func (h *HeartbeatConfig) applyDefaults() {
 	}
 	if h.MissThreshold <= 0 {
 		h.MissThreshold = 3
-	}
-	if h.RedirectTimeout <= 0 {
-		h.RedirectTimeout = 2 * time.Duration(h.MissThreshold) * h.Interval
 	}
 }
 
@@ -174,14 +164,6 @@ type BFDConfig struct {
 	Interval time.Duration
 	// DetectMult is the detection multiplier (default 3).
 	DetectMult int
-	// Demand enables demand mode: sessions go quiescent once Up and
-	// re-prove liveness with poll sequences every PollInterval instead of
-	// periodic transmission. Detection latency becomes poll-bounded, so
-	// leave it off when millisecond detection matters more than idle
-	// control traffic.
-	Demand bool
-	// PollInterval is demand mode's probe cadence (default 10×Interval).
-	PollInterval time.Duration
 }
 
 func (b *BFDConfig) applyDefaults() {
@@ -190,9 +172,6 @@ func (b *BFDConfig) applyDefaults() {
 	}
 	if b.DetectMult <= 0 {
 		b.DetectMult = 3
-	}
-	if b.PollInterval <= 0 {
-		b.PollInterval = 10 * b.Interval
 	}
 }
 
@@ -255,10 +234,6 @@ type OverloadConfig struct {
 	// CacheInstallBurst is the install bucket's burst capacity (default 32
 	// when CacheInstallRate is set).
 	CacheInstallBurst int
-	// OutageBuffer bounds the per-switch queue of controller-bound events
-	// held while the controller is unreachable (default 256). Overflow is
-	// shed oldest-first and counted in OutageDropped.
-	OutageBuffer int
 }
 
 func (o *OverloadConfig) applyDefaults() {
@@ -267,9 +242,6 @@ func (o *OverloadConfig) applyDefaults() {
 	}
 	if o.CacheInstallBurst <= 0 {
 		o.CacheInstallBurst = 32
-	}
-	if o.OutageBuffer <= 0 {
-		o.OutageBuffer = 256
 	}
 }
 
@@ -356,9 +328,11 @@ func (cfg *ClusterConfig) Validate() error {
 	cfg.HA.applyDefaults(cfg.BFD, cfg.Heartbeat)
 	cfg.Retry.applyDefaults()
 	cfg.Overload.applyDefaults()
-	if err := cfg.Fabric.applyDefaults(cfg.QueueDepth); err != nil {
-		return err
+	if depth := cfg.ringDepth(); depth < fabricBurst {
+		return fmt.Errorf("wire: queue depth %d gives ring depth %d, below the burst size %d",
+			cfg.QueueDepth, depth, fabricBurst)
 	}
+	cfg.Fabric.applyDefaults()
 	if cfg.CacheAdaptInterval <= 0 {
 		cfg.CacheAdaptInterval = 250 * time.Millisecond
 	}

@@ -274,7 +274,7 @@ func (f *tcpFabric) serve(conn net.Conn) {
 	}
 	ring := dst.ring(src.slot)
 	br := bufio.NewReaderSize(conn, 64<<10)
-	burst := make([]dataFrame, 0, f.cfg.Burst)
+	burst := make([]dataFrame, 0, fabricBurst)
 	var rec [fabricRecHdr]byte
 	var payload []byte
 	for {

@@ -67,7 +67,7 @@ func (c *Cluster) checkLiveness(n *node, now time.Time) {
 	silence := now.Sub(time.Unix(0, n.lastBeat.Load()))
 	stale := silence > time.Duration(hb.MissThreshold)*hb.Interval
 	suspect := false
-	if t, ok := c.oldestPending(n.id); ok && now.Sub(t) > hb.RedirectTimeout {
+	if t, ok := c.oldestPending(n.id); ok && now.Sub(t) > hb.redirectTimeout() {
 		suspect = true
 	}
 	if n.alive.Load() {
@@ -76,7 +76,7 @@ func (c *Cluster) checkLiveness(n *node, now time.Time) {
 		}
 		return
 	}
-	holddown := now.Sub(time.Unix(0, n.deadAt.Load())) > 2*hb.RedirectTimeout
+	holddown := now.Sub(time.Unix(0, n.deadAt.Load())) > 2*hb.redirectTimeout()
 	if !n.killed.Load() && !stale && !suspect && holddown {
 		c.markAlive(n)
 	}

@@ -1,0 +1,135 @@
+package wire
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"difane/internal/core"
+	"difane/internal/flowspace"
+)
+
+// egressPolicy forwards TPDst 1000+i to switch i of the 8-switch cluster,
+// so flows spread over every egress and the policy splits into up to
+// eight partitions.
+func egressPolicy() []flowspace.Rule {
+	policy := make([]flowspace.Rule, 0, 8)
+	for i := uint64(0); i < 8; i++ {
+		policy = append(policy, flowspace.Rule{
+			ID: i + 1, Priority: 10,
+			Match:  flowspace.MatchAll().WithExact(flowspace.FTPDst, 1000+i),
+			Action: flowspace.Action{Kind: flowspace.ActForward, Arg: uint32(i)},
+		})
+	}
+	return policy
+}
+
+// hitPathDeployment is the 8-switch, 2-authority in-process cluster the
+// hit-path tests share.
+func hitPathDeployment(t *testing.T, part core.PartitionConfig) *Deployment {
+	t.Helper()
+	d, err := NewDeployment(ClusterConfig{
+		Switches:    []uint32{0, 1, 2, 3, 4, 5, 6, 7},
+		Authorities: []uint32{2, 5},
+		Policy:      egressPolicy(),
+		Strategy:    core.StrategyExact,
+		QueueDepth:  4096,
+		Partition:   part,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// warmUntilQuiet replays the trace until one whole pass adds no redirect.
+// Cache installs are asynchronous, so a detoured packet being delivered
+// does not yet mean its ingress cache rule has landed; a warmed trace that
+// keeps redirecting after that is a cache that is losing rules.
+func warmUntilQuiet(t *testing.T, d *Deployment, trace []core.PacketIn) {
+	t.Helper()
+	var extra uint64
+	for pass := 0; pass < 20; pass++ {
+		before := d.Measurements().Redirects
+		d.InjectBatch(trace)
+		d.Run(30)
+		if extra = d.Measurements().Redirects - before; extra == 0 {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("trace of %d packets still redirects %d per pass after 20 passes", len(trace), extra)
+}
+
+// TestWireCacheRuleIDsUniqueAcrossPartitions is the wire half of core's
+// TestCacheRuleIDsUniqueAcrossPartitions: four or more partitions on two
+// authority switches, a fixed 64-flow trace, and once it is warm a further
+// pass must add zero redirects.
+func TestWireCacheRuleIDsUniqueAcrossPartitions(t *testing.T) {
+	d := hitPathDeployment(t, core.PartitionConfig{MaxRulesPerPartition: 2})
+	if got := len(d.C.Assignment().Partitions); got < 4 {
+		t.Fatalf("want >=4 partitions on 2 authority switches, got %d", got)
+	}
+	var trace []core.PacketIn
+	for src := uint64(1); src <= 8; src++ {
+		for port := uint64(1000); port < 1008; port++ {
+			var k flowspace.Key
+			k[flowspace.FIPSrc], k[flowspace.FTPDst] = src, port
+			trace = append(trace, core.PacketIn{Ingress: 0, Key: k, Size: 100})
+		}
+	}
+	warmUntilQuiet(t, d, trace)
+	if m := d.Measurements(); m.Drops != (core.Drops{}) {
+		t.Fatalf("drops on a lossless trace: %+v", m.Drops)
+	}
+}
+
+// hitPathAllocBudget is the ceiling on heap allocations per cache-hit
+// packet, counted over the whole process (injection, two processBurst
+// passes, ring hand-off, delivery accounting, and whatever the control
+// loops allocate meanwhile). The hit path allocates nothing per packet;
+// what remains is amortized slab and latency-sample growth, 0.04 per
+// packet when this was written. A packet passes processBurst at ingress
+// and at egress, so a single allocation per frame there reads 2.04: the
+// budget is 1 so that even one allocation per packet fails.
+const hitPathAllocBudget = 1.0
+
+// TestCacheHitAllocBudget holds the wire hit path to its allocation
+// budget: one warm flow, a fixed 200k packets through InjectBatch, and the
+// process-wide malloc count over that window divided by the packets.
+func TestCacheHitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the paths this test counts")
+	}
+	// Closed loop in windows no ring can overflow: a full ring drops.
+	const packets, batch, window = 200_000, 250, 2000
+	d := hitPathDeployment(t, core.PartitionConfig{})
+	var k flowspace.Key
+	k[flowspace.FIPSrc], k[flowspace.FTPDst] = 0x0A000001, 1007
+	burst := make([]core.PacketIn, batch)
+	for i := range burst {
+		burst[i] = core.PacketIn{Ingress: 0, Key: k, Size: 100}
+	}
+	warmUntilQuiet(t, d, burst)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	delivered := d.Measurements().Delivered
+	for sent := 0; sent < packets; sent += window {
+		for b := 0; b < window; b += batch {
+			d.InjectBatch(burst)
+		}
+		d.Run(30)
+	}
+	runtime.ReadMemStats(&after)
+	if got := d.Measurements().Delivered - delivered; got != packets {
+		t.Fatalf("delivered %d of %d packets", got, packets)
+	}
+	perPkt := float64(after.Mallocs-before.Mallocs) / packets
+	t.Logf("%.2f allocs/pkt over %d cache-hit packets", perPkt, packets)
+	if perPkt > hitPathAllocBudget {
+		t.Fatalf("cache-hit path allocates %.2f/pkt, budget %.1f", perPkt, hitPathAllocBudget)
+	}
+}

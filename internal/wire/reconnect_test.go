@@ -210,8 +210,17 @@ func TestValidateDefaults(t *testing.T) {
 	if cfg.Heartbeat.Interval != 50*time.Millisecond || cfg.Heartbeat.MissThreshold != 3 {
 		t.Errorf("heartbeat defaults: %+v", cfg.Heartbeat)
 	}
-	if cfg.Heartbeat.RedirectTimeout != 300*time.Millisecond {
-		t.Errorf("RedirectTimeout = %v", cfg.Heartbeat.RedirectTimeout)
+	if got := cfg.Heartbeat.redirectTimeout(); got != 300*time.Millisecond {
+		t.Errorf("redirectTimeout = %v", got)
+	}
+	if got := cfg.ringDepth(); got != 1024 {
+		t.Errorf("ringDepth = %d", got)
+	}
+
+	shallow := ClusterConfig{Switches: []uint32{0, 1}, Authorities: []uint32{1},
+		Policy: failoverPolicy(), QueueDepth: fabricBurst / 2}
+	if err := shallow.Validate(); err == nil {
+		t.Error("a queue shallower than one burst must fail validation")
 	}
 	if cfg.Retry.MaxAttempts != 4 || cfg.Retry.BaseDelay != 10*time.Millisecond {
 		t.Errorf("retry defaults: %+v", cfg.Retry)

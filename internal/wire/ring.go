@@ -34,11 +34,17 @@ type frameRing struct {
 // newFrameRing builds a ring holding at least depth frames (rounded up to a
 // power of two so index math is a mask).
 func newFrameRing(depth int) *frameRing {
-	n := 1
-	for n < depth {
-		n <<= 1
-	}
+	n := ceilPow2(depth)
 	return &frameRing{buf: make([]dataFrame, n), mask: uint64(n - 1)}
+}
+
+// ceilPow2 rounds n up to a power of two (1 for n < 1).
+func ceilPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
 }
 
 // push appends one frame by value. Returns false when the ring is full.

@@ -96,7 +96,6 @@ type BFDSessionStatus struct {
 	RemoteState string `json:"remote_state"`
 	RemoteDiscr uint32 `json:"remote_discr,omitempty"`
 	DetectUsec  int64  `json:"detect_usec"`
-	Demand      bool   `json:"demand,omitempty"`
 	Transitions uint64 `json:"transitions"`
 }
 
@@ -144,7 +143,6 @@ func (c *Cluster) HAStatus() HAStatus {
 			RemoteState: info.RemoteState.String(),
 			RemoteDiscr: info.RemoteDiscr,
 			DetectUsec:  info.DetectTime.Microseconds(),
-			Demand:      info.Demand,
 			Transitions: info.Transitions,
 		})
 	}

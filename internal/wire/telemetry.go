@@ -48,8 +48,6 @@ type TelemetryConfig struct {
 	// Health tunes the SLO watchdog's rule thresholds (zero values take
 	// the documented defaults).
 	Health telemetry.HealthConfig
-	// HealthInterval paces the watchdog's registry scrapes (default 1s).
-	HealthInterval time.Duration
 	// DisableHealth turns the watchdog ticker off. The watchdog itself
 	// still exists: EvalOnce-driven tests and /health keep working.
 	DisableHealth bool
@@ -61,9 +59,6 @@ func (t *TelemetryConfig) applyDefaults() {
 	}
 	if t.TraceSample < 0 {
 		t.TraceSample = 0
-	}
-	if t.HealthInterval <= 0 {
-		t.HealthInterval = time.Second
 	}
 }
 
@@ -118,7 +113,7 @@ func (c *Cluster) counterTotals() telemetry.CounterTotals {
 // healthLoop drives the SLO watchdog on its ticker until the cluster stops.
 func (c *Cluster) healthLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.Telemetry.HealthInterval)
+	t := time.NewTicker(healthInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -315,6 +315,19 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	default:
 		c.trans = pipeTransport{}
 	}
+	// fail tears down whatever construction has built so far.
+	fail := func(err error) (*Cluster, error) {
+		if c.fabric != nil {
+			c.fabric.close()
+		}
+		cancel()
+		c.trans.close()
+		for _, n := range c.switches {
+			n.ctrl.Close()
+			n.ctrlPeer.Close()
+		}
+		return nil, err
+	}
 	now := time.Now()
 	c.injSlot = len(cfg.Switches)
 	// Pre-populate ring slots when the whole matrix is cheap: first-touch
@@ -327,21 +340,16 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	const eagerRingBudget = 64 << 20
 	ringSlots := len(cfg.Switches) * (len(cfg.Switches) + 1)
 	ringBytes := int(unsafe.Sizeof(dataFrame{}))
-	eagerRings := ringSlots*cfg.Fabric.RingDepth*ringBytes <= eagerRingBudget
+	ringDepth := cfg.ringDepth()
+	eagerRings := ringSlots*ringDepth*ringBytes <= eagerRingBudget
 	c.slabs.New = func() any {
-		s := make([]dataFrame, 0, cfg.Fabric.Burst)
+		s := make([]dataFrame, 0, fabricBurst)
 		return &s
 	}
 	for slot, id := range cfg.Switches {
 		swConn, ctrlConn, err := c.trans.connect(cctx, id)
 		if err != nil {
-			cancel()
-			c.trans.close()
-			for _, n := range c.switches {
-				n.ctrl.Close()
-				n.ctrlPeer.Close()
-			}
-			return nil, err
+			return fail(err)
 		}
 		n := &node{
 			id:   id,
@@ -354,20 +362,20 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 			}),
 			stats:      &nodeStats{},
 			in:         make([]atomic.Pointer[frameRing], len(cfg.Switches)+1),
-			ringDepth:  cfg.Fabric.RingDepth,
+			ringDepth:  ringDepth,
 			notify:     make(chan struct{}, 1),
 			ctrl:       swConn,
 			ctrlPeer:   ctrlConn,
 			replies:    make(chan proto.Message, 16),
 			done:       make(chan struct{}),
 			installQ:   make(chan proto.Message, 256),
-			outbox:     make(chan proto.Message, cfg.Overload.OutageBuffer),
+			outbox:     make(chan proto.Message, outageBuffer),
 			redirectTB: metrics.NewTokenBucket(cfg.Overload.RedirectRate, cfg.Overload.RedirectBurst),
 			installTB:  metrics.NewTokenBucket(cfg.Overload.CacheInstallRate, cfg.Overload.CacheInstallBurst),
 		}
 		if eagerRings {
 			for i := range n.in {
-				n.in[i].Store(newFrameRing(cfg.Fabric.RingDepth))
+				n.in[i].Store(newFrameRing(ringDepth))
 			}
 		}
 		n.alive.Store(true)
@@ -380,33 +388,15 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	c.epoch.Store(1)
 	c.leaderID.Store(-1)
 	if err := c.initHA(); err != nil {
-		cancel()
-		c.trans.close()
-		for _, n := range c.switches {
-			n.ctrl.Close()
-			n.ctrlPeer.Close()
-		}
-		return nil, err
+		return fail(err)
 	}
 	if err := c.installAssignment(); err != nil {
-		cancel()
-		c.trans.close()
-		for _, n := range c.switches {
-			n.ctrl.Close()
-			n.ctrlPeer.Close()
-		}
-		return nil, err
+		return fail(err)
 	}
 	if cfg.Fabric.UseTCP {
 		fab, err := newTCPFabric(c, cfg.Fabric)
 		if err != nil {
-			cancel()
-			c.trans.close()
-			for _, n := range c.switches {
-				n.ctrl.Close()
-				n.ctrlPeer.Close()
-			}
-			return nil, err
+			return fail(err)
 		}
 		c.fabric = fab
 	}
@@ -415,16 +405,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	// starts (the TCAM hook-set-before-sharing contract).
 	c.initTelemetry()
 	if err := c.startTelemetryServer(); err != nil {
-		if c.fabric != nil {
-			c.fabric.close()
-		}
-		cancel()
-		c.trans.close()
-		for _, n := range c.switches {
-			n.ctrl.Close()
-			n.ctrlPeer.Close()
-		}
-		return nil, err
+		return fail(err)
 	}
 	// Re-stamp the heartbeat clocks now that construction is done:
 	// liveness silence starts when the prober can actually run, not when
