@@ -16,7 +16,7 @@ import (
 )
 
 // Stats aggregates a switch's data-plane counters. The fields are atomics
-// so wire mode's concurrent data planes can bump them from the lock-free
+// so wire mode's concurrent data planes can bump them from the
 // classification path; single-threaded users (the simulator) pay only an
 // uncontended atomic add.
 type Stats struct {
@@ -152,7 +152,7 @@ type Result struct {
 // Classify runs the pipeline: cache, then authority, then partition. The
 // matching table's counters are updated; earlier tables record misses.
 // Classify is safe for concurrent use with rule installs: each table
-// lookup walks an atomically published snapshot (see internal/tcam), so a
+// lookup runs under the table's read lock (see internal/tcam), so a
 // concurrent FlowMod is observed either fully applied or not at all.
 func (s *Switch) Classify(now float64, k flowspace.Key, size int) Result {
 	if r, ok := s.cache.Lookup(now, k, size); ok {
@@ -172,7 +172,7 @@ func (s *Switch) Classify(now float64, k flowspace.Key, size int) Result {
 }
 
 // ClassifyBurst classifies a vector of packets through the pipeline with
-// one snapshot acquisition per table per burst (instead of per packet) and
+// one read-lock acquisition per table per burst (instead of per packet) and
 // one Stats update per table per burst. keys, sizes, and out must have
 // equal length; out[i] receives packet i's result. The cascade runs
 // table-at-a-time: all cache lookups against one cache view, then the

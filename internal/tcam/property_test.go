@@ -1,6 +1,7 @@
 package tcam
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -23,43 +24,43 @@ type refEntry struct {
 	idle, hard float64
 }
 
-func (m *refModel) insert(now float64, r flowspace.Rule, idle, hard float64) bool {
-	for i := range m.entries {
-		if m.entries[i].rule.ID == r.ID {
-			m.entries = append(m.entries[:i], m.entries[i+1:]...)
-			break
+// evict removes the entry the policy's total order puts first.
+func (m *refModel) evict() {
+	victim := 0
+	better := func(a, b refEntry) bool {
+		switch m.policy {
+		case EvictLRU:
+			if a.lastHit != b.lastHit {
+				return a.lastHit < b.lastHit
+			}
+			if a.packets != b.packets {
+				return a.packets < b.packets
+			}
+		case EvictLFU:
+			if a.packets != b.packets {
+				return a.packets < b.packets
+			}
+			if a.lastHit != b.lastHit {
+				return a.lastHit < b.lastHit
+			}
+		}
+		return a.rule.ID < b.rule.ID
+	}
+	for i := 1; i < len(m.entries); i++ {
+		if better(m.entries[i], m.entries[victim]) {
+			victim = i
 		}
 	}
+	m.entries = append(m.entries[:victim], m.entries[victim+1:]...)
+}
+
+func (m *refModel) insert(now float64, r flowspace.Rule, idle, hard float64) bool {
+	m.deleteWhere(func(o flowspace.Rule) bool { return o.ID == r.ID })
 	if m.capacity > 0 && len(m.entries) >= m.capacity {
 		if m.policy == EvictNone {
 			return false
 		}
-		victim := 0
-		better := func(a, b refEntry) bool {
-			switch m.policy {
-			case EvictLRU:
-				if a.lastHit != b.lastHit {
-					return a.lastHit < b.lastHit
-				}
-				if a.packets != b.packets {
-					return a.packets < b.packets
-				}
-			case EvictLFU:
-				if a.packets != b.packets {
-					return a.packets < b.packets
-				}
-				if a.lastHit != b.lastHit {
-					return a.lastHit < b.lastHit
-				}
-			}
-			return a.rule.ID < b.rule.ID
-		}
-		for i := 1; i < len(m.entries); i++ {
-			if better(m.entries[i], m.entries[victim]) {
-				victim = i
-			}
-		}
-		m.entries = append(m.entries[:victim], m.entries[victim+1:]...)
+		m.evict()
 	}
 	m.entries = append(m.entries, refEntry{
 		rule: r, lastHit: now, installed: now, idle: idle, hard: hard,
@@ -67,7 +68,27 @@ func (m *refModel) insert(now float64, r flowspace.Rule, idle, hard float64) boo
 	return true
 }
 
-func (m *refModel) lookup(now float64, k flowspace.Key) (flowspace.Rule, bool) {
+// setCapacity evicts down to the new limit, as Table.SetCapacity does.
+func (m *refModel) setCapacity(capacity int) {
+	m.capacity = capacity
+	for capacity > 0 && len(m.entries) > capacity {
+		m.evict()
+	}
+}
+
+func (m *refModel) deleteWhere(pred func(flowspace.Rule) bool) {
+	kept := m.entries[:0]
+	for _, e := range m.entries {
+		if !pred(e.rule) {
+			kept = append(kept, e)
+		}
+	}
+	m.entries = kept
+}
+
+// lookup scans for the best match; touch updates its counters as a
+// Lookup does and a Peek does not.
+func (m *refModel) lookup(now float64, k flowspace.Key, touch bool) (flowspace.Rule, bool) {
 	best := -1
 	for i := range m.entries {
 		if !m.entries[i].rule.Match.Matches(k) {
@@ -80,8 +101,10 @@ func (m *refModel) lookup(now float64, k flowspace.Key) (flowspace.Rule, bool) {
 	if best < 0 {
 		return flowspace.Rule{}, false
 	}
-	m.entries[best].packets++
-	m.entries[best].lastHit = now
+	if touch {
+		m.entries[best].packets++
+		m.entries[best].lastHit = now
+	}
 	return m.entries[best].rule, true
 }
 
@@ -110,68 +133,155 @@ func (m *refModel) ids() map[uint64]bool {
 	return out
 }
 
-// TestTableMatchesReferenceModel drives random operation sequences through
-// the TCAM table and the brute-force model and requires identical
-// observable behaviour: same lookup results, same resident rule sets.
+// rulePool is one source of rules and keys for the property test.
+type rulePool struct {
+	name     string
+	capacity int
+	rule     func(rng *rand.Rand) flowspace.Rule
+	key      func(rng *rand.Rand) flowspace.Key
+}
+
+func rulePools() []rulePool {
+	// Ternary matches in the style of scencheck's generator, over a key
+	// space small enough that rules overlap and keys collide: arbitrary
+	// (non-prefix) masks, priority ties, value bits outside the mask.
+	ternaryFields := []flowspace.FieldID{flowspace.FIPSrc, flowspace.FIPDst, flowspace.FTPDst}
+	ternary := func(rng *rand.Rand) flowspace.Rule {
+		m := flowspace.MatchAll()
+		for _, f := range ternaryFields {
+			m = m.With(f, flowspace.Field{Value: uint64(rng.Intn(16)), Mask: uint64(rng.Intn(16) & rng.Intn(16))})
+		}
+		id := uint64(1 + rng.Intn(60))
+		return flowspace.Rule{ID: id, Priority: int32(rng.Intn(5)), Match: m,
+			Action: flowspace.Action{Kind: flowspace.ActForward, Arg: uint32(id)}}
+	}
+	acl := classBenchPolicy(400)
+	return []rulePool{
+		{"ports", 8,
+			func(rng *rand.Rand) flowspace.Rule {
+				return rule(uint64(1+rng.Intn(20)), int32(rng.Intn(5)), uint64(rng.Intn(8)))
+			},
+			func(rng *rand.Rand) flowspace.Key { return keyPort(uint64(rng.Intn(8))) }},
+		{"ternary", 24, ternary,
+			func(rng *rand.Rand) flowspace.Key {
+				var k flowspace.Key
+				for _, f := range ternaryFields {
+					k[f] = uint64(rng.Intn(16))
+				}
+				return k
+			}},
+		{"classbench", 150,
+			func(rng *rand.Rand) flowspace.Rule { return acl[rng.Intn(len(acl))] },
+			func(rng *rand.Rand) flowspace.Key { return keyIn(rng, acl[rng.Intn(len(acl))].Match) }},
+	}
+}
+
+// keyIn draws a random key inside m.
+func keyIn(rng *rand.Rand, m flowspace.Match) flowspace.Key {
+	var fill [flowspace.NumFields]uint64
+	for i := range fill {
+		fill[i] = rng.Uint64()
+	}
+	return m.RandomKeyIn(fill)
+}
+
+// TestTableMatchesReferenceModel drives random operation sequences —
+// insert, replace, evicting insert, delete, DeleteWhere, SetCapacity,
+// Advance — through the table and the brute-force model and requires
+// identical observable behaviour: every Lookup, View.Lookup and Peek
+// returns what the model's scan returns and what flowspace.EvalTable (the
+// scan internal/oracle runs) returns over Rules(), the resident sets
+// agree, and the index's structural invariants hold after every step.
 func TestTableMatchesReferenceModel(t *testing.T) {
-	for _, policy := range []EvictionPolicy{EvictNone, EvictLRU, EvictLFU} {
-		rng := rand.New(rand.NewSource(149 + int64(policy)))
-		tb := New("prop", 8, policy)
-		ref := &refModel{capacity: 8, policy: policy}
-		now := 0.0
-		for step := 0; step < 4000; step++ {
-			now += rng.Float64() * 0.5
-			switch rng.Intn(10) {
-			case 0, 1, 2, 3: // insert
-				r := rule(uint64(1+rng.Intn(20)), int32(rng.Intn(5)), uint64(rng.Intn(8)))
-				idle := 0.0
-				if rng.Intn(3) == 0 {
-					idle = 1 + rng.Float64()*3
-				}
-				hard := 0.0
-				if rng.Intn(4) == 0 {
-					hard = 2 + rng.Float64()*5
-				}
-				tb.Advance(now)
-				ref.advance(now)
-				gotErr := tb.Insert(now, r, idle, hard) != nil
-				wantErr := !ref.insert(now, r, idle, hard)
-				if gotErr != wantErr {
-					t.Fatalf("%v step %d: insert err=%v want %v", policy, step, gotErr, wantErr)
-				}
-			case 4, 5, 6, 7: // lookup
-				k := keyPort(uint64(rng.Intn(8)))
-				tb.Advance(now)
-				ref.advance(now)
-				got, gotOK := tb.Lookup(now, k, 64)
-				want, wantOK := ref.lookup(now, k)
-				if gotOK != wantOK || (gotOK && got.ID != want.ID) {
-					t.Fatalf("%v step %d: lookup %v/%v want %v/%v", policy, step, got, gotOK, want, wantOK)
-				}
-			case 8: // delete
-				id := uint64(1 + rng.Intn(20))
-				tb.Delete(id)
-				for i := range ref.entries {
-					if ref.entries[i].rule.ID == id {
-						ref.entries = append(ref.entries[:i], ref.entries[i+1:]...)
-						break
+	for _, pool := range rulePools() {
+		for _, policy := range []EvictionPolicy{EvictNone, EvictLRU, EvictLFU} {
+			rng := rand.New(rand.NewSource(149 + int64(policy)))
+			tb := New("prop", pool.capacity, policy)
+			ref := &refModel{capacity: pool.capacity, policy: policy}
+			fail := func(step int, format string, args ...any) {
+				t.Helper()
+				t.Fatalf("%s %v step %d: %s", pool.name, policy, step, fmt.Sprintf(format, args...))
+			}
+			now := 0.0
+			for step := 0; step < 3000; step++ {
+				now += rng.Float64() * 0.5
+				switch op := rng.Intn(12); op {
+				case 0, 1, 2, 3: // insert, replace or evicting insert
+					r := pool.rule(rng)
+					idle := 0.0
+					if rng.Intn(3) == 0 {
+						idle = 1 + rng.Float64()*3
 					}
+					hard := 0.0
+					if rng.Intn(4) == 0 {
+						hard = 2 + rng.Float64()*5
+					}
+					tb.Advance(now)
+					ref.advance(now)
+					gotErr := tb.Insert(now, r, idle, hard) != nil
+					wantErr := !ref.insert(now, r, idle, hard)
+					if gotErr != wantErr {
+						fail(step, "insert err=%v want %v", gotErr, wantErr)
+					}
+				case 4, 5, 6, 7: // lookup, by each of the three read calls
+					k := pool.key(rng)
+					tb.Advance(now)
+					ref.advance(now)
+					scan, scanOK := flowspace.EvalTable(tb.Rules(), k)
+					var got flowspace.Rule
+					var gotOK bool
+					switch op {
+					case 4:
+						got, gotOK = tb.Peek(k)
+					case 5:
+						v := tb.AcquireView()
+						got, gotOK = v.Lookup(now, k, 64)
+						v.Release()
+					default:
+						got, gotOK = tb.Lookup(now, k, 64)
+					}
+					want, wantOK := ref.lookup(now, k, op != 4)
+					if gotOK != wantOK || (gotOK && got.ID != want.ID) {
+						fail(step, "lookup %v/%v want %v/%v", got, gotOK, want, wantOK)
+					}
+					if gotOK != scanOK || (gotOK && got.ID != scan.ID) {
+						fail(step, "lookup %v/%v, scan of Rules() %v/%v", got, gotOK, scan, scanOK)
+					}
+				case 8: // delete
+					id := pool.rule(rng).ID
+					tb.Delete(id)
+					ref.deleteWhere(func(r flowspace.Rule) bool { return r.ID == id })
+				case 9: // several entries at once
+					doomed := func(r flowspace.Rule) bool { return r.ID%4 == uint64(step%4) }
+					tb.DeleteWhere(func(e Entry) bool { return doomed(e.Rule) })
+					ref.deleteWhere(doomed)
+				case 10: // shrink, then restore, the capacity
+					if policy == EvictNone || pool.capacity == 0 {
+						continue
+					}
+					tb.SetCapacity(now, pool.capacity/2)
+					ref.setCapacity(pool.capacity / 2)
+					tb.SetCapacity(now, pool.capacity)
+					ref.setCapacity(pool.capacity)
+				case 11: // expiry sweep
+					tb.Advance(now)
+					ref.advance(now)
 				}
-			case 9: // expiry sweep + resident-set comparison
-				tb.Advance(now)
-				ref.advance(now)
 				gotIDs := map[uint64]bool{}
 				for _, r := range tb.Rules() {
 					gotIDs[r.ID] = true
 				}
 				wantIDs := ref.ids()
 				if len(gotIDs) != len(wantIDs) {
-					t.Fatalf("%v step %d: resident %v want %v", policy, step, gotIDs, wantIDs)
+					fail(step, "resident %v want %v", gotIDs, wantIDs)
 				}
 				for id := range wantIDs {
 					if !gotIDs[id] {
-						t.Fatalf("%v step %d: missing rule %d", policy, step, id)
+						fail(step, "missing rule %d", id)
 					}
+				}
+				if err := checkIndex(tb); err != nil {
+					fail(step, "index: %v", err)
 				}
 			}
 		}

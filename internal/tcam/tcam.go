@@ -6,28 +6,27 @@
 // deterministic under the discrete-event simulator; the wire-mode prototype
 // feeds it monotonic time converted to seconds.
 //
-// Concurrency: the table is safe for concurrent use with a read-mostly
-// design. Lookups (Lookup, Peek, Len, Entries, Rules, NextExpiry) walk an
-// immutable snapshot published through an atomic pointer and update
-// per-entry counters with atomics, so the data-plane hot path never takes
-// a lock and never contends with rule installs. Mutations (Insert, Delete,
-// DeleteWhere, Advance) serialize on an internal mutex and mark the
-// snapshot dirty. Republishing is adaptive: while mutations keep landing
-// (a bulk policy install, a miss storm churning an exact-match cache),
-// reads scan the live table under the mutex — an O(n) walk either way —
-// instead of paying an O(n) snapshot copy per mutation; once the table
-// quiesces (a dirty read observes no mutation since the previous one),
-// the snapshot is rebuilt, published atomically, and reads go lock-free
-// again. Either way a lookup observes either the complete old table or
-// the complete new one, never a half-applied mutation — the linearization
-// point is the mutex acquisition (churning) or the snapshot publish
-// (quiesced).
+// Lookup is indexed, not scanned: the entries hang off a ternary bit-tree
+// (index.go) whose inner nodes each test one header bit, so a lookup reads
+// a few short leaves whatever the table holds, and the tree is updated in
+// place — an insert or a removal touches one root-to-leaf path, and the
+// paths that removals leave over-deep are paid for by rebuilding once as
+// many entries have gone as remain.
+//
+// Concurrency: the table is safe for concurrent use behind one
+// sync.RWMutex. Reads (Lookup, Peek, Len, Entries, Rules, NextExpiry, and
+// a View for a whole packet burst) take the read lock and update per-entry
+// counters with atomics, so data planes read side by side; mutations
+// (Insert, Delete, DeleteWhere, SetCapacity, Advance) take the write lock,
+// so a lookup observes a mutation either fully applied or not at all, and
+// a writer waits for at most one burst. Hooks fire outside the lock.
 package tcam
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -68,7 +67,7 @@ func (e Entry) Installed() float64 { return e.installed }
 func (e Entry) LastHit() float64 { return e.lastHit }
 
 // entry is the live representation: immutable rule and timeouts, atomic
-// counters so lock-free lookups can update them concurrently.
+// counters so lookups sharing the read lock can update them concurrently.
 type entry struct {
 	rule flowspace.Rule
 
@@ -97,9 +96,11 @@ func (e *entry) snapshot() Entry {
 	}
 }
 
-// expiresAt returns the earliest time the entry can expire, or +inf-ish.
+// never is the expiry time of an entry with no timeout armed.
+const never = 1e30
+
+// expiresAt returns the earliest time the entry can expire, or never.
 func (e *entry) expiresAt() float64 {
-	const never = 1e30
 	t := never
 	if e.idleTimeout > 0 && e.lastHit()+e.idleTimeout < t {
 		t = e.lastHit() + e.idleTimeout
@@ -140,31 +141,33 @@ type VictimCandidate struct {
 // back into the table.
 type VictimFunc func(now float64, cands []VictimCandidate) int
 
-// Table is a TCAM-semantics rule table with a lock-free lookup path and
-// mutex-serialized mutations (see the package comment for the model).
+// Table is a TCAM-semantics rule table with an indexed lookup path (see
+// the package comment for the model).
 type Table struct {
 	name     string
 	capacity int // 0 = unlimited
 	policy   EvictionPolicy
 
-	// mu serializes mutations. entries and byID are owned by mu; view is
-	// the immutable snapshot the lock-free read path walks. Mutations set
-	// dirty instead of rebuilding the snapshot inline, so bulk installs
-	// stay O(1) per rule; reads that land while dirty scan entries under
-	// mu, and the snapshot republishes only once mutations quiesce
-	// (maybeRepublishLocked) — version counts mutations and lastDirtyRead
-	// remembers the version the previous dirty read saw, both owned by mu.
-	mu            sync.Mutex
-	entries       []*entry // kept in TCAM order: highest priority first
-	byID          map[uint64]*entry
-	version       uint64
-	lastDirtyRead uint64
-	view          atomic.Pointer[[]viewEntry]
-	dirty         atomic.Bool
+	// mu guards everything below it up to the hooks. root indexes exactly
+	// the entries of entries; removed counts the entries taken out of root
+	// since it was last built.
+	mu      sync.RWMutex
+	entries []*entry // kept in TCAM order: highest priority first
+	byID    map[uint64]*entry
+	root    *node
+	removed int
+
+	// expiryBound (math.Float64bits) is a lower bound on the earliest
+	// expiry of any entry, so Advance returns without the lock until
+	// something can have expired: set by Advance's scan, lowered by an
+	// Insert that arms a timeout, and left alone by hits, which only push
+	// an entry's real expiry later (a wire-mode hit stamped a queueing
+	// delay before the previous one makes the scan that much late, no
+	// more). Written under mu, read without it.
+	expiryBound atomic.Uint64
 
 	// pins refcounts rule IDs protected from eviction (in-flight installs);
-	// victimFn, when set, overrides the policy's victim ordering. Both are
-	// owned by mu.
+	// victimFn, when set, overrides the policy's victim ordering.
 	pins     map[uint64]int
 	victimFn VictimFunc
 
@@ -196,71 +199,10 @@ func New(name string, capacity int, policy EvictionPolicy) *Table {
 		capacity: capacity,
 		policy:   policy,
 		byID:     make(map[uint64]*entry),
+		root:     build(nil),
 	}
-	t.publishLocked()
+	t.expiryBound.Store(math.Float64bits(never))
 	return t
-}
-
-// viewEntry is one slot of the published read snapshot: the match is
-// inlined so a lookup scans contiguous memory instead of chasing an entry
-// pointer per rule — a miss walks the whole table, so scan locality sets
-// the miss path's cost — and the entry pointer is touched only on a hit.
-type viewEntry struct {
-	match flowspace.Match
-	e     *entry
-}
-
-// publishLocked rebuilds the read snapshot from entries. Callers hold mu
-// (or, in New, exclusive ownership).
-func (t *Table) publishLocked() {
-	v := make([]viewEntry, len(t.entries))
-	for i, e := range t.entries {
-		v[i] = viewEntry{match: e.rule.Match, e: e}
-	}
-	t.view.Store(&v)
-	t.dirty.Store(false)
-}
-
-// markDirtyLocked records one mutation: the published snapshot is stale
-// and the quiescence clock restarts. Callers hold mu.
-func (t *Table) markDirtyLocked() {
-	t.version++
-	t.dirty.Store(true)
-}
-
-// maybeRepublishLocked decides, on a read that found the snapshot dirty,
-// whether the table has quiesced. It republishes (and reports true) only
-// when no mutation has landed since the previous dirty read — rebuilding
-// mid-churn would pay an O(n) snapshot copy per mutation, which is what
-// this scheme exists to avoid. Reporting false means the caller should
-// scan t.entries under mu instead. Callers hold mu.
-func (t *Table) maybeRepublishLocked() bool {
-	if !t.dirty.Load() {
-		return true // raced with another reader's republish
-	}
-	if t.version == t.lastDirtyRead {
-		t.publishLocked()
-		return true
-	}
-	t.lastDirtyRead = t.version
-	return false
-}
-
-// loadView returns the current immutable snapshot, or nil when the table
-// is churning — mutations are still landing, so the caller must scan
-// t.entries under mu (loadView leaves mu held in that case; it returns
-// with mu released otherwise). The dirty fast path keeps steady-state
-// reads lock-free: the mutex is touched only by reads racing a mutation.
-func (t *Table) loadView() ([]viewEntry, bool) {
-	if !t.dirty.Load() {
-		return *t.view.Load(), true
-	}
-	t.mu.Lock()
-	if t.maybeRepublishLocked() {
-		t.mu.Unlock()
-		return *t.view.Load(), true
-	}
-	return nil, false
 }
 
 // Name returns the table's diagnostic name.
@@ -301,8 +243,8 @@ func (t *Table) Unpin(id uint64) {
 
 // Pinned reports whether rule id currently holds at least one pin.
 func (t *Table) Pinned(id uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return t.pins[id] > 0
 }
 
@@ -325,12 +267,9 @@ func (t *Table) SetCapacity(now float64, capacity int) int {
 			if victim == nil {
 				break // everything left is pinned
 			}
-			t.removeEntryLocked(victim)
+			t.removeLocked(victim)
 			t.Evictions.Add(1)
 			evicted = append(evicted, victim)
-		}
-		if len(evicted) > 0 {
-			t.markDirtyLocked()
 		}
 	}
 	t.mu.Unlock()
@@ -356,18 +295,16 @@ func (t *Table) atLimitLocked() bool {
 
 // Len returns the number of installed entries.
 func (t *Table) Len() int {
-	if view, ok := t.loadView(); ok {
-		return len(view)
-	}
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return len(t.entries)
 }
 
 // Capacity returns the entry limit (0 = unlimited, negative = admits
 // nothing; see SetCapacity).
 func (t *Table) Capacity() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return t.capacity
 }
 
@@ -379,23 +316,18 @@ func (t *Table) Insert(now float64, r flowspace.Rule, idle, hard float64) error 
 	var evicted *entry
 	t.mu.Lock()
 	if old, ok := t.byID[r.ID]; ok {
-		t.removeEntryLocked(old)
+		t.removeLocked(old)
 	}
 	if t.atLimitLocked() {
-		if t.policy == EvictNone {
-			t.markDirtyLocked()
+		if t.policy != EvictNone {
+			evicted = t.pickVictimLocked(now)
+		}
+		if evicted == nil {
 			t.mu.Unlock()
 			return ErrFull
 		}
-		victim := t.pickVictimLocked(now)
-		if victim == nil {
-			t.markDirtyLocked()
-			t.mu.Unlock()
-			return ErrFull
-		}
-		t.removeEntryLocked(victim)
+		t.removeLocked(evicted)
 		t.Evictions.Add(1)
-		evicted = victim
 	}
 	e := &entry{
 		rule:        r,
@@ -404,15 +336,12 @@ func (t *Table) Insert(now float64, r flowspace.Rule, idle, hard float64) error 
 		installed:   now,
 	}
 	e.setLastHit(now)
-	// Insert preserving TCAM order.
-	i := sort.Search(len(t.entries), func(i int) bool {
-		return !t.entries[i].rule.Before(r)
-	})
-	t.entries = append(t.entries, nil)
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = e
+	t.entries = slices.Insert(t.entries, t.positionLocked(e), e)
 	t.byID[r.ID] = e
-	t.markDirtyLocked()
+	t.root.insert(e)
+	if at := e.expiresAt(); at < math.Float64frombits(t.expiryBound.Load()) {
+		t.expiryBound.Store(math.Float64bits(at))
+	}
 	t.mu.Unlock()
 	// Hooks fire outside mu, after the mutation is visible (same contract
 	// as Advance's OnExpire).
@@ -430,12 +359,10 @@ func (t *Table) Delete(id uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.byID[id]
-	if !ok {
-		return false
+	if ok {
+		t.removeLocked(e)
 	}
-	t.removeEntryLocked(e)
-	t.markDirtyLocked()
-	return true
+	return ok
 }
 
 // DeleteWhere removes all entries for which pred returns true and returns
@@ -443,28 +370,48 @@ func (t *Table) Delete(id uint64) bool {
 func (t *Table) DeleteWhere(pred func(Entry) bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var victims []*entry
-	for _, e := range t.entries {
-		if pred(e.snapshot()) {
-			victims = append(victims, e)
-		}
-	}
-	for _, e := range victims {
-		t.removeEntryLocked(e)
-	}
-	if len(victims) > 0 {
-		t.markDirtyLocked()
-	}
-	return len(victims)
+	return len(t.dropLocked(func(e *entry) bool { return pred(e.snapshot()) }))
 }
 
-func (t *Table) removeEntryLocked(e *entry) {
+// positionLocked returns where e sits, or belongs, in entries.
+func (t *Table) positionLocked(e *entry) int {
+	return sort.Search(len(t.entries), func(i int) bool { return !t.entries[i].rule.Before(e.rule) })
+}
+
+// removeLocked takes one entry out of the table.
+func (t *Table) removeLocked(e *entry) {
 	delete(t.byID, e.rule.ID)
-	for i, x := range t.entries {
-		if x == e {
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			return
+	i := t.positionLocked(e)
+	t.entries = slices.Delete(t.entries, i, i+1)
+	t.unindexLocked(e)
+}
+
+// dropLocked takes every entry doomed picks out of the table in one
+// compaction pass, and returns them.
+func (t *Table) dropLocked(doomed func(*entry) bool) []*entry {
+	var gone []*entry
+	t.entries = slices.DeleteFunc(t.entries, func(e *entry) bool {
+		if !doomed(e) {
+			return false
 		}
+		delete(t.byID, e.rule.ID)
+		gone = append(gone, e)
+		return true
+	})
+	t.unindexLocked(gone...)
+	return gone
+}
+
+// unindexLocked takes entries already gone from t.entries out of the
+// index. Removing leaves the tree as deep as its departed entries made it,
+// so once as many have gone as remain it is rebuilt instead.
+func (t *Table) unindexLocked(gone ...*entry) {
+	if t.removed += len(gone); t.removed >= len(t.entries) {
+		t.root, t.removed = build(t.entries), 0
+		return
+	}
+	for _, e := range gone {
+		t.root.remove(e)
 	}
 }
 
@@ -479,7 +426,7 @@ func (t *Table) pickVictimLocked(now float64) *entry {
 		var cands []VictimCandidate
 		var live []*entry
 		for _, e := range t.entries {
-			if t.pins[e.rule.ID] > 0 {
+			if len(t.pins) > 0 && t.pins[e.rule.ID] > 0 {
 				continue
 			}
 			cands = append(cands, VictimCandidate{
@@ -519,7 +466,7 @@ func (t *Table) pickVictimLocked(now float64) *entry {
 		return a.rule.ID < b.rule.ID
 	}
 	for _, e := range t.entries {
-		if t.pins[e.rule.ID] > 0 {
+		if len(t.pins) > 0 && t.pins[e.rule.ID] > 0 {
 			continue
 		}
 		if victim == nil || better(e, victim) {
@@ -530,92 +477,55 @@ func (t *Table) pickVictimLocked(now float64) *entry {
 }
 
 // Lookup returns the highest-priority entry matching k, updating counters
-// with the packet's size, and false on a miss. In steady state it is
-// lock-free: it walks the published snapshot and touches only atomic
-// counters, so it never contends with concurrent installs. While installs
-// are churning it scans the live table under the mutex instead (see the
-// package comment).
+// with the packet's size, and false on a miss.
 func (t *Table) Lookup(now float64, k flowspace.Key, size int) (flowspace.Rule, bool) {
-	if view, ok := t.loadView(); ok {
-		for i := range view {
-			if view[i].match.Matches(k) {
-				return t.hit(view[i].e, now, size), true
-			}
-		}
-		t.Misses.Add(1)
-		return flowspace.Rule{}, false
-	}
-	defer t.mu.Unlock()
-	for _, e := range t.entries {
-		if e.rule.Match.Matches(k) {
-			return t.hit(e, now, size), true
-		}
-	}
-	t.Misses.Add(1)
-	return flowspace.Rule{}, false
+	v := t.AcquireView()
+	r, ok := v.Lookup(now, k, size)
+	v.Release()
+	return r, ok
 }
 
-// View is a per-burst acquisition of the table's read state: one loadView
-// (a single atomic load in steady state) serves every lookup of a packet
-// burst, and the table-level hit/miss counters are folded in with one
-// atomic add each at Release instead of one per packet. While the table is
-// churning, AcquireView holds the table mutex until Release — installs
-// wait at most one burst, the same bound a churning per-packet Lookup
-// already imposes per packet. A View must be Released on the goroutine
-// that acquired it, must not outlive the burst, and must not interleave
-// with another View of the same table on the same goroutine.
+// View is a per-burst hold of the table's read lock: one acquisition
+// serves every lookup of a packet burst against one consistent table
+// state, and the table-level hit/miss counters are folded in with one
+// atomic add each at Release instead of one per packet. Installs wait at
+// most one burst. A View must be Released on the goroutine that acquired
+// it and must not outlive the burst; until then that goroutine must not
+// call anything else on the same table, another View included — a second
+// read-lock queues behind a waiting writer, which is waiting for the
+// first.
 type View struct {
 	t      *Table
-	view   []viewEntry
-	locked bool
 	hits   uint64
 	misses uint64
 }
 
 // AcquireView starts a burst of lookups against a consistent table state.
 func (t *Table) AcquireView() View {
-	if view, ok := t.loadView(); ok {
-		return View{t: t, view: view}
-	}
-	// loadView left mu held: serve the burst from the live entries.
-	return View{t: t, locked: true}
+	t.mu.RLock()
+	return View{t: t}
 }
 
-// Lookup is Table.Lookup against the view's snapshot; per-entry counters
-// update immediately (they are atomics either way), table-level hit/miss
-// tallies accumulate locally until Release.
+// Lookup is Table.Lookup under the view's lock; per-entry counters update
+// immediately (they are atomics), table-level hit/miss tallies accumulate
+// locally until Release.
 func (v *View) Lookup(now float64, k flowspace.Key, size int) (flowspace.Rule, bool) {
-	if v.locked {
-		for _, e := range v.t.entries {
-			if e.rule.Match.Matches(k) {
-				v.hitEntry(e, now, size)
-				return e.rule, true
-			}
-		}
+	e := v.t.root.find(&k, nil)
+	if e == nil {
 		v.misses++
 		return flowspace.Rule{}, false
 	}
-	for i := range v.view {
-		if v.view[i].match.Matches(k) {
-			e := v.view[i].e
-			v.hitEntry(e, now, size)
-			return e.rule, true
-		}
-	}
-	v.misses++
-	return flowspace.Rule{}, false
-}
-
-func (v *View) hitEntry(e *entry, now float64, size int) {
 	e.packets.Add(1)
 	e.bytes.Add(uint64(size))
 	e.setLastHit(now)
 	v.hits++
+	return e.rule, true
 }
 
 // Release ends the burst: accumulated hit/miss counts land on the table
-// and, if the view was taken under the mutex, the mutex is released.
+// and the read lock is released.
 func (v *View) Release() {
+	v.t.mu.RUnlock()
 	if v.hits > 0 {
 		v.t.Hits.Add(v.hits)
 		v.hits = 0
@@ -624,57 +534,35 @@ func (v *View) Release() {
 		v.t.Misses.Add(v.misses)
 		v.misses = 0
 	}
-	if v.locked {
-		v.locked = false
-		v.t.mu.Unlock()
-	}
-	v.view = nil
-}
-
-// hit applies a matched entry's counter updates.
-func (t *Table) hit(e *entry, now float64, size int) flowspace.Rule {
-	e.packets.Add(1)
-	e.bytes.Add(uint64(size))
-	e.setLastHit(now)
-	t.Hits.Add(1)
-	return e.rule
 }
 
 // Peek is Lookup without counter updates — for analysis passes.
 func (t *Table) Peek(k flowspace.Key) (flowspace.Rule, bool) {
-	if view, ok := t.loadView(); ok {
-		for i := range view {
-			if view[i].match.Matches(k) {
-				return view[i].e.rule, true
-			}
-		}
-		return flowspace.Rule{}, false
-	}
-	defer t.mu.Unlock()
-	for _, e := range t.entries {
-		if e.rule.Match.Matches(k) {
-			return e.rule, true
-		}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if e := t.root.find(&k, nil); e != nil {
+		return e.rule, true
 	}
 	return flowspace.Rule{}, false
 }
 
 // Advance expires entries whose idle or hard timeout has passed by time
-// now, invoking OnExpire for each.
+// now, invoking OnExpire for each. Until now reaches expiryBound it
+// returns without taking the lock.
 func (t *Table) Advance(now float64) {
+	if now < math.Float64frombits(t.expiryBound.Load()) {
+		return
+	}
 	t.mu.Lock()
-	var expired []*entry
-	for _, e := range t.entries {
-		if e.expiresAt() <= now {
-			expired = append(expired, e)
+	bound := never
+	expired := t.dropLocked(func(e *entry) bool {
+		at := e.expiresAt()
+		if at > now && at < bound {
+			bound = at
 		}
-	}
-	for _, e := range expired {
-		t.removeEntryLocked(e)
-	}
-	if len(expired) > 0 {
-		t.markDirtyLocked()
-	}
+		return at <= now
+	})
+	t.expiryBound.Store(math.Float64bits(bound))
 	t.mu.Unlock()
 	if t.OnExpire != nil {
 		for _, e := range expired {
@@ -686,9 +574,10 @@ func (t *Table) Advance(now float64) {
 // NextExpiry returns the earliest pending expiry time and false if no entry
 // has a timeout armed.
 func (t *Table) NextExpiry() (float64, bool) {
-	const never = 1e30
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	best := never
-	for _, e := range t.liveEntries() {
+	for _, e := range t.entries {
 		if at := e.expiresAt(); at < best {
 			best = at
 		}
@@ -696,28 +585,12 @@ func (t *Table) NextExpiry() (float64, bool) {
 	return best, best < never
 }
 
-// liveEntries returns the current entry set for a cold-path read: the
-// published snapshot's entries when clean, or a copy taken under mu while
-// churning (a copy, so the caller can iterate without holding the lock).
-func (t *Table) liveEntries() []*entry {
-	if view, ok := t.loadView(); ok {
-		out := make([]*entry, len(view))
-		for i := range view {
-			out[i] = view[i].e
-		}
-		return out
-	}
-	out := make([]*entry, len(t.entries))
-	copy(out, t.entries)
-	t.mu.Unlock()
-	return out
-}
-
 // Entries returns a snapshot of the entries in TCAM order.
 func (t *Table) Entries() []Entry {
-	live := t.liveEntries()
-	out := make([]Entry, len(live))
-	for i, e := range live {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]Entry, len(t.entries))
+	for i, e := range t.entries {
 		out[i] = e.snapshot()
 	}
 	return out
@@ -725,9 +598,9 @@ func (t *Table) Entries() []Entry {
 
 // Counters returns the packet/byte counters for rule id.
 func (t *Table) Counters(id uint64) (packets, bytes uint64, ok bool) {
-	t.mu.Lock()
+	t.mu.RLock()
 	e, found := t.byID[id]
-	t.mu.Unlock()
+	t.mu.RUnlock()
 	if !found {
 		return 0, 0, false
 	}
@@ -736,9 +609,10 @@ func (t *Table) Counters(id uint64) (packets, bytes uint64, ok bool) {
 
 // Rules returns the installed rules in TCAM order.
 func (t *Table) Rules() []flowspace.Rule {
-	live := t.liveEntries()
-	out := make([]flowspace.Rule, len(live))
-	for i, e := range live {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]flowspace.Rule, len(t.entries))
+	for i, e := range t.entries {
 		out[i] = e.rule
 	}
 	return out
@@ -746,11 +620,12 @@ func (t *Table) Rules() []flowspace.Rule {
 
 // String renders a small diagnostic dump.
 func (t *Table) String() string {
-	live := t.liveEntries()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "table %s (%d/%d entries, %d hits, %d misses)\n",
-		t.name, len(live), t.Capacity(), t.Hits.Load(), t.Misses.Load())
-	for _, e := range live {
+		t.name, len(t.entries), t.capacity, t.Hits.Load(), t.Misses.Load())
+	for _, e := range t.entries {
 		fmt.Fprintf(&b, "  %v pkts=%d\n", e.rule, e.packets.Load())
 	}
 	return b.String()

@@ -3,7 +3,7 @@ package wire
 // The burst engine: one pass of a switch's data plane over a vector of
 // frames, VPP-style. A burst is split into deliveries (tunnels terminating
 // here), authority work (redirects targeting here), and fresh
-// classifications; the classification vector runs through one TCAM snapshot
+// classifications; the classification vector runs through one TCAM read-lock
 // acquisition per table (switchsim.ClassifyBurst), authority misses are
 // resolved under one node lock, and everything leaving the switch is staged
 // into per-destination buckets flushed with one ring push (or one fabric
@@ -126,12 +126,17 @@ func (c *Cluster) processBurst(n *node, s *burstScratch, frames []dataFrame) {
 		s.sizes = append(s.sizes, f.pkt.Size)
 	}
 	if len(s.cidx) > 0 {
-		// One snapshot acquisition per table for the whole vector. The
+		// One read-lock acquisition per table for the whole vector. The
 		// oldest frame's inject stamp stands in for "now" — at most a
 		// queueing delay stale, far inside the TCAM's seconds-granularity
-		// timeout model — saving a clock read per packet.
+		// timeout model — saving a clock read per packet. Timeouts are
+		// run on the same clock first, so a rule that idled out while no
+		// traffic arrived is gone before its flow's next packet looks it
+		// up; Advance costs three atomic loads until something is due.
+		now := frameSec(&frames[s.cidx[0]])
+		n.sw.Advance(now)
 		res := s.results[:len(s.cidx)]
-		n.sw.ClassifyBurst(frameSec(&frames[s.cidx[0]]), s.keys, s.sizes, res)
+		n.sw.ClassifyBurst(now, s.keys, s.sizes, res)
 		for j, i := range s.cidx {
 			c.applyVerdict(n, s, &frames[i], i, &res[j])
 		}

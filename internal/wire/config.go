@@ -71,7 +71,7 @@ type ClusterConfig struct {
 }
 
 // fabricBurst caps how many frames a switch pulls from its input rings and
-// runs through one classification pass — one TCAM snapshot acquisition,
+// runs through one classification pass — one TCAM read-lock acquisition,
 // one stats update, one downstream handoff per destination — per
 // iteration. It also sizes the pooled injection slabs.
 const fabricBurst = 64

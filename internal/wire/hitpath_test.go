@@ -7,6 +7,7 @@ import (
 
 	"difane/internal/core"
 	"difane/internal/flowspace"
+	"difane/internal/telemetry"
 )
 
 // egressPolicy forwards TPDst 1000+i to switch i of the 8-switch cluster,
@@ -131,5 +132,48 @@ func TestCacheHitAllocBudget(t *testing.T) {
 	t.Logf("%.2f allocs/pkt over %d cache-hit packets", perPkt, packets)
 	if perPkt > hitPathAllocBudget {
 		t.Fatalf("cache-hit path allocates %.2f/pkt, budget %.1f", perPkt, hitPathAllocBudget)
+	}
+}
+
+// TestCacheIdleTimeoutExpires: a cache rule installed by a miss carries
+// ClusterConfig.CacheIdle, and the ingress's data plane runs its tables'
+// timeouts, so a flow that returns after idling past it takes the detour
+// again and the expiry is traced.
+func TestCacheIdleTimeoutExpires(t *testing.T) {
+	const idle = 50 * time.Millisecond
+	c, err := NewCluster(ClusterConfig{
+		Switches:    []uint32{0, 1, 2, 3, 4},
+		Authorities: []uint32{2},
+		Policy:      testPolicy(),
+		Strategy:    core.StrategyCover,
+		CacheIdle:   idle.Seconds(),
+		Telemetry:   TelemetryConfig{Tracing: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	h := httpHeader(1)
+	c.Inject(0, h, 100)
+	if d := awaitDelivery(t, c); !d.Detour {
+		t.Fatal("first packet must travel via the authority")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.CacheLen(0) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("cache install never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(6 * idle)
+	c.Inject(0, h, 100)
+	if d := awaitDelivery(t, c); !d.Detour {
+		t.Fatalf("flow idle for 6x CacheIdle still hit the ingress cache")
+	}
+	expired := c.TraceEvents(telemetry.Filter{
+		Node: telemetry.Node(0), Kinds: []telemetry.EventKind{telemetry.EvExpire},
+	})
+	if len(expired) == 0 || expired[0].Table != telemetry.TableCache {
+		t.Fatalf("no cache-table expire event at ingress 0: %+v", expired)
 	}
 }

@@ -141,8 +141,8 @@ type node struct {
 	slot int
 	// mu serializes the node's authority-side miss handling (HandleMiss
 	// mutates Authority state). The switch tables themselves are
-	// concurrency-safe (internal/tcam publishes copy-on-write snapshots),
-	// so classification and FlowMod installs take no node lock at all.
+	// concurrency-safe (internal/tcam locks each table for itself), so
+	// classification and FlowMod installs take no node lock at all.
 	mu sync.Mutex
 	sw *switchsim.Switch
 
@@ -883,6 +883,12 @@ func (c *Cluster) reconnect(n *node) bool {
 			n.connMu.Lock()
 			n.ctrl, n.ctrlPeer = sw, peer
 			n.connMu.Unlock()
+			if c.ctx.Err() != nil {
+				// Close cancelled the context before it closed each
+				// node's connections; this pair may have missed that.
+				n.closeConns()
+				return false
+			}
 			c.cold.controlReconnects.Add(1)
 			if c.rec.Enabled() {
 				c.rec.Publish(telemetry.Event{Kind: telemetry.EvReconnect, Node: n.id})
