@@ -1,5 +1,5 @@
 # The one-command check CI and contributors run before merging.
-.PHONY: verify fmt vet build test bench benchmark cache-ablation-smoke trace-demo fuzz-smoke check chaos-smoke soak soak-smoke soak-diff regen-golden
+.PHONY: verify fmt vet build test bench benchmark cache-ablation-smoke trace-demo fuzz-smoke check chaos-smoke soak soak-smoke soak-diff regen-golden loc
 
 verify: fmt vet build test fuzz-smoke
 
@@ -60,12 +60,14 @@ check:
 # Chaos smoke under the race detector: differential scenarios that kill
 # switches AND controllers mid-traffic (BFD detection, backup promotion,
 # leader elections, epoch fencing — zero verdict divergence allowed),
-# plus the wire HA suite with its leader-churn goroutine-leak check and
-# the bench guard holding BFD detection at ≤ 1/10th of the heartbeat's.
+# plus the wire HA suite with its leader-churn goroutine-leak check, the
+# bench guard holding BFD detection at ≤ 1/10th of the heartbeat's, and
+# the controller-free install path (new flows cached with the controller
+# dead; Run returning only once installs are applied).
 chaos-smoke:
 	go test -race ./internal/scencheck -run TestChaosSmoke -timeout 10m
 	go test -race ./internal/wire -timeout 10m \
-		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectionTenfoldFaster|TestJournalReplicationAcrossElection'
+		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectionTenfoldFaster|TestJournalReplicationAcrossElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls'
 
 # Subscriber-scale soak — not part of tier-1. Streams ≥1M modeled
 # subscriber sessions (Poisson churn, host mobility, a flash crowd and a
@@ -95,6 +97,16 @@ SOAK_SEEDS ?= 256
 soak-diff:
 	go test ./internal/scencheck -run TestDifferential -seeds $(SOAK_SEEDS) \
 		-artifacts artifacts -timeout 30m
+
+# Non-test Go lines: the three packages ROADMAP item 6 tracks, their sum,
+# and the whole repo outside bench/.
+loc:
+	@sum=0; for d in internal/wire internal/core internal/telemetry; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		printf '%-20s %6d\n' $$d $$n; sum=$$((sum + n)); done; \
+	printf '%-20s %6d\n' 'wire+core+telemetry' $$sum; \
+	printf '%-20s %6d\n' 'repo outside bench/' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 
 # Refresh the experiment golden outputs after an intentional change.
 regen-golden:

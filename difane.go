@@ -332,12 +332,6 @@ type RetryPolicy = wire.RetryPolicy
 // redirect/install budgets).
 type OverloadConfig = wire.OverloadConfig
 
-// FabricConfig tunes wire mode's optional batched loopback-TCP data
-// carrier (UseTCP, with FlushInterval/FlushBytes tuning the write
-// coalescing). Burst size and ring depth are fixed: 64 frames, and
-// ClusterConfig.QueueDepth rounded up to a power of two.
-type FabricConfig = wire.FabricConfig
-
 // WireDeployment adapts a wire-mode Cluster to the Deployment interface.
 type WireDeployment = wire.Deployment
 

@@ -174,16 +174,12 @@ type Measurements struct {
 	// mode; zero elsewhere).
 	//
 	// ControllerOutages counts controller losses the switches rode out;
-	// OutageBuffered/OutageDrained/OutageDropped track controller-bound
-	// events queued in the bounded outage buffer, replayed on reconnect,
-	// or shed when the buffer overflowed; StaleInstallsRejected counts
-	// FlowMods a switch refused because they carried an epoch older than
-	// its fence; CacheInstallsShed counts cache installs suppressed by the
-	// control-plane token bucket under a miss storm.
+	// StaleInstallsRejected counts FlowMods a switch refused because they
+	// carried an epoch older than its fence; CacheInstallsShed counts
+	// cache installs an authority switch did not hand to the ingress: its
+	// install token bucket was empty under a miss storm, or the ingress's
+	// install queue was full, or the ingress was dead.
 	ControllerOutages     uint64
-	OutageBuffered        uint64
-	OutageDrained         uint64
-	OutageDropped         uint64
 	StaleInstallsRejected uint64
 	CacheInstallsShed     uint64
 
@@ -244,9 +240,6 @@ func (m *Measurements) Merge(o *Measurements) {
 	m.ControlReconnects += o.ControlReconnects
 
 	m.ControllerOutages += o.ControllerOutages
-	m.OutageBuffered += o.OutageBuffered
-	m.OutageDrained += o.OutageDrained
-	m.OutageDropped += o.OutageDropped
 	m.StaleInstallsRejected += o.StaleInstallsRejected
 	m.CacheInstallsShed += o.CacheInstallsShed
 

@@ -68,15 +68,9 @@ func RegisterMeasurements(reg *telemetry.Registry, snap func() *Measurements) {
 		func(m *Measurements) uint64 { return m.ControlReconnects })
 	counter("difane_controller_outages_total", "Controller losses ridden out.",
 		func(m *Measurements) uint64 { return m.ControllerOutages })
-	counter("difane_outage_buffered_total", "Controller-bound events parked during outages.",
-		func(m *Measurements) uint64 { return m.OutageBuffered })
-	counter("difane_outage_drained_total", "Parked events replayed after outages.",
-		func(m *Measurements) uint64 { return m.OutageDrained })
-	counter("difane_outage_dropped_total", "Parked events shed on outage-buffer overflow.",
-		func(m *Measurements) uint64 { return m.OutageDropped })
 	counter("difane_stale_installs_rejected_total", "FlowMods refused by epoch fencing.",
 		func(m *Measurements) uint64 { return m.StaleInstallsRejected })
-	counter("difane_cache_installs_shed_total", "Cache installs suppressed by the install token bucket.",
+	counter("difane_cache_installs_shed_total", "Cache installs shed: install token bucket, full ingress queue, or dead ingress.",
 		func(m *Measurements) uint64 { return m.CacheInstallsShed })
 	counter("difane_policy_rule_installs_total", "Authority/partition rules installed by policy churn.",
 		func(m *Measurements) uint64 { return m.PolicyRuleInstalls })

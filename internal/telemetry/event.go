@@ -45,8 +45,8 @@ const (
 	EvEpochRaise     // a switch's epoch fence advanced (Value = new epoch)
 	EvEpochReject    // a stale-epoch FlowMod was refused (Value = its epoch)
 	EvReconnect      // a switch re-established its control connection
-	EvControllerDown // the controller was lost; switches buffer control traffic
-	EvControllerUp   // the controller came back; outage buffers drain
+	EvControllerDown // the controller was lost; control connections hold
+	EvControllerUp   // the controller came back (Value = its new epoch)
 
 	// BFD failure detection and controller HA.
 	EvBFDUp         // a BFD session reached Up (Peer = remote discriminator)

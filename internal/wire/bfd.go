@@ -11,8 +11,9 @@ import (
 // BFD-grade failure detection. Every switch carries two async sessions
 // from internal/bfd: bfdCtrl is the controller's view of the switch (its
 // detect expiry is the death verdict that triggers failover) and bfdSw is
-// the switch's view of the controller (its expiry flips the
-// controller-unreachable verdict that starts outage buffering). One
+// the switch's end of that session — the peer bfdCtrl shakes hands with
+// and hears from. Nothing acts on bfdSw's own verdict: a switch does the
+// same thing whether or not it can reach the controller. One
 // cluster goroutine (bfdLoop) ticks every session at half the configured
 // interval; transmissions are queued to a per-node writer goroutine so a
 // wedged control connection can only stall its own switch's sessions.
@@ -44,7 +45,7 @@ func (c *Cluster) initNodeBFD(n *node) {
 	swCfg := cfg
 	swCfg.LocalDiscr = uint32(2*n.slot + 2)
 	n.bfdCtrl = bfd.New(ctrlCfg, func(old, st bfd.State) { c.onCtrlSessionState(n, old, st) })
-	n.bfdSw = bfd.New(swCfg, func(old, st bfd.State) { c.onSwSessionState(n, old, st) })
+	n.bfdSw = bfd.New(swCfg, nil)
 	n.bfdQ = make(chan bfdSend, 16)
 }
 
@@ -63,15 +64,6 @@ func (c *Cluster) onCtrlSessionState(n *node, old, st bfd.State) {
 	case old == bfd.StateUp:
 		c.rec.Publish(telemetry.Event{Kind: telemetry.EvBFDDown, Node: n.id,
 			Peer: n.bfdCtrl.Info().RemoteDiscr})
-	}
-}
-
-// onSwSessionState reacts to the switch-side session: when the session to
-// the controller (re-)establishes, the outage is over — drain anything
-// the switch buffered while it was unreachable.
-func (c *Cluster) onSwSessionState(n *node, old, st bfd.State) {
-	if st == bfd.StateUp && len(n.outbox) > 0 {
-		go c.drainOutbox(n)
 	}
 }
 
@@ -109,9 +101,8 @@ func (c *Cluster) bfdLoop() {
 		ctrlUp := !c.ctrlDown.Load()
 		for _, n := range c.nodes {
 			if !n.killed.Load() {
-				// Switch side: the switch watches the controller. It keeps
-				// ticking through a controller outage — that expiry IS the
-				// switch's outage detection.
+				// Switch side: keeps ticking through a controller outage, so
+				// the handshake restarts as soon as the controller is back.
 				if pkt, _ := n.bfdSw.Tick(now); pkt != nil {
 					c.queueBFD(n, pkt, false)
 				}
@@ -153,29 +144,19 @@ func (c *Cluster) bfdWriter(n *node) {
 		case <-n.done:
 			return
 		case s := <-n.bfdQ:
-			if s.toSwitch {
-				_ = c.writeToSwitch(n, s.msg)
-			} else {
-				_ = c.writeControl(n, s.msg, true)
-			}
+			_ = c.writeControl(n, s.msg, !s.toSwitch)
 		}
 	}
 }
 
 // handleBFDAtSwitch processes a controller→switch BFD packet on the
-// switch side. Receipt is also evidence the controller is alive, so it
-// stamps the heartbeat fallback's probe clock.
+// switch side.
 func (c *Cluster) handleBFDAtSwitch(n *node, m *proto.BFDControl) {
-	now := time.Now()
-	n.lastProbe.Store(now.UnixNano())
 	if n.bfdSw == nil {
 		return
 	}
-	if reply := n.bfdSw.Handle(protoToBFD(m), now); reply != nil {
+	if reply := n.bfdSw.Handle(protoToBFD(m), time.Now()); reply != nil {
 		c.queueBFD(n, reply, false)
-	}
-	if len(n.outbox) > 0 && !c.controllerUnreachable(n) {
-		go c.drainOutbox(n)
 	}
 }
 

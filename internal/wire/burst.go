@@ -6,8 +6,8 @@ package wire
 // classifications; the classification vector runs through one TCAM read-lock
 // acquisition per table (switchsim.ClassifyBurst), authority misses are
 // resolved under one node lock, and everything leaving the switch is staged
-// into per-destination buckets flushed with one ring push (or one fabric
-// enqueue) per destination. Measurement shards likewise take one update per
+// into per-destination buckets flushed with one ring push per
+// destination. Measurement shards likewise take one update per
 // burst: one latency-mutex acquisition for all deliveries, one completed
 // bump for the batch. All scratch state lives in a per-goroutine
 // burstScratch, so the steady-state cache-hit path allocates nothing.
@@ -278,12 +278,14 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []dataFrame) {
 	}
 }
 
-// queueInstall hands a cache install to the node's install writer, shedding
-// (and counting) when the authority is over its install budget or the
-// writer's queue is full. The packet itself still forwards, so shedding
-// costs future redirects, not reachability.
+// queueInstall hands a cache install from authority switch n straight to
+// the ingress switch's install queue — the paper's authority→ingress path,
+// no controller in it — shedding (and counting) when the authority is over
+// its install budget, the ingress is unknown or killed, or its queue is
+// full. The packet itself still forwards, so shedding costs future
+// redirects, not reachability.
 func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, pkt *packet.Packet, trace uint64) {
-	if !n.installTB.Allow() {
+	shed := func() {
 		n.stats.cacheInstallsShed.Add(1)
 		if c.tracePkt(trace) {
 			c.rec.Publish(telemetry.Event{
@@ -292,6 +294,10 @@ func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, pk
 				Trace: trace,
 			})
 		}
+	}
+	dst, ok := c.switches[ingress]
+	if !ok || dst.killed.Load() || !n.installTB.Allow() {
+		shed()
 		return
 	}
 	if trace != 0 && c.rec.Enabled() {
@@ -305,22 +311,45 @@ func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, pk
 			Flow: flowOf(&pkt.Header), Trace: trace,
 		})
 	}
-	install := &proto.CacheInstall{Ingress: ingress, Trace: trace, Rules: mods}
-	// The authority switch writes on its switch end; the controller relay
-	// reads the other end and forwards to the ingress switch. Hand the
-	// write to the node's dedicated install writer instead of spawning a
-	// goroutine per miss — under a storm, unbounded spawns cost more than
-	// the installs; overflow degrades to a shed install.
+	// Counted before the send, so drained() never sees the install in
+	// neither place; the ingress's data goroutine applies it (applyInstalls).
+	dst.installsPending.Add(1)
 	select {
-	case n.installQ <- install:
+	case dst.installQ <- &proto.CacheInstall{Ingress: ingress, Trace: trace, Rules: mods}:
+		dst.wake()
 	default:
-		n.stats.cacheInstallsShed.Add(1)
-		if c.tracePkt(trace) {
-			c.rec.Publish(telemetry.Event{
-				Kind: telemetry.EvShed, Node: n.id,
-				Verdict: telemetry.VShedInstall, Flow: flowOf(&pkt.Header),
-				Trace: trace,
-			})
+		dst.installsPending.Add(-1)
+		shed()
+	}
+}
+
+// applyInstalls applies every cache install queued for this switch. Its
+// data goroutine calls it between bursts, so no tcam.View is held, and an
+// install a packet triggered lands before the next burst's lookups.
+func (c *Cluster) applyInstalls(n *node) {
+	for {
+		select {
+		case m := <-n.installQ:
+			now := nowSec()
+			for i := range m.Rules {
+				_ = n.sw.ApplyFlowMod(now, &m.Rules[i])
+			}
+			// When the triggering packet was sampled, land the install in
+			// its journey (the untraced per-rule EvInstall hook events fire
+			// regardless).
+			if m.Trace != 0 && c.rec.Enabled() {
+				var ruleID uint64
+				if len(m.Rules) > 0 {
+					ruleID = m.Rules[0].Rule.ID
+				}
+				c.rec.Publish(telemetry.Event{
+					Kind: telemetry.EvInstall, Node: n.id,
+					Table: uint8(proto.TableCache), RuleID: ruleID, Trace: m.Trace,
+				})
+			}
+			n.installsPending.Add(-1)
+		default:
+			return
 		}
 	}
 }
@@ -396,8 +425,7 @@ func (c *Cluster) flushDeliveries(n *node, s *burstScratch, frames []dataFrame) 
 }
 
 // flushForwards hands each destination its staged burst in one call: one
-// ring push (or one fabric enqueue) per destination per burst. src's shard
-// records drops, exactly like the old per-frame forward path.
+// ring push per destination per burst. src's shard records drops.
 func (c *Cluster) flushForwards(src *node, s *burstScratch) {
 	// Pending-redirect markers go down before the frames do, so an
 	// authority can never acknowledge a redirect we have not yet noted.
@@ -418,10 +446,6 @@ func (c *Cluster) flushForwards(src *node, s *burstScratch) {
 				c.drop(src.stats, dropUnreachable)
 				c.traceVerdict(src.id, telemetry.VUnreachable, 0, &frames[i].pkt.Header, 0, frames[i].trace)
 			}
-			continue
-		}
-		if c.fabric != nil {
-			c.fabric.sendBurst(src, dst, frames)
 			continue
 		}
 		ring := dst.ring(src.slot)

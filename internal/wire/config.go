@@ -43,8 +43,6 @@ type ClusterConfig struct {
 	// UseTCP runs the control plane over loopback TCP sockets instead of
 	// in-process pipes, exercising real kernel socket framing.
 	UseTCP bool
-	// Fabric tunes the optional batched loopback-TCP data carrier.
-	Fabric FabricConfig
 	// Heartbeat tunes the coarse heartbeat failure detector (now the
 	// fallback behind BFD).
 	Heartbeat HeartbeatConfig
@@ -57,8 +55,7 @@ type ClusterConfig struct {
 	// Retry bounds control-plane retries: reconnect backoff and FlowMod
 	// installs.
 	Retry RetryPolicy
-	// Overload tunes miss-storm protection and the controller-outage
-	// buffer.
+	// Overload tunes miss-storm protection.
 	Overload OverloadConfig
 	// Partition tunes the partitioner.
 	Partition core.PartitionConfig
@@ -76,42 +73,8 @@ type ClusterConfig struct {
 // iteration. It also sizes the pooled injection slabs.
 const fabricBurst = 64
 
-// outageBuffer bounds the per-switch queue of controller-bound events held
-// while the controller is unreachable. Overflow is shed oldest-first and
-// counted in OutageDropped.
-const outageBuffer = 256
-
 // healthInterval paces the SLO watchdog's registry scrapes.
 const healthInterval = time.Second
-
-// FabricConfig tunes the optional batched loopback-TCP carrier for frames
-// between switches (UseTCP); the default is direct in-process ring
-// handoff. Zero values mean "validated default"; cfg.Validate fills them
-// in place.
-type FabricConfig struct {
-	// UseTCP carries inter-switch data frames over per-pair loopback TCP
-	// connections with a batching writer: the first frame of a batch wakes
-	// the connection's writer immediately, and frames arriving while a
-	// write is in flight coalesce into the next batch. The default is
-	// direct in-process ring handoff.
-	UseTCP bool
-	// FlushInterval is the safety-net flush period bounding how long a
-	// batched frame can wait if a wakeup is lost (default 200µs).
-	FlushInterval time.Duration
-	// FlushBytes sizes each connection's retained batch buffer; larger
-	// batches still go out whole, but their buffers are released afterward
-	// instead of pinning the burst's high-water mark (default 16 KiB).
-	FlushBytes int
-}
-
-func (d *FabricConfig) applyDefaults() {
-	if d.FlushInterval <= 0 {
-		d.FlushInterval = 200 * time.Microsecond
-	}
-	if d.FlushBytes <= 0 {
-		d.FlushBytes = 16 << 10
-	}
-}
 
 // ringDepth is the depth of each per-producer SPSC data ring: QueueDepth
 // rounded up to a power of two so occupancy math is a mask. Every switch
@@ -214,9 +177,7 @@ func (h *HAConfig) applyDefaults(bfd BFDConfig, hb HeartbeatConfig) {
 }
 
 // OverloadConfig tunes wire mode's overload protection: token buckets that
-// shed the tail of a miss storm before it collapses an authority switch or
-// the control plane, and the bounded buffer that holds controller-bound
-// events across a controller outage.
+// shed the tail of a miss storm before it collapses an authority switch.
 type OverloadConfig struct {
 	// RedirectRate bounds how many cache-miss redirects per second each
 	// ingress switch may send toward authority switches (0 = unlimited).
@@ -226,7 +187,7 @@ type OverloadConfig struct {
 	// when RedirectRate is set).
 	RedirectBurst int
 	// CacheInstallRate bounds how many cache installs per second each
-	// authority switch may push toward the controller (0 = unlimited).
+	// authority switch may push toward ingress switches (0 = unlimited).
 	// Suppressed installs are counted in CacheInstallsShed; the packets
 	// themselves still forward, so shedding costs extra redirects, not
 	// reachability.
@@ -332,7 +293,6 @@ func (cfg *ClusterConfig) Validate() error {
 		return fmt.Errorf("wire: queue depth %d gives ring depth %d, below the burst size %d",
 			cfg.QueueDepth, depth, fabricBurst)
 	}
-	cfg.Fabric.applyDefaults()
 	if cfg.CacheAdaptInterval <= 0 {
 		cfg.CacheAdaptInterval = 250 * time.Millisecond
 	}

@@ -117,13 +117,15 @@ func (d *Deployment) InjectBatch(batch []core.PacketIn) {
 }
 
 // Run blocks until every injected packet has reached a terminal point
-// (delivered or dropped), bounded by horizon seconds of real time.
+// (delivered or dropped) and every cache install those packets triggered
+// is applied at its ingress, bounded by horizon seconds of real time.
 func (d *Deployment) Run(horizon float64) {
 	deadline := time.Now().Add(time.Duration(horizon * float64(time.Second)))
 	for time.Now().Before(deadline) {
 		if d.C.completed.Load() >= d.injected.Load() && d.C.drained() {
-			// The accounting identity holds and the fabric is empty: this is
-			// the quiesce point any open policy-update timeline closes at.
+			// The accounting identity holds, the rings are empty and every
+			// install is applied: this is the quiesce point any open
+			// policy-update timeline closes at.
 			d.C.conv.NoteQuiesce(nowNS(), d.C.counterTotals())
 			return
 		}

@@ -195,6 +195,25 @@ func TestIngressLocalFailover(t *testing.T) {
 	}
 }
 
+// TestKilledEgressAccounts: frames bound for a killed switch end as
+// unreachable drops at the sender instead of sitting in a ring nobody
+// reads, so every injected packet still reaches a verdict.
+func TestKilledEgressAccounts(t *testing.T) {
+	c := newFailoverCluster(t)
+	c.Inject(0, httpHeader(1), 100)
+	awaitDelivery(t, c)
+	c.KillSwitch(4) // the policy's only egress
+	const n = 20
+	for i := 0; i < n; i++ {
+		if !c.Inject(0, httpHeader(uint32(i+2)), 100) {
+			t.Fatal("inject failed")
+		}
+	}
+	waitMeasure(t, c, "verdicts for frames toward the killed egress", func(m *core.Measurements) bool {
+		return m.Delivered == 1 && m.Drops.Unreachable == n
+	})
+}
+
 func TestFaultHooksUnknownSwitch(t *testing.T) {
 	c := newFailoverCluster(t)
 	if c.PartitionControl(99) || c.HealControl(99) || c.DelayControl(99, time.Millisecond) {

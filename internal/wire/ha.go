@@ -20,7 +20,7 @@ import (
 // most caught-up live follower wins, catches the other followers up,
 // raises the fencing epoch (so the dead leader's straggling FlowMods are
 // rejected by the epoch machinery), and takes over — the switches'
-// control channels re-establish toward it and their outage buffers drain.
+// control channels re-establish toward it.
 // No RestoreController call is needed; RestoreController's HA role shrinks
 // to reviving dead replicas (and promoting one only when every replica
 // was killed).
@@ -242,7 +242,6 @@ func (c *Cluster) finishFailover(newEpoch uint64) {
 	now := time.Now().UnixNano()
 	for _, n := range c.switches {
 		n.lastBeat.Store(now)
-		n.lastProbe.Store(now)
 	}
 	c.ctrlDown.Store(false)
 	if c.rec.Enabled() {

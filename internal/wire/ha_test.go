@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"difane/internal/bfd"
 	"difane/internal/core"
 	"difane/internal/proto"
 	"difane/internal/testutil"
@@ -236,8 +237,20 @@ func TestBFDDetectionTenfoldFaster(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		// Let the BFD handshakes establish (and heartbeats flow) first.
-		time.Sleep(50 * time.Millisecond)
+		// Kill only once the victim's BFD session is Up (and heartbeats
+		// flow): a session still in its handshake never expires, and the
+		// heartbeat would make the verdict in both runs.
+		if disableBFD {
+			time.Sleep(50 * time.Millisecond)
+		} else {
+			deadline := time.Now().Add(5 * time.Second)
+			for c.BFDSessions()[2].State != bfd.StateUp {
+				if time.Now().After(deadline) {
+					t.Fatal("BFD session to switch 2 never came up")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 		if !c.KillSwitch(2) {
 			t.Fatal("kill failed")
 		}

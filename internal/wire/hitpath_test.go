@@ -8,6 +8,7 @@ import (
 	"difane/internal/core"
 	"difane/internal/flowspace"
 	"difane/internal/telemetry"
+	"difane/internal/workload"
 )
 
 // egressPolicy forwards TPDst 1000+i to switch i of the 8-switch cluster,
@@ -45,9 +46,9 @@ func hitPathDeployment(t *testing.T, part core.PartitionConfig) *Deployment {
 }
 
 // warmUntilQuiet replays the trace until one whole pass adds no redirect.
-// Cache installs are asynchronous, so a detoured packet being delivered
-// does not yet mean its ingress cache rule has landed; a warmed trace that
-// keeps redirecting after that is a cache that is losing rules.
+// Run returns only once every install the pass triggered is applied, but
+// packets of one flow that share a pass all miss together; a warmed trace
+// that keeps redirecting after that is a cache that is losing rules.
 func warmUntilQuiet(t *testing.T, d *Deployment, trace []core.PacketIn) {
 	t.Helper()
 	var extra uint64
@@ -58,7 +59,6 @@ func warmUntilQuiet(t *testing.T, d *Deployment, trace []core.PacketIn) {
 		if extra = d.Measurements().Redirects - before; extra == 0 {
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("trace of %d packets still redirects %d per pass after 20 passes", len(trace), extra)
 }
@@ -132,6 +132,112 @@ func TestCacheHitAllocBudget(t *testing.T) {
 	t.Logf("%.2f allocs/pkt over %d cache-hit packets", perPkt, packets)
 	if perPkt > hitPathAllocBudget {
 		t.Fatalf("cache-hit path allocates %.2f/pkt, budget %.1f", perPkt, hitPathAllocBudget)
+	}
+}
+
+// TestRunQuiescesInstalls: Deployment.Run returns only after every cache
+// install its packets triggered is applied at the ingress, so a flow set
+// replayed the moment Run returns is all cache hits.
+func TestRunQuiescesInstalls(t *testing.T) {
+	d := hitPathDeployment(t, core.PartitionConfig{})
+	const flows = 64
+	batch := make([]core.PacketIn, flows)
+	for iter := 0; iter < 50; iter++ {
+		for i := range batch {
+			var k flowspace.Key
+			k[flowspace.FIPSrc] = uint64(iter*flows + i + 1)
+			k[flowspace.FTPDst] = uint64(1000 + i%8)
+			batch[i] = core.PacketIn{Ingress: uint32(i % 8), Key: k, Size: 100}
+		}
+		d.InjectBatch(batch)
+		d.Run(30)
+		before := d.Measurements().Redirects
+		d.InjectBatch(batch)
+		d.Run(30)
+		if extra := d.Measurements().Redirects - before; extra != 0 {
+			t.Fatalf("iteration %d: %d of %d flows redirected again right after Run", iter, extra, flows)
+		}
+	}
+	if m := d.Measurements(); m.Drops != (core.Drops{}) || m.CacheInstallsShed != 0 {
+		t.Fatalf("drops %+v, %d installs shed on a lossless trace", m.Drops, m.CacheInstallsShed)
+	}
+}
+
+// missPathAllocBudget is the ceiling on heap allocations per cache-miss
+// packet, counted over the whole process like hitPathAllocBudget: the
+// measured 7.99–8.05 rounded up to the next integer. 63% of the packets
+// miss (a cover rule catches some later keys), so a miss costs about 13:
+// cover-rule synthesis at the authority is nearly all of it, and the
+// install's hand-off to the ingress adds one (the proto.CacheInstall).
+// With the install relayed through the controller (encode, control conn,
+// a goroutine, encode, control conn, decode) this test measured
+// 14.86–14.93.
+const missPathAllocBudget = 9.0
+
+// TestMissPathAllocBudget holds the wire miss path to its allocation
+// budget on the benchmark's miss-storm shape: 1k ClassBench-like rules, a
+// 256-entry LRU cache per switch, never-repeated keys in closed-loop
+// windows of 256 (the install queue's depth, so none is shed).
+func TestMissPathAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the paths this test counts")
+	}
+	const window, warmWindows, timedWindows = 256, 16, 64
+	switches := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
+	policy := workload.ClassBenchLike(workload.ACLConfig{
+		Rules: 1024, MaxDepth: 4, PortRangeFrac: 0.1, DropFrac: 0.1,
+		Egresses: switches, Seed: 1,
+	})
+	d, err := NewDeployment(ClusterConfig{
+		Switches:      switches,
+		Authorities:   []uint32{2, 6},
+		Policy:        policy,
+		Strategy:      core.StrategyCover,
+		CacheCapacity: 256,
+		QueueDepth:    4096,
+		Partition:     core.PartitionConfig{MaxRulesPerPartition: 256, MaxPartitions: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	spec := &workload.Spec{Edges: switches, Policy: policy}
+	flows := workload.UniformTraffic(spec, workload.TrafficConfig{
+		Flows: window * (warmWindows + timedWindows), Size: 64, Seed: 42,
+	})
+	trace := make([]core.PacketIn, len(flows))
+	for i, f := range flows {
+		trace[i] = core.PacketIn{Ingress: f.Ingress, Key: f.Key, Size: f.Size}
+	}
+	play := func(pkts []core.PacketIn) {
+		for ; len(pkts) > 0; pkts = pkts[window:] {
+			d.InjectBatch(pkts[:window])
+			d.Run(30)
+		}
+	}
+	play(trace[:window*warmWindows])
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	base := d.Measurements()
+	timed := trace[window*warmWindows:]
+	play(timed)
+	runtime.ReadMemStats(&after)
+	m := d.Measurements()
+	done := m.Delivered + m.Drops.Policy - base.Delivered - base.Drops.Policy
+	if done != uint64(len(timed)) || m.Drops != (core.Drops{Policy: m.Drops.Policy}) || m.CacheInstallsShed != 0 {
+		t.Fatalf("%d of %d packets reached a verdict, drops %+v, %d installs shed",
+			done, len(timed), m.Drops, m.CacheInstallsShed)
+	}
+	missRatio := float64(m.Redirects-base.Redirects) / float64(len(timed))
+	perPkt := float64(after.Mallocs-before.Mallocs) / float64(len(timed))
+	t.Logf("%.2f allocs/pkt over %d packets, %.0f%% of them misses", perPkt, len(timed), 100*missRatio)
+	if missRatio < 0.5 {
+		t.Fatalf("only %.0f%% of the packets missed: not a miss-path measurement", 100*missRatio)
+	}
+	if perPkt > missPathAllocBudget {
+		t.Fatalf("miss path allocates %.2f/pkt, budget %.0f", perPkt, missPathAllocBudget)
 	}
 }
 

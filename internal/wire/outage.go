@@ -7,13 +7,12 @@ import (
 )
 
 // Controller-outage mode: a wire cluster can simulate the central
-// controller crashing while every switch keeps running. Switches detect
-// the outage through the existing heartbeat machinery (probes stop
-// arriving), keep serving traffic from their cached and authority rules —
-// DIFANE's data plane never depends on the controller — and park
-// controller-bound events (cache installs) in a bounded per-switch outbox.
-// When the controller returns, heartbeats resume, outboxes drain in order,
-// and the restarted controller fences the old one out with a higher epoch.
+// controller crashing while every switch keeps running. Nothing on a
+// packet's path — not the redirect, not the authority's answer, not the
+// cache install it sends back to the ingress — touches the controller, so
+// cached flows keep hitting and new flows keep being cached. Only the
+// control connections hold. When the controller returns it fences the old
+// incarnation out with a higher epoch.
 
 // KillController simulates a controller crash. In single-controller mode
 // probing stops, every control connection drops, and reconnection holds
@@ -46,8 +45,7 @@ func (c *Cluster) KillController() bool {
 // would: its fencing epoch is bumped past the dead incarnation's, every
 // switch's liveness clock is reset so the returning probes don't race a
 // spurious death verdict, and the connection managers re-establish control
-// connections (draining the switches' outage buffers as heartbeats
-// resume). Returns false if the controller was not down. With HA replicas
+// connections. Returns false if the controller was not down. With HA replicas
 // it instead revives dead replicas (catching them up from the leader's
 // journal) — elections already restored service without it — and promotes
 // a leader itself only if every replica was killed.
@@ -69,7 +67,6 @@ func (c *Cluster) RestoreController() bool {
 	now := time.Now().UnixNano()
 	for _, n := range c.switches {
 		n.lastBeat.Store(now)
-		n.lastProbe.Store(now)
 	}
 	return true
 }
@@ -105,14 +102,4 @@ func (c *Cluster) PeakQueueDepth() int {
 		}
 	}
 	return int(max)
-}
-
-// OutboxLen returns the number of buffered controller-bound events at a
-// switch.
-func (c *Cluster) OutboxLen(id uint32) int {
-	n, ok := c.switches[id]
-	if !ok {
-		return 0
-	}
-	return len(n.outbox)
 }

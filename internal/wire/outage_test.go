@@ -6,6 +6,7 @@ import (
 
 	"difane/internal/core"
 	"difane/internal/flowspace"
+	"difane/internal/packet"
 	"difane/internal/proto"
 	"difane/internal/testutil"
 )
@@ -25,11 +26,54 @@ func waitMeasure(t *testing.T, c *Cluster, what string, cond func(*core.Measurem
 	}
 }
 
+// checkInstallsBypassController is the claim the controller-outage tests
+// share: with the control plane out of reach, flows brand new to ingress
+// still get their cache rule — the authority switch hands it to the
+// ingress itself — and the second packet of each is a cache hit. firstSrc
+// keeps the flows distinct from any the caller already sent.
+func checkInstallsBypassController(t *testing.T, c *Cluster, ingress, firstSrc uint32) {
+	t.Helper()
+	const newFlows = 10
+	base := c.Measurements()
+	cached := c.CacheLen(ingress)
+	inject := func() {
+		for i := uint32(0); i < newFlows; i++ {
+			if !c.Inject(ingress, httpHeader(firstSrc+i), 100) {
+				t.Fatal("inject of a new flow failed")
+			}
+		}
+	}
+	inject()
+	waitMeasure(t, c, "first packets of the new flows", func(m *core.Measurements) bool {
+		return m.Delivered >= base.Delivered+newFlows
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for c.CacheLen(ingress) < cached+newFlows {
+		if time.Now().After(deadline) {
+			t.Fatalf("switch %d cached %d of %d new flows with the controller out of reach",
+				ingress, c.CacheLen(ingress)-cached, newFlows)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	redirects := c.Measurements().Redirects
+	inject()
+	waitMeasure(t, c, "second packets of the new flows", func(m *core.Measurements) bool {
+		return m.Delivered >= base.Delivered+2*newFlows
+	})
+	m := c.Measurements()
+	if m.Redirects != redirects {
+		t.Fatalf("%d second packets took the detour again", m.Redirects-redirects)
+	}
+	if m.Drops.Hole != base.Drops.Hole || m.Drops.Unreachable != base.Drops.Unreachable ||
+		m.Drops.AuthorityQueue != base.Drops.AuthorityQueue {
+		t.Fatalf("packets lost: %+v (baseline %+v)", m.Drops, base.Drops)
+	}
+}
+
 // TestControllerOutageRideThrough is the kill-and-restart-controller
 // scenario: mid-trace the controller dies; switches must keep serving from
-// cached and authority rules with zero packet loss, buffer their
-// controller-bound events, and drain them when the controller returns with
-// a bumped epoch.
+// cached and authority rules with zero packet loss, keep caching new
+// flows, and see the controller return with a bumped epoch.
 func TestControllerOutageRideThrough(t *testing.T) {
 	c := newFailoverCluster(t)
 	// Warm the ingress cache at switch 0 so there is a cached flow to
@@ -50,37 +94,23 @@ func TestControllerOutageRideThrough(t *testing.T) {
 	}
 
 	// Mid-outage traffic: the cached flow forwards from the ingress cache,
-	// and brand-new flows still complete their setup entirely in the data
-	// plane (redirect → authority rules → tunnel) — the controller is only
-	// needed to relay cache installs, which get buffered instead.
-	const cachedPkts, newFlows = 20, 5
+	// and brand-new flows complete their setup entirely in the data plane
+	// (redirect → authority rules → tunnel, install → ingress).
+	const cachedPkts = 20
 	for i := 0; i < cachedPkts; i++ {
 		if !c.Inject(0, httpHeader(1), 100) {
 			t.Fatal("inject of cached flow failed mid-outage")
 		}
 	}
-	for i := 0; i < newFlows; i++ {
-		if !c.Inject(1, httpHeader(uint32(200+i)), 100) {
-			t.Fatal("inject of new flow failed mid-outage")
-		}
-	}
-	want := base.Delivered + cachedPkts + newFlows
 	waitMeasure(t, c, "mid-outage deliveries", func(m *core.Measurements) bool {
-		return m.Delivered >= want
+		return m.Delivered >= base.Delivered+cachedPkts
 	})
-	m := c.Measurements()
-	if m.Drops.Hole != base.Drops.Hole || m.Drops.Unreachable != base.Drops.Unreachable ||
-		m.Drops.AuthorityQueue != base.Drops.AuthorityQueue {
-		t.Fatalf("packets lost during controller outage: %+v (baseline %+v)", m.Drops, base.Drops)
+	if m := c.Measurements(); m.Redirects != base.Redirects {
+		t.Fatalf("cached flow redirected %d times mid-outage", m.Redirects-base.Redirects)
 	}
-	if m.ControllerOutages != 1 {
+	checkInstallsBypassController(t, c, 1, 200)
+	if m := c.Measurements(); m.ControllerOutages != 1 {
 		t.Fatalf("outages = %d, want 1", m.ControllerOutages)
-	}
-	waitMeasure(t, c, "install buffering", func(m *core.Measurements) bool {
-		return m.OutageBuffered >= 1
-	})
-	if c.CacheLen(1) != 0 {
-		t.Fatalf("cache installs must be held back during the outage, found %d", c.CacheLen(1))
 	}
 
 	if !c.RestoreController() {
@@ -93,14 +123,49 @@ func TestControllerOutageRideThrough(t *testing.T) {
 		t.Fatalf("restart epoch = %d, want %d (restarted controller must fence the old one)",
 			got, epochBefore+1)
 	}
-	// Heartbeats resume, the outboxes drain, and the buffered installs
-	// finally land at the ingress.
-	waitMeasure(t, c, "outbox drain", func(m *core.Measurements) bool {
-		return m.OutageDrained >= 1
-	})
-	awaitCache(t, c, 1)
 	if st := c.Status(); st.ControllerDown {
 		t.Fatal("status still reports the controller down after restore")
+	}
+}
+
+// TestPartitionedIngressStillCaches: an ingress switch whose control link
+// is severed keeps forwarding, and the authority switches keep installing
+// its cache rules — the install never rides a control connection.
+func TestPartitionedIngressStillCaches(t *testing.T) {
+	c := newFailoverCluster(t)
+	if !c.PartitionControl(1) {
+		t.Fatal("PartitionControl(1) failed")
+	}
+	checkInstallsBypassController(t, c, 1, 300)
+}
+
+// TestLeaderKillStillCaches: under HA, while the leader is dead and the
+// election has not yet seated a successor, new flows are still cached.
+func TestLeaderKillStillCaches(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{
+		Switches:    []uint32{0, 1, 2, 3, 4},
+		Authorities: []uint32{2, 3},
+		Policy:      failoverPolicy(),
+		Strategy:    core.StrategyExact,
+		// Long enough that the check below runs inside the leaderless gap.
+		HA: HAConfig{Replicas: 3, ElectionDelay: 2 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	awaitLeader(t, c)
+	epochBefore := c.Epoch()
+	if !c.KillController() {
+		t.Fatal("KillController failed")
+	}
+	checkInstallsBypassController(t, c, 1, 400)
+	if !c.ControllerDown() {
+		t.Fatal("a leader was seated before the new flows were cached")
+	}
+	awaitLeader(t, c)
+	if e := c.Epoch(); e <= epochBefore {
+		t.Fatalf("epoch = %d after the election, want > %d", e, epochBefore)
 	}
 }
 
@@ -237,6 +302,104 @@ func TestCacheInstallShedding(t *testing.T) {
 	if m.Drops.Hole != 0 || m.Drops.Unreachable != 0 {
 		t.Fatalf("install shedding must not lose packets: %+v", m.Drops)
 	}
+}
+
+// injectRedirects plays the ingress's part for n brand-new flows: it puts
+// each flow's first packet, already encapsulated as a redirect from
+// ingress, on the injection ring of the authority switch that owns it.
+// What the authority does next — tunnel the packet on, hand the install to
+// ingress — is the real path.
+func injectRedirects(t *testing.T, c *Cluster, ingress, firstSrc uint32, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		h := httpHeader(firstSrc + uint32(i))
+		auth := primaryFor(t, c, h.Key())
+		f := dataFrame{
+			pkt:      packet.Packet{Header: h, Size: 100},
+			encap:    packet.Encap{Reason: packet.EncapRedirect, Ingress: ingress, Target: auth},
+			hasEncap: true,
+			injected: nowNS(),
+			detour:   true,
+		}
+		if c.injectBurst(auth, []dataFrame{f}) != 1 {
+			t.Fatalf("redirect %d not accepted at authority %d", i, auth)
+		}
+	}
+}
+
+// TestInstallQueueShedding: an install the ingress cannot take — its queue
+// is full, or it is dead — is counted in CacheInstallsShed and costs
+// nothing else: the packet that triggered it is still delivered and
+// injected = delivered + drops stays exact.
+func TestInstallQueueShedding(t *testing.T) {
+	reconciles := func(t *testing.T, c *Cluster, sent int) *core.Measurements {
+		t.Helper()
+		waitMeasure(t, c, "deliveries", func(m *core.Measurements) bool {
+			return m.Delivered >= uint64(sent)
+		})
+		m := c.Measurements()
+		if got := c.injected.Load(); got != uint64(sent) || m.Delivered != got ||
+			m.Drops != (core.Drops{}) || c.completed.Load() != got {
+			t.Fatalf("injected %d (sent %d), completed %d, delivered %d, drops %+v",
+				got, sent, c.completed.Load(), m.Delivered, m.Drops)
+		}
+		return m
+	}
+
+	t.Run("full queue", func(t *testing.T) {
+		c := newFailoverCluster(t)
+		ingress := c.switches[1]
+		depth := cap(ingress.installQ)
+		// Stall the ingress between popping an install and applying it: its
+		// data goroutine waits for the cache table's write lock behind this
+		// view. (No call on that table from here until Release.)
+		view := ingress.sw.Table(proto.TableCache).AcquireView()
+		released := false
+		defer func() {
+			if !released {
+				view.Release()
+			}
+		}()
+		injectRedirects(t, c, 1, 1000, 1)
+		deadline := time.Now().Add(5 * time.Second)
+		for len(ingress.installQ) != 0 || ingress.installsPending.Load() != 1 {
+			if time.Now().After(deadline) {
+				t.Fatal("ingress never picked the first install up")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// depth more fill the queue; every one after that is shed.
+		const extra = 40
+		injectRedirects(t, c, 1, 2000, depth+extra)
+		m := reconciles(t, c, 1+depth+extra)
+		if m.CacheInstallsShed != extra {
+			t.Fatalf("shed %d installs, want %d", m.CacheInstallsShed, extra)
+		}
+		if c.drained() {
+			t.Fatal("drained() with installs still queued")
+		}
+		view.Release()
+		released = true
+		d := Deploy(c)
+		d.Run(10)
+		if got := c.CacheLen(1); !c.drained() || got != 1+depth {
+			t.Fatalf("after Run: drained=%v, %d cache rules at the ingress, want %d",
+				c.drained(), got, 1+depth)
+		}
+	})
+
+	t.Run("killed ingress", func(t *testing.T) {
+		c := newFailoverCluster(t)
+		c.KillSwitch(1)
+		const flows = 25
+		injectRedirects(t, c, 1, 1000, flows)
+		if m := reconciles(t, c, flows); m.CacheInstallsShed != flows {
+			t.Fatalf("shed %d installs toward a dead ingress, want %d", m.CacheInstallsShed, flows)
+		}
+		if !c.drained() {
+			t.Fatal("installs toward a dead ingress left the cluster undrained")
+		}
+	})
 }
 
 // TestNoGoroutineLeaksFaultDuringClose interleaves fault hooks (including

@@ -10,10 +10,8 @@ package wire
 // no failed CAS loops, and whole bursts move with one cursor update each.
 //
 // Single-producer discipline in this package: ring in[s] of a node is fed
-// only by switch s's data goroutine (direct handoff) or by the one fabric
-// receive goroutine serving the s→node connection (TCP fabric) — the two
-// modes are mutually exclusive per cluster. The extra injection ring is fed
-// by arbitrary caller goroutines serialized by node.injectMu.
+// only by switch s's data goroutine. The extra injection ring is fed by
+// arbitrary caller goroutines serialized by node.injectMu.
 
 import "sync/atomic"
 

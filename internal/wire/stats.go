@@ -110,9 +110,6 @@ type coldStats struct {
 	failoversPromoted     atomic.Uint64
 	controlReconnects     atomic.Uint64
 	controllerOutages     atomic.Uint64
-	outageBuffered        atomic.Uint64
-	outageDrained         atomic.Uint64
-	outageDropped         atomic.Uint64
 	staleInstallsRejected atomic.Uint64
 	leaderElections       atomic.Uint64
 
@@ -146,9 +143,6 @@ func (s *coldStats) mergeInto(m *core.Measurements) {
 	m.FailoversPromoted += s.failoversPromoted.Load()
 	m.ControlReconnects += s.controlReconnects.Load()
 	m.ControllerOutages += s.controllerOutages.Load()
-	m.OutageBuffered += s.outageBuffered.Load()
-	m.OutageDrained += s.outageDrained.Load()
-	m.OutageDropped += s.outageDropped.Load()
 	m.StaleInstallsRejected += s.staleInstallsRejected.Load()
 	m.LeaderElections += s.leaderElections.Load()
 

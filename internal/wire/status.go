@@ -20,7 +20,6 @@ type SwitchStatus struct {
 	Misses         uint64 `json:"misses"`
 	QueueDepth     int    `json:"queue_depth"`
 	PeakQueueDepth int    `json:"peak_queue_depth"`
-	OutboxLen      int    `json:"outbox_len"`
 	Epoch          uint64 `json:"epoch"`
 	ReportedEpoch  uint64 `json:"reported_epoch,omitempty"`
 	Alive          bool   `json:"alive"`
@@ -61,7 +60,6 @@ func (c *Cluster) Status() Status {
 			Misses:         stats.Misses,
 			QueueDepth:     n.queueLen(),
 			PeakQueueDepth: int(n.peakQueue.Load()),
-			OutboxLen:      len(n.outbox),
 			Epoch:          n.epoch.Load(),
 			ReportedEpoch:  n.reportedEpoch.Load(),
 			Alive:          n.alive.Load(),

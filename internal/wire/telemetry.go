@@ -307,7 +307,7 @@ func (c *Cluster) buildRegistry() {
 		func() float64 { return c.sumStats(func(s *nodeStats) uint64 { return s.setupsCompleted.Load() }) })
 	counter("difane_failovers_local_total", "Ingress-local partition-rule repoints onto a backup authority.",
 		func() float64 { return c.sumStats(func(s *nodeStats) uint64 { return s.failoversLocal.Load() }) })
-	counter("difane_cache_installs_shed_total", "Cache installs suppressed by the install token bucket.",
+	counter("difane_cache_installs_shed_total", "Cache installs shed: install token bucket, full ingress queue, or dead ingress.",
 		func() float64 { return c.sumStats(func(s *nodeStats) uint64 { return s.cacheInstallsShed.Load() }) })
 
 	reg.Register("difane_drops_total", "Terminal packet losses by kind.", telemetry.TypeCounter,
@@ -336,12 +336,6 @@ func (c *Cluster) buildRegistry() {
 		func() float64 { return float64(c.cold.controlReconnects.Load()) })
 	counter("difane_controller_outages_total", "Controller losses ridden out.",
 		func() float64 { return float64(c.cold.controllerOutages.Load()) })
-	counter("difane_outage_buffered_total", "Controller-bound events parked during outages.",
-		func() float64 { return float64(c.cold.outageBuffered.Load()) })
-	counter("difane_outage_drained_total", "Parked events replayed after outages.",
-		func() float64 { return float64(c.cold.outageDrained.Load()) })
-	counter("difane_outage_dropped_total", "Parked events shed on outage-buffer overflow.",
-		func() float64 { return float64(c.cold.outageDropped.Load()) })
 	counter("difane_stale_installs_rejected_total", "FlowMods refused by epoch fencing.",
 		func() float64 { return float64(c.cold.staleInstallsRejected.Load()) })
 	counter("difane_leader_elections_total", "Controller leader elections completed.",
@@ -357,13 +351,6 @@ func (c *Cluster) buildRegistry() {
 				return 1
 			}
 			return 0
-		})
-	gauge("difane_fabric_inflight", "Data frames in flight inside the TCP fabric.",
-		func() float64 {
-			if c.fabric == nil {
-				return 0
-			}
-			return float64(c.fabric.pending())
 		})
 
 	// Per-switch series, labeled by switch ID.
@@ -401,8 +388,6 @@ func (c *Cluster) buildRegistry() {
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.queueLen()) })
 	perSwitch("difane_switch_peak_queue_depth", "Data-queue high-water mark.",
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.peakQueue.Load()) })
-	perSwitch("difane_switch_outbox_len", "Buffered controller-bound events.",
-		telemetry.TypeGauge, func(n *node) float64 { return float64(len(n.outbox)) })
 	perSwitch("difane_switch_epoch", "The switch's accepted install fence.",
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.epoch.Load()) })
 	perSwitch("difane_switch_alive", "1 while the failure detector believes the switch serves traffic.",

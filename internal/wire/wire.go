@@ -1,13 +1,18 @@
 // Package wire runs a DIFANE deployment as real concurrent components: one
-// goroutine per switch, data-plane frames as encoded packets over
-// channels, and control-plane messages as framed proto messages over
-// net.Pipe or loopback-TCP connections — the prototype-style counterpart
-// to the discrete-event simulator in internal/core. It validates that the
+// data goroutine per switch, data-plane frames handed between switches as
+// parsed packets over per-producer rings, cache installs handed from the
+// authority switch straight to the ingress switch beside them, and
+// control-plane messages as framed proto messages over net.Pipe or
+// loopback-TCP connections — the prototype-style counterpart to the
+// discrete-event simulator in internal/core. It validates that the
 // protocol, the pipeline, and the cache-install feedback loop work under
 // real concurrency, and adds the resilience layer the paper's failover
-// story requires: a heartbeat failure detector, pre-installed backup
-// authority rules with ingress-local failover, reconnecting control
-// connections, and fault-injection hooks for testing all of it.
+// story requires: BFD sessions over every control channel with a coarse
+// heartbeat detector behind them, pre-installed backup authority rules
+// with ingress-local failover, reconnecting control connections, and
+// fault-injection hooks for testing all of it. A miss never leaves the
+// data plane: nothing on the packet or install path touches a control
+// connection, so traffic and caching ride out a dead controller.
 package wire
 
 import (
@@ -82,10 +87,6 @@ type Cluster struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 	trans  transport
-	// fabric, when non-nil, carries inter-switch data frames over batched
-	// loopback-TCP connections (cfg.Fabric.UseTCP) instead of direct ring
-	// handoff.
-	fabric *tcpFabric
 
 	// epoch is the controller's fencing token. Every FlowMod the
 	// controller sends is stamped with it; switches reject installs whose
@@ -104,8 +105,8 @@ type Cluster struct {
 	haDir      string
 	haDirOwned bool
 	// ctrlDown simulates a controller crash (KillController): switches
-	// keep serving from cached and authority rules, buffer
-	// controller-bound events, and drain them on RestoreController.
+	// keep serving, and keep caching new flows, from their own tables;
+	// only the control connections hold until RestoreController.
 	ctrlDown atomic.Bool
 
 	// rec is the flight recorder and reg the metric registry; both always
@@ -153,8 +154,7 @@ type node struct {
 	stats *nodeStats
 
 	// in holds the node's input rings, one SPSC ring per producer: in[s]
-	// is fed only by switch s (its data goroutine, or the fabric receive
-	// goroutine of the s→this connection), and in[injSlot] is the
+	// is fed only by switch s's data goroutine, and in[injSlot] is the
 	// injection ring, serialized across arbitrary callers by injectMu.
 	// The node's data goroutine is the sole consumer of all of them.
 	// Slots are pre-populated at boot when the cluster-wide slot matrix
@@ -173,9 +173,8 @@ type node struct {
 
 	// connMu guards the current control-connection pair. ctrl is the
 	// switch side and ctrlPeer the controller side; the connection manager
-	// replaces both on reconnect. Cache installs from authority switches
-	// travel switch → controller → target ingress switch, as in the
-	// paper's prototype.
+	// replaces both on reconnect. Only controller traffic rides it
+	// (FlowMods, barriers, stats, heartbeats, BFD); cache installs never do.
 	connMu   sync.Mutex
 	ctrl     net.Conn
 	ctrlPeer net.Conn
@@ -201,8 +200,8 @@ type node struct {
 	faultAt atomic.Int64
 
 	// bfdCtrl is the controller-side BFD session watching this switch;
-	// bfdSw the switch-side session watching the controller. Both nil when
-	// BFD is disabled. bfdQ feeds the node's BFD writer goroutine; full
+	// bfdSw is its handshake peer on the switch. Both nil when BFD is
+	// disabled. bfdQ feeds the node's BFD writer goroutine; full
 	// means the packet is dropped (BFD tolerates loss by design).
 	bfdCtrl *bfd.Session
 	bfdSw   *bfd.Session
@@ -215,21 +214,17 @@ type node struct {
 	// reportedEpoch is the last fence this switch reported upstream in an
 	// EpochReport (after rejecting a stale install).
 	reportedEpoch atomic.Uint64
-	// lastProbe is when this switch last saw a controller heartbeat — its
-	// side of outage detection (the controller watches lastBeat instead).
-	lastProbe atomic.Int64
 	// peakQueue tracks the high-water mark of the data queue.
 	peakQueue atomic.Int64
 
-	// installQ feeds the node's install writer: cache installs queued by
-	// the authority data plane, written toward the controller by one
-	// dedicated goroutine instead of a spawn per miss. Overflow sheds the
-	// install (counted), never the packet.
-	installQ chan proto.Message
-
-	// outbox buffers controller-bound events while the controller is
-	// unreachable; it drains when heartbeats resume.
-	outbox chan proto.Message
+	// installQ receives the cache installs authority switches generate for
+	// flows that entered here, in process and unencoded like the data
+	// rings' frames. This node's data goroutine drains it between bursts;
+	// overflow sheds the install (counted at the authority), never the
+	// packet. installsPending counts installs queued and not yet applied,
+	// so drained() does not call a popped, half-applied install done.
+	installQ        chan *proto.CacheInstall
+	installsPending atomic.Int64
 
 	// redirectTB / installTB shed miss-storm overload (nil = unlimited).
 	redirectTB *metrics.TokenBucket
@@ -237,21 +232,17 @@ type node struct {
 }
 
 // dataFrame is one packet in flight between switches. In-process handoff
-// carries the parsed packet by value — a switch parses a packet once at a
-// real network boundary (injection, or the TCP data fabric's receive side)
-// and forwards the parsed form, the way a software switch carries parsed
-// metadata through its pipeline instead of re-serializing per hop. Wire
-// encoding happens only where bytes genuinely cross a transport: the
-// batched TCP data fabric. Each hop owns its copy of the frame, so
+// carries the parsed packet by value — a switch parses a packet once, at
+// injection, and forwards the parsed form, the way a software switch
+// carries parsed metadata through its pipeline instead of re-serializing
+// per hop. Each hop owns its copy of the frame, so
 // handling may mutate pkt freely (encapsulate/decapsulate) without
 // cloning; the Encap pointee is never mutated after a frame is sent.
 type dataFrame struct {
 	pkt packet.Packet
 	// encap/hasEncap carry the DIFANE encapsulation header by value —
 	// pkt.Encap stays nil inside the wire data plane, so encapsulating a
-	// frame per hop costs a struct store, not a heap allocation. The TCP
-	// fabric encodes from and decodes into this field directly
-	// (AppendWireEncap / DecodeWireEncap).
+	// frame per hop costs a struct store, not a heap allocation.
 	encap    packet.Encap
 	hasEncap bool
 	// injected is monotonic nanoseconds since the package time base
@@ -261,7 +252,7 @@ type dataFrame struct {
 	injected int64
 	detour   bool
 	// trace is the packet's sampled trace ID (0 = unsampled): stamped once
-	// at injection, carried across every hop (including the TCP fabric), and
+	// at injection, carried across every hop, and
 	// attached to every span event the packet generates.
 	trace uint64
 }
@@ -317,9 +308,6 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	}
 	// fail tears down whatever construction has built so far.
 	fail := func(err error) (*Cluster, error) {
-		if c.fabric != nil {
-			c.fabric.close()
-		}
 		cancel()
 		c.trans.close()
 		for _, n := range c.switches {
@@ -368,8 +356,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 			ctrlPeer:   ctrlConn,
 			replies:    make(chan proto.Message, 16),
 			done:       make(chan struct{}),
-			installQ:   make(chan proto.Message, 256),
-			outbox:     make(chan proto.Message, outageBuffer),
+			installQ:   make(chan *proto.CacheInstall, 256),
 			redirectTB: metrics.NewTokenBucket(cfg.Overload.RedirectRate, cfg.Overload.RedirectBurst),
 			installTB:  metrics.NewTokenBucket(cfg.Overload.CacheInstallRate, cfg.Overload.CacheInstallBurst),
 		}
@@ -380,7 +367,6 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		}
 		n.alive.Store(true)
 		n.lastBeat.Store(now.UnixNano())
-		n.lastProbe.Store(now.UnixNano())
 		c.initNodeBFD(n)
 		c.switches[id] = n
 		c.nodes = append(c.nodes, n)
@@ -392,13 +378,6 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	}
 	if err := c.installAssignment(); err != nil {
 		return fail(err)
-	}
-	if cfg.Fabric.UseTCP {
-		fab, err := newTCPFabric(c, cfg.Fabric)
-		if err != nil {
-			return fail(err)
-		}
-		c.fabric = fab
 	}
 	// Telemetry comes up after the assignment pre-installs (so boot-time
 	// rule pushes don't flood the trace rings) and before any goroutine
@@ -414,13 +393,11 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	boot := time.Now().UnixNano()
 	for _, n := range c.switches {
 		n.lastBeat.Store(boot)
-		n.lastProbe.Store(boot)
 	}
 	for _, n := range c.switches {
-		c.wg.Add(3)
+		c.wg.Add(2)
 		go c.dataLoop(n)
 		go c.ctrlManager(n)
-		go c.installWriter(n)
 		if n.bfdQ != nil {
 			c.wg.Add(1)
 			go c.bfdWriter(n)
@@ -683,12 +660,12 @@ func (c *Cluster) policyDrop(s *nodeStats, firstPacket bool) {
 	c.completed.Add(1)
 }
 
-// dataLoop is a switch's data plane: pull a burst of frames from the input
-// rings, run the whole vector through one classification pass, and flush
-// the results downstream in per-destination bursts (see burst.go). When a
-// full scan of the rings comes up empty the loop blocks on the node's
-// notify channel; producers push first and kick after, so a wakeup can
-// never be lost.
+// dataLoop is a switch's data plane: apply the cache installs authority
+// switches queued for it, pull a burst of frames from the input rings, run
+// the whole vector through one classification pass, and flush the results
+// downstream in per-destination bursts (see burst.go). When a full scan of
+// the rings comes up empty the loop blocks on the node's notify channel;
+// producers push first and kick after, so a wakeup can never be lost.
 func (c *Cluster) dataLoop(n *node) {
 	defer c.wg.Done()
 	s := newBurstScratch(c)
@@ -700,6 +677,7 @@ func (c *Cluster) dataLoop(n *node) {
 			return
 		default:
 		}
+		c.applyInstalls(n)
 		total := 0
 		for i := range n.in {
 			if total == len(s.frames) {
@@ -734,22 +712,6 @@ func (c *Cluster) traceVerdict(node uint32, verdict uint8, ruleID uint64, h *pac
 		Kind: telemetry.EvVerdict, Node: node, Verdict: verdict,
 		RuleID: ruleID, Value: uint64(lat), Flow: flowOf(h), Trace: trace,
 	})
-}
-
-// installWriter serializes one switch's cache-install writes toward the
-// controller, replacing a goroutine spawn per cache miss.
-func (c *Cluster) installWriter(n *node) {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-n.done:
-			return
-		case msg := <-n.installQ:
-			_ = c.writeToController(n, msg)
-		}
-	}
 }
 
 // failoverLocal re-points a partition rule at the next live authority in
@@ -843,7 +805,7 @@ func (c *Cluster) ctrlManager(n *node) {
 		}()
 		go func() {
 			defer session.Done()
-			c.relayRead(n, peer)
+			c.ctrlPeerRead(n, peer)
 			fail <- struct{}{}
 		}()
 		<-fail
@@ -944,31 +906,13 @@ func (c *Cluster) switchCtrlRead(n *node, conn net.Conn) {
 				// opens its timeline; the deployment's quiesce point closes it.
 				c.conv.NoteMod(m.Epoch, m.Op == proto.OpDelete, nowNS(), c.counterTotals())
 			}
-			// No node lock: the tables serialize writers internally and
-			// publish snapshots, so installs never stall the data plane.
+			// No node lock: each table locks itself, and the data plane
+			// holds a table's read lock only for one burst.
 			_ = n.sw.ApplyFlowMod(nowSec(), m)
-		case *proto.CacheInstall:
-			// Relayed from an authority switch via the controller.
-			for i := range m.Rules {
-				_ = n.sw.ApplyFlowMod(nowSec(), &m.Rules[i])
-			}
-			// When the triggering packet was sampled, land the install in
-			// its journey (the untraced per-rule EvInstall hook events fire
-			// regardless).
-			if m.Trace != 0 && c.rec.Enabled() {
-				var ruleID uint64
-				if len(m.Rules) > 0 {
-					ruleID = m.Rules[0].Rule.ID
-				}
-				c.rec.Publish(telemetry.Event{
-					Kind: telemetry.EvInstall, Node: n.id,
-					Table: uint8(proto.TableCache), RuleID: ruleID, Trace: m.Trace,
-				})
-			}
 		case *proto.BarrierReq:
 			// Replies are written asynchronously: net.Pipe writes block
 			// until read, and a reply written inline from this loop could
-			// deadlock against a relay writing toward this switch.
+			// deadlock against the controller writing toward this switch.
 			reply := &proto.BarrierReply{XID: m.XID}
 			go func() { _ = c.writeToController(n, reply) }()
 		case *proto.StatsReq:
@@ -988,15 +932,8 @@ func (c *Cluster) switchCtrlRead(n *node, conn net.Conn) {
 			reply := &proto.StatsReply{XID: m.XID, Packets: pkts, Bytes: bytes, OK: ok}
 			go func() { _ = c.writeToController(n, reply) }()
 		case *proto.Heartbeat:
-			// A probe is the switch's evidence the controller is alive:
-			// stamp it, echo it, and flush anything buffered during an
-			// outage now that the path is confirmed.
-			n.lastProbe.Store(time.Now().UnixNano())
 			hb := m
 			go func() { _ = c.writeToController(n, hb) }()
-			if len(n.outbox) > 0 {
-				go c.drainOutbox(n)
-			}
 		case *proto.BFDControl:
 			c.handleBFDAtSwitch(n, m)
 		}
@@ -1017,26 +954,16 @@ func (n *node) raiseEpoch(e uint64) bool {
 	}
 }
 
-// relayRead is the controller side: it reads what the switch sends
-// upstream (cache installs, heartbeat echoes, replies) and either relays
-// or hands the message to a waiting caller.
-func (c *Cluster) relayRead(n *node, conn net.Conn) {
+// ctrlPeerRead is the controller side: it reads what the switch sends
+// upstream (heartbeat echoes, BFD, epoch reports, replies) and feeds the
+// failure detector or hands the message to a waiting caller.
+func (c *Cluster) ctrlPeerRead(n *node, conn net.Conn) {
 	for {
 		msg, err := proto.ReadMessage(conn)
 		if err != nil {
 			return
 		}
 		switch m := msg.(type) {
-		case *proto.CacheInstall:
-			c.clearPending(n.id)
-			dst, ok := c.switches[m.Ingress]
-			if !ok {
-				continue
-			}
-			// Asynchronous for the same deadlock-avoidance reason as the
-			// switch-side replies.
-			install := m
-			go func() { _ = c.writeToSwitch(dst, install) }()
 		case *proto.Heartbeat:
 			n.lastBeat.Store(time.Now().UnixNano())
 		case *proto.BFDControl:
@@ -1065,67 +992,9 @@ func (c *Cluster) writeToSwitch(n *node, msg proto.Message) error {
 }
 
 // writeToController writes a switch→controller control message, honouring
-// injected delay and partition faults. While the controller is unreachable
-// (crashed, or silent past the heartbeat threshold) cache installs are
-// parked in the switch's bounded outbox instead of being lost; they drain
-// when heartbeats resume.
+// injected delay and partition faults.
 func (c *Cluster) writeToController(n *node, msg proto.Message) error {
-	if _, ok := msg.(*proto.CacheInstall); ok && c.controllerUnreachable(n) {
-		c.bufferEvent(n, msg)
-		return nil
-	}
 	return c.writeControl(n, msg, true)
-}
-
-// controllerUnreachable is the switch-side outage verdict: the controller
-// was explicitly killed, the switch's BFD session toward it detected a
-// failure (an established session that is no longer Up), or — the coarse
-// fallback — its heartbeat probes have been silent past the miss
-// threshold. BFD receive traffic stamps lastProbe, so while BFD runs the
-// heartbeat term stays quiet and the verdict flips within a detect time.
-func (c *Cluster) controllerUnreachable(n *node) bool {
-	if c.ctrlDown.Load() {
-		return true
-	}
-	if n.bfdSw != nil && n.bfdSw.EverUp() && !n.bfdSw.Up() {
-		return true
-	}
-	hb := c.cfg.Heartbeat
-	silence := time.Since(time.Unix(0, n.lastProbe.Load()))
-	return silence > time.Duration(hb.MissThreshold)*hb.Interval
-}
-
-// bufferEvent parks a controller-bound event in the switch's bounded
-// outbox, shedding (and counting) on overflow.
-func (c *Cluster) bufferEvent(n *node, msg proto.Message) {
-	select {
-	case n.outbox <- msg:
-		c.cold.outageBuffered.Add(1)
-	default:
-		c.cold.outageDropped.Add(1)
-	}
-}
-
-// drainOutbox replays a switch's buffered events toward the controller in
-// order, stopping at the first failure (the next heartbeat retriggers it).
-func (c *Cluster) drainOutbox(n *node) {
-	for {
-		select {
-		case msg := <-n.outbox:
-			if err := c.writeControl(n, msg, true); err != nil {
-				// Park it again without recounting it as newly buffered.
-				select {
-				case n.outbox <- msg:
-				default:
-					c.cold.outageDropped.Add(1)
-				}
-				return
-			}
-			c.cold.outageDrained.Add(1)
-		default:
-			return
-		}
-	}
 }
 
 func (c *Cluster) writeControl(n *node, msg proto.Message, switchSide bool) error {
@@ -1249,9 +1118,6 @@ func (c *Cluster) Close() error {
 		for time.Now().Before(deadline) && !c.drained() {
 			time.Sleep(time.Millisecond)
 		}
-		if c.fabric != nil {
-			c.fabric.close()
-		}
 		c.cancel()
 		c.trans.close()
 		for _, n := range c.switches {
@@ -1266,17 +1132,14 @@ func (c *Cluster) Close() error {
 	return nil
 }
 
-// drained reports whether every live switch's input rings are empty and no
-// frame is in flight inside the data fabric.
+// drained reports whether every live switch's input rings are empty and
+// every cache install queued for it has been applied.
 func (c *Cluster) drained() bool {
-	if c.fabric != nil && c.fabric.pending() > 0 {
-		return false
-	}
 	for _, n := range c.switches {
 		if n.killed.Load() {
 			continue
 		}
-		if n.queueLen() > 0 {
+		if n.queueLen() > 0 || n.installsPending.Load() > 0 {
 			return false
 		}
 	}
