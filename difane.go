@@ -358,8 +358,7 @@ func NewWireDeployment(cfg ClusterConfig) (*WireDeployment, error) {
 type TelemetryConfig = wire.TelemetryConfig
 
 // TelemetrySnapshot is one scrape of a deployment's metric registry plus
-// its flight-recorder accounting (zero for the simulated backends, which
-// have no recorder).
+// its flight-recorder accounting.
 type TelemetrySnapshot = telemetry.Snapshot
 
 // TraceEvent is one fixed-size flight-recorder record: a packet verdict,
@@ -424,9 +423,13 @@ type HealthSummary = telemetry.HealthSummary
 // in real time and Run waits (at most horizon seconds) for in-flight
 // packets to reach a terminal point. Close is idempotent.
 //
-// Telemetry returns one scrape of the backend's metric registry (the
-// shared difane_* schema) plus flight-recorder accounting; the simulated
-// backends report zero trace state, wire mode reports the live recorder.
+// Telemetry returns one scrape of the backend's metric registry plus its
+// flight recorder's accounting. All three backends register the same
+// difane_* measurement and trace series (a name means the same thing on
+// each) and carry the same recorder: the simulated ones stamp events with
+// virtual time, wire mode with wall time. Latency summaries come from
+// fixed-size histograms: quantiles read up to 3.2% high, count and sum are
+// exact.
 type Deployment interface {
 	InjectPacket(at float64, ingress uint32, k Key, size int, seq uint64)
 	InjectBatch(batch []PacketIn)

@@ -8,7 +8,6 @@ package baseline
 
 import (
 	"fmt"
-	"sync"
 
 	"difane/internal/core"
 	"difane/internal/flowspace"
@@ -82,18 +81,30 @@ type Network struct {
 	// architectures through one code path.
 	Observer func(core.VerdictEvent)
 
-	// Forensics: flight recorder + per-packet trace sampler.
-	rec     *telemetry.Recorder
-	sampler *telemetry.Sampler
-
-	// telReg is the lazily-built metric registry behind Telemetry().
-	telOnce sync.Once
-	telReg  *telemetry.Registry
+	// Probe is the forensics and metrics layer the DIFANE backends carry,
+	// so `difanectl journey` reads a reactive deployment exactly like a
+	// DIFANE one. The span shapes reuse the DIFANE vocabulary: the punt to
+	// the controller is a "redirect" (Peer = the controller's node) and the
+	// controller's policy evaluation an "authority" hit, which keeps one
+	// renderer honest for both architectures.
+	*telemetry.Probe
 }
 
-func (n *Network) emit(kind core.VerdictKind, k flowspace.Key, seq uint64, egress uint32) {
+// finish reports a packet's terminal outcome: the Observer emit plus a
+// terminal verdict span at the deciding node when the packet is sampled.
+func (n *Network) finish(kind core.VerdictKind, node uint32, k flowspace.Key, seq uint64, egress uint32, trace uint64, latNS uint64) {
 	if n.Observer != nil {
 		n.Observer(core.VerdictEvent{Key: k, Seq: seq, Kind: kind, Egress: egress})
+	}
+	if trace != 0 {
+		n.Span(telemetry.Event{
+			Kind:    telemetry.EvVerdict,
+			Node:    node,
+			Verdict: core.VerdictCode(kind),
+			Value:   latNS,
+			Trace:   trace,
+			Flow:    telemetry.TupleOfKey(k),
+		})
 	}
 }
 
@@ -120,8 +131,16 @@ func NewNetwork(g *topo.Graph, policy []flowspace.Rule, cfg Config) (*Network, e
 		})
 		nodes = append(nodes, uint32(id))
 	}
-	n.rec = telemetry.NewRecorder(nodes, cfg.TraceBuffer, cfg.Tracing)
-	n.sampler = telemetry.NewSampler(cfg.TraceSample)
+	n.Probe = telemetry.NewProbe(telemetry.ProbeConfig{
+		Nodes: nodes, TraceBuffer: cfg.TraceBuffer, Tracing: cfg.Tracing,
+		TraceSample: cfg.TraceSample, Now: telemetry.VirtualClock(n.Eng.Now),
+	})
+	// The same schema core.RegisterMeasurements gives the DIFANE backends,
+	// plus the reactive controller's own setup counter.
+	core.RegisterMeasurements(n.Registry(), n.Measurements)
+	n.Registry().RegisterFunc("difane_controller_setups_total",
+		"Flow setups the reactive controller processed.", telemetry.TypeCounter,
+		func() float64 { return float64(n.ControllerSetups) })
 	return n, nil
 }
 
@@ -140,9 +159,9 @@ func (n *Network) InjectBatch(batch []core.PacketIn) {
 
 func (n *Network) process(injected float64, ingress uint32, k flowspace.Key, size int, seq uint64) {
 	now := n.Eng.Now()
-	trace := n.traceID(k, seq)
+	trace := n.TraceID(k, seq)
 	if trace != 0 {
-		n.span(telemetry.Event{Kind: telemetry.EvIngress, Node: ingress, Trace: trace, Flow: tupleOfKey(k)})
+		n.Span(telemetry.Event{Kind: telemetry.EvIngress, Node: ingress, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 	}
 	sw, ok := n.Switches[ingress]
 	if !ok || !n.Topo.NodeUp(topo.NodeID(ingress)) {
@@ -153,8 +172,8 @@ func (n *Network) process(injected float64, ingress uint32, k flowspace.Key, siz
 	sw.Advance(now)
 	if res := sw.Classify(now, k, size); res.OK {
 		if trace != 0 {
-			n.span(telemetry.Event{Kind: telemetry.EvForward, Node: ingress, Peer: res.Rule.Action.Arg,
-				Table: uint8(proto.TableCache), RuleID: res.Rule.ID, Trace: trace, Flow: tupleOfKey(k)})
+			n.Span(telemetry.Event{Kind: telemetry.EvForward, Node: ingress, Peer: res.Rule.Action.Arg,
+				Table: uint8(proto.TableCache), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 		}
 		n.applyAction(injected, ingress, k, res.Rule.Action, seq, trace)
 		return
@@ -169,8 +188,8 @@ func (n *Network) process(injected float64, ingress uint32, k flowspace.Key, siz
 		return
 	}
 	if trace != 0 {
-		n.span(telemetry.Event{Kind: telemetry.EvRedirect, Node: ingress, Peer: n.cfg.ControllerNode,
-			Trace: trace, Flow: tupleOfKey(k)})
+		n.Span(telemetry.Event{Kind: telemetry.EvRedirect, Node: ingress, Peer: n.cfg.ControllerNode,
+			Trace: trace, Flow: telemetry.TupleOfKey(k)})
 	}
 	n.Eng.At(now+dIC, func() {
 		accepted := n.ctrl.Submit(func(done float64) {
@@ -192,8 +211,8 @@ func (n *Network) controllerHandle(injected float64, ingress uint32, k flowspace
 		return
 	}
 	if trace != 0 {
-		n.span(telemetry.Event{Kind: telemetry.EvAuthority, Node: n.cfg.ControllerNode, Peer: ingress,
-			RuleID: rule.ID, Trace: trace, Flow: tupleOfKey(k)})
+		n.Span(telemetry.Event{Kind: telemetry.EvAuthority, Node: n.cfg.ControllerNode, Peer: ingress,
+			RuleID: rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 	}
 	// Exact-match microflow rule back to the ingress switch.
 	n.nextRuleID++
@@ -210,7 +229,7 @@ func (n *Network) controllerHandle(injected float64, ingress uint32, k flowspace
 			Idle: n.cfg.RuleIdle, Hard: n.cfg.RuleHard}
 		_ = sw.ApplyFlowMod(n.Eng.Now(), &mod)
 		if trace != 0 {
-			n.span(telemetry.Event{Kind: telemetry.EvInstall, Node: ingress,
+			n.Span(telemetry.Event{Kind: telemetry.EvInstall, Node: ingress,
 				Table: uint8(proto.TableCache), RuleID: exact.ID, Trace: trace})
 		}
 		// The buffered packet is released and follows the rule.

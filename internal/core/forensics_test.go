@@ -89,8 +89,8 @@ func TestPolicyUpdateConvergenceTimeline(t *testing.T) {
 	if got.FirstModTS <= 0 || float64(got.FirstModTS)/1e9 >= switchAt {
 		t.Fatalf("FirstModTS = %d, want within (0, switchAt=%v)", got.FirstModTS, switchAt)
 	}
-	if got.QuiesceTS != n.vnow() {
-		t.Fatalf("QuiesceTS = %d, want the quiesce point %d", got.QuiesceTS, n.vnow())
+	if got.QuiesceTS != n.Now() {
+		t.Fatalf("QuiesceTS = %d, want the quiesce point %d", got.QuiesceTS, n.Now())
 	}
 	if got.DurationNS != got.QuiesceTS-got.FirstModTS {
 		t.Fatalf("DurationNS = %d, want QuiesceTS-FirstModTS = %d",
@@ -99,7 +99,7 @@ func TestPolicyUpdateConvergenceTimeline(t *testing.T) {
 	if since := n.Convergence().ActiveSinceNS(); since != 0 {
 		t.Fatalf("tracker still reports an active update at %d", since)
 	}
-	v := n.Convergence().View(n.vnow())
+	v := n.Convergence().View(n.Now())
 	if v.Updates != 1 || v.Converged != 1 {
 		t.Fatalf("view = %+v", v)
 	}
@@ -110,13 +110,13 @@ func TestPolicyUpdateConvergenceTimeline(t *testing.T) {
 func TestSimWatchdogEvalOnce(t *testing.T) {
 	n := testNet(t, NetworkConfig{})
 	w := n.Watchdog()
-	w.EvalOnce(n.vnow())
+	w.EvalOnce(n.Now())
 	for i := 0; i < 600; i++ {
 		seq := uint64(i) % 3
 		n.InjectPacket(float64(i)*0.001, 0, flowKey(uint32(i%8), 80), 100, seq)
 	}
 	n.Run(2)
-	st := w.EvalOnce(n.vnow())
+	st := w.EvalOnce(n.Now())
 	for _, s := range st {
 		if s.Firing {
 			t.Fatalf("rule %s fired on healthy traffic: %+v", s.Name, s)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"difane/internal/cachepolicy"
 	"difane/internal/flowspace"
@@ -137,6 +136,12 @@ type Drops struct {
 	Unreachable uint64
 }
 
+// Lost sums the drops that are losses: everything but Policy, which is
+// the policy doing its job.
+func (d Drops) Lost() uint64 {
+	return d.Hole + d.AuthorityQueue + d.RedirectShed + d.Unreachable
+}
+
 // Measurements aggregates what the evaluation records from a run.
 type Measurements struct {
 	// FirstPacketDelay is the injection→delivery latency of each flow's
@@ -202,53 +207,13 @@ type Measurements struct {
 	LeaderElections   uint64
 }
 
-// Snapshot returns an independent copy safe to query while the original
-// keeps accumulating. Callers that mutate m's plain counters concurrently
-// must hold their own lock around this (the distributions are internally
-// synchronized; the uint64 counters are not).
+// Snapshot returns an independent copy to query while the original keeps
+// accumulating: Measurements is a plain value (its distributions hold no
+// pointer), so a struct copy is one. Nothing in it is synchronized; a
+// caller that shares m with a writer holds its own lock around this.
 func (m *Measurements) Snapshot() *Measurements {
 	out := *m
-	out.FirstPacketDelay = m.FirstPacketDelay.Clone()
-	out.LaterPacketDelay = m.LaterPacketDelay.Clone()
-	out.Stretch = m.Stretch.Clone()
-	out.FailoverDetection = m.FailoverDetection.Clone()
-	out.LeaderElection = m.LeaderElection.Clone()
 	return &out
-}
-
-// Merge folds o into m: counters add, latency/stretch distributions
-// concatenate. Wire mode uses it to combine per-node measurement shards
-// into one cluster-wide snapshot; o must not be concurrently mutated
-// (hold its shard's lock or pass an independent copy).
-func (m *Measurements) Merge(o *Measurements) {
-	m.FirstPacketDelay.Merge(&o.FirstPacketDelay)
-	m.LaterPacketDelay.Merge(&o.LaterPacketDelay)
-	m.Stretch.Merge(&o.Stretch)
-
-	m.Delivered += o.Delivered
-	m.Redirects += o.Redirects
-	m.Drops.Policy += o.Drops.Policy
-	m.Drops.Hole += o.Drops.Hole
-	m.Drops.AuthorityQueue += o.Drops.AuthorityQueue
-	m.Drops.RedirectShed += o.Drops.RedirectShed
-	m.Drops.Unreachable += o.Drops.Unreachable
-	m.SetupsCompleted += o.SetupsCompleted
-
-	m.AuthorityDeaths += o.AuthorityDeaths
-	m.FailoversLocal += o.FailoversLocal
-	m.FailoversPromoted += o.FailoversPromoted
-	m.ControlReconnects += o.ControlReconnects
-
-	m.ControllerOutages += o.ControllerOutages
-	m.StaleInstallsRejected += o.StaleInstallsRejected
-	m.CacheInstallsShed += o.CacheInstallsShed
-
-	m.PolicyRuleInstalls += o.PolicyRuleInstalls
-	m.PolicyRuleDeletes += o.PolicyRuleDeletes
-
-	m.FailoverDetection.Merge(&o.FailoverDetection)
-	m.LeaderElection.Merge(&o.LeaderElection)
-	m.LeaderElections += o.LeaderElections
 }
 
 // Network is a DIFANE deployment running under the discrete-event engine.
@@ -289,16 +254,11 @@ type Network struct {
 
 	M Measurements
 
-	// Forensics: flight recorder, per-packet trace sampler, policy-update
-	// convergence tracker, and (built with the registry) health watchdog.
-	rec     *telemetry.Recorder
-	sampler *telemetry.Sampler
-	conv    *telemetry.Convergence
-	wd      *telemetry.Watchdog
-
-	// telReg is the lazily-built metric registry behind Telemetry().
-	telOnce sync.Once
-	telReg  *telemetry.Registry
+	// Probe is the forensics and metrics layer shared with the baseline and
+	// wire mode, on virtual time: span events carry the virtual instant the
+	// engine processed them at, so a journey assembled from a simulation
+	// reads like one from a live cluster — only the clock base differs.
+	*telemetry.Probe
 }
 
 // NewNetwork builds a DIFANE network over the topology. Every node in the
@@ -345,9 +305,12 @@ func NewNetwork(g *topo.Graph, authorities []uint32, policy []flowspace.Rule, cf
 	for id := range n.Switches {
 		nodes = append(nodes, id)
 	}
-	n.rec = telemetry.NewRecorder(nodes, cfg.TraceBuffer, cfg.Tracing)
-	n.sampler = telemetry.NewSampler(cfg.TraceSample)
-	n.conv = telemetry.NewConvergence(0)
+	n.Probe = telemetry.NewProbe(telemetry.ProbeConfig{
+		Nodes: nodes, TraceBuffer: cfg.TraceBuffer, Tracing: cfg.Tracing,
+		TraceSample: cfg.TraceSample, Health: cfg.Health,
+		Now: telemetry.VirtualClock(n.Eng.Now),
+	})
+	n.registerMetrics()
 	n.installAssignment()
 	n.startCacheAdaptation()
 	return n, nil
@@ -537,9 +500,9 @@ func (n *Network) InjectBatch(batch []PacketIn) {
 
 func (n *Network) processAtIngress(injected float64, ingress uint32, k flowspace.Key, size int, seq uint64) {
 	now := n.Eng.Now()
-	trace := n.traceID(k, seq)
+	trace := n.TraceID(k, seq)
 	if trace != 0 {
-		n.span(telemetry.Event{Kind: telemetry.EvIngress, Node: ingress, Trace: trace, Flow: tupleOfKey(k)})
+		n.Span(telemetry.Event{Kind: telemetry.EvIngress, Node: ingress, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 	}
 	sw, ok := n.Switches[ingress]
 	if !ok || !n.Topo.NodeUp(topo.NodeID(ingress)) {
@@ -569,14 +532,14 @@ func (n *Network) processAtIngress(injected float64, ingress uint32, k flowspace
 	case flowspace.ActForward, flowspace.ActCount:
 		egress := res.Rule.Action.Arg
 		if trace != 0 {
-			n.span(telemetry.Event{Kind: telemetry.EvForward, Node: ingress, Peer: egress,
-				Table: uint8(res.Table), RuleID: res.Rule.ID, Trace: trace, Flow: tupleOfKey(k)})
+			n.Span(telemetry.Event{Kind: telemetry.EvForward, Node: ingress, Peer: egress,
+				Table: uint8(res.Table), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 		}
 		n.deliverDirect(injected, ingress, egress, k, seq, trace)
 	case flowspace.ActRedirect:
 		if trace != 0 {
-			n.span(telemetry.Event{Kind: telemetry.EvRedirect, Node: ingress, Peer: res.Rule.Action.Arg,
-				Table: uint8(res.Table), RuleID: res.Rule.ID, Trace: trace, Flow: tupleOfKey(k)})
+			n.Span(telemetry.Event{Kind: telemetry.EvRedirect, Node: ingress, Peer: res.Rule.Action.Arg,
+				Table: uint8(res.Table), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 		}
 		n.redirect(injected, ingress, res.Rule.Action.Arg, k, size, seq, trace)
 	case flowspace.ActController:
@@ -640,8 +603,8 @@ func (n *Network) authorityHandle(injected float64, ingress, authority uint32, k
 		return
 	}
 	if trace != 0 {
-		n.span(telemetry.Event{Kind: telemetry.EvAuthority, Node: authority, Peer: ingress,
-			Table: uint8(proto.TableAuthority), RuleID: res.Rule.ID, Trace: trace, Flow: tupleOfKey(k)})
+		n.Span(telemetry.Event{Kind: telemetry.EvAuthority, Node: authority, Peer: ingress,
+			Table: uint8(proto.TableAuthority), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 	}
 	if n.cachePol != nil {
 		// The detour to here is the cost a miss in this region actually
@@ -662,8 +625,8 @@ func (n *Network) authorityHandle(injected float64, ingress, authority uint32, k
 			installAt := now + dAI + n.cfg.InstallDelay
 			mods := res.CacheMods
 			if trace != 0 {
-				n.span(telemetry.Event{Kind: telemetry.EvInstallTriggered, Node: authority, Peer: ingress,
-					Table: uint8(proto.TableCache), RuleID: mods[0].Rule.ID, Trace: trace, Flow: tupleOfKey(k)})
+				n.Span(telemetry.Event{Kind: telemetry.EvInstallTriggered, Node: authority, Peer: ingress,
+					Table: uint8(proto.TableCache), RuleID: mods[0].Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 			}
 			n.Eng.At(installAt, func() {
 				sw := n.Switches[ingress]
@@ -671,7 +634,7 @@ func (n *Network) authorityHandle(injected float64, ingress, authority uint32, k
 					_ = sw.ApplyFlowMod(n.Eng.Now(), &mods[i])
 				}
 				if trace != 0 {
-					n.span(telemetry.Event{Kind: telemetry.EvInstall, Node: ingress,
+					n.Span(telemetry.Event{Kind: telemetry.EvInstall, Node: ingress,
 						Table: uint8(proto.TableCache), RuleID: mods[0].Rule.ID, Trace: trace})
 				}
 			})
@@ -733,7 +696,7 @@ func (n *Network) recordDelivery(injected float64, k flowspace.Key, egress uint3
 func (n *Network) Run(horizon float64) {
 	n.Eng.Run(horizon)
 	if n.Eng.Pending() == 0 {
-		n.conv.NoteQuiesce(n.vnow(), n.counterTotals())
+		n.Convergence().NoteQuiesce(n.Now(), n.counterTotals())
 	}
 }
 

@@ -1,21 +1,23 @@
 package core
 
 import (
+	"difane/internal/flowspace"
 	"difane/internal/metrics"
 	"difane/internal/telemetry"
 )
 
-// This file bridges core.Measurements onto the telemetry registry, giving
-// the simulated backends the same metric schema wire mode exports: the
-// names below match wire's registry exactly, so a dashboard built against
-// one backend reads the others unchanged.
+// This file is the simulator's side of the measurement spine every backend
+// shares: the one registration of the difane_* measurement schema
+// (RegisterMeasurements — the baseline and wire mode call it too, so a
+// name means the same thing on all three), and what telemetry.Probe leaves
+// to the backend: the verdict spans, the convergence tracker's counter
+// totals and the simulator's own gauges.
 
 // RegisterMeasurements registers the shared measurement schema on reg,
-// collecting from snap at every scrape. snap must return the live
-// Measurements; the distributions are internally synchronized, but the
-// plain counters are written without atomics by the simulators, so scrape
-// between Run calls (or from the driving goroutine) when the source is a
-// discrete-event backend.
+// collecting from snap at every scrape. snap returns the Measurements to
+// read: the live struct on the single-goroutine simulators (scrape between
+// Run calls or from the driving goroutine — nothing in it is
+// synchronized), a freshly merged snapshot in wire mode.
 func RegisterMeasurements(reg *telemetry.Registry, snap func() *Measurements) {
 	counter := func(name, help string, fn func(*Measurements) uint64) {
 		reg.RegisterFunc(name, help, telemetry.TypeCounter, func() float64 {
@@ -35,12 +37,9 @@ func RegisterMeasurements(reg *telemetry.Registry, snap func() *Measurements) {
 	counter("difane_setups_completed_total", "Flow setups resolved at an authority.",
 		func(m *Measurements) uint64 { return m.SetupsCompleted })
 	counter("difane_dropped_total", "Packets lost (queues, holes, unreachable, shed).",
-		func(m *Measurements) uint64 {
-			d := snap().Drops
-			return d.Policy + d.Hole + d.AuthorityQueue + d.RedirectShed + d.Unreachable
-		})
+		func(m *Measurements) uint64 { return m.Drops.Lost() })
 
-	reg.Register("difane_drops_total", "Terminal packet losses by kind.", telemetry.TypeCounter,
+	reg.Register("difane_drops_total", "Terminal packet drops by kind (policy drops are not losses).", telemetry.TypeCounter,
 		func() []telemetry.Point {
 			d := snap().Drops
 			kind := func(k string, v uint64) telemetry.Point {
@@ -96,51 +95,77 @@ func RegisterMeasurements(reg *telemetry.Registry, snap func() *Measurements) {
 		func(m *Measurements) *metrics.Dist { return &m.LeaderElection })
 }
 
-// Telemetry returns one scrape of the network's metric registry, including
-// the flight recorder's trace accounting. The registry (and the health
-// watchdog that scrapes it) is built on first call and collects from the
-// live Measurements on every scrape.
-func (n *Network) Telemetry() *telemetry.Snapshot {
-	n.telOnce.Do(func() {
-		reg := telemetry.NewRegistry()
-		RegisterMeasurements(reg, func() *Measurements { return &n.M })
-		reg.RegisterFunc("difane_cache_entries",
-			"Installed cache rules across all switches.", telemetry.TypeGauge,
-			func() float64 { return float64(n.CacheEntries()) })
-		reg.RegisterFunc("difane_switches",
-			"Switches in the simulated topology.", telemetry.TypeGauge,
-			func() float64 { return float64(len(n.Switches)) })
-		if n.cachePol != nil {
-			n.cachePol.RegisterMetrics(reg)
-		}
-		reg.RegisterFunc("difane_trace_enabled",
-			"1 while the flight recorder accepts events.", telemetry.TypeGauge,
-			func() float64 {
-				if n.rec.Enabled() {
-					return 1
-				}
-				return 0
-			})
-		reg.RegisterFunc("difane_trace_writes_total",
-			"Events ever published to the flight recorder.", telemetry.TypeCounter,
-			func() float64 { return float64(n.rec.Stats().Writes) })
-		reg.RegisterFunc("difane_trace_dropped_total",
-			"Flight-recorder events lost to ring wraparound.", telemetry.TypeCounter,
-			func() float64 { return float64(n.rec.Stats().Dropped) })
-		reg.RegisterFunc("difane_trace_sample",
-			"Per-packet trace sampling rate (1-in-N, 0 = off).", telemetry.TypeGauge,
-			func() float64 { return float64(n.sampler.Rate()) })
-		n.conv.RegisterMetrics(reg)
-		n.wd = telemetry.NewWatchdog(reg, telemetry.DefaultHealthRules(n.cfg.Health))
-		n.wd.RegisterMetrics(reg)
-		n.telReg = reg
-	})
-	return &telemetry.Snapshot{Metrics: n.telReg.Snapshot(), Trace: n.rec.Stats()}
+// registerMetrics adds what only the simulator exports beside the shared
+// schema and the probe's own series.
+func (n *Network) registerMetrics() {
+	reg := n.Registry()
+	RegisterMeasurements(reg, n.Measurements)
+	reg.RegisterFunc("difane_cache_entries",
+		"Installed cache rules across all switches.", telemetry.TypeGauge,
+		func() float64 { return float64(n.CacheEntries()) })
+	reg.RegisterFunc("difane_switches",
+		"Switches in the simulated topology.", telemetry.TypeGauge,
+		func() float64 { return float64(len(n.Switches)) })
+	if n.cachePol != nil {
+		n.cachePol.RegisterMetrics(reg)
+	}
 }
 
-// Registry exposes the network's metric registry (built on first use), so
-// callers can mount it on their own telemetry server.
-func (n *Network) Registry() *telemetry.Registry {
-	n.Telemetry()
-	return n.telReg
+// VerdictCode maps the simulator's terminal outcomes onto the shared
+// telemetry verdict codes (also used by the baseline backend's spans).
+func VerdictCode(kind VerdictKind) uint8 {
+	switch kind {
+	case VerdictDelivered:
+		return telemetry.VDelivered
+	case VerdictPolicyDrop:
+		return telemetry.VDropPolicy
+	case VerdictHole:
+		return telemetry.VDropHole
+	case VerdictQueueDrop:
+		return telemetry.VDropQueue
+	case VerdictUnreachable:
+		return telemetry.VUnreachable
+	default:
+		return telemetry.VNone
+	}
+}
+
+// finish reports a packet's terminal outcome: exactly one Observer emit
+// per injected packet (the accounting-identity bijection), plus a terminal
+// verdict span at the deciding node when the packet is sampled. latNS is
+// the delivery latency for delivered packets, 0 otherwise.
+func (n *Network) finish(kind VerdictKind, node uint32, k flowspace.Key, seq uint64, egress uint32, detour bool, trace uint64, latNS uint64) {
+	n.emit(kind, k, seq, egress, detour)
+	if trace != 0 {
+		n.Span(telemetry.Event{
+			Kind:    telemetry.EvVerdict,
+			Node:    node,
+			Verdict: VerdictCode(kind),
+			Value:   latNS,
+			Trace:   trace,
+			Flow:    telemetry.TupleOfKey(k),
+		})
+	}
+}
+
+// noteMods records count fenced FlowMods of one staged generation on the
+// convergence tracker, all stamped at the current virtual instant.
+func (n *Network) noteMods(generation uint64, withdraw bool, count uint64) {
+	if count == 0 {
+		return
+	}
+	ts, totals := n.Now(), n.counterTotals()
+	for i := uint64(0); i < count; i++ {
+		n.Convergence().NoteMod(generation, withdraw, ts, totals)
+	}
+}
+
+// counterTotals snapshots the counters the convergence tracker diffs
+// across a policy-update window.
+func (n *Network) counterTotals() telemetry.CounterTotals {
+	return telemetry.CounterTotals{
+		Redirects: n.M.Redirects,
+		Shed:      n.M.Drops.RedirectShed + n.M.CacheInstallsShed,
+		Dropped:   n.M.Drops.Lost(),
+	}
 }

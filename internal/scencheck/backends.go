@@ -489,19 +489,10 @@ func wireClusterConfig(sc Scenario, policy []flowspace.Rule) wire.ClusterConfig 
 		CacheAdaptInterval: 50 * time.Millisecond,
 		// Generous liveness windows: differential seeds run massively in
 		// parallel, and a scheduler stall must not read as a switch death
-		// (real kills short-circuit the detector via the killed flag, so
+		// (real kills short-circuit the detectors via the killed flag, so
 		// failover coverage doesn't depend on these timeouts).
-		Heartbeat: wire.HeartbeatConfig{
-			Interval:      20 * time.Millisecond,
-			MissThreshold: 25,
-		},
-		// Same reasoning for BFD: 25ms × 20 = 500ms detect time, far past
-		// any -race scheduler stall. Real kills still detect instantly via
-		// the killed flag.
-		BFD: wire.BFDConfig{
-			Interval:   25 * time.Millisecond,
-			DetectMult: 20,
-		},
+		Heartbeat: wire.SlackHeartbeat,
+		BFD:       wire.SlackBFD,
 		// Three controller replicas: kill-controller steps kill the leader
 		// and an automatic election restores service, exercising verdict
 		// stability with elections in flight.

@@ -6,6 +6,8 @@ import "sync"
 // diffs across an update window: a snapshot is taken when the first fenced
 // FlowMod of an epoch lands and again at quiescence, and the deltas become
 // the "packets redirected/shed/dropped during generation overlap" figures.
+// Dropped is packets lost (hole, queue, unreachable, redirect-shed) on
+// every backend; a packet the policy told a switch to drop is not one.
 type CounterTotals struct {
 	Redirects uint64 `json:"redirects"`
 	Shed      uint64 `json:"shed"`

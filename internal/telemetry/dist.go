@@ -6,8 +6,8 @@ import "difane/internal/metrics"
 var SummaryQuantiles = []float64{0.5, 0.9, 0.99}
 
 // DistSummary converts a metrics.Dist into the registry's summary shape.
-// Dist queries are internally synchronized, so this is safe against a
-// live writer.
+// A Dist is not synchronized: hand this a snapshot, or a Dist nothing is
+// writing to.
 func DistSummary(d *metrics.Dist) SummaryView {
 	v := SummaryView{Count: uint64(d.N()), Sum: d.Sum()}
 	if v.Count == 0 {

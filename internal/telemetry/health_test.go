@@ -246,9 +246,8 @@ func TestWatchdogViewAndMetrics(t *testing.T) {
 }
 
 // TestWatchdogNeverCollectsSummaries pins the watchdog's scrape to counters
-// and gauges: no HealthView accessor can read a summary, and a latency
-// summary's collector merges and sorts every sample, so a tick that
-// invoked it would pay that once a second for nothing.
+// and gauges: no HealthView accessor can read a summary, so a tick that
+// invoked a summary's collector would pay for it once a second for nothing.
 func TestWatchdogNeverCollectsSummaries(t *testing.T) {
 	f := newFakeCluster()
 	collected := 0

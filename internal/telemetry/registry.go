@@ -136,10 +136,9 @@ func (g *Registry) Snapshot() []MetricSnapshot {
 	return out
 }
 
-// points scrapes the counters and gauges only, keyed by metric name: all
-// a HealthView can read. Summary collectors are never invoked — a latency
-// summary merges and sorts every sample it holds, which the watchdog's
-// once-a-second tick would pay for and then discard.
+// points scrapes the counters and gauges only, keyed by metric name.
+// Summary collectors are never invoked: the watchdog reads only points,
+// so a HealthView has no use for them.
 func (g *Registry) points() map[string][]Point {
 	g.mu.Lock()
 	ms := append([]metric(nil), g.metrics...)

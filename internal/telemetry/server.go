@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// Snapshot is the Deployment.Telemetry() return shape: one scrape of the
-// metric registry plus the flight recorder's accounting. Backends without
-// a recorder (sim, baseline) leave Trace zeroed with Enabled=false.
+// Snapshot is the Deployment.Telemetry() return shape (Probe.Telemetry
+// builds it): one scrape of the metric registry plus the flight recorder's
+// accounting.
 type Snapshot struct {
 	Metrics []MetricSnapshot `json:"metrics"`
 	Trace   RecorderStats    `json:"trace"`

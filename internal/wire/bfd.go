@@ -54,15 +54,15 @@ func (c *Cluster) initNodeBFD(n *node) {
 // (a detect timeout), not from every Down transition — an administrative
 // Reset or a peer restarting must not read as a detected failure.
 func (c *Cluster) onCtrlSessionState(n *node, old, st bfd.State) {
-	if !c.rec.Enabled() {
+	if !c.TracingEnabled() {
 		return
 	}
 	switch {
 	case st == bfd.StateUp:
-		c.rec.Publish(telemetry.Event{Kind: telemetry.EvBFDUp, Node: n.id,
+		c.Span(telemetry.Event{Kind: telemetry.EvBFDUp, Node: n.id,
 			Peer: n.bfdCtrl.Info().RemoteDiscr})
 	case old == bfd.StateUp:
-		c.rec.Publish(telemetry.Event{Kind: telemetry.EvBFDDown, Node: n.id,
+		c.Span(telemetry.Event{Kind: telemetry.EvBFDDown, Node: n.id,
 			Peer: n.bfdCtrl.Info().RemoteDiscr})
 	}
 }

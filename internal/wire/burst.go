@@ -163,8 +163,8 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 		c.policyDrop(n.stats, false)
 		c.traceVerdict(n.id, telemetry.VDropPolicy, res.Rule.ID, &pkt.Header, 0, f.trace)
 	case flowspace.ActForward:
-		if c.tracePkt(f.trace) {
-			c.rec.Publish(telemetry.Event{
+		if c.TracePkt(f.trace) {
+			c.Span(telemetry.Event{
 				Kind: telemetry.EvForward, Node: n.id, Peer: res.Rule.Action.Arg,
 				Table: uint8(res.Table), RuleID: res.Rule.ID, Flow: flowOf(&pkt.Header),
 				Trace: f.trace,
@@ -177,8 +177,8 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 		// the authority switch's queue.
 		if !n.redirectTB.Allow() {
 			c.shedRedirect(n.stats)
-			if c.tracePkt(f.trace) {
-				c.rec.Publish(telemetry.Event{
+			if c.TracePkt(f.trace) {
+				c.Span(telemetry.Event{
 					Kind: telemetry.EvShed, Node: n.id,
 					Verdict: telemetry.VShedRedirect, Flow: flowOf(&pkt.Header),
 					Trace: f.trace,
@@ -199,8 +199,8 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 			}
 			target = next
 		}
-		if c.tracePkt(f.trace) {
-			c.rec.Publish(telemetry.Event{
+		if c.TracePkt(f.trace) {
+			c.Span(telemetry.Event{
 				Kind: telemetry.EvRedirect, Node: n.id, Peer: target,
 				Table: uint8(res.Table), RuleID: res.Rule.ID, Flow: flowOf(&pkt.Header),
 				Trace: f.trace,
@@ -254,8 +254,8 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []dataFrame) {
 			c.traceVerdict(n.id, telemetry.VDropHole, 0, &pkt.Header, 0, f.trace)
 			continue
 		}
-		if c.tracePkt(f.trace) {
-			c.rec.Publish(telemetry.Event{
+		if c.TracePkt(f.trace) {
+			c.Span(telemetry.Event{
 				Kind: telemetry.EvAuthority, Node: n.id, Peer: e.Ingress,
 				Table: uint8(proto.TableAuthority), RuleID: r.Rule.ID,
 				Flow: flowOf(&pkt.Header), Trace: f.trace,
@@ -287,8 +287,8 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []dataFrame) {
 func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, pkt *packet.Packet, trace uint64) {
 	shed := func() {
 		n.stats.cacheInstallsShed.Add(1)
-		if c.tracePkt(trace) {
-			c.rec.Publish(telemetry.Event{
+		if c.TracePkt(trace) {
+			c.Span(telemetry.Event{
 				Kind: telemetry.EvShed, Node: n.id,
 				Verdict: telemetry.VShedInstall, Flow: flowOf(&pkt.Header),
 				Trace: trace,
@@ -300,12 +300,12 @@ func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, pk
 		shed()
 		return
 	}
-	if trace != 0 && c.rec.Enabled() {
+	if trace != 0 && c.TracingEnabled() {
 		var ruleID uint64
 		if len(mods) > 0 {
 			ruleID = mods[0].Rule.ID
 		}
-		c.rec.Publish(telemetry.Event{
+		c.Span(telemetry.Event{
 			Kind: telemetry.EvInstallTriggered, Node: n.id, Peer: ingress,
 			Table: uint8(proto.TableCache), RuleID: ruleID,
 			Flow: flowOf(&pkt.Header), Trace: trace,
@@ -337,12 +337,12 @@ func (c *Cluster) applyInstalls(n *node) {
 			// When the triggering packet was sampled, land the install in
 			// its journey (the untraced per-rule EvInstall hook events fire
 			// regardless).
-			if m.Trace != 0 && c.rec.Enabled() {
+			if m.Trace != 0 && c.TracingEnabled() {
 				var ruleID uint64
 				if len(m.Rules) > 0 {
 					ruleID = m.Rules[0].Rule.ID
 				}
-				c.rec.Publish(telemetry.Event{
+				c.Span(telemetry.Event{
 					Kind: telemetry.EvInstall, Node: n.id,
 					Table: uint8(proto.TableCache), RuleID: ruleID, Trace: m.Trace,
 				})

@@ -84,7 +84,7 @@ func (c *Cluster) adaptCachesWire() {
 		return
 	}
 	now := nowSec()
-	pol.ScrapeRegistry(c.reg)
+	pol.ScrapeRegistry(c.Registry())
 
 	for _, n := range c.nodes {
 		if n.killed.Load() {

@@ -143,6 +143,17 @@ func (b BFDConfig) DetectTime() time.Duration {
 	return time.Duration(b.DetectMult) * b.Interval
 }
 
+// SlackHeartbeat and SlackBFD are failure-detector timers for runs that
+// are not about detection speed — differential checks, soaks, most tests:
+// half a second to a verdict on either detector, far past any scheduler
+// stall a loaded box or the race detector produces, so a busy data plane
+// never reads as a dead switch. A real kill is still seen at once through
+// the killed flag. The defaults stay fast (BFD: 6 ms).
+var (
+	SlackHeartbeat = HeartbeatConfig{Interval: 20 * time.Millisecond, MissThreshold: 25}
+	SlackBFD       = BFDConfig{Interval: 25 * time.Millisecond, DetectMult: 20}
+)
+
 // HAConfig configures controller replication. With Replicas ≥ 2 the
 // cluster runs that many controller replicas, each owning a WAL journal;
 // the leader ships every appended record to live followers, and when the

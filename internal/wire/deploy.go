@@ -41,7 +41,7 @@ const injectDeadline = time.Second
 // packets toward killed switches or past the deadline are recorded lost.
 func (d *Deployment) InjectPacket(at float64, ingress uint32, k flowspace.Key, size int, seq uint64) {
 	h := packet.HeaderFromKey(k)
-	trace := d.C.traceID(&h, seq)
+	trace := d.C.TraceID(k, seq)
 	// Fast path first: the deadline clock read is paid only under
 	// backpressure.
 	if d.C.tryInject(ingress, h, size, trace) {
@@ -84,7 +84,7 @@ func (d *Deployment) InjectBatch(batch []core.PacketIn) {
 	c := d.C
 	slab := c.slabs.Get().(*[]dataFrame)
 	frames := (*slab)[:0]
-	sampling := c.sampler.Rate() != 0
+	sampling := c.TraceSampleRate() != 0
 	for i := 0; i < len(batch); {
 		ingress := batch[i].Ingress
 		stamp := nowNS()
@@ -99,7 +99,7 @@ func (d *Deployment) InjectBatch(batch []core.PacketIn) {
 				injected: stamp,
 			}
 			if sampling {
-				f.trace = c.traceID(&f.pkt.Header, batch[j].Seq)
+				f.trace = c.TraceID(batch[j].Key, batch[j].Seq)
 			}
 			frames = append(frames, f)
 			j++
@@ -126,7 +126,7 @@ func (d *Deployment) Run(horizon float64) {
 			// The accounting identity holds, the rings are empty and every
 			// install is applied: this is the quiesce point any open
 			// policy-update timeline closes at.
-			d.C.conv.NoteQuiesce(nowNS(), d.C.counterTotals())
+			d.C.Convergence().NoteQuiesce(nowNS(), d.C.counterTotals())
 			return
 		}
 		time.Sleep(time.Millisecond)

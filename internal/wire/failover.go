@@ -98,9 +98,7 @@ func (c *Cluster) markDead(n *node) {
 	c.clearPending(n.id)
 	c.cold.authorityDeaths.Add(1)
 	c.journalAppend("death", map[string]any{"switch": n.id})
-	if c.rec.Enabled() {
-		c.rec.Publish(telemetry.Event{Kind: telemetry.EvDeath, Node: n.id})
-	}
+	c.Span(telemetry.Event{Kind: telemetry.EvDeath, Node: n.id})
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -121,9 +119,7 @@ func (c *Cluster) markAlive(n *node) {
 	}
 	n.lastBeat.Store(time.Now().UnixNano())
 	c.journalAppend("revive", map[string]any{"switch": n.id})
-	if c.rec.Enabled() {
-		c.rec.Publish(telemetry.Event{Kind: telemetry.EvRevive, Node: n.id})
-	}
+	c.Span(telemetry.Event{Kind: telemetry.EvRevive, Node: n.id})
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -184,11 +180,9 @@ func (c *Cluster) promoteBackups(dead uint32) {
 	}
 	if promoted {
 		c.cold.failoversPromoted.Add(uint64(len(mods)))
-		if c.rec.Enabled() {
-			c.rec.Publish(telemetry.Event{
-				Kind: telemetry.EvPromote, Node: dead, Value: uint64(len(mods)),
-			})
-		}
+		c.Span(telemetry.Event{
+			Kind: telemetry.EvPromote, Node: dead, Value: uint64(len(mods)),
+		})
 	}
 }
 

@@ -21,11 +21,10 @@ func failoverPolicy() []flowspace.Rule {
 	}
 }
 
-// newFailoverCluster builds a cluster with two authorities (so every
-// partition has a distinct backup) and a fast failure detector.
-func newFailoverCluster(t *testing.T) *Cluster {
-	t.Helper()
-	c, err := NewCluster(ClusterConfig{
+// failoverConfig is a cluster with two authorities (so every partition has
+// a distinct backup) and a fast failure detector.
+func failoverConfig() ClusterConfig {
+	return ClusterConfig{
 		Switches:    []uint32{0, 1, 2, 3, 4},
 		Authorities: []uint32{2, 3},
 		Policy:      failoverPolicy(),
@@ -33,12 +32,12 @@ func newFailoverCluster(t *testing.T) *Cluster {
 		// post-kill misses below are guaranteed to exercise the backup.
 		Strategy:  core.StrategyExact,
 		Heartbeat: HeartbeatConfig{Interval: 5 * time.Millisecond, MissThreshold: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	return c
+}
+
+func newFailoverCluster(t *testing.T) *Cluster {
+	t.Helper()
+	return startCluster(t, failoverConfig())
 }
 
 // primaryFor returns the primary authority of the partition owning k.
@@ -78,16 +77,27 @@ func awaitCache(t *testing.T, c *Cluster, sw uint32) {
 	}
 }
 
+// TestHeartbeatKeepsNodesAlive: with BFD off the heartbeat is the only
+// detector, and on a fault-free cluster its echoes keep every switch alive
+// over many detection windows. The window (200 ms) clears a scheduler
+// quantum, so a loaded box delaying an echo is not what this measures.
 func TestHeartbeatKeepsNodesAlive(t *testing.T) {
-	c := newFailoverCluster(t)
-	time.Sleep(300 * time.Millisecond) // many heartbeat intervals
-	for id := range c.switches {
+	cfg := failoverConfig()
+	cfg.Heartbeat = HeartbeatConfig{Interval: 25 * time.Millisecond, MissThreshold: 8}
+	cfg.BFD = BFDConfig{Disable: true}
+	c := startCluster(t, cfg)
+	boot := time.Now().UnixNano()
+	time.Sleep(5 * time.Duration(cfg.Heartbeat.MissThreshold) * cfg.Heartbeat.Interval)
+	for id, n := range c.switches {
 		if !c.NodeAlive(id) {
 			t.Errorf("switch %d marked dead without faults", id)
 		}
+		if n.lastBeat.Load() <= boot {
+			t.Errorf("switch %d: no heartbeat echo since boot", id)
+		}
 	}
-	if m := c.Measurements(); m.AuthorityDeaths != 0 {
-		t.Errorf("deaths = %d, want 0", m.AuthorityDeaths)
+	if m := c.Measurements(); m.AuthorityDeaths != 0 || m.FailoversPromoted != 0 {
+		t.Errorf("deaths = %d, promoted = %d, want 0", m.AuthorityDeaths, m.FailoversPromoted)
 	}
 }
 

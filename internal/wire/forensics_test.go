@@ -16,7 +16,7 @@ import (
 // the HTTP telemetry surface live.
 func newForensicsCluster(t *testing.T) *Cluster {
 	t.Helper()
-	c, err := NewCluster(ClusterConfig{
+	return startCluster(t, slack(ClusterConfig{
 		Switches:    []uint32{0, 1, 2, 3, 4},
 		Authorities: []uint32{2},
 		Policy:      testPolicy(),
@@ -24,12 +24,7 @@ func newForensicsCluster(t *testing.T) *Cluster {
 		Telemetry: TelemetryConfig{
 			Addr: "127.0.0.1:0", Tracing: true, TraceSample: 1,
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
+	}))
 }
 
 // TestJourneyAssemblesRedirectedFlow drives the canonical first-packet

@@ -163,12 +163,10 @@ func (c *Cluster) killLeader() bool {
 	}
 	c.haMu.Unlock()
 	c.cold.controllerOutages.Add(1)
-	if c.rec.Enabled() {
-		c.rec.Publish(telemetry.Event{
-			Kind: telemetry.EvControllerDown, Node: telemetry.ClusterNode,
-			Value: c.epoch.Load(),
-		})
-	}
+	c.Span(telemetry.Event{
+		Kind: telemetry.EvControllerDown, Node: telemetry.ClusterNode,
+		Value: c.epoch.Load(),
+	})
 	// The leader's connections are gone: switches reconnect (toward the
 	// next leader) once the election seats one.
 	for _, n := range c.switches {
@@ -210,12 +208,10 @@ func (c *Cluster) runElection(killedAt time.Time) {
 	c.haMu.Unlock()
 	c.cold.leaderElections.Add(1)
 	c.cold.recordElection(time.Since(killedAt).Seconds())
-	if c.rec.Enabled() {
-		c.rec.Publish(telemetry.Event{
-			Kind: telemetry.EvLeaderElected, Node: telemetry.ClusterNode,
-			Peer: uint32(winner), Value: newEpoch,
-		})
-	}
+	c.Span(telemetry.Event{
+		Kind: telemetry.EvLeaderElected, Node: telemetry.ClusterNode,
+		Peer: uint32(winner), Value: newEpoch,
+	})
 	c.finishFailover(newEpoch)
 }
 
@@ -244,12 +240,10 @@ func (c *Cluster) finishFailover(newEpoch uint64) {
 		n.lastBeat.Store(now)
 	}
 	c.ctrlDown.Store(false)
-	if c.rec.Enabled() {
-		c.rec.Publish(telemetry.Event{
-			Kind: telemetry.EvControllerUp, Node: telemetry.ClusterNode,
-			Value: newEpoch,
-		})
-	}
+	c.Span(telemetry.Event{
+		Kind: telemetry.EvControllerUp, Node: telemetry.ClusterNode,
+		Value: newEpoch,
+	})
 }
 
 // restoreReplicas is RestoreController's HA path: revive every dead

@@ -30,19 +30,14 @@ func egressPolicy() []flowspace.Rule {
 // hit-path tests share.
 func hitPathDeployment(t *testing.T, part core.PartitionConfig) *Deployment {
 	t.Helper()
-	d, err := NewDeployment(ClusterConfig{
+	return Deploy(startCluster(t, slack(ClusterConfig{
 		Switches:    []uint32{0, 1, 2, 3, 4, 5, 6, 7},
 		Authorities: []uint32{2, 5},
 		Policy:      egressPolicy(),
 		Strategy:    core.StrategyExact,
 		QueueDepth:  4096,
 		Partition:   part,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close() })
-	return d
+	})))
 }
 
 // warmUntilQuiet replays the trace until one whole pass adds no redirect.
@@ -89,11 +84,11 @@ func TestWireCacheRuleIDsUniqueAcrossPartitions(t *testing.T) {
 // hitPathAllocBudget is the ceiling on heap allocations per cache-hit
 // packet, counted over the whole process (injection, two processBurst
 // passes, ring hand-off, delivery accounting, and whatever the control
-// loops allocate meanwhile). The hit path allocates nothing per packet;
-// what remains is amortized slab and latency-sample growth, 0.04 per
-// packet when this was written. A packet passes processBurst at ingress
-// and at egress, so a single allocation per frame there reads 2.04: the
-// budget is 1 so that even one allocation per packet fails.
+// loops allocate meanwhile). The hit path allocates nothing per packet,
+// latency samples included; what remains is Run's timers and the control
+// loops, 0.01 per packet when this was written. A packet passes processBurst at ingress and at egress, so a
+// single allocation per frame there reads 2.01: the budget is 1 so that
+// even one allocation per packet fails.
 const hitPathAllocBudget = 1.0
 
 // TestCacheHitAllocBudget holds the wire hit path to its allocation
@@ -125,8 +120,9 @@ func TestCacheHitAllocBudget(t *testing.T) {
 		d.Run(30)
 	}
 	runtime.ReadMemStats(&after)
-	if got := d.Measurements().Delivered - delivered; got != packets {
-		t.Fatalf("delivered %d of %d packets", got, packets)
+	if m := d.Measurements(); m.Delivered-delivered != packets {
+		t.Fatalf("delivered %d of %d packets, drops %+v, %d switches declared dead, %d partition rules withdrawn",
+			m.Delivered-delivered, packets, m.Drops, m.AuthorityDeaths, m.FailoversPromoted)
 	}
 	perPkt := float64(after.Mallocs-before.Mallocs) / packets
 	t.Logf("%.2f allocs/pkt over %d cache-hit packets", perPkt, packets)
@@ -188,7 +184,7 @@ func TestMissPathAllocBudget(t *testing.T) {
 		Rules: 1024, MaxDepth: 4, PortRangeFrac: 0.1, DropFrac: 0.1,
 		Egresses: switches, Seed: 1,
 	})
-	d, err := NewDeployment(ClusterConfig{
+	d := Deploy(startCluster(t, slack(ClusterConfig{
 		Switches:      switches,
 		Authorities:   []uint32{2, 6},
 		Policy:        policy,
@@ -196,11 +192,7 @@ func TestMissPathAllocBudget(t *testing.T) {
 		CacheCapacity: 256,
 		QueueDepth:    4096,
 		Partition:     core.PartitionConfig{MaxRulesPerPartition: 256, MaxPartitions: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close() })
+	})))
 	spec := &workload.Spec{Edges: switches, Policy: policy}
 	flows := workload.UniformTraffic(spec, workload.TrafficConfig{
 		Flows: window * (warmWindows + timedWindows), Size: 64, Seed: 42,
@@ -227,8 +219,8 @@ func TestMissPathAllocBudget(t *testing.T) {
 	m := d.Measurements()
 	done := m.Delivered + m.Drops.Policy - base.Delivered - base.Drops.Policy
 	if done != uint64(len(timed)) || m.Drops != (core.Drops{Policy: m.Drops.Policy}) || m.CacheInstallsShed != 0 {
-		t.Fatalf("%d of %d packets reached a verdict, drops %+v, %d installs shed",
-			done, len(timed), m.Drops, m.CacheInstallsShed)
+		t.Fatalf("%d of %d packets reached a verdict, drops %+v, %d installs shed, %d switches declared dead, %d partition rules withdrawn",
+			done, len(timed), m.Drops, m.CacheInstallsShed, m.AuthorityDeaths, m.FailoversPromoted)
 	}
 	missRatio := float64(m.Redirects-base.Redirects) / float64(len(timed))
 	perPkt := float64(after.Mallocs-before.Mallocs) / float64(len(timed))
@@ -247,18 +239,14 @@ func TestMissPathAllocBudget(t *testing.T) {
 // again and the expiry is traced.
 func TestCacheIdleTimeoutExpires(t *testing.T) {
 	const idle = 50 * time.Millisecond
-	c, err := NewCluster(ClusterConfig{
+	c := startCluster(t, slack(ClusterConfig{
 		Switches:    []uint32{0, 1, 2, 3, 4},
 		Authorities: []uint32{2},
 		Policy:      testPolicy(),
 		Strategy:    core.StrategyCover,
 		CacheIdle:   idle.Seconds(),
 		Telemetry:   TelemetryConfig{Tracing: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	}))
 	h := httpHeader(1)
 	c.Inject(0, h, 100)
 	if d := awaitDelivery(t, c); !d.Detour {

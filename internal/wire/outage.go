@@ -29,12 +29,10 @@ func (c *Cluster) KillController() bool {
 		return false
 	}
 	c.cold.controllerOutages.Add(1)
-	if c.rec.Enabled() {
-		c.rec.Publish(telemetry.Event{
-			Kind: telemetry.EvControllerDown, Node: telemetry.ClusterNode,
-			Value: c.epoch.Load(),
-		})
-	}
+	c.Span(telemetry.Event{
+		Kind: telemetry.EvControllerDown, Node: telemetry.ClusterNode,
+		Value: c.epoch.Load(),
+	})
 	for _, n := range c.switches {
 		n.closeConns()
 	}
@@ -57,12 +55,10 @@ func (c *Cluster) RestoreController() bool {
 		return false
 	}
 	newEpoch := c.epoch.Add(1)
-	if c.rec.Enabled() {
-		c.rec.Publish(telemetry.Event{
-			Kind: telemetry.EvControllerUp, Node: telemetry.ClusterNode,
-			Value: newEpoch,
-		})
-	}
+	c.Span(telemetry.Event{
+		Kind: telemetry.EvControllerUp, Node: telemetry.ClusterNode,
+		Value: newEpoch,
+	})
 	c.resetBFD()
 	now := time.Now().UnixNano()
 	for _, n := range c.switches {

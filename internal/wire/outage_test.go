@@ -347,7 +347,7 @@ func TestInstallQueueShedding(t *testing.T) {
 	}
 
 	t.Run("full queue", func(t *testing.T) {
-		c := newFailoverCluster(t)
+		c := startCluster(t, slack(failoverConfig()))
 		ingress := c.switches[1]
 		depth := cap(ingress.installQ)
 		// Stall the ingress between popping an install and applying it: its
@@ -389,7 +389,7 @@ func TestInstallQueueShedding(t *testing.T) {
 	})
 
 	t.Run("killed ingress", func(t *testing.T) {
-		c := newFailoverCluster(t)
+		c := startCluster(t, slack(failoverConfig()))
 		c.KillSwitch(1)
 		const flows = 25
 		injectRedirects(t, c, 1, 1000, flows)

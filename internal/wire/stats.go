@@ -8,16 +8,14 @@ import (
 	"difane/internal/metrics"
 )
 
-// Measurement sharding: the wire data plane used to funnel every delivery
-// and drop through one cluster-wide mutex, serializing all switches'
-// packet handling on a single lock. Instead, each node now owns a
-// nodeStats shard (plus one extra shard for injection-path accounting
-// outside any node goroutine): the hot path touches only its own shard's
-// atomics, and Measurements() merges the shards into one
-// core.Measurements snapshot on read. The latency distributions need a
-// slice append, so they sit behind a per-shard mutex — effectively
-// single-writer, since a node's deliveries all happen on its own data
-// goroutine.
+// Measurement sharding: each node owns a nodeStats shard (plus one extra
+// shard for injection-path accounting outside any node goroutine), so the
+// hot path touches only its own shard's atomics and never a cluster-wide
+// lock; Measurements() merges the shards into one core.Measurements
+// snapshot on read. A latency distribution is a fixed array of bucket
+// counts, written with plain stores, so each shard's pair sits behind a
+// mutex the owning data goroutine takes once per burst and a reader once
+// per merge.
 
 // nodeStats is one shard of the cluster's hot-path measurement state.
 // Each shard is separately heap-allocated so different nodes' counters
@@ -34,29 +32,13 @@ type nodeStats struct {
 	cacheInstallsShed atomic.Uint64
 	failoversLocal    atomic.Uint64
 
-	// latMu keeps the two distributions consistent as a pair and orders
-	// their lazy first-Add initialization against concurrent readers.
-	// Uncontended in steady state: only the owning node's data goroutine
-	// records deliveries. (Dist itself is internally synchronized, so the
-	// clones taken under this lock are about pairing, not safety.)
+	// latMu orders the data goroutine's writes to the two distributions
+	// against a reader's merge (a Dist is not synchronized). Uncontended
+	// in steady state: only the owning node's data goroutine records
+	// deliveries.
 	latMu      sync.Mutex
 	firstDelay metrics.Dist
 	laterDelay metrics.Dist
-}
-
-// recordDelivery records one delivered packet's latency (seconds).
-func (s *nodeStats) recordDelivery(latSec float64, detour bool) {
-	s.latMu.Lock()
-	if detour {
-		s.firstDelay.Add(latSec)
-	} else {
-		s.laterDelay.Add(latSec)
-	}
-	s.latMu.Unlock()
-	if detour {
-		s.setupsCompleted.Add(1)
-	}
-	s.delivered.Add(1)
 }
 
 // recordDeliveryBatch records a burst's deliveries in one shard update:
@@ -95,11 +77,9 @@ func (s *nodeStats) mergeInto(m *core.Measurements) {
 	m.FailoversLocal += s.failoversLocal.Load()
 
 	s.latMu.Lock()
-	first := s.firstDelay.Clone()
-	later := s.laterDelay.Clone()
+	m.FirstPacketDelay.Merge(&s.firstDelay)
+	m.LaterPacketDelay.Merge(&s.laterDelay)
 	s.latMu.Unlock()
-	m.FirstPacketDelay.Merge(&first)
-	m.LaterPacketDelay.Merge(&later)
 }
 
 // coldStats holds the control-plane counters: rare events (deaths,
@@ -113,9 +93,8 @@ type coldStats struct {
 	staleInstallsRejected atomic.Uint64
 	leaderElections       atomic.Uint64
 
-	// haMu orders the lazy first-Add initialization of the two HA timing
-	// distributions against concurrent Measurements readers (Dist is
-	// internally synchronized once initialized).
+	// haMu orders writes to the two HA timing distributions against
+	// concurrent Measurements readers.
 	haMu sync.Mutex
 	// failoverDetect samples fault→death-verdict latency (seconds).
 	failoverDetect metrics.Dist
@@ -147,9 +126,7 @@ func (s *coldStats) mergeInto(m *core.Measurements) {
 	m.LeaderElections += s.leaderElections.Load()
 
 	s.haMu.Lock()
-	detect := s.failoverDetect.Clone()
-	elect := s.electionTime.Clone()
+	m.FailoverDetection.Merge(&s.failoverDetect)
+	m.LeaderElection.Merge(&s.electionTime)
 	s.haMu.Unlock()
-	m.FailoverDetection.Merge(&detect)
-	m.LeaderElection.Merge(&elect)
 }

@@ -15,18 +15,13 @@ import (
 
 func newTracedCluster(t *testing.T) *Cluster {
 	t.Helper()
-	c, err := NewCluster(ClusterConfig{
+	return startCluster(t, slack(ClusterConfig{
 		Switches:    []uint32{0, 1, 2, 3, 4},
 		Authorities: []uint32{2},
 		Policy:      testPolicy(),
 		Strategy:    core.StrategyCover,
 		Telemetry:   TelemetryConfig{Addr: "127.0.0.1:0", Tracing: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
+	}))
 }
 
 // TestTraceRecordsDifaneArc drives the canonical DIFANE flow through a

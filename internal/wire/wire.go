@@ -109,19 +109,12 @@ type Cluster struct {
 	// only the control connections hold until RestoreController.
 	ctrlDown atomic.Bool
 
-	// rec is the flight recorder and reg the metric registry; both always
-	// exist so hot-path trace gates are a nil-free atomic load and
-	// Telemetry() works on every cluster. tsrv is the optional HTTP
-	// endpoint (cfg.Telemetry.Addr).
-	rec  *telemetry.Recorder
-	reg  *telemetry.Registry
+	// Probe is the forensics and metrics layer shared with the simulated
+	// backends, on the recorder's wall clock; its watchdog is driven by
+	// healthLoop unless cfg.Telemetry.DisableHealth. tsrv is the optional
+	// HTTP endpoint (cfg.Telemetry.Addr).
+	*telemetry.Probe
 	tsrv *telemetry.Server
-	// sampler mints per-packet trace IDs (forensics journeys); conv tracks
-	// per-epoch policy-update convergence timelines; wd is the SLO health
-	// watchdog, driven by healthLoop unless cfg.Telemetry.DisableHealth.
-	sampler *telemetry.Sampler
-	conv    *telemetry.Convergence
-	wd      *telemetry.Watchdog
 
 	// cachePol is the cost-aware caching policy (nil unless
 	// cfg.CacheEviction == core.EvictCostAware); aggSeq mints aggregation
@@ -471,38 +464,27 @@ func (c *Cluster) Assignment() core.Assignment { return c.assign }
 // returns false if the ring is full (backpressure), the switch is unknown
 // or killed, or the cluster is closing.
 func (c *Cluster) Inject(ingress uint32, h packet.Header, size int) bool {
-	if !c.tryInject(ingress, h, size, c.traceID(&h, 0)) {
+	if !c.tryInject(ingress, h, size, c.TraceID(h.Key(), 0)) {
 		c.dropped.Add(1)
 		return false
 	}
 	return true
 }
 
-// traceID mints a packet's trace ID (0 = unsampled). seq is the packet's
-// sequence within the workload; the flow hash is only computed when
-// sampling is on, so the disabled cost is one atomic load.
-func (c *Cluster) traceID(h *packet.Header, seq uint64) uint64 {
-	if c.sampler.Rate() == 0 {
-		return 0
-	}
-	return c.sampler.TraceID(
-		telemetry.HashFlow(h.IPSrc, h.IPDst, h.TPSrc, h.TPDst, h.IPProto), seq)
-}
-
 // traceIngress publishes the ingress span that opens a sampled packet's
 // journey.
 func (c *Cluster) traceIngress(ingress uint32, h *packet.Header, trace uint64) {
-	if trace == 0 || !c.rec.Enabled() {
+	if trace == 0 || !c.TracingEnabled() {
 		return
 	}
-	c.rec.Publish(telemetry.Event{
+	c.Span(telemetry.Event{
 		Kind: telemetry.EvIngress, Node: ingress, Trace: trace, Flow: flowOf(h),
 	})
 }
 
 // tryInject is Inject without the drop accounting, for callers that retry
 // on backpressure and record the loss themselves. trace is the packet's
-// sampled trace ID (0 = unsampled), minted by the caller via traceID.
+// sampled trace ID (0 = unsampled), minted by the caller via TraceID.
 func (c *Cluster) tryInject(ingress uint32, h packet.Header, size int, trace uint64) bool {
 	if c.closed.Load() {
 		return false
@@ -548,7 +530,7 @@ func (c *Cluster) injectBurst(ingress uint32, frames []dataFrame) int {
 	n.injectMu.Unlock()
 	if pushed > 0 {
 		c.injected.Add(uint64(pushed))
-		if c.sampler.Rate() != 0 {
+		if c.TraceSampleRate() != 0 {
 			for i := 0; i < pushed; i++ {
 				c.traceIngress(ingress, &frames[i].pkt.Header, frames[i].trace)
 			}
@@ -705,10 +687,10 @@ func (c *Cluster) dataLoop(n *node) {
 // is the delivery latency in nanoseconds (0 for drops); trace the packet's
 // sampled trace ID (0 = unsampled).
 func (c *Cluster) traceVerdict(node uint32, verdict uint8, ruleID uint64, h *packet.Header, lat int64, trace uint64) {
-	if !c.tracePkt(trace) {
+	if !c.TracePkt(trace) {
 		return
 	}
-	c.rec.Publish(telemetry.Event{
+	c.Span(telemetry.Event{
 		Kind: telemetry.EvVerdict, Node: node, Verdict: verdict,
 		RuleID: ruleID, Value: uint64(lat), Flow: flowOf(h), Trace: trace,
 	})
@@ -739,12 +721,10 @@ func (c *Cluster) failoverLocal(n *node, r flowspace.Rule, dead uint32) (uint32,
 	mod := proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: nr}
 	_ = n.sw.ApplyFlowMod(nowSec(), &mod)
 	n.stats.failoversLocal.Add(1)
-	if c.rec.Enabled() {
-		c.rec.Publish(telemetry.Event{
-			Kind: telemetry.EvFailoverLocal, Node: n.id, Peer: next,
-			Table: uint8(proto.TablePartition), RuleID: r.ID, Value: uint64(dead),
-		})
-	}
+	c.Span(telemetry.Event{
+		Kind: telemetry.EvFailoverLocal, Node: n.id, Peer: next,
+		Table: uint8(proto.TablePartition), RuleID: r.ID, Value: uint64(dead),
+	})
 	return next, true
 }
 
@@ -852,9 +832,7 @@ func (c *Cluster) reconnect(n *node) bool {
 				return false
 			}
 			c.cold.controlReconnects.Add(1)
-			if c.rec.Enabled() {
-				c.rec.Publish(telemetry.Event{Kind: telemetry.EvReconnect, Node: n.id})
-			}
+			c.Span(telemetry.Event{Kind: telemetry.EvReconnect, Node: n.id})
 			return true
 		}
 		attempt++
@@ -887,24 +865,22 @@ func (c *Cluster) switchCtrlRead(n *node, conn net.Conn) {
 				before := n.epoch.Load()
 				if !n.raiseEpoch(m.Epoch) {
 					c.cold.staleInstallsRejected.Add(1)
-					c.conv.NoteReject(m.Epoch, nowNS())
-					if c.rec.Enabled() {
-						c.rec.Publish(telemetry.Event{
-							Kind: telemetry.EvEpochReject, Node: n.id, Value: m.Epoch,
-						})
-					}
+					c.Convergence().NoteReject(m.Epoch, nowNS())
+					c.Span(telemetry.Event{
+						Kind: telemetry.EvEpochReject, Node: n.id, Value: m.Epoch,
+					})
 					rep := &proto.EpochReport{Node: n.id, Epoch: n.epoch.Load()}
 					go func() { _ = c.writeToController(n, rep) }()
 					continue
 				}
-				if m.Epoch > before && c.rec.Enabled() {
-					c.rec.Publish(telemetry.Event{
+				if m.Epoch > before {
+					c.Span(telemetry.Event{
 						Kind: telemetry.EvEpochRaise, Node: n.id, Value: m.Epoch,
 					})
 				}
 				// Convergence bookkeeping: the first fenced mod of an epoch
 				// opens its timeline; the deployment's quiesce point closes it.
-				c.conv.NoteMod(m.Epoch, m.Op == proto.OpDelete, nowNS(), c.counterTotals())
+				c.Convergence().NoteMod(m.Epoch, m.Op == proto.OpDelete, nowNS(), c.counterTotals())
 			}
 			// No node lock: each table locks itself, and the data plane
 			// holds a table's read lock only for one burst.

@@ -22,19 +22,34 @@ func testPolicy() []flowspace.Rule {
 	}
 }
 
-func newCluster(t *testing.T, strategy core.CacheStrategy) *Cluster {
+// startCluster boots cfg and closes it with the test.
+func startCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 	t.Helper()
-	c, err := NewCluster(ClusterConfig{
-		Switches:    []uint32{0, 1, 2, 3, 4},
-		Authorities: []uint32{2},
-		Policy:      testPolicy(),
-		Strategy:    strategy,
-	})
+	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// slack gives cfg the failure-detector timers of a test that is not about
+// detection speed: on the defaults (BFD: 6 ms to a verdict) a test binary
+// sharing two cores with another package's sees every switch die at once
+// and its packets dropped as holes.
+func slack(cfg ClusterConfig) ClusterConfig {
+	cfg.Heartbeat, cfg.BFD = SlackHeartbeat, SlackBFD
+	return cfg
+}
+
+func newCluster(t *testing.T, strategy core.CacheStrategy) *Cluster {
+	t.Helper()
+	return startCluster(t, ClusterConfig{
+		Switches:    []uint32{0, 1, 2, 3, 4},
+		Authorities: []uint32{2},
+		Policy:      testPolicy(),
+		Strategy:    strategy,
+	})
 }
 
 func httpHeader(src uint32) packet.Header {
