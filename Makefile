@@ -16,12 +16,13 @@ build:
 # bench/ is a module of its own (its go.mod replaces difane => ../), so
 # ./... does not reach it.
 # The last line is a smoke, not a gate: every micro-benchmark beside the
-# rule tables runs once, so one that no longer compiles or fails its own
-# checks shows here rather than the next time someone wants its number.
+# rule tables and the miss path runs once, so one that no longer compiles
+# or fails its own checks shows here rather than the next time someone
+# wants its number.
 test:
 	go test -race ./...
 	go test -C bench ./...
-	go test -run '^$$' -bench . -benchtime 1x ./internal/tcam ./internal/switchsim
+	go test -run '^$$' -bench . -benchtime 1x ./internal/tcam ./internal/switchsim ./internal/flowspace ./internal/core
 
 bench:
 	go test -bench=. -benchmem ./...

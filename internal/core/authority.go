@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"difane/internal/flowspace"
 	"difane/internal/proto"
@@ -45,7 +46,9 @@ func (s CacheStrategy) String() string {
 // same ID to two different cache rules (an ingress cache replaces by ID,
 // and flows of the two partitions would evict each other for ever). 16k
 // switch IDs × 4095 partitions × 16M rules stay below partitionIDBase
-// (1<<50).
+// (1<<50). The counter wraps inside its 24 bits: the rule it then mints
+// over is 16M installs old, and a carry would mint in the next
+// partition's range.
 const (
 	cacheIDBase      uint64 = 1 << 40
 	cacheIDSlotShift        = 24
@@ -58,7 +61,10 @@ const (
 type Authority struct {
 	// SwitchID is the switch hosting this partition.
 	SwitchID uint32
-	// Partition holds the region and its clipped rules in TCAM order.
+	// Partition holds the region and its clipped rules in TCAM order
+	// (NewAuthority sorts a copy of rules handed over in any other): the
+	// miss path's first match is the matching rule, and everything a rule
+	// depends on sits above it.
 	Partition Partition
 	// Strategy picks the cache-rule generation scheme.
 	Strategy CacheStrategy
@@ -84,15 +90,21 @@ type Authority struct {
 	// stand for, preserving per-policy-rule accounting.
 	originOf map[uint64]uint64
 	// memo caches HandleMiss results by exact key. A flow whose ingress
-	// cache rule has not landed yet redirects every packet here, and cover
-	// synthesis (CoverFor's rule subtraction) is by far the costliest step
-	// on the miss path — recomputing it per packet of the same flow melts
-	// the authority under a redirect storm. Memoized results also pin the
+	// cache rule has not landed yet redirects every packet here, and the
+	// walk down the rule list plus cover synthesis costs some thirty memo
+	// hits — recomputing it per packet of the same flow melts the
+	// authority under a redirect storm. Memoized results also pin the
 	// generated rule ID, so repeat misses refresh the same ingress cache
 	// entry instead of installing a duplicate under a fresh ID. The memo
 	// dies with the Authority, which is rebuilt on every partition or
 	// policy change, so it can never serve a stale partition's answer.
 	memo map[flowspace.Key]MissResult
+	// deps[i] holds the indices of the higher-precedence rules overlapping
+	// Partition.Rules[i] — what a cover of rule i is carved out of and what
+	// the dependent strategy caches beside it. It is a property of the
+	// partition, not of the packet, so it is worked out once, on the first
+	// miss rule i answers (nil until then, never nil after), not per miss.
+	deps [][]int
 }
 
 // memoCap bounds the per-authority miss memo; when full it is flushed
@@ -102,6 +114,10 @@ const memoCap = 8192
 
 // NewAuthority builds the authority logic for a partition.
 func NewAuthority(switchID uint32, p Partition, strategy CacheStrategy) *Authority {
+	if !sort.SliceIsSorted(p.Rules, func(i, j int) bool { return p.Rules[i].Before(p.Rules[j]) }) {
+		p.Rules = append([]flowspace.Rule(nil), p.Rules...)
+		flowspace.SortRules(p.Rules)
+	}
 	return &Authority{
 		SwitchID:    switchID,
 		Partition:   p,
@@ -136,7 +152,7 @@ func (a *Authority) OriginOf(cacheID uint64) (uint64, bool) {
 }
 
 func (a *Authority) allocID(origin uint64) uint64 {
-	a.nextID++
+	a.nextID = (a.nextID + 1) & (1<<cacheIDSlotShift - 1)
 	id := cacheIDBase + uint64(a.SwitchID)<<cacheIDHostShift +
 		uint64(a.RegionIndex+1)<<cacheIDSlotShift + a.nextID
 	a.originOf[id] = origin
@@ -177,60 +193,69 @@ func (a *Authority) HandleMiss(k flowspace.Key) MissResult {
 
 func (a *Authority) handleMissSlow(k flowspace.Key) MissResult {
 	rules := a.Partition.Rules
-	hitRule, ok := flowspace.EvalTable(rules, k)
-	if !ok {
+	hit := flowspace.FirstMatch(rules, k)
+	if hit < 0 {
 		return MissResult{}
 	}
-	hit := -1
-	for i := range rules {
-		if rules[i].ID == hitRule.ID {
-			hit = i
-			break
-		}
-	}
+	r := &rules[hit]
 
 	var mods []proto.FlowMod
-	addMod := func(r flowspace.Rule) {
-		mods = append(mods, proto.FlowMod{
-			Table: proto.TableCache,
-			Op:    proto.OpAdd,
-			Rule:  r,
-			Idle:  a.CacheIdleTimeout,
-			Hard:  a.CacheHardTimeout,
-		})
-	}
-
-	switch a.Strategy {
-	case StrategyCover:
-		cover, coverOK := flowspace.CoverFor(rules, hit, a.Partition.Region, k)
-		if coverOK {
-			addMod(flowspace.Rule{
-				ID:       a.allocID(hitRule.ID),
-				Priority: hitRule.Priority,
-				Match:    cover,
-				Action:   hitRule.Action,
-			})
-			break
-		}
-		fallthrough // sliver the subtraction couldn't isolate: exact rule
-	case StrategyExact:
-		addMod(flowspace.Rule{
-			ID:       a.allocID(hitRule.ID),
-			Priority: hitRule.Priority,
-			Match:    exactMatch(k),
-			Action:   hitRule.Action,
-		})
-	case StrategyDependent:
+	if a.Strategy == StrategyDependent {
 		// The matched rule plus everything above it that overlaps — cached
 		// verbatim (already clipped to the partition), so the ingress cache
 		// reproduces the partition's semantics for this region.
-		addMod(rules[hit])
-		for _, j := range flowspace.DependentSet(rules, hit) {
-			addMod(rules[j])
+		deps := a.dependencies(hit)
+		mods = make([]proto.FlowMod, 1, 1+len(deps))
+		mods[0] = a.cacheMod(*r)
+		for _, j := range deps {
+			mods = append(mods, a.cacheMod(rules[j]))
 		}
+	} else {
+		match, ok := flowspace.Match{}, false
+		if a.Strategy == StrategyCover {
+			match, ok = a.cover(hit, &k)
+		}
+		if !ok { // StrategyExact, or a packet outside the region
+			match = exactMatch(k)
+		}
+		mods = []proto.FlowMod{a.cacheMod(flowspace.Rule{
+			ID: a.allocID(r.ID), Priority: r.Priority, Match: match, Action: r.Action})}
 	}
 	a.CacheRulesSent += uint64(len(mods))
-	return MissResult{Rule: hitRule, CacheMods: mods, OK: true}
+	return MissResult{Rule: *r, CacheMods: mods, OK: true}
+}
+
+func (a *Authority) cacheMod(r flowspace.Rule) proto.FlowMod {
+	return proto.FlowMod{Table: proto.TableCache, Op: proto.OpAdd, Rule: r,
+		Idle: a.CacheIdleTimeout, Hard: a.CacheHardTimeout}
+}
+
+// dependencies returns deps[hit], filling it on first use.
+func (a *Authority) dependencies(hit int) []int {
+	if a.deps == nil {
+		a.deps = make([][]int, len(a.Partition.Rules))
+	}
+	if a.deps[hit] == nil {
+		a.deps[hit] = append([]int{}, flowspace.DependentSet(a.Partition.Rules, hit)...)
+	}
+	return a.deps[hit]
+}
+
+// cover is flowspace.CoverFor(Partition.Rules, hit, Partition.Region, k)
+// carved out of rule hit's dependencies alone: no other rule of the
+// partition can take a piece off it.
+func (a *Authority) cover(hit int, k *flowspace.Key) (flowspace.Match, bool) {
+	rules := a.Partition.Rules
+	cover, ok := rules[hit].Match.Intersect(a.Partition.Region)
+	if !ok || !cover.Matches(*k) {
+		return flowspace.Match{}, false
+	}
+	for _, j := range a.dependencies(hit) {
+		if !cover.Carve(&rules[j].Match, k) {
+			return flowspace.Match{}, false
+		}
+	}
+	return cover, true
 }
 
 func exactMatch(k flowspace.Key) flowspace.Match {

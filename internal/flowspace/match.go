@@ -1,6 +1,7 @@
 package flowspace
 
 import (
+	"math/bits"
 	"strings"
 )
 
@@ -48,6 +49,28 @@ func (m Match) Matches(k Key) bool {
 func (m Match) Overlaps(o Match) bool {
 	for i := range m.Fields {
 		if !m.Fields[i].Overlaps(o.Fields[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// holds and meets are Matches and Overlaps by pointer, for the walks over a
+// rule table: by value, inlined or not, each call copies a 160-byte Match.
+// (The value methods keep bodies of their own: written as calls to these,
+// they compile to the copy and then the call.)
+func (m *Match) holds(k *Key) bool {
+	for i := range m.Fields {
+		if (k[i]^m.Fields[i].Value)&m.Fields[i].Mask != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *Match) meets(o *Match) bool {
+	for i := range m.Fields {
+		if (m.Fields[i].Value^o.Fields[i].Value)&m.Fields[i].Mask&o.Fields[i].Mask != 0 {
 			return false
 		}
 	}
@@ -116,6 +139,32 @@ func (m Match) Subtract(o Match) []Match {
 		}
 	}
 	return out
+}
+
+// Carve narrows m, which holds k, to the one piece of m.Subtract(*o) that
+// holds k, without building the others: Subtract's pieces are pairwise
+// disjoint, and the piece it emits at the first bit of its walk where k
+// leaves o is m with every bit o pins up to and including that one pinned
+// to k's value. Disjoint from o, m is left as it is. Carve reports false,
+// with m spent, when o holds k too and so no piece does.
+func (m *Match) Carve(o *Match, k *Key) bool {
+	if !m.meets(o) {
+		return true
+	}
+	for f := range m.Fields {
+		mf, of := &m.Fields[f], &o.Fields[f]
+		pin := of.Mask &^ mf.Mask // the bits of f that Subtract walks
+		diff := (k[f] ^ of.Value) & pin
+		if diff != 0 {
+			pin &^= uint64(1)<<(bits.Len64(diff)-1) - 1 // down to k's first flip
+		}
+		mf.Mask |= pin
+		mf.Value = mf.Value&^pin | k[f]&pin
+		if diff != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // SubtractAll removes every match in os from m, returning disjoint pieces.

@@ -75,42 +75,61 @@ func (r Rule) Before(o Rule) bool {
 	return r.ID < o.ID
 }
 
+// before is Before by pointer, for the table walks below: a Rule is 200
+// bytes, and copying two per comparison was most of a walk. (Before keeps a
+// body of its own for the reason Match.Matches does.)
+func before(r, o *Rule) bool {
+	if r.Priority != o.Priority {
+		return r.Priority > o.Priority
+	}
+	return r.ID < o.ID
+}
+
 // SortRules orders rules highest-priority first (TCAM order), in place.
 func SortRules(rs []Rule) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Before(rs[j]) })
+}
+
+// FirstMatch returns the index of the first rule of rs, which must be in
+// TCAM order (SortRules), that matches k — the rule EvalTable finds, at one
+// test per rule and no copy — or -1 if none does.
+func FirstMatch(rs []Rule, k Key) int {
+	for i := range rs {
+		if rs[i].Match.holds(&k) {
+			return i
+		}
+	}
+	return -1
 }
 
 // EvalTable returns the highest-priority rule in rs (any order) matching k,
 // or false if none matches. It is the semantic reference against which all
 // faster lookup structures are tested.
 func EvalTable(rs []Rule, k Key) (Rule, bool) {
-	var best Rule
-	found := false
-	for _, r := range rs {
-		if !r.Match.Matches(k) {
-			continue
-		}
-		if !found || r.Before(best) {
-			best = r
-			found = true
+	best := -1
+	for i := range rs {
+		if rs[i].Match.holds(&k) && (best < 0 || before(&rs[i], &rs[best])) {
+			best = i
 		}
 	}
-	return best, found
+	if best < 0 {
+		return Rule{}, false
+	}
+	return rs[best], true
 }
 
 // Shadowed reports whether rule rs[i] can never match any packet because
 // higher-priority rules jointly cover it. It is exact for single-rule
 // covers and for covers expressible as the subtraction chain.
 func Shadowed(rs []Rule, i int) bool {
-	target := rs[i]
-	pieces := []Match{target.Match}
-	for j, r := range rs {
-		if j == i || !r.Before(target) {
+	pieces := []Match{rs[i].Match}
+	for j := range rs {
+		if j == i || !before(&rs[j], &rs[i]) {
 			continue
 		}
 		var next []Match
 		for _, p := range pieces {
-			next = append(next, p.Subtract(r.Match)...)
+			next = append(next, p.Subtract(rs[j].Match)...)
 		}
 		pieces = next
 		if len(pieces) == 0 {
@@ -126,11 +145,8 @@ func Shadowed(rs []Rule, i int) bool {
 // the dependent-set strategy. Indices into rs are returned.
 func DependentSet(rs []Rule, i int) []int {
 	var deps []int
-	for j, r := range rs {
-		if j == i {
-			continue
-		}
-		if r.Before(rs[i]) && r.Match.Overlaps(rs[i].Match) {
+	for j := range rs {
+		if j != i && before(&rs[j], &rs[i]) && rs[j].Match.meets(&rs[i].Match) {
 			deps = append(deps, j)
 		}
 	}
@@ -143,32 +159,17 @@ func DependentSet(rs []Rule, i int) []int {
 // (c) excludes every higher-priority overlapping rule, so caching it with
 // rs[hit]'s action is semantically exact. Returns false if the packet sits
 // on a sliver that the subtraction could not isolate (callers then fall
-// back to an exact-match cache rule).
+// back to an exact-match cache rule). The cover is the region carved by
+// each such rule in turn, keeping only the piece that holds k.
 func CoverFor(rs []Rule, hit int, clip Match, k Key) (Match, bool) {
-	region, ok := rs[hit].Match.Intersect(clip)
-	if !ok || !region.Matches(k) {
+	cover, ok := rs[hit].Match.Intersect(clip)
+	if !ok || !cover.holds(&k) {
 		return Match{}, false
 	}
-	pieces := []Match{region}
-	for j, r := range rs {
-		if j == hit || !r.Before(rs[hit]) || !r.Match.Overlaps(region) {
-			continue
-		}
-		var next []Match
-		for _, p := range pieces {
-			if !p.Matches(k) {
-				// Keep only the piece chain containing the packet; the
-				// others can never be the returned cover.
-				continue
-			}
-			next = append(next, p.Subtract(r.Match)...)
-		}
-		pieces = next
-	}
-	for _, p := range pieces {
-		if p.Matches(k) {
-			return p, true
+	for j := range rs {
+		if j != hit && before(&rs[j], &rs[hit]) && !cover.Carve(&rs[j].Match, &k) {
+			return Match{}, false
 		}
 	}
-	return Match{}, false
+	return cover, true
 }
