@@ -64,13 +64,14 @@ check:
 # plus the wire HA suite with its leader-churn goroutine-leak check, the
 # bench guard holding BFD detection at ≤ 1/10th of the heartbeat's, and
 # the controller-free install path (new flows cached with the controller
-# dead; Run returning only once installs are applied), and the one
+# dead; Run returning only once installs are applied, woken by a switch's
+# death, and waited in by several goroutines at once), and the one
 # registration of the metric schema: the three backends' series compared,
 # and a scraper looping against 200k forwarded packets.
 chaos-smoke:
 	go test -race ./internal/scencheck -run TestChaosSmoke -timeout 10m
 	go test -race ./internal/wire -timeout 10m \
-		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectionTenfoldFaster|TestJournalReplicationAcrossElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding'
+		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectionTenfoldFaster|TestJournalReplicationAcrossElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding'
 
 # Subscriber-scale soak — not part of tier-1. Streams ≥1M modeled
 # subscriber sessions (Poisson churn, host mobility, a flash crowd and a

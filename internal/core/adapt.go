@@ -49,16 +49,20 @@ func (n *Network) cacheVictimFn() tcam.VictimFunc {
 	if n.cachePol == nil {
 		return nil
 	}
+	// cc is reused from one eviction to the next: the table calls the
+	// picker under its write lock, and each table gets a closure of its own.
+	var cc []cachepolicy.Candidate
 	return func(now float64, cands []tcam.VictimCandidate) int {
-		cc := make([]cachepolicy.Candidate, len(cands))
-		for i, c := range cands {
-			cc[i] = cachepolicy.Candidate{
+		cc = cc[:0]
+		for i := range cands {
+			c := &cands[i]
+			cc = append(cc, cachepolicy.Candidate{
 				ID:        c.ID,
 				Region:    n.regionOfMatch(c.Rule.Match),
 				Packets:   c.Packets,
 				LastHit:   c.LastHit,
 				Installed: c.Installed,
-			}
+			})
 		}
 		return n.cachePol.Victim(now, cc)
 	}

@@ -101,6 +101,31 @@ func TestVictimFuncNeverSeesPinned(t *testing.T) {
 	mustInsert(t, tb, 2, rule(3, 10, 82))
 }
 
+// A cost-aware eviction scores every candidate, but from scratch the table
+// keeps and by pointer to the entry's own rule: the evicting insert
+// allocates its new entry and, now and then, a leaf of the index — not a
+// candidate list of copied rules per eviction.
+func TestVictimFuncEvictionAllocatesOnlyTheEntry(t *testing.T) {
+	tb, insert := fullCache(t, 256)
+	offered := 0
+	tb.SetVictimFn(func(now float64, cands []VictimCandidate) int {
+		offered = len(cands)
+		oldest := 0
+		for i := range cands {
+			if cands[i].LastHit < cands[oldest].LastHit {
+				oldest = i
+			}
+		}
+		return oldest
+	})
+	if got := testing.AllocsPerRun(2000, insert); got != 1 {
+		t.Fatalf("%v allocations per evicting insert with a VictimFunc set, want 1", got)
+	}
+	if offered != 256 {
+		t.Fatalf("victim fn was offered %d candidates, want all 256", offered)
+	}
+}
+
 func TestSetCapacityShrinksAndGrows(t *testing.T) {
 	tb := New("test", 0, EvictLRU)
 	for i := uint64(1); i <= 4; i++ {

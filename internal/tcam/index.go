@@ -8,8 +8,15 @@ import (
 	"difane/internal/flowspace"
 )
 
-// leafLimit is how many slots a leaf holds before it tries to split.
-const leafLimit = 8
+// leafLimit is how many slots a leaf holds before it tries to split, and
+// collapseAt how few an inner node's subtree holds before it folds back
+// into one leaf. The gap between them is hysteresis: a subtree whose size
+// hovers at the limit under insert-evict churn neither splits nor folds on
+// every write.
+const (
+	leafLimit  = 8
+	collapseAt = leafLimit / 2
+)
 
 // slot is one rule in a leaf. The match is inlined so a leaf scan reads
 // contiguous memory; the entry pointer is followed only on a match.
@@ -22,23 +29,16 @@ type slot struct {
 // tests one bit of one field: rules that pin the bit to 0 live under
 // kids[0], to 1 under kids[1], and rules that wildcard it under kids[2],
 // so every rule sits in exactly one leaf. A leaf holds its slots in TCAM
-// order and splits once it holds more than limit of them.
+// order and splits once it holds more than limit of them; an inner node
+// counts the entries below it, so a removal sees on its way down when a
+// subtree has shrunk to a leaf's worth.
 type node struct {
 	field flowspace.FieldID
 	mask  uint64
 	kids  [3]*node
+	count int
 	slots []slot
 	limit int
-}
-
-// build indexes entries, which must be in TCAM order.
-func build(entries []*entry) *node {
-	n := &node{limit: leafLimit, slots: make([]slot, len(entries))}
-	for i, e := range entries {
-		n.slots[i] = slot{match: e.rule.Match, e: e}
-	}
-	n.split()
-	return n
 }
 
 // kid returns which child of the inner node n holds a rule matching m.
@@ -52,17 +52,17 @@ func (n *node) kid(m *flowspace.Match) int {
 	return 1
 }
 
-// leaf returns the leaf holding (or due to hold) e, and e's position in
-// it by TCAM order.
-func (n *node) leaf(e *entry) (*node, int) {
-	for n.mask != 0 {
-		n = n.kids[n.kid(&e.rule.Match)]
-	}
-	return n, sort.Search(len(n.slots), func(i int) bool { return !n.slots[i].e.rule.Before(e.rule) })
+// position returns where e sits, or belongs, among slots by TCAM order.
+func position(slots []slot, e *entry) int {
+	return sort.Search(len(slots), func(i int) bool { return !slots[i].e.rule.Before(e.rule) })
 }
 
 func (n *node) insert(e *entry) {
-	n, i := n.leaf(e)
+	for n.mask != 0 {
+		n.count++
+		n = n.kids[n.kid(&e.rule.Match)]
+	}
+	i := position(n.slots, e)
 	if len(n.slots) == cap(n.slots) {
 		// Grow by a few slots, not by doubling: leaves are small and
 		// many, and their slack is most of what the index adds to a
@@ -75,9 +75,56 @@ func (n *node) insert(e *entry) {
 	n.split()
 }
 
+// remove takes e out of its leaf — unless, on the way down, its departure
+// leaves an inner node with collapseAt entries or with nothing on e's side
+// of its bit, in which case the node no longer cuts anything and its
+// subtree is indexed again without e: it folds into a leaf, or splits on
+// bits that separate the entries it holds now.
 func (n *node) remove(e *entry) {
-	n, i := n.leaf(e)
+	for n.mask != 0 {
+		n.count--
+		k := n.kid(&e.rule.Match)
+		if n.count <= collapseAt || k != 2 && n.kids[k].size() == 1 {
+			*n = indexed(n.gather(make([]slot, 0, n.count), e))
+			return
+		}
+		n = n.kids[k]
+	}
+	i := position(n.slots, e)
 	n.slots = slices.Delete(n.slots, i, i+1)
+}
+
+// indexed returns a tree over slots, built from scratch: one leaf in TCAM
+// order, split as far as it goes.
+func indexed(slots []slot) node {
+	slices.SortFunc(slots, func(a, b slot) int { return tcamOrder(a.e, b.e) })
+	n := node{limit: leafLimit, slots: slots}
+	n.split()
+	return n
+}
+
+// size returns how many entries the subtree holds.
+func (n *node) size() int {
+	if n.mask != 0 {
+		return n.count
+	}
+	return len(n.slots)
+}
+
+// gather appends the subtree's slots, except gone's, to into.
+func (n *node) gather(into []slot, gone *entry) []slot {
+	if n.mask != 0 {
+		for _, k := range n.kids {
+			into = k.gather(into, gone)
+		}
+		return into
+	}
+	for i := range n.slots {
+		if n.slots[i].e != gone {
+			into = append(into, n.slots[i])
+		}
+	}
+	return into
 }
 
 // split turns an over-full leaf into an inner node and splits its
@@ -120,16 +167,18 @@ func (n *node) split() {
 		return
 	}
 	slots := n.slots
-	n.field, n.mask, n.slots = field, mask, nil
+	n.field, n.mask, n.count, n.slots = field, mask, len(slots), nil
 	var count [3]int
 	for i := range slots {
 		count[n.kid(&slots[i].match)]++
 	}
+	// One allocation for the three children and one for their slots, each
+	// child's share cut to its size so a sibling's append cannot reach it.
+	kids, shared := new([3]node), make([]slot, len(slots))
 	for i := range n.kids {
-		n.kids[i] = &node{limit: leafLimit}
-		if count[i] > 0 {
-			n.kids[i].slots = make([]slot, 0, count[i])
-		}
+		n.kids[i] = &kids[i]
+		kids[i].limit = leafLimit
+		kids[i].slots, shared = shared[:0:count[i]], shared[count[i]:]
 	}
 	for i := range slots {
 		k := n.kids[n.kid(&slots[i].match)]

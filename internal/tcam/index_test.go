@@ -2,6 +2,7 @@ package tcam
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,44 +13,57 @@ import (
 // checkIndex verifies the index's structural invariants against the
 // table's entry list: every entry sits in exactly one leaf, on the path
 // its match selects, with its match inlined; the slots add up to Len();
-// and every leaf is in TCAM order.
+// every leaf is in TCAM order; every inner node counts the entries below
+// it, holds more than collapseAt of them and has some on each side of its
+// bit; and the entry list is a heap
+// in eviction order by the keys it was ranked by, none of which has
+// overtaken its entry's real key.
 func checkIndex(tb *Table) error {
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
 	seen := make(map[*entry]int)
-	var walk func(n *node, path []*node) error
-	walk = func(n *node, path []*node) error {
+	var walk func(n *node, path []*node) (int, error)
+	walk = func(n *node, path []*node) (int, error) {
 		if n.mask != 0 {
 			if len(n.slots) != 0 {
-				return fmt.Errorf("inner node holds %d slots", len(n.slots))
+				return 0, fmt.Errorf("inner node holds %d slots", len(n.slots))
 			}
+			below := 0
 			for _, k := range n.kids {
-				if err := walk(k, append(path, n)); err != nil {
-					return err
+				c, err := walk(k, append(path, n))
+				if err != nil {
+					return 0, err
 				}
+				below += c
 			}
-			return nil
+			if n.count != below || below <= collapseAt {
+				return 0, fmt.Errorf("inner node counts %d entries over %d, want more than %d", n.count, below, collapseAt)
+			}
+			if n.kids[0].size() == 0 || n.kids[1].size() == 0 {
+				return 0, fmt.Errorf("inner node over %d entries tests a bit none of them pins both ways", below)
+			}
+			return below, nil
 		}
 		for i, s := range n.slots {
 			if s.match != s.e.rule.Match {
-				return fmt.Errorf("rule %d: inlined match differs from the entry's", s.e.rule.ID)
+				return 0, fmt.Errorf("rule %d: inlined match differs from the entry's", s.e.rule.ID)
 			}
 			if i > 0 && !n.slots[i-1].e.rule.Before(s.e.rule) {
-				return fmt.Errorf("leaf out of TCAM order at rule %d", s.e.rule.ID)
+				return 0, fmt.Errorf("leaf out of TCAM order at rule %d", s.e.rule.ID)
 			}
 			at := n
 			for j := len(path) - 1; j >= 0; j-- {
 				if p := path[j]; p.kids[p.kid(&s.match)] != at {
-					return fmt.Errorf("rule %d sits under the wrong child", s.e.rule.ID)
+					return 0, fmt.Errorf("rule %d sits under the wrong child", s.e.rule.ID)
 				} else {
 					at = p
 				}
 			}
 			seen[s.e]++
 		}
-		return nil
+		return len(n.slots), nil
 	}
-	if err := walk(tb.root, nil); err != nil {
+	if _, err := walk(tb.root, nil); err != nil {
 		return err
 	}
 	slots := 0
@@ -59,15 +73,37 @@ func checkIndex(tb *Table) error {
 	if slots != len(tb.entries) {
 		return fmt.Errorf("%d slots for %d entries", slots, len(tb.entries))
 	}
-	for _, e := range tb.entries {
+	for i := range tb.entries {
+		r := &tb.entries[i]
+		e := r.e
 		if seen[e] != 1 {
 			return fmt.Errorf("rule %d is in %d leaves", e.rule.ID, seen[e])
 		}
 		if tb.byID[e.rule.ID] != e {
 			return fmt.Errorf("rule %d missing from byID", e.rule.ID)
 		}
+		if e.pos != i {
+			return fmt.Errorf("rule %d at heap slot %d believes it is at %d", e.rule.ID, i, e.pos)
+		}
+		if r.lastHit > e.lastHit() || r.packets > e.packets.Load() {
+			return fmt.Errorf("rule %d ranked by a key above its own", e.rule.ID)
+		}
+		if i > 0 && tb.evictsBefore(r, &tb.entries[(i-1)/2]) {
+			return fmt.Errorf("rule %d ranks before its heap parent", e.rule.ID)
+		}
 	}
 	return nil
+}
+
+// build indexes entries from scratch: the shape the incrementally kept
+// tree is measured against.
+func build(entries []*entry) *node {
+	slots := make([]slot, len(entries))
+	for i, e := range entries {
+		slots[i] = slot{match: e.rule.Match, e: e}
+	}
+	n := indexed(slots)
+	return &n
 }
 
 // slotsCompared walks the tree as find does and counts the slots a lookup
@@ -175,8 +211,9 @@ func TestLookupComparesFewSlots(t *testing.T) {
 	}
 }
 
-// The index is rebuilt once as many entries have gone as remain, so a
-// table that shrank does not keep the depth its departed entries gave it.
+// A subtree that removals shrink to collapseAt entries folds back into one
+// leaf on the removal path, so a table that shrank does not keep the depth
+// its departed entries gave it.
 func TestRemovalsRebuildIndex(t *testing.T) {
 	tb, policy := classBench(t, 512)
 	for _, r := range policy[:508] {
@@ -185,7 +222,101 @@ func TestRemovalsRebuildIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tb.root.mask != 0 {
-		t.Fatalf("%d entries left but the root is still an inner node", tb.Len())
+	if tb.root.mask != 0 || len(tb.root.slots) != 4 {
+		t.Fatalf("%d entries left: root inner=%v with %d slots, want one leaf holding them all",
+			tb.Len(), tb.root.mask != 0, len(tb.root.slots))
+	}
+}
+
+// fullCache returns a full n-entry LRU cache of ClassBench rules under
+// never-repeated IDs, and the function that makes its next evicting
+// insert — the miss storm's write, as BenchmarkInsertEvict drives it.
+func fullCache(tb testing.TB, n int) (*Table, func()) {
+	policy := classBenchPolicy(1024)
+	t := New("evict", n, EvictLRU)
+	i := 0
+	insert := func() {
+		r := policy[i%len(policy)]
+		r.ID = 1<<50 + uint64(i) // the rules repeat; their IDs may not
+		if err := t.Insert(float64(i), r, 0, 0); err != nil {
+			tb.Fatal(err)
+		}
+		i++
+	}
+	for i < n {
+		insert()
+	}
+	return t, insert
+}
+
+// Eviction's sub-linearity as a count: an evicting insert into a full
+// 10,000-entry LRU cache reads the keys of a few dozen entries — the heap
+// paths of the victim and the newcomer — where the scan read all 10,000.
+func TestEvictionExaminesFewEntries(t *testing.T) {
+	const n, inserts = 10000, 10000
+	tb, insert := fullCache(t, n)
+	before, evictions := tb.examined, tb.Evictions.Load()
+	for i := 0; i < inserts; i++ {
+		insert()
+	}
+	if got := tb.Evictions.Load() - evictions; got != inserts {
+		t.Fatalf("%d evictions over %d inserts into a full table", got, inserts)
+	}
+	mean := float64(tb.examined-before) / inserts
+	bound := 4 * math.Log2(n)
+	t.Logf("%d entries: %.1f examined per evicting insert (bound %.1f)", n, mean, bound)
+	if mean > bound {
+		t.Fatalf("entries examined per evicting insert = %.1f over %d entries, want ≤ 4·log₂n = %.1f", mean, n, bound)
+	}
+	if err := checkIndex(tb); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Steady insert-evict churn on a full cache must leave the index as
+// shallow as it found it with no whole-table rebuild to pay for that: the
+// root is never replaced, the invariants hold throughout, and a lookup
+// compares no more slots than it would against an index built from
+// scratch over the same entries.
+func TestChurnKeepsIndexShallow(t *testing.T) {
+	const n, cycles = 256, 100000
+	tb, insert := fullCache(t, n)
+	root := tb.root
+	policy := classBenchPolicy(1024)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < cycles; i++ {
+		insert()
+		if i%1000 != 999 {
+			continue
+		}
+		if err := checkIndex(tb); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if tb.root != root {
+			t.Fatalf("cycle %d: the index was rebuilt", i)
+		}
+		entries := make([]*entry, len(tb.entries))
+		for j := range tb.entries {
+			entries[j] = tb.entries[j].e
+		}
+		fresh := build(entries)
+		kept, rebuilt := 0, 0
+		const lookups = 500
+		for j := 0; j < lookups; j++ {
+			k := keyIn(rng, policy[rng.Intn(len(policy))].Match)
+			kept += slotsCompared(tb.root, k)
+			rebuilt += slotsCompared(fresh, k)
+			if got, want := tb.root.find(&k, nil), fresh.find(&k, nil); got != want {
+				t.Fatalf("cycle %d key %v: kept index finds %v, fresh one %v", i, k, got, want)
+			}
+		}
+		if i == cycles-1 {
+			t.Logf("after %d cycles: %.1f slots compared per lookup, %.1f on a fresh build",
+				cycles, float64(kept)/lookups, float64(rebuilt)/lookups)
+		}
+		if float64(kept) > 1.25*float64(rebuilt)+lookups {
+			t.Fatalf("cycle %d: %.1f slots compared per lookup, %.1f on a fresh build of the same entries",
+				i, float64(kept)/lookups, float64(rebuilt)/lookups)
+		}
 	}
 }

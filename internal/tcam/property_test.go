@@ -3,6 +3,7 @@ package tcam
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"difane/internal/flowspace"
@@ -14,6 +15,8 @@ type refModel struct {
 	capacity int
 	policy   EvictionPolicy
 	entries  []refEntry
+	pins     map[uint64]int
+	evicted  []uint64 // capacity victims, in the order they went
 }
 
 type refEntry struct {
@@ -24,9 +27,10 @@ type refEntry struct {
 	idle, hard float64
 }
 
-// evict removes the entry the policy's total order puts first.
-func (m *refModel) evict() {
-	victim := 0
+// evict removes the unpinned entry the policy's total order puts first,
+// reporting false when every entry is pinned.
+func (m *refModel) evict() bool {
+	victim := -1
 	better := func(a, b refEntry) bool {
 		switch m.policy {
 		case EvictLRU:
@@ -46,21 +50,25 @@ func (m *refModel) evict() {
 		}
 		return a.rule.ID < b.rule.ID
 	}
-	for i := 1; i < len(m.entries); i++ {
-		if better(m.entries[i], m.entries[victim]) {
+	for i := range m.entries {
+		if m.pins[m.entries[i].rule.ID] == 0 && (victim < 0 || better(m.entries[i], m.entries[victim])) {
 			victim = i
 		}
 	}
+	if victim < 0 {
+		return false
+	}
+	m.evicted = append(m.evicted, m.entries[victim].rule.ID)
 	m.entries = append(m.entries[:victim], m.entries[victim+1:]...)
+	return true
 }
 
 func (m *refModel) insert(now float64, r flowspace.Rule, idle, hard float64) bool {
 	m.deleteWhere(func(o flowspace.Rule) bool { return o.ID == r.ID })
 	if m.capacity > 0 && len(m.entries) >= m.capacity {
-		if m.policy == EvictNone {
+		if m.policy == EvictNone || !m.evict() {
 			return false
 		}
-		m.evict()
 	}
 	m.entries = append(m.entries, refEntry{
 		rule: r, lastHit: now, installed: now, idle: idle, hard: hard,
@@ -71,8 +79,7 @@ func (m *refModel) insert(now float64, r flowspace.Rule, idle, hard float64) boo
 // setCapacity evicts down to the new limit, as Table.SetCapacity does.
 func (m *refModel) setCapacity(capacity int) {
 	m.capacity = capacity
-	for capacity > 0 && len(m.entries) > capacity {
-		m.evict()
+	for capacity > 0 && len(m.entries) > capacity && m.evict() {
 	}
 }
 
@@ -103,7 +110,7 @@ func (m *refModel) lookup(now float64, k flowspace.Key, touch bool) (flowspace.R
 	}
 	if touch {
 		m.entries[best].packets++
-		m.entries[best].lastHit = now
+		m.entries[best].lastHit = max(now, m.entries[best].lastHit)
 	}
 	return m.entries[best].rule, true
 }
@@ -187,17 +194,23 @@ func keyIn(rng *rand.Rand, m flowspace.Match) flowspace.Key {
 
 // TestTableMatchesReferenceModel drives random operation sequences —
 // insert, replace, evicting insert, delete, DeleteWhere, SetCapacity,
-// Advance — through the table and the brute-force model and requires
-// identical observable behaviour: every Lookup, View.Lookup and Peek
-// returns what the model's scan returns and what flowspace.EvalTable (the
-// scan internal/oracle runs) returns over Rules(), the resident sets
-// agree, and the index's structural invariants hold after every step.
+// Advance, Pin and Unpin, with hits in between stamped now or (as a
+// wire-mode burst stamps them) a little before it — through the table and
+// the brute-force model and requires identical observable behaviour: every
+// Lookup, View.Lookup and Peek returns what the model's scan returns and
+// what flowspace.EvalTable (the scan internal/oracle runs) returns over
+// Rules(), every capacity eviction and SetCapacity shrink takes the
+// victims the model's scan of the policy's total order takes, in its
+// order, the resident sets agree, and the structural invariants of the
+// index and the eviction heap hold after every step.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	for _, pool := range rulePools() {
 		for _, policy := range []EvictionPolicy{EvictNone, EvictLRU, EvictLFU} {
 			rng := rand.New(rand.NewSource(149 + int64(policy)))
 			tb := New("prop", pool.capacity, policy)
-			ref := &refModel{capacity: pool.capacity, policy: policy}
+			ref := &refModel{capacity: pool.capacity, policy: policy, pins: map[uint64]int{}}
+			var evicted []uint64
+			tb.OnEvict = func(e Entry) { evicted = append(evicted, e.Rule.ID) }
 			fail := func(step int, format string, args ...any) {
 				t.Helper()
 				t.Fatalf("%s %v step %d: %s", pool.name, policy, step, fmt.Sprintf(format, args...))
@@ -205,7 +218,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			now := 0.0
 			for step := 0; step < 3000; step++ {
 				now += rng.Float64() * 0.5
-				switch op := rng.Intn(12); op {
+				switch op := rng.Intn(14); op {
 				case 0, 1, 2, 3: // insert, replace or evicting insert
 					r := pool.rule(rng)
 					idle := 0.0
@@ -227,6 +240,10 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					k := pool.key(rng)
 					tb.Advance(now)
 					ref.advance(now)
+					at := now
+					if rng.Intn(3) == 0 {
+						at -= rng.Float64() * 0.4
+					}
 					scan, scanOK := flowspace.EvalTable(tb.Rules(), k)
 					var got flowspace.Rule
 					var gotOK bool
@@ -235,12 +252,12 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 						got, gotOK = tb.Peek(k)
 					case 5:
 						v := tb.AcquireView()
-						got, gotOK = v.Lookup(now, k, 64)
+						got, gotOK = v.Lookup(at, k, 64)
 						v.Release()
 					default:
-						got, gotOK = tb.Lookup(now, k, 64)
+						got, gotOK = tb.Lookup(at, k, 64)
 					}
-					want, wantOK := ref.lookup(now, k, op != 4)
+					want, wantOK := ref.lookup(at, k, op != 4)
 					if gotOK != wantOK || (gotOK && got.ID != want.ID) {
 						fail(step, "lookup %v/%v want %v/%v", got, gotOK, want, wantOK)
 					}
@@ -266,7 +283,21 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				case 11: // expiry sweep
 					tb.Advance(now)
 					ref.advance(now)
+				case 12: // an in-flight install holds an entry
+					id := pool.rule(rng).ID
+					tb.Pin(id)
+					ref.pins[id]++
+				case 13:
+					id := pool.rule(rng).ID
+					tb.Unpin(id)
+					if ref.pins[id] > 0 {
+						ref.pins[id]--
+					}
 				}
+				if !slices.Equal(evicted, ref.evicted) {
+					fail(step, "evicted %v, the policy's order takes %v", evicted, ref.evicted)
+				}
+				evicted, ref.evicted = evicted[:0], ref.evicted[:0]
 				gotIDs := map[uint64]bool{}
 				for _, r := range tb.Rules() {
 					gotIDs[r.ID] = true

@@ -9,9 +9,10 @@
 // Lookup is indexed, not scanned: the entries hang off a ternary bit-tree
 // (index.go) whose inner nodes each test one header bit, so a lookup reads
 // a few short leaves whatever the table holds, and the tree is updated in
-// place — an insert or a removal touches one root-to-leaf path, and the
-// paths that removals leave over-deep are paid for by rebuilding once as
-// many entries have gone as remain.
+// place — an insert or a removal touches one root-to-leaf path, and a
+// subtree that removals shrink to a leaf's worth folds back into a leaf on
+// that path. A capacity eviction is as local: the entries sit in a min-heap
+// in the eviction policy's order, so no write walks the table.
 //
 // Concurrency: the table is safe for concurrent use behind one
 // sync.RWMutex. Reads (Lookup, Peek, Len, Entries, Rules, NextExpiry, and
@@ -27,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,10 +78,27 @@ type entry struct {
 	packets     atomic.Uint64
 	bytes       atomic.Uint64
 	lastHitBits atomic.Uint64 // math.Float64bits of the last-hit time
+
+	// pos is the entry's index in Table.entries, written under the
+	// table's write lock.
+	pos int
 }
 
-func (e *entry) lastHit() float64      { return math.Float64frombits(e.lastHitBits.Load()) }
-func (e *entry) setLastHit(at float64) { e.lastHitBits.Store(math.Float64bits(at)) }
+func (e *entry) lastHit() float64 { return math.Float64frombits(e.lastHitBits.Load()) }
+
+// setLastHit moves the last-hit time forward to at, never back: a caller
+// whose clock runs a little behind another's (a wire-mode burst is stamped
+// with its oldest frame's inject time) must not make the entry look idle
+// for longer than it was, and the eviction heap relies on keys that only
+// rise.
+func (e *entry) setLastHit(at float64) {
+	for {
+		old := e.lastHitBits.Load()
+		if at <= math.Float64frombits(old) || e.lastHitBits.CompareAndSwap(old, math.Float64bits(at)) {
+			return
+		}
+	}
+}
 
 // snapshot converts the live entry to its exported point-in-time view.
 func (e *entry) snapshot() Entry {
@@ -124,11 +141,12 @@ const (
 )
 
 // VictimCandidate is one eviction candidate handed to a VictimFunc: the
-// installed rule plus the runtime state a cost model scores with. Pinned
-// entries are filtered out before the picker ever sees them.
+// installed rule (the entry's own, not a copy: read it, do not keep it)
+// plus the runtime state a cost model scores with. Pinned entries are
+// filtered out before the picker ever sees them.
 type VictimCandidate struct {
 	ID        uint64
-	Rule      flowspace.Rule
+	Rule      *flowspace.Rule
 	Packets   uint64
 	LastHit   float64
 	Installed float64
@@ -136,10 +154,21 @@ type VictimCandidate struct {
 
 // VictimFunc picks which candidate to evict when the table is over
 // capacity, returning an index into cands or a negative value to decline
-// (the table then falls back to its built-in policy ordering). It is
-// called with the table mutex held, so implementations must not call
-// back into the table.
+// (the table then falls back to its built-in policy ordering). The
+// candidates come in no particular order, in a slice the table reuses for
+// the next eviction. It is called with the table mutex held, so
+// implementations must not call back into the table.
 type VictimFunc func(now float64, cands []VictimCandidate) int
+
+// ranked is one entry in the eviction heap, beside the key it was last
+// ranked by. Hits move an entry's real key without the heap knowing, but
+// only ever upwards, so a ranked key is a lower bound on the real one and
+// the heap's minimum, once its own key is current, is the true minimum.
+type ranked struct {
+	lastHit float64
+	packets uint64
+	e       *entry
+}
 
 // Table is a TCAM-semantics rule table with an indexed lookup path (see
 // the package comment for the model).
@@ -148,22 +177,23 @@ type Table struct {
 	capacity int // 0 = unlimited
 	policy   EvictionPolicy
 
-	// mu guards everything below it up to the hooks. root indexes exactly
-	// the entries of entries; removed counts the entries taken out of root
-	// since it was last built.
-	mu      sync.RWMutex
-	entries []*entry // kept in TCAM order: highest priority first
-	byID    map[uint64]*entry
-	root    *node
-	removed int
+	// mu guards everything below it up to the hooks. entries holds every
+	// installed entry as a min-heap in eviction order (pickVictimLocked),
+	// and root indexes exactly those. examined counts the comparisons of
+	// heap keys, for the test that holds eviction sub-linear; cands is
+	// pickVictimLocked's scratch.
+	mu       sync.RWMutex
+	entries  []ranked
+	byID     map[uint64]*entry
+	root     *node
+	examined uint64
+	cands    []VictimCandidate
 
 	// expiryBound (math.Float64bits) is a lower bound on the earliest
 	// expiry of any entry, so Advance returns without the lock until
 	// something can have expired: set by Advance's scan, lowered by an
 	// Insert that arms a timeout, and left alone by hits, which only push
-	// an entry's real expiry later (a wire-mode hit stamped a queueing
-	// delay before the previous one makes the scan that much late, no
-	// more). Written under mu, read without it.
+	// an entry's real expiry later. Written under mu, read without it.
 	expiryBound atomic.Uint64
 
 	// pins refcounts rule IDs protected from eviction (in-flight installs);
@@ -199,7 +229,7 @@ func New(name string, capacity int, policy EvictionPolicy) *Table {
 		capacity: capacity,
 		policy:   policy,
 		byID:     make(map[uint64]*entry),
-		root:     build(nil),
+		root:     &node{limit: leafLimit},
 	}
 	t.expiryBound.Store(math.Float64bits(never))
 	return t
@@ -335,8 +365,8 @@ func (t *Table) Insert(now float64, r flowspace.Rule, idle, hard float64) error 
 		hardTimeout: hard,
 		installed:   now,
 	}
-	e.setLastHit(now)
-	t.entries = slices.Insert(t.entries, t.positionLocked(e), e)
+	e.lastHitBits.Store(math.Float64bits(now))
+	t.rankLocked(e)
 	t.byID[r.ID] = e
 	t.root.insert(e)
 	if at := e.expiresAt(); at < math.Float64frombits(t.expiryBound.Load()) {
@@ -373,105 +403,191 @@ func (t *Table) DeleteWhere(pred func(Entry) bool) int {
 	return len(t.dropLocked(func(e *entry) bool { return pred(e.snapshot()) }))
 }
 
-// positionLocked returns where e sits, or belongs, in entries.
-func (t *Table) positionLocked(e *entry) int {
-	return sort.Search(len(t.entries), func(i int) bool { return !t.entries[i].rule.Before(e.rule) })
-}
-
 // removeLocked takes one entry out of the table.
 func (t *Table) removeLocked(e *entry) {
 	delete(t.byID, e.rule.ID)
-	i := t.positionLocked(e)
-	t.entries = slices.Delete(t.entries, i, i+1)
-	t.unindexLocked(e)
+	t.root.remove(e)
+	t.unrankLocked(e)
 }
 
-// dropLocked takes every entry doomed picks out of the table in one
-// compaction pass, and returns them.
+// rankLocked adds e to the eviction heap under its current key, and
+// unrankLocked takes it out.
+func (t *Table) rankLocked(e *entry) {
+	t.entries = append(t.entries, ranked{lastHit: e.lastHit(), packets: e.packets.Load(), e: e})
+	t.siftUp(len(t.entries) - 1)
+}
+
+func (t *Table) unrankLocked(e *entry) {
+	last := len(t.entries) - 1
+	moved := t.entries[last]
+	t.entries[last] = ranked{}
+	t.entries = t.entries[:last]
+	if moved.e != e {
+		t.entries[e.pos] = moved
+		t.siftDown(e.pos)
+		t.siftUp(moved.e.pos)
+	}
+}
+
+// dropLocked takes every entry doomed picks out of the table in one pass,
+// and returns them in TCAM order.
 func (t *Table) dropLocked(doomed func(*entry) bool) []*entry {
 	var gone []*entry
-	t.entries = slices.DeleteFunc(t.entries, func(e *entry) bool {
-		if !doomed(e) {
-			return false
+	kept := t.entries[:0]
+	for _, r := range t.entries {
+		if doomed(r.e) {
+			delete(t.byID, r.e.rule.ID)
+			gone = append(gone, r.e)
+		} else {
+			r.e.pos = len(kept)
+			kept = append(kept, r)
 		}
-		delete(t.byID, e.rule.ID)
-		gone = append(gone, e)
-		return true
-	})
-	t.unindexLocked(gone...)
+	}
+	if len(gone) == 0 {
+		return nil
+	}
+	clear(t.entries[len(kept):])
+	t.entries = kept
+	if len(kept) == 0 {
+		t.root = &node{limit: leafLimit} // cleared: no index to take them out of one by one
+	} else {
+		for _, e := range gone {
+			t.root.remove(e)
+		}
+	}
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		t.siftDown(i)
+	}
+	slices.SortFunc(gone, tcamOrder)
 	return gone
 }
 
-// unindexLocked takes entries already gone from t.entries out of the
-// index. Removing leaves the tree as deep as its departed entries made it,
-// so once as many have gone as remain it is rebuilt instead.
-func (t *Table) unindexLocked(gone ...*entry) {
-	if t.removed += len(gone); t.removed >= len(t.entries) {
-		t.root, t.removed = build(t.entries), 0
-		return
+// tcamOrder sorts entries highest priority first.
+func tcamOrder(a, b *entry) int {
+	if a.rule.Before(b.rule) {
+		return -1
 	}
-	for _, e := range gone {
-		t.root.remove(e)
-	}
+	return 1
 }
 
-// pickVictimLocked returns the entry to evict under a total order, so
+// sortedLocked returns the entries in TCAM order; the heap keeps them in
+// eviction order, so the few calls that show the table sort when asked.
+func (t *Table) sortedLocked() []*entry {
+	out := make([]*entry, len(t.entries))
+	for i := range t.entries {
+		out[i] = t.entries[i].e
+	}
+	slices.SortFunc(out, tcamOrder)
+	return out
+}
+
+// evictsBefore is the eviction policy's total order over ranked keys, so
 // eviction is deterministic: LRU orders by (lastHit, packets, ID)
-// ascending, LFU by (packets, lastHit, ID) ascending. Pinned entries
-// (in-flight installs) are never selected. When a VictimFunc is set it is
-// consulted first over the unpinned candidates; the built-in ordering is
-// the fallback when it declines.
-func (t *Table) pickVictimLocked(now float64) *entry {
-	if t.victimFn != nil {
-		var cands []VictimCandidate
-		var live []*entry
-		for _, e := range t.entries {
-			if len(t.pins) > 0 && t.pins[e.rule.ID] > 0 {
-				continue
-			}
-			cands = append(cands, VictimCandidate{
-				ID:        e.rule.ID,
-				Rule:      e.rule,
-				Packets:   e.packets.Load(),
-				LastHit:   e.lastHit(),
-				Installed: e.installed,
-			})
-			live = append(live, e)
+// ascending, LFU by (packets, lastHit, ID) ascending.
+func (t *Table) evictsBefore(a, b *ranked) bool {
+	t.examined++
+	switch t.policy {
+	case EvictLRU:
+		if a.lastHit != b.lastHit {
+			return a.lastHit < b.lastHit
 		}
-		if len(cands) == 0 {
+		if a.packets != b.packets {
+			return a.packets < b.packets
+		}
+	case EvictLFU:
+		if a.packets != b.packets {
+			return a.packets < b.packets
+		}
+		if a.lastHit != b.lastHit {
+			return a.lastHit < b.lastHit
+		}
+	}
+	return a.e.rule.ID < b.e.rule.ID
+}
+
+// siftUp and siftDown restore the heap order around entries[i] after its
+// key fell or rose, keeping every moved entry's pos.
+func (t *Table) siftUp(i int) {
+	h, r := t.entries, t.entries[i]
+	for i > 0 {
+		up := (i - 1) / 2
+		if !t.evictsBefore(&r, &h[up]) {
+			break
+		}
+		h[i] = h[up]
+		h[i].e.pos = i
+		i = up
+	}
+	h[i] = r
+	r.e.pos = i
+}
+
+func (t *Table) siftDown(i int) {
+	h, r := t.entries, t.entries[i]
+	for {
+		kid := 2*i + 1
+		if kid >= len(h) {
+			break
+		}
+		if kid+1 < len(h) && t.evictsBefore(&h[kid+1], &h[kid]) {
+			kid++
+		}
+		if !t.evictsBefore(&h[kid], &r) {
+			break
+		}
+		h[i] = h[kid]
+		h[i].e.pos = i
+		i = kid
+	}
+	h[i] = r
+	r.e.pos = i
+}
+
+// pickVictimLocked returns the entry to evict: the first unpinned entry in
+// evictsBefore's order over the entries' current keys — pinned entries
+// (in-flight installs) are never selected. The heap's top is re-ranked
+// until the key it sits by is its current one; nothing below it can then
+// be earlier. When a VictimFunc is set it is consulted first over the
+// unpinned candidates, whose scores follow no order the table knows, so
+// that path offers every entry; the heap is the fallback when it declines.
+func (t *Table) pickVictimLocked(now float64) *entry {
+	pinned := func(e *entry) bool { return len(t.pins) > 0 && t.pins[e.rule.ID] > 0 }
+	if t.victimFn != nil {
+		t.cands = t.cands[:0]
+		for i := range t.entries {
+			if e := t.entries[i].e; !pinned(e) {
+				t.cands = append(t.cands, VictimCandidate{
+					ID:        e.rule.ID,
+					Rule:      &e.rule,
+					Packets:   e.packets.Load(),
+					LastHit:   e.lastHit(),
+					Installed: e.installed,
+				})
+			}
+		}
+		if len(t.cands) == 0 {
 			return nil
 		}
-		if i := t.victimFn(now, cands); i >= 0 && i < len(live) {
-			return live[i]
+		if i := t.victimFn(now, t.cands); i >= 0 && i < len(t.cands) {
+			return t.byID[t.cands[i].ID]
 		}
 	}
 	var victim *entry
-	better := func(a, b *entry) bool {
-		switch t.policy {
-		case EvictLRU:
-			if ah, bh := a.lastHit(), b.lastHit(); ah != bh {
-				return ah < bh
-			}
-			if ap, bp := a.packets.Load(), b.packets.Load(); ap != bp {
-				return ap < bp
-			}
-		case EvictLFU:
-			if ap, bp := a.packets.Load(), b.packets.Load(); ap != bp {
-				return ap < bp
-			}
-			if ah, bh := a.lastHit(), b.lastHit(); ah != bh {
-				return ah < bh
-			}
+	var aside []*entry // pinned entries met on the way, out of the heap
+	for victim == nil && len(t.entries) > 0 {
+		top := &t.entries[0]
+		if h, p := top.e.lastHit(), top.e.packets.Load(); h != top.lastHit || p != top.packets {
+			top.lastHit, top.packets = h, p
+			t.siftDown(0)
+		} else if !pinned(top.e) {
+			victim = top.e
+		} else {
+			aside = append(aside, top.e)
+			t.unrankLocked(top.e)
 		}
-		return a.rule.ID < b.rule.ID
 	}
-	for _, e := range t.entries {
-		if len(t.pins) > 0 && t.pins[e.rule.ID] > 0 {
-			continue
-		}
-		if victim == nil || better(e, victim) {
-			victim = e
-		}
+	for _, e := range aside {
+		t.rankLocked(e)
 	}
 	return victim
 }
@@ -577,8 +693,8 @@ func (t *Table) NextExpiry() (float64, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	best := never
-	for _, e := range t.entries {
-		if at := e.expiresAt(); at < best {
+	for i := range t.entries {
+		if at := t.entries[i].e.expiresAt(); at < best {
 			best = at
 		}
 	}
@@ -590,7 +706,7 @@ func (t *Table) Entries() []Entry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]Entry, len(t.entries))
-	for i, e := range t.entries {
+	for i, e := range t.sortedLocked() {
 		out[i] = e.snapshot()
 	}
 	return out
@@ -612,7 +728,7 @@ func (t *Table) Rules() []flowspace.Rule {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]flowspace.Rule, len(t.entries))
-	for i, e := range t.entries {
+	for i, e := range t.sortedLocked() {
 		out[i] = e.rule
 	}
 	return out
@@ -625,7 +741,7 @@ func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "table %s (%d/%d entries, %d hits, %d misses)\n",
 		t.name, len(t.entries), t.capacity, t.Hits.Load(), t.Misses.Load())
-	for _, e := range t.entries {
+	for _, e := range t.sortedLocked() {
 		fmt.Fprintf(&b, "  %v pkts=%d\n", e.rule, e.packets.Load())
 	}
 	return b.String()

@@ -173,6 +173,29 @@ func TestIdleTimeout(t *testing.T) {
 	}
 }
 
+// A hit stamped earlier than the one before it — wire mode stamps a burst
+// with its oldest frame's inject time, so a later burst can carry an
+// earlier stamp — must not move the last-hit time back: that would fire
+// the idle timeout early and hand LRU the wrong victim.
+func TestLastHitNeverMovesBack(t *testing.T) {
+	tb := New("test", 0, EvictNone)
+	if err := tb.Insert(0, rule(1, 1, 80), 10, 0); err != nil {
+		t.Fatal(err)
+	}
+	tb.Lookup(5, keyPort(80), 64)
+	tb.Lookup(3, keyPort(80), 64)
+	if got := tb.Entries()[0].LastHit(); got != 5 {
+		t.Fatalf("LastHit() = %g after hits at 5 then 3, want 5", got)
+	}
+	if at, ok := tb.NextExpiry(); !ok || at != 15 {
+		t.Fatalf("NextExpiry() = %g/%v, want 15 (last hit 5 + idle 10)", at, ok)
+	}
+	tb.Advance(14)
+	if tb.Len() != 1 {
+		t.Fatal("entry idle-expired before lastHit+idle")
+	}
+}
+
 func TestHardTimeout(t *testing.T) {
 	tb := New("test", 0, EvictNone)
 	if err := tb.Insert(0, rule(1, 1, 80), 0, 10); err != nil {

@@ -320,6 +320,7 @@ func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, pk
 	default:
 		dst.installsPending.Add(-1)
 		shed()
+		c.wakeIfQuiet()
 	}
 }
 
@@ -347,7 +348,9 @@ func (c *Cluster) applyInstalls(n *node) {
 					Table: uint8(proto.TableCache), RuleID: ruleID, Trace: m.Trace,
 				})
 			}
-			n.installsPending.Add(-1)
+			if n.installsPending.Add(-1) == 0 {
+				c.wakeIfQuiet()
+			}
 		default:
 			return
 		}
@@ -422,6 +425,7 @@ func (c *Cluster) flushDeliveries(n *node, s *burstScratch, frames []dataFrame) 
 	// both the Measurements counters and the Delivery notifications for
 	// these packets are already visible.
 	c.completed.Add(uint64(len(s.deliv)))
+	c.wakeIfQuiet()
 }
 
 // flushForwards hands each destination its staged burst in one call: one

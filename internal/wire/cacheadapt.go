@@ -43,16 +43,20 @@ func (c *Cluster) cacheVictimFn() tcam.VictimFunc {
 	if c.cachePol == nil {
 		return nil
 	}
+	// cc is reused from one eviction to the next: the table calls the
+	// picker under its write lock, and each table gets a closure of its own.
+	var cc []cachepolicy.Candidate
 	return func(now float64, cands []tcam.VictimCandidate) int {
-		cc := make([]cachepolicy.Candidate, len(cands))
-		for i, cand := range cands {
-			cc[i] = cachepolicy.Candidate{
+		cc = cc[:0]
+		for i := range cands {
+			cand := &cands[i]
+			cc = append(cc, cachepolicy.Candidate{
 				ID:        cand.ID,
 				Region:    c.regionOfMatch(cand.Rule.Match),
 				Packets:   cand.Packets,
 				LastHit:   cand.LastHit,
 				Installed: cand.Installed,
-			}
+			})
 		}
 		return c.cachePol.Victim(now, cc)
 	}

@@ -116,20 +116,16 @@ func (d *Deployment) InjectBatch(batch []core.PacketIn) {
 	c.slabs.Put(slab)
 }
 
-// Run blocks until every injected packet has reached a terminal point
-// (delivered or dropped) and every cache install those packets triggered
-// is applied at its ingress, bounded by horizon seconds of real time.
+// Run blocks until every packet injected so far has reached a terminal
+// point (delivered or dropped) and every cache install those packets
+// triggered is applied at its ingress, bounded by horizon seconds of real
+// time. It returns the moment that holds (Cluster.awaitQuiescence).
 func (d *Deployment) Run(horizon float64) {
-	deadline := time.Now().Add(time.Duration(horizon * float64(time.Second)))
-	for time.Now().Before(deadline) {
-		if d.C.completed.Load() >= d.injected.Load() && d.C.drained() {
-			// The accounting identity holds, the rings are empty and every
-			// install is applied: this is the quiesce point any open
-			// policy-update timeline closes at.
-			d.C.Convergence().NoteQuiesce(nowNS(), d.C.counterTotals())
-			return
-		}
-		time.Sleep(time.Millisecond)
+	if d.C.awaitQuiescence(d.injected.Load(), time.Duration(horizon*float64(time.Second))) {
+		// The accounting identity holds, the rings are empty and every
+		// install is applied: this is the quiesce point any open
+		// policy-update timeline closes at.
+		d.C.Convergence().NoteQuiesce(nowNS(), d.C.counterTotals())
 	}
 }
 

@@ -19,6 +19,7 @@ func (c *Cluster) KillSwitch(id uint32) bool {
 		n.killed.Store(true)
 		close(n.done)
 		n.closeConns()
+		c.wakeIfQuiet() // drained() no longer waits for this switch
 	})
 	return true
 }

@@ -67,6 +67,15 @@ type Cluster struct {
 	injected  atomic.Uint64
 	completed atomic.Uint64
 
+	// awaited is the lowest completed count a caller blocked in
+	// awaitQuiescence needs (noWaiter when there is none), read by the
+	// data plane after each write to a term of the quiescence predicate
+	// (wakeIfQuiet). waitMu guards woken, which wakeWaiters closes and
+	// replaces.
+	awaited atomic.Uint64
+	waitMu  sync.Mutex
+	woken   chan struct{}
+
 	// ext is the measurement shard for accounting that happens outside
 	// any node's data goroutine (injection-path drops); every node carries
 	// its own shard (node.stats). cold holds the rare control-plane
@@ -276,6 +285,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		switches:   make(map[uint32]*node),
 		Deliveries: make(chan Delivery, cfg.QueueDepth),
 		pending:    make(map[uint32]time.Time),
+		woken:      make(chan struct{}),
 		ext:        &nodeStats{},
 		ctx:        cctx,
 		cancel:     cancel,
@@ -364,6 +374,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		c.switches[id] = n
 		c.nodes = append(c.nodes, n)
 	}
+	c.awaited.Store(noWaiter)
 	c.epoch.Store(1)
 	c.leaderID.Store(-1)
 	if err := c.initHA(); err != nil {
@@ -621,6 +632,7 @@ func (c *Cluster) drop(s *nodeStats, kind dropKind) {
 		s.dropUnreachable.Add(1)
 	}
 	c.completed.Add(1)
+	c.wakeIfQuiet()
 }
 
 // shedRedirect records a packet deliberately shed by the ingress redirect
@@ -629,6 +641,7 @@ func (c *Cluster) shedRedirect(s *nodeStats) {
 	c.dropped.Add(1)
 	s.dropRedirectShed.Add(1)
 	c.completed.Add(1)
+	c.wakeIfQuiet()
 }
 
 // policyDrop records an intentional drop (the packet matched a drop rule);
@@ -640,6 +653,7 @@ func (c *Cluster) policyDrop(s *nodeStats, firstPacket bool) {
 		s.setupsCompleted.Add(1)
 	}
 	c.completed.Add(1)
+	c.wakeIfQuiet()
 }
 
 // dataLoop is a switch's data plane: apply the cache installs authority
@@ -1090,10 +1104,7 @@ const drainTimeout = time.Second
 func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
 		c.closed.Store(true)
-		deadline := time.Now().Add(drainTimeout)
-		for time.Now().Before(deadline) && !c.drained() {
-			time.Sleep(time.Millisecond)
-		}
+		c.awaitQuiescence(0, drainTimeout)
 		c.cancel()
 		c.trans.close()
 		for _, n := range c.switches {
@@ -1106,6 +1117,59 @@ func (c *Cluster) Close() error {
 		c.closeHA()
 	})
 	return nil
+}
+
+// noWaiter is awaited's value while nobody is in awaitQuiescence.
+const noWaiter = ^uint64(0)
+
+// awaitQuiescence blocks until target packets have completed and the
+// cluster is drained — the quiescence predicate — and reports true, or
+// false once limit has passed or the cluster has shut down. Nothing polls:
+// the caller publishes the count it waits for and then checks the
+// predicate, while the data plane writes a term of the predicate and then
+// reads the published count (wakeIfQuiet). Both sides use sequentially
+// consistent atomics, so whichever comes second sees the other and a
+// wake-up cannot be lost. Any number of callers may wait at once: a wake
+// wakes them all, and those not yet satisfied publish again.
+func (c *Cluster) awaitQuiescence(target uint64, limit time.Duration) bool {
+	horizon := time.NewTimer(limit)
+	defer horizon.Stop()
+	defer c.wakeWaiters() // the published count may be this caller's: withdraw it
+	for {
+		c.waitMu.Lock()
+		woken := c.woken
+		c.awaited.Store(min(target, c.awaited.Load()))
+		c.waitMu.Unlock()
+		if c.completed.Load() >= target && c.drained() {
+			return true
+		}
+		select {
+		case <-woken:
+		case <-horizon.C:
+			return false
+		case <-c.ctx.Done():
+			return false
+		}
+	}
+}
+
+// wakeWaiters withdraws the awaited count and wakes every waiter.
+func (c *Cluster) wakeWaiters() {
+	c.waitMu.Lock()
+	c.awaited.Store(noWaiter)
+	close(c.woken)
+	c.woken = make(chan struct{})
+	c.waitMu.Unlock()
+}
+
+// wakeIfQuiet follows every write that can make the quiescence predicate
+// true — completed raised, an install applied or shed, a switch killed —
+// and wakes the waiters if it has. With nobody waiting, or completed short
+// of what they wait for, it costs two atomic loads.
+func (c *Cluster) wakeIfQuiet() {
+	if c.completed.Load() >= c.awaited.Load() && c.drained() {
+		c.wakeWaiters()
+	}
 }
 
 // drained reports whether every live switch's input rings are empty and
