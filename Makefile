@@ -102,13 +102,16 @@ soak-diff:
 	go test ./internal/scencheck -run TestDifferential -seeds $(SOAK_SEEDS) \
 		-artifacts artifacts -timeout 30m
 
-# Non-test Go lines: the three packages ROADMAP item 6 tracks, their sum,
-# and the whole repo outside bench/.
+# Non-test Go lines: the three packages ROADMAP item 8 tracks, their sum,
+# the two rule-table packages it quotes beside them, and the whole repo
+# outside bench/.
 loc:
 	@sum=0; for d in internal/wire internal/core internal/telemetry; do \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 		printf '%-20s %6d\n' $$d $$n; sum=$$((sum + n)); done; \
 	printf '%-20s %6d\n' 'wire+core+telemetry' $$sum; \
+	for d in internal/tcam internal/flowspace; do \
+		printf '%-20s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); done; \
 	printf '%-20s %6d\n' 'repo outside bench/' \
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 

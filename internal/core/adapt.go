@@ -83,17 +83,15 @@ func (n *Network) configureAuthority(a *Authority) {
 }
 
 // SetCacheTimeouts changes the deployment-wide cache timeouts and
-// propagates them to every live authority handler. The handlers memoize
-// fully-built FlowMods, so propagation must go through
-// Authority.SetCacheTimeouts (which flushes the memo) — a config write
-// alone would not reach rules already being issued.
+// propagates them to every live authority handler. The handlers keep the
+// fully-built FlowMods they minted, so propagation must go through
+// Authority.SetCacheTimeouts (which flushes them) — a config write alone
+// would not reach rules already being issued.
 func (n *Network) SetCacheTimeouts(idle, hard float64) {
 	n.cfg.CacheIdle = idle
 	n.cfg.CacheHard = hard
-	for _, auths := range n.authorityAt {
-		for _, a := range auths {
-			n.configureAuthority(a)
-		}
+	for _, a := range n.authorityAt {
+		n.configureAuthority(a)
 	}
 }
 
@@ -106,11 +104,9 @@ func (c *Controller) SetCacheTimeouts(idle, hard float64) {
 // SetRegionIdleTimeout overrides the idle timeout of one region's cache
 // rules on every authority handler serving it.
 func (n *Network) SetRegionIdleTimeout(region int, idle float64) {
-	for _, auths := range n.authorityAt {
-		for _, a := range auths {
-			if a.RegionIndex == region {
-				a.SetCacheTimeouts(idle, a.CacheHardTimeout)
-			}
+	for _, a := range n.authorityAt {
+		if a.RegionIndex == region {
+			a.SetCacheTimeouts(idle, a.CacheHardTimeout)
 		}
 	}
 }

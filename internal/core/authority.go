@@ -6,6 +6,7 @@ import (
 
 	"difane/internal/flowspace"
 	"difane/internal/proto"
+	"difane/internal/tcam"
 )
 
 // CacheStrategy selects how an authority switch turns a rule hit into
@@ -56,15 +57,16 @@ const (
 )
 
 // Authority is the control logic an authority switch runs for one
-// partition: answer cache misses with a forwarding decision plus cache
-// rules for the ingress switch.
+// partition once its authority table has matched a redirected packet to a
+// rule: decide the action and generate the ingress switch's cache rules.
 type Authority struct {
 	// SwitchID is the switch hosting this partition.
 	SwitchID uint32
 	// Partition holds the region and its clipped rules in TCAM order
-	// (NewAuthority sorts a copy of rules handed over in any other): the
-	// miss path's first match is the matching rule, and everything a rule
-	// depends on sits above it.
+	// (NewAuthority sorts a copy of rules handed over in any other): what
+	// the authority table holds, and what a cover is carved out of:
+	// everything a rule depends on sits above it. Per packet the table is
+	// searched, not this.
 	Partition Partition
 	// Strategy picks the cache-rule generation scheme.
 	Strategy CacheStrategy
@@ -74,9 +76,9 @@ type Authority struct {
 	RegionIndex int
 	// CacheIdleTimeout / CacheHardTimeout are applied to generated cache
 	// rules (seconds, 0 = none). Change them only through
-	// SetCacheTimeouts: memoized HandleMiss results bake the values into
-	// their FlowMods, so a bare field write silently keeps issuing the old
-	// timeouts for every already-seen flow.
+	// SetCacheTimeouts: minted rules bake the values into their FlowMods,
+	// so a bare field write keeps issuing the old ones for every cover
+	// already generated.
 	CacheIdleTimeout float64
 	CacheHardTimeout float64
 
@@ -89,32 +91,34 @@ type Authority struct {
 	// originOf maps generated cache-rule IDs back to the policy rule they
 	// stand for, preserving per-policy-rule accounting.
 	originOf map[uint64]uint64
-	// memo caches HandleMiss results by exact key. A flow whose ingress
-	// cache rule has not landed yet redirects every packet here, and the
-	// walk down the rule list plus cover synthesis costs some thirty memo
-	// hits — recomputing it per packet of the same flow melts the
-	// authority under a redirect storm. Memoized results also pin the
-	// generated rule ID, so repeat misses refresh the same ingress cache
-	// entry instead of installing a duplicate under a fresh ID. The memo
-	// dies with the Authority, which is rebuilt on every partition or
-	// policy change, so it can never serve a stale partition's answer.
-	memo map[flowspace.Key]MissResult
+	// minted holds the cache rules generated so far, keyed by the match
+	// generated (under StrategyDependent, the matched rule's own) and not
+	// by the packet that asked: every key inside a cover gets the FlowMods,
+	// and so the rule ID, its first miss minted. Flows waiting on one cover
+	// then refresh one ingress cache entry instead of adding a duplicate
+	// each, and a cover already minted costs no ID, no originOf entry and
+	// no allocation. It dies with the Authority, which is rebuilt on every
+	// partition or policy change, so it never serves a stale answer.
+	minted map[flowspace.Match][]proto.FlowMod
 	// deps[i] holds the indices of the higher-precedence rules overlapping
 	// Partition.Rules[i] — what a cover of rule i is carved out of and what
 	// the dependent strategy caches beside it. It is a property of the
 	// partition, not of the packet, so it is worked out once, on the first
 	// miss rule i answers (nil until then, never nil after), not per miss.
 	deps [][]int
+	// table indexes Partition.Rules for HandleMiss, built by its first
+	// call: never in a deployment, where the switch's table is the index.
+	table *tcam.Table
 }
 
-// memoCap bounds the per-authority miss memo; when full it is flushed
-// wholesale (repopulating costs one CoverFor per live flow, and tracking
-// recency would put map bookkeeping on every memoized hit).
+// memoCap bounds minted; when full it is flushed wholesale (a flushed cover
+// is minted again, under a fresh ID, by the next miss inside it, and
+// tracking recency would put map bookkeeping on every miss).
 const memoCap = 8192
 
 // NewAuthority builds the authority logic for a partition.
 func NewAuthority(switchID uint32, p Partition, strategy CacheStrategy) *Authority {
-	if !sort.SliceIsSorted(p.Rules, func(i, j int) bool { return p.Rules[i].Before(p.Rules[j]) }) {
+	if !sort.SliceIsSorted(p.Rules, func(i, j int) bool { return p.Rules[i].Precedes(&p.Rules[j]) }) {
 		p.Rules = append([]flowspace.Rule(nil), p.Rules...)
 		flowspace.SortRules(p.Rules)
 	}
@@ -124,21 +128,20 @@ func NewAuthority(switchID uint32, p Partition, strategy CacheStrategy) *Authori
 		Strategy:    strategy,
 		RegionIndex: -1,
 		originOf:    make(map[uint64]uint64),
+		minted:      make(map[flowspace.Match][]proto.FlowMod),
 	}
 }
 
 // SetCacheTimeouts updates the timeouts stamped onto generated cache
-// rules. On a material change the miss memo is flushed: its entries carry
-// fully-built FlowMods with the old Idle/Hard baked in, and serving those
-// would pin every known flow to the superseded timeouts until the memo
-// happened to cycle.
+// rules. On a material change the minted rules are flushed: they are
+// fully-built FlowMods with the old Idle/Hard baked in.
 func (a *Authority) SetCacheTimeouts(idle, hard float64) {
 	if a.CacheIdleTimeout == idle && a.CacheHardTimeout == hard {
 		return
 	}
 	a.CacheIdleTimeout = idle
 	a.CacheHardTimeout = hard
-	clear(a.memo)
+	clear(a.minted)
 }
 
 // OriginOf maps a generated cache-rule ID back to its policy rule ID (the
@@ -170,56 +173,66 @@ type MissResult struct {
 	OK bool
 }
 
-// HandleMiss processes a redirected packet: find the matching rule, decide
-// the action, and generate ingress cache rules per the strategy. Repeat
-// misses for a key already answered return the memoized result — the same
-// rule, the same cache mods, the same generated IDs. Callers must treat
-// the returned CacheMods as read-only.
+// HandleMiss is Answer for a caller that holds no switch: it looks k up in
+// a table of its own over Partition.Rules, so it walks the same index and
+// generates the same rules as a deployment's miss path.
 func (a *Authority) HandleMiss(k flowspace.Key) MissResult {
-	a.Misses++
-	if res, ok := a.memo[k]; ok {
-		a.CacheRulesSent += uint64(len(res.CacheMods))
-		return res
+	if a.table == nil {
+		a.table = tcam.New("authority", 0, tcam.EvictNone)
+		for _, r := range a.Partition.Rules {
+			_ = a.table.Insert(0, r, 0, 0) // unbounded: cannot fail
+		}
 	}
-	res := a.handleMissSlow(k)
-	if a.memo == nil {
-		a.memo = make(map[flowspace.Key]MissResult)
-	} else if len(a.memo) >= memoCap {
-		clear(a.memo)
+	entry, ok := a.table.Lookup(0, k, 0)
+	if !ok {
+		return MissResult{}
 	}
-	a.memo[k] = res
-	return res
+	return a.Answer(&entry, &k)
 }
 
-func (a *Authority) handleMissSlow(k flowspace.Key) MissResult {
+// Answer processes a redirected packet k that the authority table matched
+// to entry, one of Partition.Rules under the ID it was installed by (any
+// other is a hole): decide the action, and generate ingress cache rules per
+// the strategy, or hand out again the ones minted for the same cover.
+// Callers must treat the returned CacheMods as read-only.
+func (a *Authority) Answer(entry *flowspace.Rule, k *flowspace.Key) MissResult {
+	a.Misses++
 	rules := a.Partition.Rules
-	hit := flowspace.FirstMatch(rules, k)
-	if hit < 0 {
+	want := flowspace.Rule{ID: AuthorityEntryRuleID(entry.ID), Priority: entry.Priority}
+	hit := sort.Search(len(rules), func(i int) bool { return !rules[i].Precedes(&want) })
+	if hit == len(rules) || want.Precedes(&rules[hit]) {
 		return MissResult{}
 	}
 	r := &rules[hit]
 
-	var mods []proto.FlowMod
-	if a.Strategy == StrategyDependent {
-		// The matched rule plus everything above it that overlaps — cached
-		// verbatim (already clipped to the partition), so the ingress cache
-		// reproduces the partition's semantics for this region.
-		deps := a.dependencies(hit)
-		mods = make([]proto.FlowMod, 1, 1+len(deps))
-		mods[0] = a.cacheMod(*r)
-		for _, j := range deps {
-			mods = append(mods, a.cacheMod(rules[j]))
-		}
-	} else {
-		match, ok := flowspace.Match{}, false
+	// StrategyDependent caches the matched rule and everything above it
+	// that overlaps verbatim; the others generate one match.
+	match := r.Match
+	if a.Strategy != StrategyDependent {
+		ok := false
 		if a.Strategy == StrategyCover {
-			match, ok = a.cover(hit, &k)
+			match, ok = a.cover(hit, k)
 		}
 		if !ok { // StrategyExact, or a packet outside the region
-			match = exactMatch(k)
+			match = exactMatch(*k)
 		}
-		mods = []proto.FlowMod{a.cacheMod(flowspace.Rule{
-			ID: a.allocID(r.ID), Priority: r.Priority, Match: match, Action: r.Action})}
+	}
+	mods, ok := a.minted[match]
+	if !ok {
+		own := *r
+		if a.Strategy != StrategyDependent {
+			own.ID, own.Match = a.allocID(r.ID), match
+		}
+		mods = []proto.FlowMod{a.cacheMod(own)}
+		if a.Strategy == StrategyDependent {
+			for _, j := range a.dependencies(hit) { // already clipped to the partition
+				mods = append(mods, a.cacheMod(rules[j]))
+			}
+		}
+		if len(a.minted) >= memoCap {
+			clear(a.minted)
+		}
+		a.minted[match] = mods
 	}
 	a.CacheRulesSent += uint64(len(mods))
 	return MissResult{Rule: *r, CacheMods: mods, OK: true}
@@ -230,13 +243,14 @@ func (a *Authority) cacheMod(r flowspace.Rule) proto.FlowMod {
 		Idle: a.CacheIdleTimeout, Hard: a.CacheHardTimeout}
 }
 
-// dependencies returns deps[hit], filling it on first use.
+// dependencies returns deps[hit], filling it on first use: the rules are in
+// TCAM order, so everything rule hit can depend on is in the slice up to it.
 func (a *Authority) dependencies(hit int) []int {
 	if a.deps == nil {
 		a.deps = make([][]int, len(a.Partition.Rules))
 	}
 	if a.deps[hit] == nil {
-		a.deps[hit] = append([]int{}, flowspace.DependentSet(a.Partition.Rules, hit)...)
+		a.deps[hit] = append([]int{}, flowspace.DependentSet(a.Partition.Rules[:hit+1], hit)...)
 	}
 	return a.deps[hit]
 }
@@ -247,7 +261,7 @@ func (a *Authority) dependencies(hit int) []int {
 func (a *Authority) cover(hit int, k *flowspace.Key) (flowspace.Match, bool) {
 	rules := a.Partition.Rules
 	cover, ok := rules[hit].Match.Intersect(a.Partition.Region)
-	if !ok || !cover.Matches(*k) {
+	if !ok || !cover.Holds(k) {
 		return flowspace.Match{}, false
 	}
 	for _, j := range a.dependencies(hit) {

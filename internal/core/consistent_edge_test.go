@@ -100,7 +100,7 @@ func TestOverlappingConsistentUpdatesStageDisjointGenerations(t *testing.T) {
 
 // TestConsistentUpdateRacingRebalance: a load rebalance firing between a
 // consistent update's install and switch phases must not lose packets, and
-// Reconcile must repair the TCAM divergence the interleaving leaves behind.
+// must leave the authority TCAMs holding the assignment that commits.
 func TestConsistentUpdateRacingRebalance(t *testing.T) {
 	g := topo.Linear(5, 0.001)
 	policy := testNetPolicy()
@@ -139,14 +139,12 @@ func TestConsistentUpdateRacingRebalance(t *testing.T) {
 	if c.PolicyVersion != 1 {
 		t.Fatalf("version = %d, want 1", c.PolicyVersion)
 	}
-	// The interleaving leaves the authority TCAMs out of sync with the
-	// committed assignment (the rebalance rewrote them from the old one);
-	// Reconcile repairs that, and a second pass finds nothing left to do.
-	installed, _ := c.Reconcile()
-	if installed == 0 {
-		t.Fatal("expected Reconcile to repair the diverged authority TCAMs")
-	}
-	if i2, d2 := c.Reconcile(); i2 != 0 || d2 != 0 {
-		t.Fatalf("Reconcile not idempotent: %d installed, %d deleted on second pass", i2, d2)
+	// The rebalance rewrote the running generation's authority rules and
+	// left the staged one alone, so the TCAMs hold exactly the committed
+	// assignment (they are what answered the misses above) and Reconcile
+	// finds nothing to repair. A rebalance that wiped the staged generation
+	// with the rest would show above as holes, and here as installs.
+	if installed, deleted := c.Reconcile(); installed != 0 || deleted != 0 {
+		t.Fatalf("authority TCAMs diverged from the committed assignment: Reconcile installed %d, deleted %d", installed, deleted)
 	}
 }

@@ -116,3 +116,41 @@ func TestConsistentUpdateVersionsAreSequential(t *testing.T) {
 		t.Fatalf("version = %d", c.PolicyVersion)
 	}
 }
+
+// The authority switch's TCAM answers the miss, and between phases 1 and 3
+// it holds two generations. A handler must see its own band alone: before
+// the switch a staged rule answers nothing, however high its priority, and
+// after it the rule it replaces answers nothing either.
+func TestConsistentUpdateAnswersFromOwnGeneration(t *testing.T) {
+	n, c := consistentNet(t)
+	deny := denyPolicy()
+	deny[0].Priority = 100 // would beat the running permit in a shared lookup
+	switchAt, cleanupAt, err := c.UpdatePolicyConsistent(deny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	installAt := switchAt - c.PolicyPushDelay
+	mid := (installAt + switchAt) / 2
+	n.InjectPacket(mid, 0, flowKey(1, 80), 100, 0)
+	n.Run(mid + 0.04)
+	if got := n.Switches[1].Table(proto.TableAuthority).Len(); got != 2 {
+		t.Fatalf("authority table holds %d rules mid-update, want both generations", got)
+	}
+	if n.M.Delivered != 1 || n.M.Drops.Policy != 0 {
+		t.Fatalf("a miss before the switch must follow the old policy: delivered %d, drops %+v", n.M.Delivered, n.M.Drops)
+	}
+	n.InjectPacket(switchAt+0.01, 0, flowKey(2, 80), 100, 0) // old rule not yet collected
+	n.Run(cleanupAt - 0.01)
+	if got := n.Switches[1].Table(proto.TableAuthority).Len(); got != 2 {
+		t.Fatalf("authority table holds %d rules before cleanup, want both generations", got)
+	}
+	if n.M.Delivered != 1 || n.M.Drops.Policy != 1 || n.M.Drops.Hole != 0 {
+		t.Fatalf("a miss after the switch must follow the new policy: delivered %d, drops %+v", n.M.Delivered, n.M.Drops)
+	}
+	// Each generation's entry counted the one redirect it answered.
+	for _, e := range n.Switches[1].Table(proto.TableAuthority).Entries() {
+		if e.Packets != 1 {
+			t.Fatalf("authority entry %#x matched %d packets, want 1", e.Rule.ID, e.Packets)
+		}
+	}
+}

@@ -136,35 +136,13 @@ func (c *Controller) UpdatePolicyConsistent(policy []flowspace.Rule) (float64, f
 	generation := c.gen << 32
 	staged := stageAssignment(assign, generation)
 	n.Eng.At(installAt, func() {
-		var installed uint64
-		for i, p := range staged.Partitions {
-			for _, host := range staged.ReplicasFor(i) {
-				sw := n.Switches[host]
-				for _, r := range p.Rules {
-					mod := authorityAdd(i, r)
-					_ = sw.ApplyFlowMod(n.Eng.Now(), &mod)
-					n.M.PolicyRuleInstalls++
-					installed++
-				}
-			}
-		}
-		n.noteMods(generation, false, installed)
+		n.noteMods(generation, false, n.installAuthorityRules(staged))
 	})
 	// Phase 2: atomically switch partition rules + handlers + caches.
 	switchAt := installAt + c.PolicyPushDelay
 	n.Eng.At(switchAt, func() {
 		n.Policy = append([]flowspace.Rule(nil), policy...)
-		n.Assignment = staged
-		n.authorityAt = make(map[uint32][]*Authority)
-		for i, p := range staged.Partitions {
-			for _, host := range staged.ReplicasFor(i) {
-				auth := NewAuthority(host, p, n.cfg.Strategy)
-				auth.RegionIndex = i
-				n.configureAuthority(auth)
-				n.authorityAt[host] = append(n.authorityAt[host], auth)
-			}
-		}
-		n.installPartitionRules()
+		n.adopt(staged)
 		for _, sw := range n.Switches {
 			sw.ClearCache()
 		}
@@ -207,10 +185,11 @@ func PoliciesEqual(a, b []flowspace.Rule) bool {
 
 // stageAssignment re-keys every clipped rule ID into a generation band so
 // two policy generations can coexist in one authority TCAM. Priorities are
-// untouched: within a partition's region the rules remain internally
-// consistent, and the old and new generations only ever serve disjoint
-// time windows (the partition-rule switch is the commit point); the
-// handler evaluates its own generation's rule list, not the shared TCAM.
+// untouched: a miss is answered from that shared TCAM, but by a lookup that
+// sees the running generation's band alone (authorityHandle), so a staged
+// rule answers nothing however its priority compares, and the old and new
+// generations only ever serve disjoint time windows (the partition-rule
+// switch, which also moves the band, is the commit point).
 func stageAssignment(a Assignment, generation uint64) Assignment {
 	out := a
 	out.Partitions = make([]Partition, len(a.Partitions))
@@ -258,7 +237,6 @@ func (c *Controller) InvalidateHost(ip uint32) int {
 func (n *Network) reinstall(policy []flowspace.Rule, assign Assignment) {
 	n.Policy = append([]flowspace.Rule(nil), policy...)
 	n.Assignment = assign
-	n.authorityAt = make(map[uint32][]*Authority)
 	everything := func(tcam.Entry) bool { return true }
 	for _, sw := range n.Switches {
 		// Drop all derived state: caches, authority rules, partition rules.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -75,9 +76,14 @@ func referenceMiss(p Partition, strat CacheStrategy, k flowspace.Key) (flowspace
 }
 
 // checkAgainstReference holds a's answers for keys to referenceMiss over
-// ref, mod for mod, and the minted IDs to their origin and to uniqueness.
-func checkAgainstReference(t *testing.T, a *Authority, ref Partition, keys []flowspace.Key, minted map[uint64]bool) {
+// ref, mod for mod, and the minted IDs to their origin and to being minted
+// once per generated match: two keys share an ID iff their matches are
+// equal. minted, ID → match, lives as long as a does (an ID never comes to
+// stand for a second match); the converse is held per call, since a timeout
+// change between two calls has every match minted afresh.
+func checkAgainstReference(t *testing.T, a *Authority, ref Partition, keys []flowspace.Key, minted map[uint64]flowspace.Match) {
 	t.Helper()
+	idOf := make(map[flowspace.Match]uint64)
 	for _, k := range keys {
 		rule, want := referenceMiss(ref, a.Strategy, k)
 		res := a.HandleMiss(k)
@@ -94,11 +100,17 @@ func checkAgainstReference(t *testing.T, a *Authority, ref Partition, keys []flo
 			}
 			got := mod.Rule
 			if a.Strategy != StrategyDependent {
-				if origin, ok := a.OriginOf(got.ID); !ok || origin != rule.ID || minted[got.ID] {
-					t.Fatalf("%v key %v: minted ID %#x origin %d ok=%v reused=%v, want origin %d",
-						a.Strategy, k, got.ID, origin, ok, minted[got.ID], rule.ID)
+				if origin, ok := a.OriginOf(got.ID); !ok || origin != rule.ID {
+					t.Fatalf("%v key %v: minted ID %#x origin %d ok=%v, want origin %d",
+						a.Strategy, k, got.ID, origin, ok, rule.ID)
 				}
-				minted[got.ID] = true
+				if m, seen := minted[got.ID]; seen && m != got.Match {
+					t.Fatalf("%v key %v: ID %#x minted for %v and again for %v", a.Strategy, k, got.ID, m, got.Match)
+				}
+				if id, seen := idOf[got.Match]; seen && id != got.ID {
+					t.Fatalf("%v key %v: match %v minted as %#x and again as %#x", a.Strategy, k, got.Match, id, got.ID)
+				}
+				minted[got.ID], idOf[got.Match] = got.Match, got.ID
 				got.ID = 0
 			}
 			if got != want[i] {
@@ -108,10 +120,11 @@ func checkAgainstReference(t *testing.T, a *Authority, ref Partition, keys []flo
 	}
 }
 
-// The miss path — one first-match pass, then a carve over the matched
-// rule's dependency list — must answer exactly as the three whole-list
-// walks it replaced, for every strategy, on rules handed over in TCAM order
-// and in any other, and again after a timeout change flushes the memo.
+// The miss path — one indexed lookup, then a carve over the matched rule's
+// dependency list, minted once per cover — must answer exactly as the three
+// whole-list walks it replaced, for every strategy, on rules handed over in
+// TCAM order and in any other, and again after a timeout change flushes
+// what was minted.
 func TestHandleMissMatchesReference(t *testing.T) {
 	parts := classBenchParts(t)
 	for _, strat := range []CacheStrategy{StrategyCover, StrategyDependent, StrategyExact} {
@@ -128,7 +141,7 @@ func TestHandleMissMatchesReference(t *testing.T) {
 			for _, in := range []Partition{p, shuffled} {
 				a := NewAuthority(7, in, strat)
 				a.RegionIndex = pi
-				minted := make(map[uint64]bool)
+				minted := make(map[uint64]flowspace.Match)
 				checkAgainstReference(t, a, p, keys, minted)
 				a.SetCacheTimeouts(5, 50)
 				checkAgainstReference(t, a, p, keys, minted)
@@ -142,6 +155,38 @@ func TestHandleMissMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// What a miss storm of never-repeated keys mints is bounded by the covers
+// it lands in, not by the packets it sends: an ID, and the originOf entry
+// that lives as long as the Authority does, is spent once per distinct
+// cover (it was once per miss, up to the 2^24 the slot wraps at).
+func TestMintsOncePerCover(t *testing.T) {
+	p := classBenchParts(t)[0]
+	a := NewAuthority(1, p, StrategyCover)
+	a.RegionIndex = 0
+	covers := make(map[flowspace.Match]uint64)
+	for _, k := range keysInside(rand.New(rand.NewSource(3)), p, 100_000) {
+		res := a.HandleMiss(k)
+		if !res.OK || len(res.CacheMods) != 1 {
+			t.Fatalf("key %v: %+v", k, res)
+		}
+		r := res.CacheMods[0].Rule
+		if id, seen := covers[r.Match]; seen && id != r.ID {
+			t.Fatalf("cover %v minted as %#x and again as %#x", r.Match, id, r.ID)
+		}
+		covers[r.Match] = r.ID
+	}
+	if len(covers) >= memoCap {
+		t.Fatalf("%d distinct covers reach memoCap: the flush would re-mint some, pick fewer keys", len(covers))
+	}
+	if len(a.originOf) != len(covers) {
+		t.Fatalf("100k misses in %d distinct covers left %d minted IDs", len(covers), len(a.originOf))
+	}
+	t.Logf("100k misses, %d distinct covers, %d minted IDs", len(covers), len(a.originOf))
+	if a.Misses != 100_000 || a.CacheRulesSent != 100_000 {
+		t.Fatalf("misses %d, cache rules sent %d, want 100000 each", a.Misses, a.CacheRulesSent)
 	}
 }
 
@@ -175,19 +220,34 @@ func TestCacheIDsStayInSlotPastWrap(t *testing.T) {
 	}
 }
 
-// BenchmarkHandleMiss is one non-memoized miss on the miss-storm shape:
-// never-repeated keys (the pool is eight memo flushes long, so no key is
-// still memoized when it comes round again) against a ~512-rule partition.
+// BenchmarkHandleMiss is one miss of a storm in full swing — the lookup in
+// the authority table, the carve, the minted-cover probe — against the
+// miss-storm shape's ~600-rule partition, whose few thousand covers are all
+// minted after one pass, and against a 10,000-rule one, where the lookup is
+// the index's 10k cost and the key pool lands in more covers than memoCap
+// holds, so about half the misses mint again. One pass over the keys before
+// the clock starts builds the table and the dependency lists, as a
+// deployment's first seconds do.
 func BenchmarkHandleMiss(b *testing.B) {
-	p := classBenchParts(b)[0]
-	keys := keysInside(rand.New(rand.NewSource(1)), p, 8*memoCap)
-	a := NewAuthority(1, p, StrategyCover)
-	a.RegionIndex = 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := a.HandleMiss(keys[i%len(keys)]); !res.OK {
-			b.Fatal("policy hole")
-		}
+	big := Partition{Region: flowspace.MatchAll(), Rules: workload.ClassBenchLike(workload.ACLConfig{
+		Rules: 10000, MaxDepth: 4, PortRangeFrac: 0.1, DropFrac: 0.1,
+		Egresses: []uint32{1, 2, 3, 4}, Seed: 42,
+	})}
+	for _, p := range []Partition{classBenchParts(b)[0], big} {
+		b.Run(fmt.Sprint(len(p.Rules)), func(b *testing.B) {
+			keys := keysInside(rand.New(rand.NewSource(1)), p, 8*memoCap)
+			a := NewAuthority(1, p, StrategyCover)
+			a.RegionIndex = 0
+			for _, k := range keys {
+				a.HandleMiss(k)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := a.HandleMiss(keys[i%len(keys)]); !res.OK {
+					b.Fatal("policy hole")
+				}
+			}
+		})
 	}
 }

@@ -222,9 +222,11 @@ type Network struct {
 	Topo *topo.Graph
 
 	Switches map[uint32]*switchsim.Switch
-	// authorityAt lists the Authority partition handlers hosted by each
-	// authority switch (primaries and backup replicas).
-	authorityAt map[uint32][]*Authority
+	// authorityAt holds the Authority partition handlers (primaries and
+	// backup replicas) under what an authority-table hit names them by;
+	// generation is the band their rules carry in those tables.
+	authorityAt map[authorityKey]*Authority
+	generation  uint64
 	authSt      map[uint32]*sim.Station
 
 	Assignment Assignment
@@ -274,15 +276,14 @@ func NewNetwork(g *topo.Graph, authorities []uint32, policy []flowspace.Rule, cf
 		return nil, err
 	}
 	n := &Network{
-		Eng:         sim.New(),
-		Topo:        g,
-		Switches:    make(map[uint32]*switchsim.Switch),
-		authorityAt: make(map[uint32][]*Authority),
-		authSt:      make(map[uint32]*sim.Station),
-		Assignment:  assign,
-		Policy:      append([]flowspace.Rule(nil), policy...),
-		cfg:         cfg,
-		LinkLoads:   make(LinkLoads),
+		Eng:        sim.New(),
+		Topo:       g,
+		Switches:   make(map[uint32]*switchsim.Switch),
+		authSt:     make(map[uint32]*sim.Station),
+		Assignment: assign,
+		Policy:     append([]flowspace.Rule(nil), policy...),
+		cfg:        cfg,
+		LinkLoads:  make(LinkLoads),
 	}
 	if cfg.CacheEviction == EvictCostAware {
 		n.cachePol = cachepolicy.New(cachepolicy.Config{})
@@ -328,10 +329,6 @@ func (n *Network) installAssignment() {
 	n.applyAssignment(n.Assignment)
 }
 
-func clearAuthorityTable(sw *switchsim.Switch) int {
-	return sw.Table(proto.TableAuthority).DeleteWhere(func(tcam.Entry) bool { return true })
-}
-
 // authorityBandShift places the partition band of an authority-table entry
 // ID above both the 32-bit policy-rule ID and the generation band that
 // consistent updates OR in at bit 32.
@@ -352,9 +349,19 @@ func AuthorityEntryRuleID(entry uint64) uint64 {
 	return entry & (1<<authorityBandShift - 1)
 }
 
-// authorityAdd builds the FlowMod installing partition part's clip r into
+// AuthorityEntryPartition recovers the partition index banded into an
+// authority-TCAM entry ID (−1 for an ID that carries none).
+func AuthorityEntryPartition(entry uint64) int {
+	return int(entry>>authorityBandShift) - 1
+}
+
+// generationMask covers the generation band of an authority-TCAM entry ID,
+// between the 32-bit policy rule ID and the partition band (stageAssignment).
+const generationMask uint64 = (1<<authorityBandShift - 1) &^ 0xFFFFFFFF
+
+// AuthorityAdd builds the FlowMod installing partition part's clip r into
 // an authority TCAM, re-keyed so clips from different partitions coexist.
-func authorityAdd(part int, r flowspace.Rule) proto.FlowMod {
+func AuthorityAdd(part int, r flowspace.Rule) proto.FlowMod {
 	r.ID = AuthorityEntryID(part, r.ID)
 	return proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Rule: r}
 }
@@ -454,15 +461,32 @@ func (n *Network) orderByDistance(from uint32, hosts []uint32) (near, far uint32
 	return near, far
 }
 
-// authorityFor finds the partition handler for key k at authority switch
-// id, or nil.
-func (n *Network) authorityFor(id uint32, k flowspace.Key) *Authority {
-	for _, a := range n.authorityAt[id] {
-		if a.Partition.Region.Matches(k) {
-			return a
+// authorityKey names a partition handler by its host and partition index.
+type authorityKey struct {
+	host uint32
+	part int
+}
+
+// adopt makes assign, whose authority rules are installed, the running
+// assignment: fresh miss handlers, one per partition and replica host, the
+// generation band of the authority tables they answer from, and partition
+// rules that redirect to them.
+func (n *Network) adopt(assign Assignment) {
+	n.Assignment = assign
+	n.authorityAt = make(map[authorityKey]*Authority)
+	n.generation = 0
+	for i, p := range assign.Partitions {
+		if len(p.Rules) > 0 {
+			n.generation = p.Rules[0].ID & generationMask
+		}
+		for _, host := range assign.ReplicasFor(i) {
+			auth := NewAuthority(host, p, n.cfg.Strategy)
+			auth.RegionIndex = i
+			n.configureAuthority(auth)
+			n.authorityAt[authorityKey{host, i}] = auth
 		}
 	}
-	return nil
+	n.installPartitionRules()
 }
 
 // PacketIn is one packet handed to a deployment for injection — the
@@ -590,13 +614,22 @@ func (n *Network) redirect(injected float64, ingress, authority uint32, k flowsp
 
 func (n *Network) authorityHandle(injected float64, ingress, authority uint32, k flowspace.Key, size int, seq uint64, dIA float64, trace uint64) {
 	now := n.Eng.Now()
-	auth := n.authorityFor(authority, k)
-	if auth == nil {
-		n.M.Drops.Hole++
-		n.finish(VerdictHole, authority, k, seq, 0, false, trace, 0)
-		return
+	// The switch's authority table says which rule, looking in the running
+	// generation's band alone (what a consistent update has staged beside
+	// it, or not yet collected, answers nothing); the hit's partition band
+	// names the handler that generates the cache rules.
+	var auth *Authority
+	var res MissResult
+	sw := n.Switches[authority]
+	v := sw.Table(proto.TableAuthority).AcquireView()
+	entry := v.LookupBand(now, &k, size, generationMask, n.generation)
+	v.Release()
+	if entry != nil {
+		sw.Stats.AuthorityHits.Add(1)
+		if auth = n.authorityAt[authorityKey{authority, AuthorityEntryPartition(entry.ID)}]; auth != nil {
+			res = auth.Answer(entry, &k)
+		}
 	}
-	res := auth.HandleMiss(k)
 	if !res.OK {
 		n.M.Drops.Hole++
 		n.finish(VerdictHole, authority, k, seq, 0, false, trace, 0)
@@ -611,12 +644,6 @@ func (n *Network) authorityHandle(injected float64, ingress, authority uint32, k
 		// paid; the return leg roughly mirrors it.
 		n.cachePol.ObserveRedirect(auth.RegionIndex, now-injected)
 		n.cachePol.ObserveTraffic(auth.RegionIndex, 0, 1)
-	}
-	// Register the hit on the authority switch's TCAM so its counters
-	// reflect the redirected traffic it serves.
-	if sw := n.Switches[authority]; sw != nil {
-		sw.Table(proto.TableAuthority).Lookup(now, k, size)
-		sw.Stats.AuthorityHits.Add(1)
 	}
 	// Install cache rules at the ingress switch after the control path.
 	if len(res.CacheMods) > 0 {
@@ -755,8 +782,10 @@ func (n *Network) AuthorityLoad() map[uint32]int { return n.Assignment.LoadPerAu
 // and backup replicas), for statistics aggregation.
 func (n *Network) AllAuthorities() []*Authority {
 	var out []*Authority
-	for _, id := range n.Topo.Nodes() {
-		out = append(out, n.authorityAt[uint32(id)]...)
+	for i := range n.Assignment.Partitions {
+		for _, host := range n.Assignment.ReplicasFor(i) {
+			out = append(out, n.authorityAt[authorityKey{host, i}])
+		}
 	}
 	return out
 }

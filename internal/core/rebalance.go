@@ -3,6 +3,8 @@ package core
 import (
 	"sort"
 
+	"difane/internal/proto"
+	"difane/internal/tcam"
 	"difane/internal/topo"
 )
 
@@ -21,16 +23,8 @@ func (n *Network) MeasurePartitionLoad() []PartitionLoad {
 	for i := range loads {
 		loads[i].Partition = i
 	}
-	for _, auths := range n.authorityAt {
-		for _, a := range auths {
-			// Identify which partition this handler serves by region.
-			for i := range n.Assignment.Partitions {
-				if n.Assignment.Partitions[i].Region == a.Partition.Region {
-					loads[i].Misses += a.Misses
-					break
-				}
-			}
-		}
+	for at, a := range n.authorityAt {
+		loads[at.part].Misses += a.Misses
 	}
 	return loads
 }
@@ -38,10 +32,8 @@ func (n *Network) MeasurePartitionLoad() []PartitionLoad {
 // AuthorityMissLoad sums handled misses per authority switch.
 func (n *Network) AuthorityMissLoad() map[uint32]uint64 {
 	out := make(map[uint32]uint64)
-	for host, auths := range n.authorityAt {
-		for _, a := range auths {
-			out[host] += a.Misses
-		}
+	for at, a := range n.authorityAt {
+		out[at.host] += a.Misses
 	}
 	return out
 }
@@ -151,28 +143,30 @@ func (c *Controller) RebalanceByLoad() int {
 // applyAssignment swaps authority state and partition rules to a new
 // assignment without touching ingress caches.
 func (n *Network) applyAssignment(assign Assignment) {
-	now := n.Eng.Now()
-	// Tear down old authority tables and handlers.
-	for host := range n.authorityAt {
-		if sw := n.Switches[host]; sw != nil {
-			n.M.PolicyRuleDeletes += uint64(clearAuthorityTable(sw))
-		}
+	// Tear down the running generation's authority rules. One a consistent
+	// update has staged beside it is not this assignment's to remove: once
+	// the update commits, its handlers answer from those entries alone.
+	for host := range n.authSt {
+		n.M.PolicyRuleDeletes += uint64(n.Switches[host].Table(proto.TableAuthority).DeleteWhere(func(e tcam.Entry) bool {
+			return e.Rule.ID&generationMask == n.generation
+		}))
 	}
-	n.Assignment = assign
-	n.authorityAt = make(map[uint32][]*Authority)
+	n.installAuthorityRules(assign)
+	n.adopt(assign)
+}
+
+// installAuthorityRules installs every partition's clipped rules at each of
+// its replica hosts, and returns how many FlowMods that took.
+func (n *Network) installAuthorityRules(assign Assignment) (installed uint64) {
 	for i, p := range assign.Partitions {
 		for _, host := range assign.ReplicasFor(i) {
-			auth := NewAuthority(host, p, n.cfg.Strategy)
-			auth.RegionIndex = i
-			n.configureAuthority(auth)
-			n.authorityAt[host] = append(n.authorityAt[host], auth)
-			sw := n.Switches[host]
 			for _, r := range p.Rules {
-				mod := authorityAdd(i, r)
-				_ = sw.ApplyFlowMod(now, &mod)
-				n.M.PolicyRuleInstalls++
+				mod := AuthorityAdd(i, r)
+				_ = n.Switches[host].ApplyFlowMod(n.Eng.Now(), &mod)
+				installed++
 			}
 		}
 	}
-	n.installPartitionRules()
+	n.M.PolicyRuleInstalls += installed
+	return installed
 }

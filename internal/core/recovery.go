@@ -221,10 +221,9 @@ func (c *Controller) Reconcile() (installed, deleted int) {
 	// Partition rules use fixed per-partition IDs; anything beyond the
 	// current partition count is a leftover from a larger old assignment.
 	maxPartID := partitionIDBase + uint64(2*len(n.Assignment.Partitions))
-	// Iterate switches and desired rules in sorted order: with a
-	// capacity-bounded authority table, install order decides which rules
-	// land before ErrFull, so map-ordered iteration would make recovery
-	// nondeterministic across runs of the same seed.
+	// Iterate switches and desired rules in sorted order, so the FlowMods,
+	// and the install events and index they leave behind, come out the same
+	// on every run of the same seed: map-ordered iteration would not do that.
 	swIDs := make([]uint32, 0, len(n.Switches))
 	for id := range n.Switches {
 		swIDs = append(swIDs, id)
@@ -260,18 +259,8 @@ func (c *Controller) Reconcile() (installed, deleted int) {
 	}
 	n.M.PolicyRuleInstalls += uint64(installed)
 	n.M.PolicyRuleDeletes += uint64(deleted)
-	// Rebuild the miss handlers from the recovered assignment and refresh
-	// partition rules (fixed IDs replace in place — churn-free when the
-	// targets are unchanged).
-	n.authorityAt = make(map[uint32][]*Authority)
-	for i, p := range n.Assignment.Partitions {
-		for _, host := range n.Assignment.ReplicasFor(i) {
-			auth := NewAuthority(host, p, n.cfg.Strategy)
-			auth.RegionIndex = i
-			n.configureAuthority(auth)
-			n.authorityAt[host] = append(n.authorityAt[host], auth)
-		}
-	}
-	n.installPartitionRules()
+	// Fresh miss handlers for the recovered assignment, and its partition
+	// rules (fixed IDs replace in place: no churn when targets are unchanged).
+	n.adopt(n.Assignment)
 	return installed, deleted
 }

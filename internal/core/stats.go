@@ -43,11 +43,9 @@ func (n *Network) PolicyCounters() []RuleCounters {
 		if id < cacheIDBase {
 			return id, true
 		}
-		for _, auths := range n.authorityAt {
-			for _, a := range auths {
-				if origin, ok := a.OriginOf(id); ok && origin != id {
-					return origin, true
-				}
+		for _, a := range n.authorityAt {
+			if origin, ok := a.OriginOf(id); ok && origin != id {
+				return origin, true
 			}
 		}
 		return 0, false

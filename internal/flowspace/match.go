@@ -36,14 +36,7 @@ func (m Match) WithPrefix(f FieldID, v uint64, plen uint) Match {
 type Key [NumFields]uint64
 
 // Matches reports whether the concrete header k satisfies m.
-func (m Match) Matches(k Key) bool {
-	for i := range m.Fields {
-		if (k[i]^m.Fields[i].Value)&m.Fields[i].Mask != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (m Match) Matches(k Key) bool { return m.Holds(&k) }
 
 // Overlaps reports whether some header satisfies both matches.
 func (m Match) Overlaps(o Match) bool {
@@ -55,11 +48,10 @@ func (m Match) Overlaps(o Match) bool {
 	return true
 }
 
-// holds and meets are Matches and Overlaps by pointer, for the walks over a
-// rule table: by value, inlined or not, each call copies a 160-byte Match.
-// (The value methods keep bodies of their own: written as calls to these,
-// they compile to the copy and then the call.)
-func (m *Match) holds(k *Key) bool {
+// Holds and meets are Matches and Overlaps by pointer, for the walks over a
+// rule table (here and in internal/tcam): by value, inlined or not, each
+// call copies a 160-byte Match.
+func (m *Match) Holds(k *Key) bool {
 	for i := range m.Fields {
 		if (k[i]^m.Fields[i].Value)&m.Fields[i].Mask != 0 {
 			return false

@@ -68,17 +68,12 @@ func (r Rule) String() string {
 }
 
 // Before reports whether r is examined before o in a TCAM holding both.
-func (r Rule) Before(o Rule) bool {
-	if r.Priority != o.Priority {
-		return r.Priority > o.Priority
-	}
-	return r.ID < o.ID
-}
+func (r Rule) Before(o Rule) bool { return r.Precedes(&o) }
 
-// before is Before by pointer, for the table walks below: a Rule is 200
-// bytes, and copying two per comparison was most of a walk. (Before keeps a
-// body of its own for the reason Match.Matches does.)
-func before(r, o *Rule) bool {
+// Precedes is Before by pointer, and the one definition of TCAM order, for
+// the table walks here and in internal/tcam: a Rule is 200 bytes, and
+// copying two per comparison was most of a walk.
+func (r *Rule) Precedes(o *Rule) bool {
 	if r.Priority != o.Priority {
 		return r.Priority > o.Priority
 	}
@@ -90,25 +85,13 @@ func SortRules(rs []Rule) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Before(rs[j]) })
 }
 
-// FirstMatch returns the index of the first rule of rs, which must be in
-// TCAM order (SortRules), that matches k — the rule EvalTable finds, at one
-// test per rule and no copy — or -1 if none does.
-func FirstMatch(rs []Rule, k Key) int {
-	for i := range rs {
-		if rs[i].Match.holds(&k) {
-			return i
-		}
-	}
-	return -1
-}
-
 // EvalTable returns the highest-priority rule in rs (any order) matching k,
 // or false if none matches. It is the semantic reference against which all
 // faster lookup structures are tested.
 func EvalTable(rs []Rule, k Key) (Rule, bool) {
 	best := -1
 	for i := range rs {
-		if rs[i].Match.holds(&k) && (best < 0 || before(&rs[i], &rs[best])) {
+		if rs[i].Match.Holds(&k) && (best < 0 || rs[i].Precedes(&rs[best])) {
 			best = i
 		}
 	}
@@ -124,7 +107,7 @@ func EvalTable(rs []Rule, k Key) (Rule, bool) {
 func Shadowed(rs []Rule, i int) bool {
 	pieces := []Match{rs[i].Match}
 	for j := range rs {
-		if j == i || !before(&rs[j], &rs[i]) {
+		if j == i || !rs[j].Precedes(&rs[i]) {
 			continue
 		}
 		var next []Match
@@ -146,7 +129,7 @@ func Shadowed(rs []Rule, i int) bool {
 func DependentSet(rs []Rule, i int) []int {
 	var deps []int
 	for j := range rs {
-		if j != i && before(&rs[j], &rs[i]) && rs[j].Match.meets(&rs[i].Match) {
+		if j != i && rs[j].Precedes(&rs[i]) && rs[j].Match.meets(&rs[i].Match) {
 			deps = append(deps, j)
 		}
 	}
@@ -163,11 +146,11 @@ func DependentSet(rs []Rule, i int) []int {
 // each such rule in turn, keeping only the piece that holds k.
 func CoverFor(rs []Rule, hit int, clip Match, k Key) (Match, bool) {
 	cover, ok := rs[hit].Match.Intersect(clip)
-	if !ok || !cover.holds(&k) {
+	if !ok || !cover.Holds(&k) {
 		return Match{}, false
 	}
 	for j := range rs {
-		if j != hit && before(&rs[j], &rs[hit]) && !cover.Carve(&rs[j].Match, &k) {
+		if j != hit && rs[j].Precedes(&rs[hit]) && !cover.Carve(&rs[j].Match, &k) {
 			return Match{}, false
 		}
 	}

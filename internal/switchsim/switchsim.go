@@ -74,8 +74,6 @@ type Config struct {
 	// ordering with a custom picker (cost-aware caching). Like the tcam
 	// hooks, set it before the switch is shared across goroutines.
 	CacheVictim tcam.VictimFunc
-	// AuthorityCapacity bounds the authority table (0 = unlimited).
-	AuthorityCapacity int
 	// TCAMBudget, when >0, bounds the switch's *total* TCAM occupancy: one
 	// physical table holds cache, authority, and partition rules, so the
 	// cache's capacity is continuously derived as budget minus the
@@ -90,7 +88,7 @@ func New(id uint32, cfg Config) *Switch {
 	s := &Switch{
 		ID:         id,
 		cache:      tcam.New(fmt.Sprintf("sw%d/cache", id), cfg.CacheCapacity, cfg.CacheEviction),
-		authority:  tcam.New(fmt.Sprintf("sw%d/authority", id), cfg.AuthorityCapacity, tcam.EvictNone),
+		authority:  tcam.New(fmt.Sprintf("sw%d/authority", id), 0, tcam.EvictNone),
 		partition:  tcam.New(fmt.Sprintf("sw%d/partition", id), 0, tcam.EvictNone),
 		tcamBudget: cfg.TCAMBudget,
 		cacheCap:   cfg.CacheCapacity,

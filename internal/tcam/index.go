@@ -54,7 +54,7 @@ func (n *node) kid(m *flowspace.Match) int {
 
 // position returns where e sits, or belongs, among slots by TCAM order.
 func position(slots []slot, e *entry) int {
-	return sort.Search(len(slots), func(i int) bool { return !slots[i].e.rule.Before(e.rule) })
+	return sort.Search(len(slots), func(i int) bool { return !slots[i].e.rule.Precedes(&e.rule) })
 }
 
 func (n *node) insert(e *entry) {
@@ -190,23 +190,26 @@ func (n *node) split() {
 }
 
 // find returns the first entry in TCAM order matching k among best and
-// the subtree's rules: at each inner node it searches the child the key's
-// bit selects, then carries on down the wildcard child.
-func (n *node) find(k *flowspace.Key, best *entry) *entry {
+// the subtree's rules whose ID reads band under bandMask (a zero mask takes
+// every rule): at each inner node it searches the child the key's bit
+// selects, then carries on down the wildcard child. Compares go through
+// pointers: by value, each slot tested copies a 160-byte Match and an
+// 80-byte Key, each order test two 200-byte Rules.
+func (n *node) find(k *flowspace.Key, best *entry, bandMask, band uint64) *entry {
 	for n.mask != 0 {
 		side := 0
 		if k[n.field]&n.mask != 0 {
 			side = 1
 		}
-		best = n.kids[side].find(k, best)
+		best = n.kids[side].find(k, best, bandMask, band)
 		n = n.kids[2]
 	}
-	if best != nil && len(n.slots) > 0 && !n.slots[0].e.rule.Before(best.rule) {
+	if best != nil && len(n.slots) > 0 && !n.slots[0].e.rule.Precedes(&best.rule) {
 		return best // the leaf is in TCAM order: nothing in it beats best
 	}
 	for i := range n.slots {
-		if n.slots[i].match.Matches(*k) {
-			if e := n.slots[i].e; best == nil || e.rule.Before(best.rule) {
+		if e := n.slots[i].e; n.slots[i].match.Holds(k) && e.rule.ID&bandMask == band {
+			if best == nil || e.rule.Precedes(&best.rule) {
 				return e
 			}
 			break

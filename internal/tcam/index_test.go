@@ -306,7 +306,7 @@ func TestChurnKeepsIndexShallow(t *testing.T) {
 			k := keyIn(rng, policy[rng.Intn(len(policy))].Match)
 			kept += slotsCompared(tb.root, k)
 			rebuilt += slotsCompared(fresh, k)
-			if got, want := tb.root.find(&k, nil), fresh.find(&k, nil); got != want {
+			if got, want := tb.root.find(&k, nil, 0, 0), fresh.find(&k, nil, 0, 0); got != want {
 				t.Fatalf("cycle %d key %v: kept index finds %v, fresh one %v", i, k, got, want)
 			}
 		}

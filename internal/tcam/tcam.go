@@ -464,7 +464,7 @@ func (t *Table) dropLocked(doomed func(*entry) bool) []*entry {
 
 // tcamOrder sorts entries highest priority first.
 func tcamOrder(a, b *entry) int {
-	if a.rule.Before(b.rule) {
+	if a.rule.Precedes(&b.rule) {
 		return -1
 	}
 	return 1
@@ -626,16 +626,28 @@ func (t *Table) AcquireView() View {
 // immediately (they are atomics), table-level hit/miss tallies accumulate
 // locally until Release.
 func (v *View) Lookup(now float64, k flowspace.Key, size int) (flowspace.Rule, bool) {
-	e := v.t.root.find(&k, nil)
+	if r := v.LookupBand(now, &k, size, 0, 0); r != nil {
+		return *r, true
+	}
+	return flowspace.Rule{}, false
+}
+
+// LookupBand is Lookup among the entries whose rule ID reads band under
+// mask — rule sets that share one table and are told apart by a band of
+// their IDs, each looked up as if it were alone; a zero mask takes every
+// entry. It returns the entry's own rule, nil on a miss: an installed rule
+// never changes, so the pointer may outlive the view, but is read-only.
+func (v *View) LookupBand(now float64, k *flowspace.Key, size int, mask, band uint64) *flowspace.Rule {
+	e := v.t.root.find(k, nil, mask, band)
 	if e == nil {
 		v.misses++
-		return flowspace.Rule{}, false
+		return nil
 	}
 	e.packets.Add(1)
 	e.bytes.Add(uint64(size))
 	e.setLastHit(now)
 	v.hits++
-	return e.rule, true
+	return &e.rule
 }
 
 // Release ends the burst: accumulated hit/miss counts land on the table
@@ -656,7 +668,7 @@ func (v *View) Release() {
 func (t *Table) Peek(k flowspace.Key) (flowspace.Rule, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if e := t.root.find(&k, nil); e != nil {
+	if e := t.root.find(&k, nil, 0, 0); e != nil {
 		return e.rule, true
 	}
 	return flowspace.Rule{}, false

@@ -38,7 +38,7 @@ type burstScratch struct {
 	results []switchsim.Result
 
 	// authIdx holds frames[] indices of redirects targeting this switch;
-	// authRes their HandleMiss results, resolved under one node lock.
+	// authRes the authority's answers, resolved under one node lock.
 	authIdx []int
 	authRes []core.MissResult
 
@@ -219,8 +219,10 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 }
 
 // authorityBurst runs the partition logic for the burst's redirected
-// packets. All HandleMiss calls happen under one acquisition of the node
-// lock; installs and forwarding verdicts are applied outside it.
+// packets: the switch's authority table, under one view, says which rule
+// each one matches, and the hit's partition band which handler generates its
+// cache rules — all under one acquisition of the node lock (taken before the
+// table's read lock, never inside it). Installs and verdicts come after both.
 func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []dataFrame) {
 	// Processing redirected packets is the data-plane liveness signal the
 	// redirect-timeout detector watches for; once per burst is enough.
@@ -232,16 +234,18 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []dataFrame) {
 		keys = append(keys, frames[i].pkt.Header.Key())
 	}
 	res := s.authRes[:len(s.authIdx)]
+	now := frameSec(&frames[s.authIdx[0]])
 	n.mu.Lock()
-	for j := range s.authIdx {
+	v := n.sw.Table(proto.TableAuthority).AcquireView()
+	for j, i := range s.authIdx {
 		res[j] = core.MissResult{}
-		for _, a := range n.auths {
-			if a.Partition.Region.Matches(keys[j]) {
-				res[j] = a.HandleMiss(keys[j])
-				break
+		if entry := v.LookupBand(now, &keys[j], frames[i].pkt.Size, 0, 0); entry != nil {
+			if a := n.auths[core.AuthorityEntryPartition(entry.ID)]; a != nil {
+				res[j] = a.Answer(entry, &keys[j])
 			}
 		}
 	}
+	v.Release()
 	n.mu.Unlock()
 	for j, i := range s.authIdx {
 		f := &frames[i]

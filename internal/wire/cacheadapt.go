@@ -80,7 +80,7 @@ func (c *Cluster) cacheAdaptLoop() {
 // adaptCachesWire is one adaptation round: refresh deployment-wide priors
 // from the metric registry, derive per-region inter-arrival times from
 // live cache entry counters, push materially-changed idle timeouts to the
-// authority handlers (under each node's lock — HandleMiss mutates the
+// authority handlers (under each node's lock — Answer mutates the
 // same state), and aggregate near-microflow entries into cover rules.
 func (c *Cluster) adaptCachesWire() {
 	pol := c.cachePol
@@ -113,10 +113,8 @@ func (c *Cluster) adaptCachesWire() {
 		}
 		for _, n := range c.nodes {
 			n.mu.Lock()
-			for _, a := range n.auths {
-				if a.RegionIndex == region {
-					a.SetCacheTimeouts(idle, a.CacheHardTimeout)
-				}
+			if a := n.auths[region]; a != nil {
+				a.SetCacheTimeouts(idle, a.CacheHardTimeout)
 			}
 			n.mu.Unlock()
 		}

@@ -7,6 +7,7 @@ import (
 
 	"difane/internal/core"
 	"difane/internal/flowspace"
+	"difane/internal/proto"
 	"difane/internal/telemetry"
 	"difane/internal/workload"
 )
@@ -159,18 +160,66 @@ func TestRunQuiescesInstalls(t *testing.T) {
 	}
 }
 
+// TestOneCoverOneCacheEntry: a closed-loop window of distinct flows that
+// all fall inside one cover is answered with one cache rule under one ID, so
+// the installs they trigger land on one ingress cache entry (every flow was
+// answered with an ID of its own once, and the ingress held the match that
+// many times), and each redirect is a hit in the authority switch's own
+// authority table, which is what answers it.
+func TestOneCoverOneCacheEntry(t *testing.T) {
+	d := Deploy(startCluster(t, slack(ClusterConfig{
+		Switches:    []uint32{0, 1, 2, 3, 4, 5, 6, 7},
+		Authorities: []uint32{2, 5},
+		Policy:      egressPolicy(),
+		Strategy:    core.StrategyCover,
+		QueueDepth:  4096,
+	})))
+	const flows = 64
+	batch := make([]core.PacketIn, flows)
+	for i := range batch {
+		var k flowspace.Key
+		k[flowspace.FIPSrc], k[flowspace.FTPDst] = uint64(0x0A000001+i), 1003
+		batch[i] = core.PacketIn{Ingress: 0, Key: k, Size: 100}
+	}
+	d.InjectBatch(batch)
+	d.Run(30)
+	m := d.Measurements()
+	if m.Redirects != flows || m.Delivered != flows || m.Drops != (core.Drops{}) {
+		t.Fatalf("redirects %d, delivered %d of %d flows in one window, drops %+v", m.Redirects, m.Delivered, flows, m.Drops)
+	}
+	if got := d.C.CacheLen(0); got != 1 {
+		t.Fatalf("ingress caches %d entries for %d flows inside one cover, want 1", got, flows)
+	}
+	var hits, misses uint64
+	for _, id := range []uint32{2, 5} {
+		tb := d.C.switches[id].sw.Table(proto.TableAuthority)
+		hits, misses = hits+tb.Hits.Load(), misses+tb.Misses.Load()
+	}
+	if hits != flows || misses != 0 {
+		t.Fatalf("authority tables count %d hits and %d misses for %d redirects", hits, misses, flows)
+	}
+	d.InjectBatch(batch)
+	d.Run(30)
+	if m := d.Measurements(); m.Redirects != flows || m.Delivered != 2*flows {
+		t.Fatalf("second window: redirects %d (want %d, all cached), delivered %d", m.Redirects, flows, m.Delivered)
+	}
+}
+
 // missPathAllocBudget is the ceiling on heap allocations per cache-miss
 // packet, counted over the whole process like hitPathAllocBudget: the
-// measured 2.75 rounded up to the next integer. 63% of the packets miss (a
-// cover rule catches some later keys), so a miss costs about 4.4: the
-// authority's answer is two (the FlowMod slice, and the memo and origin
-// maps growing), the install's hand-off to the ingress one (the
-// proto.CacheInstall), the ingress's table insert the rest — its new
-// entry, and now and then a leaf of the index. While that insert also
-// rebuilt the index every 256th eviction this test measured 3.55; while
-// cover synthesis built every piece of every Subtract, 7.99–8.05; with the
-// install relayed through the controller as well, 14.86–14.93.
-const missPathAllocBudget = 3.0
+// measured 1.63 rounded up to the next integer. 63% of the packets miss (a
+// cover rule catches some later keys), so a miss costs about 2.6: the
+// authority's answer allocates nothing for a cover already minted, which
+// most misses of a storm land in (a cover's first miss pays for its FlowMod
+// slice and its map entries), the install's
+// hand-off to the ingress is one (the proto.CacheInstall), the ingress's
+// table insert the rest — its new entry, and now and then a leaf of the
+// index. While every miss minted a cover of its own this test measured
+// 2.75; while that insert also rebuilt the index every 256th eviction,
+// 3.55; while cover synthesis built every piece of every Subtract,
+// 7.99–8.05; with the install relayed through the controller as well,
+// 14.86–14.93.
+const missPathAllocBudget = 2.0
 
 // TestMissPathAllocBudget holds the wire miss path to its allocation
 // budget on the benchmark's miss-storm shape: 1k ClassBench-like rules, a

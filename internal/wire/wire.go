@@ -142,14 +142,16 @@ type node struct {
 	// slot is this node's dense index in Cluster.nodes (cfg.Switches
 	// order); peers address their ring into this node by their own slot.
 	slot int
-	// mu serializes the node's authority-side miss handling (HandleMiss
+	// mu serializes the node's authority-side miss handling (Answer
 	// mutates Authority state). The switch tables themselves are
 	// concurrency-safe (internal/tcam locks each table for itself), so
 	// classification and FlowMod installs take no node lock at all.
 	mu sync.Mutex
 	sw *switchsim.Switch
 
-	auths []*core.Authority
+	// auths holds the handler of each partition this switch hosts, under
+	// the partition's index, which an authority-table hit's ID carries.
+	auths map[int]*core.Authority
 
 	// stats is this node's measurement shard; the hot path records
 	// deliveries and drops here without touching any other node's state.
@@ -351,6 +353,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 				CacheVictim:   c.cacheVictimFn(),
 				TCAMBudget:    cfg.TCAMBudget,
 			}),
+			auths:      make(map[int]*core.Authority),
 			stats:      &nodeStats{},
 			in:         make([]atomic.Pointer[frameRing], len(cfg.Switches)+1),
 			ringDepth:  ringDepth,
@@ -448,13 +451,9 @@ func (c *Cluster) installAssignment() error {
 			auth := core.NewAuthority(h, p, c.cfg.Strategy)
 			auth.RegionIndex = i
 			auth.SetCacheTimeouts(c.cfg.CacheIdle, c.cfg.CacheHard)
-			n.auths = append(n.auths, auth)
+			n.auths[i] = auth
 			for _, r := range p.Rules {
-				// Band the partition index into the entry ID so clips of
-				// the same policy rule from two partitions hosted here
-				// don't replace each other (matches the simulator).
-				r.ID = core.AuthorityEntryID(i, r.ID)
-				mod := proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Rule: r}
+				mod := core.AuthorityAdd(i, r)
 				if err := n.sw.ApplyFlowMod(now, &mod); err != nil {
 					return err
 				}
