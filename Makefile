@@ -103,17 +103,22 @@ soak-diff:
 		-artifacts artifacts -timeout 30m
 
 # Non-test Go lines: the three packages ROADMAP item 8 tracks, their sum,
-# the two rule-table packages it quotes beside them, and the whole repo
-# outside bench/.
+# the two rule-table packages it quotes beside them, the cost-aware caching
+# stack (internal/cachepolicy and the two files that hold it in a
+# deployment) with its sum, and the whole repo outside bench/.
+LOC = find $(1) -name '*.go' ! -name '*_test.go' $(2) -exec cat {} + | wc -l
 loc:
 	@sum=0; for d in internal/wire internal/core internal/telemetry; do \
-		n=$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
-		printf '%-20s %6d\n' $$d $$n; sum=$$((sum + n)); done; \
-	printf '%-20s %6d\n' 'wire+core+telemetry' $$sum; \
+		n=$$($(call LOC,$$d)); \
+		printf '%-28s %6d\n' $$d $$n; sum=$$((sum + n)); done; \
+	printf '%-28s %6d\n' 'wire+core+telemetry' $$sum; \
 	for d in internal/tcam internal/flowspace; do \
-		printf '%-20s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); done; \
-	printf '%-20s %6d\n' 'repo outside bench/' \
-		$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
+		printf '%-28s %6d\n' $$d $$($(call LOC,$$d)); done; \
+	sum=0; for d in internal/cachepolicy internal/core/adapt.go internal/wire/cacheadapt.go; do \
+		n=$$($(call LOC,$$d)); \
+		printf '%-28s %6d\n' $$d $$n; sum=$$((sum + n)); done; \
+	printf '%-28s %6d\n' 'cost-aware stack' $$sum; \
+	printf '%-28s %6d\n' 'repo outside bench/' $$($(call LOC,.,! -path './bench/*'))
 
 # Refresh the experiment golden outputs after an intentional change.
 regen-golden:

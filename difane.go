@@ -148,7 +148,9 @@ const (
 	EvictLFU  = core.EvictLFU
 	EvictNone = core.EvictNone
 	// EvictCostAware scores victims by predicted miss cost and enables
-	// per-region idle-timeout adaptation and cover-rule aggregation.
+	// per-region idle-timeout adaptation and cover-rule aggregation, one
+	// round every CacheAdaptInterval. The cost model itself has no
+	// settings.
 	EvictCostAware = core.EvictCostAware
 )
 

@@ -288,6 +288,3 @@ func (n *Network) Measurements() *core.Measurements { return &n.M }
 // Close releases the deployment. The baseline holds no external resources;
 // Close exists so Network satisfies the Deployment interface.
 func (n *Network) Close() error { return nil }
-
-// ControllerBacklog returns the pending-setup queue length.
-func (n *Network) ControllerBacklog() int { return n.ctrl.Backlog() }

@@ -1,125 +1,94 @@
 package cachepolicy
 
 import (
+	"slices"
 	"sort"
 
 	"difane/internal/flowspace"
 	"difane/internal/tcam"
 )
 
-// Region pairs one flow-space partition with its clipped rules in TCAM
-// order — the authority-side ground truth aggregation must stay sound
-// against.
+// Region pairs one flow-space partition, named by its index in the list
+// PlanAggregation is handed, with its authority's answer — the ground truth
+// aggregation must stay sound against. CoverOf returns, for a key inside
+// Match, the partition rule that matches it and the cover the miss path
+// would cache for it; false when no rule matches or the key has no cover.
 type Region struct {
-	Index int
-	Match flowspace.Match
-	Rules []flowspace.Rule
+	Match   flowspace.Match
+	CoverOf func(k flowspace.Key) (flowspace.Rule, flowspace.Match, bool)
 }
 
 // Plan is one aggregation step: install Cover and delete the Replace
-// entries it subsumes. The cover is computed by the same CoverFor
-// subtraction StrategyCover installs from, so it satisfies the oracle's
-// CacheRuleSound invariant by construction.
+// entries it subsumes. The cover is the one the authority generates under
+// StrategyCover, so it satisfies the oracle's CacheRuleSound invariant by
+// construction.
 type Plan struct {
 	Region  int
 	Cover   flowspace.Rule
 	Replace []uint64
 }
 
-// aggGroup accumulates the exact-match entries that collapse into one
-// cover.
-type aggGroup struct {
-	region   int
-	cover    flowspace.Match
-	priority int32
-	action   flowspace.Action
-	ids      []uint64
-}
-
 // PlanAggregation scans a switch's cache entries for groups of at least
-// AggregateMin exact-match entries whose keys yield the same CoverFor
-// cover inside one region — near-microflow shards of a single wildcard
-// decision (the exact-strategy and cover-sliver fallback paths mint
-// these) — and returns one plan per such group. allocID mints each cover
-// rule's table ID. Deterministic: plans are ordered by (region, smallest
-// replaced ID).
+// aggregateMin exact-match entries whose keys yield the same cover inside
+// one region — near-microflow shards of a single wildcard decision (the
+// exact-strategy and cover-sliver fallback paths mint these) — and returns
+// one plan per such group. allocID mints each cover rule's table ID.
+// Deterministic: plans are ordered by (region, smallest replaced ID).
 func (p *Policy) PlanAggregation(entries []tcam.Entry, regions []Region, allocID func() uint64) []Plan {
 	type groupKey struct {
 		region int
 		cover  flowspace.Match
 	}
-	groups := make(map[groupKey]*aggGroup)
+	groups := make(map[groupKey]*Plan)
 	for _, e := range entries {
 		k, ok := exactKeyOf(e.Rule.Match)
 		if !ok {
 			continue
 		}
-		var reg *Region
+		region := -1
 		for i := range regions {
 			if regions[i].Match.Matches(k) {
-				reg = &regions[i]
+				region = i
 				break
 			}
 		}
-		if reg == nil {
+		if region < 0 {
 			continue
 		}
-		hitRule, ok := flowspace.EvalTable(reg.Rules, k)
-		if !ok || hitRule.Action != e.Rule.Action {
+		hitRule, cover, ok := regions[region].CoverOf(k)
+		if !ok || cover == e.Rule.Match {
+			continue // no rule answers this key, or no wider cover exists for it
+		}
+		if hitRule.Action != e.Rule.Action {
 			continue // stale or foreign entry; aggregation must not launder it
 		}
-		hit := -1
-		for i := range reg.Rules {
-			if reg.Rules[i].ID == hitRule.ID {
-				hit = i
-				break
-			}
-		}
-		if hit < 0 {
-			continue
-		}
-		cover, ok := flowspace.CoverFor(reg.Rules, hit, reg.Match, k)
-		if !ok || cover == e.Rule.Match {
-			continue // no wider cover exists for this key
-		}
-		gk := groupKey{region: reg.Index, cover: cover}
+		gk := groupKey{region: region, cover: cover}
 		g := groups[gk]
 		if g == nil {
-			g = &aggGroup{region: reg.Index, cover: cover,
-				priority: hitRule.Priority, action: hitRule.Action}
+			g = &Plan{Region: region, Cover: flowspace.Rule{
+				Priority: hitRule.Priority, Match: cover, Action: hitRule.Action}}
 			groups[gk] = g
 		}
-		g.ids = append(g.ids, e.Rule.ID)
+		g.Replace = append(g.Replace, e.Rule.ID)
 	}
-
-	var picked []*aggGroup
-	for _, g := range groups {
-		if len(g.ids) >= p.cfg.AggregateMin {
-			sort.Slice(g.ids, func(i, j int) bool { return g.ids[i] < g.ids[j] })
-			picked = append(picked, g)
-		}
-	}
-	sort.Slice(picked, func(i, j int) bool {
-		if picked[i].region != picked[j].region {
-			return picked[i].region < picked[j].region
-		}
-		return picked[i].ids[0] < picked[j].ids[0]
-	})
 
 	var plans []Plan
-	for _, g := range picked {
-		plans = append(plans, Plan{
-			Region: g.region,
-			Cover: flowspace.Rule{
-				ID:       allocID(),
-				Priority: g.priority,
-				Match:    g.cover,
-				Action:   g.action,
-			},
-			Replace: g.ids,
-		})
+	for _, g := range groups {
+		if len(g.Replace) >= aggregateMin {
+			slices.Sort(g.Replace)
+			plans = append(plans, *g)
+		}
+	}
+	sort.Slice(plans, func(i, j int) bool {
+		if plans[i].Region != plans[j].Region {
+			return plans[i].Region < plans[j].Region
+		}
+		return plans[i].Replace[0] < plans[j].Replace[0]
+	})
+	for i := range plans {
+		plans[i].Cover.ID = allocID()
 		p.aggregations.Add(1)
-		p.aggReplaced.Add(uint64(len(g.ids)))
+		p.aggReplaced.Add(uint64(len(plans[i].Replace)))
 	}
 	return plans
 }

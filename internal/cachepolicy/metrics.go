@@ -26,13 +26,8 @@ func (p *Policy) RegisterMetrics(reg *telemetry.Registry) {
 		return func() []telemetry.Point {
 			p.mu.Lock()
 			defer p.mu.Unlock()
-			idxs := make([]int, 0, len(p.regions))
-			for i := range p.regions {
-				idxs = append(idxs, i)
-			}
-			sortInts(idxs)
 			var out []telemetry.Point
-			for _, i := range idxs {
+			for _, i := range p.regionsLocked() {
 				if v, ok := value(p.regions[i]); ok {
 					out = append(out, telemetry.Point{
 						Labels: []telemetry.Label{{Key: "region", Value: strconv.Itoa(i)}},
@@ -58,44 +53,4 @@ func (p *Policy) RegisterMetrics(reg *telemetry.Registry) {
 		telemetry.TypeGauge, perRegion(func(st *regionStats) (float64, bool) {
 			return st.inter, st.interOK
 		}))
-}
-
-// ScrapeRegistry refreshes the policy's deployment-wide priors from a
-// telemetry registry: the mean first-packet delay (the measured cost of a
-// redirect detour) and the cache hit rate implied by the delivered vs
-// redirected totals. Regions without direct observations score against
-// these priors, so the cost model starts sane on a cold deployment.
-func (p *Policy) ScrapeRegistry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	var lat, delivered, redirects float64
-	for _, m := range reg.Snapshot() {
-		switch m.Name {
-		case "difane_first_packet_delay_seconds":
-			if m.Summary != nil && m.Summary.Count > 0 {
-				lat = m.Summary.Sum / float64(m.Summary.Count)
-			}
-		case "difane_delivered_total":
-			if len(m.Points) > 0 {
-				delivered = m.Points[0].Value
-			}
-		case "difane_redirects_total":
-			if len(m.Points) > 0 {
-				redirects = m.Points[0].Value
-			}
-		}
-	}
-	p.mu.Lock()
-	if lat > 0 {
-		p.globalLatency = lat
-	}
-	if total := delivered + redirects; total > 0 {
-		hr := delivered / total
-		if hr < 0.05 {
-			hr = 0.05
-		}
-		p.globalHitRate = hr
-	}
-	p.mu.Unlock()
 }

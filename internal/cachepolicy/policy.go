@@ -17,51 +17,30 @@ package cachepolicy
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Config tunes the policy; zero values take the stated defaults.
-type Config struct {
-	// IdleMultiple sets the adaptive idle timeout to this multiple of a
-	// region's observed mean packet inter-arrival time (default 8).
-	IdleMultiple float64
-	// MinIdle / MaxIdle clamp the adaptive idle timeout, in seconds
-	// (defaults 0.25 and 60).
-	MinIdle float64
-	MaxIdle float64
-	// Alpha is the EWMA weight given to each new latency / inter-arrival
-	// observation (default 0.25).
-	Alpha float64
-	// AggregateMin is the minimum number of exact-match entries sharing one
-	// cover before aggregation replaces them (default 3).
-	AggregateMin int
-	// DefaultLatency is the redirect-latency prior used for regions with no
-	// observations yet, in seconds (default 1ms).
-	DefaultLatency float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.IdleMultiple <= 0 {
-		c.IdleMultiple = 8
-	}
-	if c.MinIdle <= 0 {
-		c.MinIdle = 0.25
-	}
-	if c.MaxIdle <= 0 {
-		c.MaxIdle = 60
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.25
-	}
-	if c.AggregateMin <= 1 {
-		c.AggregateMin = 3
-	}
-	if c.DefaultLatency <= 0 {
-		c.DefaultLatency = 1e-3
-	}
-	return c
-}
+// The policy's tuning: constants, not options — no deployment has needed
+// a second value for any of them.
+const (
+	// idleMultiple sets the adaptive idle timeout to this multiple of a
+	// region's observed mean packet inter-arrival time, clamped to
+	// [minIdle, maxIdle] seconds.
+	idleMultiple = 8
+	minIdle      = 0.25
+	maxIdle      = 60
+	// alpha is the EWMA weight given to each new latency / inter-arrival
+	// observation.
+	alpha = 0.25
+	// aggregateMin is the minimum number of exact-match entries sharing one
+	// cover before aggregation replaces them.
+	aggregateMin = 3
+	// defaultLatency is the redirect-latency prior, in seconds, for regions
+	// with no observations yet on a deployment that has delivered nothing.
+	defaultLatency = 1e-3
+)
 
 // regionStats accumulates one policy region's (= one flow-space
 // partition's) observed behaviour.
@@ -79,12 +58,10 @@ type regionStats struct {
 // deployment (region statistics are network-wide). All methods are safe
 // for concurrent use.
 type Policy struct {
-	cfg Config
-
 	mu      sync.Mutex
 	regions map[int]*regionStats
-	// globalLatency / globalHitRate are deployment-wide priors scraped from
-	// the telemetry registry, used for regions with no direct observations.
+	// globalLatency / globalHitRate are the deployment-wide priors SetPriors
+	// keeps, used for regions with no direct observations.
 	globalLatency float64
 	globalHitRate float64
 
@@ -95,12 +72,9 @@ type Policy struct {
 }
 
 // New builds a policy.
-func New(cfg Config) *Policy {
-	return &Policy{cfg: cfg.withDefaults(), regions: make(map[int]*regionStats)}
+func New() *Policy {
+	return &Policy{regions: make(map[int]*regionStats)}
 }
-
-// Cfg returns the policy's effective (defaulted) configuration.
-func (p *Policy) Cfg() Config { return p.cfg }
 
 func (p *Policy) region(i int) *regionStats {
 	st := p.regions[i]
@@ -111,11 +85,11 @@ func (p *Policy) region(i int) *regionStats {
 	return st
 }
 
-func (p *Policy) ewma(old float64, ok bool, v float64) float64 {
+func ewma(old float64, ok bool, v float64) float64 {
 	if !ok {
 		return v
 	}
-	return old + p.cfg.Alpha*(v-old)
+	return old + alpha*(v-old)
 }
 
 // ObserveRedirect records one observed redirect latency (seconds) for a
@@ -126,7 +100,7 @@ func (p *Policy) ObserveRedirect(region int, latency float64) {
 	}
 	p.mu.Lock()
 	st := p.region(region)
-	st.latency = p.ewma(st.latency, st.latOK, latency)
+	st.latency = ewma(st.latency, st.latOK, latency)
 	st.latOK = true
 	p.mu.Unlock()
 }
@@ -140,7 +114,7 @@ func (p *Policy) ObserveInterArrival(region int, inter float64) {
 	}
 	p.mu.Lock()
 	st := p.region(region)
-	st.inter = p.ewma(st.inter, st.interOK, inter)
+	st.inter = ewma(st.inter, st.interOK, inter)
 	st.interOK = true
 	p.mu.Unlock()
 }
@@ -155,14 +129,34 @@ func (p *Policy) ObserveTraffic(region int, hits, misses uint64) {
 	p.mu.Unlock()
 }
 
+// SetPriors refreshes the deployment-wide priors from the deployment's own
+// measurements: the mean first-packet delay in seconds (the measured cost
+// of a redirect detour) and the cache hit rate implied by the delivered vs
+// redirected totals. Regions without direct observations score against
+// these priors, so the cost model starts sane on a cold deployment.
+func (p *Policy) SetPriors(firstPacketDelay float64, delivered, redirects uint64) {
+	p.mu.Lock()
+	if firstPacketDelay > 0 {
+		p.globalLatency = firstPacketDelay
+	}
+	if total := delivered + redirects; total > 0 {
+		hr := float64(delivered) / float64(total)
+		if hr < 0.05 {
+			hr = 0.05
+		}
+		p.globalHitRate = hr
+	}
+	p.mu.Unlock()
+}
+
 // regionView returns the scoring inputs for a region under p.mu: the
 // redirect latency, hit rate, and recency scale (inter-arrival), falling
-// back to the scraped global priors and config defaults.
+// back to the deployment-wide priors and defaultLatency.
 func (p *Policy) regionView(region int) (lat, hitRate, tau float64) {
 	st := p.regions[region]
 	lat = p.globalLatency
 	if lat <= 0 {
-		lat = p.cfg.DefaultLatency
+		lat = defaultLatency
 	}
 	hitRate = p.globalHitRate
 	if hitRate <= 0 {
@@ -248,8 +242,8 @@ func (p *Policy) Victim(now float64, cands []Candidate) int {
 }
 
 // AdaptIdle recomputes a region's idle timeout from its observed
-// inter-arrival EWMA — IdleMultiple × inter-arrival, clamped to
-// [MinIdle, MaxIdle] — and returns it along with whether it changed
+// inter-arrival EWMA — idleMultiple × inter-arrival, clamped to
+// [minIdle, maxIdle] — and returns it along with whether it changed
 // materially (>5%) since the last adaptation. Regions with no
 // inter-arrival observations return (0, false): keep the configured
 // static timeout.
@@ -260,12 +254,12 @@ func (p *Policy) AdaptIdle(region int) (float64, bool) {
 	if st == nil || !st.interOK {
 		return 0, false
 	}
-	idle := p.cfg.IdleMultiple * st.inter
-	if idle < p.cfg.MinIdle {
-		idle = p.cfg.MinIdle
+	idle := idleMultiple * st.inter
+	if idle < minIdle {
+		idle = minIdle
 	}
-	if idle > p.cfg.MaxIdle {
-		idle = p.cfg.MaxIdle
+	if idle > maxIdle {
+		idle = maxIdle
 	}
 	prev := st.idle
 	if prev > 0 && math.Abs(idle-prev) <= 0.05*prev {
@@ -291,31 +285,14 @@ func (p *Policy) IdleTimeout(region int) float64 {
 func (p *Policy) Regions() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.regionsLocked()
+}
+
+func (p *Policy) regionsLocked() []int {
 	out := make([]int, 0, len(p.regions))
 	for i := range p.regions {
 		out = append(out, i)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// CostEvictions returns how many victims the cost scorer has picked.
-func (p *Policy) CostEvictions() uint64 { return p.costEvictions.Load() }
-
-// Adaptations returns how many material idle-timeout changes AdaptIdle
-// has produced.
-func (p *Policy) Adaptations() uint64 { return p.adaptations.Load() }
-
-// Aggregations returns (cover rules installed, microflow entries they
-// replaced) by the aggregation planner.
-func (p *Policy) Aggregations() (covers, replaced uint64) {
-	return p.aggregations.Load(), p.aggReplaced.Load()
 }

@@ -5,13 +5,12 @@ import (
 
 	"difane/internal/flowspace"
 	"difane/internal/tcam"
-	"difane/internal/telemetry"
 )
 
 // seedPolicy builds a policy with a fixed set of region observations, so
 // tests exercise the scorer against known inputs.
 func seedPolicy() *Policy {
-	p := New(Config{})
+	p := New()
 	p.ObserveRedirect(0, 0.002)
 	p.ObserveRedirect(1, 0.050) // region 1 misses are 25× costlier
 	p.ObserveTraffic(0, 90, 10)
@@ -71,7 +70,7 @@ func TestScoreMonotone(t *testing.T) {
 
 	// Region-level monotonicity: raising a region's observed redirect
 	// latency raises its entries' scores.
-	p := New(Config{})
+	p := New()
 	before := p.Score(now, base)
 	p.ObserveRedirect(0, 1.0) // far above the 1ms default prior
 	after := p.Score(now, base)
@@ -81,7 +80,7 @@ func TestScoreMonotone(t *testing.T) {
 
 	// Hit-rate monotonicity: a region that hits more often scores higher
 	// than one that mostly misses, all else equal.
-	p = New(Config{})
+	p = New()
 	p.ObserveRedirect(0, 0.01)
 	p.ObserveRedirect(1, 0.01)
 	p.ObserveTraffic(0, 99, 1)
@@ -119,7 +118,7 @@ func TestVictimNeverSelectsPinned(t *testing.T) {
 }
 
 func TestVictimTieBreaksTowardLowerID(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	now := 10.0
 	// Identical runtime state in the same region: scores are exactly equal.
 	cands := []Candidate{
@@ -133,7 +132,7 @@ func TestVictimTieBreaksTowardLowerID(t *testing.T) {
 }
 
 func TestAdaptIdle(t *testing.T) {
-	p := New(Config{IdleMultiple: 8, MinIdle: 0.25, MaxIdle: 60})
+	p := New()
 	if idle, changed := p.AdaptIdle(0); idle != 0 || changed {
 		t.Fatalf("AdaptIdle with no observations = (%g,%v), want (0,false)", idle, changed)
 	}
@@ -146,7 +145,7 @@ func TestAdaptIdle(t *testing.T) {
 	if idle, changed = p.AdaptIdle(0); changed || idle != 4.0 {
 		t.Fatalf("AdaptIdle repeat = (%g,%v), want (4,false)", idle, changed)
 	}
-	// Clamps: tiny inter-arrival hits MinIdle, huge hits MaxIdle.
+	// Clamps: tiny inter-arrival hits minIdle, huge hits maxIdle.
 	p.ObserveInterArrival(1, 1e-6)
 	if idle, _ = p.AdaptIdle(1); idle != 0.25 {
 		t.Fatalf("min clamp: idle = %g, want 0.25", idle)
@@ -168,8 +167,9 @@ func exactOf(k flowspace.Key) flowspace.Match {
 func TestPlanAggregation(t *testing.T) {
 	fwd := flowspace.Action{Kind: flowspace.ActForward, Arg: 7}
 	region := flowspace.MatchAll()
-	rules := []flowspace.Rule{{ID: 1, Priority: 10, Match: region, Action: fwd}}
-	regions := []Region{{Index: 0, Match: region, Rules: rules}}
+	rule := flowspace.Rule{ID: 1, Priority: 10, Match: region, Action: fwd}
+	regions := []Region{{Match: region,
+		CoverOf: func(flowspace.Key) (flowspace.Rule, flowspace.Match, bool) { return rule, region, true }}}
 
 	mkEntry := func(id uint64, k flowspace.Key, act flowspace.Action) tcam.Entry {
 		return tcam.Entry{Rule: flowspace.Rule{ID: id, Priority: 10, Match: exactOf(k), Action: act}}
@@ -182,7 +182,7 @@ func TestPlanAggregation(t *testing.T) {
 		mkEntry(104, flowspace.Key{3, 3, 3, 3, 3}, flowspace.Action{Kind: flowspace.ActDrop}),
 	}
 
-	p := New(Config{AggregateMin: 3})
+	p := New()
 	next := uint64(1 << 52)
 	allocID := func() uint64 { next++; return next }
 	plans := p.PlanAggregation(entries, regions, allocID)
@@ -198,25 +198,31 @@ func TestPlanAggregation(t *testing.T) {
 			t.Fatalf("plan replaced entry 104, whose action disagrees with the policy")
 		}
 	}
-	if pl.Cover.Action != fwd || pl.Cover.Match != region {
-		t.Fatalf("cover = %+v, want the region-wide forward rule", pl.Cover)
+	if pl.Cover.Action != fwd || pl.Cover.Match != region || pl.Cover.ID != 1<<52+1 {
+		t.Fatalf("cover = %+v, want the region-wide forward rule under the first minted ID", pl.Cover)
 	}
-	// Below AggregateMin: no plan.
-	p2 := New(Config{AggregateMin: 4})
-	if plans := p2.PlanAggregation(entries, regions, allocID); len(plans) != 0 {
-		t.Fatalf("AggregateMin=4 produced %d plans, want 0", len(plans))
+	// Below aggregateMin: two agreeing entries (and the foreign one) make
+	// no plan.
+	if plans := p.PlanAggregation(entries[1:], regions, allocID); len(plans) != 0 {
+		t.Fatalf("two agreeing entries produced %d plans, want 0", len(plans))
+	}
+	// An entry already as wide as its cover, and a key the authority has no
+	// cover for, are left alone.
+	wide := []tcam.Entry{{Rule: rule}, {Rule: rule}, {Rule: rule}}
+	if plans := p.PlanAggregation(wide, regions, allocID); len(plans) != 0 {
+		t.Fatalf("wildcard entries produced %d plans, want 0", len(plans))
+	}
+	regions[0].CoverOf = func(flowspace.Key) (flowspace.Rule, flowspace.Match, bool) {
+		return rule, flowspace.Match{}, false
+	}
+	if plans := p.PlanAggregation(entries, regions, allocID); len(plans) != 0 {
+		t.Fatalf("entries without a cover produced %d plans, want 0", len(plans))
 	}
 }
 
-func TestScrapeRegistry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	reg.RegisterFunc("difane_delivered_total", "", telemetry.TypeCounter, func() float64 { return 900 })
-	reg.RegisterFunc("difane_redirects_total", "", telemetry.TypeCounter, func() float64 { return 100 })
-	reg.RegisterSummary("difane_first_packet_delay_seconds", "", func() telemetry.SummaryView {
-		return telemetry.SummaryView{Count: 10, Sum: 0.5}
-	})
-	p := New(Config{})
-	p.ScrapeRegistry(reg)
+func TestSetPriors(t *testing.T) {
+	p := New()
+	p.SetPriors(0.5/10, 900, 100)
 	p.mu.Lock()
 	lat, hr := p.globalLatency, p.globalHitRate
 	p.mu.Unlock()
@@ -225,5 +231,13 @@ func TestScrapeRegistry(t *testing.T) {
 	}
 	if hr != 0.9 {
 		t.Fatalf("globalHitRate = %g, want 0.9", hr)
+	}
+	// A deployment that has measured nothing yet keeps what it had.
+	p.SetPriors(0, 0, 0)
+	p.mu.Lock()
+	lat, hr = p.globalLatency, p.globalHitRate
+	p.mu.Unlock()
+	if lat != 0.05 || hr != 0.9 {
+		t.Fatalf("empty measurements moved the priors to (%g, %g)", lat, hr)
 	}
 }

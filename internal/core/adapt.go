@@ -4,49 +4,82 @@ import (
 	"difane/internal/cachepolicy"
 	"difane/internal/flowspace"
 	"difane/internal/proto"
+	"difane/internal/switchsim"
 	"difane/internal/tcam"
+	"difane/internal/telemetry"
 )
 
-// This file wires internal/cachepolicy into the simulated deployment:
-// the cost-aware victim picker behind every ingress cache, the periodic
-// adaptation tick that retunes per-region idle timeouts and aggregates
-// near-microflow entries, and the timeout-propagation plumbing shared with
-// the controller.
+// aggIDBase offsets aggregation cover-rule IDs above every other ID band
+// (policy < 2^32, authority-generated cache rules at 2^40, partition
+// rules at 2^50).
+const aggIDBase uint64 = 1 << 52
 
-// CachePolicy returns the cost-aware caching policy, or nil when the
-// deployment runs a fixed eviction policy.
-func (n *Network) CachePolicy() *cachepolicy.Policy { return n.cachePol }
+// CacheAdapter is the cost-aware caching layer (internal/cachepolicy) as a
+// deployment holds it: it puts the cost model behind every ingress cache
+// (VictimFn) and runs the periodic adaptation round (Round). The simulator and wire
+// mode hold the same adapter and run the same round; they differ in the
+// clock that paces it and in how a changed idle timeout reaches their
+// authority handlers. A deployment that is not cost-aware holds a nil one,
+// and every method is a no-op on nil, so call sites do not ask.
+//
+// SetAssignment and Round belong to one goroutine at a time. Victim pickers
+// and the Observe feed may run beside Round (wire's data planes do) but not
+// beside SetAssignment: wire calls it once, before any goroutine starts.
+type CacheAdapter struct {
+	pol *cachepolicy.Policy
+	// regions holds, per partition of the running assignment, its region
+	// and the answer of an Authority of the adapter's own over its rules:
+	// no data plane shares it, so asking takes no lock.
+	regions []cachepolicy.Region
+	// aggSeq mints aggregation cover-rule IDs.
+	aggSeq uint64
+}
 
-// regionOfKey maps a key to its flow-space partition index (−1 when no
-// partition covers it — only possible mid-reassignment).
-func (n *Network) regionOfKey(k flowspace.Key) int {
-	for i := range n.Assignment.Partitions {
-		if n.Assignment.Partitions[i].Region.Matches(k) {
+// NewCacheAdapter returns the adapter for an eviction choice: nil unless it
+// is EvictCostAware.
+func NewCacheAdapter(choice EvictionChoice) *CacheAdapter {
+	if choice != EvictCostAware {
+		return nil
+	}
+	return &CacheAdapter{pol: cachepolicy.New()}
+}
+
+// SetAssignment points the adapter at the assignment the deployment runs:
+// its regions are that assignment's partitions, by index.
+func (a *CacheAdapter) SetAssignment(assign Assignment) {
+	if a == nil {
+		return
+	}
+	a.regions = make([]cachepolicy.Region, len(assign.Partitions))
+	for i, p := range assign.Partitions {
+		a.regions[i] = cachepolicy.Region{Match: p.Region, CoverOf: NewAuthority(0, p, StrategyCover).CoverOf}
+	}
+}
+
+// regionOfMatch maps a cache rule's match to its partition index (−1 when
+// no partition covers it — only possible mid-reassignment). Cache rules
+// are clipped to one partition's region, so any member key of the match
+// identifies it; the match's Value fields (wildcard bits zero) are such a
+// key.
+func (a *CacheAdapter) regionOfMatch(m *flowspace.Match) int {
+	var k flowspace.Key
+	for f := flowspace.FieldID(0); f < flowspace.NumFields; f++ {
+		k[f] = m.Fields[f].Value
+	}
+	for i := range a.regions {
+		if a.regions[i].Match.Matches(k) {
 			return i
 		}
 	}
 	return -1
 }
 
-// regionOfMatch maps a cache rule's match to its partition index. Cache
-// rules are clipped to one partition's region, so any member key of the
-// match identifies it; the match's Value fields (wildcard bits zero) are
-// such a key.
-func (n *Network) regionOfMatch(m flowspace.Match) int {
-	var k flowspace.Key
-	for f := flowspace.FieldID(0); f < flowspace.NumFields; f++ {
-		k[f] = m.Fields[f].Value
-	}
-	return n.regionOfKey(k)
-}
-
-// cacheVictimFn builds the custom victim picker installed on every
-// ingress cache, or nil when the deployment is not cost-aware. The TCAM
-// calls it with its table lock held; the closure only reads the
-// single-threaded simulator's assignment, so that is safe here (wire mode
-// builds its own closure over immutable state).
-func (n *Network) cacheVictimFn() tcam.VictimFunc {
-	if n.cachePol == nil {
+// VictimFn builds the custom victim picker for one ingress cache, or nil
+// when the deployment is not cost-aware. The TCAM calls it with its table
+// lock held; the closure reads only the adapter's regions and the policy,
+// which locks for itself.
+func (a *CacheAdapter) VictimFn() tcam.VictimFunc {
+	if a == nil {
 		return nil
 	}
 	// cc is reused from one eviction to the next: the table calls the
@@ -58,13 +91,103 @@ func (n *Network) cacheVictimFn() tcam.VictimFunc {
 			c := &cands[i]
 			cc = append(cc, cachepolicy.Candidate{
 				ID:        c.ID,
-				Region:    n.regionOfMatch(c.Rule.Match),
+				Region:    a.regionOfMatch(&c.Rule.Match),
 				Packets:   c.Packets,
 				LastHit:   c.LastHit,
 				Installed: c.Installed,
 			})
 		}
-		return n.cachePol.Victim(now, cc)
+		return a.pol.Victim(now, cc)
+	}
+}
+
+// ObserveHit credits a packet that hit cache rule m to the rule's region.
+func (a *CacheAdapter) ObserveHit(m *flowspace.Match) {
+	if a != nil {
+		a.pol.ObserveTraffic(a.regionOfMatch(m), 1, 0)
+	}
+}
+
+// ObserveMiss records a redirect the region's authority answered and the
+// latency (seconds) the packet had paid by then — the cost a miss in this
+// region actually pays; the return leg roughly mirrors it.
+func (a *CacheAdapter) ObserveMiss(region int, latency float64) {
+	if a != nil {
+		a.pol.ObserveRedirect(region, latency)
+		a.pol.ObserveTraffic(region, 0, 1)
+	}
+}
+
+// Idle is the idle timeout in force for a region's cache rules: the adapted
+// one once a round has produced it, the deployment's default def until then.
+func (a *CacheAdapter) Idle(region int, def float64) float64 {
+	if a != nil {
+		if ad := a.pol.IdleTimeout(region); ad > 0 {
+			return ad
+		}
+	}
+	return def
+}
+
+// RegisterMetrics adds the policy's difane_cache_* series to reg.
+func (a *CacheAdapter) RegisterMetrics(reg *telemetry.Registry) {
+	if a != nil {
+		a.pol.RegisterMetrics(reg)
+	}
+}
+
+// Round is one adaptation round at time now: refresh the policy's priors
+// from the deployment's measurements m, feed it per-region inter-arrival
+// times derived from the switches' live cache entry counters, hand
+// materially-changed idle timeouts to setIdle (which reaches the region's
+// authority handlers, under whatever lock the deployment keeps them), and
+// aggregate near-microflow cache entries into cover rules with the region's
+// idle timeout (idle until adapted) and hard. Switches are visited in the
+// caller's order: a deterministic order makes runs replay identically.
+func (a *CacheAdapter) Round(now float64, m *Measurements, switches []*switchsim.Switch,
+	idle, hard float64, setIdle func(region int, idle float64)) {
+	if a == nil {
+		return
+	}
+	a.pol.SetPriors(m.FirstPacketDelay.Mean(), m.Delivered, m.Redirects)
+
+	for _, sw := range switches {
+		for _, e := range sw.Table(proto.TableCache).Entries() {
+			if e.Packets < 2 {
+				continue
+			}
+			span := e.LastHit() - e.Installed()
+			if span <= 0 {
+				continue
+			}
+			a.pol.ObserveInterArrival(a.regionOfMatch(&e.Rule.Match), span/float64(e.Packets-1))
+		}
+	}
+
+	for _, region := range a.pol.Regions() {
+		if adapted, changed := a.pol.AdaptIdle(region); changed {
+			setIdle(region, adapted)
+		}
+	}
+
+	allocID := func() uint64 {
+		a.aggSeq++
+		return aggIDBase + a.aggSeq
+	}
+	for _, sw := range switches {
+		tb := sw.Table(proto.TableCache)
+		for _, p := range a.pol.PlanAggregation(tb.Entries(), a.regions, allocID) {
+			// Delete first: the freed slots guarantee the cover lands
+			// without evicting an unrelated entry.
+			for _, rid := range p.Replace {
+				tb.Delete(rid)
+			}
+			mod := proto.FlowMod{
+				Table: proto.TableCache, Op: proto.OpAdd, Rule: p.Cover,
+				Idle: a.Idle(p.Region, idle), Hard: hard,
+			}
+			_ = sw.ApplyFlowMod(now, &mod)
+		}
 	}
 }
 
@@ -73,13 +196,7 @@ func (n *Network) cacheVictimFn() tcam.VictimFunc {
 // when one exists — so handlers rebuilt by rebalancing or recovery keep
 // the adapted value instead of silently reverting to the static default.
 func (n *Network) configureAuthority(a *Authority) {
-	idle, hard := n.cfg.CacheIdle, n.cfg.CacheHard
-	if n.cachePol != nil {
-		if ad := n.cachePol.IdleTimeout(a.RegionIndex); ad > 0 {
-			idle = ad
-		}
-	}
-	a.SetCacheTimeouts(idle, hard)
+	a.SetCacheTimeouts(n.cache.Idle(a.RegionIndex, n.cfg.CacheIdle), n.cfg.CacheHard)
 }
 
 // SetCacheTimeouts changes the deployment-wide cache timeouts and
@@ -111,110 +228,26 @@ func (n *Network) SetRegionIdleTimeout(region int, idle float64) {
 	}
 }
 
-// effectiveIdle is the idle timeout currently in force for a region.
-func (n *Network) effectiveIdle(region int) float64 {
-	if n.cachePol != nil {
-		if ad := n.cachePol.IdleTimeout(region); ad > 0 {
-			return ad
-		}
-	}
-	return n.cfg.CacheIdle
-}
-
-// policyRegions projects the current assignment into the aggregation
-// planner's region list.
-func (n *Network) policyRegions() []cachepolicy.Region {
-	regions := make([]cachepolicy.Region, len(n.Assignment.Partitions))
-	for i, p := range n.Assignment.Partitions {
-		regions[i] = cachepolicy.Region{Index: i, Match: p.Region, Rules: p.Rules}
-	}
-	return regions
-}
-
-// aggIDBase offsets aggregation cover-rule IDs above every other ID band
-// (policy < 2^32, authority-generated cache rules at 2^40, partition
-// rules at 2^50).
-const aggIDBase uint64 = 1 << 52
-
-func (n *Network) allocAggID() uint64 {
-	n.aggSeq++
-	return aggIDBase + n.aggSeq
-}
-
-// startCacheAdaptation schedules the self-rescheduling adaptation tick.
+// startCacheAdaptation schedules the self-rescheduling adaptation tick: one
+// CacheAdapter.Round on virtual time, over the switches in ID order.
 // No-op for fixed-policy deployments; the engine's Run(horizon) bounds
 // execution, so the perpetual tick never blocks termination.
 func (n *Network) startCacheAdaptation() {
-	if n.cachePol == nil {
+	if n.cache == nil {
 		return
 	}
 	interval := n.cfg.CacheAdaptInterval
 	if interval <= 0 {
 		interval = 0.25
 	}
+	var switches []*switchsim.Switch
+	for _, id := range sortedIDs(n.Switches) {
+		switches = append(switches, n.Switches[id])
+	}
 	var tick func()
 	tick = func() {
-		n.adaptCaches()
+		n.cache.Round(n.Eng.Now(), &n.M, switches, n.cfg.CacheIdle, n.cfg.CacheHard, n.SetRegionIdleTimeout)
 		n.Eng.After(interval, tick)
 	}
 	n.Eng.After(interval, tick)
-}
-
-// adaptCaches is one adaptation round: refresh the policy's priors from
-// telemetry, feed it per-region inter-arrival times derived from live
-// cache entry counters, push materially-changed idle timeouts to the
-// authority handlers, and aggregate near-microflow cache entries into
-// cover rules. Switches are visited in ID order so runs replay
-// identically.
-func (n *Network) adaptCaches() {
-	pol := n.cachePol
-	if pol == nil {
-		return
-	}
-	now := n.Eng.Now()
-	pol.ScrapeRegistry(n.Registry())
-
-	ids := make([]uint32, 0, len(n.Switches))
-	for id := range n.Switches {
-		ids = append(ids, id)
-	}
-	sortU32(ids)
-
-	for _, id := range ids {
-		for _, e := range n.Switches[id].Table(proto.TableCache).Entries() {
-			if e.Packets < 2 {
-				continue
-			}
-			span := e.LastHit() - e.Installed()
-			if span <= 0 {
-				continue
-			}
-			pol.ObserveInterArrival(n.regionOfMatch(e.Rule.Match), span/float64(e.Packets-1))
-		}
-	}
-
-	for _, region := range pol.Regions() {
-		if idle, changed := pol.AdaptIdle(region); changed {
-			n.SetRegionIdleTimeout(region, idle)
-		}
-	}
-
-	regions := n.policyRegions()
-	for _, id := range ids {
-		sw := n.Switches[id]
-		tb := sw.Table(proto.TableCache)
-		plans := pol.PlanAggregation(tb.Entries(), regions, n.allocAggID)
-		for _, p := range plans {
-			// Delete first: the freed slots guarantee the cover lands
-			// without evicting an unrelated entry.
-			for _, rid := range p.Replace {
-				tb.Delete(rid)
-			}
-			mod := proto.FlowMod{
-				Table: proto.TableCache, Op: proto.OpAdd, Rule: p.Cover,
-				Idle: n.effectiveIdle(p.Region), Hard: n.cfg.CacheHard,
-			}
-			_ = sw.ApplyFlowMod(now, &mod)
-		}
-	}
 }

@@ -106,8 +106,9 @@ type Authority struct {
 	// partition, not of the packet, so it is worked out once, on the first
 	// miss rule i answers (nil until then, never nil after), not per miss.
 	deps [][]int
-	// table indexes Partition.Rules for HandleMiss, built by its first
-	// call: never in a deployment, where the switch's table is the index.
+	// table indexes Partition.Rules for HandleMiss and CoverOf, built by
+	// the first call of either: never by a deployment's miss path, where the
+	// switch's table is the index.
 	table *tcam.Table
 }
 
@@ -177,17 +178,48 @@ type MissResult struct {
 // a table of its own over Partition.Rules, so it walks the same index and
 // generates the same rules as a deployment's miss path.
 func (a *Authority) HandleMiss(k flowspace.Key) MissResult {
+	entry, ok := a.ownTable().Lookup(0, k, 0)
+	if !ok {
+		return MissResult{}
+	}
+	return a.Answer(&entry, &k)
+}
+
+// CoverOf is the answer HandleMiss would give k under StrategyCover, without
+// giving it: the rule of the partition that matches k and the cover a miss
+// would cache, minting no ID and counting no miss. False when no rule
+// matches or the subtraction isolates no cover around k (the miss path then
+// caches an exact match).
+func (a *Authority) CoverOf(k flowspace.Key) (flowspace.Rule, flowspace.Match, bool) {
+	entry, ok := a.ownTable().Peek(k)
+	if !ok {
+		return flowspace.Rule{}, flowspace.Match{}, false
+	}
+	hit := a.ruleIndex(&entry)
+	cover, ok := a.cover(hit, &k)
+	return a.Partition.Rules[hit], cover, ok
+}
+
+func (a *Authority) ownTable() *tcam.Table {
 	if a.table == nil {
 		a.table = tcam.New("authority", 0, tcam.EvictNone)
 		for _, r := range a.Partition.Rules {
 			_ = a.table.Insert(0, r, 0, 0) // unbounded: cannot fail
 		}
 	}
-	entry, ok := a.table.Lookup(0, k, 0)
-	if !ok {
-		return MissResult{}
+	return a.table
+}
+
+// ruleIndex returns the index in Partition.Rules of the rule an authority
+// table installed entry from, or −1 when it is none of them.
+func (a *Authority) ruleIndex(entry *flowspace.Rule) int {
+	rules := a.Partition.Rules
+	want := flowspace.Rule{ID: AuthorityEntryRuleID(entry.ID), Priority: entry.Priority}
+	hit := sort.Search(len(rules), func(i int) bool { return !rules[i].Precedes(&want) })
+	if hit == len(rules) || want.Precedes(&rules[hit]) {
+		return -1
 	}
-	return a.Answer(&entry, &k)
+	return hit
 }
 
 // Answer processes a redirected packet k that the authority table matched
@@ -198,9 +230,8 @@ func (a *Authority) HandleMiss(k flowspace.Key) MissResult {
 func (a *Authority) Answer(entry *flowspace.Rule, k *flowspace.Key) MissResult {
 	a.Misses++
 	rules := a.Partition.Rules
-	want := flowspace.Rule{ID: AuthorityEntryRuleID(entry.ID), Priority: entry.Priority}
-	hit := sort.Search(len(rules), func(i int) bool { return !rules[i].Precedes(&want) })
-	if hit == len(rules) || want.Precedes(&rules[hit]) {
+	hit := a.ruleIndex(entry)
+	if hit < 0 {
 		return MissResult{}
 	}
 	r := &rules[hit]

@@ -154,3 +154,49 @@ func TestConsistentUpdateAnswersFromOwnGeneration(t *testing.T) {
 		}
 	}
 }
+
+// A packet that enters at the authority switch itself never reaches
+// authorityHandle: the switch's own classification answers it from the
+// authority table, and must keep to the running generation's band as well —
+// before the switch a staged rule answers nothing, however high its
+// priority, and after it the rule it replaces answers nothing either, though
+// neither has left the table.
+func TestConsistentUpdateAtAuthorityIngress(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		priority            int32 // of the staged deny rule
+		at                  func(installAt, switchAt float64) float64
+		delivered, policyDr uint64
+	}{
+		{"staged rule answers nothing before the switch", 100,
+			func(installAt, switchAt float64) float64 { return (installAt + switchAt) / 2 }, 1, 0},
+		{"replaced rule answers nothing after the switch", 1,
+			func(_, switchAt float64) float64 { return switchAt + 0.05 }, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, c := consistentNet(t)
+			deny := denyPolicy()
+			deny[0].Priority = tc.priority
+			switchAt, cleanupAt, err := c.UpdatePolicyConsistent(deny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := tc.at(switchAt-c.PolicyPushDelay, switchAt)
+			n.InjectPacket(at, 1, flowKey(1, 80), 100, 0) // ingress 1 is the authority
+			n.Run(at + 0.02)
+			if at+0.02 >= cleanupAt {
+				t.Fatal("the packet must be answered before the old generation is collected")
+			}
+			if got := n.Switches[1].Table(proto.TableAuthority).Len(); got != 2 {
+				t.Fatalf("authority table holds %d rules, want both generations", got)
+			}
+			if n.M.Redirects != 0 {
+				t.Fatalf("%d redirects: the packet was to be answered where it entered", n.M.Redirects)
+			}
+			if n.M.Delivered != tc.delivered || n.M.Drops.Policy != tc.policyDr {
+				t.Fatalf("delivered=%d policyDrops=%d, want %d and %d (drops %+v)",
+					n.M.Delivered, n.M.Drops.Policy, tc.delivered, tc.policyDr, n.M.Drops)
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"difane/internal/flowspace"
 	"difane/internal/journal"
 	"difane/internal/proto"
@@ -68,12 +70,7 @@ func (c *Controller) OnAuthorityFailure(failed uint32) float64 {
 // time.
 func (c *Controller) UpdatePolicy(policy []flowspace.Rule) (float64, error) {
 	parts := BuildPartitions(policy, c.net.cfg.Partition)
-	auths := make([]uint32, 0, len(c.net.authSt))
-	for id := range c.net.authSt {
-		auths = append(auths, id)
-	}
-	sortU32(auths)
-	assign, err := AssignWithReplication(parts, auths, c.net.cfg.Replication)
+	assign, err := AssignWithReplication(parts, sortedIDs(c.net.authSt), c.net.cfg.Replication)
 	if err != nil {
 		return 0, err
 	}
@@ -118,12 +115,7 @@ func (c *Controller) UpdatePolicyConsistent(policy []flowspace.Rule) (float64, f
 		return switchAt, cleanupAt, nil
 	}
 	parts := BuildPartitions(policy, c.net.cfg.Partition)
-	auths := make([]uint32, 0, len(c.net.authSt))
-	for id := range c.net.authSt {
-		auths = append(auths, id)
-	}
-	sortU32(auths)
-	assign, err := AssignWithReplication(parts, auths, c.net.cfg.Replication)
+	assign, err := AssignWithReplication(parts, sortedIDs(c.net.authSt), c.net.cfg.Replication)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -247,14 +239,16 @@ func (n *Network) reinstall(policy []flowspace.Rule, assign Assignment) {
 	n.installAssignment()
 }
 
-// sortU32 sorts ascending without pulling in sort for one call site... it
-// actually just delegates; kept tiny for clarity.
-func sortU32(v []uint32) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
+// sortedIDs returns the keys of a map by switch ID in ascending order:
+// what every walk whose order shows in the result (FlowMod order, minted
+// IDs, tie-breaks) iterates instead of the map.
+func sortedIDs[V any](m map[uint32]V) []uint32 {
+	ids := make([]uint32, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
 	}
+	slices.Sort(ids)
+	return ids
 }
 
 // PlaceAuthorities picks k authority switches spread over the topology

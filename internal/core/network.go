@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"difane/internal/cachepolicy"
 	"difane/internal/flowspace"
 	"difane/internal/metrics"
-	"difane/internal/packet"
 	"difane/internal/proto"
 	"difane/internal/sim"
 	"difane/internal/switchsim"
@@ -242,11 +240,9 @@ type Network struct {
 	// LinkLoads counts packets per directed link when cfg.HopByHop is set.
 	LinkLoads LinkLoads
 
-	// cachePol is the cost-aware caching policy (nil unless
-	// cfg.CacheEviction == EvictCostAware); aggSeq mints aggregation
-	// cover-rule IDs.
-	cachePol *cachepolicy.Policy
-	aggSeq   uint64
+	// cache is the cost-aware caching layer (nil, and every call on it a
+	// no-op, unless cfg.CacheEviction == EvictCostAware).
+	cache *CacheAdapter
 
 	// Observer, when non-nil, receives exactly one VerdictEvent per
 	// injected packet at its terminal outcome. The differential checker
@@ -284,15 +280,13 @@ func NewNetwork(g *topo.Graph, authorities []uint32, policy []flowspace.Rule, cf
 		Policy:     append([]flowspace.Rule(nil), policy...),
 		cfg:        cfg,
 		LinkLoads:  make(LinkLoads),
-	}
-	if cfg.CacheEviction == EvictCostAware {
-		n.cachePol = cachepolicy.New(cachepolicy.Config{})
+		cache:      NewCacheAdapter(cfg.CacheEviction),
 	}
 	for _, id := range g.Nodes() {
 		n.Switches[uint32(id)] = switchsim.New(uint32(id), switchsim.Config{
 			CacheCapacity: cfg.CacheCapacity,
 			CacheEviction: cfg.CacheEviction.TCAMPolicy(),
-			CacheVictim:   n.cacheVictimFn(),
+			CacheVictim:   n.cache.VictimFn(),
 			TCAMBudget:    cfg.TCAMBudget,
 		})
 	}
@@ -469,10 +463,11 @@ type authorityKey struct {
 
 // adopt makes assign, whose authority rules are installed, the running
 // assignment: fresh miss handlers, one per partition and replica host, the
-// generation band of the authority tables they answer from, and partition
-// rules that redirect to them.
+// generation band of the authority tables they (and each switch's own
+// classification) answer from, and partition rules that redirect to them.
 func (n *Network) adopt(assign Assignment) {
 	n.Assignment = assign
+	n.cache.SetAssignment(assign)
 	n.authorityAt = make(map[authorityKey]*Authority)
 	n.generation = 0
 	for i, p := range assign.Partitions {
@@ -485,6 +480,12 @@ func (n *Network) adopt(assign Assignment) {
 			n.configureAuthority(auth)
 			n.authorityAt[authorityKey{host, i}] = auth
 		}
+	}
+	// A packet that enters at an authority switch is answered by the
+	// switch's own pass over its authority table, which must see the band
+	// authorityHandle sees: this is the commit point for both.
+	for _, sw := range n.Switches {
+		sw.SetAuthorityBand(generationMask, n.generation)
 	}
 	n.installPartitionRules()
 }
@@ -543,8 +544,8 @@ func (n *Network) processAtIngress(injected float64, ingress uint32, k flowspace
 		n.finish(VerdictUnreachable, ingress, k, seq, 0, false, trace, 0)
 		return
 	}
-	if n.cachePol != nil && res.Table == proto.TableCache {
-		n.cachePol.ObserveTraffic(n.regionOfKey(k), 1, 0)
+	if res.Table == proto.TableCache {
+		n.cache.ObserveHit(&res.Rule.Match)
 	}
 	switch res.Rule.Action.Kind {
 	case flowspace.ActDrop:
@@ -639,12 +640,7 @@ func (n *Network) authorityHandle(injected float64, ingress, authority uint32, k
 		n.Span(telemetry.Event{Kind: telemetry.EvAuthority, Node: authority, Peer: ingress,
 			Table: uint8(proto.TableAuthority), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 	}
-	if n.cachePol != nil {
-		// The detour to here is the cost a miss in this region actually
-		// paid; the return leg roughly mirrors it.
-		n.cachePol.ObserveRedirect(auth.RegionIndex, now-injected)
-		n.cachePol.ObserveTraffic(auth.RegionIndex, 0, 1)
-	}
+	n.cache.ObserveMiss(auth.RegionIndex, now-injected)
 	// Install cache rules at the ingress switch after the control path.
 	if len(res.CacheMods) > 0 {
 		dAI, okBack := n.Topo.Dist(topo.NodeID(authority), topo.NodeID(ingress))
@@ -755,16 +751,6 @@ func (n *Network) PromoteBackups(failed uint32) int {
 	return removed
 }
 
-// ClearCaches wipes every switch's cache table (policy-change handling)
-// and returns the number of entries removed.
-func (n *Network) ClearCaches() int {
-	total := 0
-	for _, sw := range n.Switches {
-		total += sw.ClearCache()
-	}
-	return total
-}
-
 // CacheEntries returns the current total number of cache entries across
 // all switches.
 func (n *Network) CacheEntries() int {
@@ -774,9 +760,6 @@ func (n *Network) CacheEntries() int {
 	}
 	return total
 }
-
-// AuthorityLoad returns per-authority primary TCAM entries.
-func (n *Network) AuthorityLoad() map[uint32]int { return n.Assignment.LoadPerAuthority() }
 
 // AllAuthorities returns every partition handler in the network (primaries
 // and backup replicas), for statistics aggregation.
@@ -800,6 +783,3 @@ func (n *Network) EgressOf(k flowspace.Key) (uint32, bool) {
 	}
 	return r.Action.Arg, true
 }
-
-// HeaderKey is a convenience for tests: project a packet header to a key.
-func HeaderKey(h packet.Header) flowspace.Key { return h.Key() }

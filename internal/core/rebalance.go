@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"difane/internal/proto"
@@ -52,16 +53,12 @@ func (n *Network) AuthorityMissLoad() map[uint32]uint64 {
 func (c *Controller) RebalanceByLoad() int {
 	n := c.net
 	loads := n.MeasurePartitionLoad()
-	auths := make([]uint32, 0, len(n.authSt))
-	for id := range n.authSt {
-		if n.Topo.NodeUp(topo.NodeID(id)) {
-			auths = append(auths, id)
-		}
-	}
+	auths := slices.DeleteFunc(sortedIDs(n.authSt), func(id uint32) bool {
+		return !n.Topo.NodeUp(topo.NodeID(id))
+	})
 	if len(auths) == 0 {
 		return 0
 	}
-	sortU32(auths)
 
 	// Order partitions by measured load, heaviest first.
 	order := make([]int, len(loads))

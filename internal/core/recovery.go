@@ -224,12 +224,7 @@ func (c *Controller) Reconcile() (installed, deleted int) {
 	// Iterate switches and desired rules in sorted order, so the FlowMods,
 	// and the install events and index they leave behind, come out the same
 	// on every run of the same seed: map-ordered iteration would not do that.
-	swIDs := make([]uint32, 0, len(n.Switches))
-	for id := range n.Switches {
-		swIDs = append(swIDs, id)
-	}
-	sortU32(swIDs)
-	for _, id := range swIDs {
+	for _, id := range sortedIDs(n.Switches) {
 		sw := n.Switches[id]
 		desired := want[id]
 		tb := sw.Table(proto.TableAuthority)

@@ -106,9 +106,7 @@ func (n *Network) registerMetrics() {
 	reg.RegisterFunc("difane_switches",
 		"Switches in the simulated topology.", telemetry.TypeGauge,
 		func() float64 { return float64(len(n.Switches)) })
-	if n.cachePol != nil {
-		n.cachePol.RegisterMetrics(reg)
-	}
+	n.cache.RegisterMetrics(reg)
 }
 
 // VerdictCode maps the simulator's terminal outcomes onto the shared

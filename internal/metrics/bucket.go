@@ -61,20 +61,3 @@ func (b *TokenBucket) AllowAt(now time.Time) bool {
 	b.tokens--
 	return true
 }
-
-// Tokens returns the current token count (after refill), for inspection.
-func (b *TokenBucket) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if dt := time.Since(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.last = time.Now()
-	}
-	return b.tokens
-}

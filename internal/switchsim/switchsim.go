@@ -61,6 +61,12 @@ type Switch struct {
 	tcamBudget int
 	cacheCap   int
 
+	// authMask / authBand restrict the switch's own pass over its authority
+	// table (Classify, ClassifyBurst, Peek) to the entries whose rule ID
+	// reads authBand under authMask; the zero mask takes every entry. See
+	// SetAuthorityBand.
+	authMask, authBand uint64
+
 	Stats Stats
 }
 
@@ -99,6 +105,15 @@ func New(id uint32, cfg Config) *Switch {
 	s.EnforceBudget(0)
 	return s
 }
+
+// SetAuthorityBand makes the switch classify against one band of its
+// authority table: a deployment that keeps several rule generations in the
+// table side by side (a consistent policy update stages the next one before
+// the commit and collects the last one after it) names the running one, so
+// a packet that enters here is answered by the same rules as one redirected
+// here. Not synchronized: call it from the goroutine that classifies, or
+// before the switch is shared.
+func (s *Switch) SetAuthorityBand(mask, band uint64) { s.authMask, s.authBand = mask, band }
 
 // TCAMBudget returns the switch's shared-TCAM budget (0 = unbounded).
 func (s *Switch) TCAMBudget() int { return s.tcamBudget }
@@ -157,9 +172,12 @@ func (s *Switch) Classify(now float64, k flowspace.Key, size int) Result {
 		s.Stats.CacheHits.Add(1)
 		return Result{Rule: r, Table: proto.TableCache, OK: true}
 	}
-	if r, ok := s.authority.Lookup(now, k, size); ok {
+	v := s.authority.AcquireView()
+	r := v.LookupBand(now, &k, size, s.authMask, s.authBand)
+	v.Release()
+	if r != nil {
 		s.Stats.AuthorityHits.Add(1)
-		return Result{Rule: r, Table: proto.TableAuthority, OK: true}
+		return Result{Rule: *r, Table: proto.TableAuthority, OK: true}
 	}
 	if r, ok := s.partition.Lookup(now, k, size); ok {
 		s.Stats.PartitionHits.Add(1)
@@ -197,13 +215,14 @@ func (s *Switch) ClassifyBurst(now float64, keys []flowspace.Key, sizes []int, o
 	}
 	if remaining > 0 {
 		v = s.authority.AcquireView()
+		mask, band := s.authMask, s.authBand
 		hits = 0
 		for i := range keys {
 			if out[i].OK {
 				continue
 			}
-			if r, ok := v.Lookup(now, keys[i], sizes[i]); ok {
-				out[i] = Result{Rule: r, Table: proto.TableAuthority, OK: true}
+			if r := v.LookupBand(now, &keys[i], sizes[i], mask, band); r != nil {
+				out[i] = Result{Rule: *r, Table: proto.TableAuthority, OK: true}
 				hits++
 				remaining--
 			}
@@ -241,7 +260,7 @@ func (s *Switch) Peek(k flowspace.Key) Result {
 	if r, ok := s.cache.Peek(k); ok {
 		return Result{Rule: r, Table: proto.TableCache, OK: true}
 	}
-	if r, ok := s.authority.Peek(k); ok {
+	if r, ok := s.authority.PeekBand(k, s.authMask, s.authBand); ok {
 		return Result{Rule: r, Table: proto.TableAuthority, OK: true}
 	}
 	if r, ok := s.partition.Peek(k); ok {

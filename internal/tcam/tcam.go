@@ -666,9 +666,14 @@ func (v *View) Release() {
 
 // Peek is Lookup without counter updates — for analysis passes.
 func (t *Table) Peek(k flowspace.Key) (flowspace.Rule, bool) {
+	return t.PeekBand(k, 0, 0)
+}
+
+// PeekBand is Peek among the entries LookupBand searches for mask and band.
+func (t *Table) PeekBand(k flowspace.Key, mask, band uint64) (flowspace.Rule, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if e := t.root.find(&k, nil, 0, 0); e != nil {
+	if e := t.root.find(&k, nil, mask, band); e != nil {
 		return e.rule, true
 	}
 	return flowspace.Rule{}, false

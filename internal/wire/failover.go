@@ -3,6 +3,7 @@ package wire
 import (
 	"time"
 
+	"difane/internal/core"
 	"difane/internal/proto"
 	"difane/internal/telemetry"
 )
@@ -131,65 +132,44 @@ func (c *Cluster) markAlive(n *node) {
 // live switch — the inverse of promoteBackups. OpAdd replaces in place, so
 // rules failoverLocal re-pointed at another replica snap back too.
 func (c *Cluster) restoreRules(revived uint32) {
-	var mods []proto.FlowMod
-	for _, r := range c.assign.PartitionRules(partitionRuleBase) {
-		if r.Action.Arg != revived {
-			continue
-		}
-		mods = append(mods, proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: r})
-	}
-	if len(mods) == 0 {
-		return
-	}
-	for _, n := range c.switches {
-		if n.killed.Load() {
-			continue
-		}
-		for i := range mods {
-			_ = c.installRule(n, &mods[i])
-		}
-	}
+	c.pushPartitionRules(revived, proto.OpAdd)
 }
 
 // promoteBackups is the controller-driven half of failover: it withdraws
 // the dead switch's partition rules from every live switch, exposing the
 // lower-priority backup rules that were pre-installed at build time.
 func (c *Cluster) promoteBackups(dead uint32) {
-	var mods []proto.FlowMod
-	for i := range c.assign.Partitions {
-		if c.assign.Primary[i] == dead {
-			mods = append(mods, deleteRuleMod(partitionRuleBase+uint64(2*i)))
-		}
-		if c.assign.Backup[i] == dead {
-			mods = append(mods, deleteRuleMod(partitionRuleBase+uint64(2*i)+1))
-		}
-	}
-	if len(mods) == 0 {
-		return
-	}
-	promoted := false
-	for _, n := range c.switches {
-		if n.id == dead || n.killed.Load() {
-			continue
-		}
-		for i := range mods {
-			if err := c.installRule(n, &mods[i]); err == nil {
-				promoted = true
-			}
-		}
-	}
-	if promoted {
-		c.cold.failoversPromoted.Add(uint64(len(mods)))
+	if rules, sent := c.pushPartitionRules(dead, proto.OpDelete); sent {
+		c.cold.failoversPromoted.Add(uint64(rules))
 		c.Span(telemetry.Event{
-			Kind: telemetry.EvPromote, Node: dead, Value: uint64(len(mods)),
+			Kind: telemetry.EvPromote, Node: dead, Value: uint64(rules),
 		})
 	}
 }
 
-func deleteRuleMod(id uint64) proto.FlowMod {
-	mod := proto.FlowMod{Table: proto.TablePartition, Op: proto.OpDelete}
-	mod.Rule.ID = id
-	return mod
+// pushPartitionRules sends op, for each partition rule installAssignment
+// installed that redirects to host, to every live switch (host itself only
+// once it is alive again). It returns how many rules those are — a
+// partition with a single authority has no backup rule, so none is
+// withdrawn or counted for it — and whether any switch took one.
+func (c *Cluster) pushPartitionRules(host uint32, op proto.FlowModOp) (rules int, sent bool) {
+	var mods []proto.FlowMod
+	for _, r := range c.assign.PartitionRules(core.PartitionIDBase) {
+		if r.Action.Arg == host {
+			mods = append(mods, proto.FlowMod{Table: proto.TablePartition, Op: op, Rule: r})
+		}
+	}
+	for _, n := range c.switches {
+		if n.killed.Load() || (n.id == host && !n.alive.Load()) {
+			continue
+		}
+		for i := range mods {
+			if err := c.installRule(n, &mods[i]); err == nil {
+				sent = true
+			}
+		}
+	}
+	return len(mods), sent
 }
 
 // notePending records a redirect sent toward an authority, keeping only

@@ -7,6 +7,7 @@ import (
 	"difane/internal/core"
 	"difane/internal/flowspace"
 	"difane/internal/packet"
+	"difane/internal/proto"
 )
 
 // failoverPolicy forwards everything to switch 4, which is never an
@@ -269,5 +270,47 @@ func TestHeaderRoundTripForDeployment(t *testing.T) {
 	h2 := packet.HeaderFromKey(k)
 	if h2.Key() != k {
 		t.Fatal("HeaderFromKey round trip changed the key")
+	}
+}
+
+// Promotion withdraws, and counts, the partition rules that exist: a
+// partition with one authority was installed without a backup rule, so
+// promoting away from that authority sends one delete per partition (it
+// sent, and difane_failovers_promoted_total counted, a second one for the
+// backup rule that was never there), and restoring puts the same rules back.
+func TestPromoteAndRestoreMoveTheInstalledRules(t *testing.T) {
+	cfg := slack(failoverConfig())
+	cfg.Authorities = []uint32{2}
+	c := startCluster(t, cfg)
+	parts := len(c.Assignment().Partitions)
+	installed := c.TableRules(0, proto.TablePartition)
+	if len(installed) != parts {
+		t.Fatalf("switch 0 holds %d partition rules for %d single-authority partitions", len(installed), parts)
+	}
+	c.switches[2].alive.Store(false) // the verdict alone: promoteBackups is called by hand
+	c.promoteBackups(2)
+	fence := func(xid uint32) {
+		t.Helper()
+		for _, sw := range []uint32{0, 2} { // what was sent has been applied
+			if err := c.Barrier(sw, xid); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fence(1)
+	if got := c.Measurements().FailoversPromoted; got != uint64(parts) {
+		t.Fatalf("promotion counted %d rules, want the %d that were installed", got, parts)
+	}
+	if left := c.TableRules(0, proto.TablePartition); len(left) != 0 {
+		t.Fatalf("switch 0 still redirects to the dead authority: %v", left)
+	}
+	if kept := c.TableRules(2, proto.TablePartition); len(kept) != parts {
+		t.Fatalf("the dead switch itself was sent the withdrawal: %d rules left", len(kept))
+	}
+	c.switches[2].alive.Store(true)
+	c.restoreRules(2)
+	fence(2)
+	if back := c.TableRules(0, proto.TablePartition); len(back) != parts || back[0] != installed[0] {
+		t.Fatalf("restore left %v, want %v", back, installed)
 	}
 }

@@ -111,10 +111,11 @@ func TestSharedSchemaAcrossBackends(t *testing.T) {
 			if v, _ := b.Telemetry().Value("difane_dropped_total"); v != 1 {
 				t.Errorf("difane_dropped_total = %v, want 1: the hole is a loss, the policy drop is not", v)
 			}
-			// This registry is where a cost-aware deployment's adaptation round
-			// reads its hit-rate prior from (cachepolicy.ScrapeRegistry): without
-			// difane_redirects_total in it the prior is pinned at 1.0. (The
-			// baseline punts to its controller and redirects nothing.)
+			// The Measurements behind this registry are what a cost-aware
+			// deployment's adaptation round takes its hit-rate prior from
+			// (cachepolicy.SetPriors): without redirects counted in them the
+			// prior is pinned at 1.0. (The baseline punts to its controller and
+			// redirects nothing.)
 			if v, _ := b.Telemetry().Value("difane_redirects_total"); v < 3 && name != "baseline" {
 				t.Errorf("difane_redirects_total = %v after three new flows", v)
 			}

@@ -203,9 +203,7 @@ func (c *Cluster) TelemetryAddr() string {
 func (c *Cluster) registerMetrics() {
 	reg := c.Registry()
 	core.RegisterMeasurements(reg, c.Measurements)
-	if c.cachePol != nil {
-		c.cachePol.RegisterMetrics(reg)
-	}
+	c.cache.RegisterMetrics(reg)
 	counter := func(name, help string, fn func() float64) {
 		reg.RegisterFunc(name, help, telemetry.TypeCounter, fn)
 	}

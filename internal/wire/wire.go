@@ -25,7 +25,6 @@ import (
 	"unsafe"
 
 	"difane/internal/bfd"
-	"difane/internal/cachepolicy"
 	"difane/internal/core"
 	"difane/internal/flowspace"
 	"difane/internal/metrics"
@@ -125,11 +124,9 @@ type Cluster struct {
 	*telemetry.Probe
 	tsrv *telemetry.Server
 
-	// cachePol is the cost-aware caching policy (nil unless
-	// cfg.CacheEviction == core.EvictCostAware); aggSeq mints aggregation
-	// cover-rule IDs.
-	cachePol *cachepolicy.Policy
-	aggSeq   atomic.Uint64
+	// cache is the cost-aware caching layer (nil, and every call on it a
+	// no-op, unless cfg.CacheEviction == core.EvictCostAware).
+	cache *core.CacheAdapter
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -291,13 +288,12 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		ext:        &nodeStats{},
 		ctx:        cctx,
 		cancel:     cancel,
+		cache:      core.NewCacheAdapter(cfg.CacheEviction),
 	}
 	for i := range assign.Partitions {
 		c.failover[i] = assign.FailoverList(i)
 	}
-	if cfg.CacheEviction == core.EvictCostAware {
-		c.cachePol = cachepolicy.New(cachepolicy.Config{})
-	}
+	c.cache.SetAssignment(assign)
 	switch {
 	case cfg.trans != nil:
 		c.trans = cfg.trans
@@ -350,7 +346,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 			sw: switchsim.New(id, switchsim.Config{
 				CacheCapacity: cfg.CacheCapacity,
 				CacheEviction: cfg.CacheEviction.TCAMPolicy(),
-				CacheVictim:   c.cacheVictimFn(),
+				CacheVictim:   c.cache.VictimFn(),
 				TCAMBudget:    cfg.TCAMBudget,
 			}),
 			auths:      make(map[int]*core.Authority),
@@ -420,7 +416,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		c.wg.Add(1)
 		go c.bfdLoop()
 	}
-	if c.cachePol != nil {
+	if c.cache != nil {
 		c.wg.Add(1)
 		go c.cacheAdaptLoop()
 	}
@@ -433,7 +429,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 // partition — the paper's replicated-authority deployment.
 func (c *Cluster) installAssignment() error {
 	now := 0.0
-	prules := c.assign.PartitionRules(partitionRuleBase)
+	prules := c.assign.PartitionRules(core.PartitionIDBase)
 	for _, n := range c.switches {
 		for _, r := range prules {
 			mod := proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: r}
@@ -462,10 +458,6 @@ func (c *Cluster) installAssignment() error {
 	}
 	return nil
 }
-
-// partitionRuleBase offsets partition-rule IDs away from policy and cache
-// rule IDs (matches the simulator's base).
-const partitionRuleBase uint64 = 1 << 50
 
 // Assignment returns the partition→authority assignment the cluster runs.
 func (c *Cluster) Assignment() core.Assignment { return c.assign }
@@ -714,7 +706,7 @@ func (c *Cluster) traceVerdict(node uint32, verdict uint8, ruleID uint64, h *pac
 // failover, requiring no controller involvement because backup authority
 // rules are pre-installed.
 func (c *Cluster) failoverLocal(n *node, r flowspace.Rule, dead uint32) (uint32, bool) {
-	idx, ok := c.assign.PartitionOfRuleID(partitionRuleBase, r.ID)
+	idx, ok := c.assign.PartitionOfRuleID(core.PartitionIDBase, r.ID)
 	if !ok {
 		return 0, false
 	}
