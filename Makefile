@@ -1,5 +1,5 @@
 # The one-command check CI and contributors run before merging.
-.PHONY: verify fmt vet build test bench benchmark cache-ablation-smoke trace-demo fuzz-smoke check chaos-smoke soak soak-smoke soak-diff regen-golden loc
+.PHONY: verify fmt vet build test bench benchmark bench-pairs cache-ablation-smoke trace-demo fuzz-smoke check chaos-smoke soak soak-smoke soak-diff regen-golden loc
 
 verify: fmt vet build test fuzz-smoke
 
@@ -22,7 +22,7 @@ build:
 test:
 	go test -race ./...
 	go test -C bench ./...
-	go test -run '^$$' -bench . -benchtime 1x ./internal/tcam ./internal/switchsim ./internal/flowspace ./internal/core
+	go test -run '^$$' -bench . -benchtime 1x ./internal/tcam ./internal/switchsim ./internal/flowspace ./internal/core ./internal/wire
 
 bench:
 	go test -bench=. -benchmem ./...
@@ -33,6 +33,18 @@ bench:
 # PR pipeline's parent-vs-change run of this is the only timing gate.
 benchmark:
 	go run -C bench .
+
+# Interleaved pairs of one workload, BASE against the working tree, N
+# seed-7 runs a side alternating which goes first: every run, each side's
+# median and quartiles and the change's wins for goodput_pps and
+# cpu_us_per_pkt (choosing-metrics §8; what BENCH_<pr>.json's interleaved
+# sets record). 5-7 s a run on the closed-loop workloads, ~25 s on
+# paced-mix.
+W ?= hit-small
+N ?= 10
+BASE ?= HEAD
+bench-pairs:
+	sh scripts/bench-pairs.sh $(W) $(N) $(BASE)
 
 # The adaptive-caching gate: the short F6b eviction ablation on a fixed
 # seed — a flash-crowd + scan workload under hard TCAM budgets — fails

@@ -443,8 +443,8 @@ type Deployment interface {
 
 // PacketIn is one packet handed to a Deployment: InjectPacket's argument
 // tuple in struct form, so callers can hand whole bursts to a backend in
-// one InjectBatch call — in wire mode a run of same-ingress packets
-// becomes one ring push under one lock.
+// one InjectBatch call — in wire mode each ingress's packets of a batch
+// are written into its injection ring under one lock.
 type PacketIn = core.PacketIn
 
 // runTraceBatch sizes the chunks RunTrace hands to InjectBatch.

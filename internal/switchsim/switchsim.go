@@ -155,9 +155,11 @@ func (s *Switch) Table(t proto.Table) *tcam.Table {
 	}
 }
 
-// Result is the outcome of classifying one packet.
+// Result is the outcome of classifying one packet. Rule is the matched
+// entry's own rule (nil on a miss): an installed rule never changes, so it
+// stays valid after the entry is replaced or evicted, but it is read-only.
 type Result struct {
-	Rule  flowspace.Rule
+	Rule  *flowspace.Rule
 	Table proto.Table
 	OK    bool
 }
@@ -168,18 +170,20 @@ type Result struct {
 // lookup runs under the table's read lock (see internal/tcam), so a
 // concurrent FlowMod is observed either fully applied or not at all.
 func (s *Switch) Classify(now float64, k flowspace.Key, size int) Result {
-	if r, ok := s.cache.Lookup(now, k, size); ok {
+	lookup := func(t *tcam.Table, mask, band uint64) *flowspace.Rule {
+		v := t.AcquireView()
+		defer v.Release()
+		return v.LookupBand(now, &k, size, mask, band)
+	}
+	if r := lookup(s.cache, 0, 0); r != nil {
 		s.Stats.CacheHits.Add(1)
 		return Result{Rule: r, Table: proto.TableCache, OK: true}
 	}
-	v := s.authority.AcquireView()
-	r := v.LookupBand(now, &k, size, s.authMask, s.authBand)
-	v.Release()
-	if r != nil {
+	if r := lookup(s.authority, s.authMask, s.authBand); r != nil {
 		s.Stats.AuthorityHits.Add(1)
-		return Result{Rule: *r, Table: proto.TableAuthority, OK: true}
+		return Result{Rule: r, Table: proto.TableAuthority, OK: true}
 	}
-	if r, ok := s.partition.Lookup(now, k, size); ok {
+	if r := lookup(s.partition, 0, 0); r != nil {
 		s.Stats.PartitionHits.Add(1)
 		return Result{Rule: r, Table: proto.TablePartition, OK: true}
 	}
@@ -201,7 +205,7 @@ func (s *Switch) ClassifyBurst(now float64, keys []flowspace.Key, sizes []int, o
 	v := s.cache.AcquireView()
 	hits := uint64(0)
 	for i := range keys {
-		if r, ok := v.Lookup(now, keys[i], sizes[i]); ok {
+		if r := v.LookupBand(now, &keys[i], sizes[i], 0, 0); r != nil {
 			out[i] = Result{Rule: r, Table: proto.TableCache, OK: true}
 			hits++
 			remaining--
@@ -222,7 +226,7 @@ func (s *Switch) ClassifyBurst(now float64, keys []flowspace.Key, sizes []int, o
 				continue
 			}
 			if r := v.LookupBand(now, &keys[i], sizes[i], mask, band); r != nil {
-				out[i] = Result{Rule: *r, Table: proto.TableAuthority, OK: true}
+				out[i] = Result{Rule: r, Table: proto.TableAuthority, OK: true}
 				hits++
 				remaining--
 			}
@@ -239,7 +243,7 @@ func (s *Switch) ClassifyBurst(now float64, keys []flowspace.Key, sizes []int, o
 			if out[i].OK {
 				continue
 			}
-			if r, ok := v.Lookup(now, keys[i], sizes[i]); ok {
+			if r := v.LookupBand(now, &keys[i], sizes[i], 0, 0); r != nil {
 				out[i] = Result{Rule: r, Table: proto.TablePartition, OK: true}
 				hits++
 				remaining--
@@ -257,13 +261,13 @@ func (s *Switch) ClassifyBurst(now float64, keys []flowspace.Key, sizes []int, o
 
 // Peek classifies without touching any counters.
 func (s *Switch) Peek(k flowspace.Key) Result {
-	if r, ok := s.cache.Peek(k); ok {
+	if r := s.cache.PeekBand(k, 0, 0); r != nil {
 		return Result{Rule: r, Table: proto.TableCache, OK: true}
 	}
-	if r, ok := s.authority.PeekBand(k, s.authMask, s.authBand); ok {
+	if r := s.authority.PeekBand(k, s.authMask, s.authBand); r != nil {
 		return Result{Rule: r, Table: proto.TableAuthority, OK: true}
 	}
-	if r, ok := s.partition.Peek(k); ok {
+	if r := s.partition.PeekBand(k, 0, 0); r != nil {
 		return Result{Rule: r, Table: proto.TablePartition, OK: true}
 	}
 	return Result{}

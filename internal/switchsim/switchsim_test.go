@@ -202,13 +202,39 @@ func TestClassifyBurstMatchesClassify(t *testing.T) {
 	burst.ClassifyBurst(0, keys, sizes, got)
 
 	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("packet %d: scalar %+v != burst %+v", i, want[i], got[i])
+		w, g := want[i], got[i]
+		if w.OK != g.OK || w.Table != g.Table || (w.OK && *w.Rule != *g.Rule) {
+			t.Fatalf("packet %d: scalar %+v != burst %+v", i, w, g)
 		}
 	}
 	ss, bs := scalar.Stats.Snapshot(), burst.Stats.Snapshot()
 	if ss != bs {
 		t.Fatalf("stats diverge: scalar %+v burst %+v", ss, bs)
+	}
+}
+
+// TestResultPointsAtInstalledRule: every classification of a packet hitting
+// one entry — Classify, a burst of ClassifyBurst, Peek — answers with that
+// entry's own rule, not a copy, and allocates nothing; the rule stays
+// readable after the entry is deleted.
+func TestResultPointsAtInstalledRule(t *testing.T) {
+	s := New(1, Config{})
+	add(t, s, proto.TableCache, mkRule(7, 0, 80, flowspace.ActDrop))
+	keys := []flowspace.Key{keyPort(80), keyPort(80)}
+	out := make([]Result, len(keys))
+	s.ClassifyBurst(0, keys, []int{64, 64}, out)
+	one, peek := s.Classify(0, keys[0], 64), s.Peek(keys[0])
+	if !one.OK || out[0].Rule != one.Rule || out[1].Rule != one.Rule || peek.Rule != one.Rule {
+		t.Fatalf("one entry answered with different rules: %p %p %p %p", out[0].Rule, out[1].Rule, one.Rule, peek.Rule)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.ClassifyBurst(0, keys, []int{64, 64}, out) }); allocs != 0 {
+		t.Fatalf("ClassifyBurst allocates %.1f per burst", allocs)
+	}
+	if err := s.ApplyFlowMod(0, &proto.FlowMod{Table: proto.TableCache, Op: proto.OpDelete, Rule: flowspace.Rule{ID: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	if one.Rule.ID != 7 || one.Rule.Action.Kind != flowspace.ActDrop {
+		t.Fatalf("rule changed under its deleted entry: %+v", *one.Rule)
 	}
 }
 

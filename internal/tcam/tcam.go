@@ -666,17 +666,21 @@ func (v *View) Release() {
 
 // Peek is Lookup without counter updates — for analysis passes.
 func (t *Table) Peek(k flowspace.Key) (flowspace.Rule, bool) {
-	return t.PeekBand(k, 0, 0)
+	if r := t.PeekBand(k, 0, 0); r != nil {
+		return *r, true
+	}
+	return flowspace.Rule{}, false
 }
 
-// PeekBand is Peek among the entries LookupBand searches for mask and band.
-func (t *Table) PeekBand(k flowspace.Key, mask, band uint64) (flowspace.Rule, bool) {
+// PeekBand is Peek among the entries LookupBand searches for mask and
+// band, returning the entry's own rule like LookupBand (nil on a miss).
+func (t *Table) PeekBand(k flowspace.Key, mask, band uint64) *flowspace.Rule {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if e := t.root.find(&k, nil, mask, band); e != nil {
-		return e.rule, true
+		return &e.rule
 	}
-	return flowspace.Rule{}, false
+	return nil
 }
 
 // Advance expires entries whose idle or hard timeout has passed by time

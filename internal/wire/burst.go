@@ -5,12 +5,14 @@ package wire
 // here), authority work (redirects targeting here), and fresh
 // classifications; the classification vector runs through one TCAM read-lock
 // acquisition per table (switchsim.ClassifyBurst), authority misses are
-// resolved under one node lock, and everything leaving the switch is staged
-// into per-destination buckets flushed with one ring push per
-// destination. Measurement shards likewise take one update per
-// burst: one latency-mutex acquisition for all deliveries, one completed
-// bump for the batch. All scratch state lives in a per-goroutine
-// burstScratch, so the steady-state cache-hit path allocates nothing.
+// resolved under one node lock, and everything leaving the switch is
+// written straight into a slot reserved on its destination's ring, each
+// destination's reservations published with one commit at the end of the
+// burst — one copy per hop, no staging bucket. Measurement shards likewise
+// take one update per burst: one latency-mutex acquisition for all
+// deliveries, one completed bump for the batch. All scratch state lives in
+// a per-goroutine burstScratch, so the steady-state cache-hit path
+// allocates nothing.
 
 import (
 	"time"
@@ -25,7 +27,7 @@ import (
 
 // burstScratch is one data goroutine's reusable burst state. Every slice is
 // allocated once (capacity = the configured burst, or the switch count for
-// the per-destination buckets) and resliced per burst.
+// the per-destination counts) and resliced per burst.
 type burstScratch struct {
 	// frames is the pull buffer dataLoop fills from the input rings.
 	frames []dataFrame
@@ -48,17 +50,18 @@ type burstScratch struct {
 	first []float64
 	later []float64
 
-	// out stages outbound frames per destination slot; touched lists the
-	// slots staged this burst. redirTargets is the deduplicated set of
-	// authority switches redirected to, for pending-redirect bookkeeping.
-	out          [][]dataFrame
+	// staged counts, per destination slot, the frames reserved on that
+	// destination's ring this burst; touched lists the slots with any.
+	// redirTargets is the deduplicated set of authority switches redirected
+	// to, for pending-redirect bookkeeping.
+	staged       []int
 	touched      []int
 	redirTargets []uint32
 }
 
 func newBurstScratch(c *Cluster) *burstScratch {
 	const b = fabricBurst
-	s := &burstScratch{
+	return &burstScratch{
 		frames:       make([]dataFrame, b),
 		cidx:         make([]int, 0, b),
 		keys:         make([]flowspace.Key, 0, b),
@@ -69,14 +72,10 @@ func newBurstScratch(c *Cluster) *burstScratch {
 		deliv:        make([]int, 0, b),
 		first:        make([]float64, 0, b),
 		later:        make([]float64, 0, b),
-		out:          make([][]dataFrame, len(c.nodes)),
+		staged:       make([]int, len(c.nodes)),
 		touched:      make([]int, 0, len(c.nodes)),
 		redirTargets: make([]uint32, 0, 4),
 	}
-	for i := range s.out {
-		s.out[i] = make([]dataFrame, 0, b)
-	}
-	return s
 }
 
 func (s *burstScratch) reset() {
@@ -87,10 +86,6 @@ func (s *burstScratch) reset() {
 	s.deliv = s.deliv[:0]
 	s.first = s.first[:0]
 	s.later = s.later[:0]
-	for _, slot := range s.touched {
-		s.out[slot] = s.out[slot][:0]
-	}
-	s.touched = s.touched[:0]
 	s.redirTargets = s.redirTargets[:0]
 }
 
@@ -191,7 +186,7 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 			// The failure detector marked the target dead: fail over to
 			// the backup locally, in the data plane, without a controller
 			// round trip.
-			next, ok := c.failoverLocal(n, res.Rule, target)
+			next, ok := c.failoverLocal(n, *res.Rule, target)
 			if !ok {
 				c.drop(n.stats, dropUnreachable)
 				c.traceVerdict(n.id, telemetry.VUnreachable, res.Rule.ID, &pkt.Header, 0, f.trace)
@@ -375,19 +370,33 @@ func (c *Cluster) stageTunnel(n *node, s *burstScratch, egress uint32, f *dataFr
 	c.stageForward(n, s, egress, f)
 }
 
-// stageForward buckets the frame under its destination's slot; unknown
-// destinations drop immediately. Killed destinations are handled at flush
-// time, matching the direct path's per-send check.
+// stageForward writes the frame into the next slot it reserves on its
+// destination's ring, for flushForwards to publish. An unknown destination
+// is unreachable and a full ring a queue drop (unless the destination is
+// dead: its ring stopped draining), both counted here; a destination killed
+// before the commit is handled there.
 func (c *Cluster) stageForward(src *node, s *burstScratch, to uint32, f *dataFrame) {
 	dst, ok := c.switches[to]
 	if !ok {
 		c.drop(src.stats, dropUnreachable)
 		return
 	}
-	if len(s.out[dst.slot]) == 0 {
+	k := s.staged[dst.slot]
+	slot := dst.ring(src.slot).reserve(k)
+	if slot == nil {
+		kind, verdict := dropQueue, telemetry.VDropQueue
+		if dst.killed.Load() {
+			kind, verdict = dropUnreachable, telemetry.VUnreachable
+		}
+		c.drop(src.stats, kind)
+		c.traceVerdict(src.id, verdict, 0, &f.pkt.Header, 0, f.trace)
+		return
+	}
+	*slot = *f
+	if k == 0 {
 		s.touched = append(s.touched, dst.slot)
 	}
-	s.out[dst.slot] = append(s.out[dst.slot], *f)
+	s.staged[dst.slot] = k + 1
 }
 
 // flushDeliveries records the burst's deliveries against the node's
@@ -432,8 +441,9 @@ func (c *Cluster) flushDeliveries(n *node, s *burstScratch, frames []dataFrame) 
 	c.wakeIfQuiet()
 }
 
-// flushForwards hands each destination its staged burst in one call: one
-// ring push per destination per burst. src's shard records drops.
+// flushForwards publishes each destination's reserved frames with one
+// commit and one wakeup per destination per burst. src's shard records
+// drops.
 func (c *Cluster) flushForwards(src *node, s *burstScratch) {
 	// Pending-redirect markers go down before the frames do, so an
 	// authority can never acknowledge a redirect we have not yet noted.
@@ -441,30 +451,27 @@ func (c *Cluster) flushForwards(src *node, s *burstScratch) {
 		c.notePending(t)
 	}
 	for _, slot := range s.touched {
-		frames := s.out[slot]
+		k := s.staged[slot]
+		s.staged[slot] = 0
 		dst := c.nodes[slot]
+		ring := dst.ring(src.slot)
 		if dst.killed.Load() {
-			// A killed switch's rings would happily accept the frames, but
-			// its pump goroutine is gone: the packets would sit there
-			// forever, uncounted — breaking the accounting identity
-			// (injected = delivered + drops) and wedging Deployment.Run's
-			// completion wait. Account them as unreachable instead, exactly
-			// like the simulator's dead-egress path.
-			for i := range frames {
+			// A killed switch's rings would happily take the frames, but its
+			// data goroutine is gone: the packets would sit there forever,
+			// uncounted — breaking the accounting identity (injected =
+			// delivered + drops) and wedging Deployment.Run's completion
+			// wait. Leave them unpublished and account them as unreachable,
+			// exactly like the simulator's dead-egress path.
+			for i := 0; i < k; i++ {
+				f := ring.reserve(i)
 				c.drop(src.stats, dropUnreachable)
-				c.traceVerdict(src.id, telemetry.VUnreachable, 0, &frames[i].pkt.Header, 0, frames[i].trace)
+				c.traceVerdict(src.id, telemetry.VUnreachable, 0, &f.pkt.Header, 0, f.trace)
 			}
 			continue
 		}
-		ring := dst.ring(src.slot)
-		pushed := ring.pushBurst(frames)
-		if pushed > 0 {
-			dst.noteQueueDepth(int64(ring.len()))
-			dst.wake()
-		}
-		for i := pushed; i < len(frames); i++ {
-			c.drop(src.stats, dropQueue)
-			c.traceVerdict(src.id, telemetry.VDropQueue, 0, &frames[i].pkt.Header, 0, frames[i].trace)
-		}
+		ring.commit(k)
+		dst.noteQueueDepth(int64(ring.len()))
+		dst.wake()
 	}
+	s.touched = s.touched[:0]
 }

@@ -70,7 +70,8 @@ type ClusterConfig struct {
 // fabricBurst caps how many frames a switch pulls from its input rings and
 // runs through one classification pass — one TCAM read-lock acquisition,
 // one stats update, one downstream handoff per destination — per
-// iteration. It also sizes the pooled injection slabs.
+// iteration. It also sizes the injection path's commits: InjectBatch
+// publishes at most this many frames per tail store.
 const fabricBurst = 64
 
 // healthInterval paces the SLO watchdog's registry scrapes.

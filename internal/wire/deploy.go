@@ -74,46 +74,81 @@ func (d *Deployment) injectRetry(ingress uint32, h packet.Header, size int, trac
 	}
 }
 
-// InjectBatch injects a burst of packets. Runs of consecutive packets
-// sharing an ingress become one ring push under one lock with one clock
-// read and one wakeup; the frames are staged in a pooled slab, so the
-// steady-state batch path allocates nothing. Packets that do not fit
-// (ring backpressure, killed or unknown ingress) fall back to the
-// per-packet retry path with its usual loss accounting.
+// injectChunk is how many packets InjectBatch groups at a time, so that
+// its index lists fit on the stack.
+const injectChunk = 1024
+
+// InjectBatch injects a burst of packets grouped by ingress, allocating
+// nothing: each ingress's packets keep their order (none across ingresses
+// is observable, each injection ring having a consumer of its own), and
+// each ingress takes its injectMu once per chunk. Packets that do not fit
+// go through injectRetry, with its loss accounting.
 func (d *Deployment) InjectBatch(batch []core.PacketIn) {
-	c := d.C
-	slab := c.slabs.Get().(*[]dataFrame)
-	frames := (*slab)[:0]
-	sampling := c.TraceSampleRate() != 0
-	for i := 0; i < len(batch); {
-		ingress := batch[i].Ingress
-		stamp := nowNS()
-		frames = frames[:0]
-		j := i
-		for j < len(batch) && batch[j].Ingress == ingress && len(frames) < cap(frames) {
-			f := dataFrame{
-				pkt: packet.Packet{
-					Header: packet.HeaderFromKey(batch[j].Key),
-					Size:   batch[j].Size,
-				},
-				injected: stamp,
-			}
-			if sampling {
-				f.trace = c.TraceID(batch[j].Key, batch[j].Seq)
-			}
-			frames = append(frames, f)
-			j++
+	var left, group [injectChunk]int32
+	for len(batch) > 0 {
+		chunk := batch[:min(len(batch), injectChunk)]
+		batch = batch[len(chunk):]
+		rest := left[:len(chunk)]
+		for i := range rest {
+			rest[i] = int32(i)
 		}
-		pushed := c.injectBurst(ingress, frames)
-		d.injected.Add(uint64(pushed))
-		for k := i + pushed; k < j; k++ {
-			d.injectRetry(ingress, packet.HeaderFromKey(batch[k].Key), batch[k].Size,
-				frames[k-i].trace)
+		// One shrinking pass over the remaining indices per ingress.
+		for len(rest) > 0 {
+			ingress := chunk[rest[0]].Ingress
+			g, keep := group[:0], rest[:0]
+			for _, i := range rest {
+				if chunk[i].Ingress == ingress {
+					g = append(g, i)
+				} else {
+					keep = append(keep, i)
+				}
+			}
+			rest = keep
+			d.injectGroup(ingress, chunk, g)
 		}
-		i = j
 	}
-	*slab = frames[:0]
-	c.slabs.Put(slab)
+}
+
+// injectGroup injects batch[idx...], all entering at ingress, in order:
+// written straight into the injection ring's free slots, every fabricBurst
+// of them published with one clock stamp, one tail store and one wakeup,
+// so the switch starts on the first burst while the rest are written.
+func (d *Deployment) injectGroup(ingress uint32, batch []core.PacketIn, idx []int32) {
+	c := d.C
+	sampling := c.TraceSampleRate() != 0
+	sent := 0
+	if n, ring := c.openInjection(ingress); ring != nil {
+		for sent < len(idx) {
+			stamp := nowNS()
+			k := 0
+			for ; k < fabricBurst && sent+k < len(idx); k++ {
+				f := ring.reserve(k)
+				if f == nil {
+					break
+				}
+				p := &batch[idx[sent+k]]
+				*f = dataFrame{
+					pkt:      packet.Packet{Header: packet.HeaderFromKey(p.Key), Size: p.Size},
+					injected: stamp,
+				}
+				if sampling {
+					f.trace = c.TraceID(p.Key, p.Seq)
+					c.traceIngress(ingress, &f.pkt.Header, f.trace)
+				}
+			}
+			if k == 0 {
+				break
+			}
+			c.commitInjected(n, ring, k)
+			sent += k
+		}
+		n.injectMu.Unlock()
+		d.injected.Add(uint64(sent))
+	}
+	for _, i := range idx[sent:] {
+		p := &batch[i]
+		d.injectRetry(ingress, packet.HeaderFromKey(p.Key), p.Size, c.TraceID(p.Key, p.Seq))
+	}
 }
 
 // Run blocks until every packet injected so far has reached a terminal

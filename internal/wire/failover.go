@@ -97,8 +97,11 @@ func (c *Cluster) markDead(n *node) {
 		c.cold.recordDetection(now.Sub(time.Unix(0, at)).Seconds())
 	}
 	c.clearPending(n.id)
-	c.cold.authorityDeaths.Add(1)
+	// Journal before counting: whoever sees the death counted (awaitDead)
+	// must also find it journaled, or a controller kill in between loses
+	// the record to the leaderless window.
 	c.journalAppend("death", map[string]any{"switch": n.id})
+	c.cold.authorityDeaths.Add(1)
 	c.Span(telemetry.Event{Kind: telemetry.EvDeath, Node: n.id})
 	c.wg.Add(1)
 	go func() {

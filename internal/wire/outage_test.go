@@ -314,16 +314,24 @@ func injectRedirects(t *testing.T, c *Cluster, ingress, firstSrc uint32, n int) 
 	for i := 0; i < n; i++ {
 		h := httpHeader(firstSrc + uint32(i))
 		auth := primaryFor(t, c, h.Key())
-		f := dataFrame{
+		n, ring := c.openInjection(auth)
+		if ring == nil {
+			t.Fatalf("authority %d takes no injection", auth)
+		}
+		f := ring.reserve(0)
+		if f == nil {
+			n.injectMu.Unlock()
+			t.Fatalf("redirect %d not accepted at authority %d", i, auth)
+		}
+		*f = dataFrame{
 			pkt:      packet.Packet{Header: h, Size: 100},
 			encap:    packet.Encap{Reason: packet.EncapRedirect, Ingress: ingress, Target: auth},
 			hasEncap: true,
 			injected: nowNS(),
 			detour:   true,
 		}
-		if c.injectBurst(auth, []dataFrame{f}) != 1 {
-			t.Fatalf("redirect %d not accepted at authority %d", i, auth)
-		}
+		c.commitInjected(n, ring, 1)
+		n.injectMu.Unlock()
 	}
 }
 

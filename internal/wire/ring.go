@@ -4,14 +4,21 @@ package wire
 // — the burst data plane's queue primitive, replacing per-packet channel
 // sends. The producer owns tail, the consumer owns head, and each side
 // publishes its cursor with an atomic store after touching the slots, so
-// the other side's acquire load orders the slot memory: a push's frame
+// the other side's acquire load orders the slot memory: a commit's frame
 // writes happen-before the pop that observes the advanced tail, and a pop's
-// frame reads happen-before the push that reuses the freed slot. No locks,
-// no failed CAS loops, and whole bursts move with one cursor update each.
+// frame reads happen-before the reserve that reuses the freed slot. No
+// locks, no failed CAS loops, and whole bursts move with one cursor update
+// each.
+//
+// The producer writes frames in place: reserve(k) hands it the slot k past
+// the published tail, and commit(k) publishes the first k. Reserved slots
+// belong to the producer until then — the consumer stops at tail — so a
+// reservation that is never committed is simply written over by the next.
 //
 // Single-producer discipline in this package: ring in[s] of a node is fed
 // only by switch s's data goroutine. The extra injection ring is fed by
-// arbitrary caller goroutines serialized by node.injectMu.
+// arbitrary caller goroutines, each reserving and committing under
+// node.injectMu.
 
 import "sync/atomic"
 
@@ -26,7 +33,7 @@ type frameRing struct {
 	_    ringPad
 	head atomic.Uint64 // consumer cursor: next slot to pop
 	_    ringPad
-	tail atomic.Uint64 // producer cursor: next slot to push
+	tail atomic.Uint64 // producer cursor: next slot to publish
 }
 
 // newFrameRing builds a ring holding at least depth frames (rounded up to a
@@ -45,33 +52,20 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// push appends one frame by value. Returns false when the ring is full.
-// Producer side only.
-func (r *frameRing) push(f *dataFrame) bool {
+// reserve returns the free slot k places past the published tail for the
+// producer to write, or nil when the ring has no room for it. Producer side
+// only.
+func (r *frameRing) reserve(k int) *dataFrame {
 	tail := r.tail.Load()
-	if int(tail-r.head.Load()) == len(r.buf) {
-		return false
+	if k >= len(r.buf)-int(tail-r.head.Load()) {
+		return nil
 	}
-	r.buf[tail&r.mask] = *f
-	r.tail.Store(tail + 1)
-	return true
+	return &r.buf[(tail+uint64(k))&r.mask]
 }
 
-// pushBurst appends as many of frames as fit, returning how many were
-// pushed. Producer side only.
-func (r *frameRing) pushBurst(frames []dataFrame) int {
-	tail := r.tail.Load()
-	free := len(r.buf) - int(tail-r.head.Load())
-	n := len(frames)
-	if n > free {
-		n = free
-	}
-	for i := 0; i < n; i++ {
-		r.buf[(tail+uint64(i))&r.mask] = frames[i]
-	}
-	r.tail.Store(tail + uint64(n))
-	return n
-}
+// commit publishes the first k reserved slots with one cursor store.
+// Producer side only.
+func (r *frameRing) commit(k int) { r.tail.Store(r.tail.Load() + uint64(k)) }
 
 // popBurst copies up to len(out) frames into out, returning how many.
 // Consumer side only.

@@ -56,9 +56,6 @@ type Cluster struct {
 	// number of switches) is every node's extra injection ring.
 	nodes   []*node
 	injSlot int
-	// slabs pools burst-sized dataFrame scratch slices for InjectBatch
-	// callers, so batch injection allocates nothing in steady state.
-	slabs sync.Pool
 	// Deliveries receives every packet that reaches an egress.
 	Deliveries chan Delivery
 
@@ -321,20 +318,18 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	c.injSlot = len(cfg.Switches)
 	// Pre-populate ring slots when the whole matrix is cheap: first-touch
 	// allocation otherwise lands mid-burst once traffic starts, and the
-	// GC cycles it triggers inside the measured window cost ~25% of
-	// cache-hit throughput. The matrix is O(switches²), so large
-	// topologies (a 76-switch campus at 16k depth is ~10 GB) fall back to
-	// lazy allocation in node.ring, where memory tracks the
-	// producer→consumer pairs traffic actually uses.
+	// GC cycles it triggers cost ~25% of cache-hit throughput in whatever
+	// window they land in. The matrix is O(switches²), so past the budget
+	// rings are allocated lazily in node.ring, where memory tracks the
+	// producer→consumer pairs traffic actually uses: a 76-switch campus at
+	// 16k depth would pin ~10 GB, and the benchmark's shape (72 rings ×
+	// 16,384 × 120 B = 141 MB) is over the budget too — its rings appear on
+	// first touch during warm-up, before anything is timed.
 	const eagerRingBudget = 64 << 20
 	ringSlots := len(cfg.Switches) * (len(cfg.Switches) + 1)
 	ringBytes := int(unsafe.Sizeof(dataFrame{}))
 	ringDepth := cfg.ringDepth()
 	eagerRings := ringSlots*ringDepth*ringBytes <= eagerRingBudget
-	c.slabs.New = func() any {
-		s := make([]dataFrame, 0, fabricBurst)
-		return &s
-	}
 	for slot, id := range cfg.Switches {
 		swConn, ctrlConn, err := c.trans.connect(cctx, id)
 		if err != nil {
@@ -488,59 +483,43 @@ func (c *Cluster) traceIngress(ingress uint32, h *packet.Header, trace uint64) {
 // on backpressure and record the loss themselves. trace is the packet's
 // sampled trace ID (0 = unsampled), minted by the caller via TraceID.
 func (c *Cluster) tryInject(ingress uint32, h packet.Header, size int, trace uint64) bool {
-	if c.closed.Load() {
+	n, ring := c.openInjection(ingress)
+	if ring == nil {
 		return false
 	}
-	n, ok := c.switches[ingress]
-	if !ok || n.killed.Load() {
+	defer n.injectMu.Unlock()
+	f := ring.reserve(0)
+	if f == nil {
 		return false
 	}
-	frame := dataFrame{
-		pkt:      packet.Packet{Header: h, Size: size},
-		injected: nowNS(),
-		trace:    trace,
-	}
-	ring := n.ring(c.injSlot)
-	n.injectMu.Lock()
-	pushed := ring.push(&frame)
-	n.injectMu.Unlock()
-	if !pushed {
-		return false
-	}
-	c.injected.Add(1)
+	*f = dataFrame{pkt: packet.Packet{Header: h, Size: size}, injected: nowNS(), trace: trace}
 	c.traceIngress(ingress, &h, trace)
-	n.noteQueueDepth(int64(ring.len()))
-	n.wake()
+	c.commitInjected(n, ring, 1)
 	return true
 }
 
-// injectBurst pushes a pre-built frame burst onto the ingress switch's
-// injection ring under one lock and one wakeup, returning how many frames
-// fit. Frames are stamped by the caller; leftovers (ring full, unknown or
-// killed switch, closing cluster) are the caller's to retry or account.
-func (c *Cluster) injectBurst(ingress uint32, frames []dataFrame) int {
-	if c.closed.Load() || len(frames) == 0 {
-		return 0
-	}
+// openInjection returns the ingress switch's injection ring with its
+// injectMu held, for the caller to reserve, write, commitInjected and
+// unlock — or a nil ring, with no lock held, when the switch is unknown or
+// killed or the cluster is closing.
+func (c *Cluster) openInjection(ingress uint32) (*node, *frameRing) {
 	n, ok := c.switches[ingress]
-	if !ok || n.killed.Load() {
-		return 0
+	if !ok || n.killed.Load() || c.closed.Load() {
+		return nil, nil
 	}
 	ring := n.ring(c.injSlot)
 	n.injectMu.Lock()
-	pushed := ring.pushBurst(frames)
-	n.injectMu.Unlock()
-	if pushed > 0 {
-		c.injected.Add(uint64(pushed))
-		if c.TraceSampleRate() != 0 {
-			for i := 0; i < pushed; i++ {
-				c.traceIngress(ingress, &frames[i].pkt.Header, frames[i].trace)
-			}
-		}
-		n.noteQueueDepth(int64(ring.len()))
-		n.wake()
-	}
-	return pushed
+	return n, ring
+}
+
+// commitInjected publishes the k frames written into n's injection ring:
+// counted injected first, so completed never runs ahead of it, then one
+// tail store and one wakeup.
+func (c *Cluster) commitInjected(n *node, ring *frameRing, k int) {
+	c.injected.Add(uint64(k))
+	ring.commit(k)
+	n.noteQueueDepth(int64(ring.len()))
+	n.wake()
 }
 
 // ring returns the input ring fed by producer slot, allocating it on

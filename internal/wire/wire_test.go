@@ -23,7 +23,7 @@ func testPolicy() []flowspace.Rule {
 }
 
 // startCluster boots cfg and closes it with the test.
-func startCluster(t *testing.T, cfg ClusterConfig) *Cluster {
+func startCluster(t testing.TB, cfg ClusterConfig) *Cluster {
 	t.Helper()
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -219,62 +219,46 @@ func TestCloseIsIdempotentAndStops(t *testing.T) {
 	}
 }
 
-// TestInjectBatchPoolReuse runs two InjectBatch calls back to back through
-// the same deployment, so the second batch is staged in the pooled frame
-// slab the first one used. Every delivery from the second batch must carry
-// exactly its own header and size — any stale field surviving slab reuse
-// (old headers, encap state, the detour bit) shows up as a corrupted or
-// duplicated delivery here.
-func TestInjectBatchPoolReuse(t *testing.T) {
-	c := newCluster(t, core.StrategyCover)
+// TestInjectBatchSlotReuse runs InjectBatch calls back to back through
+// rings of 64 slots, so later batches are written in place into ring slots
+// earlier ones used, at the ingress and at the egress. Every delivery must
+// carry exactly its own batch's header, and once the first batch has
+// cached the flows none may have detoured — a field surviving slot reuse
+// (an old header, encap state, the detour bit) shows up as a stale,
+// duplicated, corrupted or detoured delivery here.
+func TestInjectBatchSlotReuse(t *testing.T) {
+	c := startCluster(t, slack(ClusterConfig{
+		Switches:    []uint32{0, 1, 2, 3, 4},
+		Authorities: []uint32{2},
+		Policy:      testPolicy(),
+		Strategy:    core.StrategyCover,
+		QueueDepth:  64,
+	}))
 	d := Deploy(c)
-
-	const per = 32
-	mkBatch := func(base uint32, size int) []core.PacketIn {
+	const per, batches = 48, 6 // 24 per ingress: each ring wraps twice
+	for b := 0; b < batches; b++ {
+		base := uint32(1000 * (b + 1))
 		batch := make([]core.PacketIn, per)
 		for i := range batch {
 			h := httpHeader(base + uint32(i))
-			batch[i] = core.PacketIn{Ingress: uint32(i % 2), Key: h.Key(), Size: size}
+			batch[i] = core.PacketIn{Ingress: uint32(i % 2), Key: h.Key(), Size: 100 + b}
 		}
-		return batch
-	}
-	first := mkBatch(1000, 100)
-	d.InjectBatch(first)
-	seen := make(map[uint32]int, per)
-	for i := range first {
-		seen[1000+uint32(i)] = 100
-	}
-	for n := 0; n < per; n++ {
-		del := awaitDelivery(t, c)
-		if _, ok := seen[del.Header.IPSrc]; !ok {
-			t.Fatalf("first batch: unexpected src %d: %+v", del.Header.IPSrc, del)
-		}
-		delete(seen, del.Header.IPSrc)
-	}
-
-	second := mkBatch(2000, 700)
-	d.InjectBatch(second)
-	seen = make(map[uint32]int, per)
-	for i := range second {
-		seen[2000+uint32(i)] = 700
-	}
-	for n := 0; n < per; n++ {
-		del := awaitDelivery(t, c)
-		if _, ok := seen[del.Header.IPSrc]; !ok {
-			t.Fatalf("second batch: stale or duplicate src %d leaked from pooled slab: %+v",
-				del.Header.IPSrc, del)
-		}
-		delete(seen, del.Header.IPSrc)
-		if del.Header.TPDst != 80 {
-			t.Fatalf("second batch: header corrupted: %+v", del.Header)
+		d.InjectBatch(batch)
+		d.Run(5)
+		seen := make(map[uint32]bool, per)
+		for n := 0; n < per; n++ {
+			del := awaitDelivery(t, c)
+			src := del.Header.IPSrc
+			if src < base || src >= base+per || seen[src] || del.Header.TPDst != 80 {
+				t.Fatalf("batch %d: stale, duplicate or corrupted delivery: %+v", b, del)
+			}
+			if b > 0 && del.Detour {
+				t.Fatalf("batch %d: cached flow delivered with the detour bit: %+v", b, del)
+			}
+			seen[src] = true
 		}
 	}
-	if len(seen) != 0 {
-		t.Fatalf("second batch: %d deliveries missing", len(seen))
-	}
-	d.Run(5)
-	m := d.Measurements()
-	if m.Delivered != 2*per {
-		t.Fatalf("delivered = %d, want %d", m.Delivered, 2*per)
+	if m := d.Measurements(); m.Delivered != per*batches {
+		t.Fatalf("delivered = %d, want %d", m.Delivered, per*batches)
 	}
 }
