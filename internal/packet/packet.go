@@ -14,18 +14,20 @@ import (
 )
 
 // Header is the parsed header tuple of a packet — the fields DIFANE rules
-// match on.
+// match on. Fields run widest first, so the struct packs into 40 bytes
+// (declaration order would pad it to 48); wire mode's 64-byte frame counts
+// on that.
 type Header struct {
-	InPort  uint16
 	EthSrc  uint64 // 48 bits significant
 	EthDst  uint64 // 48 bits significant
-	EthType uint16
-	VLAN    uint16 // 12 bits significant
-	IPProto uint8
 	IPSrc   uint32
 	IPDst   uint32
+	InPort  uint16
+	EthType uint16
+	VLAN    uint16 // 12 bits significant
 	TPSrc   uint16
 	TPDst   uint16
+	IPProto uint8
 }
 
 // Common EtherType and IP protocol numbers used by the workloads.

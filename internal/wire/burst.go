@@ -1,18 +1,20 @@
 package wire
 
 // The burst engine: one pass of a switch's data plane over a vector of
-// frames, VPP-style. A burst is split into deliveries (tunnels terminating
-// here), authority work (redirects targeting here), and fresh
-// classifications; the classification vector runs through one TCAM read-lock
-// acquisition per table (switchsim.ClassifyBurst), authority misses are
-// resolved under one node lock, and everything leaving the switch is
-// written straight into a slot reserved on its destination's ring, each
-// destination's reservations published with one commit at the end of the
-// burst — one copy per hop, no staging bucket. Measurement shards likewise
-// take one update per burst: one latency-mutex acquisition for all
-// deliveries, one completed bump for the batch. All scratch state lives in
-// a per-goroutine burstScratch, so the steady-state cache-hit path
-// allocates nothing.
+// frames, VPP-style. The frames are read where they lie, in the slots of
+// the switch's input rings, and released only after the pass. A burst is
+// split into deliveries (tunnels terminating here), authority work
+// (redirects targeting here), and fresh classifications; the
+// classification vector runs through one TCAM read-lock acquisition per
+// table (switchsim.ClassifyBurst), authority misses are resolved under one
+// node lock, and everything leaving the switch is written straight into a
+// slot reserved on its destination's ring, each destination's reservations
+// published with one commit at the end of the burst — one frame write per
+// hop, no burst copy, no staging bucket. Measurement shards likewise take
+// one update per burst: one latency-mutex acquisition for all deliveries,
+// one completed bump for the batch. All scratch state lives in a
+// per-goroutine burstScratch, so the steady-state cache-hit path allocates
+// nothing.
 
 import (
 	"time"
@@ -29,8 +31,11 @@ import (
 // allocated once (capacity = the configured burst, or the switch count for
 // the per-destination counts) and resliced per burst.
 type burstScratch struct {
-	// frames is the pull buffer dataLoop fills from the input rings.
-	frames []dataFrame
+	// frames points at the burst's frames in the slots of the input rings,
+	// gathered by dataLoop; held lists how many each ring lent, for it to
+	// release once the burst is through.
+	frames []*dataFrame
+	held   []heldRun
 
 	// Classification vectors: cidx holds the frames[] indices being
 	// classified, keys/sizes their lookup inputs, results the verdicts.
@@ -59,10 +64,17 @@ type burstScratch struct {
 	redirTargets []uint32
 }
 
+// heldRun is k frames one ring lent to the burst in progress.
+type heldRun struct {
+	ring *frameRing
+	k    int
+}
+
 func newBurstScratch(c *Cluster) *burstScratch {
 	const b = fabricBurst
 	return &burstScratch{
-		frames:       make([]dataFrame, b),
+		frames:       make([]*dataFrame, b),
+		held:         make([]heldRun, 0, c.injSlot+1),
 		cidx:         make([]int, 0, b),
 		keys:         make([]flowspace.Key, 0, b),
 		sizes:        make([]int, 0, b),
@@ -100,25 +112,24 @@ func (s *burstScratch) noteRedirect(t uint32) {
 }
 
 // processBurst runs one burst through the switch's pipeline.
-func (c *Cluster) processBurst(n *node, s *burstScratch, frames []dataFrame) {
+func (c *Cluster) processBurst(n *node, s *burstScratch, frames []*dataFrame) {
 	s.reset()
 	// Split: tunnels terminating here are deliveries, redirects targeting
-	// here are authority work, everything else gets classified.
-	for i := range frames {
-		f := &frames[i]
-		if f.hasEncap && f.encap.Target == n.id {
-			switch f.encap.Reason {
-			case packet.EncapTunnel:
-				s.deliv = append(s.deliv, i)
-				continue
-			case packet.EncapRedirect:
-				s.authIdx = append(s.authIdx, i)
-				continue
-			}
+	// here are authority work, everything else gets classified. Every
+	// encapsulated frame targets this switch: none is written into any
+	// other ring than its target's.
+	for i, f := range frames {
+		switch f.reason {
+		case packet.EncapTunnel:
+			s.deliv = append(s.deliv, i)
+			continue
+		case packet.EncapRedirect:
+			s.authIdx = append(s.authIdx, i)
+			continue
 		}
 		s.cidx = append(s.cidx, i)
-		s.keys = append(s.keys, f.pkt.Header.Key())
-		s.sizes = append(s.sizes, f.pkt.Size)
+		s.keys = append(s.keys, f.hdr.Key())
+		s.sizes = append(s.sizes, int(f.size))
 	}
 	if len(s.cidx) > 0 {
 		// One read-lock acquisition per table for the whole vector. The
@@ -128,12 +139,12 @@ func (c *Cluster) processBurst(n *node, s *burstScratch, frames []dataFrame) {
 		// run on the same clock first, so a rule that idled out while no
 		// traffic arrived is gone before its flow's next packet looks it
 		// up; Advance costs three atomic loads until something is due.
-		now := frameSec(&frames[s.cidx[0]])
+		now := frameSec(frames[s.cidx[0]])
 		n.sw.Advance(now)
 		res := s.results[:len(s.cidx)]
 		n.sw.ClassifyBurst(now, s.keys, s.sizes, res)
 		for j, i := range s.cidx {
-			c.applyVerdict(n, s, &frames[i], i, &res[j])
+			c.applyVerdict(n, s, frames[i], i, &res[j])
 		}
 	}
 	if len(s.authIdx) > 0 {
@@ -146,22 +157,22 @@ func (c *Cluster) processBurst(n *node, s *burstScratch, frames []dataFrame) {
 // applyVerdict acts on one classified frame: drop, stage a tunnel toward
 // its egress, or stage a redirect toward its authority switch.
 func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, res *switchsim.Result) {
-	pkt := &f.pkt
+	h := &f.hdr
 	if !res.OK {
 		c.drop(n.stats, dropHole)
-		c.traceVerdict(n.id, telemetry.VDropHole, 0, &pkt.Header, 0, f.trace)
+		c.traceVerdict(n.id, telemetry.VDropHole, 0, h, 0, f.trace)
 		return
 	}
 	switch res.Rule.Action.Kind {
 	case flowspace.ActDrop:
 		// Policy drop at the ingress (cached decision): intentional.
 		c.policyDrop(n.stats, false)
-		c.traceVerdict(n.id, telemetry.VDropPolicy, res.Rule.ID, &pkt.Header, 0, f.trace)
+		c.traceVerdict(n.id, telemetry.VDropPolicy, res.Rule.ID, h, 0, f.trace)
 	case flowspace.ActForward:
 		if c.TracePkt(f.trace) {
 			c.Span(telemetry.Event{
 				Kind: telemetry.EvForward, Node: n.id, Peer: res.Rule.Action.Arg,
-				Table: uint8(res.Table), RuleID: res.Rule.ID, Flow: flowOf(&pkt.Header),
+				Table: uint8(res.Table), RuleID: res.Rule.ID, Flow: flowOf(h),
 				Trace: f.trace,
 			})
 		}
@@ -175,7 +186,7 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 			if c.TracePkt(f.trace) {
 				c.Span(telemetry.Event{
 					Kind: telemetry.EvShed, Node: n.id,
-					Verdict: telemetry.VShedRedirect, Flow: flowOf(&pkt.Header),
+					Verdict: telemetry.VShedRedirect, Flow: flowOf(h),
 					Trace: f.trace,
 				})
 			}
@@ -189,7 +200,7 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 			next, ok := c.failoverLocal(n, *res.Rule, target)
 			if !ok {
 				c.drop(n.stats, dropUnreachable)
-				c.traceVerdict(n.id, telemetry.VUnreachable, res.Rule.ID, &pkt.Header, 0, f.trace)
+				c.traceVerdict(n.id, telemetry.VUnreachable, res.Rule.ID, h, 0, f.trace)
 				return
 			}
 			target = next
@@ -197,19 +208,18 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 		if c.TracePkt(f.trace) {
 			c.Span(telemetry.Event{
 				Kind: telemetry.EvRedirect, Node: n.id, Peer: target,
-				Table: uint8(res.Table), RuleID: res.Rule.ID, Flow: flowOf(&pkt.Header),
+				Table: uint8(res.Table), RuleID: res.Rule.ID, Flow: flowOf(h),
 				Trace: f.trace,
 			})
 		}
 		f.detour = true
-		f.encap = packet.Encap{Reason: packet.EncapRedirect, Ingress: n.id, Target: target}
-		f.hasEncap = true
+		f.reason, f.encapBy = packet.EncapRedirect, uint16(n.slot)
 		n.stats.redirects.Add(1)
 		s.noteRedirect(target)
 		c.stageForward(n, s, target, f)
 	default:
 		c.drop(n.stats, dropHole)
-		c.traceVerdict(n.id, telemetry.VDropHole, res.Rule.ID, &pkt.Header, 0, f.trace)
+		c.traceVerdict(n.id, telemetry.VDropHole, res.Rule.ID, h, 0, f.trace)
 	}
 }
 
@@ -218,7 +228,7 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 // each one matches, and the hit's partition band which handler generates its
 // cache rules — all under one acquisition of the node lock (taken before the
 // table's read lock, never inside it). Installs and verdicts come after both.
-func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []dataFrame) {
+func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []*dataFrame) {
 	// Processing redirected packets is the data-plane liveness signal the
 	// redirect-timeout detector watches for; once per burst is enough.
 	c.clearPending(n.id)
@@ -226,15 +236,15 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []dataFrame) {
 	// classification phase has fully consumed it by now.
 	keys := s.keys[:0]
 	for _, i := range s.authIdx {
-		keys = append(keys, frames[i].pkt.Header.Key())
+		keys = append(keys, frames[i].hdr.Key())
 	}
 	res := s.authRes[:len(s.authIdx)]
-	now := frameSec(&frames[s.authIdx[0]])
+	now := frameSec(frames[s.authIdx[0]])
 	n.mu.Lock()
 	v := n.sw.Table(proto.TableAuthority).AcquireView()
 	for j, i := range s.authIdx {
 		res[j] = core.MissResult{}
-		if entry := v.LookupBand(now, &keys[j], frames[i].pkt.Size, 0, 0); entry != nil {
+		if entry := v.LookupBand(now, &keys[j], int(frames[i].size), 0, 0); entry != nil {
 			if a := n.auths[core.AuthorityEntryPartition(entry.ID)]; a != nil {
 				res[j] = a.Answer(entry, &keys[j])
 			}
@@ -243,36 +253,36 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []dataFrame) {
 	v.Release()
 	n.mu.Unlock()
 	for j, i := range s.authIdx {
-		f := &frames[i]
-		pkt := &f.pkt
-		e := f.encap // decapsulate
-		f.hasEncap = false
+		f := frames[i]
+		h := &f.hdr
+		ingress := c.nodes[f.encapBy].id
+		f.reason = 0 // decapsulate
 		r := &res[j]
 		if !r.OK {
 			c.drop(n.stats, dropHole)
-			c.traceVerdict(n.id, telemetry.VDropHole, 0, &pkt.Header, 0, f.trace)
+			c.traceVerdict(n.id, telemetry.VDropHole, 0, h, 0, f.trace)
 			continue
 		}
 		if c.TracePkt(f.trace) {
 			c.Span(telemetry.Event{
-				Kind: telemetry.EvAuthority, Node: n.id, Peer: e.Ingress,
+				Kind: telemetry.EvAuthority, Node: n.id, Peer: ingress,
 				Table: uint8(proto.TableAuthority), RuleID: r.Rule.ID,
-				Flow: flowOf(&pkt.Header), Trace: f.trace,
+				Flow: flowOf(h), Trace: f.trace,
 			})
 		}
 		if len(r.CacheMods) > 0 {
-			c.queueInstall(n, e.Ingress, r.CacheMods, pkt, f.trace)
+			c.queueInstall(n, ingress, r.CacheMods, h, f.trace)
 		}
 		switch r.Rule.Action.Kind {
 		case flowspace.ActDrop:
 			// Policy drop at the authority: a completed (negative) flow setup.
 			c.policyDrop(n.stats, true)
-			c.traceVerdict(n.id, telemetry.VDropPolicy, r.Rule.ID, &pkt.Header, 0, f.trace)
+			c.traceVerdict(n.id, telemetry.VDropPolicy, r.Rule.ID, h, 0, f.trace)
 		case flowspace.ActForward:
 			c.stageTunnel(n, s, r.Rule.Action.Arg, f, i)
 		default:
 			c.drop(n.stats, dropHole)
-			c.traceVerdict(n.id, telemetry.VDropHole, r.Rule.ID, &pkt.Header, 0, f.trace)
+			c.traceVerdict(n.id, telemetry.VDropHole, r.Rule.ID, h, 0, f.trace)
 		}
 	}
 }
@@ -283,13 +293,13 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []dataFrame) {
 // its install budget, the ingress is unknown or killed, or its queue is
 // full. The packet itself still forwards, so shedding costs future
 // redirects, not reachability.
-func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, pkt *packet.Packet, trace uint64) {
+func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, h *packet.Header, trace uint64) {
 	shed := func() {
 		n.stats.cacheInstallsShed.Add(1)
 		if c.TracePkt(trace) {
 			c.Span(telemetry.Event{
 				Kind: telemetry.EvShed, Node: n.id,
-				Verdict: telemetry.VShedInstall, Flow: flowOf(&pkt.Header),
+				Verdict: telemetry.VShedInstall, Flow: flowOf(h),
 				Trace: trace,
 			})
 		}
@@ -307,7 +317,7 @@ func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, pk
 		c.Span(telemetry.Event{
 			Kind: telemetry.EvInstallTriggered, Node: n.id, Peer: ingress,
 			Table: uint8(proto.TableCache), RuleID: ruleID,
-			Flow: flowOf(&pkt.Header), Trace: trace,
+			Flow: flowOf(h), Trace: trace,
 		})
 	}
 	// Counted before the send, so drained() never sees the install in
@@ -319,7 +329,6 @@ func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, pk
 	default:
 		dst.installsPending.Add(-1)
 		shed()
-		c.wakeIfQuiet()
 	}
 }
 
@@ -361,12 +370,10 @@ func (c *Cluster) applyInstalls(n *node) {
 // the forwarding (its shard takes the accounting).
 func (c *Cluster) stageTunnel(n *node, s *burstScratch, egress uint32, f *dataFrame, i int) {
 	if egress == n.id {
-		f.hasEncap = false
 		s.deliv = append(s.deliv, i)
 		return
 	}
-	f.encap = packet.Encap{Reason: packet.EncapTunnel, Ingress: n.id, Target: egress}
-	f.hasEncap = true
+	f.reason, f.encapBy = packet.EncapTunnel, uint16(n.slot)
 	c.stageForward(n, s, egress, f)
 }
 
@@ -389,7 +396,7 @@ func (c *Cluster) stageForward(src *node, s *burstScratch, to uint32, f *dataFra
 			kind, verdict = dropUnreachable, telemetry.VUnreachable
 		}
 		c.drop(src.stats, kind)
-		c.traceVerdict(src.id, verdict, 0, &f.pkt.Header, 0, f.trace)
+		c.traceVerdict(src.id, verdict, 0, &f.hdr, 0, f.trace)
 		return
 	}
 	*slot = *f
@@ -402,20 +409,20 @@ func (c *Cluster) stageForward(src *node, s *burstScratch, to uint32, f *dataFra
 // flushDeliveries records the burst's deliveries against the node's
 // measurement shard in one update: one clock read, one latency-mutex
 // acquisition, one completed bump for the whole batch.
-func (c *Cluster) flushDeliveries(n *node, s *burstScratch, frames []dataFrame) {
+func (c *Cluster) flushDeliveries(n *node, s *burstScratch, frames []*dataFrame) {
 	if len(s.deliv) == 0 {
 		return
 	}
 	now := nowNS()
 	for _, i := range s.deliv {
-		f := &frames[i]
+		f := frames[i]
 		lat := time.Duration(now - f.injected)
 		if f.detour {
 			s.first = append(s.first, lat.Seconds())
 		} else {
 			s.later = append(s.later, lat.Seconds())
 		}
-		c.traceVerdict(n.id, telemetry.VDelivered, 0, &f.pkt.Header, int64(lat), f.trace)
+		c.traceVerdict(n.id, telemetry.VDelivered, 0, &f.hdr, int64(lat), f.trace)
 		// The length pre-check keeps egress loops from serializing on the
 		// shared channel's lock when nobody is draining notifications; the
 		// select still sheds racy fill-ups. Either way the notification is
@@ -423,7 +430,7 @@ func (c *Cluster) flushDeliveries(n *node, s *burstScratch, frames []dataFrame) 
 		if len(c.Deliveries) < cap(c.Deliveries) {
 			d := Delivery{
 				Egress:  n.id,
-				Header:  f.pkt.Header,
+				Header:  f.hdr,
 				Detour:  f.detour,
 				Latency: lat,
 			}
@@ -436,9 +443,9 @@ func (c *Cluster) flushDeliveries(n *node, s *burstScratch, frames []dataFrame) 
 	n.stats.recordDeliveryBatch(s.first, s.later)
 	// completed last: once Deployment.Run observes completed == injected,
 	// both the Measurements counters and the Delivery notifications for
-	// these packets are already visible.
+	// these packets are already visible. dataLoop wakes Run, after the
+	// release.
 	c.completed.Add(uint64(len(s.deliv)))
-	c.wakeIfQuiet()
 }
 
 // flushForwards publishes each destination's reserved frames with one
@@ -465,7 +472,7 @@ func (c *Cluster) flushForwards(src *node, s *burstScratch) {
 			for i := 0; i < k; i++ {
 				f := ring.reserve(i)
 				c.drop(src.stats, dropUnreachable)
-				c.traceVerdict(src.id, telemetry.VUnreachable, 0, &f.pkt.Header, 0, f.trace)
+				c.traceVerdict(src.id, telemetry.VUnreachable, 0, &f.hdr, 0, f.trace)
 			}
 			continue
 		}

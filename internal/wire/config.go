@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -280,6 +281,10 @@ func (p RetryPolicy) backoff(attempt int, rnd func() float64) time.Duration {
 func (cfg *ClusterConfig) Validate() error {
 	if len(cfg.Switches) == 0 || len(cfg.Authorities) == 0 {
 		return fmt.Errorf("wire: need switches and authorities")
+	}
+	if len(cfg.Switches) > math.MaxUint16 {
+		// A frame names the switch that encapsulated it by 16-bit slot.
+		return fmt.Errorf("wire: %d switches, at most %d supported", len(cfg.Switches), math.MaxUint16)
 	}
 	seen := make(map[uint32]bool, len(cfg.Switches))
 	for _, id := range cfg.Switches {

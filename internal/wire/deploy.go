@@ -63,6 +63,7 @@ func (d *Deployment) injectRetry(ingress uint32, h packet.Header, size int, trac
 		n, ok := d.C.switches[ingress]
 		if !ok || n.killed.Load() || d.C.closed.Load() || time.Now().After(deadline) {
 			d.C.drop(d.C.ext, dropUnreachable)
+			d.C.wakeIfQuiet()
 			// Open and close the journey at the rejecting ingress, so a
 			// sampled packet lost to injection failure still assembles.
 			d.C.traceIngress(ingress, &h, trace)
@@ -127,13 +128,10 @@ func (d *Deployment) injectGroup(ingress uint32, batch []core.PacketIn, idx []in
 					break
 				}
 				p := &batch[idx[sent+k]]
-				*f = dataFrame{
-					pkt:      packet.Packet{Header: packet.HeaderFromKey(p.Key), Size: p.Size},
-					injected: stamp,
-				}
+				*f = dataFrame{hdr: packet.HeaderFromKey(p.Key), size: uint32(p.Size), injected: stamp}
 				if sampling {
 					f.trace = c.TraceID(p.Key, p.Seq)
-					c.traceIngress(ingress, &f.pkt.Header, f.trace)
+					c.traceIngress(ingress, &f.hdr, f.trace)
 				}
 			}
 			if k == 0 {

@@ -5,7 +5,6 @@ import (
 
 	"difane/internal/core"
 	"difane/internal/flowspace"
-	"difane/internal/packet"
 )
 
 // TestInjectBatchInterleavedIngresses: one batch that cycles packet by
@@ -80,7 +79,7 @@ func TestStagedForwardToKilledDestination(t *testing.T) {
 	s := newBurstScratch(c)
 	const staged = 3
 	for i := 0; i < staged; i++ {
-		f := dataFrame{pkt: packet.Packet{Header: httpHeader(uint32(i)), Size: 100}}
+		f := dataFrame{hdr: httpHeader(uint32(i)), size: 100}
 		c.stageForward(src, s, dst.id, &f)
 	}
 	ring := dst.ring(src.slot)

@@ -324,9 +324,10 @@ func injectRedirects(t *testing.T, c *Cluster, ingress, firstSrc uint32, n int) 
 			t.Fatalf("redirect %d not accepted at authority %d", i, auth)
 		}
 		*f = dataFrame{
-			pkt:      packet.Packet{Header: h, Size: 100},
-			encap:    packet.Encap{Reason: packet.EncapRedirect, Ingress: ingress, Target: auth},
-			hasEncap: true,
+			hdr:      h,
+			size:     100,
+			reason:   packet.EncapRedirect,
+			encapBy:  uint16(c.switches[ingress].slot),
 			injected: nowNS(),
 			detour:   true,
 		}

@@ -231,6 +231,18 @@ func TestValidateDefaults(t *testing.T) {
 	if err := dup.Validate(); err == nil {
 		t.Error("duplicate switch must fail validation")
 	}
+
+	// A frame names its encapsulating switch by a 16-bit node slot.
+	for _, n := range []int{1 << 16, 1<<16 - 1} {
+		many := ClusterConfig{Switches: make([]uint32, n), Authorities: []uint32{0},
+			Policy: failoverPolicy()}
+		for i := range many.Switches {
+			many.Switches[i] = uint32(i)
+		}
+		if err := many.Validate(); (err == nil) != (n <= 1<<16-1) {
+			t.Errorf("%d switches: Validate() = %v", n, err)
+		}
+	}
 }
 
 func TestNewClusterContextCancelShutsDown(t *testing.T) {

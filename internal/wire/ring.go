@@ -5,15 +5,23 @@ package wire
 // sends. The producer owns tail, the consumer owns head, and each side
 // publishes its cursor with an atomic store after touching the slots, so
 // the other side's acquire load orders the slot memory: a commit's frame
-// writes happen-before the pop that observes the advanced tail, and a pop's
-// frame reads happen-before the reserve that reuses the freed slot. No
-// locks, no failed CAS loops, and whole bursts move with one cursor update
-// each.
+// writes happen-before the peek that observes the advanced tail, and the
+// consumer's reads and writes of a peeked slot happen-before the reserve
+// that reuses it once released. No locks, no failed CAS loops, and whole
+// bursts move with one cursor update each.
 //
-// The producer writes frames in place: reserve(k) hands it the slot k past
-// the published tail, and commit(k) publishes the first k. Reserved slots
-// belong to the producer until then — the consumer stops at tail — so a
-// reservation that is never committed is simply written over by the next.
+// Neither side copies a frame out of the ring. The producer writes frames
+// in place: reserve(k) hands it the slot k past the published tail, and
+// commit(k) publishes the first k. Reserved slots belong to the producer
+// until then — the consumer stops at tail — so a reservation that is never
+// committed is simply written over by the next. The consumer works on
+// frames in place too: peekBurst hands it pointers to the committed slots
+// from head on, and release(k) gives the first k back. Peeked slots belong
+// to the consumer until then — reserve counts them as occupied, since head
+// has not moved — so it may rewrite a frame (encapsulate, decapsulate)
+// where it lies, and a producer can never write over a frame still being
+// read, even when producer and consumer are one goroutine (a switch
+// redirecting to itself).
 //
 // Single-producer discipline in this package: ring in[s] of a node is fed
 // only by switch s's data goroutine. The extra injection ring is fed by
@@ -23,7 +31,7 @@ package wire
 import "sync/atomic"
 
 // ringPad keeps the producer and consumer cursors on separate cache lines
-// so pushes and pops don't false-share.
+// so commits and releases don't false-share.
 type ringPad [64]byte
 
 type frameRing struct {
@@ -31,7 +39,7 @@ type frameRing struct {
 	mask uint64
 
 	_    ringPad
-	head atomic.Uint64 // consumer cursor: next slot to pop
+	head atomic.Uint64 // consumer cursor: next slot to release
 	_    ringPad
 	tail atomic.Uint64 // producer cursor: next slot to publish
 }
@@ -67,24 +75,23 @@ func (r *frameRing) reserve(k int) *dataFrame {
 // Producer side only.
 func (r *frameRing) commit(k int) { r.tail.Store(r.tail.Load() + uint64(k)) }
 
-// popBurst copies up to len(out) frames into out, returning how many.
-// Consumer side only.
-func (r *frameRing) popBurst(out []dataFrame) int {
+// peekBurst fills out with pointers to up to len(out) committed frames,
+// oldest first, and returns how many. The frames stay in their slots, the
+// consumer's to read and rewrite until it releases them. Consumer side
+// only, and only with no frames of this ring peeked and not yet released.
+func (r *frameRing) peekBurst(out []*dataFrame) int {
 	head := r.head.Load()
-	n := int(r.tail.Load() - head)
-	if n == 0 {
-		return 0
-	}
-	if n > len(out) {
-		n = len(out)
-	}
+	n := min(int(r.tail.Load()-head), len(out))
 	for i := 0; i < n; i++ {
-		out[i] = r.buf[(head+uint64(i))&r.mask]
+		out[i] = &r.buf[(head+uint64(i))&r.mask]
 	}
-	r.head.Store(head + uint64(n))
 	return n
 }
 
-// len returns the current occupancy. Safe from any goroutine; exact only
-// for the producer or consumer themselves.
+// release hands the k oldest peeked slots back to the producer with one
+// cursor store. Consumer side only.
+func (r *frameRing) release(k int) { r.head.Store(r.head.Load() + uint64(k)) }
+
+// len returns the current occupancy, peeked frames included. Safe from any
+// goroutine; exact only for the producer or consumer themselves.
 func (r *frameRing) len() int { return int(r.tail.Load() - r.head.Load()) }

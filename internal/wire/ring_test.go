@@ -12,54 +12,72 @@ import (
 // torn, stale or misplaced frame shows.
 func testFrame(i uint64) dataFrame {
 	return dataFrame{
-		pkt: packet.Packet{
-			Header: packet.Header{IPSrc: uint32(i)},
-			Size:   int(i % 1500),
-		},
+		hdr:      packet.Header{IPSrc: uint32(i), TPDst: uint16(i >> 8)},
+		size:     uint32(i % 1500),
 		injected: int64(i),
-		hasEncap: i%2 == 0,
-		encap:    packet.Encap{Reason: packet.EncapTunnel, Target: uint32(i)},
+		trace:    i * 7,
+		reason:   packet.EncapReason(i % 3),
+		encapBy:  uint16(i),
 	}
 }
 
 // checkFrame reports how frame f differs from testFrame(i), if it does.
 func checkFrame(f *dataFrame, i uint64) error {
-	if f.injected != int64(i) {
-		return fmt.Errorf("frame %d: injected = %d", i, f.injected)
-	}
-	if f.pkt.Header.IPSrc != uint32(i) || f.pkt.Size != int(i%1500) {
-		return fmt.Errorf("frame %d: header/size corrupted: %+v", i, f.pkt)
-	}
-	if f.hasEncap != (i%2 == 0) || f.encap.Target != uint32(i) {
-		return fmt.Errorf("frame %d: encap = %v %+v", i, f.hasEncap, f.encap)
+	if want := testFrame(i); *f != want {
+		return fmt.Errorf("frame %d: got %+v, want %+v", i, *f, want)
 	}
 	return nil
 }
 
-// consumeFrames pops total frames from r on its own goroutine, checking
-// that frame i is testFrame(i), and reports the first difference (or nil)
-// on the returned channel.
+// consumeFrames consumes total frames from r on its own goroutine the way
+// a data loop does — peek a burst, read and rewrite the frames in their
+// slots, release — checking that frame i is testFrame(i), and reports the
+// first difference (or nil) on the returned channel. A held burst is
+// checked again after a yield: a producer writing into a peeked slot shows
+// as a changed frame, and under -race as a race on the slot.
 func consumeFrames(r *frameRing, total uint64) <-chan error {
 	done := make(chan error, 1)
 	go func() {
-		out := make([]dataFrame, 3) // odd burst size forces mid-ring wraps
+		out := make([]*dataFrame, 3) // odd burst size forces mid-ring wraps
 		for next := uint64(0); next < total; {
-			n := r.popBurst(out)
+			n := r.peekBurst(out)
 			if n == 0 {
 				runtime.Gosched() // single-core CI: yield instead of spinning
 				continue
 			}
 			for i := 0; i < n; i++ {
-				if err := checkFrame(&out[i], next); err != nil {
+				if err := checkFrame(out[i], next+uint64(i)); err != nil {
 					done <- err
 					return
 				}
-				next++
 			}
+			runtime.Gosched()
+			for i := 0; i < n; i++ {
+				if err := checkFrame(out[i], next+uint64(i)); err != nil {
+					done <- fmt.Errorf("held frame overwritten: %w", err)
+					return
+				}
+				out[i].reason, out[i].detour = 0, true // decapsulate in place
+			}
+			r.release(n)
+			next += uint64(n)
 		}
 		done <- nil
 	}()
 	return done
+}
+
+// yieldToConsumer is a producer's wait on a full ring. A consumer that
+// found a bad frame has stopped and will never free a slot, so its error
+// ends the test here instead of the producer spinning for ever.
+func yieldToConsumer(t *testing.T, done <-chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		t.Fatalf("consumer stopped early: %v", err)
+	default:
+		runtime.Gosched()
+	}
 }
 
 // TestFrameRingWraparound drives far more frames than the ring holds
@@ -67,7 +85,9 @@ func consumeFrames(r *frameRing, total uint64) <-chan error {
 // power-of-two index space many times. Every frame must arrive exactly
 // once, in order, with its contents intact — and under -race the
 // store/load pairing on the cursors must establish the happens-before
-// edges the ring's correctness rests on.
+// edges the ring's correctness rests on, in both directions: commit
+// before peek, and the consumer's in-place rewrite before release and the
+// producer's reuse.
 func TestFrameRingWraparound(t *testing.T) {
 	const depth = 8
 	const total = 50_000
@@ -86,7 +106,7 @@ func TestFrameRingWraparound(t *testing.T) {
 			*f = testFrame(seq + uint64(k))
 		}
 		if k == 0 {
-			runtime.Gosched()
+			yieldToConsumer(t, done)
 		}
 		r.commit(k)
 		seq += uint64(k)
@@ -127,7 +147,7 @@ func TestFrameRingReserveCommit(t *testing.T) {
 		}
 		k = min(k, int(total-seq))
 		if k == 0 {
-			runtime.Gosched()
+			yieldToConsumer(t, done)
 		}
 		r.commit(k)
 		seq += uint64(k)
@@ -139,8 +159,8 @@ func TestFrameRingReserveCommit(t *testing.T) {
 
 // TestFrameRingBackpressure checks the full/empty edge cases: a reserve
 // past the free space returns nil, on a full ring the first one does, a
-// reservation is invisible until committed, and popBurst drains exactly
-// what was committed.
+// reservation is invisible until committed, peekBurst shows exactly what
+// was committed, and only release frees the slots.
 func TestFrameRingBackpressure(t *testing.T) {
 	r := newFrameRing(4)
 	for k := 0; k < 4; k++ {
@@ -153,24 +173,28 @@ func TestFrameRingBackpressure(t *testing.T) {
 	if r.reserve(4) != nil {
 		t.Fatal("reserve past the ring's size succeeded")
 	}
-	out := make([]dataFrame, 8)
-	if n := r.popBurst(out); n != 0 || r.len() != 0 {
-		t.Fatalf("uncommitted frames visible: popBurst = %d, len = %d", n, r.len())
+	out := make([]*dataFrame, 8)
+	if n := r.peekBurst(out); n != 0 || r.len() != 0 {
+		t.Fatalf("uncommitted frames visible: peekBurst = %d, len = %d", n, r.len())
 	}
 	r.commit(4)
 	if r.reserve(0) != nil {
 		t.Fatal("reserve on a full ring succeeded")
 	}
-	if n := r.popBurst(out); n != 4 {
-		t.Fatalf("popBurst = %d, want 4", n)
+	if n := r.peekBurst(out); n != 4 {
+		t.Fatalf("peekBurst = %d, want 4", n)
 	}
 	for i := 0; i < 4; i++ {
 		if out[i].injected != int64(i) {
 			t.Fatalf("frame %d: injected = %d", i, out[i].injected)
 		}
 	}
-	if n := r.popBurst(out); n != 0 {
-		t.Fatalf("popBurst from empty ring = %d, want 0", n)
+	if r.reserve(0) != nil || r.len() != 4 {
+		t.Fatalf("peeked frames freed before release: len = %d", r.len())
+	}
+	r.release(4)
+	if n := r.peekBurst(out); n != 0 {
+		t.Fatalf("peekBurst from empty ring = %d, want 0", n)
 	}
 	// Freed slots are reusable: the ring takes a fresh burst after drain.
 	for k := 0; k < 3; k++ {
@@ -181,5 +205,72 @@ func TestFrameRingBackpressure(t *testing.T) {
 	r.commit(3)
 	if got := r.len(); got != 3 {
 		t.Fatalf("len = %d, want 3", got)
+	}
+}
+
+// TestFrameRingNeverReservesPeekedSlot: for every split of a ring of 8
+// into peeked, committed-but-unpeeked and free slots, at every offset of
+// the cursors around the index space, the producer is handed exactly the
+// free slots — never one the consumer has peeked and not released — and
+// filling all of them leaves every peeked frame as it was. Partial releases
+// hand back the oldest slots first.
+func TestFrameRingNeverReservesPeekedSlot(t *testing.T) {
+	const depth = 8
+	r := newFrameRing(depth)
+	out := make([]*dataFrame, depth)
+	seq := uint64(0)
+	for offset := 0; offset < 3*depth; offset++ {
+		for committed := 1; committed <= depth; committed++ {
+			for peek := 1; peek <= committed; peek++ {
+				for k := 0; k < committed; k++ {
+					*r.reserve(k) = testFrame(seq + uint64(k))
+				}
+				r.commit(committed)
+				n := r.peekBurst(out[:peek])
+				if n != peek {
+					t.Fatalf("peekBurst = %d, want %d", n, peek)
+				}
+				held := make(map[*dataFrame]bool, n)
+				for _, f := range out[:n] {
+					held[f] = true
+				}
+				free := depth - committed
+				for k := 0; k < free; k++ {
+					f := r.reserve(k)
+					if f == nil {
+						t.Fatalf("offset %d, %d committed, %d peeked: reserve(%d) = nil with %d free", offset, committed, peek, k, free)
+					}
+					if held[f] {
+						t.Fatalf("offset %d, %d committed, %d peeked: reserve(%d) handed out a peeked slot", offset, committed, peek, k)
+					}
+					*f = testFrame(1 << 40) // a reservation never committed
+				}
+				if r.reserve(free) != nil {
+					t.Fatalf("offset %d, %d committed, %d peeked: reserve past the free space succeeded", offset, committed, peek)
+				}
+				for i, f := range out[:n] {
+					if err := checkFrame(f, seq+uint64(i)); err != nil {
+						t.Fatalf("offset %d: peeked frame changed by the producer: %v", offset, err)
+					}
+				}
+				// Release the held frames one at a time: each frees exactly
+				// the oldest slot.
+				for i := 0; i < n; i++ {
+					r.release(1)
+					if f := r.reserve(free + i); f != out[i] {
+						t.Fatalf("offset %d: release %d freed %p, want the oldest peeked slot %p", offset, i, f, out[i])
+					}
+				}
+				// Drain the rest so the next case starts empty.
+				rest := r.peekBurst(out)
+				r.release(rest)
+				seq += uint64(committed)
+			}
+		}
+		// Advance the cursors by one so every case recurs at every offset
+		// of the ring.
+		*r.reserve(0) = dataFrame{}
+		r.commit(1)
+		r.release(r.peekBurst(out))
 	}
 }

@@ -160,7 +160,7 @@ type node struct {
 	// allocate lazily on first push (see ring): the slot space is one
 	// per switch, so eager allocation is O(switches²) frames across the
 	// cluster — a 76-switch topology at difanectl's 16k queue depth
-	// would pin ~10 GB — while real traffic touches only the slots of
+	// would pin ~6 GB — while real traffic touches only the slots of
 	// switches that actually forward here.
 	in        []atomic.Pointer[frameRing]
 	ringDepth int
@@ -229,30 +229,36 @@ type node struct {
 	installTB  *metrics.TokenBucket
 }
 
-// dataFrame is one packet in flight between switches. In-process handoff
-// carries the parsed packet by value — a switch parses a packet once, at
+// dataFrame is one packet in flight between switches: exactly one 64-byte
+// cache line, holding only what the data plane reads. In-process handoff
+// carries the parsed header by value — a switch parses a packet once, at
 // injection, and forwards the parsed form, the way a software switch
 // carries parsed metadata through its pipeline instead of re-serializing
-// per hop. Each hop owns its copy of the frame, so
-// handling may mutate pkt freely (encapsulate/decapsulate) without
-// cloning; the Encap pointee is never mutated after a frame is sent.
+// per hop. A frame is written once per hop, into a slot of the next
+// switch's ring, and that switch classifies and rewrites it in place
+// there (frameRing.peekBurst), so each hop owns its frame outright with no
+// cloning and no pointer shared between hops.
 type dataFrame struct {
-	pkt packet.Packet
-	// encap/hasEncap carry the DIFANE encapsulation header by value —
-	// pkt.Encap stays nil inside the wire data plane, so encapsulating a
-	// frame per hop costs a struct store, not a heap allocation.
-	encap    packet.Encap
-	hasEncap bool
+	hdr packet.Header
 	// injected is monotonic nanoseconds since the package time base
 	// (start) — cheaper to stamp and to diff than a wall-clock time.Time,
 	// and the hot path reads the clock exactly twice per packet: here and
 	// at delivery.
 	injected int64
-	detour   bool
 	// trace is the packet's sampled trace ID (0 = unsampled): stamped once
 	// at injection, carried across every hop, and
 	// attached to every span event the packet generates.
 	trace uint64
+	size  uint32 // total bytes on the wire, for counters and byte rates
+	// encapBy and reason are the DIFANE encapsulation header, by value:
+	// reason is 0 for a bare frame, and encapBy is the node slot of the
+	// switch that encapsulated it (for a redirect, the ingress the
+	// authority installs the cache rule at; Validate keeps slots inside 16
+	// bits). The tunnel's target needs no field: a frame is only ever
+	// written into its target's ring.
+	encapBy uint16
+	reason  packet.EncapReason
+	detour  bool // the packet travelled via an authority switch
 }
 
 // NewCluster builds and starts a cluster.
@@ -322,9 +328,10 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	// window they land in. The matrix is O(switches²), so past the budget
 	// rings are allocated lazily in node.ring, where memory tracks the
 	// producer→consumer pairs traffic actually uses: a 76-switch campus at
-	// 16k depth would pin ~10 GB, and the benchmark's shape (72 rings ×
-	// 16,384 × 120 B = 141 MB) is over the budget too — its rings appear on
-	// first touch during warm-up, before anything is timed.
+	// 16k depth would pin ~6 GB, and the benchmark's shape (72 rings ×
+	// 16,384 × 64 B = 75.5 MB) is over the budget too — its rings appear on
+	// first touch during warm-up, before anything is timed, and only the
+	// pairs its traffic uses ever exist.
 	const eagerRingBudget = 64 << 20
 	ringSlots := len(cfg.Switches) * (len(cfg.Switches) + 1)
 	ringBytes := int(unsafe.Sizeof(dataFrame{}))
@@ -492,7 +499,7 @@ func (c *Cluster) tryInject(ingress uint32, h packet.Header, size int, trace uin
 	if f == nil {
 		return false
 	}
-	*f = dataFrame{pkt: packet.Packet{Header: h, Size: size}, injected: nowNS(), trace: trace}
+	*f = dataFrame{hdr: h, size: uint32(size), injected: nowNS(), trace: trace}
 	c.traceIngress(ingress, &h, trace)
 	c.commitInjected(n, ring, 1)
 	return true
@@ -591,6 +598,10 @@ const (
 // injected, and a caller reading Measurements right after must see the
 // packet's counter — otherwise the accounting identity (injected =
 // delivered + drops) transiently under-counts.
+//
+// None of them wakes Run: inside a burst, whose ring slots are still held,
+// the quiescence predicate cannot hold yet, and dataLoop wakes the waiters
+// once it has released them. The injection path wakes them itself.
 func (c *Cluster) drop(s *nodeStats, kind dropKind) {
 	c.dropped.Add(1)
 	switch kind {
@@ -602,7 +613,6 @@ func (c *Cluster) drop(s *nodeStats, kind dropKind) {
 		s.dropUnreachable.Add(1)
 	}
 	c.completed.Add(1)
-	c.wakeIfQuiet()
 }
 
 // shedRedirect records a packet deliberately shed by the ingress redirect
@@ -611,7 +621,6 @@ func (c *Cluster) shedRedirect(s *nodeStats) {
 	c.dropped.Add(1)
 	s.dropRedirectShed.Add(1)
 	c.completed.Add(1)
-	c.wakeIfQuiet()
 }
 
 // policyDrop records an intentional drop (the packet matched a drop rule);
@@ -623,15 +632,16 @@ func (c *Cluster) policyDrop(s *nodeStats, firstPacket bool) {
 		s.setupsCompleted.Add(1)
 	}
 	c.completed.Add(1)
-	c.wakeIfQuiet()
 }
 
 // dataLoop is a switch's data plane: apply the cache installs authority
-// switches queued for it, pull a burst of frames from the input rings, run
-// the whole vector through one classification pass, and flush the results
-// downstream in per-destination bursts (see burst.go). When a full scan of
-// the rings comes up empty the loop blocks on the node's notify channel;
-// producers push first and kick after, so a wakeup can never be lost.
+// switches queued for it, gather a burst of frames across the input rings
+// (pointers into their slots, nothing copied), run the whole vector
+// through one classification pass, flush the results downstream in
+// per-destination bursts (see burst.go), and only then release the slots.
+// When a full scan of the rings comes up empty the loop blocks on the
+// node's notify channel; producers push first and kick after, so a wakeup
+// can never be lost.
 func (c *Cluster) dataLoop(n *node) {
 	defer c.wg.Done()
 	s := newBurstScratch(c)
@@ -650,7 +660,10 @@ func (c *Cluster) dataLoop(n *node) {
 				break
 			}
 			if r := n.in[i].Load(); r != nil {
-				total += r.popBurst(s.frames[total:])
+				if k := r.peekBurst(s.frames[total:]); k > 0 {
+					total += k
+					s.held = append(s.held, heldRun{r, k})
+				}
 			}
 		}
 		if total == 0 {
@@ -664,6 +677,14 @@ func (c *Cluster) dataLoop(n *node) {
 			continue
 		}
 		c.processBurst(n, s, s.frames[:total])
+		for _, h := range s.held {
+			h.ring.release(h.k)
+		}
+		s.held = s.held[:0]
+		// The burst's terminal accounting ran while its slots were still
+		// held, and drained() counts held slots, so the wake-up for
+		// whatever the burst completed comes only now.
+		c.wakeIfQuiet()
 	}
 }
 
@@ -1133,17 +1154,20 @@ func (c *Cluster) wakeWaiters() {
 }
 
 // wakeIfQuiet follows every write that can make the quiescence predicate
-// true — completed raised, an install applied or shed, a switch killed —
-// and wakes the waiters if it has. With nobody waiting, or completed short
-// of what they wait for, it costs two atomic loads.
+// true — completed raised, an install applied or shed, a burst's ring
+// slots released, a switch killed — and wakes the waiters if it has. The
+// writes a burst makes are followed by one call, after its release
+// (dataLoop). With nobody waiting, or completed short of what they wait
+// for, it costs two atomic loads.
 func (c *Cluster) wakeIfQuiet() {
 	if c.completed.Load() >= c.awaited.Load() && c.drained() {
 		c.wakeWaiters()
 	}
 }
 
-// drained reports whether every live switch's input rings are empty and
-// every cache install queued for it has been applied.
+// drained reports whether every live switch's input rings are empty —
+// frames a burst has peeked and not yet released included — and every
+// cache install queued for it has been applied.
 func (c *Cluster) drained() bool {
 	for _, n := range c.switches {
 		if n.killed.Load() {

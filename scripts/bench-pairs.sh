@@ -2,10 +2,10 @@
 # bench-pairs.sh — interleaved base-vs-change runs of one bench workload,
 # the choosing-metrics §8 table: builds bench/ at a base revision (in a
 # temporary checkout) and at the working tree, runs N seed-7 pairs one at a
-# time, alternating which side goes first, and prints for goodput_pps and
-# cpu_us_per_pkt every run, each side's median and quartiles (linear
-# interpolation), and how many pairs the change won. It edits nothing under
-# bench/.
+# time, alternating which side goes first, and prints for goodput_pps,
+# cpu_us_per_pkt, heap_mb and setup_s every run, each side's median and
+# quartiles (linear interpolation), and how many pairs the change won. It
+# edits nothing under bench/.
 #
 # usage: scripts/bench-pairs.sh <workload> [pairs=10] [base=HEAD]
 #        make bench-pairs W=hit-small N=10 BASE=HEAD~1
@@ -26,12 +26,24 @@ git -C "$root" archive "$base" | tar -x -C "$tmp/base"
 go build -C "$tmp/base/bench" -o "$tmp/bench-base" .
 go build -C "$root/bench" -o "$tmp/bench-change" .
 
-# run SIDE DIR: one seed-7 run; appends "goodput cpu failed" to $tmp/SIDE.out.
+# The metrics compared, in the column order of $tmp/SIDE.out, each with the
+# direction that is better; "failed" follows them as the last of cols
+# columns.
+metrics="goodput_pps:higher cpu_us_per_pkt:lower heap_mb:lower setup_s:lower"
+cols=5
+
+# run SIDE DIR: one seed-7 run; appends one line of $metrics then failed to
+# $tmp/SIDE.out.
 run() {
 	line=$(cd "$2" && "$tmp/bench-$1" -workload "$w" -seed 7 2>/dev/null | tail -n 1) || true
 	get() { printf '%s\n' "$line" | sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"; }
 	failed=$(printf '%s\n' "$line" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p')
-	echo "$(get goodput_pps) $(get cpu_us_per_pkt) ${failed:-?}" >>"$tmp/$1.out"
+	vals=""
+	for m in $metrics; do
+		v=$(get "${m%%:*}")
+		vals="$vals${v:-nan} "
+	done
+	echo "$vals${failed:-?}" >>"$tmp/$1.out"
 }
 
 echo "workload $w, $n seed-7 pairs, base $(git -C "$root" rev-parse --short "$base") vs working tree"
@@ -55,16 +67,24 @@ stats() {
 		END { printf "%.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75) }'
 }
 
-paste -d' ' "$tmp/base.out" "$tmp/change.out" | awk '
-	BEGIN { print "pair first   base_goodput_pps change_goodput_pps base_cpu_us change_cpu_us failed(base,change)" }
-	{ printf "%-4d %-7s %16.6g %18.6g %11.4g %13.4g %s,%s\n", NR, (NR % 2 ? "base" : "change"), $1, $4, $2, $5, $3, $6 }'
+paste -d' ' "$tmp/base.out" "$tmp/change.out" | awk -v cols="$cols" '
+	BEGIN {
+		print "pair first   base_goodput_pps change_goodput_pps base_cpu_us change_cpu_us base_heap_mb change_heap_mb base_setup_s change_setup_s failed(base,change)"
+	}
+	{
+		printf "%-4d %-7s %16.6g %18.6g %11.4g %13.4g %12.6g %14.6g %12.4g %14.4g %s,%s\n",
+			NR, (NR % 2 ? "base" : "change"), $1, $(1 + cols), $2, $(2 + cols),
+			$3, $(3 + cols), $4, $(4 + cols), $cols, $(2 * cols)
+	}'
 
-for m in "1 goodput_pps higher" "2 cpu_us_per_pkt lower"; do
-	set -- $m
+col=0
+for m in $metrics; do
+	col=$((col + 1))
+	set -- "$col" "${m%%:*}" "${m##*:}"
 	b=$(stats "$1" "$tmp/base.out")
 	c=$(stats "$1" "$tmp/change.out")
-	wins=$(paste -d' ' "$tmp/base.out" "$tmp/change.out" | awk -v col="$1" -v dir="$3" '
-		{ b = $col; c = $(col + 3); if ((dir == "higher" && c > b) || (dir == "lower" && c < b)) k++ }
+	wins=$(paste -d' ' "$tmp/base.out" "$tmp/change.out" | awk -v col="$1" -v cols="$cols" -v dir="$3" '
+		{ b = $col; c = $(col + cols); if ((dir == "higher" && c > b) || (dir == "lower" && c < b)) k++ }
 		END { print k + 0 }')
 	echo "$b $c" | awk -v name="$2" -v dir="$3" -v wins="$wins" -v n="$n" '{
 		printf "%s (%s is better)\n", name, dir
