@@ -36,10 +36,10 @@ benchmark:
 
 # Interleaved pairs of one workload, BASE against the working tree, N
 # seed-7 runs a side alternating which goes first: every run, each side's
-# median and quartiles and the change's wins for goodput_pps and
-# cpu_us_per_pkt (choosing-metrics §8; what BENCH_<pr>.json's interleaved
-# sets record). 5-7 s a run on the closed-loop workloads, ~25 s on
-# paced-mix.
+# median and quartiles and the change's wins for all seven end-to-end
+# metrics BENCHMARK.json names, goodput_pps to tcam_entries_max (what
+# BENCH_<pr>.json's interleaved sets record). 5-7 s a run on the
+# closed-loop workloads, ~25 s on paced-mix.
 W ?= hit-small
 N ?= 10
 BASE ?= HEAD
@@ -137,9 +137,11 @@ regen-golden:
 	go test ./experiments -run TestGoldenOutputs -update-golden
 
 # Short fuzz runs over the decoders that face untrusted bytes: decode
-# must return an error, never panic or over-allocate.
+# must return an error, never panic or over-allocate. The last one holds
+# the TCAM index's packed slot test to Match.Holds on arbitrary keys.
 fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/proto/
 	go test -run=^$$ -fuzz=FuzzReadMessage -fuzztime=10s ./internal/proto/
 	go test -run=^$$ -fuzz=FuzzDecodeWire -fuzztime=10s ./internal/packet/
 	go test -run=^$$ -fuzz=FuzzParseRule -fuzztime=10s ./internal/policyio/
+	go test -run=^$$ -fuzz=FuzzPackedMatchAgreesWithHolds -fuzztime=10s ./internal/tcam/

@@ -14,15 +14,48 @@ import (
 // hovers at the limit under insert-evict churn neither splits nor folds on
 // every write.
 const (
-	leafLimit  = 8
+	leafLimit  = 32
 	collapseAt = leafLimit / 2
 )
 
-// slot is one rule in a leaf. The match is inlined so a leaf scan reads
-// contiguous memory; the entry pointer is followed only on a match.
+// packed is a key, or one half of a match, with all 244 bits of the header
+// tuple in four words, laid out by pack.
+type packed [4]uint64
+
+// pack lays k out as a packed, each field cut to its width: bits above it
+// would spill into the next field, and Match.Holds ignores them.
+// TestPackedLayout holds the layout to flowspace's field widths.
+func pack(k *flowspace.Key) packed {
+	const w8, w12, w16, w32, w48 = 1<<8 - 1, 1<<12 - 1, 1<<16 - 1, 1<<32 - 1, 1<<48 - 1
+	return packed{
+		k[flowspace.FIPSrc]&w32<<32 | k[flowspace.FIPDst]&w32,
+		k[flowspace.FTPSrc]&w16<<48 | k[flowspace.FTPDst]&w16<<32 | k[flowspace.FIPProto]&w8<<24 | k[flowspace.FVLAN]&w12,
+		k[flowspace.FInPort]&w16<<48 | k[flowspace.FEthSrc]&w48,
+		k[flowspace.FEthType]&w16<<48 | k[flowspace.FEthDst]&w48,
+	}
+}
+
+// slot is one rule in a leaf: its match packed, so a leaf scan reads 72
+// contiguous bytes a rule and tests one with four XOR-AND-ORs; the entry
+// pointer is followed only on a match.
 type slot struct {
-	match flowspace.Match
-	e     *entry
+	v, m packed
+	e    *entry
+}
+
+// slotOf returns e's slot, its match's values cut to its mask.
+func slotOf(e *entry) slot {
+	var v, m flowspace.Key
+	for f, fd := range e.rule.Match.Fields {
+		v[f], m[f] = fd.Value&fd.Mask, fd.Mask
+	}
+	return slot{v: pack(&v), m: pack(&m), e: e}
+}
+
+// holds reports whether the slot's match holds for the packed key k, as
+// Match.Holds does for the key it was packed from.
+func (s *slot) holds(k *packed) bool {
+	return (k[0]^s.v[0])&s.m[0]|(k[1]^s.v[1])&s.m[1]|(k[2]^s.v[2])&s.m[2]|(k[3]^s.v[3])&s.m[3] == 0
 }
 
 // node is one node of the ternary bit-tree. An inner node (mask != 0)
@@ -71,7 +104,7 @@ func (n *node) insert(e *entry) {
 		copy(grown, n.slots)
 		n.slots = grown
 	}
-	n.slots = slices.Insert(n.slots, i, slot{match: e.rule.Match, e: e})
+	n.slots = slices.Insert(n.slots, i, slotOf(e))
 	n.split()
 }
 
@@ -143,7 +176,7 @@ func (n *node) split() {
 	for f := flowspace.FieldID(0); f < flowspace.NumFields; f++ {
 		var zeros, ones uint64
 		for i := range n.slots {
-			fd := &n.slots[i].match.Fields[f]
+			fd := &n.slots[i].e.rule.Match.Fields[f]
 			zeros |= fd.Mask &^ fd.Value
 			ones |= fd.Mask & fd.Value
 		}
@@ -151,7 +184,7 @@ func (n *node) split() {
 			b := bits.TrailingZeros64(cand)
 			var pinned, one uint64
 			for i := range n.slots {
-				fd := &n.slots[i].match.Fields[f]
+				fd := &n.slots[i].e.rule.Match.Fields[f]
 				pinned += fd.Mask >> b & 1
 				one += fd.Mask & fd.Value >> b & 1
 			}
@@ -170,7 +203,7 @@ func (n *node) split() {
 	n.field, n.mask, n.count, n.slots = field, mask, len(slots), nil
 	var count [3]int
 	for i := range slots {
-		count[n.kid(&slots[i].match)]++
+		count[n.kid(&slots[i].e.rule.Match)]++
 	}
 	// One allocation for the three children and one for their slots, each
 	// child's share cut to its size so a sibling's append cannot reach it.
@@ -181,7 +214,7 @@ func (n *node) split() {
 		kids[i].slots, shared = shared[:0:count[i]], shared[count[i]:]
 	}
 	for i := range slots {
-		k := n.kids[n.kid(&slots[i].match)]
+		k := n.kids[n.kid(&slots[i].e.rule.Match)]
 		k.slots = append(k.slots, slots[i])
 	}
 	for _, k := range n.kids {
@@ -189,26 +222,32 @@ func (n *node) split() {
 	}
 }
 
-// find returns the first entry in TCAM order matching k among best and
-// the subtree's rules whose ID reads band under bandMask (a zero mask takes
-// every rule): at each inner node it searches the child the key's bit
-// selects, then carries on down the wildcard child. Compares go through
-// pointers: by value, each slot tested copies a 160-byte Match and an
-// 80-byte Key, each order test two 200-byte Rules.
-func (n *node) find(k *flowspace.Key, best *entry, bandMask, band uint64) *entry {
+// find returns the first entry in TCAM order matching k among the tree's
+// rules whose ID reads band under bandMask (a zero mask takes every rule).
+// The key is packed once here, for every leaf the walk tests.
+func (n *node) find(k *flowspace.Key, bandMask, band uint64) *entry {
+	p := pack(k)
+	return n.search(k, &p, nil, bandMask, band)
+}
+
+// search is find below n, p being k packed and best the first match found
+// so far: at each inner node it searches the child the key's bit selects,
+// then carries on down the wildcard child. Compares go through pointers:
+// by value, each order test copies two 200-byte Rules.
+func (n *node) search(k *flowspace.Key, p *packed, best *entry, bandMask, band uint64) *entry {
 	for n.mask != 0 {
 		side := 0
 		if k[n.field]&n.mask != 0 {
 			side = 1
 		}
-		best = n.kids[side].find(k, best, bandMask, band)
+		best = n.kids[side].search(k, p, best, bandMask, band)
 		n = n.kids[2]
 	}
 	if best != nil && len(n.slots) > 0 && !n.slots[0].e.rule.Precedes(&best.rule) {
 		return best // the leaf is in TCAM order: nothing in it beats best
 	}
 	for i := range n.slots {
-		if e := n.slots[i].e; n.slots[i].match.Holds(k) && e.rule.ID&bandMask == band {
+		if e := n.slots[i].e; n.slots[i].holds(p) && e.rule.ID&bandMask == band {
 			if best == nil || e.rule.Precedes(&best.rule) {
 				return e
 			}

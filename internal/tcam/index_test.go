@@ -12,7 +12,7 @@ import (
 
 // checkIndex verifies the index's structural invariants against the
 // table's entry list: every entry sits in exactly one leaf, on the path
-// its match selects, with its match inlined; the slots add up to Len();
+// its match selects, with its match packed; the slots add up to Len();
 // every leaf is in TCAM order; every inner node counts the entries below
 // it, holds more than collapseAt of them and has some on each side of its
 // bit; and the entry list is a heap
@@ -45,15 +45,15 @@ func checkIndex(tb *Table) error {
 			return below, nil
 		}
 		for i, s := range n.slots {
-			if s.match != s.e.rule.Match {
-				return 0, fmt.Errorf("rule %d: inlined match differs from the entry's", s.e.rule.ID)
+			if s != slotOf(s.e) {
+				return 0, fmt.Errorf("rule %d: packed match differs from the entry's", s.e.rule.ID)
 			}
 			if i > 0 && !n.slots[i-1].e.rule.Before(s.e.rule) {
 				return 0, fmt.Errorf("leaf out of TCAM order at rule %d", s.e.rule.ID)
 			}
 			at := n
 			for j := len(path) - 1; j >= 0; j-- {
-				if p := path[j]; p.kids[p.kid(&s.match)] != at {
+				if p := path[j]; p.kids[p.kid(&s.e.rule.Match)] != at {
 					return 0, fmt.Errorf("rule %d sits under the wrong child", s.e.rule.ID)
 				} else {
 					at = p
@@ -100,7 +100,7 @@ func checkIndex(tb *Table) error {
 func build(entries []*entry) *node {
 	slots := make([]slot, len(entries))
 	for i, e := range entries {
-		slots[i] = slot{match: e.rule.Match, e: e}
+		slots[i] = slotOf(e)
 	}
 	n := indexed(slots)
 	return &n
@@ -108,24 +108,25 @@ func build(entries []*entry) *node {
 
 // slotsCompared walks the tree as find does and counts the slots a lookup
 // of k tests against the key at most (find also skips a leaf whose first
-// slot cannot beat the match it already holds).
-func slotsCompared(n *node, k flowspace.Key) int {
-	c := 0
+// slot cannot beat the match it already holds), and the leaves it visits.
+func slotsCompared(n *node, k flowspace.Key) (slots, leaves int) {
 	for n.mask != 0 {
 		side := 0
 		if k[n.field]&n.mask != 0 {
 			side = 1
 		}
-		c += slotsCompared(n.kids[side], k)
+		s, l := slotsCompared(n.kids[side], k)
+		slots, leaves = slots+s, leaves+l
 		n = n.kids[2]
 	}
+	p := pack(&k)
 	for i := range n.slots {
-		c++
-		if n.slots[i].match.Matches(k) {
+		slots++
+		if n.slots[i].holds(&p) {
 			break
 		}
 	}
-	return c
+	return slots, leaves + 1
 }
 
 // classBenchPolicy is an n-rule ClassBench-style policy, shaped as the
@@ -183,20 +184,21 @@ func TestAllOverlappingRulesStayLinear(t *testing.T) {
 	}
 }
 
-// Sub-linearity as a count, not a time: over a 10,000-rule ClassBench
-// table a lookup compares a small, bounded number of slots against the
-// key, where the scan compared thousands.
-func TestLookupComparesFewSlots(t *testing.T) {
+// lookupCost looks up 20,000 in-policy keys in a 10,000-rule ClassBench
+// table, checking every 100th answer against the policy, and returns the
+// mean number of slots compared and of leaves visited per lookup.
+func lookupCost(t *testing.T) (slots, leaves float64) {
 	tb, policy := classBench(t, 10000)
 	if err := checkIndex(tb); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
 	const lookups = 20000
-	total := 0
+	var s, l int
 	for i := 0; i < lookups; i++ {
 		k := keyIn(rng, policy[rng.Intn(len(policy))].Match)
-		total += slotsCompared(tb.root, k)
+		ds, dl := slotsCompared(tb.root, k)
+		s, l = s+ds, l+dl
 		if i%100 == 0 {
 			want, _ := flowspace.EvalTable(policy, k)
 			if got, ok := tb.Peek(k); !ok || got.ID != want.ID {
@@ -204,10 +206,27 @@ func TestLookupComparesFewSlots(t *testing.T) {
 			}
 		}
 	}
-	mean := float64(total) / lookups
-	t.Logf("%d rules: %.1f slots compared per lookup", tb.Len(), mean)
-	if mean > 128 {
-		t.Fatalf("mean slots compared per lookup = %.1f over %d rules, want ≤ 128", mean, tb.Len())
+	slots, leaves = float64(s)/lookups, float64(l)/lookups
+	t.Logf("%d rules: %.1f slots compared and %.1f leaves visited per lookup", tb.Len(), slots, leaves)
+	return slots, leaves
+}
+
+// Sub-linearity as a count, not a time: over a 10,000-rule ClassBench
+// table a lookup compares a small, bounded number of slots against the
+// key, where the scan compared thousands.
+func TestLookupComparesFewSlots(t *testing.T) {
+	if slots, _ := lookupCost(t); slots > 128 {
+		t.Fatalf("mean slots compared per lookup = %.1f over 10000 rules, want ≤ 128", slots)
+	}
+}
+
+// The other half of the leaf's width: a leaf of leafLimit packed slots is
+// cheaper to scan than the nodes a narrower one would add are to reach, so
+// a lookup over 10,000 ClassBench rules visits at most 32 leaves. With
+// leaves of 8 it visits about 57.
+func TestLookupVisitsFewLeaves(t *testing.T) {
+	if _, leaves := lookupCost(t); leaves > 32 {
+		t.Fatalf("mean leaves visited per lookup = %.1f over 10000 rules, want ≤ 32", leaves)
 	}
 }
 
@@ -304,9 +323,11 @@ func TestChurnKeepsIndexShallow(t *testing.T) {
 		const lookups = 500
 		for j := 0; j < lookups; j++ {
 			k := keyIn(rng, policy[rng.Intn(len(policy))].Match)
-			kept += slotsCompared(tb.root, k)
-			rebuilt += slotsCompared(fresh, k)
-			if got, want := tb.root.find(&k, nil, 0, 0), fresh.find(&k, nil, 0, 0); got != want {
+			s, _ := slotsCompared(tb.root, k)
+			kept += s
+			s, _ = slotsCompared(fresh, k)
+			rebuilt += s
+			if got, want := tb.root.find(&k, 0, 0), fresh.find(&k, 0, 0); got != want {
 				t.Fatalf("cycle %d key %v: kept index finds %v, fresh one %v", i, k, got, want)
 			}
 		}

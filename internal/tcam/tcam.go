@@ -638,7 +638,7 @@ func (v *View) Lookup(now float64, k flowspace.Key, size int) (flowspace.Rule, b
 // entry. It returns the entry's own rule, nil on a miss: an installed rule
 // never changes, so the pointer may outlive the view, but is read-only.
 func (v *View) LookupBand(now float64, k *flowspace.Key, size int, mask, band uint64) *flowspace.Rule {
-	e := v.t.root.find(k, nil, mask, band)
+	e := v.t.root.find(k, mask, band)
 	if e == nil {
 		v.misses++
 		return nil
@@ -677,7 +677,7 @@ func (t *Table) Peek(k flowspace.Key) (flowspace.Rule, bool) {
 func (t *Table) PeekBand(k flowspace.Key, mask, band uint64) *flowspace.Rule {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if e := t.root.find(&k, nil, mask, band); e != nil {
+	if e := t.root.find(&k, mask, band); e != nil {
 		return &e.rule
 	}
 	return nil

@@ -2,8 +2,8 @@
 # bench-pairs.sh — interleaved base-vs-change runs of one bench workload,
 # the choosing-metrics §8 table: builds bench/ at a base revision (in a
 # temporary checkout) and at the working tree, runs N seed-7 pairs one at a
-# time, alternating which side goes first, and prints for goodput_pps,
-# cpu_us_per_pkt, heap_mb and setup_s every run, each side's median and
+# time, alternating which side goes first, and prints for each of the seven
+# end-to-end metrics BENCHMARK.json names every run, each side's median and
 # quartiles (linear interpolation), and how many pairs the change won. It
 # edits nothing under bench/.
 #
@@ -29,8 +29,9 @@ go build -C "$root/bench" -o "$tmp/bench-change" .
 # The metrics compared, in the column order of $tmp/SIDE.out, each with the
 # direction that is better; "failed" follows them as the last of cols
 # columns.
-metrics="goodput_pps:higher cpu_us_per_pkt:lower heap_mb:lower setup_s:lower"
-cols=5
+metrics="goodput_pps:higher cpu_us_per_pkt:lower heap_mb:lower setup_s:lower
+first_pkt_p50_us:lower hit_pkt_p50_us:lower tcam_entries_max:lower"
+cols=$(($(printf '%s\n' $metrics | wc -l) + 1))
 
 # run SIDE DIR: one seed-7 run; appends one line of $metrics then failed to
 # $tmp/SIDE.out.
@@ -67,14 +68,22 @@ stats() {
 		END { printf "%.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75) }'
 }
 
-paste -d' ' "$tmp/base.out" "$tmp/change.out" | awk -v cols="$cols" '
+# Every run: one row per pair, base then change for each metric in turn.
+paste -d' ' "$tmp/base.out" "$tmp/change.out" | awk -v cols="$cols" -v names="$metrics" '
 	BEGIN {
-		print "pair first   base_goodput_pps change_goodput_pps base_cpu_us change_cpu_us base_heap_mb change_heap_mb base_setup_s change_setup_s failed(base,change)"
+		n = split(names, name, /[ \n]+/)
+		printf "pair first "
+		for (m = 1; m <= n; m++) {
+			sub(/:.*/, "", name[m])
+			printf " base/change:%s", name[m]
+		}
+		print "  failed(base,change)"
 	}
 	{
-		printf "%-4d %-7s %16.6g %18.6g %11.4g %13.4g %12.6g %14.6g %12.4g %14.4g %s,%s\n",
-			NR, (NR % 2 ? "base" : "change"), $1, $(1 + cols), $2, $(2 + cols),
-			$3, $(3 + cols), $4, $(4 + cols), $cols, $(2 * cols)
+		printf "%-4d %-6s", NR, (NR % 2 ? "base" : "change")
+		for (m = 1; m < cols; m++)
+			printf " %.6g/%.6g", $m, $(m + cols)
+		printf "  %s,%s\n", $cols, $(2 * cols)
 	}'
 
 col=0
