@@ -83,7 +83,7 @@ check:
 chaos-smoke:
 	go test -race ./internal/scencheck -run TestChaosSmoke -timeout 10m
 	go test -race ./internal/wire -timeout 10m \
-		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectionTenfoldFaster|TestJournalReplicationAcrossElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding'
+		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectionTenfoldFaster|TestJournalReplicationAcrossElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic'
 
 # Subscriber-scale soak — not part of tier-1. Streams ≥1M modeled
 # subscriber sessions (Poisson churn, host mobility, a flash crowd and a
@@ -124,6 +124,7 @@ loc:
 		n=$$($(call LOC,$$d)); \
 		printf '%-28s %6d\n' $$d $$n; sum=$$((sum + n)); done; \
 	printf '%-28s %6d\n' 'wire+core+telemetry' $$sum; \
+	printf '%-28s %6d\n' 'core+wire' $$(( $$($(call LOC,internal/core)) + $$($(call LOC,internal/wire)) )); \
 	for d in internal/tcam internal/flowspace; do \
 		printf '%-28s %6d\n' $$d $$($(call LOC,$$d)); done; \
 	sum=0; for d in internal/cachepolicy internal/core/adapt.go internal/wire/cacheadapt.go; do \

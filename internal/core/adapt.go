@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"difane/internal/cachepolicy"
 	"difane/internal/flowspace"
 	"difane/internal/proto"
@@ -22,15 +24,16 @@ const aggIDBase uint64 = 1 << 52
 // authority handlers. A deployment that is not cost-aware holds a nil one,
 // and every method is a no-op on nil, so call sites do not ask.
 //
-// SetAssignment and Round belong to one goroutine at a time. Victim pickers
-// and the Observe feed may run beside Round (wire's data planes do) but not
-// beside SetAssignment: wire calls it once, before any goroutine starts.
+// Round belongs to one goroutine at a time. Victim pickers, the Observe
+// feed and SetAssignment (wire commits a policy update live) may run beside
+// it.
 type CacheAdapter struct {
 	pol *cachepolicy.Policy
 	// regions holds, per partition of the running assignment, its region
 	// and the answer of an Authority of the adapter's own over its rules:
-	// no data plane shares it, so asking takes no lock.
-	regions []cachepolicy.Region
+	// no data plane shares it, so asking takes no lock. SetAssignment
+	// replaces the slice whole.
+	regions atomic.Pointer[[]cachepolicy.Region]
 	// aggSeq mints aggregation cover-rule IDs.
 	aggSeq uint64
 }
@@ -50,10 +53,19 @@ func (a *CacheAdapter) SetAssignment(assign Assignment) {
 	if a == nil {
 		return
 	}
-	a.regions = make([]cachepolicy.Region, len(assign.Partitions))
+	regions := make([]cachepolicy.Region, len(assign.Partitions))
 	for i, p := range assign.Partitions {
-		a.regions[i] = cachepolicy.Region{Match: p.Region, CoverOf: NewAuthority(0, p, StrategyCover).CoverOf}
+		regions[i] = cachepolicy.Region{Match: p.Region, CoverOf: NewAuthority(0, p, StrategyCover).CoverOf}
 	}
+	a.regions.Store(&regions)
+}
+
+// running returns the regions of the assignment last set (none before).
+func (a *CacheAdapter) running() []cachepolicy.Region {
+	if r := a.regions.Load(); r != nil {
+		return *r
+	}
+	return nil
 }
 
 // regionOfMatch maps a cache rule's match to its partition index (−1 when
@@ -66,8 +78,9 @@ func (a *CacheAdapter) regionOfMatch(m *flowspace.Match) int {
 	for f := flowspace.FieldID(0); f < flowspace.NumFields; f++ {
 		k[f] = m.Fields[f].Value
 	}
-	for i := range a.regions {
-		if a.regions[i].Match.Matches(k) {
+	regions := a.running()
+	for i := range regions {
+		if regions[i].Match.Matches(k) {
 			return i
 		}
 	}
@@ -176,7 +189,7 @@ func (a *CacheAdapter) Round(now float64, m *Measurements, switches []*switchsim
 	}
 	for _, sw := range switches {
 		tb := sw.Table(proto.TableCache)
-		for _, p := range a.pol.PlanAggregation(tb.Entries(), a.regions, allocID) {
+		for _, p := range a.pol.PlanAggregation(tb.Entries(), a.running(), allocID) {
 			// Delete first: the freed slots guarantee the cover lands
 			// without evicting an unrelated entry.
 			for _, rid := range p.Replace {
@@ -191,14 +204,6 @@ func (a *CacheAdapter) Round(now float64, m *Measurements, switches []*switchsim
 	}
 }
 
-// configureAuthority stamps an authority handler with the deployment's
-// cache timeouts, preferring the policy's adapted per-region idle timeout
-// when one exists — so handlers rebuilt by rebalancing or recovery keep
-// the adapted value instead of silently reverting to the static default.
-func (n *Network) configureAuthority(a *Authority) {
-	a.SetCacheTimeouts(n.cache.Idle(a.RegionIndex, n.cfg.CacheIdle), n.cfg.CacheHard)
-}
-
 // SetCacheTimeouts changes the deployment-wide cache timeouts and
 // propagates them to every live authority handler. The handlers keep the
 // fully-built FlowMods they minted, so propagation must go through
@@ -208,7 +213,7 @@ func (n *Network) SetCacheTimeouts(idle, hard float64) {
 	n.cfg.CacheIdle = idle
 	n.cfg.CacheHard = hard
 	for _, a := range n.authorityAt {
-		n.configureAuthority(a)
+		a.SetCacheTimeouts(n.cache.Idle(a.RegionIndex, idle), hard)
 	}
 }
 

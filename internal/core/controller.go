@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"math"
 	"slices"
 
 	"difane/internal/flowspace"
@@ -12,9 +14,22 @@ import (
 
 // Controller is DIFANE's (deliberately thin) central controller: it owns
 // the policy, runs the partitioning algorithm, distributes rules, and
-// reacts to network dynamics. It never sits on the data path.
+// reacts to network dynamics. It never sits on the data path, and it
+// reaches the switches only through a Southbound, so the one controller
+// drives the simulator on virtual time and a wire cluster on real time.
 type Controller struct {
+	sb Southbound
+	// partition and place turn a policy into an assignment: partitions,
+	// and the authority switches that host each.
+	partition PartitionConfig
+	place     func([]Partition) (Assignment, error)
+	// net is the simulated network: its topology routes each ingress to
+	// its nearest replica (unless run.PinRouting), and rebalancing and host
+	// invalidation read it. Nil on other deployments.
 	net *Network
+	// run is what the deployment was last committed to.
+	run Running
+
 	// FailoverDelay models detection + rule-withdrawal time after an
 	// authority switch fails (seconds).
 	FailoverDelay float64
@@ -43,24 +58,86 @@ type Controller struct {
 	JournalErr error
 }
 
-// NewController attaches a controller to a network.
-func NewController(n *Network) *Controller {
-	return &Controller{net: n, FailoverDelay: 0.2, PolicyPushDelay: 0.05, Epoch: 1}
+// Attach returns a controller for the deployment behind sb, running
+// nothing yet (Boot installs a policy); place assigns partitions to its
+// authority switches. Its partition rules redirect to each partition's
+// primary, then its backup.
+func Attach(sb Southbound, partition PartitionConfig, place func([]Partition) (Assignment, error)) *Controller {
+	return &Controller{sb: sb, partition: partition, place: place,
+		FailoverDelay: 0.2, PolicyPushDelay: 0.05, Epoch: 1}
 }
 
-// Network returns the managed network.
+// NewController attaches a controller to a simulated network, taking over
+// what it runs.
+func NewController(n *Network) *Controller {
+	c := Attach(simSouthbound{n}, n.cfg.Partition, func(parts []Partition) (Assignment, error) {
+		return AssignWithReplication(parts, sortedIDs(n.authSt), n.cfg.Replication)
+	})
+	c.net, c.run = n, n.Running
+	return c
+}
+
+// Network returns the managed simulated network (nil on other deployments).
 func (c *Controller) Network() *Network { return c.net }
+
+// assign partitions policy and places the partitions.
+func (c *Controller) assign(policy []flowspace.Rule) (Assignment, error) {
+	return c.place(BuildPartitions(policy, c.partition))
+}
+
+// Boot installs policy on switches that hold none yet: the authority rules
+// at every replica, then the commit and the partition rules that redirect
+// to them.
+func (c *Controller) Boot(policy []flowspace.Rule) error {
+	a, err := c.assign(policy)
+	if err != nil {
+		return err
+	}
+	c.run.Policy = append([]flowspace.Rule(nil), policy...)
+	c.sb.Note(0, false, c.installAuthorityRules(a))
+	c.adopt(a, false)
+	return nil
+}
+
+// phase runs fn at time t, once every switch has applied what the phases
+// before it sent: the push delay orders phases on virtual time, a barrier
+// per switch on real time.
+func (c *Controller) phase(t float64, fn func()) {
+	c.sb.At(t, func() {
+		for _, sw := range c.sb.Switches() {
+			_ = c.sb.Barrier(sw) // an unreachable switch is the failure detector's to handle
+		}
+		fn()
+	})
+}
 
 // OnAuthorityFailure schedules the failover: after FailoverDelay the
 // primary partition rules pointing at the failed switch are withdrawn from
 // every switch, exposing the pre-installed backup rules. Returns the time
 // at which the data plane converges.
 func (c *Controller) OnAuthorityFailure(failed uint32) float64 {
-	at := c.net.Eng.Now() + c.FailoverDelay
-	c.net.Eng.At(at, func() {
-		c.net.PromoteBackups(failed)
-	})
+	at := c.sb.Now() + c.FailoverDelay
+	c.phase(at, func() { c.PromoteBackups(failed) })
 	return at
+}
+
+// PromoteBackups withdraws every partition rule redirecting to the failed
+// authority from every other switch, exposing the lower-priority rules that
+// point at a surviving replica — DIFANE's failover mechanism. It returns
+// how many distinct rules it withdrew.
+func (c *Controller) PromoteBackups(failed uint32) int {
+	gone := make(map[uint64]bool)
+	for _, sw := range c.sb.Switches() {
+		if sw == failed {
+			continue
+		}
+		for _, id := range c.withdraw(sw, proto.TablePartition, func(r *flowspace.Rule) bool {
+			return r.Action.Kind == flowspace.ActRedirect && r.Action.Arg == failed
+		}) {
+			gone[id] = true
+		}
+	}
+	return len(gone)
 }
 
 // UpdatePolicy replaces the global policy: recompute partitions on the
@@ -69,20 +146,23 @@ func (c *Controller) OnAuthorityFailure(failed uint32) float64 {
 // otherwise serve the old policy until timeout). Returns the convergence
 // time.
 func (c *Controller) UpdatePolicy(policy []flowspace.Rule) (float64, error) {
-	parts := BuildPartitions(policy, c.net.cfg.Partition)
-	assign, err := AssignWithReplication(parts, sortedIDs(c.net.authSt), c.net.cfg.Replication)
+	a, err := c.assign(policy)
 	if err != nil {
 		return 0, err
 	}
-	at := c.net.Eng.Now() + c.PolicyPushDelay
+	at := c.sb.Now() + c.PolicyPushDelay
 	c.gen++
 	generation := c.gen << 32
-	c.net.Eng.At(at, func() {
-		n := c.net
-		installs, deletes := n.M.PolicyRuleInstalls, n.M.PolicyRuleDeletes
-		n.reinstall(policy, assign)
-		n.noteMods(generation, false, n.M.PolicyRuleInstalls-installs)
-		n.noteMods(generation, true, n.M.PolicyRuleDeletes-deletes)
+	c.phase(at, func() {
+		var deleted uint64
+		for _, sw := range c.sb.Switches() {
+			deleted += uint64(len(c.withdraw(sw, proto.TableAuthority, everything)))
+			c.withdraw(sw, proto.TablePartition, everything)
+		}
+		c.sb.Note(generation, true, deleted)
+		c.sb.Note(generation, false, c.installAuthorityRules(a))
+		c.run.Policy = append([]flowspace.Rule(nil), policy...)
+		c.adopt(a, true)
 		c.PolicyVersion++
 		c.logState()
 	})
@@ -98,24 +178,23 @@ func (c *Controller) UpdatePolicy(policy []flowspace.Rule) (float64, error) {
 // doubled authority TCAM occupancy.
 //
 // Returns (switchAt, cleanupAt): when the data plane starts following the
-// new policy, and when the old rules are gone.
+// new policy, and when the old rules are gone. On real time both have
+// passed when it returns.
 func (c *Controller) UpdatePolicyConsistent(policy []flowspace.Rule) (float64, float64, error) {
-	n := c.net
 	// A no-op update — the offered policy is semantically identical to the
 	// running one — must not churn installed rules or invalidate caches:
 	// redirected packets would re-derive the exact same cache rules. Only
 	// the version advances, at the usual commit time.
-	if PoliciesEqual(n.Policy, policy) {
-		switchAt := n.Eng.Now() + c.PolicyPushDelay
+	if PoliciesEqual(c.run.Policy, policy) {
+		switchAt := c.sb.Now() + c.PolicyPushDelay
 		cleanupAt := switchAt + c.PolicyPushDelay
-		n.Eng.At(switchAt, func() {
+		c.sb.At(switchAt, func() {
 			c.PolicyVersion++
 			c.logState()
 		})
 		return switchAt, cleanupAt, nil
 	}
-	parts := BuildPartitions(policy, c.net.cfg.Partition)
-	assign, err := AssignWithReplication(parts, sortedIDs(c.net.authSt), c.net.cfg.Replication)
+	a, err := c.assign(policy)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -123,35 +202,31 @@ func (c *Controller) UpdatePolicyConsistent(policy []flowspace.Rule) (float64, f
 	// the old generation) at t+push. The generation band comes from a
 	// counter bumped at scheduling time, so overlapping consistent updates
 	// stage disjoint bands instead of colliding on PolicyVersion+1.
-	installAt := n.Eng.Now() + c.PolicyPushDelay
+	installAt := c.sb.Now() + c.PolicyPushDelay
 	c.gen++
 	generation := c.gen << 32
-	staged := stageAssignment(assign, generation)
-	n.Eng.At(installAt, func() {
-		n.noteMods(generation, false, n.installAuthorityRules(staged))
+	staged := stageAssignment(a, generation)
+	c.phase(installAt, func() {
+		c.sb.Note(generation, false, c.installAuthorityRules(staged))
 	})
 	// Phase 2: atomically switch partition rules + handlers + caches.
 	switchAt := installAt + c.PolicyPushDelay
-	n.Eng.At(switchAt, func() {
-		n.Policy = append([]flowspace.Rule(nil), policy...)
-		n.adopt(staged)
-		for _, sw := range n.Switches {
-			sw.ClearCache()
-		}
+	c.phase(switchAt, func() {
+		c.run.Policy = append([]flowspace.Rule(nil), policy...)
+		c.adopt(staged, true)
 		c.PolicyVersion++
 		c.logState()
 	})
 	// Phase 3: garbage-collect the previous generation's authority rules.
 	cleanupAt := switchAt + c.PolicyPushDelay
-	n.Eng.At(cleanupAt, func() {
+	c.phase(cleanupAt, func() {
 		var removed uint64
-		for _, sw := range n.Switches {
-			removed += uint64(sw.Table(proto.TableAuthority).DeleteWhere(func(e tcam.Entry) bool {
-				return AuthorityEntryRuleID(e.Rule.ID) < generation
-			}))
+		for _, sw := range c.sb.Switches() {
+			removed += uint64(len(c.withdraw(sw, proto.TableAuthority, func(r *flowspace.Rule) bool {
+				return AuthorityEntryRuleID(r.ID) < generation
+			})))
 		}
-		n.M.PolicyRuleDeletes += removed
-		n.noteMods(generation, true, removed)
+		c.sb.Note(generation, true, removed)
 	})
 	return switchAt, cleanupAt, nil
 }
@@ -196,16 +271,25 @@ func stageAssignment(a Assignment, generation uint64) Assignment {
 	return out
 }
 
+// generationOf reads the generation band an assignment's rules carry.
+func generationOf(a Assignment) uint64 {
+	var g uint64
+	for _, p := range a.Partitions {
+		if len(p.Rules) > 0 {
+			g = p.Rules[0].ID & GenerationMask
+		}
+	}
+	return g
+}
+
 // OnTopologyChange re-derives every switch's nearest-replica partition
 // rules after link or node state changed (a failed link can make a
 // different replica closest, or the previous target unreachable). The
 // refresh lands after FailoverDelay, modeling detection + push. Returns
 // the convergence time.
 func (c *Controller) OnTopologyChange() float64 {
-	at := c.net.Eng.Now() + c.FailoverDelay
-	c.net.Eng.At(at, func() {
-		c.net.installPartitionRules()
-	})
+	at := c.sb.Now() + c.FailoverDelay
+	c.phase(at, c.installPartitionRules)
 	return at
 }
 
@@ -225,18 +309,124 @@ func (c *Controller) InvalidateHost(ip uint32) int {
 	return total
 }
 
-// reinstall atomically swaps the network onto a new policy + assignment.
-func (n *Network) reinstall(policy []flowspace.Rule, assign Assignment) {
-	n.Policy = append([]flowspace.Rule(nil), policy...)
-	n.Assignment = assign
-	everything := func(tcam.Entry) bool { return true }
-	for _, sw := range n.Switches {
-		// Drop all derived state: caches, authority rules, partition rules.
-		sw.ClearCache()
-		n.M.PolicyRuleDeletes += uint64(sw.Table(proto.TableAuthority).DeleteWhere(everything))
-		sw.Table(proto.TablePartition).DeleteWhere(everything)
+// adopt makes a, whose authority rules are installed, the running
+// assignment: the commit (handlers and band, and with flush every ingress
+// cache), then the partition rules that redirect to it.
+func (c *Controller) adopt(a Assignment, flush bool) {
+	c.run.Assignment, c.run.Generation = a, generationOf(a)
+	c.sb.Commit(c.run, flush)
+	c.installPartitionRules()
+}
+
+// applyAssignment swaps authority state and partition rules to a new
+// assignment without touching ingress caches.
+func (c *Controller) applyAssignment(a Assignment) {
+	// Tear down the running generation's authority rules. One a consistent
+	// update has staged beside it is not this assignment's to remove: once
+	// the update commits, its handlers answer from those entries alone.
+	var deleted uint64
+	for _, sw := range c.sb.Switches() {
+		deleted += uint64(len(c.withdraw(sw, proto.TableAuthority, func(r *flowspace.Rule) bool {
+			return r.ID&GenerationMask == c.run.Generation
+		})))
 	}
-	n.installAssignment()
+	c.sb.Note(0, true, deleted)
+	c.sb.Note(0, false, c.installAuthorityRules(a))
+	c.adopt(a, false)
+}
+
+// authorityTables returns the authority-table entries a places at each
+// host: every partition's clipped rules at each of its replicas, re-keyed
+// (AuthorityEntryID) so clips of one rule from two partitions coexist.
+func authorityTables(a Assignment) map[uint32][]flowspace.Rule {
+	out := make(map[uint32][]flowspace.Rule)
+	for i, p := range a.Partitions {
+		for _, host := range a.ReplicasFor(i) {
+			for _, r := range p.Rules {
+				r.ID = AuthorityEntryID(i, r.ID)
+				out[host] = append(out[host], r)
+			}
+		}
+	}
+	return out
+}
+
+// installAuthorityRules installs a's authority tables, and returns how
+// many FlowMods that took.
+func (c *Controller) installAuthorityRules(a Assignment) (installed uint64) {
+	tables := authorityTables(a)
+	for _, sw := range c.sb.Switches() {
+		for _, r := range tables[sw] {
+			_ = c.sb.FlowMod(sw, proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Rule: r})
+			installed++
+		}
+	}
+	return installed
+}
+
+// installPartitionRules (re)writes every switch's partition table from the
+// running assignment (routes). Inserting with a fixed per-partition ID
+// replaces any previous rule, so the same path serves initial install and
+// topology refresh.
+func (c *Controller) installPartitionRules() {
+	for _, sw := range c.sb.Switches() {
+		want := c.routes(sw)
+		installed := make(map[uint64]bool, len(want))
+		for _, r := range want {
+			_ = c.sb.FlowMod(sw, proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: r})
+			installed[r.ID] = true
+		}
+		// Withdraw leftovers from a previous, larger assignment (or backup
+		// rules of partitions that collapsed to a single replica): a stale
+		// redirect sends packets to an authority that no longer hosts the
+		// region, which the authority can only drop as a hole.
+		c.withdraw(sw, proto.TablePartition, func(r *flowspace.Rule) bool { return !installed[r.ID] })
+	}
+}
+
+// routes returns switch sw's partition rules. Routed by topology, the
+// high-priority rule of each partition targets sw's nearest reachable
+// replica (the paper's nearest-replica redirection, which is what makes
+// stretch shrink as authority switches are added) and the low-priority one
+// the second nearest, the pre-installed failover path; pinned, they target
+// the primary and the backup.
+func (c *Controller) routes(sw uint32) []flowspace.Rule {
+	a := c.run.Assignment
+	if c.net == nil || c.run.PinRouting {
+		return a.PartitionRules(PartitionIDBase)
+	}
+	return a.redirects(PartitionIDBase, func(i int) (uint32, uint32) {
+		return c.orderByDistance(sw, a.ReplicasFor(i))
+	})
+}
+
+// withdraw deletes every entry of switch sw's table t that drop picks, and
+// returns the IDs of those the switch was sent a delete for.
+func (c *Controller) withdraw(sw uint32, t proto.Table, drop func(*flowspace.Rule) bool) []uint64 {
+	var gone []uint64
+	for _, e := range c.sb.Stats(sw, t) {
+		if drop(&e.Rule) && c.sb.FlowMod(sw, proto.FlowMod{Table: t, Op: proto.OpDelete, Rule: e.Rule}) == nil {
+			gone = append(gone, e.Rule.ID)
+		}
+	}
+	return gone
+}
+
+func everything(*flowspace.Rule) bool { return true }
+
+// orderByDistance returns the nearest and second-nearest replica hosts
+// from the given switch, breaking ties toward the lower ID. With a single
+// host, both returns are that host.
+func (c *Controller) orderByDistance(from uint32, hosts []uint32) (near, far uint32) {
+	dist := func(id uint32) float64 {
+		if d, ok := c.net.Topo.Dist(topo.NodeID(from), topo.NodeID(id)); ok {
+			return d
+		}
+		return math.Inf(1)
+	}
+	order := slices.Clone(hosts)
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Or(cmp.Compare(dist(a), dist(b)), cmp.Compare(a, b)) })
+	return order[0], order[min(1, len(order)-1)]
 }
 
 // sortedIDs returns the keys of a map by switch ID in ascending order:

@@ -221,21 +221,14 @@ type Network struct {
 
 	Switches map[uint32]*switchsim.Switch
 	// authorityAt holds the Authority partition handlers (primaries and
-	// backup replicas) under what an authority-table hit names them by;
-	// generation is the band their rules carry in those tables.
-	authorityAt map[authorityKey]*Authority
-	generation  uint64
+	// backup replicas) under what an authority-table hit names them by.
+	authorityAt map[HandlerKey]*Authority
 	authSt      map[uint32]*sim.Station
 
-	Assignment Assignment
-	Policy     []flowspace.Rule
-	cfg        NetworkConfig
-
-	// pinRouting makes partition rules target the assignment's primary
-	// replica instead of the nearest one. Load rebalancing sets it: the
-	// controller is then choosing replicas to balance measured load, at
-	// the cost of longer detours (the stretch/throughput trade-off).
-	pinRouting bool
+	// Running is what the network was last committed to (commit): its
+	// policy, assignment and the generation band its authority rules carry.
+	Running
+	cfg NetworkConfig
 
 	// LinkLoads counts packets per directed link when cfg.HopByHop is set.
 	LinkLoads LinkLoads
@@ -266,21 +259,14 @@ func NewNetwork(g *topo.Graph, authorities []uint32, policy []flowspace.Rule, cf
 	if len(authorities) == 0 {
 		return nil, fmt.Errorf("core: need at least one authority switch")
 	}
-	parts := BuildPartitions(policy, cfg.Partition)
-	assign, err := AssignWithReplication(parts, authorities, cfg.Replication)
-	if err != nil {
-		return nil, err
-	}
 	n := &Network{
-		Eng:        sim.New(),
-		Topo:       g,
-		Switches:   make(map[uint32]*switchsim.Switch),
-		authSt:     make(map[uint32]*sim.Station),
-		Assignment: assign,
-		Policy:     append([]flowspace.Rule(nil), policy...),
-		cfg:        cfg,
-		LinkLoads:  make(LinkLoads),
-		cache:      NewCacheAdapter(cfg.CacheEviction),
+		Eng:       sim.New(),
+		Topo:      g,
+		Switches:  make(map[uint32]*switchsim.Switch),
+		authSt:    make(map[uint32]*sim.Station),
+		cfg:       cfg,
+		LinkLoads: make(LinkLoads),
+		cache:     NewCacheAdapter(cfg.CacheEviction),
 	}
 	for _, id := range g.Nodes() {
 		n.Switches[uint32(id)] = switchsim.New(uint32(id), switchsim.Config{
@@ -306,21 +292,11 @@ func NewNetwork(g *topo.Graph, authorities []uint32, policy []flowspace.Rule, cf
 		Now: telemetry.VirtualClock(n.Eng.Now),
 	})
 	n.registerMetrics()
-	n.installAssignment()
+	if err := NewController(n).Boot(policy); err != nil {
+		return nil, err
+	}
 	n.startCacheAdaptation()
 	return n, nil
-}
-
-// installAssignment loads partition rules into every switch and authority
-// rules (primary + backup replicas) into the authority switches.
-//
-// Partition rules are per-switch: each ingress's high-priority rule points
-// at the *closest* replica of the partition (the paper's nearest-replica
-// redirection, which is what makes stretch shrink as authority switches
-// are added), with a lower-priority rule at the other replica as the
-// pre-installed failover path.
-func (n *Network) installAssignment() {
-	n.applyAssignment(n.Assignment)
 }
 
 // authorityBandShift places the partition band of an authority-table entry
@@ -349,16 +325,9 @@ func AuthorityEntryPartition(entry uint64) int {
 	return int(entry>>authorityBandShift) - 1
 }
 
-// generationMask covers the generation band of an authority-TCAM entry ID,
+// GenerationMask covers the generation band of an authority-TCAM entry ID,
 // between the 32-bit policy rule ID and the partition band (stageAssignment).
-const generationMask uint64 = (1<<authorityBandShift - 1) &^ 0xFFFFFFFF
-
-// AuthorityAdd builds the FlowMod installing partition part's clip r into
-// an authority TCAM, re-keyed so clips from different partitions coexist.
-func AuthorityAdd(part int, r flowspace.Rule) proto.FlowMod {
-	r.ID = AuthorityEntryID(part, r.ID)
-	return proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Rule: r}
-}
+const GenerationMask uint64 = (1<<authorityBandShift - 1) &^ 0xFFFFFFFF
 
 // partitionIDBase offsets partition-rule IDs away from policy rule IDs.
 const partitionIDBase uint64 = 1 << 50
@@ -368,126 +337,20 @@ const partitionIDBase uint64 = 1 << 50
 // Assignment.PartitionOfRuleID.
 const PartitionIDBase = partitionIDBase
 
-// installPartitionRules (re)writes every switch's partition table from the
-// current assignment and topology: the high-priority rule targets the
-// switch's nearest reachable replica, the low-priority rule the second
-// nearest. Inserting with a fixed per-partition ID replaces any previous
-// rule, so the same path serves initial install and topology refresh.
-func (n *Network) installPartitionRules() {
-	now := n.Eng.Now()
-	for swID, sw := range n.Switches {
-		installed := make(map[uint64]bool, 2*len(n.Assignment.Partitions))
-		for i, p := range n.Assignment.Partitions {
-			hosts := n.Assignment.ReplicasFor(i)
-			var near, far uint32
-			if n.pinRouting {
-				near, far = n.Assignment.Primary[i], n.Assignment.Backup[i]
-			} else {
-				near, far = n.orderByDistance(swID, hosts)
-			}
-			mod := proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd,
-				Rule: flowspace.Rule{
-					ID:       partitionIDBase + uint64(2*i),
-					Priority: PriPartitionPrimary,
-					Match:    p.Region,
-					Action:   flowspace.Action{Kind: flowspace.ActRedirect, Arg: near},
-				}}
-			_ = sw.ApplyFlowMod(now, &mod)
-			installed[mod.Rule.ID] = true
-			if far != near {
-				mod := proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd,
-					Rule: flowspace.Rule{
-						ID:       partitionIDBase + uint64(2*i) + 1,
-						Priority: PriPartitionBackup,
-						Match:    p.Region,
-						Action:   flowspace.Action{Kind: flowspace.ActRedirect, Arg: far},
-					}}
-				_ = sw.ApplyFlowMod(now, &mod)
-				installed[mod.Rule.ID] = true
-			}
-		}
-		// Withdraw leftovers from a previous, larger assignment (or backup
-		// rules of partitions that collapsed to a single replica): a stale
-		// redirect sends packets to an authority that no longer hosts the
-		// region, which the authority can only drop as a hole.
-		sw.Table(proto.TablePartition).DeleteWhere(func(e tcam.Entry) bool {
-			return !installed[e.Rule.ID]
-		})
-	}
-}
-
-// orderByDistance returns the nearest and second-nearest replica hosts
-// from the given switch, breaking ties toward the lower ID. With a single
-// host, both returns are that host.
-func (n *Network) orderByDistance(from uint32, hosts []uint32) (near, far uint32) {
-	if len(hosts) == 1 {
-		return hosts[0], hosts[0]
-	}
-	distOf := func(id uint32) float64 {
-		d, ok := n.Topo.Dist(topo.NodeID(from), topo.NodeID(id))
-		if !ok {
-			return math.Inf(1)
-		}
-		return d
-	}
-	closer := func(a, b uint32) bool {
-		da, db := distOf(a), distOf(b)
-		return da < db || (da == db && a < b)
-	}
-	near = hosts[0]
-	for _, h := range hosts[1:] {
-		if closer(h, near) {
-			near = h
-		}
-	}
-	picked := false
-	for _, h := range hosts {
-		if h == near {
-			continue
-		}
-		if !picked || closer(h, far) {
-			far, picked = h, true
-		}
-	}
-	if !picked {
-		far = near
-	}
-	return near, far
-}
-
-// authorityKey names a partition handler by its host and partition index.
-type authorityKey struct {
-	host uint32
-	part int
-}
-
-// adopt makes assign, whose authority rules are installed, the running
-// assignment: fresh miss handlers, one per partition and replica host, the
-// generation band of the authority tables they (and each switch's own
-// classification) answer from, and partition rules that redirect to them.
-func (n *Network) adopt(assign Assignment) {
-	n.Assignment = assign
-	n.cache.SetAssignment(assign)
-	n.authorityAt = make(map[authorityKey]*Authority)
-	n.generation = 0
-	for i, p := range assign.Partitions {
-		if len(p.Rules) > 0 {
-			n.generation = p.Rules[0].ID & generationMask
-		}
-		for _, host := range assign.ReplicasFor(i) {
-			auth := NewAuthority(host, p, n.cfg.Strategy)
-			auth.RegionIndex = i
-			n.configureAuthority(auth)
-			n.authorityAt[authorityKey{host, i}] = auth
-		}
-	}
-	// A packet that enters at an authority switch is answered by the
-	// switch's own pass over its authority table, which must see the band
-	// authorityHandle sees: this is the commit point for both.
+// commit is the simulator's Southbound.Commit: fresh miss handlers, one per
+// partition and replica host, and the band that authorityHandle and each
+// switch's own classification read of the authority tables move together,
+// at one virtual instant — the commit point for both.
+func (n *Network) commit(r Running, flush bool) {
+	n.Running = r
+	n.cache.SetAssignment(r.Assignment)
+	n.authorityAt = Handlers(r.Assignment, n.cfg.Strategy, n.cache, n.cfg.CacheIdle, n.cfg.CacheHard)
 	for _, sw := range n.Switches {
-		sw.SetAuthorityBand(generationMask, n.generation)
+		sw.SetAuthorityBand(GenerationMask, r.Generation)
+		if flush {
+			sw.ClearCache()
+		}
 	}
-	n.installPartitionRules()
 }
 
 // PacketIn is one packet handed to a deployment for injection — the
@@ -623,11 +486,11 @@ func (n *Network) authorityHandle(injected float64, ingress, authority uint32, k
 	var res MissResult
 	sw := n.Switches[authority]
 	v := sw.Table(proto.TableAuthority).AcquireView()
-	entry := v.LookupBand(now, &k, size, generationMask, n.generation)
+	entry := v.LookupBand(now, &k, size, GenerationMask, n.Generation)
 	v.Release()
 	if entry != nil {
 		sw.Stats.AuthorityHits.Add(1)
-		if auth = n.authorityAt[authorityKey{authority, AuthorityEntryPartition(entry.ID)}]; auth != nil {
+		if auth = n.authorityAt[HandlerKey{authority, AuthorityEntryPartition(entry.ID)}]; auth != nil {
 			res = auth.Answer(entry, &k)
 		}
 	}
@@ -732,23 +595,10 @@ func (n *Network) Measurements() *Measurements { return &n.M }
 func (n *Network) Close() error { return nil }
 
 // FailAuthority marks an authority switch down in the topology. Data-plane
-// redirects to it start failing immediately; call PromoteBackups (the
-// controller's failover action) to shift its partitions to their backups.
+// redirects to it start failing immediately; Controller.PromoteBackups (the
+// controller's failover action) shifts its partitions to their backups.
 func (n *Network) FailAuthority(id uint32) {
 	n.Topo.SetNode(topo.NodeID(id), false)
-}
-
-// PromoteBackups deletes every partition rule redirecting to the failed
-// authority from every switch, exposing the lower-priority rules that
-// point at the surviving replica — DIFANE's failover mechanism.
-func (n *Network) PromoteBackups(failed uint32) int {
-	removed := 0
-	for _, sw := range n.Switches {
-		removed += sw.Table(proto.TablePartition).DeleteWhere(func(e tcam.Entry) bool {
-			return e.Rule.Action.Kind == flowspace.ActRedirect && e.Rule.Action.Arg == failed
-		})
-	}
-	return removed
 }
 
 // CacheEntries returns the current total number of cache entries across
@@ -767,7 +617,7 @@ func (n *Network) AllAuthorities() []*Authority {
 	var out []*Authority
 	for i := range n.Assignment.Partitions {
 		for _, host := range n.Assignment.ReplicasFor(i) {
-			out = append(out, n.authorityAt[authorityKey{host, i}])
+			out = append(out, n.authorityAt[HandlerKey{host, i}])
 		}
 	}
 	return out

@@ -334,20 +334,27 @@ const (
 // authority switch and a lower-priority backup rule pointing at the backup.
 // Rule IDs are deterministic: base+2i for primary, base+2i+1 for backup.
 func (a Assignment) PartitionRules(idBase uint64) []flowspace.Rule {
+	return a.redirects(idBase, func(i int) (uint32, uint32) { return a.Primary[i], a.Backup[i] })
+}
+
+// redirects is PartitionRules with partition i's two targets named by
+// target; a partition whose targets are one switch gets no backup rule.
+func (a Assignment) redirects(idBase uint64, target func(i int) (near, far uint32)) []flowspace.Rule {
 	var out []flowspace.Rule
 	for i, p := range a.Partitions {
+		near, far := target(i)
 		out = append(out, flowspace.Rule{
 			ID:       idBase + uint64(2*i),
 			Priority: PriPartitionPrimary,
 			Match:    p.Region,
-			Action:   flowspace.Action{Kind: flowspace.ActRedirect, Arg: a.Primary[i]},
+			Action:   flowspace.Action{Kind: flowspace.ActRedirect, Arg: near},
 		})
-		if a.Backup[i] != a.Primary[i] {
+		if far != near {
 			out = append(out, flowspace.Rule{
 				ID:       idBase + uint64(2*i) + 1,
 				Priority: PriPartitionBackup,
 				Match:    p.Region,
-				Action:   flowspace.Action{Kind: flowspace.ActRedirect, Arg: a.Backup[i]},
+				Action:   flowspace.Action{Kind: flowspace.ActRedirect, Arg: far},
 			})
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"slices"
 	"sort"
 
-	"difane/internal/proto"
-	"difane/internal/tcam"
 	"difane/internal/topo"
 )
 
@@ -25,7 +23,7 @@ func (n *Network) MeasurePartitionLoad() []PartitionLoad {
 		loads[i].Partition = i
 	}
 	for at, a := range n.authorityAt {
-		loads[at.part].Misses += a.Misses
+		loads[at.Part].Misses += a.Misses
 	}
 	return loads
 }
@@ -34,7 +32,7 @@ func (n *Network) MeasurePartitionLoad() []PartitionLoad {
 func (n *Network) AuthorityMissLoad() map[uint32]uint64 {
 	out := make(map[uint32]uint64)
 	for at, a := range n.authorityAt {
-		out[at.host] += a.Misses
+		out[at.Host] += a.Misses
 	}
 	return out
 }
@@ -51,7 +49,7 @@ func (n *Network) AuthorityMissLoad() map[uint32]uint64 {
 //
 // Returns the number of partitions whose primary moved.
 func (c *Controller) RebalanceByLoad() int {
-	n := c.net
+	n, running := c.net, c.run.Assignment
 	loads := n.MeasurePartitionLoad()
 	auths := slices.DeleteFunc(sortedIDs(n.authSt), func(id uint32) bool {
 		return !n.Topo.NodeUp(topo.NodeID(id))
@@ -73,7 +71,7 @@ func (c *Controller) RebalanceByLoad() int {
 		return order[a] < order[b]
 	})
 
-	replication := len(n.Assignment.ReplicasFor(0))
+	replication := len(running.ReplicasFor(0))
 	if replication < 1 {
 		replication = 1
 	}
@@ -82,7 +80,7 @@ func (c *Controller) RebalanceByLoad() int {
 	}
 
 	newAssign := Assignment{
-		Partitions: n.Assignment.Partitions,
+		Partitions: running.Partitions,
 		Primary:    make([]uint32, len(loads)),
 		Backup:     make([]uint32, len(loads)),
 		Replicas:   make([][]uint32, len(loads)),
@@ -124,46 +122,15 @@ func (c *Controller) RebalanceByLoad() int {
 			newAssign.Backup[i] = hosts[1]
 		}
 		newAssign.Replicas[i] = hosts
-		if n.Assignment.Primary[i] != hosts[0] {
+		if running.Primary[i] != hosts[0] {
 			moved++
 		}
 	}
 	// From here on, redirects follow the load-balanced primary rather
 	// than the nearest replica — the rebalance would otherwise be
 	// overridden by proximity routing.
-	n.pinRouting = true
-	n.applyAssignment(newAssign)
+	c.run.PinRouting = true
+	c.applyAssignment(newAssign)
 	c.logState()
 	return moved
-}
-
-// applyAssignment swaps authority state and partition rules to a new
-// assignment without touching ingress caches.
-func (n *Network) applyAssignment(assign Assignment) {
-	// Tear down the running generation's authority rules. One a consistent
-	// update has staged beside it is not this assignment's to remove: once
-	// the update commits, its handlers answer from those entries alone.
-	for host := range n.authSt {
-		n.M.PolicyRuleDeletes += uint64(n.Switches[host].Table(proto.TableAuthority).DeleteWhere(func(e tcam.Entry) bool {
-			return e.Rule.ID&generationMask == n.generation
-		}))
-	}
-	n.installAuthorityRules(assign)
-	n.adopt(assign)
-}
-
-// installAuthorityRules installs every partition's clipped rules at each of
-// its replica hosts, and returns how many FlowMods that took.
-func (n *Network) installAuthorityRules(assign Assignment) (installed uint64) {
-	for i, p := range assign.Partitions {
-		for _, host := range assign.ReplicasFor(i) {
-			for _, r := range p.Rules {
-				mod := AuthorityAdd(i, r)
-				_ = n.Switches[host].ApplyFlowMod(n.Eng.Now(), &mod)
-				installed++
-			}
-		}
-	}
-	n.M.PolicyRuleInstalls += installed
-	return installed
 }

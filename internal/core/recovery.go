@@ -3,12 +3,10 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"difane/internal/flowspace"
 	"difane/internal/journal"
 	"difane/internal/proto"
-	"difane/internal/tcam"
 )
 
 // ControllerState is the controller's durable state: everything a restarted
@@ -30,14 +28,13 @@ type ControllerState struct {
 const stateKind = "state"
 
 func (c *Controller) currentState() ControllerState {
-	n := c.net
 	return ControllerState{
 		Epoch:         c.Epoch,
 		PolicyVersion: c.PolicyVersion,
 		Generation:    c.gen,
-		PinRouting:    n.pinRouting,
-		Policy:        append([]flowspace.Rule(nil), n.Policy...),
-		Assignment:    n.Assignment,
+		PinRouting:    c.run.PinRouting,
+		Policy:        append([]flowspace.Rule(nil), c.run.Policy...),
+		Assignment:    c.run.Assignment,
 	}
 }
 
@@ -176,9 +173,7 @@ func NewControllerFromJournal(n *Network, dir string) (*Controller, RecoveryRepo
 		c.Epoch = st.Epoch + 1
 		c.PolicyVersion = st.PolicyVersion
 		c.gen = st.Generation
-		n.Policy = append([]flowspace.Rule(nil), st.Policy...)
-		n.Assignment = st.Assignment
-		n.pinRouting = st.PinRouting
+		c.run = Running{Policy: st.Policy, Assignment: st.Assignment, PinRouting: st.PinRouting}
 		rep.Installed, rep.Deleted = c.Reconcile()
 	}
 	c.logState()
@@ -199,63 +194,37 @@ func NewControllerFromJournal(n *Network, dir string) (*Controller, RecoveryRepo
 // intent and switch reality. Returns the authority rules added and the
 // stale rules removed.
 func (c *Controller) Reconcile() (installed, deleted int) {
-	n := c.net
-	now := n.Eng.Now()
-	// Desired authority rules per host, keyed by banded entry ID (the ID
-	// they carry once installed) so clips of one rule from two partitions
-	// hosted on the same switch stay distinct.
-	want := make(map[uint32]map[uint64]flowspace.Rule)
-	for i, p := range n.Assignment.Partitions {
-		for _, host := range n.Assignment.ReplicasFor(i) {
-			m := want[host]
-			if m == nil {
-				m = make(map[uint64]flowspace.Rule, len(p.Rules))
-				want[host] = m
-			}
-			for _, r := range p.Rules {
-				r.ID = AuthorityEntryID(i, r.ID)
-				m[r.ID] = r
-			}
-		}
-	}
+	a := c.run.Assignment
+	tables := authorityTables(a)
 	// Partition rules use fixed per-partition IDs; anything beyond the
 	// current partition count is a leftover from a larger old assignment.
-	maxPartID := partitionIDBase + uint64(2*len(n.Assignment.Partitions))
-	// Iterate switches and desired rules in sorted order, so the FlowMods,
-	// and the install events and index they leave behind, come out the same
-	// on every run of the same seed: map-ordered iteration would not do that.
-	for _, id := range sortedIDs(n.Switches) {
-		sw := n.Switches[id]
-		desired := want[id]
-		tb := sw.Table(proto.TableAuthority)
-		deleted += tb.DeleteWhere(func(e tcam.Entry) bool {
-			r, ok := desired[e.Rule.ID]
-			return !ok || r != e.Rule
-		})
-		ruleIDs := make([]uint64, 0, len(desired))
-		for rid := range desired {
-			ruleIDs = append(ruleIDs, rid)
+	maxPartID := partitionIDBase + uint64(2*len(a.Partitions))
+	for _, id := range c.sb.Switches() {
+		desired := make(map[uint64]flowspace.Rule, len(tables[id]))
+		for _, r := range tables[id] {
+			desired[r.ID] = r
 		}
-		sort.Slice(ruleIDs, func(i, j int) bool { return ruleIDs[i] < ruleIDs[j] })
-		for _, rid := range ruleIDs {
-			r := desired[rid]
-			if _, _, ok := tb.Counters(r.ID); ok {
-				continue // already installed and identical: keep counters
+		kept := make(map[uint64]bool, len(desired))
+		deleted += len(c.withdraw(id, proto.TableAuthority, func(r *flowspace.Rule) bool {
+			if d, ok := desired[r.ID]; ok && d == *r {
+				kept[r.ID] = true // already installed and identical: keep counters
+				return false
 			}
-			// r.ID already carries the partition band, so install directly.
-			mod := proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Rule: r}
-			if sw.ApplyFlowMod(now, &mod) == nil {
+			return true
+		}))
+		for _, r := range tables[id] {
+			if !kept[r.ID] && c.sb.FlowMod(id, proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Rule: r}) == nil {
 				installed++
 			}
 		}
-		deleted += sw.Table(proto.TablePartition).DeleteWhere(func(e tcam.Entry) bool {
-			return e.Rule.ID >= maxPartID
-		})
+		deleted += len(c.withdraw(id, proto.TablePartition, func(r *flowspace.Rule) bool {
+			return r.ID >= maxPartID
+		}))
 	}
-	n.M.PolicyRuleInstalls += uint64(installed)
-	n.M.PolicyRuleDeletes += uint64(deleted)
+	c.sb.Note(0, false, uint64(installed))
+	c.sb.Note(0, true, uint64(deleted))
 	// Fresh miss handlers for the recovered assignment, and its partition
 	// rules (fixed IDs replace in place: no churn when targets are unchanged).
-	n.adopt(n.Assignment)
+	c.adopt(a, false)
 	return installed, deleted
 }

@@ -146,18 +146,6 @@ func (n *Network) finish(kind VerdictKind, node uint32, k flowspace.Key, seq uin
 	}
 }
 
-// noteMods records count fenced FlowMods of one staged generation on the
-// convergence tracker, all stamped at the current virtual instant.
-func (n *Network) noteMods(generation uint64, withdraw bool, count uint64) {
-	if count == 0 {
-		return
-	}
-	ts, totals := n.Now(), n.counterTotals()
-	for i := uint64(0); i < count; i++ {
-		n.Convergence().NoteMod(generation, withdraw, ts, totals)
-	}
-}
-
 // counterTotals snapshots the counters the convergence tracker diffs
 // across a policy-update window.
 func (n *Network) counterTotals() telemetry.CounterTotals {

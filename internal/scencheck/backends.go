@@ -201,16 +201,38 @@ func isAuthority(sc Scenario, id uint32) bool {
 }
 
 func (b *simBackend) audit() []string {
+	parts := core.BuildPartitions(b.policy, core.PartitionConfig{MaxRulesPerPartition: maxRulesPerPartition})
+	fresh, err := core.AssignWithReplication(parts, b.sc.Authorities, replication)
+	if err != nil {
+		return []string{fmt.Sprintf("convergence: fresh assignment: %v", err)}
+	}
+	return auditTables(b.n.Assignment, fresh, b.sc.Switches, b.sc.Authorities, func(sw uint32, t proto.Table) []flowspace.Rule {
+		return b.n.Switches[sw].Table(t).Rules()
+	}, true)
+}
+
+// auditTables checks what a deployment's switches hold once the scenario
+// quiesces (switches healed, controller live) against fresh, the assignment
+// a fresh controller computes from the current policy:
+//
+//   - (c) every cached rule sits inside some authority rule's clipped
+//     region with the same action: a cache can only ever specialize the
+//     authority tables, never invent behaviour;
+//   - (d) the deployed assignment, each authority switch's table and each
+//     switch's partition rules are what that controller would install.
+//
+// A deployment whose kills never heal (wire) leaves the dead switches out
+// of switches and passes primaries false when there are any: promotion
+// withdrew the partition rules redirecting to them.
+func auditTables(deployed, fresh core.Assignment, switches, authorities []uint32,
+	read func(sw uint32, t proto.Table) []flowspace.Rule, primaries bool) []string {
 	var out []string
-	// (c) Every cached rule must sit inside some authority rule's clipped
-	// region with the same action — a cache can only ever specialize the
-	// authority tables, never invent behaviour.
-	partRules := make([][]flowspace.Rule, len(b.n.Assignment.Partitions))
-	for i, p := range b.n.Assignment.Partitions {
+	partRules := make([][]flowspace.Rule, len(deployed.Partitions))
+	for i, p := range deployed.Partitions {
 		partRules[i] = p.Rules
 	}
-	for _, swID := range b.sc.Switches {
-		for _, r := range b.n.Switches[swID].Table(proto.TableCache).Rules() {
+	for _, swID := range switches {
+		for _, r := range read(swID, proto.TableCache) {
 			if !oracle.CacheRuleSound(r, partRules) {
 				out = append(out, fmt.Sprintf(
 					"cache-soundness: switch %d cache rule %d (%v -> %v) not contained in any authority rule",
@@ -218,33 +240,17 @@ func (b *simBackend) audit() []string {
 			}
 		}
 	}
-	out = append(out, b.auditConvergence()...)
-	return out
-}
-
-// auditConvergence checks invariant (d): after the scenario quiesces (all
-// switches healed, controller live), the deployed state must equal what a
-// fresh controller would compute from the current policy — partitions,
-// replica placement, per-authority rule tables, and partition rules.
-func (b *simBackend) auditConvergence() []string {
-	var out []string
-	parts := core.BuildPartitions(b.policy, core.PartitionConfig{MaxRulesPerPartition: maxRulesPerPartition})
-	fresh, err := core.AssignWithReplication(parts, b.sc.Authorities, replication)
-	if err != nil {
-		return []string{fmt.Sprintf("convergence: fresh assignment: %v", err)}
-	}
-	got := normalizeAssignment(b.n.Assignment)
+	got := normalizeAssignment(deployed)
 	want := normalizeAssignment(fresh)
 	if !reflect.DeepEqual(got, want) {
 		out = append(out, fmt.Sprintf(
 			"convergence: deployed assignment differs from a fresh controller's: got %+v want %+v", got, want))
 		return out // downstream table checks would only echo the same skew
 	}
-	a := b.n.Assignment
-	for _, swID := range b.sc.Switches {
-		sw := b.n.Switches[swID]
+	a := deployed
+	for _, swID := range switches {
 		// Authority tables hold exactly the union of hosted partitions' rules.
-		if isAuthority(b.sc, swID) {
+		if contains(authorities, swID) {
 			want := map[string]bool{}
 			for i := range a.Partitions {
 				if !contains(a.ReplicasFor(i), swID) {
@@ -254,9 +260,8 @@ func (b *simBackend) auditConvergence() []string {
 					want[ruleKey(r)] = true
 				}
 			}
-			gotRules := sw.Table(proto.TableAuthority).Rules()
 			seen := map[string]bool{}
-			for _, r := range gotRules {
+			for _, r := range read(swID, proto.TableAuthority) {
 				k := ruleKey(r)
 				seen[k] = true
 				if !want[k] {
@@ -273,7 +278,7 @@ func (b *simBackend) auditConvergence() []string {
 		}
 		// Partition rules redirect every partition to a hosting replica.
 		havePrimary := make([]bool, len(a.Partitions))
-		for _, r := range sw.Table(proto.TablePartition).Rules() {
+		for _, r := range read(swID, proto.TablePartition) {
 			i, ok := a.PartitionOfRuleID(core.PartitionIDBase, r.ID)
 			if !ok {
 				out = append(out, fmt.Sprintf(
@@ -293,7 +298,7 @@ func (b *simBackend) auditConvergence() []string {
 			}
 		}
 		for i, ok := range havePrimary {
-			if !ok {
+			if !ok && primaries {
 				out = append(out, fmt.Sprintf(
 					"convergence: switch %d lacks a primary partition rule for partition %d", swID, i))
 			}
@@ -459,15 +464,13 @@ func (t Totals) add(o Totals) Totals {
 
 // wireBackend drives the real-goroutine cluster. Kills are crash-only
 // (heal steps are no-ops and the dead set never shrinks), and policy
-// updates rebuild the cluster — the unified Deployment surface has no
-// in-place consistent-update hook — re-applying any kills afterwards.
+// updates are the controller's live consistent update.
 type wireBackend struct {
 	sc  Scenario
 	opt Options
 
 	d      *wire.Deployment
 	policy []flowspace.Rule
-	acc    Totals
 	killed map[uint32]bool
 
 	lastEpoch uint64
@@ -510,27 +513,16 @@ func wireClusterConfig(sc Scenario, policy []flowspace.Rule) wire.ClusterConfig 
 }
 
 func newWireBackend(sc Scenario, opt Options) (*wireBackend, error) {
-	b := &wireBackend{sc: sc, opt: opt, killed: map[uint32]bool{}}
-	if err := b.deploy(opt.backendPolicy(sc.Policy)); err != nil {
+	policy := opt.backendPolicy(sc.Policy)
+	d, err := wire.NewDeployment(wireClusterConfig(sc, policy))
+	if err != nil {
 		return nil, err
 	}
-	return b, nil
+	return &wireBackend{sc: sc, opt: opt, d: d, policy: policy, killed: map[uint32]bool{},
+		lastEpoch: d.C.Epoch()}, nil
 }
 
-func (b *wireBackend) deploy(policy []flowspace.Rule) error {
-	d, err := wire.NewDeployment(wireClusterConfig(b.sc, policy))
-	if err != nil {
-		return err
-	}
-	for id := range b.killed {
-		d.C.KillSwitch(id)
-	}
-	b.d, b.policy = d, policy
-	b.lastEpoch = d.C.Epoch()
-	return nil
-}
-
-func (b *wireBackend) totals() Totals   { return b.acc.add(measTotals(b.d.Measurements())) }
+func (b *wireBackend) totals() Totals   { return measTotals(b.d.Measurements()) }
 func (b *wireBackend) injected() uint64 { return b.nInj }
 
 func (b *wireBackend) packet(st Step) (observed, error) {
@@ -563,11 +555,11 @@ func (b *wireBackend) packet(st Step) (observed, error) {
 }
 
 func (b *wireBackend) update(policy []flowspace.Rule) error {
-	b.acc = b.acc.add(measTotals(b.d.Measurements()))
-	if err := b.d.Close(); err != nil {
+	if err := b.d.C.UpdatePolicyConsistent(policy); err != nil {
 		return err
 	}
-	return b.deploy(policy)
+	b.policy = policy
+	return nil
 }
 
 func (b *wireBackend) killSwitch(id uint32) error {
@@ -601,25 +593,21 @@ func (b *wireBackend) restoreController() error {
 	return nil
 }
 
-// audit checks wire-mode cache soundness against the live cluster's
-// assignment (rebuilds reset caches, so only current-policy rules exist).
+// audit runs the simulator's table checks on the live switches, against
+// the assignment wire's controller places (a primary and a backup each).
 func (b *wireBackend) audit() []string {
-	var out []string
-	a := b.d.C.Assignment()
-	partRules := make([][]flowspace.Rule, len(a.Partitions))
-	for i, p := range a.Partitions {
-		partRules[i] = p.Rules
+	parts := core.BuildPartitions(b.policy, core.PartitionConfig{MaxRulesPerPartition: maxRulesPerPartition})
+	fresh, err := core.Assign(parts, b.sc.Authorities)
+	if err != nil {
+		return []string{fmt.Sprintf("convergence: fresh assignment: %v", err)}
 	}
-	for _, swID := range b.d.C.SwitchIDs() {
-		for _, r := range b.d.C.TableRules(swID, proto.TableCache) {
-			if !oracle.CacheRuleSound(r, partRules) {
-				out = append(out, fmt.Sprintf(
-					"cache-soundness: wire switch %d cache rule %d (%v -> %v) not contained in any authority rule",
-					swID, r.ID, r.Match, r.Action))
-			}
+	var live []uint32
+	for _, id := range b.d.C.SwitchIDs() {
+		if !b.killed[id] {
+			live = append(live, id)
 		}
 	}
-	return out
+	return auditTables(b.d.C.Assignment(), fresh, live, b.sc.Authorities, b.d.C.TableRules, len(b.killed) == 0)
 }
 
 func (b *wireBackend) close() { _ = b.d.Close() }

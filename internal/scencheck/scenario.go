@@ -27,8 +27,9 @@ type StepKind uint8
 const (
 	// StepPacket injects one packet and checks its verdict.
 	StepPacket StepKind = iota
-	// StepUpdatePolicy replaces the operator policy (consistently in the
-	// simulator; by redeployment in the baseline and wire modes).
+	// StepUpdatePolicy replaces the operator policy (the controller's
+	// consistent update in the simulator and in wire mode; by redeployment
+	// in the baseline).
 	StepUpdatePolicy
 	// StepKillSwitch fails a switch (sim: node down + controller failover;
 	// wire: KillSwitch — permanent; baseline: ignored).

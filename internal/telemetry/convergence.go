@@ -36,10 +36,10 @@ type EpochTimeline struct {
 // Convergence tracks per-epoch policy-update timelines: who installed and
 // withdrew how many rules, how long first-FlowMod→quiescence took, and how
 // much traffic was redirected, shed, or dropped while two generations
-// overlapped. Feed it NoteMod/NoteReject from wherever fenced FlowMods are
-// applied and NoteQuiesce from the deployment's quiesce point (the
-// accounting-identity check in wire mode, the cleanup phase in the
-// simulator).
+// overlapped. Feed it NoteMods from the controller that sends the FlowMods,
+// NoteReject from wherever a switch fences one off, and NoteQuiesce from
+// the deployment's quiesce point (the accounting-identity check in wire
+// mode, a drained event queue in the simulator).
 type Convergence struct {
 	mu        sync.Mutex
 	timelines []*EpochTimeline
@@ -64,11 +64,11 @@ func NewConvergence(keep int) *Convergence {
 	return &Convergence{index: make(map[uint64]*EpochTimeline), keep: keep}
 }
 
-// NoteMod records one fenced FlowMod of the given epoch landing at ts.
-// The first mod of an unseen epoch opens its timeline and snapshots the
-// counter baseline the quiesce deltas are computed against.
-func (c *Convergence) NoteMod(epoch uint64, withdraw bool, ts int64, totals CounterTotals) {
-	if epoch == 0 {
+// NoteMods records n FlowMods of the given epoch landing at ts. The first
+// mod of an unseen epoch opens its timeline and snapshots the counter
+// baseline the quiesce deltas are computed against.
+func (c *Convergence) NoteMods(epoch uint64, withdraw bool, n uint64, ts int64, totals CounterTotals) {
+	if epoch == 0 || n == 0 {
 		return
 	}
 	c.mu.Lock()
@@ -90,11 +90,11 @@ func (c *Convergence) NoteMod(epoch uint64, withdraw bool, ts int64, totals Coun
 		t.LastModTS = ts
 	}
 	if withdraw {
-		t.Withdraws++
-		c.withdraws++
+		t.Withdraws += n
+		c.withdraws += n
 	} else {
-		t.Installs++
-		c.installs++
+		t.Installs += n
+		c.installs += n
 	}
 }
 

@@ -14,9 +14,9 @@ func TestConvergenceTimelineLifecycle(t *testing.T) {
 	// First fenced mod of an epoch opens its window and snapshots the
 	// counter baseline the quiesce deltas are diffed against.
 	base := CounterTotals{Redirects: 100, Shed: 10, Dropped: 5}
-	c.NoteMod(7, false, 1000, base)
-	c.NoteMod(7, false, 1500, base)
-	c.NoteMod(7, true, 2000, base)
+	c.NoteMods(7, false, 1, 1000, base)
+	c.NoteMods(7, false, 1, 1500, base)
+	c.NoteMods(7, true, 1, 2000, base)
 	if since := c.ActiveSinceNS(); since != 1000 {
 		t.Fatalf("active since = %d, want 1000 (the first mod)", since)
 	}
@@ -58,7 +58,7 @@ func TestConvergenceTimelineLifecycle(t *testing.T) {
 
 func TestConvergenceRejectAttributedToOpenWindow(t *testing.T) {
 	c := NewConvergence(0)
-	c.NoteMod(3, false, 100, CounterTotals{})
+	c.NoteMods(3, false, 1, 100, CounterTotals{})
 	c.NoteReject(1, 150) // a stale epoch-1 straggler fenced off mid-update
 	c.NoteQuiesce(200, CounterTotals{})
 	tl := c.Timelines()
@@ -75,15 +75,15 @@ func TestConvergenceRejectAttributedToOpenWindow(t *testing.T) {
 
 func TestConvergenceKeepBoundEvictsOldest(t *testing.T) {
 	c := NewConvergence(2)
-	c.NoteMod(1, false, 10, CounterTotals{})
-	c.NoteMod(2, false, 20, CounterTotals{})
-	c.NoteMod(3, false, 30, CounterTotals{})
+	c.NoteMods(1, false, 1, 10, CounterTotals{})
+	c.NoteMods(2, false, 1, 20, CounterTotals{})
+	c.NoteMods(3, false, 1, 30, CounterTotals{})
 	tl := c.Timelines()
 	if len(tl) != 2 || tl[0].Epoch != 2 || tl[1].Epoch != 3 {
 		t.Fatalf("keep=2 retained %+v", tl)
 	}
 	// The evicted epoch can be reopened without confusing the index.
-	c.NoteMod(1, false, 40, CounterTotals{})
+	c.NoteMods(1, false, 1, 40, CounterTotals{})
 	if tl := c.Timelines(); len(tl) != 2 || tl[1].Epoch != 1 {
 		t.Fatalf("reopened epoch missing: %+v", tl)
 	}
@@ -91,7 +91,7 @@ func TestConvergenceKeepBoundEvictsOldest(t *testing.T) {
 
 func TestConvergenceRegisterMetrics(t *testing.T) {
 	c := NewConvergence(0)
-	c.NoteMod(5, false, 1000, CounterTotals{})
+	c.NoteMods(5, false, 1, 1000, CounterTotals{})
 	c.NoteQuiesce(4000, CounterTotals{Redirects: 8})
 	reg := NewRegistry()
 	c.RegisterMetrics(reg)

@@ -31,6 +31,9 @@ import (
 // allocated once (capacity = the configured burst, or the switch count for
 // the per-destination counts) and resliced per burst.
 type burstScratch struct {
+	// run is the generation the switch answers from (dataLoop's adopt).
+	run *generation
+
 	// frames points at the burst's frames in the slots of the input rings,
 	// gathered by dataLoop; held lists how many each ring lent, for it to
 	// release once the burst is through.
@@ -197,7 +200,7 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 			// The failure detector marked the target dead: fail over to
 			// the backup locally, in the data plane, without a controller
 			// round trip.
-			next, ok := c.failoverLocal(n, *res.Rule, target)
+			next, ok := c.failoverLocal(n, s.run, *res.Rule, target)
 			if !ok {
 				c.drop(n.stats, dropUnreachable)
 				c.traceVerdict(n.id, telemetry.VUnreachable, res.Rule.ID, h, 0, f.trace)
@@ -212,7 +215,7 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 				Trace: f.trace,
 			})
 		}
-		f.detour = true
+		f.via = s.run.via()
 		f.reason, f.encapBy = packet.EncapRedirect, uint16(n.slot)
 		n.stats.redirects.Add(1)
 		s.noteRedirect(target)
@@ -225,9 +228,12 @@ func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, re
 
 // authorityBurst runs the partition logic for the burst's redirected
 // packets: the switch's authority table, under one view, says which rule
-// each one matches, and the hit's partition band which handler generates its
-// cache rules — all under one acquisition of the node lock (taken before the
-// table's read lock, never inside it). Installs and verdicts come after both.
+// each one matches — looking in the band of the generation its ingress
+// classified it under alone (what a consistent update has staged beside it,
+// or not yet collected, answers nothing) — and the hit's partition band
+// which of that generation's handlers generates its cache rules, all under
+// one acquisition of the node lock (taken before the table's read lock,
+// never inside it). Installs and verdicts come after both.
 func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []*dataFrame) {
 	// Processing redirected packets is the data-plane liveness signal the
 	// redirect-timeout detector watches for; once per burst is enough.
@@ -244,8 +250,9 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []*dataFrame) 
 	v := n.sw.Table(proto.TableAuthority).AcquireView()
 	for j, i := range s.authIdx {
 		res[j] = core.MissResult{}
-		if entry := v.LookupBand(now, &keys[j], int(frames[i].size), 0, 0); entry != nil {
-			if a := n.auths[core.AuthorityEntryPartition(entry.ID)]; a != nil {
+		g := s.run.answering(frames[i].via)
+		if entry := v.LookupBand(now, &keys[j], int(frames[i].size), core.GenerationMask, g.Generation); entry != nil {
+			if a := g.auths[core.HandlerKey{Host: n.id, Part: core.AuthorityEntryPartition(entry.ID)}]; a != nil {
 				res[j] = a.Answer(entry, &keys[j])
 			}
 		}
@@ -271,7 +278,7 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []*dataFrame) 
 			})
 		}
 		if len(r.CacheMods) > 0 {
-			c.queueInstall(n, ingress, r.CacheMods, h, f.trace)
+			c.queueInstall(n, ingress, install{s.run.answering(f.via).seq, f.trace, r.CacheMods}, h)
 		}
 		switch r.Rule.Action.Kind {
 		case flowspace.ActDrop:
@@ -287,13 +294,23 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []*dataFrame) 
 	}
 }
 
+// install is a cache install on its way from an authority switch to the
+// ingress: the FlowMods, the packet's trace ID, and the seq of the
+// generation that answered.
+type install struct {
+	seq   uint64
+	trace uint64
+	mods  []proto.FlowMod
+}
+
 // queueInstall hands a cache install from authority switch n straight to
 // the ingress switch's install queue — the paper's authority→ingress path,
 // no controller in it — shedding (and counting) when the authority is over
 // its install budget, the ingress is unknown or killed, or its queue is
 // full. The packet itself still forwards, so shedding costs future
 // redirects, not reachability.
-func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, h *packet.Header, trace uint64) {
+func (c *Cluster) queueInstall(n *node, ingress uint32, m install, h *packet.Header) {
+	trace := m.trace
 	shed := func() {
 		n.stats.cacheInstallsShed.Add(1)
 		if c.TracePkt(trace) {
@@ -311,8 +328,8 @@ func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, h 
 	}
 	if trace != 0 && c.TracingEnabled() {
 		var ruleID uint64
-		if len(mods) > 0 {
-			ruleID = mods[0].Rule.ID
+		if len(m.mods) > 0 {
+			ruleID = m.mods[0].Rule.ID
 		}
 		c.Span(telemetry.Event{
 			Kind: telemetry.EvInstallTriggered, Node: n.id, Peer: ingress,
@@ -324,7 +341,7 @@ func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, h 
 	// neither place; the ingress's data goroutine applies it (applyInstalls).
 	dst.installsPending.Add(1)
 	select {
-	case dst.installQ <- &proto.CacheInstall{Ingress: ingress, Trace: trace, Rules: mods}:
+	case dst.installQ <- m:
 		dst.wake()
 	default:
 		dst.installsPending.Add(-1)
@@ -332,28 +349,29 @@ func (c *Cluster) queueInstall(n *node, ingress uint32, mods []proto.FlowMod, h 
 	}
 }
 
-// applyInstalls applies every cache install queued for this switch. Its
-// data goroutine calls it between bursts, so no tcam.View is held, and an
+// applyInstalls applies every cache install queued for this switch and
+// answered by seq, the generation it answers from, and drops the others:
+// their rules are of a policy its packets no longer follow. Its data
+// goroutine calls it between bursts, so no tcam.View is held, and an
 // install a packet triggered lands before the next burst's lookups.
-func (c *Cluster) applyInstalls(n *node) {
+func (c *Cluster) applyInstalls(n *node, seq uint64) {
 	for {
 		select {
 		case m := <-n.installQ:
+			if m.seq != seq {
+				m.mods = nil
+			}
 			now := nowSec()
-			for i := range m.Rules {
-				_ = n.sw.ApplyFlowMod(now, &m.Rules[i])
+			for i := range m.mods {
+				_ = n.sw.ApplyFlowMod(now, &m.mods[i])
 			}
 			// When the triggering packet was sampled, land the install in
 			// its journey (the untraced per-rule EvInstall hook events fire
 			// regardless).
-			if m.Trace != 0 && c.TracingEnabled() {
-				var ruleID uint64
-				if len(m.Rules) > 0 {
-					ruleID = m.Rules[0].Rule.ID
-				}
+			if m.trace != 0 && len(m.mods) > 0 && c.TracingEnabled() {
 				c.Span(telemetry.Event{
 					Kind: telemetry.EvInstall, Node: n.id,
-					Table: uint8(proto.TableCache), RuleID: ruleID, Trace: m.Trace,
+					Table: uint8(proto.TableCache), RuleID: m.mods[0].Rule.ID, Trace: m.trace,
 				})
 			}
 			if n.installsPending.Add(-1) == 0 {
@@ -417,7 +435,7 @@ func (c *Cluster) flushDeliveries(n *node, s *burstScratch, frames []*dataFrame)
 	for _, i := range s.deliv {
 		f := frames[i]
 		lat := time.Duration(now - f.injected)
-		if f.detour {
+		if f.via != 0 {
 			s.first = append(s.first, lat.Seconds())
 		} else {
 			s.later = append(s.later, lat.Seconds())
@@ -431,7 +449,7 @@ func (c *Cluster) flushDeliveries(n *node, s *burstScratch, frames []*dataFrame)
 			d := Delivery{
 				Egress:  n.id,
 				Header:  f.hdr,
-				Detour:  f.detour,
+				Detour:  f.via != 0,
 				Latency: lat,
 			}
 			select {

@@ -3,6 +3,7 @@ package wire
 import (
 	"time"
 
+	"difane/internal/core"
 	"difane/internal/switchsim"
 )
 
@@ -33,12 +34,12 @@ func (c *Cluster) cacheAdaptLoop() {
 }
 
 // setRegionIdle hands a region's adapted idle timeout to every authority
-// handler serving it, under each node's lock — Answer mutates the same
-// state.
+// handler of the running generation serving it, under each node's lock —
+// Answer mutates the same state.
 func (c *Cluster) setRegionIdle(region int, idle float64) {
 	for _, n := range c.nodes {
 		n.mu.Lock()
-		if a := n.auths[region]; a != nil {
+		if a := c.run.Load().auths[core.HandlerKey{Host: n.id, Part: region}]; a != nil {
 			a.SetCacheTimeouts(idle, a.CacheHardTimeout)
 		}
 		n.mu.Unlock()

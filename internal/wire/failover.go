@@ -23,9 +23,9 @@ import (
 //   - ingress-local: the next redirect toward the dead authority re-points
 //     the partition rule at the first live host on the partition's
 //     failover list, purely in the data plane (failoverLocal in wire.go);
-//   - controller-driven: promoteBackups withdraws the dead switch's
-//     partition rules from every live switch so backups (pre-installed at
-//     lower priority) take over cluster-wide.
+//   - controller-driven: the controller withdraws the dead switch's
+//     partition rules from every other switch (promoteBackups) so backups
+//     (pre-installed at lower priority) take over cluster-wide.
 
 // heartbeatLoop is the controller's prober: every interval it sends a
 // heartbeat to each switch and re-evaluates each switch's liveness.
@@ -111,12 +111,13 @@ func (c *Cluster) markDead(n *node) {
 }
 
 // markAlive reinstates a recovered switch: besides flipping the verdict it
-// restores the partition rules promoteBackups withdrew (and any that
-// failoverLocal re-pointed), so a flapping authority degrades service only
-// while it is actually down. Without the reinstall, a switch that was ever
-// suspected — even spuriously — would serve no redirects again, and a
-// partition whose replicas were each suspected once would black-hole its
-// whole region permanently.
+// has the controller rewrite every switch's partition rules from the running
+// assignment, restoring those promoteBackups withdrew (and, OpAdd replacing
+// in place, any that failoverLocal re-pointed), so a flapping authority
+// degrades service only while it is actually down. Without the reinstall, a
+// switch that was ever suspected — even spuriously — would serve no
+// redirects again, and a partition whose replicas were each suspected once
+// would black-hole its whole region permanently.
 func (c *Cluster) markAlive(n *node) {
 	if !n.alive.CompareAndSwap(false, true) {
 		return
@@ -127,52 +128,22 @@ func (c *Cluster) markAlive(n *node) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		c.restoreRules(n.id)
+		c.control(func(ctl *core.Controller) { ctl.OnTopologyChange() })
 	}()
 }
 
-// restoreRules re-pushes the revived switch's partition rules to every
-// live switch — the inverse of promoteBackups. OpAdd replaces in place, so
-// rules failoverLocal re-pointed at another replica snap back too.
-func (c *Cluster) restoreRules(revived uint32) {
-	c.pushPartitionRules(revived, proto.OpAdd)
-}
-
-// promoteBackups is the controller-driven half of failover: it withdraws
-// the dead switch's partition rules from every live switch, exposing the
-// lower-priority backup rules that were pre-installed at build time.
+// promoteBackups is the controller-driven half of failover
+// (core.Controller.PromoteBackups). A partition with a single authority has
+// no backup rule, so none is withdrawn or counted for it.
 func (c *Cluster) promoteBackups(dead uint32) {
-	if rules, sent := c.pushPartitionRules(dead, proto.OpDelete); sent {
+	var rules int
+	c.control(func(ctl *core.Controller) { rules = ctl.PromoteBackups(dead) })
+	if rules > 0 {
 		c.cold.failoversPromoted.Add(uint64(rules))
 		c.Span(telemetry.Event{
 			Kind: telemetry.EvPromote, Node: dead, Value: uint64(rules),
 		})
 	}
-}
-
-// pushPartitionRules sends op, for each partition rule installAssignment
-// installed that redirects to host, to every live switch (host itself only
-// once it is alive again). It returns how many rules those are — a
-// partition with a single authority has no backup rule, so none is
-// withdrawn or counted for it — and whether any switch took one.
-func (c *Cluster) pushPartitionRules(host uint32, op proto.FlowModOp) (rules int, sent bool) {
-	var mods []proto.FlowMod
-	for _, r := range c.assign.PartitionRules(core.PartitionIDBase) {
-		if r.Action.Arg == host {
-			mods = append(mods, proto.FlowMod{Table: proto.TablePartition, Op: op, Rule: r})
-		}
-	}
-	for _, n := range c.switches {
-		if n.killed.Load() || (n.id == host && !n.alive.Load()) {
-			continue
-		}
-		for i := range mods {
-			if err := c.installRule(n, &mods[i]); err == nil {
-				sent = true
-			}
-		}
-	}
-	return len(mods), sent
 }
 
 // notePending records a redirect sent toward an authority, keeping only

@@ -308,7 +308,7 @@ func TestPromoteAndRestoreMoveTheInstalledRules(t *testing.T) {
 		t.Fatalf("the dead switch itself was sent the withdrawal: %d rules left", len(kept))
 	}
 	c.switches[2].alive.Store(true)
-	c.restoreRules(2)
+	c.control(func(ctl *core.Controller) { ctl.OnTopologyChange() }) // markAlive's restore
 	fence(2)
 	if back := c.TableRules(0, proto.TablePartition); len(back) != parts || back[0] != installed[0] {
 		t.Fatalf("restore left %v, want %v", back, installed)

@@ -329,7 +329,7 @@ func injectRedirects(t *testing.T, c *Cluster, ingress, firstSrc uint32, n int) 
 			reason:   packet.EncapRedirect,
 			encapBy:  uint16(c.switches[ingress].slot),
 			injected: nowNS(),
-			detour:   true,
+			via:      1,
 		}
 		c.commitInjected(n, ring, 1)
 		n.injectMu.Unlock()

@@ -57,7 +57,7 @@ func consumeFrames(r *frameRing, total uint64) <-chan error {
 					done <- fmt.Errorf("held frame overwritten: %w", err)
 					return
 				}
-				out[i].reason, out[i].detour = 0, true // decapsulate in place
+				out[i].reason, out[i].via = 0, 1 // decapsulate in place
 			}
 			r.release(n)
 			next += uint64(n)

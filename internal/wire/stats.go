@@ -92,6 +92,8 @@ type coldStats struct {
 	controllerOutages     atomic.Uint64
 	staleInstallsRejected atomic.Uint64
 	leaderElections       atomic.Uint64
+	policyRuleInstalls    atomic.Uint64
+	policyRuleDeletes     atomic.Uint64
 
 	// haMu orders writes to the two HA timing distributions against
 	// concurrent Measurements readers.
@@ -124,6 +126,8 @@ func (s *coldStats) mergeInto(m *core.Measurements) {
 	m.ControllerOutages += s.controllerOutages.Load()
 	m.StaleInstallsRejected += s.staleInstallsRejected.Load()
 	m.LeaderElections += s.leaderElections.Load()
+	m.PolicyRuleInstalls += s.policyRuleInstalls.Load()
+	m.PolicyRuleDeletes += s.policyRuleDeletes.Load()
 
 	s.haMu.Lock()
 	m.FailoverDetection.Merge(&s.failoverDetect)

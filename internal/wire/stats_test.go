@@ -91,9 +91,8 @@ func TestMeasurementsMergeIdentity(t *testing.T) {
 // fails here; the telemetry registry fed from the merge silently
 // under-reports otherwise.
 func TestMeasurementsMergeAllFields(t *testing.T) {
-	// What wire mode has no source for: stretch needs a topology, and the
-	// policy-churn counters need a live policy update (ROADMAP item 4).
-	simOnly := map[string]bool{"Stretch": true, "PolicyRuleInstalls": true, "PolicyRuleDeletes": true}
+	// What wire mode has no source for: stretch needs a topology.
+	simOnly := map[string]bool{"Stretch": true}
 
 	c := &Cluster{ext: &nodeStats{}, switches: map[uint32]*node{
 		1: {stats: &nodeStats{}}, 2: {stats: &nodeStats{}},

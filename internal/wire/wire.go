@@ -44,11 +44,17 @@ type Delivery struct {
 
 // Cluster is a running wire-mode DIFANE deployment.
 type Cluster struct {
-	cfg    ClusterConfig
-	assign core.Assignment
-	// failover holds, per partition, the ordered authority hosts an
-	// ingress switch walks when the current target is dead.
-	failover [][]uint32
+	cfg ClusterConfig
+
+	// ctl is the cluster's controller, driving the switches through sb;
+	// ctlMu runs its operations one at a time (control). run is the
+	// generation its last commit published, which every data plane reads.
+	ctl   *core.Controller
+	ctlMu sync.Mutex
+	sb    *southbound
+	run   atomic.Pointer[generation]
+	// xids numbers the controller's barriers.
+	xids atomic.Uint32
 
 	switches map[uint32]*node
 	// nodes lists the switches in cfg.Switches order; node.slot indexes it.
@@ -143,9 +149,8 @@ type node struct {
 	mu sync.Mutex
 	sw *switchsim.Switch
 
-	// auths holds the handler of each partition this switch hosts, under
-	// the partition's index, which an authority-table hit's ID carries.
-	auths map[int]*core.Authority
+	// cur is the generation the node's data plane answers from (adopt).
+	cur atomic.Pointer[generation]
 
 	// stats is this node's measurement shard; the hot path records
 	// deliveries and drops here without touching any other node's state.
@@ -178,8 +183,9 @@ type node struct {
 	ctrlPeer net.Conn
 
 	// replies carries barrier/stats replies back to controller-side
-	// callers (Barrier, Stats).
+	// callers (Barrier, Stats); replyMu lets one wait on it at a time.
 	replies chan proto.Message
+	replyMu sync.Mutex
 
 	// done is closed by KillSwitch: the node's goroutines stop, simulating
 	// a crashed switch.
@@ -221,7 +227,7 @@ type node struct {
 	// overflow sheds the install (counted at the authority), never the
 	// packet. installsPending counts installs queued and not yet applied,
 	// so drained() does not call a popped, half-applied install done.
-	installQ        chan *proto.CacheInstall
+	installQ        chan install
 	installsPending atomic.Int64
 
 	// redirectTB / installTB shed miss-storm overload (nil = unlimited).
@@ -258,7 +264,10 @@ type dataFrame struct {
 	// written into its target's ring.
 	encapBy uint16
 	reason  packet.EncapReason
-	detour  bool // the packet travelled via an authority switch
+	// via is 0 for a packet that has not travelled via an authority
+	// switch; a redirect carries the via of the generation its ingress
+	// classified it under (generation.answering), and keeps it after.
+	via uint8
 }
 
 // NewCluster builds and starts a cluster.
@@ -273,17 +282,9 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	parts := core.BuildPartitions(cfg.Policy, cfg.Partition)
-	assign, err := core.Assign(parts, cfg.Authorities)
-	if err != nil {
-		return nil, err
-	}
-
 	cctx, cancel := context.WithCancel(ctx)
 	c := &Cluster{
 		cfg:        cfg,
-		assign:     assign,
-		failover:   make([][]uint32, len(assign.Partitions)),
 		switches:   make(map[uint32]*node),
 		Deliveries: make(chan Delivery, cfg.QueueDepth),
 		pending:    make(map[uint32]time.Time),
@@ -293,10 +294,6 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		cancel:     cancel,
 		cache:      core.NewCacheAdapter(cfg.CacheEviction),
 	}
-	for i := range assign.Partitions {
-		c.failover[i] = assign.FailoverList(i)
-	}
-	c.cache.SetAssignment(assign)
 	switch {
 	case cfg.trans != nil:
 		c.trans = cfg.trans
@@ -351,7 +348,6 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 				CacheVictim:   c.cache.VictimFn(),
 				TCAMBudget:    cfg.TCAMBudget,
 			}),
-			auths:      make(map[int]*core.Authority),
 			stats:      &nodeStats{},
 			in:         make([]atomic.Pointer[frameRing], len(cfg.Switches)+1),
 			ringDepth:  ringDepth,
@@ -360,7 +356,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 			ctrlPeer:   ctrlConn,
 			replies:    make(chan proto.Message, 16),
 			done:       make(chan struct{}),
-			installQ:   make(chan *proto.CacheInstall, 256),
+			installQ:   make(chan install, 256),
 			redirectTB: metrics.NewTokenBucket(cfg.Overload.RedirectRate, cfg.Overload.RedirectBurst),
 			installTB:  metrics.NewTokenBucket(cfg.Overload.CacheInstallRate, cfg.Overload.CacheInstallBurst),
 		}
@@ -381,12 +377,19 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	if err := c.initHA(); err != nil {
 		return fail(err)
 	}
-	if err := c.installAssignment(); err != nil {
+	// The controller boots the switches in place, before any goroutine
+	// runs; from here on it reaches them over their control connections.
+	c.sb = &southbound{c: c}
+	c.ctl = core.Attach(c.sb, cfg.Partition, func(parts []core.Partition) (core.Assignment, error) {
+		return core.Assign(parts, cfg.Authorities)
+	})
+	if err := c.ctl.Boot(cfg.Policy); err != nil {
 		return fail(err)
 	}
-	// Telemetry comes up after the assignment pre-installs (so boot-time
-	// rule pushes don't flood the trace rings) and before any goroutine
-	// starts (the TCAM hook-set-before-sharing contract).
+	c.sb.live = true
+	// Telemetry comes up after the boot installs (so boot-time rule pushes
+	// don't flood the trace rings) and before any goroutine starts (the
+	// TCAM hook-set-before-sharing contract).
 	c.initTelemetry()
 	if err := c.startTelemetryServer(); err != nil {
 		return fail(err)
@@ -425,44 +428,8 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	return c, nil
 }
 
-// installAssignment pre-installs partition rules everywhere (primary and
-// backup redirect rules, the backup at lower priority) and the clipped
-// authority rules at both the primary and the backup host of every
-// partition — the paper's replicated-authority deployment.
-func (c *Cluster) installAssignment() error {
-	now := 0.0
-	prules := c.assign.PartitionRules(core.PartitionIDBase)
-	for _, n := range c.switches {
-		for _, r := range prules {
-			mod := proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: r}
-			if err := n.sw.ApplyFlowMod(now, &mod); err != nil {
-				return err
-			}
-		}
-	}
-	for i, p := range c.assign.Partitions {
-		for _, h := range c.failover[i] {
-			n, ok := c.switches[h]
-			if !ok {
-				return fmt.Errorf("wire: authority %d not a cluster switch", h)
-			}
-			auth := core.NewAuthority(h, p, c.cfg.Strategy)
-			auth.RegionIndex = i
-			auth.SetCacheTimeouts(c.cfg.CacheIdle, c.cfg.CacheHard)
-			n.auths[i] = auth
-			for _, r := range p.Rules {
-				mod := core.AuthorityAdd(i, r)
-				if err := n.sw.ApplyFlowMod(now, &mod); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Assignment returns the partition→authority assignment the cluster runs.
-func (c *Cluster) Assignment() core.Assignment { return c.assign }
+func (c *Cluster) Assignment() core.Assignment { return c.run.Load().Assignment }
 
 // Inject enqueues a packet at the ingress switch's injection ring. It
 // returns false if the ring is full (backpressure), the switch is unknown
@@ -645,6 +612,7 @@ func (c *Cluster) policyDrop(s *nodeStats, firstPacket bool) {
 func (c *Cluster) dataLoop(n *node) {
 	defer c.wg.Done()
 	s := newBurstScratch(c)
+	s.run = n.cur.Load() // the boot's commit
 	for {
 		select {
 		case <-c.ctx.Done():
@@ -653,7 +621,7 @@ func (c *Cluster) dataLoop(n *node) {
 			return
 		default:
 		}
-		c.applyInstalls(n)
+		c.applyInstalls(n, s.run.seq)
 		total := 0
 		for i := range n.in {
 			if total == len(s.frames) {
@@ -665,6 +633,13 @@ func (c *Cluster) dataLoop(n *node) {
 					s.held = append(s.held, heldRun{r, k})
 				}
 			}
+		}
+		// A commit is picked up here, after the gather: a frame a switch
+		// sent after moving on was published before its store, so this
+		// load sees that commit too, and answers the frame from it.
+		if g := c.run.Load(); g != s.run {
+			s.run = g
+			c.adopt(n, g)
 		}
 		if total == 0 {
 			select {
@@ -702,17 +677,17 @@ func (c *Cluster) traceVerdict(node uint32, verdict uint8, ruleID uint64, h *pac
 }
 
 // failoverLocal re-points a partition rule at the next live authority in
-// the partition's failover list — the ingress-side half of DIFANE's
-// failover, requiring no controller involvement because backup authority
-// rules are pre-installed.
-func (c *Cluster) failoverLocal(n *node, r flowspace.Rule, dead uint32) (uint32, bool) {
-	idx, ok := c.assign.PartitionOfRuleID(core.PartitionIDBase, r.ID)
+// the partition's failover list under generation g — the ingress-side half
+// of DIFANE's failover, requiring no controller involvement because backup
+// authority rules are pre-installed.
+func (c *Cluster) failoverLocal(n *node, g *generation, r flowspace.Rule, dead uint32) (uint32, bool) {
+	idx, ok := g.Assignment.PartitionOfRuleID(core.PartitionIDBase, r.ID)
 	if !ok {
 		return 0, false
 	}
 	next := uint32(0)
 	found := false
-	for _, h := range c.failover[idx] {
+	for _, h := range g.Assignment.FailoverList(idx) {
 		if h != dead && c.nodeUsable(h) {
 			next, found = h, true
 			break
@@ -723,8 +698,7 @@ func (c *Cluster) failoverLocal(n *node, r flowspace.Rule, dead uint32) (uint32,
 	}
 	nr := r
 	nr.Action = flowspace.Action{Kind: flowspace.ActRedirect, Arg: next}
-	mod := proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: nr}
-	_ = n.sw.ApplyFlowMod(nowSec(), &mod)
+	_ = n.apply(&proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: nr})
 	n.stats.failoversLocal.Add(1)
 	c.Span(telemetry.Event{
 		Kind: telemetry.EvFailoverLocal, Node: n.id, Peer: next,
@@ -883,13 +857,11 @@ func (c *Cluster) switchCtrlRead(n *node, conn net.Conn) {
 						Kind: telemetry.EvEpochRaise, Node: n.id, Value: m.Epoch,
 					})
 				}
-				// Convergence bookkeeping: the first fenced mod of an epoch
-				// opens its timeline; the deployment's quiesce point closes it.
-				c.Convergence().NoteMod(m.Epoch, m.Op == proto.OpDelete, nowNS(), c.counterTotals())
 			}
 			// No node lock: each table locks itself, and the data plane
-			// holds a table's read lock only for one burst.
-			_ = n.sw.ApplyFlowMod(nowSec(), m)
+			// holds a table's read lock only for one burst. (The controller
+			// counts its FlowMods on the convergence timeline as it sends.)
+			_ = n.apply(m)
 		case *proto.BarrierReq:
 			// Replies are written asynchronously: net.Pipe writes block
 			// until read, and a reply written inline from this loop could
@@ -999,29 +971,36 @@ func (c *Cluster) writeControl(n *node, msg proto.Message, switchSide bool) erro
 }
 
 // InstallRule sends a FlowMod to a switch over its control connection,
-// retrying per the cluster's RetryPolicy with exponential backoff. The mod
-// is stamped with the controller's current fencing epoch unless the caller
-// set one explicitly (a stale explicit epoch is how tests provoke — and how
-// a zombie controller would suffer — fencing rejections).
+// stamped with the controller's current fencing epoch unless the caller set
+// one explicitly (a stale explicit epoch is how tests provoke — and how a
+// zombie controller would suffer — fencing rejections).
 func (c *Cluster) InstallRule(sw uint32, mod proto.FlowMod) error {
 	n, ok := c.switches[sw]
 	if !ok {
 		return fmt.Errorf("wire: no switch %d", sw)
 	}
-	return c.installRule(n, &mod)
+	stamp := mod.Epoch == 0
+	return c.send(n, func() proto.Message {
+		if stamp {
+			mod.Epoch = c.epoch.Load()
+		}
+		return &mod
+	})
 }
 
-func (c *Cluster) installRule(n *node, mod *proto.FlowMod) error {
-	if mod.Epoch == 0 {
-		mod.Epoch = c.epoch.Load()
-	}
-	var err error
+// replyTimeout bounds the wait for a control request to go out and for
+// its reply.
+const replyTimeout = 5 * time.Second
+
+// send writes the message msg builds to n, building and writing it again,
+// with backoff, while the write fails on a control connection that is
+// being re-established (after a controller restart, say) — until it goes
+// through, n turns unreachable, or replyTimeout passes.
+func (c *Cluster) send(n *node, msg func() proto.Message) error {
+	deadline := time.Now().Add(replyTimeout)
 	for attempt := 1; ; attempt++ {
-		err = c.writeToSwitch(n, mod)
-		if err == nil {
-			return nil
-		}
-		if attempt >= c.cfg.Retry.MaxAttempts {
+		err := c.writeToSwitch(n, msg())
+		if err == nil || n.killed.Load() || n.partitioned.Load() || time.Now().After(deadline) {
 			return err
 		}
 		if !sleepCtx(c.ctx, c.cfg.Retry.Backoff(attempt)) {
@@ -1030,50 +1009,57 @@ func (c *Cluster) installRule(n *node, mod *proto.FlowMod) error {
 	}
 }
 
-// Barrier round-trips a barrier through a switch's control connection,
-// fencing previously sent control messages.
-func (c *Cluster) Barrier(sw uint32, xid uint32) error {
-	n, ok := c.switches[sw]
-	if !ok {
-		return fmt.Errorf("wire: no switch %d", sw)
-	}
-	if err := c.writeToSwitch(n, &proto.BarrierReq{XID: xid}); err != nil {
-		return err
-	}
-	select {
-	case msg := <-n.replies:
-		if rep, ok := msg.(*proto.BarrierReply); !ok || rep.XID != xid {
-			return fmt.Errorf("wire: unexpected barrier reply %v", msg)
-		}
-		return nil
-	case <-time.After(5 * time.Second):
-		return fmt.Errorf("wire: barrier timeout")
-	case <-c.ctx.Done():
-		return c.ctx.Err()
-	}
-}
-
-// Stats fetches a rule's counters from a switch over the control plane.
-func (c *Cluster) Stats(sw uint32, ruleID uint64, xid uint32) (*proto.StatsReply, error) {
+// request sends req to switch sw and returns its reply, the one carrying
+// xid: a reply to an earlier request that timed out is skipped.
+func (c *Cluster) request(sw uint32, req proto.Message, xid uint32) (proto.Message, error) {
 	n, ok := c.switches[sw]
 	if !ok {
 		return nil, fmt.Errorf("wire: no switch %d", sw)
 	}
-	if err := c.writeToSwitch(n, &proto.StatsReq{XID: xid, RuleID: ruleID}); err != nil {
+	n.replyMu.Lock()
+	defer n.replyMu.Unlock()
+	if err := c.send(n, func() proto.Message { return req }); err != nil {
 		return nil, err
 	}
-	select {
-	case msg := <-n.replies:
-		rep, ok := msg.(*proto.StatsReply)
-		if !ok || rep.XID != xid {
-			return nil, fmt.Errorf("wire: unexpected stats reply %v", msg)
+	timeout := time.After(replyTimeout)
+	for {
+		select {
+		case msg := <-n.replies:
+			switch rep := msg.(type) {
+			case *proto.BarrierReply:
+				if rep.XID == xid {
+					return rep, nil
+				}
+			case *proto.StatsReply:
+				if rep.XID == xid {
+					return rep, nil
+				}
+			}
+		case <-timeout:
+			return nil, fmt.Errorf("wire: no reply from switch %d", sw)
+		case <-c.ctx.Done():
+			return nil, c.ctx.Err()
 		}
-		return rep, nil
-	case <-time.After(5 * time.Second):
-		return nil, fmt.Errorf("wire: stats timeout")
-	case <-c.ctx.Done():
-		return nil, c.ctx.Err()
 	}
+}
+
+// Barrier round-trips a barrier through a switch's control connection,
+// fencing previously sent control messages.
+func (c *Cluster) Barrier(sw uint32, xid uint32) error {
+	_, err := c.request(sw, &proto.BarrierReq{XID: xid}, xid)
+	return err
+}
+
+// Stats fetches a rule's counters from a switch over the control plane.
+func (c *Cluster) Stats(sw uint32, ruleID uint64, xid uint32) (*proto.StatsReply, error) {
+	rep, err := c.request(sw, &proto.StatsReq{XID: xid, RuleID: ruleID}, xid)
+	if err != nil {
+		return nil, err
+	}
+	if rep, ok := rep.(*proto.StatsReply); ok {
+		return rep, nil
+	}
+	return nil, fmt.Errorf("wire: unexpected reply %v to stats request %d", rep, xid)
 }
 
 // CacheLen returns the number of cache entries at a switch.
