@@ -39,10 +39,11 @@ type Controller struct {
 	// PolicyVersion counts applied policy updates.
 	PolicyVersion int
 
-	// Epoch is the controller's fencing token: it increments on every
-	// controller (re)start, never within a controller's lifetime. Installs
-	// stamped with an older epoch are rejected by fenced switches, so a
-	// crashed controller's stragglers cannot clobber its successor's state.
+	// Epoch is the controller's fencing token, stamped on every FlowMod it
+	// sends: it is set once per incarnation (Attach, Resume) and never
+	// changes after. Installs stamped with an older epoch are rejected by
+	// fenced switches, so a deposed controller's stragglers cannot clobber
+	// its successor's state.
 	Epoch uint64
 
 	// gen counts staged policy generations. Unlike PolicyVersion (which
@@ -59,9 +60,9 @@ type Controller struct {
 }
 
 // Attach returns a controller for the deployment behind sb, running
-// nothing yet (Boot installs a policy); place assigns partitions to its
-// authority switches. Its partition rules redirect to each partition's
-// primary, then its backup.
+// nothing yet (Boot installs a policy, Resume takes one over); place
+// assigns partitions to its authority switches. Its partition rules
+// redirect to each partition's primary, then its backup.
 func Attach(sb Southbound, partition PartitionConfig, place func([]Partition) (Assignment, error)) *Controller {
 	return &Controller{sb: sb, partition: partition, place: place,
 		FailoverDelay: 0.2, PolicyPushDelay: 0.05, Epoch: 1}
@@ -209,13 +210,16 @@ func (c *Controller) UpdatePolicyConsistent(policy []flowspace.Rule) (float64, f
 	c.phase(installAt, func() {
 		c.sb.Note(generation, false, c.installAuthorityRules(staged))
 	})
-	// Phase 2: atomically switch partition rules + handlers + caches.
+	// Phase 2: atomically switch partition rules + handlers + caches. The
+	// commit is journaled before it is made, so a southbound that ships the
+	// journal (wire HA) can ship it before the data plane moves.
 	switchAt := installAt + c.PolicyPushDelay
 	c.phase(switchAt, func() {
 		c.run.Policy = append([]flowspace.Rule(nil), policy...)
-		c.adopt(staged, true)
+		c.run.Assignment, c.run.Generation = staged, generation
 		c.PolicyVersion++
 		c.logState()
+		c.adopt(staged, true)
 	})
 	// Phase 3: garbage-collect the previous generation's authority rules.
 	cleanupAt := switchAt + c.PolicyPushDelay
@@ -357,7 +361,7 @@ func (c *Controller) installAuthorityRules(a Assignment) (installed uint64) {
 	tables := authorityTables(a)
 	for _, sw := range c.sb.Switches() {
 		for _, r := range tables[sw] {
-			_ = c.sb.FlowMod(sw, proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Rule: r})
+			_ = c.send(sw, proto.TableAuthority, proto.OpAdd, r)
 			installed++
 		}
 	}
@@ -373,7 +377,7 @@ func (c *Controller) installPartitionRules() {
 		want := c.routes(sw)
 		installed := make(map[uint64]bool, len(want))
 		for _, r := range want {
-			_ = c.sb.FlowMod(sw, proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: r})
+			_ = c.send(sw, proto.TablePartition, proto.OpAdd, r)
 			installed[r.ID] = true
 		}
 		// Withdraw leftovers from a previous, larger assignment (or backup
@@ -405,11 +409,16 @@ func (c *Controller) routes(sw uint32) []flowspace.Rule {
 func (c *Controller) withdraw(sw uint32, t proto.Table, drop func(*flowspace.Rule) bool) []uint64 {
 	var gone []uint64
 	for _, e := range c.sb.Stats(sw, t) {
-		if drop(&e.Rule) && c.sb.FlowMod(sw, proto.FlowMod{Table: t, Op: proto.OpDelete, Rule: e.Rule}) == nil {
+		if drop(&e.Rule) && c.send(sw, t, proto.OpDelete, e.Rule) == nil {
 			gone = append(gone, e.Rule.ID)
 		}
 	}
 	return gone
+}
+
+// send hands switch sw one FlowMod, stamped with c's epoch.
+func (c *Controller) send(sw uint32, t proto.Table, op proto.FlowModOp, r flowspace.Rule) error {
+	return c.sb.FlowMod(sw, proto.FlowMod{Table: t, Op: op, Rule: r, Epoch: c.Epoch})
 }
 
 func everything(*flowspace.Rule) bool { return true }

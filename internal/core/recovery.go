@@ -27,7 +27,8 @@ type ControllerState struct {
 // idempotent — the last valid record wins.
 const stateKind = "state"
 
-func (c *Controller) currentState() ControllerState {
+// State returns c's state as a journal records it.
+func (c *Controller) State() ControllerState {
 	return ControllerState{
 		Epoch:         c.Epoch,
 		PolicyVersion: c.PolicyVersion,
@@ -45,7 +46,7 @@ func (c *Controller) logState() {
 	if c.jour == nil {
 		return
 	}
-	if _, err := c.jour.Append(stateKind, c.currentState()); err != nil {
+	if _, err := c.jour.Append(stateKind, c.State()); err != nil {
 		c.JournalErr = err
 	}
 }
@@ -56,7 +57,7 @@ func (c *Controller) Checkpoint() error {
 	if c.jour == nil {
 		return fmt.Errorf("core: controller has no journal")
 	}
-	return c.jour.WriteSnapshot(c.currentState())
+	return c.jour.WriteSnapshot(c.State())
 }
 
 // Journal returns the attached journal, or nil.
@@ -67,16 +68,9 @@ func (c *Controller) Journal() *journal.Journal { return c.jour }
 // recovery is durably recorded. The initial state is journaled immediately
 // so a crash before the first update still recovers the running epoch.
 func NewControllerWithJournal(n *Network, dir string) (*Controller, error) {
-	j, err := journal.Open(dir)
-	if err != nil {
-		return nil, err
-	}
 	c := NewController(n)
-	c.jour = j
-	c.logState()
-	if c.JournalErr != nil {
-		j.Close()
-		return nil, c.JournalErr
+	if err := c.AttachJournal(dir); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -102,27 +96,28 @@ func (c *Controller) AttachJournal(dir string) error {
 	return nil
 }
 
-// replayState loads the newest durable ControllerState from an open
-// journal: snapshot first, then every valid WAL state record (last wins).
-func replayState(j *journal.Journal) (ControllerState, bool, error) {
+// ReadState loads the newest durable ControllerState from an open journal:
+// the last valid WAL state record, or else the snapshot. Only that one is
+// decoded. ok is false when the journal holds no state.
+func ReadState(j *journal.Journal) (ControllerState, bool, error) {
 	var st ControllerState
-	found := false
+	var last *journal.Record
 	_, hadSnap, err := j.Replay(&st, func(rec journal.Record) error {
-		if rec.Kind != stateKind {
-			return nil
+		if rec.Kind == stateKind {
+			last = &rec
 		}
-		var s ControllerState
-		if err := json.Unmarshal(rec.Data, &s); err != nil {
-			return fmt.Errorf("core: journal record %d: %w", rec.Seq, err)
-		}
-		st = s
-		found = true
 		return nil
 	})
+	if err == nil && last != nil {
+		st = ControllerState{}
+		if err = json.Unmarshal(last.Data, &st); err != nil {
+			err = fmt.Errorf("core: journal record %d: %w", last.Seq, err)
+		}
+	}
 	if err != nil {
 		return ControllerState{}, false, err
 	}
-	return st, found || hadSnap, nil
+	return st, last != nil || hadSnap, nil
 }
 
 // LoadState reads the newest durable controller state from a journal
@@ -134,7 +129,7 @@ func LoadState(dir string) (ControllerState, bool, error) {
 		return ControllerState{}, false, err
 	}
 	defer j.Close()
-	return replayState(j)
+	return ReadState(j)
 }
 
 // RecoveryReport says what a journal recovery found and repaired.
@@ -148,41 +143,49 @@ type RecoveryReport struct {
 	Deleted   int
 }
 
-// NewControllerFromJournal restarts a controller from its journal: the
-// durable state (policy, assignment, generation) is replayed, the fencing
-// epoch is bumped past the dead controller's, and the live switch tables
-// are *reconciled* against the recovered state rather than cleared and
-// reinstalled — ingress caches survive, and authority rules that never
-// diverged keep their counters. The bumped epoch is journaled before
-// returning, so a second crash cannot resurrect the old epoch.
+// NewControllerFromJournal restarts a controller from its journal: a
+// journal holding a state is resumed from (Resume), a fresh one starts the
+// first incarnation and journals it.
 func NewControllerFromJournal(n *Network, dir string) (*Controller, RecoveryReport, error) {
 	j, err := journal.Open(dir)
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
-	st, found, err := replayState(j)
+	st, found, err := ReadState(j)
 	if err != nil {
 		j.Close()
 		return nil, RecoveryReport{}, err
 	}
 	c := NewController(n)
-	c.jour = j
 	var rep RecoveryReport
 	if found {
-		rep.HadState = true
-		c.Epoch = st.Epoch + 1
-		c.PolicyVersion = st.PolicyVersion
-		c.gen = st.Generation
-		c.run = Running{Policy: st.Policy, Assignment: st.Assignment, PinRouting: st.PinRouting}
-		rep.Installed, rep.Deleted = c.Reconcile()
+		rep = c.Resume(st, j)
+	} else {
+		c.jour = j
+		c.logState()
 	}
-	c.logState()
 	if c.JournalErr != nil {
 		err := c.JournalErr
 		j.Close()
 		return nil, rep, err
 	}
 	return c, rep, nil
+}
+
+// Resume makes c the successor of the incarnation whose durable state st
+// is, the one recovery step of both backends: c takes over st's policy,
+// assignment and generation under epoch st.Epoch+1, journals that to j
+// (nil: no journal), and only then reconciles the switches against it.
+func (c *Controller) Resume(st ControllerState, j *journal.Journal) RecoveryReport {
+	c.jour = j
+	c.Epoch = st.Epoch + 1
+	c.PolicyVersion = st.PolicyVersion
+	c.gen = st.Generation
+	c.run = Running{Policy: st.Policy, Assignment: st.Assignment, PinRouting: st.PinRouting}
+	c.logState()
+	rep := RecoveryReport{HadState: true}
+	rep.Installed, rep.Deleted = c.Reconcile()
+	return rep
 }
 
 // Reconcile makes every switch's installed state match the controller's
@@ -213,7 +216,7 @@ func (c *Controller) Reconcile() (installed, deleted int) {
 			return true
 		}))
 		for _, r := range tables[id] {
-			if !kept[r.ID] && c.sb.FlowMod(id, proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Rule: r}) == nil {
+			if !kept[r.ID] && c.send(id, proto.TableAuthority, proto.OpAdd, r) == nil {
 				installed++
 			}
 		}

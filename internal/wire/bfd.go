@@ -173,20 +173,6 @@ func (c *Cluster) handleBFDAtController(n *node, m *proto.BFDControl) {
 	}
 }
 
-// resetBFD quietly returns every session to Down — used around controller
-// failover, where the old sessions' silence is administrative, not a
-// detected failure. The next loop ticks re-run the handshakes.
-func (c *Cluster) resetBFD() {
-	if c.cfg.BFD.Disable {
-		return
-	}
-	now := time.Now()
-	for _, n := range c.nodes {
-		n.bfdCtrl.Reset(now)
-		n.bfdSw.Reset(now)
-	}
-}
-
 // bfdToProto converts a session packet to its wire form.
 func bfdToProto(nodeID uint32, p *bfd.Packet) *proto.BFDControl {
 	m := &proto.BFDControl{

@@ -50,8 +50,9 @@ type ClusterConfig struct {
 	// BFD tunes the millisecond-class BFD-style failure detector that runs
 	// session state machines over every control channel.
 	BFD BFDConfig
-	// HA configures replicated controllers: WAL log shipping between
-	// replicas, automatic leader election fenced by the epoch mechanism.
+	// HA configures replicated controllers: the leader's controller state
+	// shipped to every replica's journal, and an election that resumes the
+	// controller from the winner's.
 	HA HAConfig
 	// Retry bounds control-plane retries: reconnect backoff and FlowMod
 	// installs.
@@ -157,18 +158,22 @@ var (
 )
 
 // HAConfig configures controller replication. With Replicas ≥ 2 the
-// cluster runs that many controller replicas, each owning a WAL journal;
-// the leader ships every appended record to live followers, and when the
-// leader is killed the most caught-up live follower is elected leader
-// after ElectionDelay, raises the fencing epoch (so the dead leader's
-// straggling FlowMods are rejected), and the switches' control channels
-// fail over to it automatically — no RestoreController call required.
+// cluster runs that many controller replicas, each owning a WAL journal.
+// The leader's journal is its controller's, and each state record reaches
+// the live followers before the controller acts on it. Killing the leader
+// deposes its controller; after ElectionDelay the most caught-up live
+// follower resumes it from its own journal under the next epoch, which
+// fences out what the deposed one left in flight (core.Controller.Resume),
+// and the switches' control channels fail over to it — no
+// RestoreController call required.
 type HAConfig struct {
 	// Replicas is the controller replica count (0 or 1 = single
 	// controller, the legacy KillController/RestoreController behavior).
 	Replicas int
 	// Dir roots the replicas' journal directories (default: a temp dir
-	// removed on Close).
+	// removed on Close). A cluster booted on the Dir of an earlier one runs
+	// the configured policy under an epoch past every one that cluster
+	// reached.
 	Dir string
 	// ElectionDelay is how long surviving replicas wait after a leader
 	// death before electing (default: the BFD detect time, or the

@@ -97,10 +97,6 @@ func (c *Cluster) markDead(n *node) {
 		c.cold.recordDetection(now.Sub(time.Unix(0, at)).Seconds())
 	}
 	c.clearPending(n.id)
-	// Journal before counting: whoever sees the death counted (awaitDead)
-	// must also find it journaled, or a controller kill in between loses
-	// the record to the leaderless window.
-	c.journalAppend("death", map[string]any{"switch": n.id})
 	c.cold.authorityDeaths.Add(1)
 	c.Span(telemetry.Event{Kind: telemetry.EvDeath, Node: n.id})
 	c.wg.Add(1)
@@ -123,7 +119,6 @@ func (c *Cluster) markAlive(n *node) {
 		return
 	}
 	n.lastBeat.Store(time.Now().UnixNano())
-	c.journalAppend("revive", map[string]any{"switch": n.id})
 	c.Span(telemetry.Event{Kind: telemetry.EvRevive, Node: n.id})
 	c.wg.Add(1)
 	go func() {

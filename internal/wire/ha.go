@@ -1,29 +1,24 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
+	"difane/internal/core"
 	"difane/internal/journal"
 	"difane/internal/telemetry"
 )
 
 // Replicated controller HA. With cfg.HA.Replicas ≥ 2 the cluster runs a
 // set of controller replicas, each owning a WAL journal (internal/journal).
-// The leader appends every control-plane event (death, revive, epoch
-// raise) to its journal and ships the sealed record to live followers —
-// log shipping over the control fabric. Killing the leader
-// (KillController) triggers an automatic election: after ElectionDelay the
-// most caught-up live follower wins, catches the other followers up,
-// raises the fencing epoch (so the dead leader's straggling FlowMods are
-// rejected by the epoch machinery), and takes over — the switches'
-// control channels re-establish toward it.
-// No RestoreController call is needed; RestoreController's HA role shrinks
-// to reviving dead replicas (and promoting one only when every replica
-// was killed).
+// The leader's journal is its controller's, and each state record in it
+// reaches the live followers before the controller acts on it (replicate).
+// Killing the leader deposes its controller; after ElectionDelay the most
+// caught-up live follower resumes the controller from its own journal
+// (elect, seat). RestoreController only revives dead replicas, and seats
+// one itself only when every replica was killed.
 
 // ctrlReplica is one controller replica: an identity, a journal, and a
 // liveness flag.
@@ -35,9 +30,11 @@ type ctrlReplica struct {
 	alive bool
 }
 
-// initHA opens the replica journals and seats replica 0 as leader. A
-// journal directory that survived a previous incarnation re-seeds the
-// fencing epoch from its durable records.
+// initHA opens the replica journals and makes the most caught-up replica
+// (replica 0 on fresh journals) the leader of the controller Boot just ran:
+// the boot resumes into its journal under the epoch after the highest one
+// the journals hold, so a restarted cluster fences out every previous
+// incarnation. No goroutine runs yet.
 func (c *Cluster) initHA() error {
 	if c.cfg.HA.Replicas < 2 {
 		return nil
@@ -59,160 +56,92 @@ func (c *Cluster) initHA() error {
 			c.closeHA()
 			return err
 		}
-		r := &ctrlReplica{id: i, dir: rdir, jrnl: j, alive: true}
-		// Resume: adopt the highest epoch any replica made durable, so a
-		// restarted cluster fences out every previous incarnation.
-		recs, err := j.RecordsAfter(0)
-		if err != nil {
-			c.closeHA()
-			return err
-		}
-		for _, rec := range recs {
-			if rec.Kind == "epoch" {
-				var e struct {
-					Epoch uint64 `json:"epoch"`
-				}
-				if json.Unmarshal(rec.Data, &e) == nil {
-					c.SetEpoch(e.Epoch)
-				}
-			}
-		}
-		c.replicas = append(c.replicas, r)
+		c.replicas = append(c.replicas, &ctrlReplica{id: i, dir: rdir, jrnl: j, alive: true})
 	}
-	c.leaderID.Store(0)
-	c.journalAppend("boot", map[string]any{
-		"switches": len(c.cfg.Switches), "replicas": c.cfg.HA.Replicas,
-		"epoch": c.epoch.Load(),
-	})
+	s := c.sb.Load()
+	s.lead = c.pickWinnerLocked()
+	c.catchUpLocked(s.lead)
+	j := c.replicas[s.lead].jrnl
+	durable, _, err := core.ReadState(j)
+	if err == nil {
+		st := s.ctl.State()
+		st.Epoch = durable.Epoch
+		s.ctl.Resume(st, j)
+		err = s.ctl.JournalErr
+	}
+	if err != nil {
+		c.closeHA()
+		return err
+	}
+	c.catchUpLocked(s.lead)
 	return nil
 }
 
-// journalAppend durably records a control-plane event at the leader and
-// ships it to every live follower. A no-op in single-controller mode or
-// while no leader holds office (the event is control-plane telemetry, not
-// packet state — losing it across an election window is acceptable).
-func (c *Cluster) journalAppend(kind string, payload any) {
-	if len(c.replicas) == 0 {
+// catchUpLocked streams the source replica's records to every other live
+// replica that is behind, reading them once. Caller holds haMu.
+func (c *Cluster) catchUpLocked(src int) {
+	leader := c.replicas[src].jrnl
+	next := leader.NextSeq()
+	from := next
+	for _, r := range c.replicas {
+		if r.id != src && r.alive {
+			from = min(from, r.jrnl.NextSeq())
+		}
+	}
+	if from == next {
 		return
 	}
-	c.haMu.Lock()
-	c.journalAppendLocked(kind, payload)
-	c.haMu.Unlock()
-}
-
-// journalAppendLocked is journalAppend with haMu held.
-func (c *Cluster) journalAppendLocked(kind string, payload any) {
-	lid := int(c.leaderID.Load())
-	if lid < 0 {
-		return
-	}
-	leader := c.replicas[lid]
-	rec, err := leader.jrnl.AppendEntry(kind, payload)
+	missing, err := leader.RecordsAfter(from - 1)
 	if err != nil {
 		return
 	}
 	for _, r := range c.replicas {
-		if r.id != lid && r.alive {
-			// A gap error means the follower revived without catch-up; it
-			// is repaired by catchUpLocked at the next election/revival.
-			_ = r.jrnl.AppendReplica(rec)
-		}
-	}
-}
-
-// catchUpLocked streams the source replica's records to every other live
-// replica that is behind. Caller holds haMu.
-func (c *Cluster) catchUpLocked(src int) {
-	leader := c.replicas[src]
-	for _, r := range c.replicas {
 		if r.id == src || !r.alive {
 			continue
 		}
-		missing, err := leader.jrnl.RecordsAfter(r.jrnl.NextSeq() - 1)
-		if err != nil {
-			continue
-		}
 		for _, rec := range missing {
-			if r.jrnl.AppendReplica(rec) != nil {
+			if r.jrnl.AppendReplica(rec) != nil { // one it holds already is skipped
 				break
 			}
 		}
 	}
 }
 
-// killLeader is KillController's HA path: crash the leader replica, drop
-// every control connection, and schedule the election.
-func (c *Cluster) killLeader() bool {
+// elect seats the most caught-up live replica (highest durable sequence,
+// ties to the lowest id) as leader once it has caught the other live
+// replicas up: its controller resumes from its own journal. killedAt, when
+// set, is when the last leader died, and the seat counts as an election.
+// It reports false when a leader holds office already, no replica is
+// alive, or the winner's journal holds no state.
+func (c *Cluster) elect(killedAt time.Time) bool {
+	c.ctlMu.Lock()
+	defer c.ctlMu.Unlock()
 	c.haMu.Lock()
-	lid := int(c.leaderID.Load())
-	if lid < 0 || !c.ctrlDown.CompareAndSwap(false, true) {
-		c.haMu.Unlock()
+	var j *journal.Journal
+	winner := c.pickWinnerLocked()
+	if winner >= 0 && c.Leader() < 0 && !c.closed.Load() {
+		c.catchUpLocked(winner)
+		j = c.replicas[winner].jrnl
+	}
+	c.haMu.Unlock()
+	if j == nil {
 		return false
 	}
-	killedAt := time.Now()
-	r := c.replicas[lid]
-	r.alive = false
-	r.jrnl.Close()
-	c.leaderID.Store(-1)
-	anyFollower := false
-	for _, f := range c.replicas {
-		if f.alive {
-			anyFollower = true
-			break
-		}
+	st, ok, err := core.ReadState(j)
+	if err != nil || !ok {
+		return false
 	}
-	c.haMu.Unlock()
-	c.cold.controllerOutages.Add(1)
-	c.Span(telemetry.Event{
-		Kind: telemetry.EvControllerDown, Node: telemetry.ClusterNode,
-		Value: c.epoch.Load(),
-	})
-	// The leader's connections are gone: switches reconnect (toward the
-	// next leader) once the election seats one.
-	for _, n := range c.switches {
-		n.closeConns()
+	s := c.seat(st, j, winner)
+	if !killedAt.IsZero() {
+		c.cold.leaderElections.Add(1)
+		c.cold.recordElection(time.Since(killedAt).Seconds())
+		c.Span(telemetry.Event{
+			Kind: telemetry.EvLeaderElected, Node: telemetry.ClusterNode,
+			Peer: uint32(winner), Value: s.ctl.Epoch,
+		})
 	}
-	if anyFollower {
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.runElection(killedAt)
-		}()
-	}
+	c.sb.Store(s)
 	return true
-}
-
-// runElection seats a new leader after the election delay: the most
-// caught-up live replica wins (highest durable sequence, ties to the
-// lowest id), catches the other followers up, and fences the old leader
-// out with a raised epoch.
-func (c *Cluster) runElection(killedAt time.Time) {
-	if !sleepCtx(c.ctx, c.cfg.HA.ElectionDelay) {
-		return
-	}
-	c.haMu.Lock()
-	if c.leaderID.Load() >= 0 || c.closed.Load() {
-		// Someone else (RestoreController) already seated a leader.
-		c.haMu.Unlock()
-		return
-	}
-	winner := c.pickWinnerLocked()
-	if winner < 0 {
-		c.haMu.Unlock()
-		return
-	}
-	c.catchUpLocked(winner)
-	newEpoch := c.epoch.Add(1)
-	c.leaderID.Store(int32(winner))
-	c.journalAppendLocked("epoch", map[string]any{"epoch": newEpoch, "leader": winner})
-	c.haMu.Unlock()
-	c.cold.leaderElections.Add(1)
-	c.cold.recordElection(time.Since(killedAt).Seconds())
-	c.Span(telemetry.Event{
-		Kind: telemetry.EvLeaderElected, Node: telemetry.ClusterNode,
-		Peer: uint32(winner), Value: newEpoch,
-	})
-	c.finishFailover(newEpoch)
 }
 
 // pickWinnerLocked returns the most caught-up live replica, or -1.
@@ -229,30 +158,47 @@ func (c *Cluster) pickWinnerLocked() int {
 	return winner
 }
 
-// finishFailover completes a controller failover under the new leader:
-// BFD sessions restart their handshakes quietly, the fallback detector's
-// clocks restart, and the switches' connection managers (held while
-// ctrlDown) re-establish control channels toward the new leader.
-func (c *Cluster) finishFailover(newEpoch uint64) {
-	c.resetBFD()
-	now := time.Now().UnixNano()
-	for _, n := range c.switches {
-		n.lastBeat.Store(now)
+// seat returns the successor of the controller whose durable state st
+// is, journaling to j as replica lead leads (nil and -1 in
+// single-controller mode), for the caller to put in office. The old
+// sessions' silence was administrative: BFD sessions return to Down and
+// the fallback detector's clocks restart, quietly, and the switches
+// reconnect. The successor then resumes (core.Controller.Resume), and
+// withdraws again the redirects to every switch the detector holds dead,
+// which the resume re-installed. Caller holds ctlMu.
+func (c *Cluster) seat(st core.ControllerState, j *journal.Journal, lead int) *southbound {
+	now := time.Now()
+	for _, n := range c.nodes {
+		if !c.cfg.BFD.Disable {
+			n.bfdCtrl.Reset(now)
+			n.bfdSw.Reset(now)
+		}
+		n.lastBeat.Store(now.UnixNano())
 	}
 	c.ctrlDown.Store(false)
+	s := c.incarnation(true, lead)
+	s.run(func(ctl *core.Controller) {
+		ctl.Resume(st, j)
+		for _, n := range c.nodes {
+			if !n.alive.Load() {
+				ctl.PromoteBackups(n.id)
+			}
+		}
+	})
 	c.Span(telemetry.Event{
 		Kind: telemetry.EvControllerUp, Node: telemetry.ClusterNode,
-		Value: newEpoch,
+		Value: s.ctl.Epoch,
 	})
+	return s
 }
 
 // restoreReplicas is RestoreController's HA path: revive every dead
 // replica (reopening its journal) and catch it up from the leader. Only
 // when no leader holds office — every replica was killed, or restore
-// raced ahead of the election — does it promote one itself.
+// raced ahead of the election — does it seat one itself.
 func (c *Cluster) restoreReplicas() bool {
 	c.haMu.Lock()
-	changed := false
+	revived := false
 	for _, r := range c.replicas {
 		if r.alive {
 			continue
@@ -263,26 +209,13 @@ func (c *Cluster) restoreReplicas() bool {
 		}
 		r.jrnl = j
 		r.alive = true
-		changed = true
+		revived = true
 	}
-	lid := int(c.leaderID.Load())
-	if lid >= 0 {
+	if lid := c.Leader(); lid >= 0 {
 		c.catchUpLocked(lid)
-		c.haMu.Unlock()
-		return changed
 	}
-	winner := c.pickWinnerLocked()
-	if winner < 0 {
-		c.haMu.Unlock()
-		return changed
-	}
-	c.catchUpLocked(winner)
-	newEpoch := c.epoch.Add(1)
-	c.leaderID.Store(int32(winner))
-	c.journalAppendLocked("epoch", map[string]any{"epoch": newEpoch, "leader": winner})
 	c.haMu.Unlock()
-	c.finishFailover(newEpoch)
-	return true
+	return c.elect(time.Time{}) || revived
 }
 
 // closeHA closes the replica journals and removes the journal root when
@@ -305,18 +238,8 @@ func (c *Cluster) closeHA() {
 // Leader returns the current leader replica's id, or -1 (no leader in
 // office, or single-controller mode).
 func (c *Cluster) Leader() int {
-	if len(c.replicas) == 0 {
-		return -1
+	if s := c.sb.Load(); s.ctx.Err() == nil {
+		return s.lead
 	}
-	return int(c.leaderID.Load())
-}
-
-// ReplicaAlive reports whether replica id is live.
-func (c *Cluster) ReplicaAlive(id int) bool {
-	c.haMu.Lock()
-	defer c.haMu.Unlock()
-	if id < 0 || id >= len(c.replicas) {
-		return false
-	}
-	return c.replicas[id].alive
+	return -1
 }

@@ -1,11 +1,15 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
 	"difane/internal/bfd"
 	"difane/internal/core"
+	"difane/internal/flowspace"
 	"difane/internal/proto"
 	"difane/internal/testutil"
 )
@@ -58,7 +62,7 @@ func TestLeaderKillAutoFailover(t *testing.T) {
 	if !c.KillController() {
 		t.Fatal("KillController failed")
 	}
-	if c.ReplicaAlive(0) {
+	if c.HAStatus().Replicas[0].Alive {
 		t.Error("killed leader replica still alive")
 	}
 
@@ -84,7 +88,7 @@ func TestLeaderKillAutoFailover(t *testing.T) {
 	// The new leader's control plane works: an install round-trips, and
 	// traffic (including the authority detour) still flows.
 	mod := proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd,
-		Rule: failoverPolicy()[0]}
+		Rule: failoverPolicy()[0], Epoch: c.Epoch()}
 	mod.Rule.ID = 999_999
 	if err := c.InstallRule(0, mod); err != nil {
 		t.Fatalf("install under new leader: %v", err)
@@ -129,7 +133,7 @@ func TestKillAllReplicasNeedsRestore(t *testing.T) {
 	if c.Leader() >= 0 {
 		t.Fatalf("leader = %d with all replicas killed, want none", c.Leader())
 	}
-	epochBefore := c.Epoch()
+	epochBefore, m0 := c.Epoch(), c.Measurements()
 	if !c.RestoreController() {
 		t.Fatal("RestoreController failed")
 	}
@@ -137,9 +141,12 @@ func TestKillAllReplicasNeedsRestore(t *testing.T) {
 	if e := c.Epoch(); e <= epochBefore {
 		t.Errorf("epoch = %d after full restore, want > %d", e, epochBefore)
 	}
-	for id := 0; id < 3; id++ {
-		if !c.ReplicaAlive(id) {
-			t.Errorf("replica %d not revived", id)
+	if m := c.Measurements(); m.PolicyRuleInstalls != m0.PolicyRuleInstalls || m.PolicyRuleDeletes != m0.PolicyRuleDeletes {
+		t.Errorf("the restore's Reconcile moved authority rules on a converged cluster")
+	}
+	for _, r := range c.HAStatus().Replicas {
+		if !r.Alive {
+			t.Errorf("replica %d not revived", r.ID)
 		}
 	}
 }
@@ -196,7 +203,7 @@ func TestStaleLeaderInstallFenced(t *testing.T) {
 	// First push a current-epoch install so the switch's fence has
 	// observed the new epoch.
 	mod := proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd,
-		Rule: failoverPolicy()[0]}
+		Rule: failoverPolicy()[0], Epoch: c.Epoch()}
 	mod.Rule.ID = 999_998
 	if err := c.InstallRule(1, mod); err != nil {
 		t.Fatalf("fresh install: %v", err)
@@ -309,7 +316,7 @@ func TestHAStatusSurface(t *testing.T) {
 			t.Errorf("replica %d not alive", r.ID)
 		}
 		if r.NextSeq == 0 {
-			t.Errorf("replica %d journal empty (no boot record shipped)", r.ID)
+			t.Errorf("replica %d journal empty (the boot's state record never shipped)", r.ID)
 		}
 	}
 	if len(st.BFD) != 5 {
@@ -325,45 +332,156 @@ func TestHAStatusSurface(t *testing.T) {
 	}
 }
 
-// TestJournalReplicationAcrossElection: control-plane events journaled by
-// the first leader survive onto the next one (log shipping), and the
-// election itself lands as a durable epoch record.
+// TestJournalReplicationAcrossElection: the leader's journal is its
+// controller's, and the winner of the election resumes from its own copy:
+// it holds the leader's last state record (shipped before the leader's
+// operation returned), and the controller it seats runs that state under
+// the record's epoch + 1, itself journaled.
 func TestJournalReplicationAcrossElection(t *testing.T) {
 	c := newHACluster(t)
 	awaitLeader(t, c)
-
-	// Generate a journaled event under leader 0: a switch death.
-	if !c.KillSwitch(4) {
-		t.Fatal("kill failed")
+	// Something to carry across: a committed policy update under leader 0.
+	policy := portPolicy(100, 4, map[uint64]int{80: 4, 443: -1})
+	if err := c.UpdatePolicyConsistent(policy); err != nil {
+		t.Fatal(err)
 	}
-	awaitDead(t, c, 4)
+	recs, err := c.replicas[0].jrnl.RecordsAfter(0)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("leader journal: %d records, %v", len(recs), err)
+	}
+	last := recs[len(recs)-1]
+	var leaderState core.ControllerState
+	if err := json.Unmarshal(last.Data, &leaderState); last.Kind != "state" || err != nil {
+		t.Fatalf("leader's last record is %q (%v), want a state", last.Kind, err)
+	}
 
 	if !c.KillController() {
 		t.Fatal("KillController failed")
 	}
 	lid := awaitLeader(t, c)
-
-	// The new leader's journal must contain the pre-election death record
-	// (shipped while replica 0 led) plus its own epoch record.
 	c.haMu.Lock()
-	recs, err := c.replicas[lid].jrnl.RecordsAfter(0)
+	j := c.replicas[lid].jrnl
 	c.haMu.Unlock()
-	if err != nil {
-		t.Fatal(err)
+	shipped, err := j.RecordsAfter(last.Seq - 1)
+	if err != nil || len(shipped) == 0 || shipped[0].Seq != last.Seq || !bytes.Equal(shipped[0].Data, last.Data) {
+		t.Fatalf("winner %d lacks the leader's last state record %d (%v)", lid, last.Seq, err)
 	}
-	var sawBoot, sawDeath, sawEpoch bool
-	for _, r := range recs {
-		switch r.Kind {
-		case "boot":
-			sawBoot = true
-		case "death":
-			sawDeath = true
-		case "epoch":
-			sawEpoch = true
+	st, ok, err := core.ReadState(j)
+	if err != nil || !ok {
+		t.Fatalf("winner's journal: ok=%v %v", ok, err)
+	}
+	if want := leaderState.Epoch + 1; st.Epoch != want || c.Epoch() != want {
+		t.Fatalf("winner journaled epoch %d and runs %d, want %d", st.Epoch, c.Epoch(), want)
+	}
+	if st.PolicyVersion != leaderState.PolicyVersion || !core.PoliciesEqual(st.Policy, policy) {
+		t.Fatalf("winner resumed version %d, want the leader's %d and its policy", st.PolicyVersion, leaderState.PolicyVersion)
+	}
+}
+
+// TestElectionReconcilesWithoutChurn is the wire counterpart of
+// core.TestRecoveryConvergesWithoutChurn: on a converged cluster an
+// election's Reconcile installs and withdraws no authority rule, and the
+// rules keep their hit counters. The switch that died under the old leader
+// stays promoted away from: once the election returns, no partition rule
+// redirects to it.
+func TestElectionReconcilesWithoutChurn(t *testing.T) {
+	c := startCluster(t, slack(ClusterConfig{
+		Switches:    []uint32{0, 1, 2, 3, 4},
+		Authorities: []uint32{3, 4},
+		Policy:      portPolicy(1, 2, map[uint64]int{80: 1}),
+		Strategy:    core.StrategyExact,
+		Partition:   core.PartitionConfig{MaxRulesPerPartition: 1},
+		HA:          HAConfig{Replicas: 3, ElectionDelay: 5 * time.Millisecond},
+	}))
+	redirectsTo := func(target uint32) int {
+		n := 0
+		for _, id := range c.SwitchIDs() {
+			if id == target {
+				continue
+			}
+			for _, r := range c.TableRules(id, proto.TablePartition) {
+				if r.Action.Kind == flowspace.ActRedirect && r.Action.Arg == target {
+					n++
+				}
+			}
 		}
+		return n
 	}
-	if !sawBoot || !sawDeath || !sawEpoch {
-		t.Errorf("new leader journal missing records: boot=%v death=%v epoch=%v (%d records)",
-			sawBoot, sawDeath, sawEpoch, len(recs))
+	if redirectsTo(4) == 0 {
+		t.Fatal("no partition rule redirects to switch 4 at boot")
+	}
+	d := Deploy(c)
+	for i := uint32(0); i < 20; i++ { // first packets: each hits an authority rule
+		h := httpHeader(i + 1)
+		h.TPDst = uint16(80 + i%2)
+		d.InjectPacket(0, 0, h.Key(), 100, 0)
+	}
+	d.Run(5)
+	if !c.KillSwitch(4) {
+		t.Fatal("kill failed")
+	}
+	awaitDead(t, c, 4)
+	waitMeasure(t, c, "promotion away from switch 4", func(*core.Measurements) bool { return redirectsTo(4) == 0 })
+	counters := func() map[[2]uint64]uint64 {
+		out := map[[2]uint64]uint64{}
+		for _, id := range []uint32{3, 4} {
+			for _, e := range c.switches[id].sw.Table(proto.TableAuthority).Entries() {
+				out[[2]uint64{uint64(id), e.Rule.ID}] = e.Packets
+			}
+		}
+		return out
+	}
+	before, m0 := counters(), c.Measurements()
+	hit := false
+	for _, p := range before {
+		hit = hit || p > 0
+	}
+	if !hit {
+		t.Fatal("no authority rule counted a packet before the election")
+	}
+
+	if !c.KillController() {
+		t.Fatal("KillController failed")
+	}
+	waitMeasure(t, c, "the election", func(m *core.Measurements) bool { return m.LeaderElections == 1 })
+	m := c.Measurements()
+	if ins, del := m.PolicyRuleInstalls-m0.PolicyRuleInstalls, m.PolicyRuleDeletes-m0.PolicyRuleDeletes; ins != 0 || del != 0 {
+		t.Fatalf("the election's Reconcile installed %d and withdrew %d authority rules on a converged cluster", ins, del)
+	}
+	if after := counters(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("authority rules or their counters changed across the election:\n%v\n%v", before, after)
+	}
+	if n := redirectsTo(4); n != 0 {
+		t.Fatalf("%d partition rules redirect to dead switch 4 after the election", n)
+	}
+}
+
+// TestHADirResumesEpoch: a cluster booted on the journal directory of one
+// that ran before resumes from it, so its epoch is past every epoch the
+// first cluster reached.
+func TestHADirResumesEpoch(t *testing.T) {
+	cfg := slack(failoverConfig())
+	cfg.HA = HAConfig{Replicas: 3, ElectionDelay: 5 * time.Millisecond, Dir: t.TempDir()}
+	first := startCluster(t, cfg)
+	awaitLeader(t, first)
+	if !first.KillController() {
+		t.Fatal("KillController failed")
+	}
+	awaitLeader(t, first)
+	reached := first.Epoch()
+	if reached < 2 {
+		t.Fatalf("epoch %d after an election", reached)
+	}
+	first.Close()
+
+	second := startCluster(t, cfg)
+	if e := second.Epoch(); e <= reached {
+		t.Fatalf("second cluster on the same Dir runs epoch %d, want > %d", e, reached)
+	}
+	if !second.Inject(0, httpHeader(1), 100) {
+		t.Fatal("inject failed")
+	}
+	if d := awaitDelivery(t, second); d.Egress != 4 {
+		t.Fatalf("delivery on the resumed cluster: %+v", d)
 	}
 }

@@ -11,82 +11,84 @@ import (
 // packet's path — not the redirect, not the authority's answer, not the
 // cache install it sends back to the ingress — touches the controller, so
 // cached flows keep hitting and new flows keep being cached. Only the
-// control connections hold. When the controller returns it fences the old
-// incarnation out with a higher epoch.
+// control connections hold. What comes back is a new controller
+// incarnation resumed from the old one's state (seat): its epoch, one
+// higher, fences the old incarnation out.
 
-// KillController simulates a controller crash. In single-controller mode
+// KillController simulates a controller crash: the controller in office is
+// deposed (its in-flight operation fails fast and sends nothing more),
 // probing stops, every control connection drops, and reconnection holds
-// until RestoreController. With HA replicas (cfg.HA.Replicas ≥ 2) it
-// kills the current LEADER replica; the surviving replicas elect a new
-// leader automatically and the switches fail their control channels over
-// to it — no RestoreController call required. Returns false if the
-// controller is already down (or, under HA, no leader holds office).
+// until a successor is seated — by RestoreController in single-controller
+// mode, by an election among the surviving replicas when the killed
+// controller led HA replicas. Returns false if no controller holds office.
 func (c *Cluster) KillController() bool {
-	if len(c.replicas) > 0 {
-		return c.killLeader()
-	}
-	if !c.ctrlDown.CompareAndSwap(false, true) {
+	c.haMu.Lock()
+	s := c.sb.Load()
+	if s.ctx.Err() != nil {
+		c.haMu.Unlock()
 		return false
 	}
+	killedAt := time.Now()
+	s.depose()
+	c.ctrlDown.Store(true)
+	elect := false
+	if s.lead >= 0 { // the leader replica crashes with its controller
+		r := c.replicas[s.lead]
+		r.alive = false
+		r.jrnl.Close()
+		for _, f := range c.replicas {
+			elect = elect || f.alive
+		}
+	}
+	c.haMu.Unlock()
 	c.cold.controllerOutages.Add(1)
 	c.Span(telemetry.Event{
 		Kind: telemetry.EvControllerDown, Node: telemetry.ClusterNode,
-		Value: c.epoch.Load(),
+		Value: s.ctl.Epoch,
 	})
+	// The controller's connections are gone: switches reconnect once a
+	// successor is seated.
 	for _, n := range c.switches {
 		n.closeConns()
+	}
+	if elect {
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			if sleepCtx(c.ctx, c.cfg.HA.ElectionDelay) {
+				c.elect(killedAt)
+			}
+		}()
 	}
 	return true
 }
 
 // RestoreController brings the controller back, as a recovered process
-// would: its fencing epoch is bumped past the dead incarnation's, every
-// switch's liveness clock is reset so the returning probes don't race a
-// spurious death verdict, and the connection managers re-establish control
-// connections. Returns false if the controller was not down. With HA replicas
-// it instead revives dead replicas (catching them up from the leader's
-// journal) — elections already restored service without it — and promotes
-// a leader itself only if every replica was killed.
+// would: a new incarnation resumes from the deposed one's state under the
+// next epoch, reconciled against the switches (seat). Returns false if the
+// controller was not down. With HA replicas it instead revives dead
+// replicas (catching them up from the leader's journal) — elections
+// already restored service without it — and seats a leader itself only if
+// every replica was killed.
 func (c *Cluster) RestoreController() bool {
 	if len(c.replicas) > 0 {
 		return c.restoreReplicas()
 	}
-	if !c.ctrlDown.CompareAndSwap(true, false) {
+	c.ctlMu.Lock()
+	defer c.ctlMu.Unlock()
+	if !c.ctrlDown.Load() || c.ctx.Err() != nil {
 		return false
 	}
-	newEpoch := c.epoch.Add(1)
-	c.Span(telemetry.Event{
-		Kind: telemetry.EvControllerUp, Node: telemetry.ClusterNode,
-		Value: newEpoch,
-	})
-	c.resetBFD()
-	now := time.Now().UnixNano()
-	for _, n := range c.switches {
-		n.lastBeat.Store(now)
-	}
+	c.sb.Store(c.seat(c.sb.Load().ctl.State(), nil, -1))
 	return true
 }
 
 // ControllerDown reports whether a simulated controller outage is active.
 func (c *Cluster) ControllerDown() bool { return c.ctrlDown.Load() }
 
-// Epoch returns the controller's current fencing epoch.
-func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
-
-// SetEpoch raises the controller's fencing epoch — the integration point
-// for an external controller recovering from a journal whose durable epoch
-// is ahead of this incarnation's. Lowering is refused.
-func (c *Cluster) SetEpoch(e uint64) bool {
-	for {
-		cur := c.epoch.Load()
-		if e < cur {
-			return false
-		}
-		if e == cur || c.epoch.CompareAndSwap(cur, e) {
-			return true
-		}
-	}
-}
+// Epoch returns the fencing epoch of the controller in office (of the last
+// one deposed, while none is).
+func (c *Cluster) Epoch() uint64 { return c.sb.Load().ctl.Epoch }
 
 // PeakQueueDepth returns the highest data-queue occupancy any switch has
 // seen — the bounded-queue evidence the miss-storm bench reports.

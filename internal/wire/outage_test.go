@@ -123,6 +123,10 @@ func TestControllerOutageRideThrough(t *testing.T) {
 		t.Fatalf("restart epoch = %d, want %d (restarted controller must fence the old one)",
 			got, epochBefore+1)
 	}
+	if m := c.Measurements(); m.PolicyRuleInstalls != base.PolicyRuleInstalls || m.PolicyRuleDeletes != base.PolicyRuleDeletes {
+		t.Fatalf("the restart's Reconcile moved authority rules on a converged cluster: %d/%d then %d/%d",
+			base.PolicyRuleInstalls, base.PolicyRuleDeletes, m.PolicyRuleInstalls, m.PolicyRuleDeletes)
+	}
 	if st := c.Status(); st.ControllerDown {
 		t.Fatal("status still reports the controller down after restore")
 	}
@@ -175,16 +179,10 @@ func TestLeaderKillStillCaches(t *testing.T) {
 // out of the tables.
 func TestStaleEpochInstallRejected(t *testing.T) {
 	c := newFailoverCluster(t)
-	if !c.SetEpoch(5) {
-		t.Fatal("SetEpoch(5) failed")
-	}
-	if c.SetEpoch(4) {
-		t.Fatal("lowering the epoch must be refused")
-	}
-	fresh := proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd,
+	fresh := proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Epoch: 5,
 		Rule: flowspace.Rule{ID: 777, Priority: 99, Match: flowspace.MatchAll().WithExact(flowspace.FTPDst, 7777),
 			Action: flowspace.Action{Kind: flowspace.ActDrop}}}
-	if err := c.InstallRule(2, fresh); err != nil { // stamped with epoch 5
+	if err := c.InstallRule(2, fresh); err != nil { // raises the switch's fence to 5
 		t.Fatal(err)
 	}
 	stale := proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Epoch: 3,

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -10,36 +11,70 @@ import (
 	"difane/internal/tcam"
 )
 
-// southbound is wire mode's side of the controller's seam (core.Southbound).
-// Once the cluster runs, a FlowMod is a proto frame over the switch's
-// control connection, stamped with the controller's fencing epoch, and a
-// phase of a control operation starts when every switch has answered a
-// barrier; while the cluster boots, before any goroutine runs, FlowMods
-// apply in place, so a boot pays no frame codec. The controller reads the
-// tables in process: proto has per-rule stats (Cluster.Stats), no dump.
+// southbound is wire mode's side of the controller's seam (core.Southbound)
+// for one controller incarnation, whose context ends when KillController
+// deposes it: from then on it sends and publishes nothing, and a request
+// fails at once, so its operation lets go of ctlMu without waiting out
+// replyTimeout. Once the cluster runs, a FlowMod is a proto frame over the
+// switch's control connection, stamped by the controller with its epoch,
+// and a phase starts when every switch has answered a barrier; while the
+// cluster boots, before any goroutine runs, FlowMods apply in place, so a
+// boot pays no frame codec. The controller reads the tables in process:
+// proto has per-rule stats (Cluster.Stats), no dump.
 type southbound struct {
-	c *Cluster
+	c   *Cluster
+	ctl *core.Controller
+	// lead is the replica whose journal is ctl's (-1: single-controller
+	// mode).
+	lead int
+	ctx  context.Context
+	// depose ends ctx.
+	depose context.CancelFunc
 	// live is set once the cluster's goroutines run.
 	live bool
 	// hold, when set (tests), runs before each phase of a control operation.
 	hold func()
+	// committed is ctl's PolicyVersion as its successor will find it
+	// (replicate).
+	committed int
+}
+
+// incarnation attaches a controller to a southbound of its own, led by
+// replica lead.
+func (c *Cluster) incarnation(live bool, lead int) *southbound {
+	s := &southbound{c: c, live: live, lead: lead}
+	s.ctx, s.depose = context.WithCancel(c.ctx)
+	s.ctl = core.Attach(s, c.cfg.Partition, func(parts []core.Partition) (core.Assignment, error) {
+		return core.Assign(parts, c.cfg.Authorities)
+	})
+	return s
 }
 
 func (s *southbound) Now() float64       { return nowSec() }
 func (s *southbound) Switches() []uint32 { return s.c.SwitchIDs() }
 
 func (s *southbound) At(_ float64, fn func()) {
+	if !s.replicate() {
+		return
+	}
 	if s.hold != nil {
 		s.hold()
 	}
-	fn()
+	if s.ctx.Err() == nil {
+		fn()
+	}
 }
 
 func (s *southbound) FlowMod(sw uint32, mod proto.FlowMod) error {
+	n := s.c.switches[sw]
 	if !s.live {
-		return s.c.switches[sw].apply(&mod)
+		return n.apply(&mod)
 	}
-	return s.c.InstallRule(sw, mod)
+	// Nothing goes out under a state, or an epoch, the followers lack.
+	if !s.replicate() {
+		return s.ctx.Err()
+	}
+	return s.c.send(s.ctx, n, &mod)
 }
 
 func (s *southbound) Barrier(sw uint32) error {
@@ -47,9 +82,29 @@ func (s *southbound) Barrier(sw uint32) error {
 	if !s.live || n.killed.Load() {
 		return nil
 	}
-	err := s.c.Barrier(sw, s.c.xids.Add(1)|1<<31) // clear of the XIDs callers pick
-	s.c.awaitDrain(n)
+	xid := s.c.xids.Add(1) | 1<<31 // clear of the XIDs callers pick
+	_, err := s.c.request(s.ctx, sw, &proto.BarrierReq{XID: xid}, xid)
+	s.c.awaitDrain(s.ctx, n)
 	return err
+}
+
+// replicate ships the leader journal's records its live followers lack,
+// before each phase, FlowMod and commit and at the end of each operation, and
+// reports whether s is still in office. What it ships survives the leader,
+// and is what committed counts; with no replicas the deposed controller's
+// memory, which RestoreController resumes from, survives whole.
+func (s *southbound) replicate() bool {
+	c := s.c
+	c.haMu.Lock()
+	defer c.haMu.Unlock()
+	inOffice := s.ctx.Err() == nil
+	if inOffice && s.lead >= 0 {
+		c.catchUpLocked(s.lead)
+	}
+	if inOffice || s.lead < 0 {
+		s.committed = s.ctl.PolicyVersion
+	}
+	return inOffice
 }
 
 func (s *southbound) Stats(sw uint32, t proto.Table) []tcam.Entry {
@@ -68,6 +123,11 @@ func (s *southbound) Commit(r core.Running, flush bool) {
 		p := *prev
 		p.prev = nil
 		g.seq, g.prev = prev.seq+1, &p
+	}
+	// Published only once the followers hold the commit's record, and never
+	// by a deposed controller: its successor's Resume commits.
+	if !s.replicate() {
+		return
 	}
 	c.cache.SetAssignment(r.Assignment)
 	c.run.Store(g)
@@ -155,16 +215,16 @@ func (c *Cluster) adopt(n *node, g *generation) {
 }
 
 // awaitDrain returns once n has released every frame its rings held when
-// called (or n is killed, or the cluster stops): a barrier's data-plane
-// half, after which no redirect sent before it waits to be answered.
-func (c *Cluster) awaitDrain(n *node) {
+// called (or n is killed, or ctx ends): a barrier's data-plane half, after
+// which no redirect sent before it waits to be answered.
+func (c *Cluster) awaitDrain(ctx context.Context, n *node) {
 	marks := make([]uint64, len(n.in))
 	for i := range n.in {
 		if r := n.in[i].Load(); r != nil {
 			marks[i] = r.tail.Load()
 		}
 	}
-	for !n.killed.Load() && c.ctx.Err() == nil {
+	for !n.killed.Load() && ctx.Err() == nil {
 		done := true
 		for i := range n.in {
 			if r := n.in[i].Load(); done && r != nil && r.head.Load() < marks[i] {
@@ -178,15 +238,28 @@ func (c *Cluster) awaitDrain(n *node) {
 	}
 }
 
-// control runs op on the controller, one operation at a time, and returns
-// once every switch has applied what it sent.
-func (c *Cluster) control(op func(*core.Controller)) {
+// control runs op on the controller in office, one operation at a time,
+// and returns its incarnation (run). With no controller in office it drops
+// op and returns nil: the next incarnation's Resume covers what op was for.
+func (c *Cluster) control(op func(*core.Controller)) *southbound {
 	c.ctlMu.Lock()
 	defer c.ctlMu.Unlock()
-	op(c.ctl)
-	for _, id := range c.SwitchIDs() {
-		_ = c.sb.Barrier(id) // an unreachable switch is the failure detector's to handle
+	s := c.sb.Load()
+	if s.ctx.Err() != nil {
+		return nil
 	}
+	s.run(op)
+	return s
+}
+
+// run runs op on s's controller and returns once every switch has applied
+// what it sent and its journal records have reached the followers.
+func (s *southbound) run(op func(*core.Controller)) {
+	op(s.ctl)
+	for _, id := range s.c.SwitchIDs() {
+		_ = s.Barrier(id) // an unreachable switch is the failure detector's to handle
+	}
+	s.replicate()
 }
 
 // UpdatePolicyConsistent moves the running cluster onto policy,
@@ -199,12 +272,21 @@ func (c *Cluster) control(op func(*core.Controller)) {
 // an ingress sends between its commit and the arrival of its new partition
 // rules reaches a switch that does not serve it: a hole, as is a redirect
 // in flight across the simulator's commit. Returns once the old generation
-// is gone.
+// is gone, nil exactly when the cluster runs policy: a controller deposed
+// mid-update returns an error unless its commit reached the journal its
+// successor resumes from (whose Reconcile then collects the old generation).
 func (c *Cluster) UpdatePolicyConsistent(policy []flowspace.Rule) error {
-	if c.ctrlDown.Load() {
-		return fmt.Errorf("wire: policy update with the controller down")
-	}
 	var err error
-	c.control(func(ctl *core.Controller) { _, _, err = ctl.UpdatePolicyConsistent(policy) })
+	var before int
+	s := c.control(func(ctl *core.Controller) {
+		before = ctl.PolicyVersion
+		_, _, err = ctl.UpdatePolicyConsistent(policy)
+	})
+	switch {
+	case s == nil:
+		return fmt.Errorf("wire: policy update with the controller down")
+	case err == nil && s.committed == before:
+		return fmt.Errorf("wire: controller deposed before the policy update committed")
+	}
 	return err
 }

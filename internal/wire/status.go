@@ -43,7 +43,7 @@ func (c *Cluster) Status() Status {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	st := Status{
 		Dropped:        c.dropped.Load(),
-		Epoch:          c.epoch.Load(),
+		Epoch:          c.Epoch(),
 		ControllerDown: c.ctrlDown.Load(),
 	}
 	for _, id := range ids {
@@ -113,14 +113,13 @@ type HAStatus struct {
 func (c *Cluster) HAStatus() HAStatus {
 	st := HAStatus{
 		Leader:          c.Leader(),
-		Epoch:           c.epoch.Load(),
+		Epoch:           c.Epoch(),
 		ControllerDown:  c.ctrlDown.Load(),
 		LeaderElections: c.cold.leaderElections.Load(),
 	}
 	c.haMu.Lock()
-	lid := int(c.leaderID.Load())
 	for _, r := range c.replicas {
-		rs := ReplicaStatus{ID: r.id, Alive: r.alive, Leader: r.id == lid}
+		rs := ReplicaStatus{ID: r.id, Alive: r.alive, Leader: r.id == st.Leader}
 		if r.alive && r.jrnl != nil {
 			rs.NextSeq = r.jrnl.NextSeq()
 		}

@@ -216,7 +216,7 @@ func (c *Cluster) registerMetrics() {
 	gauge("difane_ha_leader", "Current leader replica id (-1 when none holds office).",
 		func() float64 { return float64(c.Leader()) })
 	gauge("difane_epoch", "Controller fencing epoch.",
-		func() float64 { return float64(c.epoch.Load()) })
+		func() float64 { return float64(c.Epoch()) })
 	gauge("difane_controller_down", "1 while a simulated controller outage is active.",
 		func() float64 {
 			if c.ctrlDown.Load() {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,7 +37,7 @@ func portPolicy(firstID uint64, dflt uint32, ports map[uint64]int) []flowspace.R
 // lets it run.
 func phaseGate(c *Cluster) (wait, release func()) {
 	at, run := make(chan struct{}), make(chan struct{})
-	c.sb.hold = func() {
+	c.sb.Load().hold = func() {
 		at <- struct{}{}
 		<-run
 	}
@@ -304,5 +305,137 @@ func TestUpdateTimelineCountsTheControllersFlowMods(t *testing.T) {
 	m := c.Measurements()
 	if ins, del := m.PolicyRuleInstalls-m0.PolicyRuleInstalls, m.PolicyRuleDeletes-m0.PolicyRuleDeletes; ins != uint64(installs) || del != uint64(withdrawals) {
 		t.Fatalf("policy-churn counters moved by %d installs and %d deletes, want %d and %d", ins, del, installs, withdrawals)
+	}
+}
+
+// ruleTables snapshots every switch's authority and partition tables.
+func ruleTables(c *Cluster) map[uint32][2][]flowspace.Rule {
+	out := map[uint32][2][]flowspace.Rule{}
+	for _, id := range c.SwitchIDs() {
+		out[id] = [2][]flowspace.Rule{c.TableRules(id, proto.TableAuthority), c.TableRules(id, proto.TablePartition)}
+	}
+	return out
+}
+
+// A controller deposed in the middle of a live update sends nothing after
+// its kill: the call returns as soon as it is released, before the
+// successor is elected, and every table is as the kill left it. The
+// successor runs what the journal it resumes from holds. Killed before the
+// commit, that is the old policy: the call fails, and the successor's
+// Reconcile withdraws the staged generation. Killed after it, the commit
+// was shipped to the followers before the next phase could start: the call
+// succeeds, and Reconcile collects the old generation. Traffic streams
+// throughout, and none of it is lost.
+func TestDeposedUpdateIsFenced(t *testing.T) {
+	oldPol := []flowspace.Rule{{ID: 1, Priority: 5, Match: flowspace.MatchAll(),
+		Action: flowspace.Action{Kind: flowspace.ActForward, Arg: 3}}}
+	newPol := []flowspace.Rule{{ID: 100, Priority: 5, Match: flowspace.MatchAll(),
+		Action: flowspace.Action{Kind: flowspace.ActForward, Arg: 2}}}
+	for _, tc := range []struct {
+		name      string
+		phases    int // the update's phases done at the kill
+		committed bool
+	}{
+		{"killed before the commit", 1, false},
+		{"killed before the cleanup", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := startCluster(t, slack(ClusterConfig{
+				Switches:    []uint32{0, 1, 2, 3},
+				Authorities: []uint32{1},
+				Policy:      oldPol,
+				Strategy:    core.StrategyExact,
+				QueueDepth:  1 << 14,
+				// Long enough that the deposed update returns first.
+				HA: HAConfig{Replicas: 3, ElectionDelay: 300 * time.Millisecond},
+			}))
+			oldAssign := c.Assignment()
+			var stop atomic.Bool
+			var sent atomic.Uint64
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for src := uint32(1); !stop.Load(); src++ {
+					for !c.tryInject(0, httpHeader(src), 100, 0) {
+						time.Sleep(50 * time.Microsecond)
+					}
+					sent.Add(1)
+					time.Sleep(200 * time.Microsecond)
+				}
+			}()
+			defer func() { stop.Store(true); wg.Wait() }()
+
+			wait, release := phaseGate(c)
+			done := make(chan error, 1)
+			go func() { done <- c.UpdatePolicyConsistent(newPol) }()
+			wait()
+			for range tc.phases {
+				release()
+				wait()
+			}
+			if !c.KillController() {
+				t.Fatal("KillController failed")
+			}
+			atKill := ruleTables(c)
+			release()
+			select {
+			case err := <-done:
+				if (err == nil) != tc.committed {
+					t.Fatalf("the deposed update returned %v; committed %v", err, tc.committed)
+				}
+			case <-time.After(100 * time.Millisecond):
+				t.Fatal("the deposed update is still running")
+			}
+			if lid := c.Leader(); lid >= 0 {
+				t.Fatalf("replica %d was seated before the deposed update returned", lid)
+			}
+			if got := ruleTables(c); !reflect.DeepEqual(got, atKill) {
+				t.Fatalf("the deposed controller changed the tables after its kill:\n%v\n%v", atKill, got)
+			}
+
+			waitMeasure(t, c, "the election", func(m *core.Measurements) bool { return m.LeaderElections == 1 })
+			stop.Store(true)
+			wg.Wait()
+			if !c.awaitQuiescence(sent.Load(), 10*time.Second) {
+				t.Fatalf("%d packets did not reach a verdict", sent.Load())
+			}
+			if m := c.Measurements(); m.Drops.Lost() != 0 || m.Delivered != sent.Load() {
+				t.Fatalf("%d packets: delivered %d, drops %+v", sent.Load(), m.Delivered, m.Drops)
+			}
+
+			want, egress := oldPol, uint32(3)
+			if tc.committed {
+				want, egress = newPol, 2
+			}
+			run := c.run.Load()
+			if !core.PoliciesEqual(run.Policy, want) || (!tc.committed && !reflect.DeepEqual(run.Assignment, oldAssign)) {
+				t.Fatalf("the successor runs %v, want %v", run.Policy, want)
+			}
+			for _, id := range c.SwitchIDs() {
+				for _, r := range c.TableRules(id, proto.TableAuthority) {
+					if r.ID&core.GenerationMask != run.Generation {
+						t.Fatalf("switch %d holds %#x beside the running generation %#x", id, r.ID, run.Generation)
+					}
+				}
+			}
+			if got := len(c.TableRules(1, proto.TableAuthority)); got != len(want) {
+				t.Fatalf("the authority holds %d rules, want %d", got, len(want))
+			}
+			for len(c.Deliveries) > 0 {
+				<-c.Deliveries
+			}
+			d := Deploy(c)
+			const probes = 10
+			for i := uint32(0); i < probes; i++ {
+				d.InjectPacket(0, 0, httpHeader(1<<24+i).Key(), 100, 0)
+			}
+			d.Run(5)
+			for i := 0; i < probes; i++ {
+				if dl := awaitDelivery(t, c); dl.Egress != egress {
+					t.Fatalf("after the election a packet left at %d, want %d", dl.Egress, egress)
+				}
+			}
+		})
 	}
 }

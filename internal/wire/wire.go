@@ -46,12 +46,12 @@ type Delivery struct {
 type Cluster struct {
 	cfg ClusterConfig
 
-	// ctl is the cluster's controller, driving the switches through sb;
-	// ctlMu runs its operations one at a time (control). run is the
-	// generation its last commit published, which every data plane reads.
-	ctl   *core.Controller
+	// sb is the controller incarnation in office, or the last one deposed;
+	// it drives the switches, and ctlMu runs its operations one at a time
+	// (control) and seats its successor (seat). run is the generation its
+	// last commit published, which every data plane reads.
+	sb    atomic.Pointer[southbound]
 	ctlMu sync.Mutex
-	sb    *southbound
 	run   atomic.Pointer[generation]
 	// xids numbers the controller's barriers.
 	xids atomic.Uint32
@@ -99,25 +99,18 @@ type Cluster struct {
 	wg     sync.WaitGroup
 	trans  transport
 
-	// epoch is the controller's fencing token. Every FlowMod the
-	// controller sends is stamped with it; switches reject installs whose
-	// epoch is older than the highest they have accepted, so a dead
-	// controller's straggling writes cannot clobber its successor's.
-	epoch atomic.Uint64
 	// replicas holds the controller replica set when cfg.HA.Replicas ≥ 2;
-	// empty means single-controller (legacy) mode. leaderID is the index
-	// of the current leader replica (-1 while no leader holds office) and
-	// haMu serializes replica-set mutations: journal append+ship, leader
-	// kill, election, revival. haDir roots the replica journals; it is
-	// removed on Close when the cluster created it (haDirOwned).
+	// empty means single-controller (legacy) mode. haMu serializes
+	// replica-set mutations: journal shipping, deposing the controller,
+	// revival. haDir roots the replica journals; it is removed on Close
+	// when the cluster created it (haDirOwned).
 	replicas   []*ctrlReplica
-	leaderID   atomic.Int32
 	haMu       sync.Mutex
 	haDir      string
 	haDirOwned bool
 	// ctrlDown simulates a controller crash (KillController): switches
 	// keep serving, and keep caching new flows, from their own tables;
-	// only the control connections hold until RestoreController.
+	// only the control connections hold until a successor is seated.
 	ctrlDown atomic.Bool
 
 	// Probe is the forensics and metrics layer shared with the simulated
@@ -372,21 +365,17 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		c.nodes = append(c.nodes, n)
 	}
 	c.awaited.Store(noWaiter)
-	c.epoch.Store(1)
-	c.leaderID.Store(-1)
+	// The controller boots the switches in place, before any goroutine
+	// runs; from here on it reaches them over their control connections.
+	s := c.incarnation(false, -1)
+	c.sb.Store(s)
+	if err := s.ctl.Boot(cfg.Policy); err != nil {
+		return fail(err)
+	}
 	if err := c.initHA(); err != nil {
 		return fail(err)
 	}
-	// The controller boots the switches in place, before any goroutine
-	// runs; from here on it reaches them over their control connections.
-	c.sb = &southbound{c: c}
-	c.ctl = core.Attach(c.sb, cfg.Partition, func(parts []core.Partition) (core.Assignment, error) {
-		return core.Assign(parts, cfg.Authorities)
-	})
-	if err := c.ctl.Boot(cfg.Policy); err != nil {
-		return fail(err)
-	}
-	c.sb.live = true
+	s.live = true
 	// Telemetry comes up after the boot installs (so boot-time rule pushes
 	// don't flood the trace rings) and before any goroutine starts (the
 	// TCAM hook-set-before-sharing contract).
@@ -970,55 +959,52 @@ func (c *Cluster) writeControl(n *node, msg proto.Message, switchSide bool) erro
 	return proto.WriteMessage(conn, msg)
 }
 
-// InstallRule sends a FlowMod to a switch over its control connection,
-// stamped with the controller's current fencing epoch unless the caller set
-// one explicitly (a stale explicit epoch is how tests provoke — and how a
-// zombie controller would suffer — fencing rejections).
+// InstallRule sends a FlowMod to a switch over its control connection, as
+// it is: an Epoch of 0 passes the switch's fence, and any other is fenced
+// (a stale one is how tests provoke, and how a deposed controller would
+// suffer, a rejection).
 func (c *Cluster) InstallRule(sw uint32, mod proto.FlowMod) error {
 	n, ok := c.switches[sw]
 	if !ok {
 		return fmt.Errorf("wire: no switch %d", sw)
 	}
-	stamp := mod.Epoch == 0
-	return c.send(n, func() proto.Message {
-		if stamp {
-			mod.Epoch = c.epoch.Load()
-		}
-		return &mod
-	})
+	return c.send(c.ctx, n, &mod)
 }
 
 // replyTimeout bounds the wait for a control request to go out and for
 // its reply.
 const replyTimeout = 5 * time.Second
 
-// send writes the message msg builds to n, building and writing it again,
-// with backoff, while the write fails on a control connection that is
-// being re-established (after a controller restart, say) — until it goes
-// through, n turns unreachable, or replyTimeout passes.
-func (c *Cluster) send(n *node, msg func() proto.Message) error {
+// send writes msg to n, and again, with backoff, while the write fails on
+// a control connection that is being re-established (after a controller
+// restart, say) — until it goes through, n turns unreachable, replyTimeout
+// passes or ctx ends (the sender deposed, or the cluster closing).
+func (c *Cluster) send(ctx context.Context, n *node, msg proto.Message) error {
 	deadline := time.Now().Add(replyTimeout)
 	for attempt := 1; ; attempt++ {
-		err := c.writeToSwitch(n, msg())
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		err := c.writeToSwitch(n, msg)
 		if err == nil || n.killed.Load() || n.partitioned.Load() || time.Now().After(deadline) {
 			return err
 		}
-		if !sleepCtx(c.ctx, c.cfg.Retry.Backoff(attempt)) {
-			return c.ctx.Err()
+		if !sleepCtx(ctx, c.cfg.Retry.Backoff(attempt)) {
+			return ctx.Err()
 		}
 	}
 }
 
 // request sends req to switch sw and returns its reply, the one carrying
 // xid: a reply to an earlier request that timed out is skipped.
-func (c *Cluster) request(sw uint32, req proto.Message, xid uint32) (proto.Message, error) {
+func (c *Cluster) request(ctx context.Context, sw uint32, req proto.Message, xid uint32) (proto.Message, error) {
 	n, ok := c.switches[sw]
 	if !ok {
 		return nil, fmt.Errorf("wire: no switch %d", sw)
 	}
 	n.replyMu.Lock()
 	defer n.replyMu.Unlock()
-	if err := c.send(n, func() proto.Message { return req }); err != nil {
+	if err := c.send(ctx, n, req); err != nil {
 		return nil, err
 	}
 	timeout := time.After(replyTimeout)
@@ -1037,8 +1023,8 @@ func (c *Cluster) request(sw uint32, req proto.Message, xid uint32) (proto.Messa
 			}
 		case <-timeout:
 			return nil, fmt.Errorf("wire: no reply from switch %d", sw)
-		case <-c.ctx.Done():
-			return nil, c.ctx.Err()
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
 }
@@ -1046,13 +1032,13 @@ func (c *Cluster) request(sw uint32, req proto.Message, xid uint32) (proto.Messa
 // Barrier round-trips a barrier through a switch's control connection,
 // fencing previously sent control messages.
 func (c *Cluster) Barrier(sw uint32, xid uint32) error {
-	_, err := c.request(sw, &proto.BarrierReq{XID: xid}, xid)
+	_, err := c.request(c.ctx, sw, &proto.BarrierReq{XID: xid}, xid)
 	return err
 }
 
 // Stats fetches a rule's counters from a switch over the control plane.
 func (c *Cluster) Stats(sw uint32, ruleID uint64, xid uint32) (*proto.StatsReply, error) {
-	rep, err := c.request(sw, &proto.StatsReq{XID: xid, RuleID: ruleID}, xid)
+	rep, err := c.request(c.ctx, sw, &proto.StatsReq{XID: xid, RuleID: ruleID}, xid)
 	if err != nil {
 		return nil, err
 	}
