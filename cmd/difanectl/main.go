@@ -144,7 +144,7 @@ func main() {
 		s.net, s.ctl, s.dep = net, difane.NewController(net), net
 		fmt.Printf("loaded %s (sim): %d switches, %d rules, %d partitions, authorities %v\n",
 			spec.Name, spec.Graph.NumNodes(), len(spec.Policy),
-			len(net.Assignment.Partitions), auths)
+			len(net.Assignment().Partitions), auths)
 	case "baseline":
 		bn, err := difane.NewBaseline(spec.Graph, spec.Policy, difane.BaselineConfig{
 			ControllerNode: auths[0],
@@ -320,9 +320,9 @@ func (s *session) command(fields []string) {
 			fmt.Println("partitions is sim-only")
 			return
 		}
-		for i, p := range s.net.Assignment.Partitions {
+		for i, p := range s.net.Assignment().Partitions {
 			fmt.Printf("partition %d: %d rules, replicas %v, region %s\n",
-				i, len(p.Rules), s.net.Assignment.ReplicasFor(i), p.Region)
+				i, len(p.Rules), s.net.Assignment().ReplicasFor(i), p.Region)
 		}
 	case "counters":
 		if s.net == nil {
@@ -374,7 +374,7 @@ func (s *session) command(fields []string) {
 			fmt.Println(err)
 			return
 		}
-		err = difane.WritePolicy(f, s.net.Policy)
+		err = difane.WritePolicy(f, s.net.Policy())
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -382,13 +382,13 @@ func (s *session) command(fields []string) {
 			fmt.Println(err)
 			return
 		}
-		fmt.Printf("wrote %d rules to %s\n", len(s.net.Policy), fields[1])
+		fmt.Printf("wrote %d rules to %s\n", len(s.net.Policy()), fields[1])
 	case "compact":
 		if s.net == nil {
 			fmt.Println("compact is sim-only")
 			return
 		}
-		kept, removed := difane.CompactPolicy(s.net.Policy)
+		kept, removed := difane.CompactPolicy(s.net.Policy())
 		if len(removed) == 0 {
 			fmt.Println("no shadowed rules")
 			return

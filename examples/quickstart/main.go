@@ -28,7 +28,7 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("authorities %v hold %d partitions\n",
-		auths, len(net.Assignment.Partitions))
+		auths, len(net.Assignment().Partitions))
 
 	// 3. Replay a Zipf-popularity trace.
 	flows := difane.GenerateTraffic(spec, difane.TrafficConfig{

@@ -61,7 +61,7 @@ func FigFailover(o Options) *FailoverResult {
 		}
 		c := core.NewController(n)
 		c.FailoverDelay = failoverDel
-		primary := n.Assignment.Primary[0]
+		primary := n.Assignment().Primary[0]
 		n.Eng.At(failAt, func() {
 			n.FailAuthority(primary)
 			c.OnAuthorityFailure(primary)

@@ -212,7 +212,7 @@ func (a *CacheAdapter) Round(now float64, m *Measurements, switches []*switchsim
 func (n *Network) SetCacheTimeouts(idle, hard float64) {
 	n.cfg.CacheIdle = idle
 	n.cfg.CacheHard = hard
-	for _, a := range n.authorityAt {
+	for _, a := range n.gen.Handlers {
 		a.SetCacheTimeouts(n.cache.Idle(a.RegionIndex, idle), hard)
 	}
 }
@@ -226,7 +226,7 @@ func (c *Controller) SetCacheTimeouts(idle, hard float64) {
 // SetRegionIdleTimeout overrides the idle timeout of one region's cache
 // rules on every authority handler serving it.
 func (n *Network) SetRegionIdleTimeout(region int, idle float64) {
-	for _, a := range n.authorityAt {
+	for _, a := range n.gen.Handlers {
 		if a.RegionIndex == region {
 			a.SetCacheTimeouts(idle, a.CacheHardTimeout)
 		}

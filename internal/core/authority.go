@@ -124,24 +124,6 @@ type HandlerKey struct {
 	Part int
 }
 
-// Handlers builds the miss handlers a runs, one per partition and replica
-// host. Each times its cache rules out after idle — or the idle timeout the
-// cost-aware policy has adapted for the region, so handlers rebuilt by an
-// update, rebalancing or recovery keep the adapted value instead of
-// silently reverting to the static default — and hard.
-func Handlers(a Assignment, strategy CacheStrategy, cache *CacheAdapter, idle, hard float64) map[HandlerKey]*Authority {
-	out := make(map[HandlerKey]*Authority)
-	for i, p := range a.Partitions {
-		for _, host := range a.ReplicasFor(i) {
-			auth := NewAuthority(host, p, strategy)
-			auth.RegionIndex = i
-			auth.SetCacheTimeouts(cache.Idle(i, idle), hard)
-			out[HandlerKey{host, i}] = auth
-		}
-	}
-	return out
-}
-
 // NewAuthority builds the authority logic for a partition.
 func NewAuthority(switchID uint32, p Partition, strategy CacheStrategy) *Authority {
 	if !sort.SliceIsSorted(p.Rules, func(i, j int) bool { return p.Rules[i].Precedes(&p.Rules[j]) }) {

@@ -74,7 +74,9 @@ func NewController(n *Network) *Controller {
 	c := Attach(simSouthbound{n}, n.cfg.Partition, func(parts []Partition) (Assignment, error) {
 		return AssignWithReplication(parts, sortedIDs(n.authSt), n.cfg.Replication)
 	})
-	c.net, c.run = n, n.Running
+	if c.net = n; n.gen != nil {
+		c.run = n.gen.Running
+	}
 	return c
 }
 
@@ -257,7 +259,7 @@ func PoliciesEqual(a, b []flowspace.Rule) bool {
 // stageAssignment re-keys every clipped rule ID into a generation band so
 // two policy generations can coexist in one authority TCAM. Priorities are
 // untouched: a miss is answered from that shared TCAM, but by a lookup that
-// sees the running generation's band alone (authorityHandle), so a staged
+// sees the running generation's band alone (Generation.Answer), so a staged
 // rule answers nothing however its priority compares, and the old and new
 // generations only ever serve disjoint time windows (the partition-rule
 // switch, which also moves the band, is the commit point).

@@ -125,7 +125,7 @@ func TestUpdatePolicyRespectsReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Run(1)
-	if got := len(n.Assignment.ReplicasFor(0)); got != 3 {
+	if got := len(n.Assignment().ReplicasFor(0)); got != 3 {
 		t.Fatalf("replicas after update = %d, want 3", got)
 	}
 }

@@ -220,14 +220,11 @@ type Network struct {
 	Topo *topo.Graph
 
 	Switches map[uint32]*switchsim.Switch
-	// authorityAt holds the Authority partition handlers (primaries and
-	// backup replicas) under what an authority-table hit names them by.
-	authorityAt map[HandlerKey]*Authority
-	authSt      map[uint32]*sim.Station
+	authSt   map[uint32]*sim.Station
 
-	// Running is what the network was last committed to (commit): its
-	// policy, assignment and the generation band its authority rules carry.
-	Running
+	// gen is what the network was last committed to (commit): its policy,
+	// assignment, authority band and miss handlers.
+	gen *Generation
 	cfg NetworkConfig
 
 	// LinkLoads counts packets per directed link when cfg.HopByHop is set.
@@ -337,14 +334,13 @@ const partitionIDBase uint64 = 1 << 50
 // Assignment.PartitionOfRuleID.
 const PartitionIDBase = partitionIDBase
 
-// commit is the simulator's Southbound.Commit: fresh miss handlers, one per
-// partition and replica host, and the band that authorityHandle and each
-// switch's own classification read of the authority tables move together,
-// at one virtual instant — the commit point for both.
+// commit is the simulator's Southbound.Commit: the next generation, and the
+// band each switch's own classification reads of its authority table, move
+// together at one virtual instant, the commit point for both. A redirect in
+// flight across it is answered by the generation it was sent under.
 func (n *Network) commit(r Running, flush bool) {
-	n.Running = r
 	n.cache.SetAssignment(r.Assignment)
-	n.authorityAt = Handlers(r.Assignment, n.cfg.Strategy, n.cache, n.cfg.CacheIdle, n.cfg.CacheHard)
+	n.gen = NextGeneration(n.gen, r, flush, n.cfg.Strategy, n.cache, n.cfg.CacheIdle, n.cfg.CacheHard)
 	for _, sw := range n.Switches {
 		sw.SetAuthorityBand(GenerationMask, r.Generation)
 		if flush {
@@ -386,6 +382,8 @@ func (n *Network) InjectBatch(batch []PacketIn) {
 	}
 }
 
+// processAtIngress classifies a packet at its ingress switch and takes the
+// step core decides for it.
 func (n *Network) processAtIngress(injected float64, ingress uint32, k flowspace.Key, size int, seq uint64) {
 	now := n.Eng.Now()
 	trace := n.TraceID(k, seq)
@@ -394,184 +392,109 @@ func (n *Network) processAtIngress(injected float64, ingress uint32, k flowspace
 	}
 	sw, ok := n.Switches[ingress]
 	if !ok || !n.Topo.NodeUp(topo.NodeID(ingress)) {
-		n.M.Drops.Unreachable++
-		n.finish(VerdictUnreachable, ingress, k, seq, 0, false, trace, 0)
+		n.finish(VerdictUnreachable, ingress, k, seq, trace, false, 0)
 		return
 	}
 	sw.Advance(now)
 	res := sw.Classify(now, k, size)
-	if !res.OK {
-		// No partition rule matched: with a full partition cover this only
-		// happens when partition rules were withdrawn (failover windows).
-		n.M.Drops.Unreachable++
-		n.finish(VerdictUnreachable, ingress, k, seq, 0, false, trace, 0)
-		return
-	}
-	if res.Table == proto.TableCache {
+	if res.OK && res.Table == proto.TableCache {
 		n.cache.ObserveHit(&res.Rule.Match)
 	}
-	switch res.Rule.Action.Kind {
-	case flowspace.ActDrop:
-		n.M.Drops.Policy++
-		if seq == 0 {
-			n.M.SetupsCompleted++
-		}
-		n.finish(VerdictPolicyDrop, ingress, k, seq, 0, false, trace, 0)
-	case flowspace.ActForward, flowspace.ActCount:
-		egress := res.Rule.Action.Arg
-		if trace != 0 {
-			n.Span(telemetry.Event{Kind: telemetry.EvForward, Node: ingress, Peer: egress,
-				Table: uint8(res.Table), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
-		}
-		n.deliverDirect(injected, ingress, egress, k, seq, trace)
-	case flowspace.ActRedirect:
-		if trace != 0 {
-			n.Span(telemetry.Event{Kind: telemetry.EvRedirect, Node: ingress, Peer: res.Rule.Action.Arg,
-				Table: uint8(res.Table), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
-		}
-		n.redirect(injected, ingress, res.Rule.Action.Arg, k, size, seq, trace)
-	case flowspace.ActController:
-		// DIFANE networks never punt to the controller; treat as a hole.
-		n.M.Drops.Hole++
-		n.finish(VerdictHole, ingress, k, seq, 0, false, trace, 0)
-	}
-}
-
-func (n *Network) deliverDirect(injected float64, ingress, egress uint32, k flowspace.Key, seq uint64, trace uint64) {
-	ok := n.sendAlong(ingress, egress, func() {
-		n.recordDelivery(injected, k, egress, seq, 0, trace) // no detour: no stretch sample
-	})
-	if !ok {
-		n.M.Drops.Unreachable++
-		n.finish(VerdictUnreachable, ingress, k, seq, 0, false, trace, 0)
-	}
-}
-
-func (n *Network) redirect(injected float64, ingress, authority uint32, k flowspace.Key, size int, seq uint64, trace uint64) {
-	n.M.Redirects++
-	dIA, okDist := n.Topo.Dist(topo.NodeID(ingress), topo.NodeID(authority))
-	if !okDist {
-		n.M.Drops.Unreachable++
-		n.finish(VerdictUnreachable, ingress, k, seq, 0, false, trace, 0)
-		return
-	}
-	sent := n.sendAlong(ingress, authority, func() {
-		st := n.authSt[authority]
-		if st == nil {
-			n.M.Drops.Unreachable++
-			n.finish(VerdictUnreachable, authority, k, seq, 0, false, trace, 0)
-			return
-		}
-		ok := st.Submit(func(done float64) {
-			n.authorityHandle(injected, ingress, authority, k, size, seq, dIA, trace)
-		})
-		if !ok {
-			n.M.Drops.AuthorityQueue++
-			n.finish(VerdictQueueDrop, authority, k, seq, 0, false, trace, 0)
-		}
-	})
-	if !sent {
-		n.M.Drops.Unreachable++
-		n.finish(VerdictUnreachable, ingress, k, seq, 0, false, trace, 0)
-	}
-}
-
-func (n *Network) authorityHandle(injected float64, ingress, authority uint32, k flowspace.Key, size int, seq uint64, dIA float64, trace uint64) {
-	now := n.Eng.Now()
-	// The switch's authority table says which rule, looking in the running
-	// generation's band alone (what a consistent update has staged beside
-	// it, or not yet collected, answers nothing); the hit's partition band
-	// names the handler that generates the cache rules.
-	var auth *Authority
-	var res MissResult
-	sw := n.Switches[authority]
-	v := sw.Table(proto.TableAuthority).AcquireView()
-	entry := v.LookupBand(now, &k, size, GenerationMask, n.Generation)
-	v.Release()
-	if entry != nil {
-		sw.Stats.AuthorityHits.Add(1)
-		if auth = n.authorityAt[HandlerKey{authority, AuthorityEntryPartition(entry.ID)}]; auth != nil {
-			res = auth.Answer(entry, &k)
-		}
-	}
-	if !res.OK {
-		n.M.Drops.Hole++
-		n.finish(VerdictHole, authority, k, seq, 0, false, trace, 0)
+	st := IngressStep(&res)
+	if st.Kind != VerdictDelivered {
+		n.finish(st.Kind, ingress, k, seq, trace, false, 0)
 		return
 	}
 	if trace != 0 {
-		n.Span(telemetry.Event{Kind: telemetry.EvAuthority, Node: authority, Peer: ingress,
-			Table: uint8(proto.TableAuthority), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
+		ev := telemetry.EvForward
+		if st.Redirect {
+			ev = telemetry.EvRedirect
+		}
+		n.Span(telemetry.Event{Kind: ev, Node: ingress, Peer: st.To,
+			Table: uint8(res.Table), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 	}
-	n.cache.ObserveMiss(auth.RegionIndex, now-injected)
-	// Install cache rules at the ingress switch after the control path.
-	if len(res.CacheMods) > 0 {
-		dAI, okBack := n.Topo.Dist(topo.NodeID(authority), topo.NodeID(ingress))
-		if okBack {
-			installAt := now + dAI + n.cfg.InstallDelay
-			mods := res.CacheMods
-			if trace != 0 {
-				n.Span(telemetry.Event{Kind: telemetry.EvInstallTriggered, Node: authority, Peer: ingress,
-					Table: uint8(proto.TableCache), RuleID: mods[0].Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
-			}
-			n.Eng.At(installAt, func() {
-				sw := n.Switches[ingress]
-				for i := range mods {
-					_ = sw.ApplyFlowMod(n.Eng.Now(), &mods[i])
-				}
-				if trace != 0 {
-					n.Span(telemetry.Event{Kind: telemetry.EvInstall, Node: ingress,
-						Table: uint8(proto.TableCache), RuleID: mods[0].Rule.ID, Trace: trace})
-				}
-			})
-		}
-	}
-	// Forward the packet itself from the authority switch.
-	switch res.Rule.Action.Kind {
-	case flowspace.ActDrop:
-		n.M.Drops.Policy++
-		if seq == 0 {
-			n.M.SetupsCompleted++
-		}
-		n.finish(VerdictPolicyDrop, authority, k, seq, 0, false, trace, 0)
-	case flowspace.ActForward, flowspace.ActCount:
-		egress := res.Rule.Action.Arg
-		dAE, ok := n.Topo.Dist(topo.NodeID(authority), topo.NodeID(egress))
-		if !ok {
-			n.M.Drops.Unreachable++
-			n.finish(VerdictUnreachable, authority, k, seq, 0, false, trace, 0)
-			return
-		}
-		stretch := 1.0
-		if direct, okD := n.Topo.Dist(topo.NodeID(ingress), topo.NodeID(egress)); okD && direct > 0 {
-			stretch = (dIA + dAE) / direct
-		}
-		sent := n.sendAlong(authority, egress, func() {
-			n.recordDelivery(injected, k, egress, seq, stretch, trace)
-		})
-		if !sent {
-			n.M.Drops.Unreachable++
-			n.finish(VerdictUnreachable, authority, k, seq, 0, false, trace, 0)
-		}
-	default:
-		n.M.Drops.Hole++
-		n.finish(VerdictHole, authority, k, seq, 0, false, trace, 0)
+	if st.Redirect {
+		n.redirect(injected, ingress, st.To, k, size, seq, trace)
+	} else {
+		n.forward(injected, ingress, st.To, k, seq, trace, 0)
 	}
 }
 
-func (n *Network) recordDelivery(injected float64, k flowspace.Key, egress uint32, seq uint64, stretch float64, trace uint64) {
-	now := n.Eng.Now()
-	n.M.Delivered++
-	delay := now - injected
-	n.finish(VerdictDelivered, egress, k, seq, egress, stretch > 0, trace, uint64(delay*1e9))
-	if seq == 0 {
-		n.M.FirstPacketDelay.Add(delay)
-		n.M.SetupsCompleted++
-	} else {
-		n.M.LaterPacketDelay.Add(delay)
+// redirect sends a packet from its ingress into its authority switch's
+// service queue, carrying the generation its ingress classified it under.
+func (n *Network) redirect(injected float64, ingress, authority uint32, k flowspace.Key, size int, seq, trace uint64) {
+	n.M.Redirects++
+	via := n.gen.Via()
+	dIA, _ := n.Topo.Dist(topo.NodeID(ingress), topo.NodeID(authority))
+	sent := n.sendAlong(ingress, authority, func() {
+		st := n.authSt[authority]
+		if st == nil {
+			n.finish(VerdictUnreachable, authority, k, seq, trace, false, 0)
+		} else if !st.Submit(func(float64) {
+			n.authorityHandle(injected, ingress, authority, via, k, size, seq, dIA, trace)
+		}) {
+			n.finish(VerdictQueueDrop, authority, k, seq, trace, false, 0)
+		}
+	})
+	if !sent {
+		n.finish(VerdictUnreachable, ingress, k, seq, trace, false, 0)
 	}
-	if stretch >= 1.0 && !math.IsInf(stretch, 1) {
-		n.M.Stretch.Add(stretch)
+}
+
+// authorityHandle answers a redirect at its authority switch from the
+// generation its ingress classified it under (via): the cache rules go back
+// to the ingress after the control path, and the packet on to its egress.
+func (n *Network) authorityHandle(injected float64, ingress, authority uint32, via uint8, k flowspace.Key, size int, seq uint64, dIA float64, trace uint64) {
+	now := n.Eng.Now()
+	g := n.gen.Answering(via)
+	sw := n.Switches[authority]
+	v := sw.Table(proto.TableAuthority).AcquireView()
+	auth, res := g.Answer(sw, &v, &k, size, now)
+	v.Release()
+	if res.OK {
+		if trace != 0 {
+			n.Span(telemetry.Event{Kind: telemetry.EvAuthority, Node: authority, Peer: ingress,
+				Table: uint8(proto.TableAuthority), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
+		}
+		n.cache.ObserveMiss(auth.RegionIndex, now-injected)
+		if dAI, ok := n.Topo.Dist(topo.NodeID(authority), topo.NodeID(ingress)); ok && len(res.CacheMods) > 0 {
+			in := Install{g.Seq, trace, res.CacheMods}
+			if trace != 0 {
+				in.Sent(n.Probe, authority, ingress, telemetry.TupleOfKey(k))
+			}
+			n.Eng.At(now+dAI+n.cfg.InstallDelay, func() { in.Apply(n.Probe, n.Switches[ingress], n.gen, n.Eng.Now()) })
+		}
+	}
+	st := AnswerStep(&res)
+	if st.Kind != VerdictDelivered {
+		n.finish(st.Kind, authority, k, seq, trace, false, 0)
+		return
+	}
+	stretch := 1.0
+	dAE, _ := n.Topo.Dist(topo.NodeID(authority), topo.NodeID(st.To))
+	if direct, ok := n.Topo.Dist(topo.NodeID(ingress), topo.NodeID(st.To)); ok && direct > 0 {
+		stretch = (dIA + dAE) / direct
+	}
+	n.forward(injected, authority, st.To, k, seq, trace, stretch)
+}
+
+// forward sends a packet from switch at to its egress and delivers it there;
+// stretch is its detour's (0 for a packet that took none).
+func (n *Network) forward(injected float64, at, egress uint32, k flowspace.Key, seq, trace uint64, stretch float64) {
+	sent := n.sendAlong(at, egress, func() {
+		delay := n.Eng.Now() - injected
+		n.finish(VerdictDelivered, egress, k, seq, trace, stretch > 0, delay)
+		if seq == 0 {
+			n.M.FirstPacketDelay.Add(delay)
+		} else {
+			n.M.LaterPacketDelay.Add(delay)
+		}
+		if stretch >= 1.0 && !math.IsInf(stretch, 1) {
+			n.M.Stretch.Add(stretch)
+		}
+	})
+	if !sent {
+		n.finish(VerdictUnreachable, at, k, seq, trace, false, 0)
 	}
 }
 
@@ -611,25 +534,32 @@ func (n *Network) CacheEntries() int {
 	return total
 }
 
+// Assignment returns the partition→authority assignment the network runs.
+func (n *Network) Assignment() Assignment { return n.gen.Assignment }
+
+// Policy returns the global policy the network runs.
+func (n *Network) Policy() []flowspace.Rule { return n.gen.Policy }
+
 // AllAuthorities returns every partition handler in the network (primaries
 // and backup replicas), for statistics aggregation.
 func (n *Network) AllAuthorities() []*Authority {
 	var out []*Authority
-	for i := range n.Assignment.Partitions {
-		for _, host := range n.Assignment.ReplicasFor(i) {
-			out = append(out, n.authorityAt[HandlerKey{host, i}])
+	for i := range n.gen.Assignment.Partitions {
+		for _, host := range n.gen.Assignment.ReplicasFor(i) {
+			out = append(out, n.gen.Handlers[HandlerKey{host, i}])
 		}
 	}
 	return out
 }
 
 // EgressOf evaluates the global policy for a key, returning the egress
-// switch for forwarded traffic (ok=false for drops/holes). Used by tests
+// switch for delivered traffic (ok=false for drops/holes). Used by tests
 // and workloads to find ground truth.
 func (n *Network) EgressOf(k flowspace.Key) (uint32, bool) {
-	r, ok := flowspace.EvalTable(n.Policy, k)
-	if !ok || r.Action.Kind != flowspace.ActForward {
+	r, ok := flowspace.EvalTable(n.gen.Policy, k)
+	if !ok {
 		return 0, false
 	}
-	return r.Action.Arg, true
+	st := actionStep(r.Action)
+	return st.To, st.Kind == VerdictDelivered && !st.Redirect
 }

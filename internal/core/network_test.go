@@ -379,7 +379,7 @@ func TestCacheRuleIDsUniqueAcrossPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.Assignment.Partitions); got < 4 {
+	if got := len(n.Assignment().Partitions); got < 4 {
 		t.Fatalf("want >=4 partitions on 2 authority switches, got %d", got)
 	}
 	pass := func(at float64) {

@@ -18,11 +18,11 @@ type PartitionLoad struct {
 // disjoint ingress sets (nearest-replica), so the sum is the partition's
 // total miss load.
 func (n *Network) MeasurePartitionLoad() []PartitionLoad {
-	loads := make([]PartitionLoad, len(n.Assignment.Partitions))
+	loads := make([]PartitionLoad, len(n.gen.Assignment.Partitions))
 	for i := range loads {
 		loads[i].Partition = i
 	}
-	for at, a := range n.authorityAt {
+	for at, a := range n.gen.Handlers {
 		loads[at.Part].Misses += a.Misses
 	}
 	return loads
@@ -31,7 +31,7 @@ func (n *Network) MeasurePartitionLoad() []PartitionLoad {
 // AuthorityMissLoad sums handled misses per authority switch.
 func (n *Network) AuthorityMissLoad() map[uint32]uint64 {
 	out := make(map[uint32]uint64)
-	for at, a := range n.authorityAt {
+	for at, a := range n.gen.Handlers {
 		out[at.Host] += a.Misses
 	}
 	return out

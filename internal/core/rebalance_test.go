@@ -122,8 +122,8 @@ func TestRebalanceSkipsFailedAuthorities(t *testing.T) {
 	n.Run(2)
 	n.FailAuthority(2)
 	c.RebalanceByLoad()
-	for i := range n.Assignment.Partitions {
-		for _, h := range n.Assignment.ReplicasFor(i) {
+	for i := range n.Assignment().Partitions {
+		for _, h := range n.Assignment().ReplicasFor(i) {
 			if h == 2 {
 				t.Fatal("rebalance must not place partitions on a failed authority")
 			}

@@ -56,7 +56,7 @@ func TestRecoveryConvergesWithoutChurn(t *testing.T) {
 	caches := n.CacheEntries()
 	authBefore := authorityRuleIDs(n, 2)
 	wantEpoch, wantVer, wantGen := c1.Epoch, c1.PolicyVersion, c1.gen
-	wantAssign := n.Assignment
+	wantAssign := n.Assignment()
 	installs, deletes := n.M.PolicyRuleInstalls, n.M.PolicyRuleDeletes
 
 	// Crash: the controller object is dropped without any shutdown step.
@@ -77,7 +77,7 @@ func TestRecoveryConvergesWithoutChurn(t *testing.T) {
 	if c2.PolicyVersion != wantVer || c2.gen != wantGen {
 		t.Fatalf("version/gen = %d/%d, want %d/%d", c2.PolicyVersion, c2.gen, wantVer, wantGen)
 	}
-	if !reflect.DeepEqual(n.Assignment, wantAssign) {
+	if !reflect.DeepEqual(n.Assignment(), wantAssign) {
 		t.Fatal("recovered assignment differs from the pre-crash one")
 	}
 	if n.CacheEntries() != caches {
@@ -222,7 +222,7 @@ func TestCheckpointThenRecover(t *testing.T) {
 	if c2.PolicyVersion != wantVer {
 		t.Fatalf("version = %d, want %d (WAL record after snapshot lost)", c2.PolicyVersion, wantVer)
 	}
-	if !PoliciesEqual(n.Policy, testNetPolicy()) {
+	if !PoliciesEqual(n.Policy(), testNetPolicy()) {
 		t.Fatal("recovered policy is not the post-checkpoint one")
 	}
 }

@@ -43,7 +43,7 @@ func (n *Network) PolicyCounters() []RuleCounters {
 		if id < cacheIDBase {
 			return id, true
 		}
-		for _, a := range n.authorityAt {
+		for _, a := range n.gen.Handlers {
 			if origin, ok := a.OriginOf(id); ok && origin != id {
 				return origin, true
 			}
@@ -101,7 +101,7 @@ func (n *Network) CountersFor(ruleID uint64) RuleCounters {
 // packet because higher-priority rules jointly cover them — dead TCAM
 // entries the operator can remove. The analysis runs on the global policy.
 func (n *Network) ShadowedRules() []uint64 {
-	return ShadowedRuleIDs(n.Policy)
+	return ShadowedRuleIDs(n.gen.Policy)
 }
 
 // ShadowedRuleIDs finds shadowed rules in any rule list.

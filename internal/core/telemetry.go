@@ -109,8 +109,8 @@ func (n *Network) registerMetrics() {
 	n.cache.RegisterMetrics(reg)
 }
 
-// VerdictCode maps the simulator's terminal outcomes onto the shared
-// telemetry verdict codes (also used by the baseline backend's spans).
+// VerdictCode maps a terminal outcome onto the shared telemetry verdict
+// codes, for every backend's spans.
 func VerdictCode(kind VerdictKind) uint8 {
 	switch kind {
 	case VerdictDelivered:
@@ -128,18 +128,41 @@ func VerdictCode(kind VerdictKind) uint8 {
 	}
 }
 
-// finish reports a packet's terminal outcome: exactly one Observer emit
-// per injected packet (the accounting-identity bijection), plus a terminal
-// verdict span at the deciding node when the packet is sampled. latNS is
-// the delivery latency for delivered packets, 0 otherwise.
-func (n *Network) finish(kind VerdictKind, node uint32, k flowspace.Key, seq uint64, egress uint32, detour bool, trace uint64, latNS uint64) {
-	n.emit(kind, k, seq, egress, detour)
+// finish ends a packet at node with kind: counted in M, reported to the
+// Observer (exactly once per injected packet, the accounting-identity
+// bijection), and spanned as a terminal verdict when it is sampled. A
+// delivery, at its egress node, gives whether it took the authority detour
+// and its delay in seconds.
+func (n *Network) finish(kind VerdictKind, node uint32, k flowspace.Key, seq, trace uint64, detour bool, delay float64) {
+	m := &n.M
+	switch kind {
+	case VerdictDelivered:
+		m.Delivered++
+	case VerdictPolicyDrop:
+		m.Drops.Policy++
+	case VerdictHole:
+		m.Drops.Hole++
+	case VerdictQueueDrop:
+		m.Drops.AuthorityQueue++
+	default:
+		m.Drops.Unreachable++
+	}
+	if seq == 0 && (kind == VerdictDelivered || kind == VerdictPolicyDrop) {
+		m.SetupsCompleted++ // a flow's first packet completes its setup
+	}
+	if n.Observer != nil {
+		ev := VerdictEvent{Key: k, Seq: seq, Kind: kind, Detour: detour}
+		if kind == VerdictDelivered {
+			ev.Egress = node
+		}
+		n.Observer(ev)
+	}
 	if trace != 0 {
 		n.Span(telemetry.Event{
 			Kind:    telemetry.EvVerdict,
 			Node:    node,
 			Verdict: VerdictCode(kind),
-			Value:   latNS,
+			Value:   uint64(delay * 1e9),
 			Trace:   trace,
 			Flow:    telemetry.TupleOfKey(k),
 		})

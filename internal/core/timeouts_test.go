@@ -80,17 +80,17 @@ func TestRegionIndexSetOnAllConstructionPaths(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		for _, a := range n.AllAuthorities() {
-			if a.RegionIndex < 0 || a.RegionIndex >= len(n.Assignment.Partitions) {
+			if a.RegionIndex < 0 || a.RegionIndex >= len(n.Assignment().Partitions) {
 				t.Fatalf("%s: authority on %d has RegionIndex %d", stage, a.SwitchID, a.RegionIndex)
 			}
-			if n.Assignment.Partitions[a.RegionIndex].Region != a.Partition.Region {
+			if n.Assignment().Partitions[a.RegionIndex].Region != a.Partition.Region {
 				t.Fatalf("%s: RegionIndex %d does not match the handler's region", stage, a.RegionIndex)
 			}
 		}
 	}
 	check("initial install")
 	c := NewController(n)
-	if _, err := c.UpdatePolicy(n.Policy); err != nil {
+	if _, err := c.UpdatePolicy(n.Policy()); err != nil {
 		t.Fatal(err)
 	}
 	n.Run(1)

@@ -52,12 +52,3 @@ type VerdictEvent struct {
 	// Detour is true when delivery went through an authority redirect.
 	Detour bool
 }
-
-// emit reports a terminal packet outcome to the observer, if one is set.
-// Every counter-incrementing terminal path in the packet pipeline calls it
-// exactly once, so observers see a bijection with the accounting identity.
-func (n *Network) emit(kind VerdictKind, k flowspace.Key, seq uint64, egress uint32, detour bool) {
-	if n.Observer != nil {
-		n.Observer(VerdictEvent{Key: k, Seq: seq, Kind: kind, Egress: egress, Detour: detour})
-	}
-}

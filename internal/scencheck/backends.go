@@ -206,7 +206,7 @@ func (b *simBackend) audit() []string {
 	if err != nil {
 		return []string{fmt.Sprintf("convergence: fresh assignment: %v", err)}
 	}
-	return auditTables(b.n.Assignment, fresh, b.sc.Switches, b.sc.Authorities, func(sw uint32, t proto.Table) []flowspace.Rule {
+	return auditTables(b.n.Assignment(), fresh, b.sc.Switches, b.sc.Authorities, func(sw uint32, t proto.Table) []flowspace.Rule {
 		return b.n.Switches[sw].Table(t).Rules()
 	}, true)
 }

@@ -340,6 +340,19 @@ func genPolicy(rng *rand.Rand, nsw int) []flowspace.Rule {
 	rules = append(rules, flowspace.Rule{
 		ID: uint64(n + 1), Priority: 0, Match: flowspace.MatchAll(), Action: def,
 	})
+	return withCounts(rules)
+}
+
+// withCounts turns every forward rule whose ID is ≡ 0 mod 4 into a count
+// rule with the same egress, so that the differential covers that action on
+// every backend. It draws nothing from the RNG: every seed's packet and step
+// stream is what it would be without it.
+func withCounts(rules []flowspace.Rule) []flowspace.Rule {
+	for i := range rules {
+		if rules[i].ID%4 == 0 && rules[i].Action.Kind == flowspace.ActForward {
+			rules[i].Action.Kind = flowspace.ActCount
+		}
+	}
 	return rules
 }
 
@@ -389,9 +402,9 @@ func mutatePolicy(rng *rand.Rand, policy []flowspace.Rule, nsw int) []flowspace.
 			i, j := rng.Intn(len(out)-1), rng.Intn(len(out)-1)
 			out[i].Priority, out[j].Priority = out[j].Priority, out[i].Priority
 		}
-	case 1: // retarget or flip an action
+	case 1: // retarget or flip an action (a count rule forwards too)
 		i := rng.Intn(len(out))
-		if out[i].Action.Kind == flowspace.ActForward && rng.Float64() < 0.5 {
+		if out[i].Action.Kind != flowspace.ActDrop && rng.Float64() < 0.5 {
 			out[i].Action = flowspace.Action{Kind: flowspace.ActDrop}
 		} else {
 			out[i].Action = flowspace.Action{Kind: flowspace.ActForward, Arg: uint32(rng.Intn(nsw))}
@@ -423,5 +436,5 @@ func mutatePolicy(rng *rand.Rand, policy []flowspace.Rule, nsw int) []flowspace.
 			out = append(out[:i], out[i+1:]...)
 		}
 	}
-	return out
+	return withCounts(out)
 }

@@ -21,11 +21,13 @@ import (
 // uncontended atomic add.
 type Stats struct {
 	// CacheHits/AuthorityHits/PartitionHits count which table terminated
-	// classification.
+	// classification; AuthorityHits also counts the redirects the
+	// authority table answered (core.Generation.Answer).
 	CacheHits     atomic.Uint64
 	AuthorityHits atomic.Uint64
 	PartitionHits atomic.Uint64
-	// Misses counts packets matching no table (policy holes).
+	// Misses counts packets matching no table (unreachable: their
+	// partition rules were withdrawn).
 	Misses atomic.Uint64
 }
 

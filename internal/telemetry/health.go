@@ -17,8 +17,8 @@ const (
 // enough traffic moved in a window to make the ratio meaningful.
 type HealthConfig struct {
 	// MissRateMax fires miss-rate-burn when redirects (partition hits)
-	// exceed this fraction of all classifications in a window (default
-	// 0.75 — a sustained burn, not a cold-start blip).
+	// exceed this fraction of cache plus partition hits in a window
+	// (default 0.75 — a sustained burn, not a cold-start blip).
 	MissRateMax float64
 	// MinClassified is the per-window classification floor for the
 	// miss-rate rule (default 500).
@@ -161,8 +161,8 @@ func DefaultHealthRules(cfg HealthConfig) []HealthRule {
 			Name: "miss-rate-burn", Severity: SevWarn,
 			Help: "redirects dominate classifications: the cache is not absorbing the working set",
 			Eval: func(v *HealthView) (bool, float64, string) {
-				hits := v.Delta("difane_switch_cache_hits_total") +
-					v.Delta("difane_switch_authority_hits_total")
+				// Not authority hits: those count the redirects answered too.
+				hits := v.Delta("difane_switch_cache_hits_total")
 				redirects := v.Delta("difane_switch_partition_hits_total")
 				total := hits + redirects
 				if total < cfg.MinClassified {

@@ -97,6 +97,16 @@ func TestMissRateBurnFiresAndClears(t *testing.T) {
 	if s.Firing || s.SinceNS != 0 {
 		t.Fatalf("rule must clear on a healthy window: %+v", s)
 	}
+
+	// Window 3: redirects dominate again, and the authority switches count
+	// every one they answer. Those hits are the misses, not the cache
+	// absorbing them: the rule must fire on the 900 of 1000 still.
+	f.cacheHits += 100
+	f.partitionHits += 900
+	f.authorityHits += 900
+	if s = statusOf(t, w.EvalOnce(4e9), "miss-rate-burn"); !s.Firing || s.Value < 0.89 || s.Value > 0.91 {
+		t.Fatalf("miss-rate-burn = %+v with the answered redirects counted, want firing at ~0.9", s)
+	}
 }
 
 func TestMissRateFloorKeepsColdStartQuiet(t *testing.T) {

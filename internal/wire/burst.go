@@ -1,20 +1,20 @@
 package wire
 
-// The burst engine: one pass of a switch's data plane over a vector of
+// The burst engine: wire mode's transport for the packet decisions core
+// makes for every backend (core.IngressStep, core.Generation.Answer,
+// core.AnswerStep), one pass of a switch's data plane over a vector of
 // frames, VPP-style. The frames are read where they lie, in the slots of
 // the switch's input rings, and released only after the pass. A burst is
 // split into deliveries (tunnels terminating here), authority work
 // (redirects targeting here), and fresh classifications; the
 // classification vector runs through one TCAM read-lock acquisition per
-// table (switchsim.ClassifyBurst), authority misses are resolved under one
-// node lock, and everything leaving the switch is written straight into a
-// slot reserved on its destination's ring, each destination's reservations
-// published with one commit at the end of the burst — one frame write per
-// hop, no burst copy, no staging bucket. Measurement shards likewise take
-// one update per burst: one latency-mutex acquisition for all deliveries,
-// one completed bump for the batch. All scratch state lives in a
-// per-goroutine burstScratch, so the steady-state cache-hit path allocates
-// nothing.
+// table (switchsim.ClassifyBurst), authority misses are answered under one
+// node lock and one view, and everything leaving the switch is written
+// straight into a slot reserved on its destination's ring, each
+// destination's reservations published with one commit at the end of the
+// burst. Measurement shards likewise take one update per burst for the
+// deliveries. All scratch state lives in a per-goroutine burstScratch, so
+// the steady-state cache-hit path allocates nothing.
 
 import (
 	"time"
@@ -32,7 +32,7 @@ import (
 // the per-destination counts) and resliced per burst.
 type burstScratch struct {
 	// run is the generation the switch answers from (dataLoop's adopt).
-	run *generation
+	run *core.Generation
 
 	// frames points at the burst's frames in the slots of the input rings,
 	// gathered by dataLoop; held lists how many each ring lent, for it to
@@ -147,7 +147,7 @@ func (c *Cluster) processBurst(n *node, s *burstScratch, frames []*dataFrame) {
 		res := s.results[:len(s.cidx)]
 		n.sw.ClassifyBurst(now, s.keys, s.sizes, res)
 		for j, i := range s.cidx {
-			c.applyVerdict(n, s, frames[i], i, &res[j])
+			c.ingressStep(n, s, frames[i], i, &res[j])
 		}
 	}
 	if len(s.authIdx) > 0 {
@@ -157,83 +157,64 @@ func (c *Cluster) processBurst(n *node, s *burstScratch, frames []*dataFrame) {
 	c.flushForwards(n, s)
 }
 
-// applyVerdict acts on one classified frame: drop, stage a tunnel toward
-// its egress, or stage a redirect toward its authority switch.
-func (c *Cluster) applyVerdict(n *node, s *burstScratch, f *dataFrame, i int, res *switchsim.Result) {
-	h := &f.hdr
-	if !res.OK {
-		c.drop(n.stats, dropHole)
-		c.traceVerdict(n.id, telemetry.VDropHole, 0, h, 0, f.trace)
+// ingressStep takes the step core decides for one classified frame: end
+// it, stage a tunnel toward its egress, or stage a redirect toward its
+// authority switch.
+func (c *Cluster) ingressStep(n *node, s *burstScratch, f *dataFrame, i int, res *switchsim.Result) {
+	st := core.IngressStep(res)
+	if st.Kind != core.VerdictDelivered {
+		var ruleID uint64
+		if res.OK {
+			ruleID = res.Rule.ID
+		}
+		c.drop(n.stats, n.id, st.Kind, ruleID, f)
 		return
 	}
-	switch res.Rule.Action.Kind {
-	case flowspace.ActDrop:
-		// Policy drop at the ingress (cached decision): intentional.
-		c.policyDrop(n.stats, false)
-		c.traceVerdict(n.id, telemetry.VDropPolicy, res.Rule.ID, h, 0, f.trace)
-	case flowspace.ActForward:
-		if c.TracePkt(f.trace) {
-			c.Span(telemetry.Event{
-				Kind: telemetry.EvForward, Node: n.id, Peer: res.Rule.Action.Arg,
-				Table: uint8(res.Table), RuleID: res.Rule.ID, Flow: flowOf(h),
-				Trace: f.trace,
-			})
-		}
-		c.stageTunnel(n, s, res.Rule.Action.Arg, f, i)
-	case flowspace.ActRedirect:
+	ev := telemetry.EvForward
+	if st.Redirect {
 		// Miss-storm protection: an ingress over its redirect budget sheds
 		// the packet here, in its own data plane, instead of piling onto
 		// the authority switch's queue.
 		if !n.redirectTB.Allow() {
-			c.shedRedirect(n.stats)
-			if c.TracePkt(f.trace) {
-				c.Span(telemetry.Event{
-					Kind: telemetry.EvShed, Node: n.id,
-					Verdict: telemetry.VShedRedirect, Flow: flowOf(h),
-					Trace: f.trace,
-				})
-			}
+			c.shedRedirect(n, f)
 			return
 		}
-		target := res.Rule.Action.Arg
-		if !c.nodeUsable(target) {
+		if !c.nodeUsable(st.To) {
 			// The failure detector marked the target dead: fail over to
 			// the backup locally, in the data plane, without a controller
 			// round trip.
-			next, ok := c.failoverLocal(n, s.run, *res.Rule, target)
+			next, ok := c.failoverLocal(n, s.run, *res.Rule, st.To)
 			if !ok {
-				c.drop(n.stats, dropUnreachable)
-				c.traceVerdict(n.id, telemetry.VUnreachable, res.Rule.ID, h, 0, f.trace)
+				c.drop(n.stats, n.id, core.VerdictUnreachable, res.Rule.ID, f)
 				return
 			}
-			target = next
+			st.To = next
 		}
-		if c.TracePkt(f.trace) {
-			c.Span(telemetry.Event{
-				Kind: telemetry.EvRedirect, Node: n.id, Peer: target,
-				Table: uint8(res.Table), RuleID: res.Rule.ID, Flow: flowOf(h),
-				Trace: f.trace,
-			})
-		}
-		f.via = s.run.via()
-		f.reason, f.encapBy = packet.EncapRedirect, uint16(n.slot)
-		n.stats.redirects.Add(1)
-		s.noteRedirect(target)
-		c.stageForward(n, s, target, f)
-	default:
-		c.drop(n.stats, dropHole)
-		c.traceVerdict(n.id, telemetry.VDropHole, res.Rule.ID, h, 0, f.trace)
+		ev = telemetry.EvRedirect
 	}
+	if c.TracePkt(f.trace) {
+		c.Span(telemetry.Event{
+			Kind: ev, Node: n.id, Peer: st.To,
+			Table: uint8(res.Table), RuleID: res.Rule.ID, Flow: flowOf(&f.hdr),
+			Trace: f.trace,
+		})
+	}
+	if !st.Redirect {
+		c.stageTunnel(n, s, st.To, f, i)
+		return
+	}
+	f.via = s.run.Via()
+	f.reason, f.encapBy = packet.EncapRedirect, uint16(n.slot)
+	n.stats.redirects.Add(1)
+	s.noteRedirect(st.To)
+	c.stageForward(n, s, st.To, f)
 }
 
-// authorityBurst runs the partition logic for the burst's redirected
-// packets: the switch's authority table, under one view, says which rule
-// each one matches — looking in the band of the generation its ingress
-// classified it under alone (what a consistent update has staged beside it,
-// or not yet collected, answers nothing) — and the hit's partition band
-// which of that generation's handlers generates its cache rules, all under
-// one acquisition of the node lock (taken before the table's read lock,
-// never inside it). Installs and verdicts come after both.
+// authorityBurst answers the burst's redirected packets: each from the
+// generation its ingress classified it under (core.Generation.Answer), all
+// under one view of the authority table and one acquisition of the node
+// lock (taken before the table's read lock, never inside it). Installs and
+// the steps core decides come after both.
 func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []*dataFrame) {
 	// Processing redirected packets is the data-plane liveness signal the
 	// redirect-timeout detector watches for; once per burst is enough.
@@ -249,58 +230,31 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []*dataFrame) 
 	n.mu.Lock()
 	v := n.sw.Table(proto.TableAuthority).AcquireView()
 	for j, i := range s.authIdx {
-		res[j] = core.MissResult{}
-		g := s.run.answering(frames[i].via)
-		if entry := v.LookupBand(now, &keys[j], int(frames[i].size), core.GenerationMask, g.Generation); entry != nil {
-			if a := g.auths[core.HandlerKey{Host: n.id, Part: core.AuthorityEntryPartition(entry.ID)}]; a != nil {
-				res[j] = a.Answer(entry, &keys[j])
-			}
-		}
+		_, res[j] = s.run.Answering(frames[i].via).Answer(n.sw, &v, &keys[j], int(frames[i].size), now)
 	}
 	v.Release()
 	n.mu.Unlock()
 	for j, i := range s.authIdx {
 		f := frames[i]
-		h := &f.hdr
 		ingress := c.nodes[f.encapBy].id
 		f.reason = 0 // decapsulate
 		r := &res[j]
-		if !r.OK {
-			c.drop(n.stats, dropHole)
-			c.traceVerdict(n.id, telemetry.VDropHole, 0, h, 0, f.trace)
-			continue
-		}
-		if c.TracePkt(f.trace) {
+		if r.OK && c.TracePkt(f.trace) {
 			c.Span(telemetry.Event{
 				Kind: telemetry.EvAuthority, Node: n.id, Peer: ingress,
 				Table: uint8(proto.TableAuthority), RuleID: r.Rule.ID,
-				Flow: flowOf(h), Trace: f.trace,
+				Flow: flowOf(&f.hdr), Trace: f.trace,
 			})
 		}
 		if len(r.CacheMods) > 0 {
-			c.queueInstall(n, ingress, install{s.run.answering(f.via).seq, f.trace, r.CacheMods}, h)
+			c.queueInstall(n, ingress, core.Install{Seq: s.run.Answering(f.via).Seq, Trace: f.trace, Mods: r.CacheMods}, &f.hdr)
 		}
-		switch r.Rule.Action.Kind {
-		case flowspace.ActDrop:
-			// Policy drop at the authority: a completed (negative) flow setup.
-			c.policyDrop(n.stats, true)
-			c.traceVerdict(n.id, telemetry.VDropPolicy, r.Rule.ID, h, 0, f.trace)
-		case flowspace.ActForward:
-			c.stageTunnel(n, s, r.Rule.Action.Arg, f, i)
-		default:
-			c.drop(n.stats, dropHole)
-			c.traceVerdict(n.id, telemetry.VDropHole, r.Rule.ID, h, 0, f.trace)
+		if st := core.AnswerStep(r); st.Kind == core.VerdictDelivered {
+			c.stageTunnel(n, s, st.To, f, i)
+		} else {
+			c.drop(n.stats, n.id, st.Kind, r.Rule.ID, f)
 		}
 	}
-}
-
-// install is a cache install on its way from an authority switch to the
-// ingress: the FlowMods, the packet's trace ID, and the seq of the
-// generation that answered.
-type install struct {
-	seq   uint64
-	trace uint64
-	mods  []proto.FlowMod
 }
 
 // queueInstall hands a cache install from authority switch n straight to
@@ -309,33 +263,18 @@ type install struct {
 // its install budget, the ingress is unknown or killed, or its queue is
 // full. The packet itself still forwards, so shedding costs future
 // redirects, not reachability.
-func (c *Cluster) queueInstall(n *node, ingress uint32, m install, h *packet.Header) {
-	trace := m.trace
+func (c *Cluster) queueInstall(n *node, ingress uint32, m core.Install, h *packet.Header) {
 	shed := func() {
 		n.stats.cacheInstallsShed.Add(1)
-		if c.TracePkt(trace) {
-			c.Span(telemetry.Event{
-				Kind: telemetry.EvShed, Node: n.id,
-				Verdict: telemetry.VShedInstall, Flow: flowOf(h),
-				Trace: trace,
-			})
-		}
+		c.traceShed(n.id, telemetry.VShedInstall, h, m.Trace)
 	}
 	dst, ok := c.switches[ingress]
 	if !ok || dst.killed.Load() || !n.installTB.Allow() {
 		shed()
 		return
 	}
-	if trace != 0 && c.TracingEnabled() {
-		var ruleID uint64
-		if len(m.mods) > 0 {
-			ruleID = m.mods[0].Rule.ID
-		}
-		c.Span(telemetry.Event{
-			Kind: telemetry.EvInstallTriggered, Node: n.id, Peer: ingress,
-			Table: uint8(proto.TableCache), RuleID: ruleID,
-			Flow: flowOf(h), Trace: trace,
-		})
+	if m.Trace != 0 {
+		m.Sent(c.Probe, n.id, ingress, flowOf(h))
 	}
 	// Counted before the send, so drained() never sees the install in
 	// neither place; the ingress's data goroutine applies it (applyInstalls).
@@ -349,31 +288,15 @@ func (c *Cluster) queueInstall(n *node, ingress uint32, m install, h *packet.Hea
 	}
 }
 
-// applyInstalls applies every cache install queued for this switch and
-// answered by seq, the generation it answers from, and drops the others:
-// their rules are of a policy its packets no longer follow. Its data
-// goroutine calls it between bursts, so no tcam.View is held, and an
-// install a packet triggered lands before the next burst's lookups.
-func (c *Cluster) applyInstalls(n *node, seq uint64) {
+// applyInstalls applies every cache install queued for this switch, whose
+// data plane answers from run (core.Install.Apply). Its data goroutine
+// calls it between bursts, so no tcam.View is held, and an install a
+// packet triggered lands before the next burst's lookups.
+func (c *Cluster) applyInstalls(n *node, run *core.Generation) {
 	for {
 		select {
 		case m := <-n.installQ:
-			if m.seq != seq {
-				m.mods = nil
-			}
-			now := nowSec()
-			for i := range m.mods {
-				_ = n.sw.ApplyFlowMod(now, &m.mods[i])
-			}
-			// When the triggering packet was sampled, land the install in
-			// its journey (the untraced per-rule EvInstall hook events fire
-			// regardless).
-			if m.trace != 0 && len(m.mods) > 0 && c.TracingEnabled() {
-				c.Span(telemetry.Event{
-					Kind: telemetry.EvInstall, Node: n.id,
-					Table: uint8(proto.TableCache), RuleID: m.mods[0].Rule.ID, Trace: m.trace,
-				})
-			}
+			m.Apply(c.Probe, n.sw, run, nowSec())
 			if n.installsPending.Add(-1) == 0 {
 				c.wakeIfQuiet()
 			}
@@ -403,18 +326,17 @@ func (c *Cluster) stageTunnel(n *node, s *burstScratch, egress uint32, f *dataFr
 func (c *Cluster) stageForward(src *node, s *burstScratch, to uint32, f *dataFrame) {
 	dst, ok := c.switches[to]
 	if !ok {
-		c.drop(src.stats, dropUnreachable)
+		c.drop(src.stats, src.id, core.VerdictUnreachable, 0, f)
 		return
 	}
 	k := s.staged[dst.slot]
 	slot := dst.ring(src.slot).reserve(k)
 	if slot == nil {
-		kind, verdict := dropQueue, telemetry.VDropQueue
+		kind := core.VerdictQueueDrop
 		if dst.killed.Load() {
-			kind, verdict = dropUnreachable, telemetry.VUnreachable
+			kind = core.VerdictUnreachable
 		}
-		c.drop(src.stats, kind)
-		c.traceVerdict(src.id, verdict, 0, &f.hdr, 0, f.trace)
+		c.drop(src.stats, src.id, kind, 0, f)
 		return
 	}
 	*slot = *f
@@ -488,9 +410,7 @@ func (c *Cluster) flushForwards(src *node, s *burstScratch) {
 			// wait. Leave them unpublished and account them as unreachable,
 			// exactly like the simulator's dead-egress path.
 			for i := 0; i < k; i++ {
-				f := ring.reserve(i)
-				c.drop(src.stats, dropUnreachable)
-				c.traceVerdict(src.id, telemetry.VUnreachable, 0, &f.hdr, 0, f.trace)
+				c.drop(src.stats, src.id, core.VerdictUnreachable, 0, ring.reserve(i))
 			}
 			continue
 		}

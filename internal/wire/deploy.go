@@ -62,12 +62,11 @@ func (d *Deployment) injectRetry(ingress uint32, h packet.Header, size int, trac
 		}
 		n, ok := d.C.switches[ingress]
 		if !ok || n.killed.Load() || d.C.closed.Load() || time.Now().After(deadline) {
-			d.C.drop(d.C.ext, dropUnreachable)
-			d.C.wakeIfQuiet()
 			// Open and close the journey at the rejecting ingress, so a
 			// sampled packet lost to injection failure still assembles.
 			d.C.traceIngress(ingress, &h, trace)
-			d.C.traceVerdict(ingress, telemetry.VUnreachable, 0, &h, 0, trace)
+			d.C.drop(d.C.ext, ingress, core.VerdictUnreachable, 0, &dataFrame{hdr: h, trace: trace})
+			d.C.wakeIfQuiet()
 			d.injected.Add(1)
 			return
 		}

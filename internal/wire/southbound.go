@@ -117,13 +117,7 @@ func (s *southbound) Stats(sw uint32, t proto.Table) []tcam.Entry {
 // answering from the generation before.
 func (s *southbound) Commit(r core.Running, flush bool) {
 	c := s.c
-	g := &generation{Running: r, flush: flush,
-		auths: core.Handlers(r.Assignment, c.cfg.Strategy, c.cache, c.cfg.CacheIdle, c.cfg.CacheHard)}
-	if prev := c.run.Load(); prev != nil {
-		p := *prev
-		p.prev = nil
-		g.seq, g.prev = prev.seq+1, &p
-	}
+	g := core.NextGeneration(c.run.Load(), r, flush, c.cfg.Strategy, c.cache, c.cfg.CacheIdle, c.cfg.CacheHard)
 	// Published only once the followers hold the commit's record, and never
 	// by a deposed controller: its successor's Resume commits.
 	if !s.replicate() {
@@ -162,45 +156,16 @@ func (s *southbound) Note(generation uint64, withdraw bool, n uint64) {
 // boot, from a control frame after) or the ingress-local failover's.
 func (n *node) apply(mod *proto.FlowMod) error { return n.sw.ApplyFlowMod(nowSec(), mod) }
 
-// generation is what the data plane answers from between two commits,
-// published whole by each (Cluster.run) and read by a switch's data
-// goroutine once per burst: the assignment (and so each partition's
-// failover order), the band of the authority tables, and the miss handlers.
-type generation struct {
-	core.Running
-	// seq counts commits; a redirect carries its parity (via).
-	seq   uint64
-	flush bool
-	auths map[core.HandlerKey]*core.Authority
-	// prev is the generation before, for the redirects sent under it and
-	// answered after the commit (its own prev is nil).
-	prev *generation
-}
-
-// via is what a redirect sent under g carries in dataFrame.via.
-func (g *generation) via() uint8 { return 1 + uint8(g.seq&1) }
-
-// answering returns the generation a redirect carrying via is answered
-// from: the one its ingress classified it under, so that a packet follows
-// the policy its ingress was in, whatever the authority switch has moved
-// on to since.
-func (g *generation) answering(via uint8) *generation {
-	if g.prev == nil || via == g.via() {
-		return g
-	}
-	return g.prev
-}
-
-// adopt moves n's data plane onto g between two bursts: from here on its
-// own authority lookups read g's band, its redirects carry g's via and
-// follow g's partition rules, and, if g flushes, its cache holds no rule
-// from before (applyInstalls drops one answered under another generation).
-// The partition rules are those the controller sends after the commit
-// (wire has no topology: primary, then backup), taken here so that no
-// redirect reaches a switch that hosts its region in the other generation
-// alone.
-func (c *Cluster) adopt(n *node, g *generation) {
-	if g.flush {
+// adopt moves n's data plane onto g, the generation published by the last
+// commit (Cluster.run), between two bursts: from here on its own authority
+// lookups read g's band, its redirects carry g's via and follow g's
+// partition rules, and, if g flushes, its cache holds no rule from before
+// (applyInstalls drops one answered under another generation). The
+// partition rules are those the controller sends after the commit (wire
+// has no topology: primary, then backup), taken here so that no redirect
+// reaches a switch that hosts its region in the other generation alone.
+func (c *Cluster) adopt(n *node, g *core.Generation) {
+	if g.Flush {
 		n.sw.ClearCache()
 	}
 	n.sw.SetAuthorityBand(core.GenerationMask, g.Generation)
@@ -266,12 +231,10 @@ func (s *southbound) run(op func(*core.Controller)) {
 // make-before-break, under traffic (core.Controller.UpdatePolicyConsistent),
 // each phase starting once every switch has answered a barrier, every
 // FlowMod fenced by the controller epoch. A redirect is answered by the
-// generation its ingress classified it under, so each ingress moves from
-// the old policy to the new at one point, its commit. Where the two
-// generations place a region on different authority switches, a redirect
-// an ingress sends between its commit and the arrival of its new partition
-// rules reaches a switch that does not serve it: a hole, as is a redirect
-// in flight across the simulator's commit. Returns once the old generation
+// generation its ingress classified it under (core.Generation.Answering),
+// as on the simulator, so each ingress moves from the old policy to the new
+// at one point, its commit, and a redirect in flight across a commit is no
+// hole. Returns once the old generation
 // is gone, nil exactly when the cluster runs policy: a controller deposed
 // mid-update returns an error unless its commit reached the journal its
 // successor resumes from (whose Reconcile then collects the old generation).

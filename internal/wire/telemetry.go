@@ -246,11 +246,11 @@ func (c *Cluster) registerMetrics() {
 	}
 	perSwitch("difane_switch_cache_hits_total", "Classifications terminated by the cache table.",
 		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Stats.CacheHits.Load()) })
-	perSwitch("difane_switch_authority_hits_total", "Classifications terminated by the authority table.",
+	perSwitch("difane_switch_authority_hits_total", "Packets the authority table answered: redirects served, and classifications at an authority switch.",
 		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Stats.AuthorityHits.Load()) })
 	perSwitch("difane_switch_partition_hits_total", "Classifications terminated by the partition table.",
 		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Stats.PartitionHits.Load()) })
-	perSwitch("difane_switch_misses_total", "Classifications matching no table (policy holes).",
+	perSwitch("difane_switch_misses_total", "Classifications matching no table (unreachable: partition rules withdrawn).",
 		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Stats.Misses.Load()) })
 	perSwitch("difane_switch_cache_entries", "Installed cache rules.",
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.sw.Table(proto.TableCache).Len()) })

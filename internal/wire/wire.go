@@ -52,7 +52,7 @@ type Cluster struct {
 	// last commit published, which every data plane reads.
 	sb    atomic.Pointer[southbound]
 	ctlMu sync.Mutex
-	run   atomic.Pointer[generation]
+	run   atomic.Pointer[core.Generation]
 	// xids numbers the controller's barriers.
 	xids atomic.Uint32
 
@@ -143,7 +143,7 @@ type node struct {
 	sw *switchsim.Switch
 
 	// cur is the generation the node's data plane answers from (adopt).
-	cur atomic.Pointer[generation]
+	cur atomic.Pointer[core.Generation]
 
 	// stats is this node's measurement shard; the hot path records
 	// deliveries and drops here without touching any other node's state.
@@ -220,7 +220,7 @@ type node struct {
 	// overflow sheds the install (counted at the authority), never the
 	// packet. installsPending counts installs queued and not yet applied,
 	// so drained() does not call a popped, half-applied install done.
-	installQ        chan install
+	installQ        chan core.Install
 	installsPending atomic.Int64
 
 	// redirectTB / installTB shed miss-storm overload (nil = unlimited).
@@ -259,7 +259,7 @@ type dataFrame struct {
 	reason  packet.EncapReason
 	// via is 0 for a packet that has not travelled via an authority
 	// switch; a redirect carries the via of the generation its ingress
-	// classified it under (generation.answering), and keeps it after.
+	// classified it under (core.Generation.Answering), and keeps it after.
 	via uint8
 }
 
@@ -349,7 +349,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 			ctrlPeer:   ctrlConn,
 			replies:    make(chan proto.Message, 16),
 			done:       make(chan struct{}),
-			installQ:   make(chan install, 256),
+			installQ:   make(chan core.Install, 256),
 			redirectTB: metrics.NewTokenBucket(cfg.Overload.RedirectRate, cfg.Overload.RedirectBurst),
 			installTB:  metrics.NewTokenBucket(cfg.Overload.CacheInstallRate, cfg.Overload.CacheInstallBurst),
 		}
@@ -537,17 +537,11 @@ func (c *Cluster) Measurements() *core.Measurements {
 	return m
 }
 
-// dropKind classifies a terminal packet loss for Measurements.
-type dropKind int
-
-const (
-	dropUnreachable dropKind = iota
-	dropHole
-	dropQueue
-)
-
-// drop records a terminal packet loss against the given measurement shard
-// (the handling node's, or c.ext on the injection path).
+// drop ends frame f at switch node with kind, any verdict but a delivery:
+// recorded against measurement shard s (the handling node's, or c.ext on the
+// injection path), and spanned when f is sampled. A policy drop of a
+// redirected packet, decided at its authority switch, completes a flow
+// setup; every other kind is a loss.
 //
 // All terminal paths record their Measurements counter BEFORE bumping
 // completed: Deployment.Run returns the moment completed catches up with
@@ -558,36 +552,34 @@ const (
 // None of them wakes Run: inside a burst, whose ring slots are still held,
 // the quiescence predicate cannot hold yet, and dataLoop wakes the waiters
 // once it has released them. The injection path wakes them itself.
-func (c *Cluster) drop(s *nodeStats, kind dropKind) {
-	c.dropped.Add(1)
+func (c *Cluster) drop(s *nodeStats, node uint32, kind core.VerdictKind, ruleID uint64, f *dataFrame) {
 	switch kind {
-	case dropHole:
+	case core.VerdictPolicyDrop:
+		s.dropPolicy.Add(1)
+		if f.via != 0 {
+			s.setupsCompleted.Add(1)
+		}
+	case core.VerdictHole:
 		s.dropHole.Add(1)
-	case dropQueue:
+	case core.VerdictQueueDrop:
 		s.dropQueue.Add(1)
 	default:
 		s.dropUnreachable.Add(1)
 	}
-	c.completed.Add(1)
-}
-
-// shedRedirect records a packet deliberately shed by the ingress redirect
-// token bucket under a miss storm.
-func (c *Cluster) shedRedirect(s *nodeStats) {
-	c.dropped.Add(1)
-	s.dropRedirectShed.Add(1)
-	c.completed.Add(1)
-}
-
-// policyDrop records an intentional drop (the packet matched a drop rule);
-// it is not counted as a loss. firstPacket marks a flow-setup decision
-// made at an authority switch.
-func (c *Cluster) policyDrop(s *nodeStats, firstPacket bool) {
-	s.dropPolicy.Add(1)
-	if firstPacket {
-		s.setupsCompleted.Add(1)
+	if kind != core.VerdictPolicyDrop {
+		c.dropped.Add(1)
 	}
 	c.completed.Add(1)
+	c.traceVerdict(node, core.VerdictCode(kind), ruleID, &f.hdr, 0, f.trace)
+}
+
+// shedRedirect records frame f deliberately shed by ingress n's redirect
+// token bucket under a miss storm.
+func (c *Cluster) shedRedirect(n *node, f *dataFrame) {
+	c.dropped.Add(1)
+	n.stats.dropRedirectShed.Add(1)
+	c.completed.Add(1)
+	c.traceShed(n.id, telemetry.VShedRedirect, &f.hdr, f.trace)
 }
 
 // dataLoop is a switch's data plane: apply the cache installs authority
@@ -610,7 +602,7 @@ func (c *Cluster) dataLoop(n *node) {
 			return
 		default:
 		}
-		c.applyInstalls(n, s.run.seq)
+		c.applyInstalls(n, s.run)
 		total := 0
 		for i := range n.in {
 			if total == len(s.frames) {
@@ -652,6 +644,14 @@ func (c *Cluster) dataLoop(n *node) {
 	}
 }
 
+// traceShed publishes the shedding of a packet, or of the cache install it
+// triggered, under overload, when tracing is on.
+func (c *Cluster) traceShed(node uint32, verdict uint8, h *packet.Header, trace uint64) {
+	if c.TracePkt(trace) {
+		c.Span(telemetry.Event{Kind: telemetry.EvShed, Node: node, Verdict: verdict, Flow: flowOf(h), Trace: trace})
+	}
+}
+
 // traceVerdict publishes a terminal packet event when tracing is on. lat
 // is the delivery latency in nanoseconds (0 for drops); trace the packet's
 // sampled trace ID (0 = unsampled).
@@ -669,7 +669,7 @@ func (c *Cluster) traceVerdict(node uint32, verdict uint8, ruleID uint64, h *pac
 // the partition's failover list under generation g — the ingress-side half
 // of DIFANE's failover, requiring no controller involvement because backup
 // authority rules are pre-installed.
-func (c *Cluster) failoverLocal(n *node, g *generation, r flowspace.Rule, dead uint32) (uint32, bool) {
+func (c *Cluster) failoverLocal(n *node, g *core.Generation, r flowspace.Rule, dead uint32) (uint32, bool) {
 	idx, ok := g.Assignment.PartitionOfRuleID(core.PartitionIDBase, r.ID)
 	if !ok {
 		return 0, false
