@@ -330,7 +330,7 @@ func (c *Cluster) stageForward(src *node, s *burstScratch, to uint32, f *dataFra
 		return
 	}
 	k := s.staged[dst.slot]
-	slot := dst.ring(src.slot).reserve(k)
+	slot := dst.in[src.slot].reserve(k)
 	if slot == nil {
 		kind := core.VerdictQueueDrop
 		if dst.killed.Load() {
@@ -401,7 +401,7 @@ func (c *Cluster) flushForwards(src *node, s *burstScratch) {
 		k := s.staged[slot]
 		s.staged[slot] = 0
 		dst := c.nodes[slot]
-		ring := dst.ring(src.slot)
+		ring := dst.in[src.slot]
 		if dst.killed.Load() {
 			// A killed switch's rings would happily take the frames, but its
 			// data goroutine is gone: the packets would sit there forever,

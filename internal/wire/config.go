@@ -80,12 +80,10 @@ const fabricBurst = 64
 const healthInterval = time.Second
 
 // ringDepth is the depth of each per-producer SPSC data ring: QueueDepth
-// rounded up to a power of two so occupancy math is a mask. Every switch
-// has one ring slot per peer switch plus one injection slot; small
-// clusters pre-populate every slot at boot, while large ones allocate
-// rings lazily on first use so memory scales with the producer→consumer
-// pairs traffic actually exercises — not with switches². Worst-case
-// buffering per switch is (peers+1)·ringDepth frames.
+// rounded up to a power of two. Every switch has one ring per peer switch
+// plus one for injection, so worst-case buffering per switch is
+// (peers+1)·ringDepth frames; a ring holds memory only for the pages its
+// frames in flight occupy.
 func (cfg *ClusterConfig) ringDepth() int { return ceilPow2(cfg.QueueDepth) }
 
 // HeartbeatConfig tunes the heartbeat-based failure detector between the

@@ -82,7 +82,7 @@ func TestStagedForwardToKilledDestination(t *testing.T) {
 		f := dataFrame{hdr: httpHeader(uint32(i)), size: 100}
 		c.stageForward(src, s, dst.id, &f)
 	}
-	ring := dst.ring(src.slot)
+	ring := dst.in[src.slot]
 	if ring.len() != 0 {
 		t.Fatalf("%d staged frames visible before the commit", ring.len())
 	}

@@ -90,8 +90,8 @@ func (c *Cluster) ControllerDown() bool { return c.ctrlDown.Load() }
 // one deposed, while none is).
 func (c *Cluster) Epoch() uint64 { return c.sb.Load().ctl.Epoch }
 
-// PeakQueueDepth returns the highest data-queue occupancy any switch has
-// seen — the bounded-queue evidence the miss-storm bench reports.
+// PeakQueueDepth returns the deepest any switch's input ring has been —
+// the bounded-queue evidence the miss-storm bench reports.
 func (c *Cluster) PeakQueueDepth() int {
 	max := int64(0)
 	for _, n := range c.switches {

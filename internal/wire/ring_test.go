@@ -3,8 +3,10 @@ package wire
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
+	"difane/internal/flowspace"
 	"difane/internal/packet"
 )
 
@@ -92,8 +94,8 @@ func TestFrameRingWraparound(t *testing.T) {
 	const depth = 8
 	const total = 50_000
 	r := newFrameRing(depth)
-	if len(r.buf) != depth {
-		t.Fatalf("ring depth = %d, want %d", len(r.buf), depth)
+	if r.size != depth {
+		t.Fatalf("ring capacity = %d, want %d", r.size, depth)
 	}
 	done := consumeFrames(r, total)
 	for seq := uint64(0); seq < total; {
@@ -212,8 +214,9 @@ func TestFrameRingBackpressure(t *testing.T) {
 // into peeked, committed-but-unpeeked and free slots, at every offset of
 // the cursors around the index space, the producer is handed exactly the
 // free slots — never one the consumer has peeked and not released — and
-// filling all of them leaves every peeked frame as it was. Partial releases
-// hand back the oldest slots first.
+// filling all of them leaves every peeked frame as it was. Each release of
+// one frame makes exactly one more slot reservable, none of the frames
+// still held.
 func TestFrameRingNeverReservesPeekedSlot(t *testing.T) {
 	const depth = 8
 	r := newFrameRing(depth)
@@ -254,11 +257,15 @@ func TestFrameRingNeverReservesPeekedSlot(t *testing.T) {
 					}
 				}
 				// Release the held frames one at a time: each frees exactly
-				// the oldest slot.
+				// one slot, and it is none of those still held.
 				for i := 0; i < n; i++ {
 					r.release(1)
-					if f := r.reserve(free + i); f != out[i] {
-						t.Fatalf("offset %d: release %d freed %p, want the oldest peeked slot %p", offset, i, f, out[i])
+					f := r.reserve(free + i)
+					if f == nil || r.reserve(free+i+1) != nil {
+						t.Fatalf("offset %d: release %d did not free exactly one slot", offset, i)
+					}
+					if slices.Contains(out[i+1:n], f) {
+						t.Fatalf("offset %d: release %d freed a slot still held", offset, i)
 					}
 				}
 				// Drain the rest so the next case starts empty.
@@ -272,5 +279,181 @@ func TestFrameRingNeverReservesPeekedSlot(t *testing.T) {
 		*r.reserve(0) = dataFrame{}
 		r.commit(1)
 		r.release(r.peekBurst(out))
+	}
+}
+
+// pagesHeld counts the pages r holds, in its table or on its free list.
+// Producer side only.
+func pagesHeld(r *frameRing) int {
+	n := len(r.free)
+	for _, p := range r.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFrameRingRecyclesPages: a ring's memory follows the frames in flight,
+// not its depth. Steady traffic with at most 64 frames in a ring of 16,384
+// turns pages over hundreds of times on two pages, allocating nothing once
+// warm; filled from there, the ring at occupancy k holds at most
+// ⌈k/256⌉+1 pages. The concurrent run checks the page hand-over between
+// consumer and producer under -race, frames intact.
+func TestFrameRingRecyclesPages(t *testing.T) {
+	const depth, inFlight, turnovers = 16384, 64, 120
+	t.Run("one goroutine", func(t *testing.T) {
+		r := newFrameRing(depth)
+		out := make([]*dataFrame, inFlight)
+		var seq, next uint64
+		most := 0
+		var bad error
+		// step moves one page's worth of frames through r: bursts of up to
+		// 48 in and 37 out, never more than inFlight in the ring.
+		step := func() {
+			for end := next + pageFrames; next < end; {
+				k := 0
+				for ; k < 48 && r.len()+k < inFlight; k++ {
+					*r.reserve(k) = testFrame(seq + uint64(k))
+				}
+				r.commit(k)
+				seq += uint64(k)
+				most = max(most, pagesHeld(r))
+				n := r.peekBurst(out[:37])
+				for i := range n {
+					if err := checkFrame(out[i], next+uint64(i)); err != nil && bad == nil {
+						bad = err
+					}
+				}
+				r.release(n)
+				next += uint64(n)
+			}
+		}
+		allocs := testing.AllocsPerRun(turnovers, step)
+		if bad != nil {
+			t.Fatal(bad)
+		}
+		if most > 2 {
+			t.Fatalf("%d pages held with at most %d frames in flight, want ≤ 2", most, inFlight)
+		}
+		if allocs != 0 && !raceEnabled {
+			t.Fatalf("%v allocations per page turnover after warm-up, want 0", allocs)
+		}
+		r.release(r.peekBurst(out))
+		for k := 1; k <= depth; k++ {
+			*r.reserve(0) = dataFrame{}
+			r.commit(1)
+			if held, bound := pagesHeld(r), (k+pageFrames-1)/pageFrames+1; held > bound {
+				t.Fatalf("occupancy %d: %d pages held, want ≤ %d", k, held, bound)
+			}
+		}
+	})
+	t.Run("concurrent consumer", func(t *testing.T) {
+		const total = turnovers * pageFrames
+		r := newFrameRing(depth)
+		done := consumeFrames(r, total)
+		for seq := uint64(0); seq < total; {
+			k := 0
+			for ; k < 48 && r.len()+k < inFlight && seq+uint64(k) < total; k++ {
+				*r.reserve(k) = testFrame(seq + uint64(k))
+			}
+			if k == 0 {
+				yieldToConsumer(t, done)
+			}
+			r.commit(k)
+			seq += uint64(k)
+			if held := pagesHeld(r); held > 2 {
+				t.Fatalf("%d pages held with at most %d frames in flight, want ≤ 2", held, inFlight)
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkFrameRing moves frames from a producer goroutine to a consumer
+// goroutine in bursts of up to 64, as switches hand them on: ns/op is per
+// frame.
+func BenchmarkFrameRing(b *testing.B) {
+	const burst = fabricBurst
+	r := newFrameRing(1024)
+	total := uint64(b.N)
+	done := make(chan struct{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	go func() {
+		out := make([]*dataFrame, burst)
+		for got := uint64(0); got < total; {
+			n := r.peekBurst(out)
+			if n == 0 {
+				runtime.Gosched()
+				continue
+			}
+			for _, f := range out[:n] {
+				f.reason = 0
+			}
+			r.release(n)
+			got += uint64(n)
+		}
+		close(done)
+	}()
+	for seq := uint64(0); seq < total; {
+		k := 0
+		for ; k < burst && seq+uint64(k) < total; k++ {
+			f := r.reserve(k)
+			if f == nil {
+				break
+			}
+			f.injected = int64(seq + uint64(k))
+		}
+		if k == 0 {
+			runtime.Gosched()
+			continue
+		}
+		r.commit(k)
+		seq += uint64(k)
+	}
+	<-done
+}
+
+// TestRingMemoryTracksTraffic: a 16-switch cluster at QueueDepth 16,384 has
+// 16×17 input rings of 16,384 one-cache-line slots, 272 MiB were each
+// allocated whole. Carrying one packet per (ingress, egress) pair to
+// quiescence, its live heap grows by what the traffic holds instead.
+func TestRingMemoryTracksTraffic(t *testing.T) {
+	const switches, budget = 16, 32 << 20
+	ids := make([]uint32, switches)
+	policy := make([]flowspace.Rule, switches)
+	for i := range ids {
+		ids[i] = uint32(i)
+		policy[i] = flowspace.Rule{ID: uint64(i + 1), Priority: 10,
+			Match:  flowspace.MatchAll().WithExact(flowspace.FIPDst, uint64(i)),
+			Action: flowspace.Action{Kind: flowspace.ActForward, Arg: uint32(i)}}
+	}
+	before := liveHeap()
+	c := startCluster(t, slack(ClusterConfig{
+		Switches:    ids,
+		Authorities: []uint32{0, 5, 10, 15},
+		Policy:      policy,
+		QueueDepth:  16384,
+	}))
+	d := Deploy(c)
+	for _, in := range ids {
+		for _, eg := range ids {
+			h := httpHeader(in)
+			h.IPDst = eg
+			d.InjectPacket(0, in, h.Key(), 100, 0)
+		}
+	}
+	d.Run(10)
+	if m := c.Measurements(); m.Delivered != switches*switches {
+		t.Fatalf("delivered %d of %d packets (drops %+v)", m.Delivered, switches*switches, m.Drops)
+	}
+	grew := int64(liveHeap()) - int64(before)
+	runtime.KeepAlive(c)
+	t.Logf("live heap grew %.1f MB", float64(grew)/(1<<20))
+	if grew > budget {
+		t.Fatalf("live heap grew %.1f MB, want ≤ %d MB", float64(grew)/(1<<20), budget>>20)
 	}
 }

@@ -184,20 +184,13 @@ func (c *Cluster) adopt(n *node, g *core.Generation) {
 // which no redirect sent before it waits to be answered.
 func (c *Cluster) awaitDrain(ctx context.Context, n *node) {
 	marks := make([]uint64, len(n.in))
-	for i := range n.in {
-		if r := n.in[i].Load(); r != nil {
-			marks[i] = r.tail.Load()
-		}
+	for i, r := range n.in {
+		marks[i] = r.tail.Load()
 	}
-	for !n.killed.Load() && ctx.Err() == nil {
-		done := true
-		for i := range n.in {
-			if r := n.in[i].Load(); done && r != nil && r.head.Load() < marks[i] {
-				done = false
-			}
-		}
-		if done {
-			return
+	for i := 0; i < len(n.in) && !n.killed.Load() && ctx.Err() == nil; {
+		if n.in[i].head.Load() >= marks[i] {
+			i++
+			continue
 		}
 		time.Sleep(50 * time.Microsecond)
 	}

@@ -200,13 +200,6 @@ func TestMeasurementStateIsFixedSize(t *testing.T) {
 		burst[i] = core.PacketIn{Ingress: uint32(i % 8), Key: k, Size: 100}
 	}
 	warmUntilQuiet(t, d, burst)
-	liveHeap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC() // the second cycle frees what the first one's sweep left
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	before, delivered := liveHeap(), d.Measurements().Delivered
 	for sent := 0; sent < packets; sent += window {
 		for b := 0; b < window; b += batch {
@@ -222,4 +215,13 @@ func TestMeasurementStateIsFixedSize(t *testing.T) {
 	if after > before+1<<20 {
 		t.Errorf("live heap grew by %d bytes over %d delivered packets, want < 1 MB", after-before, packets)
 	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second cycle frees what the first one's sweep left
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

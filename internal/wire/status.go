@@ -18,6 +18,8 @@ type SwitchStatus struct {
 	AuthorityHits  uint64 `json:"authority_hits"`
 	PartitionHits  uint64 `json:"partition_hits"`
 	Misses         uint64 `json:"misses"`
+	// QueueDepth is the occupancy of the switch's deepest input ring, and
+	// PeakQueueDepth the deepest any of them has been.
 	QueueDepth     int    `json:"queue_depth"`
 	PeakQueueDepth int    `json:"peak_queue_depth"`
 	Epoch          uint64 `json:"epoch"`

@@ -91,3 +91,59 @@ func TestStatusHandlerServesJSON(t *testing.T) {
 		t.Fatalf("POST status = %d", resp2.StatusCode)
 	}
 }
+
+// TestQueueGaugesShareOneDefinition: a switch's current queue depth and its
+// high-water mark both read its deepest input ring, in Status and in the
+// metrics alike. Two ingresses redirect into an authority that cannot
+// answer (its node lock held), so two of its rings fill at once: the
+// current depth must not read above the high-water mark, nor that above
+// QueueDepth.
+func TestQueueGaugesShareOneDefinition(t *testing.T) {
+	c, d := verdictCluster(t, core.StrategyExact, testPolicy())
+	auth := c.switches[2]
+	ingresses := []*node{c.switches[0], c.switches[1]}
+	const per = 100
+	auth.mu.Lock()
+	for i := uint32(0); i < per; i++ {
+		for _, n := range ingresses {
+			d.InjectPacket(0, n.id, httpHeader(n.id<<16|i).Key(), 100, 0)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for auth.in[ingresses[0].slot].len()+auth.in[ingresses[1].slot].len() < 2*per {
+		if time.Now().After(deadline) {
+			auth.mu.Unlock()
+			t.Fatal("redirects never reached the authority's rings")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	st := c.Status().Switches[2]
+	// gauge reads switch 2's point of a series, -1 when there is none (no
+	// t.Fatal while the authority's lock is held).
+	gauge := func(name string) float64 {
+		for _, m := range c.Telemetry().Metrics {
+			if m.Name == name {
+				for _, p := range m.Points {
+					if p.Labels[0].Value == "2" {
+						return p.Value
+					}
+				}
+			}
+		}
+		return -1
+	}
+	depth, peak := gauge("difane_switch_queue_depth"), gauge("difane_switch_peak_queue_depth")
+	auth.mu.Unlock()
+	d.Run(5)
+	if st.QueueDepth < per || st.QueueDepth > st.PeakQueueDepth || st.PeakQueueDepth > c.cfg.QueueDepth {
+		t.Fatalf("status: queue_depth %d, peak_queue_depth %d, QueueDepth %d: want %d ≤ queue_depth ≤ peak ≤ QueueDepth",
+			st.QueueDepth, st.PeakQueueDepth, c.cfg.QueueDepth, per)
+	}
+	if depth < per || depth > peak || peak > float64(c.cfg.QueueDepth) {
+		t.Fatalf("metrics: difane_switch_queue_depth %v, difane_switch_peak_queue_depth %v, QueueDepth %d",
+			depth, peak, c.cfg.QueueDepth)
+	}
+	if m := c.Measurements(); m.Delivered != 2*per {
+		t.Fatalf("delivered %d of %d once the authority answered", m.Delivered, 2*per)
+	}
+}

@@ -256,9 +256,9 @@ func (c *Cluster) registerMetrics() {
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.sw.Table(proto.TableCache).Len()) })
 	perSwitch("difane_switch_cache_evictions_total", "Cache entries evicted for capacity.",
 		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Table(proto.TableCache).Evictions.Load()) })
-	perSwitch("difane_switch_queue_depth", "Current input-ring occupancy (all rings).",
+	perSwitch("difane_switch_queue_depth", "Occupancy of the deepest input ring (each holds at most QueueDepth frames).",
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.queueLen()) })
-	perSwitch("difane_switch_peak_queue_depth", "Data-queue high-water mark.",
+	perSwitch("difane_switch_peak_queue_depth", "High-water mark of difane_switch_queue_depth: the deepest any input ring has been.",
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.peakQueue.Load()) })
 	perSwitch("difane_switch_epoch", "The switch's accepted install fence.",
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.epoch.Load()) })

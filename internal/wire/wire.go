@@ -22,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"difane/internal/bfd"
 	"difane/internal/core"
@@ -153,16 +152,10 @@ type node struct {
 	// is fed only by switch s's data goroutine, and in[injSlot] is the
 	// injection ring, serialized across arbitrary callers by injectMu.
 	// The node's data goroutine is the sole consumer of all of them.
-	// Slots are pre-populated at boot when the cluster-wide slot matrix
-	// is small (see eagerRingBudget in NewClusterContext) and otherwise
-	// allocate lazily on first push (see ring): the slot space is one
-	// per switch, so eager allocation is O(switches²) frames across the
-	// cluster — a 76-switch topology at difanectl's 16k queue depth
-	// would pin ~6 GB — while real traffic touches only the slots of
-	// switches that actually forward here.
-	in        []atomic.Pointer[frameRing]
-	ringDepth int
-	injectMu  sync.Mutex
+	// Every ring is built at boot and holds pages only for its frames in
+	// flight, so the O(switches²) matrix costs what the traffic holds.
+	in       []*frameRing
+	injectMu sync.Mutex
 	// notify wakes the data goroutine after a push; capacity 1 coalesces
 	// bursts of wakeups.
 	notify chan struct{}
@@ -211,7 +204,7 @@ type node struct {
 	// reportedEpoch is the last fence this switch reported upstream in an
 	// EpochReport (after rejecting a stale install).
 	reportedEpoch atomic.Uint64
-	// peakQueue tracks the high-water mark of the data queue.
+	// peakQueue is the high-water mark of queueLen (see noteQueueDepth).
 	peakQueue atomic.Int64
 
 	// installQ receives the cache installs authority switches generate for
@@ -312,21 +305,6 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	}
 	now := time.Now()
 	c.injSlot = len(cfg.Switches)
-	// Pre-populate ring slots when the whole matrix is cheap: first-touch
-	// allocation otherwise lands mid-burst once traffic starts, and the
-	// GC cycles it triggers cost ~25% of cache-hit throughput in whatever
-	// window they land in. The matrix is O(switches²), so past the budget
-	// rings are allocated lazily in node.ring, where memory tracks the
-	// producer→consumer pairs traffic actually uses: a 76-switch campus at
-	// 16k depth would pin ~6 GB, and the benchmark's shape (72 rings ×
-	// 16,384 × 64 B = 75.5 MB) is over the budget too — its rings appear on
-	// first touch during warm-up, before anything is timed, and only the
-	// pairs its traffic uses ever exist.
-	const eagerRingBudget = 64 << 20
-	ringSlots := len(cfg.Switches) * (len(cfg.Switches) + 1)
-	ringBytes := int(unsafe.Sizeof(dataFrame{}))
-	ringDepth := cfg.ringDepth()
-	eagerRings := ringSlots*ringDepth*ringBytes <= eagerRingBudget
 	for slot, id := range cfg.Switches {
 		swConn, ctrlConn, err := c.trans.connect(cctx, id)
 		if err != nil {
@@ -342,8 +320,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 				TCAMBudget:    cfg.TCAMBudget,
 			}),
 			stats:      &nodeStats{},
-			in:         make([]atomic.Pointer[frameRing], len(cfg.Switches)+1),
-			ringDepth:  ringDepth,
+			in:         make([]*frameRing, len(cfg.Switches)+1),
 			notify:     make(chan struct{}, 1),
 			ctrl:       swConn,
 			ctrlPeer:   ctrlConn,
@@ -353,10 +330,8 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 			redirectTB: metrics.NewTokenBucket(cfg.Overload.RedirectRate, cfg.Overload.RedirectBurst),
 			installTB:  metrics.NewTokenBucket(cfg.Overload.CacheInstallRate, cfg.Overload.CacheInstallBurst),
 		}
-		if eagerRings {
-			for i := range n.in {
-				n.in[i].Store(newFrameRing(ringDepth))
-			}
+		for i := range n.in {
+			n.in[i] = newFrameRing(cfg.QueueDepth)
 		}
 		n.alive.Store(true)
 		n.lastBeat.Store(now.UnixNano())
@@ -470,7 +445,7 @@ func (c *Cluster) openInjection(ingress uint32) (*node, *frameRing) {
 	if !ok || n.killed.Load() || c.closed.Load() {
 		return nil, nil
 	}
-	ring := n.ring(c.injSlot)
+	ring := n.in[c.injSlot]
 	n.injectMu.Lock()
 	return n, ring
 }
@@ -485,21 +460,6 @@ func (c *Cluster) commitInjected(n *node, ring *frameRing, k int) {
 	n.wake()
 }
 
-// ring returns the input ring fed by producer slot, allocating it on
-// first use. The CAS makes concurrent first touches of a slot safe (the
-// injection slot races only here — pushes are serialized by injectMu);
-// once published, the slot's single-producer discipline takes over.
-func (n *node) ring(slot int) *frameRing {
-	if r := n.in[slot].Load(); r != nil {
-		return r
-	}
-	r := newFrameRing(n.ringDepth)
-	if n.in[slot].CompareAndSwap(nil, r) {
-		return r
-	}
-	return n.in[slot].Load()
-}
-
 // wake nudges the node's data goroutine after a ring push.
 func (n *node) wake() {
 	select {
@@ -508,16 +468,14 @@ func (n *node) wake() {
 	}
 }
 
-// queueLen sums the node's input-ring occupancy — the burst data plane's
-// equivalent of the old single data queue's length.
+// queueLen is the occupancy of the node's deepest input ring: what
+// overflows at QueueDepth, and what peakQueue is the high-water mark of.
 func (n *node) queueLen() int {
-	total := 0
-	for i := range n.in {
-		if r := n.in[i].Load(); r != nil {
-			total += r.len()
-		}
+	deepest := 0
+	for _, r := range n.in {
+		deepest = max(deepest, r.len())
 	}
-	return total
+	return deepest
 }
 
 // Dropped returns packets shed by full queues or failed paths.
@@ -608,11 +566,9 @@ func (c *Cluster) dataLoop(n *node) {
 			if total == len(s.frames) {
 				break
 			}
-			if r := n.in[i].Load(); r != nil {
-				if k := r.peekBurst(s.frames[total:]); k > 0 {
-					total += k
-					s.held = append(s.held, heldRun{r, k})
-				}
+			if k := n.in[i].peekBurst(s.frames[total:]); k > 0 {
+				total += k
+				s.held = append(s.held, heldRun{n.in[i], k})
 			}
 		}
 		// A commit is picked up here, after the gather: a frame a switch
@@ -706,7 +662,7 @@ func (c *Cluster) nodeUsable(id uint32) bool {
 // NodeAlive reports the failure detector's verdict for a switch.
 func (c *Cluster) NodeAlive(id uint32) bool { return c.nodeUsable(id) }
 
-// noteQueueDepth records the data queue's high-water mark.
+// noteQueueDepth records the depth d of an input ring just written.
 func (n *node) noteQueueDepth(d int64) {
 	for {
 		cur := n.peakQueue.Load()
