@@ -75,7 +75,7 @@ check:
 # leader elections, epoch fencing — zero verdict divergence allowed),
 # plus the wire HA suite with its leader-churn goroutine-leak check, a
 # leader killed between an update's phases, an election that must
-# reconcile without churn, the bench guard holding BFD detection at
+# reconcile without churn (also after a load rebalance), the bench guard holding BFD detection at
 # ≤ 1/10th of the heartbeat's, and
 # the controller-free install path (new flows cached with the controller
 # dead; Run returning only once installs are applied, woken by a switch's
@@ -85,7 +85,7 @@ check:
 chaos-smoke:
 	go test -race ./internal/scencheck -run TestChaosSmoke -timeout 10m
 	go test -race ./internal/wire -timeout 10m \
-		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectionTenfoldFaster|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestElectionReconcilesWithoutChurn|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic'
+		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectionTenfoldFaster|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestElectionReconcilesWithoutChurn|TestRebalanceSurvivesElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic'
 
 # Subscriber-scale soak — not part of tier-1. Streams ≥1M modeled
 # subscriber sessions (Poisson churn, host mobility, a flash crowd and a

@@ -285,10 +285,20 @@ func AblationRebalance(o Options) *RebalanceResult {
 		return float64(max) / float64(total)
 	}
 
+	// authorityHits reads each switch's cumulative count of the redirects
+	// its authority table answered.
+	authorityHits := func() map[uint32]uint64 {
+		out := make(map[uint32]uint64, len(dn.Switches))
+		for id, sw := range dn.Switches {
+			out[id] = sw.Stats.AuthorityHits.Load()
+		}
+		return out
+	}
+
 	inject(o.Seed+80, 0)
 	dn.Run(window + 0.5)
 	res.BeforeSetups = dn.M.SetupsCompleted
-	load1 := dn.AuthorityMissLoad()
+	load1 := authorityHits()
 	res.LoadBefore = maxShare(map[uint32]uint64{}, load1)
 
 	c.RebalanceByLoad()
@@ -296,9 +306,7 @@ func AblationRebalance(o Options) *RebalanceResult {
 	inject(o.Seed+81, window+1)
 	dn.Run(2*window + 2)
 	res.AfterSetups = dn.M.SetupsCompleted - res.BeforeSetups
-	// Rebalancing replaced the partition handlers, so their miss counters
-	// restarted at zero: the post-wave counts are wave-2 loads directly.
-	res.LoadAfter = maxShare(map[uint32]uint64{}, dn.AuthorityMissLoad())
+	res.LoadAfter = maxShare(load1, authorityHits())
 	return res
 }
 

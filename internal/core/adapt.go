@@ -217,12 +217,6 @@ func (n *Network) SetCacheTimeouts(idle, hard float64) {
 	}
 }
 
-// SetCacheTimeouts is the controller-facing form of
-// Network.SetCacheTimeouts.
-func (c *Controller) SetCacheTimeouts(idle, hard float64) {
-	c.net.SetCacheTimeouts(idle, hard)
-}
-
 // SetRegionIdleTimeout overrides the idle timeout of one region's cache
 // rules on every authority handler serving it.
 func (n *Network) SetRegionIdleTimeout(region int, idle float64) {

@@ -8,7 +8,6 @@ import (
 	"difane/internal/flowspace"
 	"difane/internal/journal"
 	"difane/internal/proto"
-	"difane/internal/tcam"
 	"difane/internal/topo"
 )
 
@@ -19,14 +18,14 @@ import (
 // drives the simulator on virtual time and a wire cluster on real time.
 type Controller struct {
 	sb Southbound
-	// partition and place turn a policy into an assignment: partitions,
-	// and the authority switches that host each.
+	// topo, when set, routes each ingress to its nearest replica (unless
+	// run.PinRouting). Nil on a deployment without a topology (wire).
+	topo *topo.Graph
+	// auths are the authority switches; partition and place turn a policy
+	// into an assignment: partitions, and the authorities that host each.
+	auths     []uint32
 	partition PartitionConfig
-	place     func([]Partition) (Assignment, error)
-	// net is the simulated network: its topology routes each ingress to
-	// its nearest replica (unless run.PinRouting), and rebalancing and host
-	// invalidation read it. Nil on other deployments.
-	net *Network
+	place     func([]Partition, []uint32) (Assignment, error)
 	// run is what the deployment was last committed to.
 	run Running
 
@@ -61,31 +60,29 @@ type Controller struct {
 
 // Attach returns a controller for the deployment behind sb, running
 // nothing yet (Boot installs a policy, Resume takes one over); place
-// assigns partitions to its authority switches. Its partition rules
-// redirect to each partition's primary, then its backup.
-func Attach(sb Southbound, partition PartitionConfig, place func([]Partition) (Assignment, error)) *Controller {
-	return &Controller{sb: sb, partition: partition, place: place,
+// assigns partitions to the authority switches auths. With a topology g,
+// its partition rules redirect to each ingress's nearest replica first;
+// without one (nil), to each partition's primary, then its backup.
+func Attach(sb Southbound, g *topo.Graph, auths []uint32, partition PartitionConfig, place func([]Partition, []uint32) (Assignment, error)) *Controller {
+	return &Controller{sb: sb, topo: g, auths: auths, partition: partition, place: place,
 		FailoverDelay: 0.2, PolicyPushDelay: 0.05, Epoch: 1}
 }
 
 // NewController attaches a controller to a simulated network, taking over
 // what it runs.
 func NewController(n *Network) *Controller {
-	c := Attach(simSouthbound{n}, n.cfg.Partition, func(parts []Partition) (Assignment, error) {
-		return AssignWithReplication(parts, sortedIDs(n.authSt), n.cfg.Replication)
+	c := Attach(simSouthbound{n}, n.Topo, sortedIDs(n.authSt), n.cfg.Partition, func(parts []Partition, auths []uint32) (Assignment, error) {
+		return AssignWithReplication(parts, auths, n.cfg.Replication)
 	})
-	if c.net = n; n.gen != nil {
+	if n.gen != nil {
 		c.run = n.gen.Running
 	}
 	return c
 }
 
-// Network returns the managed simulated network (nil on other deployments).
-func (c *Controller) Network() *Network { return c.net }
-
 // assign partitions policy and places the partitions.
 func (c *Controller) assign(policy []flowspace.Rule) (Assignment, error) {
-	return c.place(BuildPartitions(policy, c.partition))
+	return c.place(BuildPartitions(policy, c.partition), c.auths)
 }
 
 // Boot installs policy on switches that hold none yet: the authority rules
@@ -299,18 +296,17 @@ func (c *Controller) OnTopologyChange() float64 {
 	return at
 }
 
-// InvalidateHost removes cache rules whose match could apply to the given
-// host address (source or destination) from every switch — the targeted
-// invalidation DIFANE uses for host mobility. Returns entries removed.
+// InvalidateHost withdraws the cache rules whose match could apply to the
+// given host address (source or destination) from every switch — the
+// targeted invalidation DIFANE uses for host mobility. Returns entries
+// removed.
 func (c *Controller) InvalidateHost(ip uint32) int {
+	covers := func(r *flowspace.Rule) bool {
+		return r.Match.Fields[flowspace.FIPSrc].Matches(uint64(ip)) || r.Match.Fields[flowspace.FIPDst].Matches(uint64(ip))
+	}
 	total := 0
-	for _, sw := range c.net.Switches {
-		tb := sw.Table(proto.TableCache)
-		total += tb.DeleteWhere(func(e tcam.Entry) bool {
-			srcHit := e.Rule.Match.Fields[flowspace.FIPSrc].Matches(uint64(ip))
-			dstHit := e.Rule.Match.Fields[flowspace.FIPDst].Matches(uint64(ip))
-			return srcHit || dstHit
-		})
+	for _, sw := range c.sb.Switches() {
+		total += len(c.withdraw(sw, proto.TableCache, covers))
 	}
 	return total
 }
@@ -322,23 +318,6 @@ func (c *Controller) adopt(a Assignment, flush bool) {
 	c.run.Assignment, c.run.Generation = a, generationOf(a)
 	c.sb.Commit(c.run, flush)
 	c.installPartitionRules()
-}
-
-// applyAssignment swaps authority state and partition rules to a new
-// assignment without touching ingress caches.
-func (c *Controller) applyAssignment(a Assignment) {
-	// Tear down the running generation's authority rules. One a consistent
-	// update has staged beside it is not this assignment's to remove: once
-	// the update commits, its handlers answer from those entries alone.
-	var deleted uint64
-	for _, sw := range c.sb.Switches() {
-		deleted += uint64(len(c.withdraw(sw, proto.TableAuthority, func(r *flowspace.Rule) bool {
-			return r.ID&GenerationMask == c.run.Generation
-		})))
-	}
-	c.sb.Note(0, true, deleted)
-	c.sb.Note(0, false, c.installAuthorityRules(a))
-	c.adopt(a, false)
 }
 
 // authorityTables returns the authority-table entries a places at each
@@ -398,7 +377,7 @@ func (c *Controller) installPartitionRules() {
 // the primary and the backup.
 func (c *Controller) routes(sw uint32) []flowspace.Rule {
 	a := c.run.Assignment
-	if c.net == nil || c.run.PinRouting {
+	if c.topo == nil || c.run.PinRouting {
 		return a.PartitionRules(PartitionIDBase)
 	}
 	return a.redirects(PartitionIDBase, func(i int) (uint32, uint32) {
@@ -430,7 +409,7 @@ func everything(*flowspace.Rule) bool { return true }
 // host, both returns are that host.
 func (c *Controller) orderByDistance(from uint32, hosts []uint32) (near, far uint32) {
 	dist := func(id uint32) float64 {
-		if d, ok := c.net.Topo.Dist(topo.NodeID(from), topo.NodeID(id)); ok {
+		if d, ok := c.topo.Dist(topo.NodeID(from), topo.NodeID(id)); ok {
 			return d
 		}
 		return math.Inf(1)

@@ -51,17 +51,30 @@ func injectSpread(n *Network, from, count int, start float64) {
 	}
 }
 
+// authorityHits reads each switch's cumulative count of the redirects its
+// authority table answered.
+func authorityHits(n *Network) map[uint32]uint64 {
+	out := make(map[uint32]uint64, len(n.Switches))
+	for id, sw := range n.Switches {
+		out[id] = sw.Stats.AuthorityHits.Load()
+	}
+	return out
+}
+
+// The controller reads a partition's load from the hit counters of its
+// authority-table entries: every miss of the wave, whichever partition.
 func TestMeasurePartitionLoad(t *testing.T) {
 	n := skewNet(t)
+	c := NewController(n)
 	injectSpread(n, 1, 40, 0)
 	n.Run(5)
-	loads := n.MeasurePartitionLoad()
+	loads := c.partitionLoad()
 	var total uint64
 	for _, l := range loads {
-		total += l.Misses
+		total += l
 	}
-	if total != 40 {
-		t.Fatalf("measured misses = %d, want 40", total)
+	if len(loads) != 2 || total != 40 {
+		t.Fatalf("measured load = %v (total %d), want 40 over 2 partitions", loads, total)
 	}
 }
 
@@ -73,7 +86,7 @@ func TestRebalanceByLoadSpreadsMissTraffic(t *testing.T) {
 	// ingresses).
 	injectSpread(n, 1, 40, 0)
 	n.Run(5)
-	before := n.AuthorityMissLoad()
+	before := authorityHits(n)
 	if before[1] != 40 || before[2] != 0 {
 		t.Fatalf("expected full concentration on authority 1, got %v", before)
 	}
@@ -83,7 +96,7 @@ func TestRebalanceByLoadSpreadsMissTraffic(t *testing.T) {
 	// Wave 2 (fresh keys): load must now split across both authorities.
 	injectSpread(n, 2, 40, 6)
 	n.Run(12)
-	after := n.AuthorityMissLoad()
+	after := authorityHits(n)
 	d1, d2 := after[1]-before[1], after[2]-before[2]
 	if d1 == 0 || d2 == 0 {
 		t.Fatalf("post-rebalance wave must hit both authorities: +%d/+%d", d1, d2)

@@ -4,11 +4,12 @@ import (
 	"difane/internal/flowspace"
 	"difane/internal/proto"
 	"difane/internal/tcam"
+	"difane/internal/topo"
 )
 
 // Southbound is the controller's one handle on a deployment: the switches
-// it programs, the clock its phases run on, and the commit point. The
-// simulator's side calls its switches directly on virtual time
+// it programs and reads, the clock its phases run on, and the commit
+// point. The simulator's side calls its switches directly on virtual time
 // (simSouthbound); wire mode's sends fenced proto frames over its control
 // channels on real time.
 type Southbound interface {
@@ -26,6 +27,8 @@ type Southbound interface {
 	Barrier(sw uint32) error
 	// Stats returns switch sw's table t, each entry with its counters.
 	Stats(sw uint32, t proto.Table) []tcam.Entry
+	// Up reports whether switch sw is running.
+	Up(sw uint32) bool
 	// Commit makes r what the data plane answers from: the authority
 	// switches' miss handlers, and the band of the authority tables that
 	// both a redirected packet and one entering at an authority switch
@@ -61,6 +64,7 @@ func (s simSouthbound) At(t float64, fn func())      { s.n.Eng.At(t, fn) }
 func (s simSouthbound) Switches() []uint32           { return sortedIDs(s.n.Switches) }
 func (s simSouthbound) Barrier(uint32) error         { return nil }
 func (s simSouthbound) Commit(r Running, flush bool) { s.n.commit(r, flush) }
+func (s simSouthbound) Up(sw uint32) bool            { return s.n.Topo.NodeUp(topo.NodeID(sw)) }
 
 func (s simSouthbound) FlowMod(sw uint32, mod proto.FlowMod) error {
 	return s.n.Switches[sw].ApplyFlowMod(s.n.Eng.Now(), &mod)

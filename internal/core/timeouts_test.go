@@ -32,6 +32,9 @@ func TestSetCacheTimeoutsPropagatesToAuthorities(t *testing.T) {
 	}
 
 	n.SetCacheTimeouts(1.5, 30)
+	if n.cfg.CacheIdle != 1.5 || n.cfg.CacheHard != 30 {
+		t.Fatalf("cfg timeouts = (%g,%g), want (1.5,30) (rebuilt authorities would revert)", n.cfg.CacheIdle, n.cfg.CacheHard)
+	}
 	for _, a := range auths {
 		if a.CacheIdleTimeout != 1.5 || a.CacheHardTimeout != 30 {
 			t.Fatalf("authority %d timeouts = (%g,%g), want (1.5,30)",
@@ -45,15 +48,21 @@ func TestSetCacheTimeoutsPropagatesToAuthorities(t *testing.T) {
 	}
 }
 
+// Timeouts set on the network must outlive the authority handlers the
+// controller builds afterwards: a policy update rebuilds them from cfg.
 func TestControllerSetCacheTimeouts(t *testing.T) {
 	n := testNet(t, NetworkConfig{CacheIdle: 5})
 	c := NewController(n)
-	c.SetCacheTimeouts(2, 0)
-	if got := missIdle(t, n.AllAuthorities()[0], flowKey(1, 80)); got != 2 {
-		t.Fatalf("miss Idle = %g, want 2", got)
-	}
+	n.SetCacheTimeouts(2, 0)
 	if n.cfg.CacheIdle != 2 {
 		t.Fatalf("cfg.CacheIdle = %g, want 2 (rebuilt authorities would revert)", n.cfg.CacheIdle)
+	}
+	if _, err := c.UpdatePolicy(n.Policy()); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(1)
+	if got := missIdle(t, n.AllAuthorities()[0], flowKey(1, 80)); got != 2 {
+		t.Fatalf("miss Idle after UpdatePolicy = %g, want 2", got)
 	}
 }
 

@@ -44,9 +44,7 @@ type southbound struct {
 func (c *Cluster) incarnation(live bool, lead int) *southbound {
 	s := &southbound{c: c, live: live, lead: lead}
 	s.ctx, s.depose = context.WithCancel(c.ctx)
-	s.ctl = core.Attach(s, c.cfg.Partition, func(parts []core.Partition) (core.Assignment, error) {
-		return core.Assign(parts, c.cfg.Authorities)
-	})
+	s.ctl = core.Attach(s, nil, c.cfg.Authorities, c.cfg.Partition, core.Assign)
 	return s
 }
 
@@ -110,6 +108,8 @@ func (s *southbound) replicate() bool {
 func (s *southbound) Stats(sw uint32, t proto.Table) []tcam.Entry {
 	return s.c.switches[sw].sw.Table(t).Entries()
 }
+
+func (s *southbound) Up(sw uint32) bool { return !s.c.switches[sw].killed.Load() }
 
 // Commit publishes the generation r describes with one store, and returns
 // once every data plane has moved onto it between two bursts (dataLoop):
@@ -245,4 +245,25 @@ func (c *Cluster) UpdatePolicyConsistent(policy []flowspace.Rule) error {
 		return fmt.Errorf("wire: controller deposed before the policy update committed")
 	}
 	return err
+}
+
+// RebalanceByLoad moves partitions between the live authorities by the
+// load their authority tables counted (core.Controller.RebalanceByLoad),
+// and returns how many primaries moved (0 with the controller down). It is
+// not hitless: a redirect in flight across it to a host that lost its
+// partition is a hole, as on the simulator. Rebalance between traffic
+// windows.
+func (c *Cluster) RebalanceByLoad() int {
+	moved := 0
+	c.control(func(ctl *core.Controller) { moved = ctl.RebalanceByLoad() })
+	return moved
+}
+
+// InvalidateHost withdraws every cache rule that could match host ip from
+// every switch (core.Controller.InvalidateHost), and returns how many (0
+// with the controller down).
+func (c *Cluster) InvalidateHost(ip uint32) int {
+	removed := 0
+	c.control(func(ctl *core.Controller) { removed = ctl.InvalidateHost(ip) })
+	return removed
 }
