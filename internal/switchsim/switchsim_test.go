@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"difane/internal/flowspace"
@@ -243,12 +244,14 @@ func TestResultPointsAtInstalledRule(t *testing.T) {
 // this exercises the snapshot handoff in tcam: every burst must see each
 // install either fully applied or not at all, and results must always be
 // one of the two legal outcomes (cache hit on the churning rule, or the
-// stable partition fallback).
+// stable partition fallback), and a cache hit never names a rule whose
+// delete had returned before the burst began.
 func TestClassifyBurstDuringInstall(t *testing.T) {
 	s := New(1, Config{})
 	add(t, s, proto.TablePartition, mkRule(1, 0, 0, flowspace.ActRedirect))
 
 	const bursts = 2000
+	var deleted atomic.Uint64 // the last rule ID whose delete has returned
 	stop := make(chan struct{})
 	installerDone := make(chan struct{})
 	go func() {
@@ -270,6 +273,7 @@ func TestClassifyBurstDuringInstall(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			deleted.Store(id)
 			id++
 		}
 	}()
@@ -278,6 +282,7 @@ func TestClassifyBurstDuringInstall(t *testing.T) {
 	sizes := []int{64, 64, 64}
 	out := make([]Result, len(keys))
 	for b := 0; b < bursts; b++ {
+		gone := deleted.Load()
 		s.ClassifyBurst(float64(b), keys, sizes, out)
 		// The two port-80 packets share one cache view, so within a burst
 		// they must agree on whether the churning rule was visible.
@@ -291,6 +296,9 @@ func TestClassifyBurstDuringInstall(t *testing.T) {
 			if r.Table == proto.TableCache && r.Rule.Action.Kind != flowspace.ActDrop {
 				t.Fatalf("burst %d packet %d: torn cache rule: %+v", b, i, r)
 			}
+			if r.Table == proto.TableCache && r.Rule.ID <= gone {
+				t.Fatalf("burst %d packet %d: hit on rule %d, deleted before the burst", b, i, r.Rule.ID)
+			}
 			if r.Table == proto.TablePartition && r.Rule.ID != 1 {
 				t.Fatalf("burst %d packet %d: wrong fallback: %+v", b, i, r)
 			}
@@ -301,4 +309,34 @@ func TestClassifyBurstDuringInstall(t *testing.T) {
 	}
 	close(stop)
 	<-installerDone
+}
+
+// TestRepeatedBurstWalksNoIndex: a burst of cache hits classified again
+// with no write to the cache in between is answered from the switch's memo,
+// without one walk of the cache's index, and answers the same rules.
+func TestRepeatedBurstWalksNoIndex(t *testing.T) {
+	s := New(1, Config{})
+	for p := uint64(80); p <= 82; p++ {
+		add(t, s, proto.TableCache, mkRule(p, 0, p, flowspace.ActForward))
+	}
+	keys := []flowspace.Key{keyPort(80), keyPort(81), keyPort(82), keyPort(80)}
+	sizes := []int{64, 64, 64, 64}
+	first, second := make([]Result, len(keys)), make([]Result, len(keys))
+	s.ClassifyBurst(0, keys, sizes, first)
+	walks := s.memo.Walks()
+	if walks == 0 {
+		t.Fatal("the first burst's cache lookups did not go through the memo")
+	}
+	s.ClassifyBurst(1, keys, sizes, second)
+	if w := s.memo.Walks() - walks; w != 0 {
+		t.Fatalf("second burst walked the cache index %d times, want 0", w)
+	}
+	for i := range first {
+		if !second[i].OK || second[i].Rule != first[i].Rule {
+			t.Fatalf("packet %d: first burst %+v, second %+v", i, first[i], second[i])
+		}
+	}
+	if hits := s.Stats.CacheHits.Load(); hits != 2*uint64(len(keys)) {
+		t.Fatalf("cache hits = %d, want %d", hits, 2*len(keys))
+	}
 }

@@ -54,8 +54,12 @@ func slotOf(e *entry) slot {
 
 // holds reports whether the slot's match holds for the packed key k, as
 // Match.Holds does for the key it was packed from.
+// Most slots fail on word 0, the IPs, so the test leaves there when it can.
 func (s *slot) holds(k *packed) bool {
-	return (k[0]^s.v[0])&s.m[0]|(k[1]^s.v[1])&s.m[1]|(k[2]^s.v[2])&s.m[2]|(k[3]^s.v[3])&s.m[3] == 0
+	if (k[0]^s.v[0])&s.m[0] != 0 {
+		return false
+	}
+	return (k[1]^s.v[1])&s.m[1]|(k[2]^s.v[2])&s.m[2]|(k[3]^s.v[3])&s.m[3] == 0
 }
 
 // node is one node of the ternary bit-tree. An inner node (mask != 0)

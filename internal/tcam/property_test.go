@@ -197,7 +197,9 @@ func keyIn(rng *rand.Rand, m flowspace.Match) flowspace.Key {
 // Advance, Pin and Unpin, with hits in between stamped now or (as a
 // wire-mode burst stamps them) a little before it — through the table and
 // the brute-force model and requires identical observable behaviour: every
-// Lookup, View.Lookup and Peek returns what the model's scan returns and
+// Lookup, View.Lookup, View.LookupMemo (on keys mostly drawn again from
+// the last few looked up, so the memo answers some) and Peek returns what
+// the model's scan returns and
 // what flowspace.EvalTable (the scan internal/oracle runs) returns over
 // Rules(), every capacity eviction and SetCapacity shrink takes the
 // victims the model's scan of the policy's total order takes, in its
@@ -211,6 +213,9 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			ref := &refModel{capacity: pool.capacity, policy: policy, pins: map[uint64]int{}}
 			var evicted []uint64
 			tb.OnEvict = func(e Entry) { evicted = append(evicted, e.Rule.ID) }
+			var memo Memo
+			var recent []flowspace.Key
+			memoLookups := uint64(0)
 			fail := func(step int, format string, args ...any) {
 				t.Helper()
 				t.Fatalf("%s %v step %d: %s", pool.name, policy, step, fmt.Sprintf(format, args...))
@@ -236,33 +241,54 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					if gotErr != wantErr {
 						fail(step, "insert err=%v want %v", gotErr, wantErr)
 					}
-				case 4, 5, 6, 7: // lookup, by each of the three read calls
-					k := pool.key(rng)
-					tb.Advance(now)
-					ref.advance(now)
-					at := now
-					if rng.Intn(3) == 0 {
-						at -= rng.Float64() * 0.4
+				case 4, 5, 6, 7: // lookup, by each of the four read calls, the memo's in a burst
+					reps := 1
+					if op == 7 {
+						reps = 4
 					}
-					scan, scanOK := flowspace.EvalTable(tb.Rules(), k)
-					var got flowspace.Rule
-					var gotOK bool
-					switch op {
-					case 4:
-						got, gotOK = tb.Peek(k)
-					case 5:
-						v := tb.AcquireView()
-						got, gotOK = v.Lookup(at, k, 64)
-						v.Release()
-					default:
-						got, gotOK = tb.Lookup(at, k, 64)
-					}
-					want, wantOK := ref.lookup(at, k, op != 4)
-					if gotOK != wantOK || (gotOK && got.ID != want.ID) {
-						fail(step, "lookup %v/%v want %v/%v", got, gotOK, want, wantOK)
-					}
-					if gotOK != scanOK || (gotOK && got.ID != scan.ID) {
-						fail(step, "lookup %v/%v, scan of Rules() %v/%v", got, gotOK, scan, scanOK)
+					for range reps {
+						k := pool.key(rng)
+						if op == 7 {
+							if len(recent) > 0 && rng.Intn(4) != 0 {
+								k = recent[rng.Intn(len(recent))]
+							}
+							if recent = append(recent, k); len(recent) > 6 {
+								recent = recent[1:]
+							}
+						}
+						tb.Advance(now)
+						ref.advance(now)
+						at := now
+						if rng.Intn(3) == 0 {
+							at -= rng.Float64() * 0.4
+						}
+						scan, scanOK := flowspace.EvalTable(tb.Rules(), k)
+						var got flowspace.Rule
+						var gotOK bool
+						switch op {
+						case 4:
+							got, gotOK = tb.Peek(k)
+						case 5:
+							v := tb.AcquireView()
+							got, gotOK = v.Lookup(at, k, 64)
+							v.Release()
+						case 6:
+							got, gotOK = tb.Lookup(at, k, 64)
+						case 7:
+							v := tb.AcquireView()
+							if r := v.LookupMemo(at, &k, 64, &memo); r != nil {
+								got, gotOK = *r, true
+							}
+							v.Release()
+							memoLookups++
+						}
+						want, wantOK := ref.lookup(at, k, op != 4)
+						if gotOK != wantOK || (gotOK && got.ID != want.ID) {
+							fail(step, "lookup %v/%v want %v/%v", got, gotOK, want, wantOK)
+						}
+						if gotOK != scanOK || (gotOK && got.ID != scan.ID) {
+							fail(step, "lookup %v/%v, scan of Rules() %v/%v", got, gotOK, scan, scanOK)
+						}
 					}
 				case 8: // delete
 					id := pool.rule(rng).ID
@@ -314,6 +340,9 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				if err := checkIndex(tb); err != nil {
 					fail(step, "index: %v", err)
 				}
+			}
+			if memo.Walks() == memoLookups {
+				t.Fatalf("%s %v: the memo answered none of %d lookups", pool.name, policy, memoLookups)
 			}
 		}
 	}
