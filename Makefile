@@ -1,7 +1,7 @@
 # The one-command check CI and contributors run before merging.
-.PHONY: verify fmt vet build test bench benchmark bench-pairs cache-ablation-smoke trace-demo fuzz-smoke check chaos-smoke soak soak-smoke soak-diff regen-golden loc
+.PHONY: verify fmt vet unused build test bench benchmark bench-pairs cache-ablation-smoke trace-demo fuzz-smoke check chaos-smoke soak soak-smoke soak-diff regen-golden loc
 
-verify: fmt vet build test fuzz-smoke
+verify: fmt vet unused build test fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -9,6 +9,12 @@ fmt:
 
 vet:
 	go vet ./...
+
+# Exported functions and methods under internal/ with no caller outside
+# tests (or none outside bench/) must be named, with a reason, in
+# scripts/unused.allow: what nothing calls either goes or says why not.
+unused:
+	sh scripts/unused.sh
 
 build:
 	go build ./...
@@ -73,6 +79,8 @@ check:
 # Chaos smoke under the race detector: differential scenarios that kill
 # switches AND controllers mid-traffic (BFD detection, backup promotion,
 # leader elections, epoch fencing — zero verdict divergence allowed),
+# an authority whose data plane stalls while its control plane still
+# answers (caught by the unacknowledged redirects alone),
 # plus the wire HA suite with its leader-churn goroutine-leak check, a
 # leader killed between an update's phases, an election that must
 # reconcile without churn (also after a load rebalance), the bench guard holding BFD detection at
@@ -85,7 +93,7 @@ check:
 chaos-smoke:
 	go test -race ./internal/scencheck -run TestChaosSmoke -timeout 10m
 	go test -race ./internal/wire -timeout 10m \
-		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectionTenfoldFaster|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestElectionReconcilesWithoutChurn|TestRebalanceSurvivesElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic'
+		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectionTenfoldFaster|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestElectionReconcilesWithoutChurn|TestRebalanceSurvivesElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic|TestStalledAuthorityDetectedByRedirectAck'
 
 # Subscriber-scale soak — not part of tier-1. Streams ≥1M modeled
 # subscriber sessions (Poisson churn, host mobility, a flash crowd and a
@@ -145,6 +153,5 @@ regen-golden:
 fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/proto/
 	go test -run=^$$ -fuzz=FuzzReadMessage -fuzztime=10s ./internal/proto/
-	go test -run=^$$ -fuzz=FuzzDecodeWire -fuzztime=10s ./internal/packet/
 	go test -run=^$$ -fuzz=FuzzParseRule -fuzztime=10s ./internal/policyio/
 	go test -run=^$$ -fuzz=FuzzPackedMatchAgreesWithHolds -fuzztime=10s ./internal/tcam/

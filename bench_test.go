@@ -290,26 +290,6 @@ func BenchmarkProtoEncodeDecode(b *testing.B) {
 	_ = buf
 }
 
-// BenchmarkPacketWire measures packet header encode+decode.
-func BenchmarkPacketWire(b *testing.B) {
-	p := packet.Packet{Header: packet.Header{
-		EthSrc: 0x001122334455, EthDst: 0xAABBCCDDEEFF,
-		EthType: packet.EthTypeIPv4, IPProto: packet.ProtoTCP,
-		IPSrc: packet.IP4(10, 0, 0, 1), IPDst: packet.IP4(10, 0, 0, 2),
-		TPSrc: 1234, TPDst: 80,
-	}}
-	p.Encapsulate(packet.EncapRedirect, 1, 2)
-	var buf []byte
-	var q packet.Packet
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = p.AppendWire(buf[:0])
-		if _, err := q.DecodeWire(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPartitioner measures partitioning a 10k-rule ACL.
 func BenchmarkPartitioner(b *testing.B) {
 	policy := difane.ClassBenchLike(difane.ACLConfig{

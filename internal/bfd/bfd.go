@@ -1,8 +1,8 @@
 // Package bfd implements an asynchronous-mode BFD-style session state
 // machine in the spirit of RFC 5880: a three-way handshake through
-// Down → Init → Up, a detect-multiplier timeout, jittered transmit
-// intervals, and an optional demand mode that replaces periodic
-// transmission with lazy poll sequences once a session is established.
+// Down → Init → Up, a detect-multiplier timeout, and jittered transmit
+// intervals. Demand mode and the Poll/Final sequence are not modelled:
+// every session transmits periodically for as long as it lives.
 //
 // The package is transport-agnostic and clock-agnostic: a Session never
 // sleeps, spawns, or sends. The driver calls Tick on its own cadence to
@@ -54,13 +54,6 @@ func (s State) String() string {
 // Packet is one BFD control packet, the session's only wire artifact.
 type Packet struct {
 	State State
-	// Poll asks the peer for an immediate Final response — demand mode's
-	// liveness probe and the parameter-change handshake.
-	Poll bool
-	// Final answers a Poll, closing the poll sequence.
-	Final bool
-	// Demand advertises that the sender will go quiescent once Up.
-	Demand bool
 	// MyDiscr / YourDiscr are the session discriminators: MyDiscr names
 	// the sender's session, YourDiscr echoes the peer's (0 until learned).
 	MyDiscr   uint32
@@ -87,11 +80,6 @@ type Config struct {
 	// DetectMult is the detection multiplier: detection time is
 	// DetectMult × the negotiated interval (default 3).
 	DetectMult int
-	// Demand stops periodic transmission once the session is Up; liveness
-	// is then re-proven with a poll sequence every PollInterval.
-	Demand bool
-	// PollInterval is demand mode's probe cadence (default 10×DesiredMinTx).
-	PollInterval time.Duration
 	// Rand is the jitter source in [0,1) (default math/rand; inject a
 	// constant for deterministic tests).
 	Rand func() float64
@@ -107,9 +95,6 @@ func (c *Config) applyDefaults() {
 	if c.DetectMult <= 0 {
 		c.DetectMult = 3
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 10 * c.DesiredMinTx
-	}
 	if c.Rand == nil {
 		c.Rand = rand.Float64
 	}
@@ -122,7 +107,6 @@ type Info struct {
 	RemoteDiscr uint32
 	// DetectTime is the current detection timeout (negotiated).
 	DetectTime time.Duration
-	Demand     bool
 	// Transitions counts state changes since the session was created.
 	Transitions uint64
 	// LastChange is when the state last changed (zero if never).
@@ -143,22 +127,16 @@ type Session struct {
 	remoteMinRx     time.Duration
 	remoteDesiredTx time.Duration
 	remoteMult      uint8
-	remoteDemand    bool
 
 	lastRx time.Time
 	nextTx time.Time
-	// mustTx forces one transmission on the next Tick regardless of
-	// quiescence — set when a received packet advances our state, so the
-	// peer learns of the transition before demand mode silences us.
+	// mustTx forces one transmission on the next Tick, ahead of the
+	// jittered interval — set when a received packet advances our state,
+	// so the peer learns of the transition at once.
 	mustTx bool
-
-	pollActive  bool
-	pollStarted time.Time
-	nextPoll    time.Time
 
 	lastChange  time.Time
 	transitions uint64
-	everUp      bool
 
 	onState func(old, new State)
 }
@@ -179,17 +157,11 @@ func (s *Session) setState(st State, now time.Time) {
 	s.state = st
 	s.lastChange = now
 	s.transitions++
-	s.pollActive = false
-	if st == StateUp {
-		s.everUp = true
-		s.nextPoll = now.Add(s.cfg.PollInterval)
-	}
 }
 
-// Handle processes a received control packet. It returns a packet to send
-// back immediately when the protocol demands one (a Final answering the
-// peer's Poll), or nil.
-func (s *Session) Handle(p Packet, now time.Time) *Packet {
+// Handle processes a received control packet. Nothing is sent back at
+// once; a state-advancing packet makes the next Tick transmit.
+func (s *Session) Handle(p Packet, now time.Time) {
 	s.mu.Lock()
 	old := s.state
 	s.remoteState = p.State
@@ -197,11 +169,7 @@ func (s *Session) Handle(p Packet, now time.Time) *Packet {
 	s.remoteMinRx = p.RequiredMinRx
 	s.remoteDesiredTx = p.DesiredMinTx
 	s.remoteMult = p.DetectMult
-	s.remoteDemand = p.Demand
 	s.lastRx = now
-	if p.Final {
-		s.pollActive = false
-	}
 	// RFC 5880 §6.8.6, trimmed to the states this package models.
 	if p.State == StateAdminDown {
 		if s.state != StateDown {
@@ -225,15 +193,9 @@ func (s *Session) Handle(p Packet, now time.Time) *Packet {
 			}
 		}
 	}
-	var reply *Packet
-	if p.Poll {
-		pk := s.packetLocked()
-		pk.Final = true
-		reply = &pk
-	} else if s.state != old {
+	if s.state != old {
 		// Accelerate the handshake: a state-advancing packet is answered
-		// on the next Tick instead of waiting out the jittered interval,
-		// and the announcement goes out even if we then quiesce.
+		// on the next Tick instead of waiting out the jittered interval.
 		s.mustTx = true
 	}
 	cb, st := s.onState, s.state
@@ -241,7 +203,6 @@ func (s *Session) Handle(p Packet, now time.Time) *Packet {
 	if cb != nil && st != old {
 		cb(old, st)
 	}
-	return reply
 }
 
 // Tick advances the session's timers: it checks the detection timeout and
@@ -252,46 +213,16 @@ func (s *Session) Tick(now time.Time) (send *Packet, expired bool) {
 	s.mu.Lock()
 	old := s.state
 	if s.state == StateUp || s.state == StateInit {
-		dt := s.detectTimeLocked()
-		var timedOut bool
-		if s.cfg.Demand && s.state == StateUp {
-			// Local demand mode: the peer is silent by agreement, so
-			// detection runs only against an outstanding poll sequence.
-			timedOut = s.pollActive && now.Sub(s.pollStarted) > dt
-		} else {
-			timedOut = !s.lastRx.IsZero() && now.Sub(s.lastRx) > dt
-		}
-		if timedOut {
+		if !s.lastRx.IsZero() && now.Sub(s.lastRx) > s.detectTimeLocked() {
 			s.setState(StateDown, now)
 			expired = true
 		}
 	}
-	switch {
-	case s.mustTx:
+	if s.mustTx || s.nextTx.IsZero() || !now.Before(s.nextTx) {
 		s.mustTx = false
 		pk := s.packetLocked()
-		pk.Poll = s.pollActive
 		send = &pk
 		s.nextTx = now.Add(s.txIntervalLocked())
-	case s.cfg.Demand && s.state == StateUp && !s.pollActive &&
-		!s.nextPoll.IsZero() && !now.Before(s.nextPoll):
-		// Demand mode's lazy liveness probe.
-		s.pollActive = true
-		s.pollStarted = now
-		pk := s.packetLocked()
-		pk.Poll = true
-		send = &pk
-		s.nextTx = now.Add(s.txIntervalLocked())
-		s.nextPoll = now.Add(s.cfg.PollInterval)
-	case s.quiescentLocked() && !s.pollActive:
-		// The peer asked for demand mode and both ends are Up: stay quiet.
-	default:
-		if s.nextTx.IsZero() || !now.Before(s.nextTx) {
-			pk := s.packetLocked()
-			pk.Poll = s.pollActive
-			send = &pk
-			s.nextTx = now.Add(s.txIntervalLocked())
-		}
 	}
 	cb, st := s.onState, s.state
 	s.mu.Unlock()
@@ -301,13 +232,13 @@ func (s *Session) Tick(now time.Time) (send *Packet, expired bool) {
 	return send, expired
 }
 
-// Credit compensates the detection clocks for a local scheduling stall:
+// Credit compensates the detection clock for a local scheduling stall:
 // the driver discovered it resumed d late, so up to d of the observed
 // receive silence is attributable to the local system — which was not
-// listening (or transmitting) — rather than to the peer. Both detection
-// clocks advance by d, capped at now. Without this, a driver that shares
-// one ticking goroutine across many sessions turns every stall longer
-// than the detect time into a correlated false failure of all of them.
+// listening — rather than to the peer. The receive clock advances by d,
+// capped at now. Without this, a driver that shares one ticking goroutine
+// across many sessions turns every stall longer than the detect time into
+// a correlated false failure of all of them.
 func (s *Session) Credit(d time.Duration, now time.Time) {
 	if d <= 0 {
 		return
@@ -318,13 +249,6 @@ func (s *Session) Credit(d time.Duration, now time.Time) {
 			s.lastRx = t
 		} else {
 			s.lastRx = now
-		}
-	}
-	if s.pollActive {
-		if t := s.pollStarted.Add(d); t.Before(now) {
-			s.pollStarted = t
-		} else {
-			s.pollStarted = now
 		}
 	}
 	s.mu.Unlock()
@@ -342,18 +266,10 @@ func (s *Session) Reset(now time.Time) {
 		s.transitions++
 	}
 	s.remoteState = StateDown
-	s.pollActive = false
 	s.mustTx = false
 	s.lastRx = time.Time{}
 	s.nextTx = now
 	s.mu.Unlock()
-}
-
-// quiescentLocked reports whether periodic transmission is suppressed:
-// per RFC 5880 §6.8.7, a system stops periodic transmission when the
-// REMOTE system is in demand mode and both session directions are Up.
-func (s *Session) quiescentLocked() bool {
-	return s.remoteDemand && s.state == StateUp && s.remoteState == StateUp
 }
 
 // detectTimeLocked is the negotiated detection timeout: the peer's
@@ -390,7 +306,6 @@ func (s *Session) txIntervalLocked() time.Duration {
 func (s *Session) packetLocked() Packet {
 	return Packet{
 		State:         s.state,
-		Demand:        s.cfg.Demand,
 		MyDiscr:       s.cfg.LocalDiscr,
 		YourDiscr:     s.remoteDiscr,
 		DesiredMinTx:  s.cfg.DesiredMinTx,
@@ -409,13 +324,6 @@ func (s *Session) State() State {
 // Up reports whether the session is established.
 func (s *Session) Up() bool { return s.State() == StateUp }
 
-// EverUp reports whether the session has ever completed the handshake.
-func (s *Session) EverUp() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.everUp
-}
-
 // DetectTime returns the current (negotiated) detection timeout.
 func (s *Session) DetectTime() time.Duration {
 	s.mu.Lock()
@@ -432,7 +340,6 @@ func (s *Session) Info() Info {
 		RemoteState: s.remoteState,
 		RemoteDiscr: s.remoteDiscr,
 		DetectTime:  s.detectTimeLocked(),
-		Demand:      s.cfg.Demand,
 		Transitions: s.transitions,
 		LastChange:  s.lastChange,
 	}

@@ -191,9 +191,6 @@ type Candidate struct {
 	Packets   uint64
 	LastHit   float64
 	Installed float64
-	// Pinned marks an entry protected by an in-flight install; Victim never
-	// selects it.
-	Pinned bool
 }
 
 // Score returns the candidate's predicted miss cost: the expected extra
@@ -220,16 +217,12 @@ func (p *Policy) Score(now float64, c Candidate) float64 {
 }
 
 // Victim picks the index of the candidate with the lowest predicted miss
-// cost, skipping pinned entries; ties break toward the lower rule ID, so
-// equal inputs always produce the same choice. Returns −1 when every
-// candidate is pinned (or cands is empty).
+// cost; ties break toward the lower rule ID, so equal inputs always
+// produce the same choice. Returns −1 when cands is empty.
 func (p *Policy) Victim(now float64, cands []Candidate) int {
 	best := -1
 	var bestScore float64
 	for i, c := range cands {
-		if c.Pinned {
-			continue
-		}
 		s := p.Score(now, c)
 		if best < 0 || s < bestScore || (s == bestScore && c.ID < cands[best].ID) {
 			best, bestScore = i, s

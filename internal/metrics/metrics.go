@@ -1,7 +1,7 @@
 // Package metrics collects and renders the statistics the evaluation
-// harness reports: sample distributions (CDFs, percentiles) held in a
-// fixed-size histogram, fixed-width tables, and simple x/y series in the
-// text form the benchmark binary prints.
+// harness reports: sample distributions (percentiles, quantiles) held in
+// a fixed-size histogram, and fixed-width tables with compact number and
+// duration formatting.
 package metrics
 
 import (
@@ -138,17 +138,7 @@ func (d *Dist) Min() float64 { return d.min }
 // Max returns the largest sample (0 with no samples).
 func (d *Dist) Max() float64 { return d.max }
 
-// CDF returns (value, fraction ≤ value) pairs at the given fractions
-// (each in [0,1]).
-func (d *Dist) CDF(fractions []float64) [][2]float64 {
-	out := make([][2]float64, 0, len(fractions))
-	for _, f := range fractions {
-		out = append(out, [2]float64{d.Percentile(f * 100), f})
-	}
-	return out
-}
-
-// Quantiles is the standard set of CDF points the harness prints.
+// Quantiles is the standard set of distribution points the harness prints.
 var Quantiles = []float64{0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.0}
 
 // --- Rendering ---------------------------------------------------------------
@@ -247,37 +237,3 @@ func FormatDuration(sec float64) string {
 		return fmt.Sprintf("%.3fs", sec)
 	}
 }
-
-// Series renders an x→y mapping as "x<tab>y" lines with a header, the form
-// the figure benches print for plotting.
-type Series struct {
-	Name   string
-	XLabel string
-	YLabel string
-	points [][2]float64
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) { s.points = append(s.points, [2]float64{x, y}) }
-
-// Points returns the accumulated points.
-func (s *Series) Points() [][2]float64 { return s.points }
-
-// String renders the series.
-func (s *Series) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# series %s: %s vs %s\n", s.Name, s.YLabel, s.XLabel)
-	for _, p := range s.points {
-		fmt.Fprintf(&b, "%s\t%s\n", FormatFloat(p[0]), FormatFloat(p[1]))
-	}
-	return b.String()
-}
-
-// Counter is a labeled monotonically increasing count.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Inc adds n.
-func (c *Counter) Inc(n uint64) { c.Value += n }

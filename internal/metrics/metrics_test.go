@@ -188,20 +188,19 @@ func TestPercentileAfterInterleavedAdds(t *testing.T) {
 	}
 }
 
-func TestCDFMonotone(t *testing.T) {
+func TestQuantilesMonotone(t *testing.T) {
 	var d Dist
 	rng := rand.New(rand.NewSource(53))
 	for i := 0; i < 1000; i++ {
 		d.Add(rng.ExpFloat64())
 	}
-	pts := d.CDF(Quantiles)
-	for i := 1; i < len(pts); i++ {
-		if pts[i][0] < pts[i-1][0] {
-			t.Fatalf("CDF values must be nondecreasing: %v", pts)
+	for i := 1; i < len(Quantiles); i++ {
+		if d.Quantile(Quantiles[i]) < d.Quantile(Quantiles[i-1]) {
+			t.Fatalf("quantile %g reads below quantile %g", Quantiles[i], Quantiles[i-1])
 		}
 	}
-	if pts[len(pts)-1][1] != 1.0 {
-		t.Fatal("last quantile must be 1.0")
+	if Quantiles[len(Quantiles)-1] != 1.0 || d.Quantile(1) != d.Max() {
+		t.Fatal("the last quantile must be 1.0, read as the maximum")
 	}
 }
 
@@ -251,28 +250,6 @@ func TestFormatDuration(t *testing.T) {
 	}
 	if got := FormatDuration(2.5); got != "2.500s" {
 		t.Fatalf("got %q", got)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := Series{Name: "miss", XLabel: "cache", YLabel: "rate"}
-	s.Add(1, 0.5)
-	s.Add(2, 0.25)
-	if len(s.Points()) != 2 {
-		t.Fatal("points must accumulate")
-	}
-	out := s.String()
-	if !strings.Contains(out, "# series miss") || !strings.Contains(out, "0.250") {
-		t.Fatalf("series render:\n%s", out)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := Counter{Name: "hits"}
-	c.Inc(3)
-	c.Inc(2)
-	if c.Value != 5 {
-		t.Fatalf("value = %d", c.Value)
 	}
 }
 

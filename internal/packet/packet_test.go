@@ -3,143 +3,22 @@ package packet
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"difane/internal/flowspace"
 )
 
-func samplePacket() *Packet {
-	return &Packet{
-		Header: Header{
-			InPort:  3,
-			EthSrc:  0x001122334455,
-			EthDst:  0xAABBCCDDEEFF,
-			EthType: EthTypeIPv4,
-			VLAN:    100,
-			IPProto: ProtoTCP,
-			IPSrc:   IP4(10, 0, 0, 1),
-			IPDst:   IP4(192, 168, 1, 2),
-			TPSrc:   43210,
-			TPDst:   80,
-		},
-		Size:   1500,
-		FlowID: 7,
-	}
-}
-
-func TestWireRoundTrip(t *testing.T) {
-	p := samplePacket()
-	buf := p.AppendWire(nil)
-	if len(buf) > MaxWireLen {
-		t.Fatalf("encoded length %d exceeds MaxWireLen %d", len(buf), MaxWireLen)
-	}
-	var q Packet
-	n, err := q.DecodeWire(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", n, len(buf))
-	}
-	if q.Header != p.Header {
-		t.Fatalf("header mismatch:\n got %+v\nwant %+v", q.Header, p.Header)
-	}
-	if q.Encap != nil {
-		t.Fatal("decoded packet must have no encap")
-	}
-}
-
-func TestWireRoundTripWithEncap(t *testing.T) {
-	p := samplePacket()
-	p.Encapsulate(EncapRedirect, 42, 99)
-	buf := p.AppendWire(nil)
-	var q Packet
-	if _, err := q.DecodeWire(buf); err != nil {
-		t.Fatal(err)
-	}
-	if q.Encap == nil || *q.Encap != (Encap{Reason: EncapRedirect, Ingress: 42, Target: 99}) {
-		t.Fatalf("encap mismatch: %+v", q.Encap)
-	}
-	if q.Header != p.Header {
-		t.Fatal("header must survive encapsulated round trip")
-	}
-}
-
-func TestWireRoundTripNoVLAN(t *testing.T) {
-	p := samplePacket()
-	p.Header.VLAN = 0
-	buf := p.AppendWire(nil)
-	var q Packet
-	if _, err := q.DecodeWire(buf); err != nil {
-		t.Fatal(err)
-	}
-	if q.Header != p.Header {
-		t.Fatal("header mismatch without VLAN tag")
-	}
-}
-
-func TestWireRoundTripProperty(t *testing.T) {
-	check := func(inPort uint16, src, dst uint64, etype uint16, vlan uint16,
-		proto uint8, ipSrc, ipDst uint32, sport, dport uint16, encap bool) bool {
-		p := Packet{Header: Header{
-			InPort: inPort, EthSrc: src & 0xFFFFFFFFFFFF, EthDst: dst & 0xFFFFFFFFFFFF,
-			EthType: etype, VLAN: vlan & 0xFFF, IPProto: proto,
-			IPSrc: ipSrc, IPDst: ipDst, TPSrc: sport, TPDst: dport,
-		}}
-		if encap {
-			p.Encapsulate(EncapTunnel, 1, 2)
-		}
-		buf := p.AppendWire(nil)
-		var q Packet
-		n, err := q.DecodeWire(buf)
-		if err != nil || n != len(buf) {
-			return false
-		}
-		if q.Header != p.Header {
-			return false
-		}
-		if encap != (q.Encap != nil) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeTruncated(t *testing.T) {
-	p := samplePacket()
-	p.Encapsulate(EncapRedirect, 1, 2)
-	buf := p.AppendWire(nil)
-	for cut := 0; cut < len(buf); cut++ {
-		var q Packet
-		if _, err := q.DecodeWire(buf[:cut]); err == nil {
-			t.Fatalf("decode of %d/%d bytes must fail", cut, len(buf))
-		}
-	}
-}
-
-func TestDecodeReusesStruct(t *testing.T) {
-	// DecodeWire must fully overwrite stale state, including clearing a
-	// previous encap and VLAN.
-	p1 := samplePacket()
-	p1.Encapsulate(EncapRedirect, 1, 2)
-	p2 := samplePacket()
-	p2.Header.VLAN = 0
-
-	var q Packet
-	if _, err := q.DecodeWire(p1.AppendWire(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.DecodeWire(p2.AppendWire(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if q.Encap != nil {
-		t.Fatal("stale encap must be cleared")
-	}
-	if q.Header.VLAN != 0 {
-		t.Fatal("stale VLAN must be cleared")
+func sampleHeader() Header {
+	return Header{
+		InPort:  3,
+		EthSrc:  0x001122334455,
+		EthDst:  0xAABBCCDDEEFF,
+		EthType: EthTypeIPv4,
+		VLAN:    100,
+		IPProto: ProtoTCP,
+		IPSrc:   IP4(10, 0, 0, 1),
+		IPDst:   IP4(192, 168, 1, 2),
+		TPSrc:   43210,
+		TPDst:   80,
 	}
 }
 
@@ -165,7 +44,7 @@ func TestKeyProjectionRoundTrip(t *testing.T) {
 }
 
 func TestKeyMatchesRules(t *testing.T) {
-	h := samplePacket().Header
+	h := sampleHeader()
 	m := flowspace.MatchAll().
 		WithPrefix(flowspace.FIPSrc, uint64(IP4(10, 0, 0, 0)), 8).
 		WithExact(flowspace.FTPDst, 80)
@@ -178,34 +57,11 @@ func TestKeyMatchesRules(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	p := samplePacket()
-	p.Encapsulate(EncapTunnel, 5, 6)
-	q := p.Clone()
-	q.Encap.Target = 77
-	q.Header.TPDst = 22
-	if p.Encap.Target != 6 || p.Header.TPDst != 80 {
-		t.Fatal("clone must not alias the original")
-	}
-}
-
-func TestDecapsulate(t *testing.T) {
-	p := samplePacket()
-	p.Encapsulate(EncapRedirect, 1, 2)
-	e := p.Decapsulate()
-	if e == nil || e.Ingress != 1 || p.Encap != nil {
-		t.Fatal("decapsulate must strip and return the encap header")
-	}
-	if p.Decapsulate() != nil {
-		t.Fatal("second decapsulate must return nil")
-	}
-}
-
 func TestStringHelpers(t *testing.T) {
 	if IPString(IP4(10, 1, 2, 3)) != "10.1.2.3" {
 		t.Fatalf("IPString = %q", IPString(IP4(10, 1, 2, 3)))
 	}
-	if samplePacket().Header.String() == "" {
+	if sampleHeader().String() == "" {
 		t.Fatal("header must render")
 	}
 	if EncapRedirect.String() != "redirect" || EncapTunnel.String() != "tunnel" {

@@ -25,11 +25,6 @@ const (
 	MsgHello MsgType = iota + 1
 	// MsgFlowMod adds or removes a rule in one of a switch's tables.
 	MsgFlowMod
-	// MsgPacketIn carries a data packet up to the controller (baseline) or
-	// records a redirected packet (diagnostics).
-	MsgPacketIn
-	// MsgPacketOut injects a data packet at a switch.
-	MsgPacketOut
 	// MsgCacheInstall carries cache rules from an authority switch to an
 	// ingress switch.
 	MsgCacheInstall
@@ -41,8 +36,6 @@ const (
 	MsgStatsReq
 	// MsgStatsReply returns a rule's counters.
 	MsgStatsReply
-	// MsgError reports a failure processing a previous message.
-	MsgError
 	// MsgHeartbeat is the liveness probe the controller sends to every
 	// switch; the switch echoes it back unchanged. A run of missed echoes
 	// marks the switch dead in the failure detector.
@@ -62,10 +55,9 @@ const (
 )
 
 var msgNames = map[MsgType]string{
-	MsgHello: "hello", MsgFlowMod: "flow-mod", MsgPacketIn: "packet-in",
-	MsgPacketOut: "packet-out", MsgCacheInstall: "cache-install",
+	MsgHello: "hello", MsgFlowMod: "flow-mod", MsgCacheInstall: "cache-install",
 	MsgBarrierReq: "barrier-req", MsgBarrierReply: "barrier-reply",
-	MsgStatsReq: "stats-req", MsgStatsReply: "stats-reply", MsgError: "error",
+	MsgStatsReq: "stats-req", MsgStatsReply: "stats-reply",
 	MsgHeartbeat: "heartbeat", MsgEpochReport: "epoch-report",
 	MsgBFDControl: "bfd-control",
 }
@@ -157,20 +149,6 @@ type FlowMod struct {
 	Epoch uint64
 }
 
-// PacketIn carries a packet toward a controller.
-type PacketIn struct {
-	Node uint32 // the switch reporting the packet
-	Data []byte // encoded packet headers
-	Size uint32 // original wire size
-}
-
-// PacketOut injects a packet at a switch.
-type PacketOut struct {
-	Node uint32
-	Data []byte
-	Size uint32
-}
-
 // CacheInstall carries cache rules from an authority to an ingress switch.
 // Trace, when nonzero, is the sampled trace ID of the packet whose miss
 // triggered the install, so the install lands in that packet's journey.
@@ -200,12 +178,6 @@ type StatsReply struct {
 	OK      bool
 }
 
-// Error reports a failure.
-type Error struct {
-	Code uint16
-	Text string
-}
-
 // Heartbeat is a liveness probe. The controller stamps the target node and
 // a monotonically increasing sequence number; the switch echoes the
 // message back verbatim.
@@ -221,16 +193,6 @@ type EpochReport struct {
 	Epoch uint64
 }
 
-// BFD control-packet flag bits (BFDControl.Flags).
-const (
-	// BFDPoll asks the peer for an immediate BFDFinal-flagged response.
-	BFDPoll uint8 = 1 << iota
-	// BFDFinal answers a poll, closing the poll sequence.
-	BFDFinal
-	// BFDDemand advertises that the sender goes quiescent once Up.
-	BFDDemand
-)
-
 // BFDControl is one BFD session control packet. Node routes the packet to
 // the right per-switch session on the controller side; the remaining
 // fields mirror internal/bfd's Packet (State uses bfd.State's encoding,
@@ -238,7 +200,6 @@ const (
 type BFDControl struct {
 	Node          uint32
 	State         uint8
-	Flags         uint8
 	MyDiscr       uint32
 	YourDiscr     uint32
 	DesiredMinTx  uint64
@@ -248,14 +209,11 @@ type BFDControl struct {
 
 func (*Hello) Type() MsgType        { return MsgHello }
 func (*FlowMod) Type() MsgType      { return MsgFlowMod }
-func (*PacketIn) Type() MsgType     { return MsgPacketIn }
-func (*PacketOut) Type() MsgType    { return MsgPacketOut }
 func (*CacheInstall) Type() MsgType { return MsgCacheInstall }
 func (*BarrierReq) Type() MsgType   { return MsgBarrierReq }
 func (*BarrierReply) Type() MsgType { return MsgBarrierReply }
 func (*StatsReq) Type() MsgType     { return MsgStatsReq }
 func (*StatsReply) Type() MsgType   { return MsgStatsReply }
-func (*Error) Type() MsgType        { return MsgError }
 func (*Heartbeat) Type() MsgType    { return MsgHeartbeat }
 func (*EpochReport) Type() MsgType  { return MsgEpochReport }
 func (*BFDControl) Type() MsgType   { return MsgBFDControl }
@@ -317,28 +275,11 @@ func (r *reader) u64() uint64 {
 	return v
 }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if n > len(r.b) {
-		r.err = ErrTruncated
-		return nil
-	}
-	v := append([]byte(nil), r.b[:n]...)
-	r.b = r.b[n:]
-	return v
-}
 
 func appendU16(b []byte, v uint16) []byte  { return binary.BigEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte  { return binary.BigEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte  { return binary.BigEndian.AppendUint64(b, v) }
 func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
-func appendBytes(b, p []byte) []byte {
-	b = appendU32(b, uint32(len(p)))
-	return append(b, p...)
-}
 
 // AppendRule encodes a rule with a field-presence bitmap.
 func AppendRule(b []byte, r flowspace.Rule) []byte {
@@ -423,32 +364,6 @@ func (m *FlowMod) decodePayload(b []byte) error {
 	return r.err
 }
 
-func (m *PacketIn) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.Node)
-	b = appendU32(b, m.Size)
-	return appendBytes(b, m.Data)
-}
-func (m *PacketIn) decodePayload(b []byte) error {
-	r := &reader{b: b}
-	m.Node = r.u32()
-	m.Size = r.u32()
-	m.Data = r.bytes()
-	return r.err
-}
-
-func (m *PacketOut) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.Node)
-	b = appendU32(b, m.Size)
-	return appendBytes(b, m.Data)
-}
-func (m *PacketOut) decodePayload(b []byte) error {
-	r := &reader{b: b}
-	m.Node = r.u32()
-	m.Size = r.u32()
-	m.Data = r.bytes()
-	return r.err
-}
-
 func (m *CacheInstall) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.Ingress)
 	b = appendU64(b, m.Trace)
@@ -529,17 +444,6 @@ func (m *StatsReply) decodePayload(b []byte) error {
 	return r.err
 }
 
-func (m *Error) appendPayload(b []byte) []byte {
-	b = appendU16(b, m.Code)
-	return appendBytes(b, []byte(m.Text))
-}
-func (m *Error) decodePayload(b []byte) error {
-	r := &reader{b: b}
-	m.Code = r.u16()
-	m.Text = string(r.bytes())
-	return r.err
-}
-
 func (m *Heartbeat) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.Node)
 	return appendU64(b, m.Seq)
@@ -564,7 +468,7 @@ func (m *EpochReport) decodePayload(b []byte) error {
 
 func (m *BFDControl) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.Node)
-	b = append(b, m.State, m.Flags)
+	b = append(b, m.State)
 	b = appendU32(b, m.MyDiscr)
 	b = appendU32(b, m.YourDiscr)
 	b = appendU64(b, m.DesiredMinTx)
@@ -575,7 +479,6 @@ func (m *BFDControl) decodePayload(b []byte) error {
 	r := &reader{b: b}
 	m.Node = r.u32()
 	m.State = r.u8()
-	m.Flags = r.u8()
 	m.MyDiscr = r.u32()
 	m.YourDiscr = r.u32()
 	m.DesiredMinTx = r.u64()
@@ -673,10 +576,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &Hello{}, nil
 	case MsgFlowMod:
 		return &FlowMod{}, nil
-	case MsgPacketIn:
-		return &PacketIn{}, nil
-	case MsgPacketOut:
-		return &PacketOut{}, nil
 	case MsgCacheInstall:
 		return &CacheInstall{}, nil
 	case MsgBarrierReq:
@@ -687,8 +586,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &StatsReq{}, nil
 	case MsgStatsReply:
 		return &StatsReply{}, nil
-	case MsgError:
-		return &Error{}, nil
 	case MsgHeartbeat:
 		return &Heartbeat{}, nil
 	case MsgEpochReport:

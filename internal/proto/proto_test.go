@@ -27,8 +27,6 @@ func allMessages() []Message {
 		&Hello{Node: 7, Role: RoleAuthority},
 		&FlowMod{Table: TableCache, Op: OpAdd, Rule: sampleRule(1), Idle: 10, Hard: 60},
 		&FlowMod{Table: TablePartition, Op: OpDelete, Rule: sampleRule(2)},
-		&PacketIn{Node: 3, Data: []byte{1, 2, 3}, Size: 1500},
-		&PacketOut{Node: 4, Data: []byte{9, 8}, Size: 64},
 		&CacheInstall{Ingress: 5, Rules: []FlowMod{
 			{Table: TableCache, Op: OpAdd, Rule: sampleRule(3), Idle: 5},
 			{Table: TableCache, Op: OpAdd, Rule: sampleRule(4), Hard: 30},
@@ -39,19 +37,17 @@ func allMessages() []Message {
 		&StatsReq{XID: 12, RuleID: 99},
 		&StatsReply{XID: 12, Packets: 1000, Bytes: 123456, OK: true},
 		&StatsReply{XID: 13, OK: false},
-		&Error{Code: 2, Text: "no such table"},
-		&Error{Code: 0, Text: ""},
 		&Heartbeat{Node: 8, Seq: 42},
 		&Heartbeat{},
 		&FlowMod{Table: TableAuthority, Op: OpAdd, Rule: sampleRule(5), Epoch: 3},
 		&EpochReport{Node: 2, Epoch: 7},
 		&EpochReport{},
 		&BFDControl{
-			Node: 3, State: 3, Flags: BFDPoll | BFDDemand,
+			Node: 3, State: 3,
 			MyDiscr: 0x1001, YourDiscr: 0x2002,
 			DesiredMinTx: 2_000_000, RequiredMinRx: 2_000_000, DetectMult: 3,
 		},
-		&BFDControl{Node: 1, State: 1, Flags: BFDFinal},
+		&BFDControl{Node: 1, State: 1},
 		&BFDControl{},
 	}
 }

@@ -2,45 +2,8 @@ package tcam
 
 import "testing"
 
-// Tests for the budget-driven extension points: refcounted pins, custom
-// victim selection, and shrink-on-SetCapacity.
-
-func TestPinProtectsFromEviction(t *testing.T) {
-	tb := New("test", 2, EvictLRU)
-	mustInsert(t, tb, 0, rule(1, 10, 80))
-	mustInsert(t, tb, 1, rule(2, 10, 81))
-	tb.Pin(1)
-	if !tb.Pinned(1) || tb.Pinned(2) {
-		t.Fatalf("Pinned(1)=%v Pinned(2)=%v", tb.Pinned(1), tb.Pinned(2))
-	}
-	// Entry 1 is LRU but pinned; inserting a third entry must evict 2.
-	mustInsert(t, tb, 2, rule(3, 10, 82))
-	if _, _, ok := tb.Counters(1); !ok {
-		t.Fatal("pinned entry 1 was evicted")
-	}
-	if _, _, ok := tb.Counters(2); ok {
-		t.Fatal("entry 2 survived; expected it evicted instead of pinned 1")
-	}
-	// Refcounting: two pins need two unpins.
-	tb.Pin(1)
-	tb.Unpin(1)
-	if !tb.Pinned(1) {
-		t.Fatal("entry 1 unpinned after one of two Unpins")
-	}
-	tb.Unpin(1)
-	if tb.Pinned(1) {
-		t.Fatal("entry 1 still pinned after matching Unpins")
-	}
-}
-
-func TestInsertFailsWhenAllPinned(t *testing.T) {
-	tb := New("test", 1, EvictLRU)
-	mustInsert(t, tb, 0, rule(1, 10, 80))
-	tb.Pin(1)
-	if err := tb.Insert(1, rule(2, 10, 81), 0, 0); err == nil {
-		t.Fatal("insert succeeded with every slot pinned")
-	}
-}
+// Tests for the budget-driven extension points: custom victim selection
+// and shrink-on-SetCapacity.
 
 func TestVictimFuncOverridesPolicy(t *testing.T) {
 	tb := New("test", 2, EvictLRU)
@@ -83,22 +46,6 @@ func TestVictimFuncDeclineFallsBack(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", tb.Len())
 	}
-}
-
-func TestVictimFuncNeverSeesPinned(t *testing.T) {
-	tb := New("test", 2, EvictLRU)
-	mustInsert(t, tb, 0, rule(1, 10, 80))
-	mustInsert(t, tb, 1, rule(2, 10, 81))
-	tb.Pin(1)
-	tb.SetVictimFn(func(now float64, cands []VictimCandidate) int {
-		for _, c := range cands {
-			if c.ID == 1 {
-				t.Error("pinned entry 1 offered to victim fn")
-			}
-		}
-		return 0
-	})
-	mustInsert(t, tb, 2, rule(3, 10, 82))
 }
 
 // A cost-aware eviction scores every candidate, but from scratch the table

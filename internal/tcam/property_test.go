@@ -15,7 +15,6 @@ type refModel struct {
 	capacity int
 	policy   EvictionPolicy
 	entries  []refEntry
-	pins     map[uint64]int
 	evicted  []uint64 // capacity victims, in the order they went
 }
 
@@ -27,8 +26,8 @@ type refEntry struct {
 	idle, hard float64
 }
 
-// evict removes the unpinned entry the policy's total order puts first,
-// reporting false when every entry is pinned.
+// evict removes the entry the policy's total order puts first, reporting
+// false when the model is empty.
 func (m *refModel) evict() bool {
 	victim := -1
 	better := func(a, b refEntry) bool {
@@ -51,7 +50,7 @@ func (m *refModel) evict() bool {
 		return a.rule.ID < b.rule.ID
 	}
 	for i := range m.entries {
-		if m.pins[m.entries[i].rule.ID] == 0 && (victim < 0 || better(m.entries[i], m.entries[victim])) {
+		if victim < 0 || better(m.entries[i], m.entries[victim]) {
 			victim = i
 		}
 	}
@@ -193,9 +192,9 @@ func keyIn(rng *rand.Rand, m flowspace.Match) flowspace.Key {
 }
 
 // TestTableMatchesReferenceModel drives random operation sequences —
-// insert, replace, evicting insert, delete, DeleteWhere, SetCapacity,
-// Advance, Pin and Unpin, with hits in between stamped now or (as a
-// wire-mode burst stamps them) a little before it — through the table and
+// insert, replace, evicting insert, delete, DeleteWhere, SetCapacity and
+// Advance, with hits in between stamped now or (as a wire-mode burst
+// stamps them) a little before it — through the table and
 // the brute-force model and requires identical observable behaviour: every
 // Lookup, View.Lookup, View.LookupMemo (on keys mostly drawn again from
 // the last few looked up, so the memo answers some) and Peek returns what
@@ -210,7 +209,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		for _, policy := range []EvictionPolicy{EvictNone, EvictLRU, EvictLFU} {
 			rng := rand.New(rand.NewSource(149 + int64(policy)))
 			tb := New("prop", pool.capacity, policy)
-			ref := &refModel{capacity: pool.capacity, policy: policy, pins: map[uint64]int{}}
+			ref := &refModel{capacity: pool.capacity, policy: policy}
 			var evicted []uint64
 			tb.OnEvict = func(e Entry) { evicted = append(evicted, e.Rule.ID) }
 			var memo Memo
@@ -223,7 +222,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			now := 0.0
 			for step := 0; step < 3000; step++ {
 				now += rng.Float64() * 0.5
-				switch op := rng.Intn(14); op {
+				switch op := rng.Intn(12); op {
 				case 0, 1, 2, 3: // insert, replace or evicting insert
 					r := pool.rule(rng)
 					idle := 0.0
@@ -309,16 +308,6 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				case 11: // expiry sweep
 					tb.Advance(now)
 					ref.advance(now)
-				case 12: // an in-flight install holds an entry
-					id := pool.rule(rng).ID
-					tb.Pin(id)
-					ref.pins[id]++
-				case 13:
-					id := pool.rule(rng).ID
-					tb.Unpin(id)
-					if ref.pins[id] > 0 {
-						ref.pins[id]--
-					}
 				}
 				if !slices.Equal(evicted, ref.evicted) {
 					fail(step, "evicted %v, the policy's order takes %v", evicted, ref.evicted)

@@ -142,8 +142,7 @@ const (
 
 // VictimCandidate is one eviction candidate handed to a VictimFunc: the
 // installed rule (the entry's own, not a copy: read it, do not keep it)
-// plus the runtime state a cost model scores with. Pinned entries are
-// filtered out before the picker ever sees them.
+// plus the runtime state a cost model scores with.
 type VictimCandidate struct {
 	ID        uint64
 	Rule      *flowspace.Rule
@@ -198,9 +197,7 @@ type Table struct {
 	// an entry's real expiry later. Written under mu, read without it.
 	expiryBound atomic.Uint64
 
-	// pins refcounts rule IDs protected from eviction (in-flight installs);
 	// victimFn, when set, overrides the policy's victim ordering.
-	pins     map[uint64]int
 	victimFn VictimFunc
 
 	// OnExpire, if non-nil, is invoked for each entry removed by Advance.
@@ -250,37 +247,6 @@ func (t *Table) SetVictimFn(fn VictimFunc) {
 	t.mu.Unlock()
 }
 
-// Pin protects rule id from eviction until a matching Unpin. Pins are
-// refcounted, may be taken before the rule is installed (an in-flight
-// install), and never block expiry or explicit deletion — only capacity
-// eviction skips pinned entries.
-func (t *Table) Pin(id uint64) {
-	t.mu.Lock()
-	if t.pins == nil {
-		t.pins = make(map[uint64]int)
-	}
-	t.pins[id]++
-	t.mu.Unlock()
-}
-
-// Unpin releases one Pin reference on rule id.
-func (t *Table) Unpin(id uint64) {
-	t.mu.Lock()
-	if c := t.pins[id]; c <= 1 {
-		delete(t.pins, id)
-	} else {
-		t.pins[id] = c - 1
-	}
-	t.mu.Unlock()
-}
-
-// Pinned reports whether rule id currently holds at least one pin.
-func (t *Table) Pinned(id uint64) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.pins[id] > 0
-}
-
 // SetCapacity changes the entry limit at time now and evicts down to the
 // new limit via the eviction ordering (OnEvict fires for each victim,
 // outside the mutex). Capacity 0 is unlimited; a negative capacity
@@ -297,9 +263,6 @@ func (t *Table) SetCapacity(now float64, capacity int) int {
 		}
 		for len(t.entries) > limit {
 			victim := t.pickVictimLocked(now)
-			if victim == nil {
-				break // everything left is pinned
-			}
 			t.removeLocked(victim)
 			t.Evictions.Add(1)
 			evicted = append(evicted, victim)
@@ -549,53 +512,41 @@ func (t *Table) siftDown(i int) {
 	r.e.pos = i
 }
 
-// pickVictimLocked returns the entry to evict: the first unpinned entry in
-// evictsBefore's order over the entries' current keys — pinned entries
-// (in-flight installs) are never selected. The heap's top is re-ranked
-// until the key it sits by is its current one; nothing below it can then
-// be earlier. When a VictimFunc is set it is consulted first over the
-// unpinned candidates, whose scores follow no order the table knows, so
-// that path offers every entry; the heap is the fallback when it declines.
+// pickVictimLocked returns the entry to evict, nil only when the table is
+// empty: the first entry in evictsBefore's order over the entries' current
+// keys. The heap's top is re-ranked until the key it sits by is its
+// current one; nothing below it can then be earlier. When a VictimFunc is
+// set it is consulted first over every entry, whose scores follow no order
+// the table knows; the heap is the fallback when it declines.
 func (t *Table) pickVictimLocked(now float64) *entry {
-	pinned := func(e *entry) bool { return len(t.pins) > 0 && t.pins[e.rule.ID] > 0 }
+	if len(t.entries) == 0 {
+		return nil
+	}
 	if t.victimFn != nil {
 		t.cands = t.cands[:0]
 		for i := range t.entries {
-			if e := t.entries[i].e; !pinned(e) {
-				t.cands = append(t.cands, VictimCandidate{
-					ID:        e.rule.ID,
-					Rule:      &e.rule,
-					Packets:   e.packets.Load(),
-					LastHit:   e.lastHit(),
-					Installed: e.installed,
-				})
-			}
-		}
-		if len(t.cands) == 0 {
-			return nil
+			e := t.entries[i].e
+			t.cands = append(t.cands, VictimCandidate{
+				ID:        e.rule.ID,
+				Rule:      &e.rule,
+				Packets:   e.packets.Load(),
+				LastHit:   e.lastHit(),
+				Installed: e.installed,
+			})
 		}
 		if i := t.victimFn(now, t.cands); i >= 0 && i < len(t.cands) {
 			return t.byID[t.cands[i].ID]
 		}
 	}
-	var victim *entry
-	var aside []*entry // pinned entries met on the way, out of the heap
-	for victim == nil && len(t.entries) > 0 {
+	for {
 		top := &t.entries[0]
-		if h, p := top.e.lastHit(), top.e.packets.Load(); h != top.lastHit || p != top.packets {
-			top.lastHit, top.packets = h, p
-			t.siftDown(0)
-		} else if !pinned(top.e) {
-			victim = top.e
-		} else {
-			aside = append(aside, top.e)
-			t.unrankLocked(top.e)
+		h, p := top.e.lastHit(), top.e.packets.Load()
+		if h == top.lastHit && p == top.packets {
+			return top.e
 		}
+		top.lastHit, top.packets = h, p
+		t.siftDown(0)
 	}
-	for _, e := range aside {
-		t.rankLocked(e)
-	}
-	return victim
 }
 
 // Lookup returns the highest-priority entry matching k, updating counters

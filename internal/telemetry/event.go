@@ -4,14 +4,17 @@
 // JSON, and an optional HTTP server exposing both (plus pprof) while the
 // cluster serves traffic.
 //
-// The package is a leaf: it imports only the standard library, so core,
-// wire, and the commands can all depend on it without cycles.
+// Beyond the standard library it imports only the leaf packages flowspace,
+// metrics and packet, so core, wire, and the commands can all depend on it
+// without cycles.
 package telemetry
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"difane/internal/packet"
 )
 
 // EventKind identifies what a trace event records.
@@ -279,15 +282,10 @@ func (e Event) JSON() EventJSON {
 
 func ipPort(ip uint32, port uint16) string {
 	var b strings.Builder
-	b.WriteString(IPString(ip))
+	b.WriteString(packet.IPString(ip))
 	b.WriteByte(':')
 	b.WriteString(strconv.Itoa(int(port)))
 	return b.String()
-}
-
-// IPString renders an IPv4 address in dotted-quad form.
-func IPString(ip uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
 }
 
 // ParseIP parses a dotted-quad IPv4 address into the uint32 form events

@@ -155,9 +155,7 @@ func (c *Cluster) handleBFDAtSwitch(n *node, m *proto.BFDControl) {
 	if n.bfdSw == nil {
 		return
 	}
-	if reply := n.bfdSw.Handle(protoToBFD(m), time.Now()); reply != nil {
-		c.queueBFD(n, reply, false)
-	}
+	n.bfdSw.Handle(protoToBFD(m), time.Now())
 }
 
 // handleBFDAtController processes a switch→controller BFD packet on the
@@ -168,14 +166,12 @@ func (c *Cluster) handleBFDAtController(n *node, m *proto.BFDControl) {
 	if n.bfdCtrl == nil {
 		return
 	}
-	if reply := n.bfdCtrl.Handle(protoToBFD(m), now); reply != nil {
-		c.queueBFD(n, reply, true)
-	}
+	n.bfdCtrl.Handle(protoToBFD(m), now)
 }
 
 // bfdToProto converts a session packet to its wire form.
 func bfdToProto(nodeID uint32, p *bfd.Packet) *proto.BFDControl {
-	m := &proto.BFDControl{
+	return &proto.BFDControl{
 		Node:          nodeID,
 		State:         uint8(p.State),
 		MyDiscr:       p.MyDiscr,
@@ -184,25 +180,12 @@ func bfdToProto(nodeID uint32, p *bfd.Packet) *proto.BFDControl {
 		RequiredMinRx: uint64(p.RequiredMinRx),
 		DetectMult:    p.DetectMult,
 	}
-	if p.Poll {
-		m.Flags |= proto.BFDPoll
-	}
-	if p.Final {
-		m.Flags |= proto.BFDFinal
-	}
-	if p.Demand {
-		m.Flags |= proto.BFDDemand
-	}
-	return m
 }
 
 // protoToBFD converts a wire frame back to a session packet.
 func protoToBFD(m *proto.BFDControl) bfd.Packet {
 	return bfd.Packet{
 		State:         bfd.State(m.State),
-		Poll:          m.Flags&proto.BFDPoll != 0,
-		Final:         m.Flags&proto.BFDFinal != 0,
-		Demand:        m.Flags&proto.BFDDemand != 0,
 		MyDiscr:       m.MyDiscr,
 		YourDiscr:     m.YourDiscr,
 		DesiredMinTx:  time.Duration(m.DesiredMinTx),

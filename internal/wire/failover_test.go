@@ -171,7 +171,15 @@ func TestFailoverE2E(t *testing.T) {
 		}
 	}
 
+	// The promotion is counted only once the controller's withdrawal has
+	// been fenced on every live switch, and by then the misses above may
+	// already have gone straight to the backup without a local failover:
+	// wait for the count rather than read it early.
 	m := c.Measurements()
+	for deadline := time.Now().Add(replyTimeout); m.FailoversLocal+m.FailoversPromoted == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		m = c.Measurements()
+	}
 	if m.AuthorityDeaths == 0 {
 		t.Error("no death recorded")
 	}
@@ -181,6 +189,64 @@ func TestFailoverE2E(t *testing.T) {
 	if got := m.Drops.Unreachable + m.Drops.Hole + m.Drops.AuthorityQueue; got != 0 {
 		t.Errorf("lost %d packets across the failover", got)
 	}
+}
+
+// TestStalledAuthorityDetectedByRedirectAck: an authority whose control
+// plane still answers heartbeats and BFD but whose data plane has stopped
+// is found out by the redirects it leaves unacknowledged alone, and misses
+// then reach the backup while the stall lasts. Holding the authority's
+// node lock wedges its data loop inside the burst that took the first
+// miss, after that burst's acknowledgement; the second miss is the one
+// that goes unanswered.
+func TestStalledAuthorityDetectedByRedirectAck(t *testing.T) {
+	c := startCluster(t, slack(failoverConfig()))
+	a := c.Assignment()
+	var keys []flowspace.Key // fresh misses sharing one partition
+	part := -1
+	for src := uint32(50); len(keys) < 3 && src < 50+4096; src++ {
+		k := httpHeader(src).Key()
+		for i, p := range a.Partitions {
+			if p.Region.Matches(k) && (part < 0 || part == i) {
+				part = i
+				keys = append(keys, k)
+			}
+		}
+	}
+	if len(keys) < 3 || a.Primary[part] == a.Backup[part] {
+		t.Fatalf("no partition with a distinct backup and three keys (%d)", len(keys))
+	}
+	primary, backup := c.switches[a.Primary[part]], c.switches[a.Backup[part]]
+	backupHits := backup.sw.Stats.AuthorityHits.Load()
+
+	primary.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			primary.mu.Unlock()
+		}
+	}()
+	c.Inject(0, packet.HeaderFromKey(keys[0]), 100)
+	time.Sleep(20 * time.Millisecond)
+	c.Inject(0, packet.HeaderFromKey(keys[1]), 100)
+
+	deadline := time.Now().Add(3 * time.Second)
+	for c.NodeAlive(primary.id) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled authority %d never declared dead", primary.id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !c.Inject(1, packet.HeaderFromKey(keys[2]), 100) {
+		t.Fatal("inject failed")
+	}
+	if d := awaitDelivery(t, c); !d.Detour || d.Header.Key() != keys[2] {
+		t.Fatalf("fresh miss while the authority is stalled: %+v", d)
+	}
+	if got := backup.sw.Stats.AuthorityHits.Load(); got == backupHits {
+		t.Fatal("the fresh miss was not answered by the backup authority")
+	}
+	primary.mu.Unlock()
+	locked = false
 }
 
 // TestIngressLocalFailover pins down the data-plane half in isolation: the
