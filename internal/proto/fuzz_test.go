@@ -5,6 +5,28 @@ import (
 	"testing"
 )
 
+// malformedFrames returns seed frames that sit just off the valid
+// encoding: a frame cut short of its declared length, a frame whose
+// payload is shorter than its type needs, an unknown type code, and a
+// frame carrying a trailing byte past its payload.
+func malformedFrames() [][]byte {
+	install := Encode(nil, &CacheInstall{Ingress: 5, Rules: []FlowMod{
+		{Table: TableCache, Op: OpAdd, Rule: sampleRule(3), Idle: 5},
+	}})
+	cut := install[:len(install)-1]
+
+	short := Encode(nil, &Heartbeat{Node: 8, Seq: 42})
+	short = short[:len(short)-3]
+	short[3] -= 3 // header length matches the shortened payload
+
+	unknown := []byte{0, 0, 0, 1, byte(MsgBFDControl) + 1}
+
+	trailing := append(Encode(nil, &BFDControl{Node: 1, State: 1}), 0)
+	trailing[3]++
+
+	return [][]byte{cut, short, unknown, trailing}
+}
+
 // FuzzReadMessage feeds arbitrary byte streams to the frame decoder: no
 // panics, no unbounded allocation (the MaxFrame guard), and anything
 // accepted must re-encode and re-decode to the same message type.
@@ -15,6 +37,9 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 99})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
+	for _, b := range malformedFrames() {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := ReadMessage(bytes.NewReader(data))
@@ -61,6 +86,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	putU32(bomb[:4], uint32(len(bomb)-4))
 	f.Add(bomb)
+	for _, b := range malformedFrames() {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, n, err := DecodeFrame(data)
