@@ -11,8 +11,10 @@ vet:
 	go vet ./...
 
 # Exported functions and methods under internal/ with no caller outside
-# tests (or none outside bench/) must be named, with a reason, in
-# scripts/unused.allow: what nothing calls either goes or says why not.
+# tests (or none outside bench/), and exported *Config / RetryPolicy fields
+# that no caller outside their package sets, must be named, with a reason,
+# in scripts/unused.allow: what nothing calls or turns either goes or says
+# why not.
 unused:
 	sh scripts/unused.sh
 

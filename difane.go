@@ -402,9 +402,6 @@ type EpochTimeline = telemetry.EpochTimeline
 // windowed metric deltas.
 type HealthRule = telemetry.HealthRule
 
-// HealthConfig tunes the default watchdog rules' thresholds and floors.
-type HealthConfig = telemetry.HealthConfig
-
 // RuleStatus is a watchdog rule's latest verdict: firing, value, detail,
 // and since when.
 type RuleStatus = telemetry.RuleStatus

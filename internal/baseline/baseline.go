@@ -42,15 +42,13 @@ type Config struct {
 	// baseline installs only microflow cache rules, so it acts as an
 	// additional cache cap (see switchsim.Config.TCAMBudget).
 	TCAMBudget int
-	// RuleIdle / RuleHard are the microflow rule timeouts.
+	// RuleIdle is the microflow rules' idle timeout; they have no hard
+	// timeout.
 	RuleIdle float64
-	RuleHard float64
 
 	// Tracing enables the flight recorder from construction (also
-	// toggleable via SetTracing); TraceBuffer sizes each node's event ring
-	// (default 4096).
-	Tracing     bool
-	TraceBuffer int
+	// toggleable via SetTracing); each node's event ring holds 4096 events.
+	Tracing bool
 	// TraceSample is the 1-in-N per-packet trace-ID sampling rate feeding
 	// journey assembly (0 = off). The same hash as the DIFANE backends, so
 	// all three sample the same packets of a replayed workload.
@@ -132,8 +130,8 @@ func NewNetwork(g *topo.Graph, policy []flowspace.Rule, cfg Config) (*Network, e
 		nodes = append(nodes, uint32(id))
 	}
 	n.Probe = telemetry.NewProbe(telemetry.ProbeConfig{
-		Nodes: nodes, TraceBuffer: cfg.TraceBuffer, Tracing: cfg.Tracing,
-		TraceSample: cfg.TraceSample, Now: telemetry.VirtualClock(n.Eng.Now),
+		Nodes: nodes, Tracing: cfg.Tracing, TraceSample: cfg.TraceSample,
+		Now: telemetry.VirtualClock(n.Eng.Now),
 	})
 	// The same schema core.RegisterMeasurements gives the DIFANE backends,
 	// plus the reactive controller's own setup counter.
@@ -226,7 +224,7 @@ func (n *Network) controllerHandle(injected float64, ingress uint32, k flowspace
 	n.Eng.At(arriveBack, func() {
 		sw := n.Switches[ingress]
 		mod := proto.FlowMod{Table: proto.TableCache, Op: proto.OpAdd, Rule: exact,
-			Idle: n.cfg.RuleIdle, Hard: n.cfg.RuleHard}
+			Idle: n.cfg.RuleIdle}
 		_ = sw.ApplyFlowMod(n.Eng.Now(), &mod)
 		if trace != 0 {
 			n.Span(telemetry.Event{Kind: telemetry.EvInstall, Node: ingress,

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"difane/internal/topo"
-)
+import "difane/internal/topo"
 
 // LinkKey identifies one direction of a link.
 type LinkKey struct {
@@ -53,27 +49,6 @@ func (l LinkLoads) Concentration() float64 {
 		return 0
 	}
 	return float64(l.Max()) / mean
-}
-
-// Hottest returns the n most-loaded directed links, descending.
-func (l LinkLoads) Hottest(n int) []LinkKey {
-	keys := make([]LinkKey, 0, len(l))
-	for k := range l {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if l[keys[i]] != l[keys[j]] {
-			return l[keys[i]] > l[keys[j]]
-		}
-		if keys[i].From != keys[j].From {
-			return keys[i].From < keys[j].From
-		}
-		return keys[i].To < keys[j].To
-	})
-	if n > len(keys) {
-		n = len(keys)
-	}
-	return keys[:n]
 }
 
 // sendAlong walks the packet hop by hop along the shortest path from a to

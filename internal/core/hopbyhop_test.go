@@ -87,13 +87,6 @@ func TestLinkLoadsStats(t *testing.T) {
 	if c := l.Concentration(); c != 1.5 {
 		t.Fatalf("concentration = %v", c)
 	}
-	hot := l.Hottest(1)
-	if len(hot) != 1 || hot[0] != (LinkKey{0, 1}) {
-		t.Fatalf("hottest = %v", hot)
-	}
-	if len(l.Hottest(10)) != 2 {
-		t.Fatal("Hottest must clamp to available links")
-	}
 }
 
 func TestLinkLoadsOffByDefault(t *testing.T) {

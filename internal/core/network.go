@@ -42,10 +42,6 @@ type NetworkConfig struct {
 	// AuthorityQueue bounds the authority's pending-miss queue; overflow
 	// packets are dropped (0 = unbounded).
 	AuthorityQueue int
-	// InstallDelay is the extra control-path delay between an authority
-	// deciding a cache rule and the ingress switch having it installed,
-	// on top of the authority→ingress propagation delay.
-	InstallDelay float64
 	// Replication is the number of authority switches each partition is
 	// hosted at (minimum 2 when possible). More replicas cost TCAM but
 	// shorten redirect detours, since every ingress targets its nearest
@@ -60,18 +56,14 @@ type NetworkConfig struct {
 	Partition PartitionConfig
 
 	// Tracing enables the flight recorder from construction (also
-	// toggleable at runtime via SetTracing); TraceBuffer sizes each node's
-	// event ring (default 4096).
-	Tracing     bool
-	TraceBuffer int
+	// toggleable at runtime via SetTracing); each node's event ring holds
+	// 4096 events.
+	Tracing bool
 	// TraceSample is the 1-in-N per-packet trace-ID sampling rate feeding
 	// journey assembly (0 = off). The sampling decision is a pure hash of
 	// the flow tuple and packet sequence, so the simulated, baseline, and
 	// wire backends replaying the same workload sample the same packets.
 	TraceSample int
-	// Health tunes the watchdog SLO thresholds (zero values take the
-	// documented defaults).
-	Health telemetry.HealthConfig
 }
 
 // EvictionChoice selects the ingress-cache eviction policy. The zero
@@ -284,8 +276,7 @@ func NewNetwork(g *topo.Graph, authorities []uint32, policy []flowspace.Rule, cf
 		nodes = append(nodes, id)
 	}
 	n.Probe = telemetry.NewProbe(telemetry.ProbeConfig{
-		Nodes: nodes, TraceBuffer: cfg.TraceBuffer, Tracing: cfg.Tracing,
-		TraceSample: cfg.TraceSample, Health: cfg.Health,
+		Nodes: nodes, Tracing: cfg.Tracing, TraceSample: cfg.TraceSample,
 		Now: telemetry.VirtualClock(n.Eng.Now),
 	})
 	n.registerMetrics()
@@ -462,7 +453,7 @@ func (n *Network) authorityHandle(injected float64, ingress, authority uint32, v
 			if trace != 0 {
 				in.Sent(n.Probe, authority, ingress, telemetry.TupleOfKey(k))
 			}
-			n.Eng.At(now+dAI+n.cfg.InstallDelay, func() { in.Apply(n.Probe, n.Switches[ingress], n.gen, n.Eng.Now()) })
+			n.Eng.At(now+dAI, func() { in.Apply(n.Probe, n.Switches[ingress], n.gen, n.Eng.Now()) })
 		}
 	}
 	st := AnswerStep(&res)
@@ -550,16 +541,4 @@ func (n *Network) AllAuthorities() []*Authority {
 		}
 	}
 	return out
-}
-
-// EgressOf evaluates the global policy for a key, returning the egress
-// switch for delivered traffic (ok=false for drops/holes). Used by tests
-// and workloads to find ground truth.
-func (n *Network) EgressOf(k flowspace.Key) (uint32, bool) {
-	r, ok := flowspace.EvalTable(n.gen.Policy, k)
-	if !ok {
-		return 0, false
-	}
-	st := actionStep(r.Action)
-	return st.To, st.Kind == VerdictDelivered && !st.Redirect
 }

@@ -288,16 +288,6 @@ func TestNetworkValidation(t *testing.T) {
 	}
 }
 
-func TestEgressOf(t *testing.T) {
-	n := testNet(t, NetworkConfig{})
-	if e, ok := n.EgressOf(flowKey(1, 80)); !ok || e != 4 {
-		t.Fatalf("egress = %d ok=%v", e, ok)
-	}
-	if _, ok := n.EgressOf(flowKey(1, 22)); ok {
-		t.Fatal("dropped traffic has no egress")
-	}
-}
-
 func TestManyFlowsAllStrategiesDeliverCorrectly(t *testing.T) {
 	// End-to-end consistency sweep: random policy, random flows; every
 	// injected packet must be delivered iff the global policy forwards it,

@@ -29,14 +29,11 @@ type PartitionConfig struct {
 	// MaxPartitions optionally bounds the number of leaves (0 = unbounded).
 	// When the bound is hit, remaining oversized regions become leaves.
 	MaxPartitions int
-	// CutFields are the dimensions the tree may cut on. Defaults to
-	// ip_src, ip_dst, tp_dst, eth_type — the fields enterprise policies
-	// actually structure on.
-	CutFields []flowspace.FieldID
 }
 
-// DefaultCutFields are the dimensions the partitioner cuts on by default.
-var DefaultCutFields = []flowspace.FieldID{
+// cutFields are the dimensions the tree may cut on: ip_src, ip_dst,
+// tp_dst, eth_type — the fields enterprise policies actually structure on.
+var cutFields = []flowspace.FieldID{
 	flowspace.FIPSrc, flowspace.FIPDst, flowspace.FTPDst, flowspace.FEthType,
 }
 
@@ -47,9 +44,6 @@ const DefaultMaxRulesPerPartition = 4096
 func (c PartitionConfig) withDefaults() PartitionConfig {
 	if c.MaxRulesPerPartition < 1 {
 		c.MaxRulesPerPartition = DefaultMaxRulesPerPartition
-	}
-	if len(c.CutFields) == 0 {
-		c.CutFields = DefaultCutFields
 	}
 	return c
 }
@@ -92,7 +86,7 @@ func BuildPartitions(rules []flowspace.Rule, cfg PartitionConfig) []Partition {
 			emit(n)
 			continue
 		}
-		field, bit, ok := chooseCut(n.region, n.rules, cfg.CutFields)
+		field, bit, ok := chooseCut(n.region, n.rules)
 		if !ok {
 			emit(n) // no cut separates anything further
 			continue
@@ -137,11 +131,11 @@ func cutRegion(region flowspace.Match, f flowspace.FieldID, bit uint) (zero, one
 // free bit of each candidate field is considered — cutting high bits first
 // mirrors prefix structure and keeps regions expressible as single ternary
 // matches.
-func chooseCut(region flowspace.Match, rules []flowspace.Rule, fields []flowspace.FieldID) (flowspace.FieldID, uint, bool) {
+func chooseCut(region flowspace.Match, rules []flowspace.Rule) (flowspace.FieldID, uint, bool) {
 	bestField := flowspace.FieldID(-1)
 	var bestBit uint
 	bestMax, bestSum := len(rules)+1, 0
-	for _, f := range fields {
+	for _, f := range cutFields {
 		w := f.Width()
 		fd := region.Fields[f]
 		// Highest wildcard bit of this field inside the region.
@@ -410,24 +404,4 @@ func AssignWithReplication(parts []Partition, authorities []uint32, r int) (Assi
 		}
 	}
 	return a, nil
-}
-
-// ReplicateAll is the naive comparison partitioner: every authority switch
-// carries the entire rule set (one partition covering all of flow space,
-// replicated). Used by the ablation bench.
-func ReplicateAll(rules []flowspace.Rule, authorities []uint32) Assignment {
-	sorted := append([]flowspace.Rule(nil), rules...)
-	flowspace.SortRules(sorted)
-	parts := make([]Partition, len(authorities))
-	a := Assignment{
-		Primary: make([]uint32, len(authorities)),
-		Backup:  make([]uint32, len(authorities)),
-	}
-	for i, id := range authorities {
-		parts[i] = Partition{Region: flowspace.MatchAll(), Rules: sorted}
-		a.Primary[i] = id
-		a.Backup[i] = id
-	}
-	a.Partitions = parts
-	return a
 }

@@ -251,21 +251,6 @@ func TestPartitionRulesGeneration(t *testing.T) {
 	}
 }
 
-func TestReplicateAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	rules := randPolicy(rng, 50)
-	a := ReplicateAll(rules, []uint32{1, 2, 3})
-	if len(a.Partitions) != 3 {
-		t.Fatalf("partitions = %d", len(a.Partitions))
-	}
-	load := a.LoadPerAuthority()
-	for _, id := range []uint32{1, 2, 3} {
-		if load[id] != 50 {
-			t.Fatalf("replicate-all load = %v", load)
-		}
-	}
-}
-
 func TestChooseCutSeparates(t *testing.T) {
 	// Two disjoint /1 prefixes must be separable with a single cut.
 	rules := []flowspace.Rule{

@@ -97,26 +97,6 @@ func (n *Network) CountersFor(ruleID uint64) RuleCounters {
 	return RuleCounters{RuleID: ruleID}
 }
 
-// ShadowedRules returns the IDs of policy rules that can never match any
-// packet because higher-priority rules jointly cover them — dead TCAM
-// entries the operator can remove. The analysis runs on the global policy.
-func (n *Network) ShadowedRules() []uint64 {
-	return ShadowedRuleIDs(n.gen.Policy)
-}
-
-// ShadowedRuleIDs finds shadowed rules in any rule list.
-func ShadowedRuleIDs(rules []flowspace.Rule) []uint64 {
-	sorted := append([]flowspace.Rule(nil), rules...)
-	flowspace.SortRules(sorted)
-	var out []uint64
-	for i := range sorted {
-		if flowspace.Shadowed(sorted, i) {
-			out = append(out, sorted[i].ID)
-		}
-	}
-	return out
-}
-
 // CompactPolicy removes shadowed rules from a policy, returning the
 // compacted list (TCAM order) and the removed IDs. Running it before
 // partitioning shrinks every authority switch's table without changing

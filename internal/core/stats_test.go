@@ -71,7 +71,7 @@ func TestShadowedRuleIDs(t *testing.T) {
 		{ID: 3, Priority: 10, Match: flowspace.MatchAll(),
 			Action: flowspace.Action{Kind: flowspace.ActDrop}},
 	}
-	shadowed := ShadowedRuleIDs(rules)
+	_, shadowed := CompactPolicy(rules)
 	if len(shadowed) != 1 || shadowed[0] != 2 {
 		t.Fatalf("shadowed = %v, want [2]", shadowed)
 	}
@@ -143,6 +143,8 @@ func TestPolicyCountersAfterConsistentUpdate(t *testing.T) {
 	}
 }
 
+// The shadowing analysis of a running network, as difanectl's compact
+// command runs it: CompactPolicy over the network's policy.
 func TestNetworkShadowedRules(t *testing.T) {
 	g := topo.Linear(3, 0.001)
 	policy := []flowspace.Rule{
@@ -155,7 +157,7 @@ func TestNetworkShadowedRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := n.ShadowedRules()
+	_, sh := CompactPolicy(n.Policy())
 	if len(sh) != 1 || sh[0] != 2 {
 		t.Fatalf("shadowed = %v", sh)
 	}

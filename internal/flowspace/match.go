@@ -159,22 +159,6 @@ func (m *Match) Carve(o *Match, k *Key) bool {
 	return false
 }
 
-// SubtractAll removes every match in os from m, returning disjoint pieces.
-func (m Match) SubtractAll(os []Match) []Match {
-	pieces := []Match{m}
-	for _, o := range os {
-		var next []Match
-		for _, p := range pieces {
-			next = append(next, p.Subtract(o)...)
-		}
-		pieces = next
-		if len(pieces) == 0 {
-			break
-		}
-	}
-	return pieces
-}
-
 // FreeBits returns the total number of wildcard bits across all fields —
 // log2 of the number of concrete headers the match covers.
 func (m Match) FreeBits() int {

@@ -160,37 +160,6 @@ func TestMatchSubtractEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSubtractAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	a := MatchAll().WithPrefix(FIPSrc, 0x0A000000, 8)
-	subs := []Match{
-		MatchAll().WithPrefix(FIPSrc, 0x0A000000, 16),
-		MatchAll().WithPrefix(FIPSrc, 0x0A800000, 9),
-		MatchAll().WithExact(FTPDst, 80),
-	}
-	pieces := a.SubtractAll(subs)
-	for i := 0; i < 2000; i++ {
-		k := randKeyIn(rng, a)
-		want := true
-		for _, s := range subs {
-			if s.Matches(k) {
-				want = false
-				break
-			}
-		}
-		got := false
-		for _, p := range pieces {
-			if p.Matches(k) {
-				got = true
-				break
-			}
-		}
-		if got != want {
-			t.Fatalf("SubtractAll membership mismatch at %v: want %v got %v", k, want, got)
-		}
-	}
-}
-
 func TestMatchContainsTransitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 300; i++ {

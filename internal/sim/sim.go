@@ -107,8 +107,6 @@ type Station struct {
 	// Jobs and Drops count submissions and queue-limit drops.
 	Jobs  uint64
 	Drops uint64
-	// BusyTime accumulates total service time, for utilization reports.
-	BusyTime float64
 }
 
 // NewStation attaches a station to an engine.
@@ -137,21 +135,9 @@ func (s *Station) Submit(done func(at float64)) bool {
 	start := math.Max(now, s.busyUntil)
 	finish := start + svc
 	s.busyUntil = finish
-	s.BusyTime += svc
 	s.eng.At(finish, func() {
 		s.inFlight--
 		done(finish)
 	})
 	return true
-}
-
-// Backlog returns the number of jobs queued or in service.
-func (s *Station) Backlog() int { return s.inFlight }
-
-// Utilization returns BusyTime divided by elapsed time (0 if none).
-func (s *Station) Utilization() float64 {
-	if s.eng.now <= 0 {
-		return 0
-	}
-	return s.BusyTime / s.eng.now
 }

@@ -55,8 +55,6 @@ type Config struct {
 	// MaxActive hard-bounds the concurrent session set (memory guard;
 	// default 1<<20). Arrivals past the bound are suppressed and counted.
 	MaxActive int
-	// PacketSize is the modeled packet size in bytes (default 400).
-	PacketSize int
 	// Seed makes the whole run deterministic.
 	Seed int64
 }
@@ -82,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxActive <= 0 {
 		c.MaxActive = 1 << 20
-	}
-	if c.PacketSize <= 0 {
-		c.PacketSize = 400
 	}
 	return c
 }
@@ -255,9 +250,6 @@ func (e *Engine) TotalPackets() uint64 { return e.totalPackets }
 // TotalSuppressed returns arrivals refused by the MaxActive bound.
 func (e *Engine) TotalSuppressed() uint64 { return e.totalSuppressed }
 
-// FlashRegion returns the flow-space region flash crowds converge on.
-func (e *Engine) FlashRegion() flowspace.Match { return e.spec.Policy[e.flashRule].Match }
-
 // Done reports whether the phase script has been fully consumed.
 func (e *Engine) Done() bool { return e.phaseIdx >= len(e.phases) }
 
@@ -306,13 +298,16 @@ func (e *Engine) spawn(t float64, tick *Tick) {
 	e.emit(&e.sessions[len(e.sessions)-1], t)
 }
 
+// packetSize is every modeled packet's size in bytes.
+const packetSize = 400
+
 // emit appends one packet from session s to the tick batch.
 func (e *Engine) emit(s *session, at float64) {
 	e.batch = append(e.batch, core.PacketIn{
 		At:      at,
 		Ingress: s.ingress,
 		Key:     s.key,
-		Size:    e.cfg.PacketSize,
+		Size:    packetSize,
 		Seq:     s.seq,
 	})
 	s.seq++

@@ -155,7 +155,7 @@ func TestEngineFlashCrowdConcentration(t *testing.T) {
 	hot := 8
 	e := engineFixture(Config{ArrivalRate: 2000, Seed: 5},
 		[]Phase{FlashCrowd(2, 1, hot)})
-	region := e.FlashRegion()
+	region := e.spec.Policy[e.flashRule].Match // the region flash crowds converge on
 	keys := map[uint64]bool{}
 	n := 0
 	for !e.Done() {

@@ -22,22 +22,12 @@ type SoakConfig struct {
 	// Phases is the soak script (default: DefaultScript over 30 modeled
 	// seconds).
 	Phases []Phase
-	// TickDt is the modeled step per engine tick in seconds (default
-	// 0.05). Ticks run flat out — the soak is throughput-bound, not
-	// wall-clock paced.
-	TickDt float64
 	// SampleEvery checks roughly one packet verdict per this many
-	// generated packets against the oracle (default 4096; 0 disables
-	// sampling). Full replay cannot scale to millions of sessions; the
-	// sampler quiesces the deployment, re-injects the sampled packet as a
-	// probe, and diffs its terminal verdict against oracle.Evaluate.
+	// generated packets against the oracle (0 disables sampling).
+	// Full replay cannot scale to millions of sessions; the sampler
+	// quiesces the deployment, re-injects the sampled packet as a probe,
+	// and diffs its terminal verdict against oracle.Evaluate.
 	SampleEvery int
-	// SeriesInterval is the modeled time between telemetry series points
-	// (default 1s).
-	SeriesInterval float64
-	// QuiesceTimeout bounds each probe's drain wait in real seconds
-	// (default 10).
-	QuiesceTimeout float64
 	// WallBudget stops the soak early when the real-time budget is spent
 	// (0 = run the script to completion). The phases completed so far
 	// still gate; an exhausted budget is reported, not failed.
@@ -56,23 +46,17 @@ type SoakConfig struct {
 	Log func(format string, args ...any)
 }
 
+// The soak's fixed pacing. A tick is one modeled step; ticks run flat
+// out, because the soak is throughput-bound, not wall-clock paced.
+const (
+	tickDt         = 0.05 // modeled seconds per engine tick
+	seriesInterval = 1.0  // modeled seconds between telemetry series points
+	quiesceTimeout = 10.0 // real seconds each drain wait is bounded by
+)
+
 func (c SoakConfig) withDefaults() SoakConfig {
 	if len(c.Phases) == 0 {
 		c.Phases = DefaultScript(30)
-	}
-	if c.TickDt <= 0 {
-		c.TickDt = 0.05
-	}
-	if c.SampleEvery < 0 {
-		c.SampleEvery = 0
-	} else if c.SampleEvery == 0 {
-		c.SampleEvery = 4096
-	}
-	if c.SeriesInterval <= 0 {
-		c.SeriesInterval = 1
-	}
-	if c.QuiesceTimeout <= 0 {
-		c.QuiesceTimeout = 10
 	}
 	return c
 }
@@ -401,7 +385,7 @@ func (s *soak) run() (*Report, error) {
 	}
 	var (
 		nextProbe   = uint64(cfg.SampleEvery)
-		nextSeries  = cfg.SeriesInterval
+		nextSeries  = seriesInterval
 		lastWall    = 0.0
 		lastPkts    = uint64(0)
 		curPhase    = -1
@@ -454,9 +438,9 @@ func (s *soak) run() (*Report, error) {
 			rep.BudgetExhausted = true
 			break
 		}
-		tick := s.e.Advance(cfg.TickDt)
+		tick := s.e.Advance(tickDt)
 		if tick.PhaseChanged {
-			closePhase(tick.Now - cfg.TickDt)
+			closePhase(tick.Now - tickDt)
 			if tick.Done {
 				curPhase = -1
 			} else {
@@ -518,7 +502,7 @@ func (s *soak) run() (*Report, error) {
 			storeFloat(&s.redirectPS, pt.RedirectsPerSec)
 			lastWall, lastPkts = wall, s.injected
 			s.lastRedirects = m.Redirects
-			nextSeries += cfg.SeriesInterval
+			nextSeries += seriesInterval
 		}
 	}
 	if !rep.BudgetExhausted && len(rep.Divergences) < maxDivergences {
@@ -529,7 +513,7 @@ func (s *soak) run() (*Report, error) {
 	// Drain everything still in flight, then audit the accounting
 	// identity: every packet we injected must have reached exactly one
 	// terminal counter.
-	s.d.Run(cfg.QuiesceTimeout)
+	s.d.Run(quiesceTimeout)
 	final := measTotals(s.d.Measurements())
 	if final.sum() != s.injected {
 		rep.AccountingError = fmt.Sprintf(
@@ -581,7 +565,7 @@ func (s *soak) run() (*Report, error) {
 // when the drain times out under a backlog the probe is skipped rather
 // than risk attributing a straggler's counter to the probe.
 func (s *soak) probe(p core.PacketIn, tick Tick, rep *Report) {
-	s.d.Run(s.cfg.QuiesceTimeout)
+	s.d.Run(quiesceTimeout)
 	before := measTotals(s.d.Measurements())
 	if before.sum() != s.injected {
 		rep.ProbesSkipped++
@@ -598,7 +582,7 @@ func (s *soak) probe(p core.PacketIn, tick Tick, rep *Report) {
 	}
 	s.d.InjectPacket(0, p.Ingress, p.Key, p.Size, 0)
 	s.injected++
-	s.d.Run(s.cfg.QuiesceTimeout)
+	s.d.Run(quiesceTimeout)
 	delta := measTotals(s.d.Measurements()).sub(before)
 	s.probes.Add(1)
 

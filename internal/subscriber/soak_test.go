@@ -120,6 +120,35 @@ func TestSoakRegistersTelemetry(t *testing.T) {
 	}
 }
 
+// SampleEvery 0 turns the verdict sampler off: however many packets the
+// soak generates, it sends no probe.
+func TestSoakSampleZeroSendsNoProbes(t *testing.T) {
+	setup := Setup{Switches: 4, Rules: 32, Seed: 9}
+	d, spec, err := setup.Deploy()
+	if err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	defer d.Close()
+
+	rep, err := RunSoak(d, spec, SoakConfig{
+		Engine: Config{ArrivalRate: 1000, MeanSessionLife: 1, Seed: 9},
+		Phases: []Phase{Steady(3)},
+	})
+	if err != nil {
+		t.Fatalf("soak: %v", err)
+	}
+	if rep.Failed() {
+		t.Fatalf("soak failed:\n%s", rep.Render())
+	}
+	if rep.Packets < 4096 {
+		t.Fatalf("only %d packets: too few to tell sampling off from a 1-in-4096 sampler", rep.Packets)
+	}
+	if rep.Probes != 0 || rep.ProbesSkipped != 0 {
+		t.Fatalf("sampling off, yet %d probes sent and %d skipped over %d packets",
+			rep.Probes, rep.ProbesSkipped, rep.Packets)
+	}
+}
+
 func TestSoakWallBudgetStopsEarly(t *testing.T) {
 	setup := Setup{Switches: 4, Rules: 32, Seed: 8}
 	d, spec, err := setup.Deploy()

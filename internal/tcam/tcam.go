@@ -15,7 +15,7 @@
 // in the eviction policy's order, so no write walks the table.
 //
 // Concurrency: the table is safe for concurrent use behind one
-// sync.RWMutex. Reads (Lookup, Peek, Len, Entries, Rules, NextExpiry, and
+// sync.RWMutex. Reads (Lookup, Peek, Len, Entries, Rules, and
 // a View for a whole packet burst) take the read lock and update per-entry
 // counters with atomics, so data planes read side by side; mutations
 // (Insert, Delete, DeleteWhere, SetCapacity, Advance) take the write lock,
@@ -728,20 +728,6 @@ func (t *Table) Advance(now float64) {
 			t.OnExpire(e.snapshot())
 		}
 	}
-}
-
-// NextExpiry returns the earliest pending expiry time and false if no entry
-// has a timeout armed.
-func (t *Table) NextExpiry() (float64, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	best := never
-	for i := range t.entries {
-		if at := t.entries[i].e.expiresAt(); at < best {
-			best = at
-		}
-	}
-	return best, best < never
 }
 
 // Entries returns a snapshot of the entries in TCAM order.

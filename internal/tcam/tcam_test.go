@@ -187,12 +187,13 @@ func TestLastHitNeverMovesBack(t *testing.T) {
 	if got := tb.Entries()[0].LastHit(); got != 5 {
 		t.Fatalf("LastHit() = %g after hits at 5 then 3, want 5", got)
 	}
-	if at, ok := tb.NextExpiry(); !ok || at != 15 {
-		t.Fatalf("NextExpiry() = %g/%v, want 15 (last hit 5 + idle 10)", at, ok)
-	}
 	tb.Advance(14)
 	if tb.Len() != 1 {
 		t.Fatal("entry idle-expired before lastHit+idle")
+	}
+	tb.Advance(15) // last hit 5 + idle 10
+	if tb.Len() != 0 {
+		t.Fatal("entry must idle-expire at lastHit+idle")
 	}
 }
 
@@ -211,20 +212,21 @@ func TestHardTimeout(t *testing.T) {
 	}
 }
 
+// The next expiry is the earliest armed timeout, idle or hard; an entry
+// with neither never expires.
 func TestNextExpiry(t *testing.T) {
 	tb := New("test", 0, EvictNone)
-	if _, ok := tb.NextExpiry(); ok {
-		t.Fatal("empty table has no expiry")
-	}
 	tb.Insert(0, rule(1, 1, 1), 0, 0)
-	if _, ok := tb.NextExpiry(); ok {
-		t.Fatal("entry without timeouts has no expiry")
-	}
 	tb.Insert(0, rule(2, 2, 2), 0, 7)
 	tb.Insert(0, rule(3, 3, 3), 3, 0)
-	at, ok := tb.NextExpiry()
-	if !ok || at != 3 {
-		t.Fatalf("next expiry = %v ok=%v, want 3", at, ok)
+	for _, step := range []struct {
+		now  float64
+		left int
+	}{{2.9, 3}, {3, 2}, {6.9, 2}, {7, 1}, {1e9, 1}} {
+		tb.Advance(step.now)
+		if tb.Len() != step.left {
+			t.Fatalf("at %g: %d entries left, want %d", step.now, tb.Len(), step.left)
+		}
 	}
 }
 

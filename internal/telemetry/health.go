@@ -12,63 +12,29 @@ const (
 	SevCritical = "critical"
 )
 
-// HealthConfig sets the thresholds of the default SLO rules. Zero values
-// take the documented defaults; the Min* floors keep rules quiet until
-// enough traffic moved in a window to make the ratio meaningful.
-type HealthConfig struct {
-	// MissRateMax fires miss-rate-burn when redirects (partition hits)
-	// exceed this fraction of cache plus partition hits in a window
-	// (default 0.75 — a sustained burn, not a cold-start blip).
-	MissRateMax float64
-	// MinClassified is the per-window classification floor for the
-	// miss-rate rule (default 500).
-	MinClassified float64
-	// ImbalanceMax fires redirect-imbalance when the busiest authority's
-	// redirect delta exceeds this multiple of the mean (default 4).
-	ImbalanceMax float64
-	// MinRedirects is the per-window redirect floor for the imbalance
-	// rule (default 200).
-	MinRedirects float64
-	// EvictionPerDeliveryMax fires tcam-pressure when cache evictions per
-	// delivered packet exceed it (default 0.5 — the cache is thrashing).
-	EvictionPerDeliveryMax float64
-	// MinDeliveries is the per-window delivery floor for the tcam rule
-	// (default 500).
-	MinDeliveries float64
-	// BFDFlapRateMax fires bfd-flap when BFD session state transitions
-	// exceed this rate per second (default 5).
-	BFDFlapRateMax float64
-	// ConvergenceStallNS fires convergence-stall when a policy update has
-	// been converging longer than this (default 10s).
-	ConvergenceStallNS int64
-}
-
-func (c *HealthConfig) applyDefaults() {
-	if c.MissRateMax == 0 {
-		c.MissRateMax = 0.75
-	}
-	if c.MinClassified == 0 {
-		c.MinClassified = 500
-	}
-	if c.ImbalanceMax == 0 {
-		c.ImbalanceMax = 4
-	}
-	if c.MinRedirects == 0 {
-		c.MinRedirects = 200
-	}
-	if c.EvictionPerDeliveryMax == 0 {
-		c.EvictionPerDeliveryMax = 0.5
-	}
-	if c.MinDeliveries == 0 {
-		c.MinDeliveries = 500
-	}
-	if c.BFDFlapRateMax == 0 {
-		c.BFDFlapRateMax = 5
-	}
-	if c.ConvergenceStallNS == 0 {
-		c.ConvergenceStallNS = 10_000_000_000
-	}
-}
+// The default rules' thresholds. The min* floors keep a rule quiet until
+// enough traffic moved in a window to make its ratio meaningful.
+const (
+	// missRateMax fires miss-rate-burn when redirects (partition hits)
+	// exceed this fraction of cache plus partition hits in a window: a
+	// sustained burn, not a cold-start blip.
+	missRateMax   = 0.75
+	minClassified = 500
+	// imbalanceMax fires redirect-imbalance when the busiest authority's
+	// redirect delta exceeds this multiple of the mean.
+	imbalanceMax = 4.0
+	minRedirects = 200
+	// evictionPerDeliveryMax fires tcam-pressure when cache evictions per
+	// delivered packet exceed it: the cache is thrashing.
+	evictionPerDeliveryMax = 0.5
+	minDeliveries          = 500
+	// bfdFlapRateMax fires bfd-flap when BFD session state transitions
+	// exceed this rate per second.
+	bfdFlapRateMax = 5.0
+	// convergenceStallNS fires convergence-stall when a policy update has
+	// been converging longer than this (10 s).
+	convergenceStallNS = 10_000_000_000
+)
 
 // HealthView is what a rule evaluates: the previous and current registry
 // scrapes flattened by metric name, the wall seconds between them, and the
@@ -154,8 +120,7 @@ type RuleStatus struct {
 
 // DefaultHealthRules builds the standard SLO rule set over the shared
 // difane_* metric schema.
-func DefaultHealthRules(cfg HealthConfig) []HealthRule {
-	cfg.applyDefaults()
+func DefaultHealthRules() []HealthRule {
 	return []HealthRule{
 		{
 			Name: "miss-rate-burn", Severity: SevWarn,
@@ -165,12 +130,12 @@ func DefaultHealthRules(cfg HealthConfig) []HealthRule {
 				hits := v.Delta("difane_switch_cache_hits_total")
 				redirects := v.Delta("difane_switch_partition_hits_total")
 				total := hits + redirects
-				if total < cfg.MinClassified {
+				if total < minClassified {
 					return false, 0, ""
 				}
 				rate := redirects / total
-				return rate > cfg.MissRateMax, rate,
-					fmt.Sprintf("miss rate %.2f over %.0f classifications (max %.2f)", rate, total, cfg.MissRateMax)
+				return rate > missRateMax, rate,
+					fmt.Sprintf("miss rate %.2f over %.0f classifications (max %.2f)", rate, total, missRateMax)
 			},
 		},
 		{
@@ -193,14 +158,14 @@ func DefaultHealthRules(cfg HealthConfig) []HealthRule {
 				// Mean over switches that served redirects this window:
 				// non-authority switches report a structural zero and must
 				// not deflate the denominator.
-				if total < cfg.MinRedirects || len(deltas) < 2 || active < 2 {
+				if total < minRedirects || len(deltas) < 2 || active < 2 {
 					return false, 0, ""
 				}
 				mean := total / float64(active)
 				ratio := max / mean
-				return ratio > cfg.ImbalanceMax, ratio,
+				return ratio > imbalanceMax, ratio,
 					fmt.Sprintf("switch %s took %.0f of %.0f redirects (%.1fx mean, max %.1fx)",
-						maxSwitch, max, total, ratio, cfg.ImbalanceMax)
+						maxSwitch, max, total, ratio, imbalanceMax)
 			},
 		},
 		{
@@ -208,14 +173,14 @@ func DefaultHealthRules(cfg HealthConfig) []HealthRule {
 			Help: "cache evictions per delivery signal a thrashing TCAM budget",
 			Eval: func(v *HealthView) (bool, float64, string) {
 				delivered := v.Delta("difane_delivered_total")
-				if delivered < cfg.MinDeliveries {
+				if delivered < minDeliveries {
 					return false, 0, ""
 				}
 				evictions := v.Delta("difane_switch_cache_evictions_total")
 				ratio := evictions / delivered
-				return ratio > cfg.EvictionPerDeliveryMax, ratio,
+				return ratio > evictionPerDeliveryMax, ratio,
 					fmt.Sprintf("%.0f evictions over %.0f deliveries (%.2f/pkt, max %.2f)",
-						evictions, delivered, ratio, cfg.EvictionPerDeliveryMax)
+						evictions, delivered, ratio, evictionPerDeliveryMax)
 			},
 		},
 		{
@@ -223,8 +188,8 @@ func DefaultHealthRules(cfg HealthConfig) []HealthRule {
 			Help: "BFD sessions are flapping faster than failures can be real",
 			Eval: func(v *HealthView) (bool, float64, string) {
 				rate := v.Rate("difane_bfd_transitions_total")
-				return rate > cfg.BFDFlapRateMax, rate,
-					fmt.Sprintf("%.1f BFD transitions/s (max %.1f)", rate, cfg.BFDFlapRateMax)
+				return rate > bfdFlapRateMax, rate,
+					fmt.Sprintf("%.1f BFD transitions/s (max %.1f)", rate, bfdFlapRateMax)
 			},
 		},
 		{
@@ -236,9 +201,9 @@ func DefaultHealthRules(cfg HealthConfig) []HealthRule {
 					return false, 0, ""
 				}
 				age := v.NowNS - int64(since)
-				return age > cfg.ConvergenceStallNS, float64(age),
+				return age > convergenceStallNS, float64(age),
 					fmt.Sprintf("update converging for %.1fs (budget %.1fs)",
-						float64(age)/1e9, float64(cfg.ConvergenceStallNS)/1e9)
+						float64(age)/1e9, float64(convergenceStallNS)/1e9)
 			},
 		},
 	}

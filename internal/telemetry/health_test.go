@@ -57,7 +57,7 @@ func statusOf(t *testing.T, st []RuleStatus, name string) RuleStatus {
 
 func TestWatchdogFirstEvalIsBaselineOnly(t *testing.T) {
 	f := newFakeCluster()
-	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w := NewWatchdog(f.reg, DefaultHealthRules())
 	st := w.EvalOnce(1_000_000_000)
 	for _, s := range st {
 		if s.Firing {
@@ -72,7 +72,7 @@ func TestWatchdogFirstEvalIsBaselineOnly(t *testing.T) {
 
 func TestMissRateBurnFiresAndClears(t *testing.T) {
 	f := newFakeCluster()
-	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w := NewWatchdog(f.reg, DefaultHealthRules())
 	w.EvalOnce(1e9)
 
 	// Window 1: redirects dominate (900 of 1000 classifications).
@@ -111,7 +111,7 @@ func TestMissRateBurnFiresAndClears(t *testing.T) {
 
 func TestMissRateFloorKeepsColdStartQuiet(t *testing.T) {
 	f := newFakeCluster()
-	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w := NewWatchdog(f.reg, DefaultHealthRules())
 	w.EvalOnce(1e9)
 	// 40 classifications, all redirects — under the 500 floor.
 	f.partitionHits += 40
@@ -125,7 +125,7 @@ func TestRedirectImbalanceRule(t *testing.T) {
 	for _, sw := range []string{"0", "1", "2", "3", "4"} {
 		f.authorityBySwitch[sw] = 0
 	}
-	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w := NewWatchdog(f.reg, DefaultHealthRules())
 	w.EvalOnce(1e9)
 
 	// One authority takes 900 of 1000 redirects while four others take 25
@@ -160,7 +160,7 @@ func TestRedirectImbalanceIgnoresStructuralZeros(t *testing.T) {
 	for _, sw := range []string{"0", "1", "2", "3", "4", "5", "6", "7"} {
 		f.authorityBySwitch[sw] = 0
 	}
-	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w := NewWatchdog(f.reg, DefaultHealthRules())
 	w.EvalOnce(1e9)
 
 	// Two authorities split the load almost evenly; six switches report 0.
@@ -179,7 +179,7 @@ func TestRedirectImbalanceIgnoresStructuralZeros(t *testing.T) {
 
 func TestTcamPressureRule(t *testing.T) {
 	f := newFakeCluster()
-	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w := NewWatchdog(f.reg, DefaultHealthRules())
 	w.EvalOnce(1e9)
 	// 0.8 evictions per delivery: the cache is thrashing.
 	f.delivered += 1000
@@ -192,7 +192,7 @@ func TestTcamPressureRule(t *testing.T) {
 
 func TestBFDFlapIsCritical(t *testing.T) {
 	f := newFakeCluster()
-	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w := NewWatchdog(f.reg, DefaultHealthRules())
 	w.EvalOnce(1e9)
 	// 20 transitions over a 2-second window: 10/s against a 5/s budget.
 	f.bfdTransitions += 20
@@ -208,7 +208,7 @@ func TestBFDFlapIsCritical(t *testing.T) {
 
 func TestConvergenceStallIsCritical(t *testing.T) {
 	f := newFakeCluster()
-	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w := NewWatchdog(f.reg, DefaultHealthRules())
 	w.EvalOnce(1e9)
 	// A policy update opened at t=1ns and never quiesced; by t=15s the
 	// 10s budget is blown.
@@ -226,7 +226,7 @@ func TestConvergenceStallIsCritical(t *testing.T) {
 
 func TestWatchdogViewAndMetrics(t *testing.T) {
 	f := newFakeCluster()
-	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w := NewWatchdog(f.reg, DefaultHealthRules())
 	w.RegisterMetrics(f.reg)
 	w.EvalOnce(1e9)
 	f.bfdTransitions += 100
@@ -265,7 +265,7 @@ func TestWatchdogNeverCollectsSummaries(t *testing.T) {
 		collected++
 		return SummaryView{Count: 1, Sum: 1, Quantiles: [][2]float64{{0.5, 1}}}
 	})
-	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w := NewWatchdog(f.reg, DefaultHealthRules())
 	w.EvalOnce(1e9)
 	f.delivered, f.cacheHits = 1000, 1000
 	w.EvalOnce(2e9)

@@ -28,8 +28,6 @@ type ProbeConfig struct {
 	// 1-in-N per-packet journey sampling rate (0 = off).
 	Tracing     bool
 	TraceSample int
-	// Health tunes the watchdog's default rules.
-	Health HealthConfig
 	// Now stamps span events and defaults the journey freshness clock:
 	// VirtualClock for a discrete-event backend, nil for the recorder's
 	// own wall clock.
@@ -80,7 +78,7 @@ func NewProbe(cfg ProbeConfig) *Probe {
 	p.conv.RegisterMetrics(p.reg)
 	// The watchdog scrapes the registry it is registered into; its EvalOnce
 	// snapshots before locking, so its own gauges stay deadlock-free.
-	p.wd = NewWatchdog(p.reg, DefaultHealthRules(cfg.Health))
+	p.wd = NewWatchdog(p.reg, DefaultHealthRules())
 	p.wd.RegisterMetrics(p.reg)
 	return p
 }

@@ -1,8 +1,8 @@
 // Package topo models the physical network DIFANE runs over: switches,
 // hosts attached to edge switches, and weighted bidirectional links. It
-// provides shortest-path routing (Dijkstra over link latency), next-hop
-// extraction, path stretch computation, and link/node failure toggling —
-// everything the evaluation's delay and stretch experiments need.
+// provides shortest-path routing (Dijkstra over link latency), path
+// stretch computation, and node failure toggling — everything the
+// evaluation's delay and stretch experiments need.
 package topo
 
 import (
@@ -20,8 +20,6 @@ type Link struct {
 	From, To NodeID
 	// Latency is the one-way propagation delay in seconds.
 	Latency float64
-	// Up is false while the link is failed.
-	Up bool
 }
 
 // Graph is a mutable switch-level topology.
@@ -58,31 +56,9 @@ func (g *Graph) AddNode(id NodeID) {
 func (g *Graph) AddLink(a, b NodeID, latency float64) {
 	g.AddNode(a)
 	g.AddNode(b)
-	g.adj[a] = append(g.adj[a], &Link{From: a, To: b, Latency: latency, Up: true})
-	g.adj[b] = append(g.adj[b], &Link{From: b, To: a, Latency: latency, Up: true})
+	g.adj[a] = append(g.adj[a], &Link{From: a, To: b, Latency: latency})
+	g.adj[b] = append(g.adj[b], &Link{From: b, To: a, Latency: latency})
 	g.generation++
-}
-
-// SetLink sets the up/down state of the link(s) between a and b in both
-// directions, reporting whether any link existed.
-func (g *Graph) SetLink(a, b NodeID, up bool) bool {
-	found := false
-	for _, l := range g.adj[a] {
-		if l.To == b {
-			l.Up = up
-			found = true
-		}
-	}
-	for _, l := range g.adj[b] {
-		if l.To == a {
-			l.Up = up
-			found = true
-		}
-	}
-	if found {
-		g.generation++
-	}
-	return found
 }
 
 // SetNode sets the up/down state of a switch; a down switch is excluded
@@ -161,7 +137,7 @@ func (g *Graph) tree(src NodeID) *spTree {
 			}
 			done[it.node] = true
 			for _, l := range g.adj[it.node] {
-				if !l.Up || g.down[l.To] {
+				if g.down[l.To] {
 					continue
 				}
 				nd := it.dist + l.Latency
@@ -205,16 +181,6 @@ func (g *Graph) Path(a, b NodeID) []NodeID {
 	return rev
 }
 
-// NextHop returns the first hop on the shortest path from a to b, and false
-// if unreachable or a == b.
-func (g *Graph) NextHop(a, b NodeID) (NodeID, bool) {
-	p := g.Path(a, b)
-	if len(p) < 2 {
-		return 0, false
-	}
-	return p[1], true
-}
-
 // Stretch returns the ratio of the detour path a→via→b over the direct
 // shortest path a→b. A direct path of zero latency (a == b) or an
 // unreachable leg returns +Inf.
@@ -226,24 +192,6 @@ func (g *Graph) Stretch(a, via, b NodeID) float64 {
 		return math.Inf(1)
 	}
 	return (leg1 + leg2) / direct
-}
-
-// Closest returns the member of candidates with the smallest distance from
-// src, and false if none is reachable. Ties break toward the lower ID.
-func (g *Graph) Closest(src NodeID, candidates []NodeID) (NodeID, bool) {
-	best := NodeID(0)
-	bestD := math.Inf(1)
-	found := false
-	for _, c := range candidates {
-		d, ok := g.Dist(src, c)
-		if !ok {
-			continue
-		}
-		if d < bestD || (d == bestD && c < best) || !found {
-			best, bestD, found = c, d, true
-		}
-	}
-	return best, found
 }
 
 func (g *Graph) String() string {

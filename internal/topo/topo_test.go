@@ -30,17 +30,6 @@ func TestPathEndpointsAndContinuity(t *testing.T) {
 	}
 }
 
-func TestNextHop(t *testing.T) {
-	g := Linear(4, 1)
-	nh, ok := g.NextHop(0, 3)
-	if !ok || nh != 1 {
-		t.Fatalf("next hop = %v ok=%v", nh, ok)
-	}
-	if _, ok := g.NextHop(2, 2); ok {
-		t.Fatal("next hop to self must be !ok")
-	}
-}
-
 func TestShortestPathPrefersLowLatency(t *testing.T) {
 	g := NewGraph()
 	g.AddLink(0, 1, 10) // direct but slow
@@ -53,28 +42,6 @@ func TestShortestPathPrefersLowLatency(t *testing.T) {
 	p := g.Path(0, 1)
 	if len(p) != 3 || p[1] != 2 {
 		t.Fatalf("path = %v, want detour via 2", p)
-	}
-}
-
-func TestLinkFailureReroutes(t *testing.T) {
-	g := NewGraph()
-	g.AddLink(0, 1, 1)
-	g.AddLink(0, 2, 1)
-	g.AddLink(2, 1, 1)
-	if !g.SetLink(0, 1, false) {
-		t.Fatal("SetLink must find the link")
-	}
-	d, ok := g.Dist(0, 1)
-	if !ok || d != 2 {
-		t.Fatalf("after failure dist = %v ok=%v, want 2", d, ok)
-	}
-	g.SetLink(0, 1, true)
-	d, _ = g.Dist(0, 1)
-	if d != 1 {
-		t.Fatalf("after recovery dist = %v, want 1", d)
-	}
-	if g.SetLink(7, 8, false) {
-		t.Fatal("SetLink on missing link must report false")
 	}
 }
 
@@ -117,32 +84,6 @@ func TestStretch(t *testing.T) {
 	}
 	if s := g.Stretch(0, 1, 0); !math.IsInf(s, 1) {
 		t.Fatal("stretch with zero direct distance must be +Inf")
-	}
-}
-
-func TestClosest(t *testing.T) {
-	g := Linear(10, 1)
-	c, ok := g.Closest(0, []NodeID{9, 3, 7})
-	if !ok || c != 3 {
-		t.Fatalf("closest = %v ok=%v", c, ok)
-	}
-	if _, ok := g.Closest(0, nil); ok {
-		t.Fatal("no candidates must be !ok")
-	}
-	// Failing node 3 in a chain partitions 0 from everything beyond it.
-	g.SetNode(3, false)
-	if _, ok := g.Closest(0, []NodeID{9, 3, 7}); ok {
-		t.Fatal("all candidates beyond the partition must be unreachable")
-	}
-	// With a redundant path the next candidate takes over.
-	ring := NewGraph()
-	for i := 0; i < 6; i++ {
-		ring.AddLink(NodeID(i), NodeID((i+1)%6), 1)
-	}
-	ring.SetNode(1, false)
-	c, ok = ring.Closest(0, []NodeID{2, 4})
-	if !ok || c != 4 {
-		t.Fatalf("ring closest after failure = %v ok=%v, want 4", c, ok)
 	}
 }
 

@@ -224,7 +224,8 @@ func (o *OverloadConfig) applyDefaults() {
 
 // RetryPolicy bounds retried control operations: each operation is
 // attempted at most MaxAttempts times with exponential backoff between
-// attempts, jittered to avoid synchronized retry storms.
+// attempts, up to retryJitter of each delay randomized away to avoid
+// synchronized retry storms.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per operation, including
 	// the first (default 4).
@@ -234,10 +235,10 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff (default 500ms).
 	MaxDelay time.Duration
-	// Jitter is the fraction of each delay randomized away, in [0,1)
-	// (default 0.2).
-	Jitter float64
 }
+
+// retryJitter is the fraction of each backoff delay randomized away.
+const retryJitter = 0.2
 
 func (p *RetryPolicy) applyDefaults() {
 	if p.MaxAttempts <= 0 {
@@ -249,13 +250,10 @@ func (p *RetryPolicy) applyDefaults() {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 500 * time.Millisecond
 	}
-	if p.Jitter <= 0 || p.Jitter >= 1 {
-		p.Jitter = 0.2
-	}
 }
 
 // Backoff returns the delay to sleep after failed attempt n (n ≥ 1):
-// BaseDelay·2^(n-1), capped at MaxDelay, with up to Jitter of it
+// BaseDelay·2^(n-1), capped at MaxDelay, with up to retryJitter of it
 // subtracted at random.
 func (p RetryPolicy) Backoff(attempt int) time.Duration {
 	return p.backoff(attempt, rand.Float64)
@@ -272,10 +270,7 @@ func (p RetryPolicy) backoff(attempt int, rnd func() float64) time.Duration {
 			d = scaled
 		}
 	}
-	if p.Jitter > 0 {
-		d -= time.Duration(float64(d) * p.Jitter * rnd())
-	}
-	return d
+	return d - time.Duration(float64(d)*retryJitter*rnd())
 }
 
 // Validate checks the configuration and fills defaulted fields in place
@@ -316,6 +311,5 @@ func (cfg *ClusterConfig) Validate() error {
 	if cfg.CacheAdaptInterval <= 0 {
 		cfg.CacheAdaptInterval = 250 * time.Millisecond
 	}
-	cfg.Telemetry.applyDefaults()
 	return nil
 }

@@ -165,7 +165,7 @@ func TestReconnectWithFlakyConn(t *testing.T) {
 // randomness source.
 func TestBackoffDeterministic(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond,
-		MaxDelay: 80 * time.Millisecond, Jitter: 0.5}
+		MaxDelay: 80 * time.Millisecond}
 	zero := func() float64 { return 0 }
 	want := []time.Duration{
 		10 * time.Millisecond, // attempt 1
@@ -179,11 +179,11 @@ func TestBackoffDeterministic(t *testing.T) {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	// Full jitter draw halves every delay (Jitter = 0.5, rnd = 1).
+	// A full jitter draw (rnd = 1) takes retryJitter of every delay away.
 	one := func() float64 { return 1 }
 	for i, w := range want {
-		if got := p.backoff(i+1, one); got != w/2 {
-			t.Errorf("jittered backoff(%d) = %v, want %v", i+1, got, w/2)
+		if got, jw := p.backoff(i+1, one), w-time.Duration(float64(w)*retryJitter); got != jw {
+			t.Errorf("jittered backoff(%d) = %v, want %v", i+1, got, jw)
 		}
 	}
 	// Out-of-range attempts clamp instead of misbehaving.

@@ -2,7 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -120,6 +124,63 @@ func TestSharedSchemaAcrossBackends(t *testing.T) {
 				t.Errorf("difane_redirects_total = %v after three new flows", v)
 			}
 		})
+	}
+}
+
+// TestHealthRulesReadLiveSeries checks that every series a default
+// health rule reads is one a wire cluster exports: a rule that reads a
+// name no backend registers sees zero for ever, so it never fires. The
+// names are the string literals health.go's DefaultHealthRules hands to
+// the HealthView accessors, read from the source.
+func TestHealthRulesReadLiveSeries(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "../telemetry/health.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var read []string
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "DefaultHealthRules" {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			lit, isLit := call.Args[0].(*ast.BasicLit)
+			if !ok || !isLit || lit.Kind != token.STRING {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "Sum", "Delta", "Rate", "DeltaByLabel":
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				read = append(read, name)
+			}
+			return true
+		})
+	}
+	if rules := len(telemetry.DefaultHealthRules()); len(read) < rules {
+		t.Fatalf("found %d series read by %d rules: every rule reads at least one", len(read), rules)
+	}
+
+	c := startCluster(t, slack(ClusterConfig{
+		Switches:    []uint32{0, 1, 2, 3, 4},
+		Authorities: []uint32{2},
+		Policy:      testPolicy(),
+	}))
+	exported := map[string]bool{}
+	for _, m := range c.Telemetry().Metrics {
+		exported[m.Name] = true
+	}
+	for _, name := range read {
+		if !exported[name] {
+			t.Errorf("a default health rule reads %s, which a wire cluster does not export", name)
+		}
 	}
 }
 

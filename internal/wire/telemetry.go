@@ -45,21 +45,9 @@ type TelemetryConfig struct {
 	// Requires Tracing (or a later SetTracing(true)) for spans to record.
 	// Adjustable at runtime with Cluster.SetTraceSample.
 	TraceSample int
-	// Health tunes the SLO watchdog's rule thresholds (zero values take
-	// the documented defaults).
-	Health telemetry.HealthConfig
 	// DisableHealth turns the watchdog ticker off. The watchdog itself
 	// still exists: EvalOnce-driven tests and /health keep working.
 	DisableHealth bool
-}
-
-func (t *TelemetryConfig) applyDefaults() {
-	if t.TraceBuffer <= 0 {
-		t.TraceBuffer = 4096
-	}
-	if t.TraceSample < 0 {
-		t.TraceSample = 0
-	}
 }
 
 // flowOf projects a packet header onto the trace event flow tuple.
@@ -77,7 +65,6 @@ func (c *Cluster) initTelemetry() {
 	c.Probe = telemetry.NewProbe(telemetry.ProbeConfig{
 		Nodes:       append(append([]uint32(nil), c.cfg.Switches...), telemetry.ClusterNode),
 		TraceBuffer: t.TraceBuffer, Tracing: t.Tracing, TraceSample: t.TraceSample,
-		Health: t.Health,
 	})
 	for _, n := range c.switches {
 		c.attachTableHooks(n)

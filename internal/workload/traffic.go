@@ -22,6 +22,9 @@ type Flow struct {
 	Size int
 }
 
+// packetGap is the inter-packet time within a generated flow, in seconds.
+const packetGap = 0.01
+
 // TrafficConfig tunes the trace generator.
 type TrafficConfig struct {
 	// Flows is the number of flow arrivals to generate.
@@ -36,8 +39,6 @@ type TrafficConfig struct {
 	Population int
 	// PacketsMean is the geometric-mean packets per flow.
 	PacketsMean int
-	// PacketGap is the inter-packet time within a flow.
-	PacketGap float64
 	// Size is the packet size (bytes).
 	Size int
 	// Seed makes the trace deterministic.
@@ -59,9 +60,6 @@ func (c TrafficConfig) withDefaults() TrafficConfig {
 	}
 	if c.PacketsMean < 1 {
 		c.PacketsMean = 10
-	}
-	if c.PacketGap <= 0 {
-		c.PacketGap = 0.01
 	}
 	if c.Size <= 0 {
 		c.Size = 800
@@ -95,7 +93,7 @@ func GenerateTraffic(spec *Spec, cfg TrafficConfig) []Flow {
 			Ingress: member.ingress,
 			Start:   t,
 			Packets: pkts,
-			Gap:     cfg.PacketGap,
+			Gap:     packetGap,
 			Size:    cfg.Size,
 		})
 	}
@@ -152,7 +150,7 @@ func UniformTraffic(spec *Spec, cfg TrafficConfig) []Flow {
 			Ingress: spec.Edges[rng.Intn(len(spec.Edges))],
 			Start:   t,
 			Packets: 1,
-			Gap:     cfg.PacketGap,
+			Gap:     packetGap,
 			Size:    cfg.Size,
 		})
 	}

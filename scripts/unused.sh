@@ -1,12 +1,20 @@
 #!/bin/sh
-# unused.sh lists the exported functions and methods under internal/ whose
-# name appears in no non-test .go file of the repository outside its own
-# definition, and fails unless scripts/unused.allow names each of them
-# with a reason. A name called only from bench/ is pinned by the
-# benchmark, which only a benchmark change may touch, so it must be listed
-# too. A listed name that has gained a caller (or is gone) also fails, so
-# the list cannot go stale. Comments do not count as a use, and the check
-# goes by name: a method shares its uses with every method of that name.
+# unused.sh makes two checks over internal/ and fails unless
+# scripts/unused.allow names, with a reason, everything either one finds:
+#
+#   - an exported function or method whose name appears in no non-test
+#     .go file of the repository outside its own definition;
+#   - an exported field of a *Config or RetryPolicy struct that no non-test
+#     file outside the declaring package sets, as `Field:` in a composite
+#     literal or as `.Field =`. A knob nobody turns is a constant.
+#
+# A name used (or set) only from bench/ is pinned by the benchmark, which
+# only a benchmark change may touch, so it must be listed too. A listed
+# name that has gained a caller or a setter (or is gone) also fails, so
+# the list cannot go stale. Comments do not count as a use, string
+# literals do not count as a set, and both checks go by name: a method
+# shares its uses with every method of that name, and a field its setters
+# with every field of that name.
 #
 # Usage: sh scripts/unused.sh   (or: make unused)
 set -eu
@@ -19,6 +27,8 @@ awk -v allow=scripts/unused.allow '
 		internal = FILENAME ~ /^\.\/internal\//
 		bench = FILENAME ~ /^\.\/bench\//
 		n = split(FILENAME, p, "/"); pkg = p[n-1]
+		dir = FILENAME; sub(/\/[^\/]*$/, "", dir)
+		config = ""
 	}
 	{
 		line = $0
@@ -35,6 +45,37 @@ awk -v allow=scripts/unused.allow '
 			keys[name] = keys[name] " " owner "." name
 			where[owner "." name] = FILENAME ":" FNR
 		}
+
+		# Config fields: one-tab lines of a *Config / RetryPolicy struct.
+		if (config != "" && line ~ /^}/) config = ""
+		if (config != "" && match(line, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Z][A-Za-z0-9_]*)* +[^ ]/)) {
+			names = substr(line, 2, RLENGTH - 2)
+			sub(/ +$/, "", names)
+			k = split(names, fs, /, */)
+			for (i = 1; i <= k; i++) {
+				nf++
+				fkey[nf] = config "." fs[i]; fname[nf] = fs[i]; fdir[nf] = dir
+				fwhere[nf] = FILENAME ":" FNR
+			}
+		}
+		if (internal && match(line, /^type (([A-Z][A-Za-z0-9_]*)?Config|RetryPolicy) struct/))
+			config = substr(line, 6, RLENGTH - 12)
+
+		# Setters: `Name:` (not `:=`) and `.Name =` (not `==`).
+		s = line " "
+		gsub(/"([^"\\]|\\.)*"/, "\"\"", s)
+		gsub(/`[^`]*`/, "", s)
+		while (match(s, /[A-Z][A-Za-z0-9_]*[ \t]*(:[^=]|=[^=])/)) {
+			pre = RSTART > 1 ? substr(s, RSTART - 1, 1) : ""
+			set = substr(s, RSTART, RLENGTH)
+			s = substr(s, RSTART + RLENGTH - 1)
+			if (pre ~ /[A-Za-z0-9_]/) continue
+			if ((set ~ /=[^=]$/) != (pre == ".")) continue
+			sub(/[ \t]*[:=].*$/, "", set)
+			sets[set]++; setsin[set, dir]++
+			if (!bench) setsout[set]++
+		}
+
 		gsub(/[^A-Za-z0-9_]+/, " ", line)
 		m = split(line, tok, " ")
 		for (i = 1; i <= m; i++) {
@@ -59,7 +100,14 @@ awk -v allow=scripts/unused.allow '
 				if (!(k in listed)) { print where[k] ": " k " " why; bad = 1 }
 			}
 		}
+		for (i = 1; i <= nf; i++) {
+			name = fname[i]; k = fkey[i]
+			if (setsout[name] > setsin[name, fdir[i]]) continue
+			why = sets[name] > setsin[name, fdir[i]] ? "is set only from bench/" : "is set by no caller outside its package"
+			found[k] = 1
+			if (!(k in listed)) { print fwhere[i] ": config field " k " " why; bad = 1 }
+		}
 		for (k in listed)
-			if (!(k in found)) { print allow ": " k " is listed but has a caller outside bench/ (or is gone)"; bad = 1 }
+			if (!(k in found)) { print allow ": " k " is listed but has a caller or setter outside bench/ (or is gone)"; bad = 1 }
 		exit bad
 	}' $files
