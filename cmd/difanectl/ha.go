@@ -80,10 +80,6 @@ func printHA(st difane.HAStatus) {
 			fmt.Printf("  replica %d: %s%s\n", r.ID, state, role)
 		}
 	}
-	if len(st.BFD) == 0 {
-		fmt.Println("bfd: disabled (heartbeat detector only)")
-		return
-	}
 	fmt.Println("bfd sessions (controller's view of each switch):")
 	for _, s := range st.BFD {
 		fmt.Printf("  sw%-4d %-5s (remote %-5s discr %d)  detect %dµs  transitions %d\n",

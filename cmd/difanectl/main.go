@@ -167,11 +167,11 @@ func main() {
 			Authorities: auths,
 			Policy:      spec.Policy,
 			// Traces are injected as fast as possible in wire mode; deep
-			// queues absorb the burst, and coarse detectors (heartbeat
-			// and BFD alike) keep the failure detectors from
-			// false-positives while the burst saturates the host.
+			// queues absorb the burst, and coarse BFD timers (2 s to a
+			// verdict, 4 s for an unanswered redirect) keep the failure
+			// detector from false positives while the burst saturates
+			// the host.
 			QueueDepth: 16384,
-			Heartbeat:  difane.HeartbeatConfig{Interval: 200 * time.Millisecond, MissThreshold: 10},
 			BFD:        difane.BFDConfig{Interval: 200 * time.Millisecond, DetectMult: 10},
 		})
 		if err != nil {

@@ -311,11 +311,8 @@ type ClusterConfig = wire.ClusterConfig
 // Delivery reports a packet reaching its egress in wire mode.
 type Delivery = wire.Delivery
 
-// HeartbeatConfig tunes wire mode's controller↔switch failure detector.
-type HeartbeatConfig = wire.HeartbeatConfig
-
-// BFDConfig tunes wire mode's BFD-style fast failure detector (the
-// heartbeat remains as a coarse fallback).
+// BFDConfig tunes wire mode's BFD-style failure detector, and with it how
+// long an authority may leave a redirect unanswered.
 type BFDConfig = wire.BFDConfig
 
 // HAConfig sizes wire mode's replicated controller: Replicas ≥ 2 turns on

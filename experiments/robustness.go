@@ -138,7 +138,6 @@ func WireRobustness(o Options) *RobustnessResult {
 			Authorities: []uint32{2, 3},
 			Policy:      wireRobustPolicy(),
 			Strategy:    core.StrategyExact,
-			Heartbeat:   wire.HeartbeatConfig{Interval: 5 * time.Millisecond, MissThreshold: 3},
 		})
 		if err != nil {
 			panic(err)

@@ -188,8 +188,8 @@ type Measurements struct {
 	//
 	// FailoverDetection samples the latency from an injected fault
 	// (switch kill, control partition) to the failure detector's death
-	// verdict, in seconds — milliseconds under BFD versus multiple
-	// heartbeat intervals without it. LeaderElection samples the time
+	// verdict, in seconds — milliseconds at the default BFD timers.
+	// LeaderElection samples the time
 	// from a controller-leader kill to the new leader being seated;
 	// LeaderElections counts completed elections.
 	FailoverDetection metrics.Dist

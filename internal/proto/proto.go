@@ -36,10 +36,6 @@ const (
 	MsgStatsReq
 	// MsgStatsReply returns a rule's counters.
 	MsgStatsReply
-	// MsgHeartbeat is the liveness probe the controller sends to every
-	// switch; the switch echoes it back unchanged. A run of missed echoes
-	// marks the switch dead in the failure detector.
-	MsgHeartbeat
 	// MsgEpochReport carries a switch's current controller epoch upstream.
 	// A switch sends it when it rejects a FlowMod carrying a stale epoch,
 	// telling the (recovered or lagging) controller what epoch currently
@@ -50,7 +46,7 @@ const (
 	// direction of a controller↔switch pair. The async session state
 	// machines in internal/bfd drive these over the control channel to
 	// detect failures within a detect-multiplier of the (millisecond-class)
-	// transmit interval instead of multiple heartbeat intervals.
+	// transmit interval.
 	MsgBFDControl
 )
 
@@ -58,8 +54,8 @@ var msgNames = map[MsgType]string{
 	MsgHello: "hello", MsgFlowMod: "flow-mod", MsgCacheInstall: "cache-install",
 	MsgBarrierReq: "barrier-req", MsgBarrierReply: "barrier-reply",
 	MsgStatsReq: "stats-req", MsgStatsReply: "stats-reply",
-	MsgHeartbeat: "heartbeat", MsgEpochReport: "epoch-report",
-	MsgBFDControl: "bfd-control",
+	MsgEpochReport: "epoch-report",
+	MsgBFDControl:  "bfd-control",
 }
 
 func (t MsgType) String() string {
@@ -178,14 +174,6 @@ type StatsReply struct {
 	OK      bool
 }
 
-// Heartbeat is a liveness probe. The controller stamps the target node and
-// a monotonically increasing sequence number; the switch echoes the
-// message back verbatim.
-type Heartbeat struct {
-	Node uint32
-	Seq  uint64
-}
-
 // EpochReport tells the controller which epoch currently fences a switch's
 // tables (sent when the switch rejects a stale-epoch FlowMod).
 type EpochReport struct {
@@ -214,7 +202,6 @@ func (*BarrierReq) Type() MsgType   { return MsgBarrierReq }
 func (*BarrierReply) Type() MsgType { return MsgBarrierReply }
 func (*StatsReq) Type() MsgType     { return MsgStatsReq }
 func (*StatsReply) Type() MsgType   { return MsgStatsReply }
-func (*Heartbeat) Type() MsgType    { return MsgHeartbeat }
 func (*EpochReport) Type() MsgType  { return MsgEpochReport }
 func (*BFDControl) Type() MsgType   { return MsgBFDControl }
 
@@ -444,17 +431,6 @@ func (m *StatsReply) decodePayload(b []byte) error {
 	return r.err
 }
 
-func (m *Heartbeat) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.Node)
-	return appendU64(b, m.Seq)
-}
-func (m *Heartbeat) decodePayload(b []byte) error {
-	r := &reader{b: b}
-	m.Node = r.u32()
-	m.Seq = r.u64()
-	return r.err
-}
-
 func (m *EpochReport) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.Node)
 	return appendU64(b, m.Epoch)
@@ -586,8 +562,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &StatsReq{}, nil
 	case MsgStatsReply:
 		return &StatsReply{}, nil
-	case MsgHeartbeat:
-		return &Heartbeat{}, nil
 	case MsgEpochReport:
 		return &EpochReport{}, nil
 	case MsgBFDControl:

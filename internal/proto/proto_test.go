@@ -37,8 +37,8 @@ func allMessages() []Message {
 		&StatsReq{XID: 12, RuleID: 99},
 		&StatsReply{XID: 12, Packets: 1000, Bytes: 123456, OK: true},
 		&StatsReply{XID: 13, OK: false},
-		&Heartbeat{Node: 8, Seq: 42},
-		&Heartbeat{},
+		&Hello{},
+		&BarrierReq{},
 		&FlowMod{Table: TableAuthority, Op: OpAdd, Rule: sampleRule(5), Epoch: 3},
 		&EpochReport{Node: 2, Epoch: 7},
 		&EpochReport{},

@@ -492,10 +492,9 @@ func wireClusterConfig(sc Scenario, policy []flowspace.Rule) wire.ClusterConfig 
 		CacheAdaptInterval: 50 * time.Millisecond,
 		// Generous liveness windows: differential seeds run massively in
 		// parallel, and a scheduler stall must not read as a switch death
-		// (real kills short-circuit the detectors via the killed flag, so
+		// (real kills short-circuit the detector via the killed flag, so
 		// failover coverage doesn't depend on these timeouts).
-		Heartbeat: wire.SlackHeartbeat,
-		BFD:       wire.SlackBFD,
+		BFD: wire.SlackBFD,
 		// Three controller replicas: kill-controller steps kill the leader
 		// and an automatic election restores service, exercising verdict
 		// stability with elections in flight.

@@ -83,8 +83,7 @@ func (s Setup) Deploy() (*wire.Deployment, *workload.Spec, error) {
 		Telemetry:     s.Telemetry,
 		// A soak saturates the box it runs on and kills nothing: a
 		// data-plane stall must not read as every switch dying at once.
-		Heartbeat: wire.SlackHeartbeat,
-		BFD:       wire.SlackBFD,
+		BFD: wire.SlackBFD,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -8,19 +8,19 @@ import (
 	"difane/internal/telemetry"
 )
 
-// BFD-grade failure detection. Every switch carries two async sessions
-// from internal/bfd: bfdCtrl is the controller's view of the switch (its
-// detect expiry is the death verdict that triggers failover) and bfdSw is
-// the switch's end of that session — the peer bfdCtrl shakes hands with
-// and hears from. Nothing acts on bfdSw's own verdict: a switch does the
-// same thing whether or not it can reach the controller. One
-// cluster goroutine (bfdLoop) ticks every session at half the configured
-// interval; transmissions are queued to a per-node writer goroutine so a
-// wedged control connection can only stall its own switch's sessions.
-// Packets travel as proto.BFDControl frames over the existing control
-// channels. The heartbeat detector keeps running as a coarse fallback —
-// BFD receive traffic stamps its clocks, so it stays quiet while BFD is
-// healthy and takes over seamlessly when BFD is disabled.
+// BFD-grade failure detection, the cluster's one liveness detector. Every
+// switch carries two async sessions from internal/bfd: bfdCtrl is the
+// controller's view of the switch (its detect expiry is the death verdict
+// that triggers failover, and its being Up is what lets a dead switch
+// revive) and bfdSw is the switch's end of that session — the peer
+// bfdCtrl shakes hands with and hears from. Nothing acts on bfdSw's own
+// verdict: a switch does the same thing whether or not it can reach the
+// controller. One cluster goroutine (bfdLoop) ticks every session at half
+// the configured interval, and on the same tick runs the redirect-ack
+// check (failover.go); transmissions are queued to a per-node writer
+// goroutine so a wedged control connection can only stall its own
+// switch's sessions. Packets travel as proto.BFDControl frames over the
+// existing control channels.
 
 // bfdSend is one queued BFD transmission; toSwitch selects the direction.
 type bfdSend struct {
@@ -28,13 +28,10 @@ type bfdSend struct {
 	toSwitch bool
 }
 
-// initNodeBFD builds a node's session pair (no-op when BFD is disabled).
-// Discriminators are derived from the node's dense slot: controller-side
-// sessions are odd, switch-side even.
+// initNodeBFD builds a node's session pair. Discriminators are derived
+// from the node's dense slot: controller-side sessions are odd,
+// switch-side even.
 func (c *Cluster) initNodeBFD(n *node) {
-	if c.cfg.BFD.Disable {
-		return
-	}
 	b := c.cfg.BFD
 	cfg := bfd.Config{
 		DesiredMinTx: b.Interval,
@@ -68,7 +65,8 @@ func (c *Cluster) onCtrlSessionState(n *node, old, st bfd.State) {
 }
 
 // bfdLoop ticks every session at half the transmit interval (so jittered
-// deadlines are met within half an interval of slack).
+// deadlines are met within half an interval of slack), and while the
+// controller is up takes both detectors' verdicts.
 func (c *Cluster) bfdLoop() {
 	defer c.wg.Done()
 	tick := c.cfg.BFD.Interval / 2
@@ -84,7 +82,7 @@ func (c *Cluster) bfdLoop() {
 			return
 		case <-ticker.C:
 		}
-		now := time.Now()
+		now, mono := time.Now(), nowNS()
 		// Stall compensation: all sessions transmit from this goroutine, so
 		// any oversleep beyond the tick period is locally-caused silence for
 		// every one of them — credit it back to the detection clocks rather
@@ -117,7 +115,9 @@ func (c *Cluster) bfdLoop() {
 				c.queueBFD(n, pkt, true)
 			}
 			if expired {
-				c.markDead(n)
+				c.markDead(n, deathBFD)
+			} else {
+				c.checkLiveness(n, mono)
 			}
 		}
 	}
@@ -149,26 +149,6 @@ func (c *Cluster) bfdWriter(n *node) {
 	}
 }
 
-// handleBFDAtSwitch processes a controller→switch BFD packet on the
-// switch side.
-func (c *Cluster) handleBFDAtSwitch(n *node, m *proto.BFDControl) {
-	if n.bfdSw == nil {
-		return
-	}
-	n.bfdSw.Handle(protoToBFD(m), time.Now())
-}
-
-// handleBFDAtController processes a switch→controller BFD packet on the
-// controller side, stamping the heartbeat fallback's echo clock.
-func (c *Cluster) handleBFDAtController(n *node, m *proto.BFDControl) {
-	now := time.Now()
-	n.lastBeat.Store(now.UnixNano())
-	if n.bfdCtrl == nil {
-		return
-	}
-	n.bfdCtrl.Handle(protoToBFD(m), now)
-}
-
 // bfdToProto converts a session packet to its wire form.
 func bfdToProto(nodeID uint32, p *bfd.Packet) *proto.BFDControl {
 	return &proto.BFDControl{
@@ -194,12 +174,9 @@ func protoToBFD(m *proto.BFDControl) bfd.Packet {
 	}
 }
 
-// BFDSessions reports the controller-side BFD session for every switch
-// (nil map when BFD is disabled) — the ops surface difanectl ha renders.
+// BFDSessions reports the controller-side BFD session for every switch —
+// the ops surface difanectl ha renders.
 func (c *Cluster) BFDSessions() map[uint32]bfd.Info {
-	if c.cfg.BFD.Disable {
-		return nil
-	}
 	out := make(map[uint32]bfd.Info, len(c.nodes))
 	for _, n := range c.nodes {
 		out[n.id] = n.bfdCtrl.Info()

@@ -217,8 +217,11 @@ func (c *Cluster) ingressStep(n *node, s *burstScratch, f *dataFrame, i int, res
 // the steps core decides come after both.
 func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []*dataFrame) {
 	// Processing redirected packets is the data-plane liveness signal the
-	// redirect-timeout detector watches for; once per burst is enough.
-	c.clearPending(n.id)
+	// redirect-ack detector watches for; once per burst is enough, and
+	// only a noted redirect needs the write.
+	if n.redirectSince.Load() != 0 {
+		n.redirectSince.Store(0)
+	}
 	// Keys are computed outside the lock; s.keys is free again — the
 	// classification phase has fully consumed it by now.
 	keys := s.keys[:0]

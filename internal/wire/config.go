@@ -44,11 +44,14 @@ type ClusterConfig struct {
 	// UseTCP runs the control plane over loopback TCP sockets instead of
 	// in-process pipes, exercising real kernel socket framing.
 	UseTCP bool
-	// Heartbeat tunes the coarse heartbeat failure detector (now the
-	// fallback behind BFD).
+	// Heartbeat is ignored: the heartbeat prober is gone, and BFD is the
+	// one liveness detector.
+	//
+	// Deprecated: set BFD instead. The field stays only so the benchmark
+	// harness, which still sets it, compiles.
 	Heartbeat HeartbeatConfig
-	// BFD tunes the millisecond-class BFD-style failure detector that runs
-	// session state machines over every control channel.
+	// BFD tunes the failure detector: session state machines over every
+	// control channel, whose timers also set the redirect-ack timeout.
 	BFD BFDConfig
 	// HA configures replicated controllers: the leader's controller state
 	// shipped to every replica's journal, and an election that resumes the
@@ -86,44 +89,20 @@ const healthInterval = time.Second
 // frames in flight occupy.
 func (cfg *ClusterConfig) ringDepth() int { return ceilPow2(cfg.QueueDepth) }
 
-// HeartbeatConfig tunes the heartbeat-based failure detector between the
-// controller and every switch.
+// HeartbeatConfig is the retired heartbeat prober's timers.
+//
+// Deprecated: ignored; ClusterConfig.Heartbeat says why it is kept.
 type HeartbeatConfig struct {
-	// Interval is the probe period (default 50ms).
-	Interval time.Duration
-	// MissThreshold is how many silent intervals mark a switch dead
-	// (default 3).
+	Interval      time.Duration
 	MissThreshold int
 }
 
-// redirectTimeout is how long a redirect may stay unacknowledged by an
-// authority switch's data plane before the switch is treated as dead even
-// if its control plane still echoes heartbeats.
-func (h HeartbeatConfig) redirectTimeout() time.Duration {
-	return 2 * time.Duration(h.MissThreshold) * h.Interval
-}
-
-func (h *HeartbeatConfig) applyDefaults() {
-	if h.Interval <= 0 {
-		h.Interval = 50 * time.Millisecond
-	}
-	if h.MissThreshold <= 0 {
-		h.MissThreshold = 3
-	}
-}
-
-// BFDConfig tunes the BFD-style failure detector: per-switch async
-// session state machines (internal/bfd) exchanged as proto.BFDControl
-// messages over the control channels, in both directions. Detection time
-// is DetectMult × Interval — milliseconds at the defaults, versus
-// MissThreshold × Interval (hundreds of ms) for the heartbeat detector it
-// replaces as the primary liveness signal. The heartbeat detector keeps
-// running as a coarse fallback; BFD receive traffic feeds its clocks, so
-// it stays quiet while BFD is healthy.
+// BFDConfig tunes the failure detector: per-switch async session state
+// machines (internal/bfd) exchanged as proto.BFDControl messages over the
+// control channels, in both directions. Detection time is DetectMult ×
+// Interval, milliseconds at the defaults. The same timers set how long an
+// authority may leave a redirect unanswered (redirectTimeout).
 type BFDConfig struct {
-	// Disable turns BFD off, reverting liveness entirely to the heartbeat
-	// detector (the pre-BFD behavior).
-	Disable bool
 	// Interval is the desired transmit interval (default 2ms).
 	Interval time.Duration
 	// DetectMult is the detection multiplier (default 3).
@@ -144,16 +123,25 @@ func (b BFDConfig) DetectTime() time.Duration {
 	return time.Duration(b.DetectMult) * b.Interval
 }
 
-// SlackHeartbeat and SlackBFD are failure-detector timers for runs that
-// are not about detection speed — differential checks, soaks, most tests:
-// half a second to a verdict on either detector, far past any scheduler
-// stall a loaded box or the race detector produces, so a busy data plane
-// never reads as a dead switch. A real kill is still seen at once through
-// the killed flag. The defaults stay fast (BFD: 6 ms).
-var (
-	SlackHeartbeat = HeartbeatConfig{Interval: 20 * time.Millisecond, MissThreshold: 25}
-	SlackBFD       = BFDConfig{Interval: 25 * time.Millisecond, DetectMult: 20}
-)
+// minRedirectTimeout floors the redirect-ack timeout: below it, a data
+// goroutine descheduled on a loaded host would read as a stalled authority.
+const minRedirectTimeout = 300 * time.Millisecond
+
+// redirectTimeout is how long a redirect may stay unanswered by an
+// authority switch's data plane before the switch is held dead even though
+// its BFD session is Up: twice the detect time, and never under
+// minRedirectTimeout.
+func (b BFDConfig) redirectTimeout() time.Duration {
+	return max(2*b.DetectTime(), minRedirectTimeout)
+}
+
+// SlackBFD is failure-detector timing for runs that are not about
+// detection speed — differential checks, soaks, most tests: half a second
+// to a verdict, far past any scheduler stall a loaded box or the race
+// detector produces, so a busy data plane never reads as a dead switch.
+// A real kill is still seen at once through the killed flag. The defaults
+// stay fast (6 ms).
+var SlackBFD = BFDConfig{Interval: 25 * time.Millisecond, DetectMult: 20}
 
 // HAConfig configures controller replication. With Replicas ≥ 2 the
 // cluster runs that many controller replicas, each owning a WAL journal.
@@ -174,21 +162,16 @@ type HAConfig struct {
 	// reached.
 	Dir string
 	// ElectionDelay is how long surviving replicas wait after a leader
-	// death before electing (default: the BFD detect time, or the
-	// heartbeat detect time when BFD is disabled).
+	// death before electing (default: the BFD detect time).
 	ElectionDelay time.Duration
 }
 
-func (h *HAConfig) applyDefaults(bfd BFDConfig, hb HeartbeatConfig) {
+func (h *HAConfig) applyDefaults(bfd BFDConfig) {
 	if h.Replicas < 0 {
 		h.Replicas = 0
 	}
 	if h.ElectionDelay <= 0 {
-		if bfd.Disable {
-			h.ElectionDelay = time.Duration(hb.MissThreshold) * hb.Interval
-		} else {
-			h.ElectionDelay = bfd.DetectTime()
-		}
+		h.ElectionDelay = bfd.DetectTime()
 	}
 }
 
@@ -274,7 +257,7 @@ func (p RetryPolicy) backoff(attempt int, rnd func() float64) time.Duration {
 }
 
 // Validate checks the configuration and fills defaulted fields in place
-// (queue depth, heartbeat cadence, retry policy). NewCluster calls it; use
+// (queue depth, detector timers, retry policy). NewCluster calls it; use
 // it directly to surface configuration errors before building anything.
 func (cfg *ClusterConfig) Validate() error {
 	if len(cfg.Switches) == 0 || len(cfg.Authorities) == 0 {
@@ -299,9 +282,8 @@ func (cfg *ClusterConfig) Validate() error {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
-	cfg.Heartbeat.applyDefaults()
 	cfg.BFD.applyDefaults()
-	cfg.HA.applyDefaults(cfg.BFD, cfg.Heartbeat)
+	cfg.HA.applyDefaults(cfg.BFD)
 	cfg.Retry.applyDefaults()
 	cfg.Overload.applyDefaults()
 	if depth := cfg.ringDepth(); depth < fabricBurst {

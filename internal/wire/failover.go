@@ -4,20 +4,21 @@ import (
 	"time"
 
 	"difane/internal/core"
-	"difane/internal/proto"
 	"difane/internal/telemetry"
 )
 
 // This file is the cluster's failure detector and failover machinery.
 //
-// Liveness has two signals. The primary one is the heartbeat: the
-// controller probes every switch each Heartbeat.Interval and the switch
-// echoes; a switch silent for MissThreshold intervals is marked dead. The
-// secondary one is redirect acknowledgement: an authority whose control
-// plane still echoes but whose data plane has stopped processing
-// redirected packets (oldest unacknowledged redirect older than
-// RedirectTimeout) is also marked dead — the failure the paper's ingress
-// switches must survive without a controller round trip.
+// Liveness has two signals that do not overlap, both judged from bfdLoop's
+// tick while a controller is up. BFD (bfd.go) is the liveness signal: a
+// controller-side session whose detect timer expires marks its switch
+// dead. A session that never leaves Down never expires, so a switch is
+// judged by BFD only once the controller has first heard it. The second
+// signal is redirect acknowledgement: an authority whose control plane
+// still answers BFD but whose data plane has stopped processing redirected
+// packets (oldest unanswered redirect older than BFDConfig.redirectTimeout)
+// is also marked dead — the failure the paper's ingress switches must
+// survive without a controller round trip.
 //
 // Death triggers two independent recovery paths:
 //   - ingress-local: the next redirect toward the dead authority re-points
@@ -27,78 +28,48 @@ import (
 //     partition rules from every other switch (promoteBackups) so backups
 //     (pre-installed at lower priority) take over cluster-wide.
 
-// heartbeatLoop is the controller's prober: every interval it sends a
-// heartbeat to each switch and re-evaluates each switch's liveness.
-func (c *Cluster) heartbeatLoop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.Heartbeat.Interval)
-	defer ticker.Stop()
-	var seq uint64
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		if c.ctrlDown.Load() {
-			// Simulated controller crash: no probes, no verdicts. The
-			// switches ride the outage out on their own.
-			continue
-		}
-		seq++
-		now := time.Now()
-		for _, n := range c.switches {
-			if !n.killed.Load() {
-				hb := &proto.Heartbeat{Node: n.id, Seq: seq}
-				target := n
-				// Asynchronous: a wedged control connection must not stall
-				// probing of the other switches.
-				go func() { _ = c.writeToSwitch(target, hb) }()
-			}
-			c.checkLiveness(n, now)
-		}
-	}
-}
+// Death causes, carried in an EvDeath event's Value: which detector fired.
+const (
+	deathBFD         uint64 = iota + 1 // the BFD session's detect timer expired
+	deathRedirectAck                   // a redirect went unanswered past the timeout
+	deathReconnect                     // the control connection could not be redialled
+)
 
-// checkLiveness updates one switch's alive verdict from both signals, and
-// revives a switch whose heartbeats returned (after a holddown so a
-// flapping switch doesn't bounce traffic back and forth).
-func (c *Cluster) checkLiveness(n *node, now time.Time) {
-	hb := c.cfg.Heartbeat
-	silence := now.Sub(time.Unix(0, n.lastBeat.Load()))
-	stale := silence > time.Duration(hb.MissThreshold)*hb.Interval
-	suspect := false
-	if t, ok := c.oldestPending(n.id); ok && now.Sub(t) > hb.redirectTimeout() {
-		suspect = true
-	}
+// checkLiveness is the redirect-ack check: it holds an authority with a
+// stale unanswered redirect dead. It also revives a dead switch once its
+// BFD session is Up, no redirect to it is pending and the holddown has
+// passed (so a flapping switch doesn't bounce traffic back and forth).
+// bfdLoop calls it for every switch whose session did not just expire.
+func (c *Cluster) checkLiveness(n *node, now int64) {
+	timeout := int64(c.cfg.BFD.redirectTimeout())
+	since := n.redirectSince.Load()
 	if n.alive.Load() {
-		if stale || suspect {
-			c.markDead(n)
+		if since != 0 && now-since > timeout {
+			c.markDead(n, deathRedirectAck)
 		}
 		return
 	}
-	holddown := now.Sub(time.Unix(0, n.deadAt.Load())) > 2*hb.redirectTimeout()
-	if !n.killed.Load() && !stale && !suspect && holddown {
+	if since == 0 && now-n.deadAt.Load() > 2*timeout && !n.killed.Load() && n.bfdCtrl.Up() {
 		c.markAlive(n)
 	}
 }
 
-// markDead records a death verdict and kicks off backup promotion. When
-// the death traces back to a stamped fault injection, the fault→verdict
-// latency lands in the FailoverDetection distribution — the number the
-// BFD-vs-heartbeat bench guard compares.
-func (c *Cluster) markDead(n *node) {
+// markDead records a death verdict for cause (a death* constant) and kicks
+// off backup promotion. When the death traces back to a stamped fault
+// injection, the fault→verdict latency lands in the FailoverDetection
+// distribution.
+func (c *Cluster) markDead(n *node, cause uint64) {
 	if !n.alive.CompareAndSwap(true, false) {
 		return
 	}
 	now := time.Now()
-	n.deadAt.Store(now.UnixNano())
+	n.deadAt.Store(nowNS())
 	if at := n.faultAt.Swap(0); at != 0 {
 		c.cold.recordDetection(now.Sub(time.Unix(0, at)).Seconds())
 	}
-	c.clearPending(n.id)
+	n.redirectSince.Store(0)
 	c.cold.authorityDeaths.Add(1)
-	c.Span(telemetry.Event{Kind: telemetry.EvDeath, Node: n.id})
+	c.Span(telemetry.Event{Kind: telemetry.EvDeath, Node: n.id, Value: cause})
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -118,7 +89,6 @@ func (c *Cluster) markAlive(n *node) {
 	if !n.alive.CompareAndSwap(false, true) {
 		return
 	}
-	n.lastBeat.Store(time.Now().UnixNano())
 	c.Span(telemetry.Event{Kind: telemetry.EvRevive, Node: n.id})
 	c.wg.Add(1)
 	go func() {
@@ -142,27 +112,9 @@ func (c *Cluster) promoteBackups(dead uint32) {
 }
 
 // notePending records a redirect sent toward an authority, keeping only
-// the oldest outstanding one per authority.
+// the oldest unanswered one.
 func (c *Cluster) notePending(auth uint32) {
-	c.pendMu.Lock()
-	if _, ok := c.pending[auth]; !ok {
-		c.pending[auth] = time.Now()
+	if n, ok := c.switches[auth]; ok && n.redirectSince.Load() == 0 {
+		n.redirectSince.CompareAndSwap(0, nowNS())
 	}
-	c.pendMu.Unlock()
-}
-
-// clearPending acknowledges an authority's data-plane liveness.
-func (c *Cluster) clearPending(auth uint32) {
-	c.pendMu.Lock()
-	delete(c.pending, auth)
-	c.pendMu.Unlock()
-}
-
-// oldestPending returns the send time of the authority's oldest
-// unacknowledged redirect.
-func (c *Cluster) oldestPending(auth uint32) (time.Time, bool) {
-	c.pendMu.Lock()
-	t, ok := c.pending[auth]
-	c.pendMu.Unlock()
-	return t, ok
 }

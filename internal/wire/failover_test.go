@@ -1,13 +1,16 @@
 package wire
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"difane/internal/bfd"
 	"difane/internal/core"
 	"difane/internal/flowspace"
 	"difane/internal/packet"
 	"difane/internal/proto"
+	"difane/internal/telemetry"
 )
 
 // failoverPolicy forwards everything to switch 4, which is never an
@@ -23,7 +26,7 @@ func failoverPolicy() []flowspace.Rule {
 }
 
 // failoverConfig is a cluster with two authorities (so every partition has
-// a distinct backup) and a fast failure detector.
+// a distinct backup) and the default, fast BFD timers (6 ms to a verdict).
 func failoverConfig() ClusterConfig {
 	return ClusterConfig{
 		Switches:    []uint32{0, 1, 2, 3, 4},
@@ -31,8 +34,7 @@ func failoverConfig() ClusterConfig {
 		Policy:      failoverPolicy(),
 		// Exact caching keeps every new source a genuine miss, so the
 		// post-kill misses below are guaranteed to exercise the backup.
-		Strategy:  core.StrategyExact,
-		Heartbeat: HeartbeatConfig{Interval: 5 * time.Millisecond, MissThreshold: 3},
+		Strategy: core.StrategyExact,
 	}
 }
 
@@ -78,27 +80,72 @@ func awaitCache(t *testing.T, c *Cluster, sw uint32) {
 	}
 }
 
-// TestHeartbeatKeepsNodesAlive: with BFD off the heartbeat is the only
-// detector, and on a fault-free cluster its echoes keep every switch alive
-// over many detection windows. The window (200 ms) clears a scheduler
-// quantum, so a loaded box delaying an echo is not what this measures.
-func TestHeartbeatKeepsNodesAlive(t *testing.T) {
-	cfg := failoverConfig()
-	cfg.Heartbeat = HeartbeatConfig{Interval: 25 * time.Millisecond, MissThreshold: 8}
-	cfg.BFD = BFDConfig{Disable: true}
-	c := startCluster(t, cfg)
-	boot := time.Now().UnixNano()
-	time.Sleep(5 * time.Duration(cfg.Heartbeat.MissThreshold) * cfg.Heartbeat.Interval)
-	for id, n := range c.switches {
+// deathCauses returns the Value of every EvDeath the flight recorder holds
+// for switch id: which detector fired (deathBFD, deathRedirectAck, ...).
+func deathCauses(c *Cluster, id uint32) []uint64 {
+	var causes []uint64
+	for _, ev := range c.TraceEvents(telemetry.Filter{
+		Node: telemetry.Node(id), Kinds: []telemetry.EventKind{telemetry.EvDeath},
+	}) {
+		causes = append(causes, ev.Value)
+	}
+	return causes
+}
+
+// TestBFDKeepsIdleNodesAlive: at the default timers (6 ms to a verdict)
+// every BFD session of a fault-free, idle cluster comes Up and stays Up,
+// and no switch is declared dead over fifty detect times.
+func TestBFDKeepsIdleNodesAlive(t *testing.T) {
+	c := newFailoverCluster(t)
+	time.Sleep(50 * c.cfg.BFD.DetectTime())
+	for id, info := range c.BFDSessions() {
 		if !c.NodeAlive(id) {
 			t.Errorf("switch %d marked dead without faults", id)
 		}
-		if n.lastBeat.Load() <= boot {
-			t.Errorf("switch %d: no heartbeat echo since boot", id)
+		if info.State != bfd.StateUp {
+			t.Errorf("switch %d: BFD session %v, want up", id, info.State)
 		}
 	}
 	if m := c.Measurements(); m.AuthorityDeaths != 0 || m.FailoversPromoted != 0 {
 		t.Errorf("deaths = %d, promoted = %d, want 0", m.AuthorityDeaths, m.FailoversPromoted)
+	}
+}
+
+// TestDeathNamesTheDetector: EvDeath's Value says which detector fired —
+// BFD for a killed switch, redirect-ack for an authority whose data plane
+// has stalled while its BFD session stays Up.
+func TestDeathNamesTheDetector(t *testing.T) {
+	cfg := slack(failoverConfig())
+	cfg.Telemetry.Tracing = true
+	c := startCluster(t, cfg)
+
+	c.KillSwitch(1)
+	awaitDead(t, c, 1)
+	if got := deathCauses(c, 1); !slices.Equal(got, []uint64{deathBFD}) {
+		t.Errorf("killed switch: death causes %v, want [%d] (BFD)", got, deathBFD)
+	}
+
+	// Wedge an authority's data loop inside the burst that takes the
+	// first miss; the second goes unanswered.
+	h := httpHeader(50)
+	stalled := c.switches[primaryFor(t, c, h.Key())]
+	stalled.mu.Lock()
+	defer stalled.mu.Unlock()
+	c.Inject(0, h, 100)
+	time.Sleep(20 * time.Millisecond)
+	c.Inject(0, h, 100)
+	deadline := time.Now().Add(3 * time.Second)
+	for c.NodeAlive(stalled.id) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled authority %d never declared dead", stalled.id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := deathCauses(c, stalled.id); !slices.Equal(got, []uint64{deathRedirectAck}) {
+		t.Errorf("stalled authority: death causes %v, want [%d] (redirect-ack)", got, deathRedirectAck)
+	}
+	if !stalled.bfdCtrl.Up() {
+		t.Error("the stalled authority's BFD session went down: not a data-plane-only stall")
 	}
 }
 
@@ -192,7 +239,7 @@ func TestFailoverE2E(t *testing.T) {
 }
 
 // TestStalledAuthorityDetectedByRedirectAck: an authority whose control
-// plane still answers heartbeats and BFD but whose data plane has stopped
+// plane still answers BFD but whose data plane has stopped
 // is found out by the redirects it leaves unacknowledged alone, and misses
 // then reach the backup while the stall lasts. Holding the authority's
 // node lock wedges its data loop inside the burst that took the first

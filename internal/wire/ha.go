@@ -161,19 +161,16 @@ func (c *Cluster) pickWinnerLocked() int {
 // seat returns the successor of the controller whose durable state st
 // is, journaling to j as replica lead leads (nil and -1 in
 // single-controller mode), for the caller to put in office. The old
-// sessions' silence was administrative: BFD sessions return to Down and
-// the fallback detector's clocks restart, quietly, and the switches
-// reconnect. The successor then resumes (core.Controller.Resume), and
-// withdraws again the redirects to every switch the detector holds dead,
-// which the resume re-installed. Caller holds ctlMu.
+// sessions' silence was administrative: BFD sessions return to Down,
+// quietly, and the switches reconnect. The successor then resumes
+// (core.Controller.Resume), and withdraws again the redirects to every
+// switch the detector holds dead, which the resume re-installed. Caller
+// holds ctlMu.
 func (c *Cluster) seat(st core.ControllerState, j *journal.Journal, lead int) *southbound {
 	now := time.Now()
 	for _, n := range c.nodes {
-		if !c.cfg.BFD.Disable {
-			n.bfdCtrl.Reset(now)
-			n.bfdSw.Reset(now)
-		}
-		n.lastBeat.Store(now.UnixNano())
+		n.bfdCtrl.Reset(now)
+		n.bfdSw.Reset(now)
 	}
 	c.ctrlDown.Store(false)
 	s := c.incarnation(true, lead)

@@ -19,7 +19,6 @@ func reconnectCfg(useTCP bool) ClusterConfig {
 		Policy:      failoverPolicy(),
 		Strategy:    core.StrategyExact,
 		UseTCP:      useTCP,
-		Heartbeat:   HeartbeatConfig{Interval: 5 * time.Millisecond, MissThreshold: 3},
 		Retry:       RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	}
 }
@@ -49,11 +48,13 @@ func TestPartitionHealReconnects(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { c.Close() })
+			awaitBFDUp(t, c)
 
 			if !c.PartitionControl(1) {
 				t.Fatal("PartitionControl failed")
 			}
-			// Heartbeats are suppressed: the detector marks 1 dead.
+			// BFD packets are suppressed: the session expires and marks 1
+			// dead.
 			deadline := time.Now().Add(5 * time.Second)
 			for c.NodeAlive(1) {
 				if time.Now().After(deadline) {
@@ -66,7 +67,8 @@ func TestPartitionHealReconnects(t *testing.T) {
 				t.Fatal("HealControl failed")
 			}
 			awaitReconnects(t, c, 1)
-			// Heartbeats resume; after the holddown the verdict flips back.
+			// The BFD session comes back Up; after the holddown the verdict
+			// flips back.
 			deadline = time.Now().Add(5 * time.Second)
 			for !c.NodeAlive(1) {
 				if time.Now().After(deadline) {
@@ -137,8 +139,8 @@ func TestReconnectWithFlakyConn(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	// Heartbeat echoes burn the write budget; every flaky conn dies and is
-	// re-established.
+	// The switch side's BFD packets burn the write budget; every flaky conn
+	// dies and is re-established.
 	awaitReconnects(t, c, 3)
 
 	// With healthy connections handed out, the full miss path (redirect,
@@ -207,11 +209,23 @@ func TestValidateDefaults(t *testing.T) {
 	if cfg.QueueDepth != 1024 {
 		t.Errorf("QueueDepth = %d", cfg.QueueDepth)
 	}
-	if cfg.Heartbeat.Interval != 50*time.Millisecond || cfg.Heartbeat.MissThreshold != 3 {
-		t.Errorf("heartbeat defaults: %+v", cfg.Heartbeat)
+	if cfg.BFD.Interval != 2*time.Millisecond || cfg.BFD.DetectMult != 3 {
+		t.Errorf("BFD defaults: %+v", cfg.BFD)
 	}
-	if got := cfg.Heartbeat.redirectTimeout(); got != 300*time.Millisecond {
-		t.Errorf("redirectTimeout = %v", got)
+	// The redirect-ack timeout is twice the BFD detect time, floored at
+	// 300 ms: the defaults, SlackBFD, difanectl's and the benchmark's timers.
+	for _, tc := range []struct {
+		bfd  BFDConfig
+		want time.Duration
+	}{
+		{cfg.BFD, 300 * time.Millisecond},
+		{SlackBFD, time.Second},
+		{BFDConfig{Interval: 200 * time.Millisecond, DetectMult: 10}, 4 * time.Second},
+		{BFDConfig{Interval: 200 * time.Millisecond, DetectMult: 5}, 2 * time.Second},
+	} {
+		if got := tc.bfd.redirectTimeout(); got != tc.want {
+			t.Errorf("redirectTimeout(%+v) = %v, want %v", tc.bfd, got, tc.want)
+		}
 	}
 	if got := cfg.ringDepth(); got != 1024 {
 		t.Errorf("ringDepth = %d", got)

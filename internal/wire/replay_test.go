@@ -29,10 +29,7 @@ func TestTraceVerdictsMatchOracle(t *testing.T) {
 			Policy:        sc.Policy,
 			Strategy:      sc.Strategy,
 			CacheCapacity: 8,
-			Heartbeat: wire.HeartbeatConfig{
-				Interval:      20 * time.Millisecond,
-				MissThreshold: 25,
-			},
+			BFD:           wire.SlackBFD,
 			Retry: wire.RetryPolicy{
 				MaxAttempts: 4,
 				BaseDelay:   time.Millisecond,

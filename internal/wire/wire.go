@@ -7,9 +7,9 @@
 // discrete-event simulator in internal/core. It validates that the
 // protocol, the pipeline, and the cache-install feedback loop work under
 // real concurrency, and adds the resilience layer the paper's failover
-// story requires: BFD sessions over every control channel with a coarse
-// heartbeat detector behind them, pre-installed backup authority rules
-// with ingress-local failover, reconnecting control connections, and
+// story requires: BFD sessions over every control channel, redirect
+// acknowledgement for a stalled data plane, pre-installed backup authority
+// rules with ingress-local failover, reconnecting control connections, and
 // fault-injection hooks for testing all of it. A miss never leaves the
 // data plane: nothing on the packet or install path touches a control
 // connection, so traffic and caching ride out a dead controller.
@@ -85,14 +85,6 @@ type Cluster struct {
 	ext  *nodeStats
 	cold coldStats
 
-	// pendMu guards pending: per authority switch, the send time of the
-	// oldest redirect its data plane has not yet acknowledged (by
-	// processing a redirected packet). The failure detector treats a stale
-	// entry as a dead authority even when its control plane still echoes
-	// heartbeats.
-	pendMu  sync.Mutex
-	pending map[uint32]time.Time
-
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -163,7 +155,7 @@ type node struct {
 	// connMu guards the current control-connection pair. ctrl is the
 	// switch side and ctrlPeer the controller side; the connection manager
 	// replaces both on reconnect. Only controller traffic rides it
-	// (FlowMods, barriers, stats, heartbeats, BFD); cache installs never do.
+	// (FlowMods, barriers, stats, BFD); cache installs never do.
 	connMu   sync.Mutex
 	ctrl     net.Conn
 	ctrlPeer net.Conn
@@ -182,17 +174,16 @@ type node struct {
 	alive       atomic.Bool  // the failure detector's current verdict
 	partitioned atomic.Bool  // control-plane partition fault injected
 	ctrlDelay   atomic.Int64 // injected per-control-write delay, ns
-	lastBeat    atomic.Int64 // unix nanos of the last heartbeat echo
-	deadAt      atomic.Int64 // unix nanos of the last death, for holddown
+	deadAt      atomic.Int64 // nowNS of the last death, for holddown
 	// faultAt is stamped when a fault hook (KillSwitch, PartitionControl)
 	// makes this switch undetectably dead; markDead swaps it out to
 	// measure fault→verdict detection latency.
 	faultAt atomic.Int64
 
 	// bfdCtrl is the controller-side BFD session watching this switch;
-	// bfdSw is its handshake peer on the switch. Both nil when BFD is
-	// disabled. bfdQ feeds the node's BFD writer goroutine; full
-	// means the packet is dropped (BFD tolerates loss by design).
+	// bfdSw is its handshake peer on the switch. bfdQ feeds the node's BFD
+	// writer goroutine; full means the packet is dropped (BFD tolerates
+	// loss by design).
 	bfdCtrl *bfd.Session
 	bfdSw   *bfd.Session
 	bfdQ    chan bfdSend
@@ -206,6 +197,13 @@ type node struct {
 	reportedEpoch atomic.Uint64
 	// peakQueue is the high-water mark of queueLen (see noteQueueDepth).
 	peakQueue atomic.Int64
+	// redirectSince is the nowNS send time of the oldest redirect toward
+	// this switch its data plane has not yet answered (0: none), the
+	// redirect-ack detector's input. Ingresses set it as they flush and the
+	// switch's own data loop clears it once per burst of redirects it
+	// answers; it sits apart from killed and alive, which every redirect
+	// reads.
+	redirectSince atomic.Int64
 
 	// installQ receives the cache installs authority switches generate for
 	// flows that entered here, in process and unencoded like the data
@@ -273,7 +271,6 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		cfg:        cfg,
 		switches:   make(map[uint32]*node),
 		Deliveries: make(chan Delivery, cfg.QueueDepth),
-		pending:    make(map[uint32]time.Time),
 		woken:      make(chan struct{}),
 		ext:        &nodeStats{},
 		ctx:        cctx,
@@ -303,7 +300,6 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		}
 		return nil, err
 	}
-	now := time.Now()
 	c.injSlot = len(cfg.Switches)
 	for slot, id := range cfg.Switches {
 		swConn, ctrlConn, err := c.trans.connect(cctx, id)
@@ -334,7 +330,6 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 			n.in[i] = newFrameRing(cfg.QueueDepth)
 		}
 		n.alive.Store(true)
-		n.lastBeat.Store(now.UnixNano())
 		c.initNodeBFD(n)
 		c.switches[id] = n
 		c.nodes = append(c.nodes, n)
@@ -358,32 +353,17 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	if err := c.startTelemetryServer(); err != nil {
 		return fail(err)
 	}
-	// Re-stamp the heartbeat clocks now that construction is done:
-	// liveness silence starts when the prober can actually run, not when
-	// the node structs were built, so a slow boot (ring allocation, rule
-	// pre-install) can never eat into the first MissThreshold intervals.
-	boot := time.Now().UnixNano()
 	for _, n := range c.switches {
-		n.lastBeat.Store(boot)
-	}
-	for _, n := range c.switches {
-		c.wg.Add(2)
+		c.wg.Add(3)
 		go c.dataLoop(n)
 		go c.ctrlManager(n)
-		if n.bfdQ != nil {
-			c.wg.Add(1)
-			go c.bfdWriter(n)
-		}
+		go c.bfdWriter(n)
 	}
 	c.wg.Add(1)
-	go c.heartbeatLoop()
+	go c.bfdLoop()
 	if !cfg.Telemetry.DisableHealth {
 		c.wg.Add(1)
 		go c.healthLoop()
-	}
-	if !cfg.BFD.Disable {
-		c.wg.Add(1)
-		go c.bfdLoop()
 	}
 	if c.cache != nil {
 		c.wg.Add(1)
@@ -739,7 +719,7 @@ func (c *Cluster) reconnect(n *node) bool {
 			// A severed control link or a dead controller is not a dial
 			// failure: hold until the fault is healed, without burning
 			// retry attempts.
-			if !sleepCtx(c.ctx, c.cfg.Heartbeat.Interval) {
+			if !sleepCtx(c.ctx, c.cfg.BFD.Interval) {
 				return false
 			}
 			continue
@@ -761,7 +741,7 @@ func (c *Cluster) reconnect(n *node) bool {
 		}
 		attempt++
 		if attempt >= c.cfg.Retry.MaxAttempts {
-			c.markDead(n)
+			c.markDead(n, deathReconnect)
 			return false
 		}
 		if !sleepCtx(c.ctx, c.cfg.Retry.Backoff(attempt)) {
@@ -771,8 +751,8 @@ func (c *Cluster) reconnect(n *node) bool {
 }
 
 // switchCtrlRead is the switch side of the control connection: it applies
-// commands from the controller, echoes heartbeats, and answers barriers
-// and stats requests.
+// commands from the controller, feeds BFD packets to the switch's session,
+// and answers barriers and stats requests.
 func (c *Cluster) switchCtrlRead(n *node, conn net.Conn) {
 	for {
 		msg, err := proto.ReadMessage(conn)
@@ -829,11 +809,8 @@ func (c *Cluster) switchCtrlRead(n *node, conn net.Conn) {
 			}
 			reply := &proto.StatsReply{XID: m.XID, Packets: pkts, Bytes: bytes, OK: ok}
 			go func() { _ = c.writeToController(n, reply) }()
-		case *proto.Heartbeat:
-			hb := m
-			go func() { _ = c.writeToController(n, hb) }()
 		case *proto.BFDControl:
-			c.handleBFDAtSwitch(n, m)
+			n.bfdSw.Handle(protoToBFD(m), time.Now())
 		}
 	}
 }
@@ -853,8 +830,8 @@ func (n *node) raiseEpoch(e uint64) bool {
 }
 
 // ctrlPeerRead is the controller side: it reads what the switch sends
-// upstream (heartbeat echoes, BFD, epoch reports, replies) and feeds the
-// failure detector or hands the message to a waiting caller.
+// upstream (BFD, epoch reports, replies) and feeds the failure detector or
+// hands the message to a waiting caller.
 func (c *Cluster) ctrlPeerRead(n *node, conn net.Conn) {
 	for {
 		msg, err := proto.ReadMessage(conn)
@@ -862,10 +839,8 @@ func (c *Cluster) ctrlPeerRead(n *node, conn net.Conn) {
 			return
 		}
 		switch m := msg.(type) {
-		case *proto.Heartbeat:
-			n.lastBeat.Store(time.Now().UnixNano())
 		case *proto.BFDControl:
-			c.handleBFDAtController(n, m)
+			n.bfdCtrl.Handle(protoToBFD(m), time.Now())
 		case *proto.EpochReport:
 			// A switch rejected a stale install and is telling us its
 			// current fence — surfaced in Status for the operator.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"difane/internal/bfd"
 	"difane/internal/core"
 	"difane/internal/flowspace"
 	"difane/internal/packet"
@@ -22,7 +23,8 @@ func testPolicy() []flowspace.Rule {
 	}
 }
 
-// startCluster boots cfg and closes it with the test.
+// startCluster boots cfg, closes it with the test, and returns once every
+// switch's BFD session is Up (awaitBFDUp).
 func startCluster(t testing.TB, cfg ClusterConfig) *Cluster {
 	t.Helper()
 	c, err := NewCluster(cfg)
@@ -30,7 +32,32 @@ func startCluster(t testing.TB, cfg ClusterConfig) *Cluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
+	awaitBFDUp(t, c)
 	return c
+}
+
+// awaitBFDUp waits until the controller's BFD session with every switch is
+// Up. A session that never leaves Down never expires, so a switch the
+// controller has not yet heard is judged by no detector: a test that kills
+// or cuts off a switch waits for this first.
+func awaitBFDUp(t testing.TB, c *Cluster) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		up := 0
+		for _, info := range c.BFDSessions() {
+			if info.State == bfd.StateUp {
+				up++
+			}
+		}
+		if up == len(c.nodes) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("BFD sessions never established (%d/%d up)", up, len(c.nodes))
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // slack gives cfg the failure-detector timers of a test that is not about
@@ -38,7 +65,7 @@ func startCluster(t testing.TB, cfg ClusterConfig) *Cluster {
 // sharing two cores with another package's sees every switch die at once
 // and its packets dropped as holes.
 func slack(cfg ClusterConfig) ClusterConfig {
-	cfg.Heartbeat, cfg.BFD = SlackHeartbeat, SlackBFD
+	cfg.BFD = SlackBFD
 	return cfg
 }
 
