@@ -14,7 +14,9 @@ vet:
 # tests (or none outside bench/), and exported *Config / RetryPolicy fields
 # that no caller outside their package sets, must be named, with a reason,
 # in scripts/unused.allow: what nothing calls or turns either goes or says
-# why not.
+# why not. A registered difane_* series that no string literal anywhere
+# reads (a health rule, the soak, difanectl, bench/, a test) fails with no
+# list to excuse it.
 unused:
 	sh scripts/unused.sh
 
@@ -129,7 +131,10 @@ soak-diff:
 # Non-test Go lines: the three packages ROADMAP item 8 tracks, their sum,
 # the two rule-table packages it quotes beside them, the cost-aware caching
 # stack (internal/cachepolicy and the two files that hold it in a
-# deployment) with its sum, and the whole repo outside bench/.
+# deployment) with its sum, and the whole repo outside bench/. The last
+# line is the schema's size: the distinct difane_* names non-test Go
+# registers (a name as a call's first argument, as scripts/unused.sh reads
+# a registration).
 LOC = find $(1) -name '*.go' ! -name '*_test.go' $(2) -exec cat {} + | wc -l
 loc:
 	@sum=0; for d in internal/wire internal/core internal/telemetry; do \
@@ -143,11 +148,15 @@ loc:
 		n=$$($(call LOC,$$d)); \
 		printf '%-28s %6d\n' $$d $$n; sum=$$((sum + n)); done; \
 	printf '%-28s %6d\n' 'cost-aware stack' $$sum; \
-	printf '%-28s %6d\n' 'repo outside bench/' $$($(call LOC,.,! -path './bench/*'))
+	printf '%-28s %6d\n' 'repo outside bench/' $$($(call LOC,.,! -path './bench/*')); \
+	printf '%-28s %6d\n' 'difane_* names registered' \
+		$$(grep -rhoE --include='*.go' --exclude='*_test.go' '\("difane_[a-z0-9_]+",' . | sort -u | wc -l)
 
-# Refresh the experiment golden outputs after an intentional change.
+# Refresh the experiment golden outputs and the generated metric reference
+# (docs/METRICS.md) after an intentional change.
 regen-golden:
 	go test ./experiments -run TestGoldenOutputs -update-golden
+	go test . -run TestMetricReference -update-golden
 
 # Short fuzz runs over the decoders that face untrusted bytes: decode
 # must return an error, never panic or over-allocate. The last one holds

@@ -335,7 +335,7 @@ func runServe(args []string) int {
 
 	bound := wd.C.TelemetryAddr()
 	fmt.Printf("wire cluster up: %d switches, authorities %v, tracing=%v\n", *switches, auths, *tracing)
-	fmt.Printf("telemetry at http://%s  (try /metrics /vars /trace /status)\n", bound)
+	fmt.Printf("telemetry at http://%s  (try /metrics /vars /trace /journeys /status /ha /convergence /health)\n", bound)
 	fmt.Printf("  difanectl metrics -addr %s\n", bound)
 	fmt.Printf("  difanectl trace -addr %s -follow\n", bound)
 	if *traceSample > 0 {

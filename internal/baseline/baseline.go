@@ -133,12 +133,8 @@ func NewNetwork(g *topo.Graph, policy []flowspace.Rule, cfg Config) (*Network, e
 		Nodes: nodes, Tracing: cfg.Tracing, TraceSample: cfg.TraceSample,
 		Now: telemetry.VirtualClock(n.Eng.Now),
 	})
-	// The same schema core.RegisterMeasurements gives the DIFANE backends,
-	// plus the reactive controller's own setup counter.
+	// The same schema core.RegisterMeasurements gives the DIFANE backends.
 	core.RegisterMeasurements(n.Registry(), n.Measurements)
-	n.Registry().RegisterFunc("difane_controller_setups_total",
-		"Flow setups the reactive controller processed.", telemetry.TypeCounter,
-		func() float64 { return float64(n.ControllerSetups) })
 	return n, nil
 }
 

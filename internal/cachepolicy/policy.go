@@ -65,10 +65,9 @@ type Policy struct {
 	globalLatency float64
 	globalHitRate float64
 
-	costEvictions atomic.Uint64
-	adaptations   atomic.Uint64
-	aggregations  atomic.Uint64
-	aggReplaced   atomic.Uint64
+	adaptations  atomic.Uint64
+	aggregations atomic.Uint64
+	aggReplaced  atomic.Uint64
 }
 
 // New builds a policy.
@@ -228,9 +227,6 @@ func (p *Policy) Victim(now float64, cands []Candidate) int {
 			best, bestScore = i, s
 		}
 	}
-	if best >= 0 {
-		p.costEvictions.Add(1)
-	}
 	return best
 }
 
@@ -278,10 +274,6 @@ func (p *Policy) IdleTimeout(region int) float64 {
 func (p *Policy) Regions() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.regionsLocked()
-}
-
-func (p *Policy) regionsLocked() []int {
 	out := make([]int, 0, len(p.regions))
 	for i := range p.regions {
 		out = append(out, i)

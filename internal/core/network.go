@@ -279,7 +279,8 @@ func NewNetwork(g *topo.Graph, authorities []uint32, policy []flowspace.Rule, cf
 		Nodes: nodes, Tracing: cfg.Tracing, TraceSample: cfg.TraceSample,
 		Now: telemetry.VirtualClock(n.Eng.Now),
 	})
-	n.registerMetrics()
+	RegisterMeasurements(n.Registry(), n.Measurements)
+	n.cache.RegisterMetrics(n.Registry())
 	if err := NewController(n).Boot(policy); err != nil {
 		return nil, err
 	}

@@ -10,8 +10,8 @@ import (
 // shares: the one registration of the difane_* measurement schema
 // (RegisterMeasurements — the baseline and wire mode call it too, so a
 // name means the same thing on all three), and what telemetry.Probe leaves
-// to the backend: the verdict spans, the convergence tracker's counter
-// totals and the simulator's own gauges.
+// to the backend: the verdict spans and the convergence tracker's counter
+// totals.
 
 // RegisterMeasurements registers the shared measurement schema on reg,
 // collecting from snap at every scrape. snap returns the Measurements to
@@ -34,8 +34,6 @@ func RegisterMeasurements(reg *telemetry.Registry, snap func() *Measurements) {
 		func(m *Measurements) uint64 { return m.Delivered })
 	counter("difane_redirects_total", "Cache misses redirected toward an authority switch.",
 		func(m *Measurements) uint64 { return m.Redirects })
-	counter("difane_setups_completed_total", "Flow setups resolved at an authority.",
-		func(m *Measurements) uint64 { return m.SetupsCompleted })
 	counter("difane_dropped_total", "Packets lost (queues, holes, unreachable, shed).",
 		func(m *Measurements) uint64 { return m.Drops.Lost() })
 
@@ -59,24 +57,6 @@ func RegisterMeasurements(reg *telemetry.Registry, snap func() *Measurements) {
 
 	counter("difane_authority_deaths_total", "Switches the failure detector declared dead.",
 		func(m *Measurements) uint64 { return m.AuthorityDeaths })
-	counter("difane_failovers_local_total", "Ingress-local partition-rule repoints onto a backup authority.",
-		func(m *Measurements) uint64 { return m.FailoversLocal })
-	counter("difane_failovers_promoted_total", "Partition rules withdrawn by controller-driven promotion.",
-		func(m *Measurements) uint64 { return m.FailoversPromoted })
-	counter("difane_control_reconnects_total", "Control connections re-established.",
-		func(m *Measurements) uint64 { return m.ControlReconnects })
-	counter("difane_controller_outages_total", "Controller losses ridden out.",
-		func(m *Measurements) uint64 { return m.ControllerOutages })
-	counter("difane_stale_installs_rejected_total", "FlowMods refused by epoch fencing.",
-		func(m *Measurements) uint64 { return m.StaleInstallsRejected })
-	counter("difane_cache_installs_shed_total", "Cache installs shed: install token bucket, full ingress queue, or dead ingress.",
-		func(m *Measurements) uint64 { return m.CacheInstallsShed })
-	counter("difane_policy_rule_installs_total", "Authority/partition rules installed by policy churn.",
-		func(m *Measurements) uint64 { return m.PolicyRuleInstalls })
-	counter("difane_policy_rule_deletes_total", "Authority/partition rules removed by policy churn.",
-		func(m *Measurements) uint64 { return m.PolicyRuleDeletes })
-	counter("difane_leader_elections_total", "Controller leader elections completed.",
-		func(m *Measurements) uint64 { return m.LeaderElections })
 
 	summary("difane_first_packet_delay_seconds",
 		"Delivery latency of flow-setup packets (via an authority).",
@@ -84,29 +64,9 @@ func RegisterMeasurements(reg *telemetry.Registry, snap func() *Measurements) {
 	summary("difane_later_packet_delay_seconds",
 		"Delivery latency of cache-hit packets.",
 		func(m *Measurements) *metrics.Dist { return &m.LaterPacketDelay })
-	summary("difane_stretch_ratio",
-		"Path stretch of packets that took the authority detour.",
-		func(m *Measurements) *metrics.Dist { return &m.Stretch })
 	summary("difane_failover_detection_seconds",
 		"Fault-injection to death-verdict detection latency.",
 		func(m *Measurements) *metrics.Dist { return &m.FailoverDetection })
-	summary("difane_leader_election_seconds",
-		"Leader-kill to new-leader-seated election duration.",
-		func(m *Measurements) *metrics.Dist { return &m.LeaderElection })
-}
-
-// registerMetrics adds what only the simulator exports beside the shared
-// schema and the probe's own series.
-func (n *Network) registerMetrics() {
-	reg := n.Registry()
-	RegisterMeasurements(reg, n.Measurements)
-	reg.RegisterFunc("difane_cache_entries",
-		"Installed cache rules across all switches.", telemetry.TypeGauge,
-		func() float64 { return float64(n.CacheEntries()) })
-	reg.RegisterFunc("difane_switches",
-		"Switches in the simulated topology.", telemetry.TypeGauge,
-		func() float64 { return float64(len(n.Switches)) })
-	n.cache.RegisterMetrics(reg)
 }
 
 // VerdictCode maps a terminal outcome onto the shared telemetry verdict

@@ -279,7 +279,7 @@ type soak struct {
 func storeFloat(a *atomic.Uint64, v float64) { a.Store(math.Float64bits(v)) }
 func loadFloat(a *atomic.Uint64) float64     { return math.Float64frombits(a.Load()) }
 
-// RegisterSoakMetrics adds the soak's difane_soak_* schema to a registry.
+// registerMetrics adds the soak's difane_soak_* schema to a registry.
 // RunSoak calls it on the deployment's own registry, so a live /metrics
 // endpoint shows the soak's phase, miss rate, TCAM occupancy, and
 // redirect load alongside the cluster's difane_* series. Names are a

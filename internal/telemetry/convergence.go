@@ -50,8 +50,6 @@ type Convergence struct {
 	updates   uint64
 	converged uint64
 	installs  uint64
-	withdraws uint64
-	rejects   uint64
 	last      EpochTimeline // most recently converged timeline
 }
 
@@ -91,7 +89,6 @@ func (c *Convergence) NoteMods(epoch uint64, withdraw bool, n uint64, ts int64, 
 	}
 	if withdraw {
 		t.Withdraws += n
-		c.withdraws += n
 	} else {
 		t.Installs += n
 		c.installs += n
@@ -102,7 +99,6 @@ func (c *Convergence) NoteMods(epoch uint64, withdraw bool, n uint64, ts int64, 
 func (c *Convergence) NoteReject(epoch uint64, ts int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rejects++
 	for i := len(c.timelines) - 1; i >= 0; i-- {
 		if t := c.timelines[i]; !t.Converged {
 			t.Rejects++
@@ -205,18 +201,10 @@ func (c *Convergence) RegisterMetrics(reg *Registry) {
 		locked(func() float64 { return float64(c.converged) }))
 	counter("difane_epoch_installs_total", "Fenced rule installs across all generations.",
 		locked(func() float64 { return float64(c.installs) }))
-	counter("difane_epoch_withdraws_total", "Fenced rule withdrawals across all generations.",
-		locked(func() float64 { return float64(c.withdraws) }))
-	counter("difane_epoch_rejects_total", "Stale FlowMods fenced off during updates.",
-		locked(func() float64 { return float64(c.rejects) }))
 	gauge("difane_epoch_active_since_ns", "FirstModTS of the oldest unconverged generation (0 = quiet).",
 		func() float64 { return float64(c.ActiveSinceNS()) })
 	gauge("difane_epoch_last_duration_ns", "First-FlowMod→quiescence duration of the last converged generation.",
 		locked(func() float64 { return float64(c.last.DurationNS) }))
 	gauge("difane_epoch_last_redirects_during", "Packets redirected while the last generation converged.",
 		locked(func() float64 { return float64(c.last.RedirectsDuring) }))
-	gauge("difane_epoch_last_shed_during", "Packets shed while the last generation converged.",
-		locked(func() float64 { return float64(c.last.ShedDuring) }))
-	gauge("difane_epoch_last_dropped_during", "Packets dropped while the last generation converged.",
-		locked(func() float64 { return float64(c.last.DroppedDuring) }))
 }

@@ -66,15 +66,9 @@ func NewProbe(cfg ProbeConfig) *Probe {
 			}
 			return 0
 		})
-	p.reg.RegisterFunc("difane_trace_writes_total",
-		"Events ever published to the flight recorder.", TypeCounter,
-		func() float64 { return float64(p.rec.Stats().Writes) })
 	p.reg.RegisterFunc("difane_trace_dropped_total",
 		"Flight-recorder events lost to ring wraparound.", TypeCounter,
 		func() float64 { return float64(p.rec.Stats().Dropped) })
-	p.reg.RegisterFunc("difane_trace_sample",
-		"Per-packet trace sampling rate (1-in-N, 0 = off).", TypeGauge,
-		func() float64 { return float64(p.sampler.Rate()) })
 	p.conv.RegisterMetrics(p.reg)
 	// The watchdog scrapes the registry it is registered into; its EvalOnce
 	// snapshots before locking, so its own gauges stay deadlock-free.

@@ -13,9 +13,9 @@ import (
 
 func buildTestRegistry() *Registry {
 	reg := NewRegistry()
-	reg.RegisterFunc("difane_delivered_total", "Packets delivered.", TypeCounter,
+	reg.RegisterFunc("test_delivered_total", "Packets delivered.", TypeCounter,
 		func() float64 { return 42 })
-	reg.Register("difane_switch_cache_hits_total", "Cache hits per switch.", TypeCounter,
+	reg.Register("test_switch_cache_hits_total", "Cache hits per switch.", TypeCounter,
 		func() []Point {
 			return []Point{
 				{Labels: []Label{{"switch", "0"}}, Value: 10},
@@ -26,7 +26,7 @@ func buildTestRegistry() *Registry {
 	for i := 1; i <= 100; i++ {
 		d.Add(float64(i) / 1000)
 	}
-	reg.RegisterSummary("difane_first_packet_delay_seconds", "First-packet delay.",
+	reg.RegisterSummary("test_first_packet_delay_seconds", "First-packet delay.",
 		func() SummaryView { return DistSummary(&d) })
 	return reg
 }
@@ -38,15 +38,15 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# HELP difane_delivered_total Packets delivered.",
-		"# TYPE difane_delivered_total counter",
-		"difane_delivered_total 42",
-		`difane_switch_cache_hits_total{switch="0"} 10`,
-		`difane_switch_cache_hits_total{switch="1"} 20`,
-		"# TYPE difane_first_packet_delay_seconds summary",
-		`difane_first_packet_delay_seconds{quantile="0.5"} 0.05`,
-		`difane_first_packet_delay_seconds{quantile="0.99"} 0.099`,
-		"difane_first_packet_delay_seconds_count 100",
+		"# HELP test_delivered_total Packets delivered.",
+		"# TYPE test_delivered_total counter",
+		"test_delivered_total 42",
+		`test_switch_cache_hits_total{switch="0"} 10`,
+		`test_switch_cache_hits_total{switch="1"} 20`,
+		"# TYPE test_first_packet_delay_seconds summary",
+		`test_first_packet_delay_seconds{quantile="0.5"} 0.05`,
+		`test_first_packet_delay_seconds{quantile="0.99"} 0.099`,
+		"test_first_packet_delay_seconds_count 100",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
@@ -63,16 +63,16 @@ func TestWriteJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &obj); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
 	}
-	if v, ok := obj["difane_delivered_total"].(float64); !ok || v != 42 {
-		t.Fatalf("delivered: %v", obj["difane_delivered_total"])
+	if v, ok := obj["test_delivered_total"].(float64); !ok || v != 42 {
+		t.Fatalf("delivered: %v", obj["test_delivered_total"])
 	}
-	labeled, ok := obj["difane_switch_cache_hits_total"].(map[string]any)
+	labeled, ok := obj["test_switch_cache_hits_total"].(map[string]any)
 	if !ok || labeled["switch=1"].(float64) != 20 {
-		t.Fatalf("labeled: %v", obj["difane_switch_cache_hits_total"])
+		t.Fatalf("labeled: %v", obj["test_switch_cache_hits_total"])
 	}
-	sum, ok := obj["difane_first_packet_delay_seconds"].(map[string]any)
+	sum, ok := obj["test_first_packet_delay_seconds"].(map[string]any)
 	if !ok || sum["count"].(float64) != 100 {
-		t.Fatalf("summary: %v", obj["difane_first_packet_delay_seconds"])
+		t.Fatalf("summary: %v", obj["test_first_packet_delay_seconds"])
 	}
 }
 
@@ -89,7 +89,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 
 func TestSnapshotValue(t *testing.T) {
 	s := &Snapshot{Metrics: buildTestRegistry().Snapshot()}
-	if v, ok := s.Value("difane_delivered_total"); !ok || v != 42 {
+	if v, ok := s.Value("test_delivered_total"); !ok || v != 42 {
 		t.Fatalf("Value: %v %v", v, ok)
 	}
 	if _, ok := s.Value("nope"); ok {
@@ -117,10 +117,10 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	if w := get("/metrics"); w.Code != 200 ||
-		!strings.Contains(w.Body.String(), "difane_delivered_total 42") {
+		!strings.Contains(w.Body.String(), "test_delivered_total 42") {
 		t.Fatalf("/metrics: %d\n%s", w.Code, w.Body.String())
 	}
-	if w := get("/vars"); w.Code != 200 || !strings.Contains(w.Body.String(), "difane_delivered_total") {
+	if w := get("/vars"); w.Code != 200 || !strings.Contains(w.Body.String(), "test_delivered_total") {
 		t.Fatalf("/vars: %d", w.Code)
 	}
 	w := get("/trace?kind=verdict")
@@ -150,9 +150,9 @@ func TestServerEndpoints(t *testing.T) {
 // the pooled scrape buffer is sized for.
 func buildScrapeRegistry(switches int) *Registry {
 	reg := NewRegistry()
-	reg.RegisterFunc("difane_delivered_total", "Packets delivered.", TypeCounter,
+	reg.RegisterFunc("test_delivered_total", "Packets delivered.", TypeCounter,
 		func() float64 { return 1234567 })
-	reg.RegisterFunc("difane_dropped_total", "Packets dropped.", TypeCounter,
+	reg.RegisterFunc("test_dropped_total", "Packets dropped.", TypeCounter,
 		func() float64 { return 89 })
 	perSwitch := func(name string) {
 		reg.Register(name, "Per-switch series.", TypeCounter, func() []Point {
@@ -167,14 +167,14 @@ func buildScrapeRegistry(switches int) *Registry {
 		})
 	}
 	for _, name := range []string{
-		"difane_switch_cache_hits_total",
-		"difane_switch_authority_hits_total",
-		"difane_switch_partition_hits_total",
-		"difane_switch_cache_evictions_total",
-		"difane_switch_cache_occupancy",
-		"difane_switch_tcam_occupancy",
-		"difane_switch_redirects_total",
-		"difane_switch_installs_total",
+		"test_switch_cache_hits_total",
+		"test_switch_authority_hits_total",
+		"test_switch_partition_hits_total",
+		"test_switch_cache_evictions_total",
+		"test_switch_cache_occupancy",
+		"test_switch_tcam_occupancy",
+		"test_switch_redirects_total",
+		"test_switch_installs_total",
 	} {
 		perSwitch(name)
 	}
@@ -182,9 +182,9 @@ func buildScrapeRegistry(switches int) *Registry {
 	for i := 1; i <= 1000; i++ {
 		d.Add(float64(i) / 10000)
 	}
-	reg.RegisterSummary("difane_first_packet_delay_seconds", "First-packet delay.",
+	reg.RegisterSummary("test_first_packet_delay_seconds", "First-packet delay.",
 		func() SummaryView { return DistSummary(&d) })
-	reg.RegisterSummary("difane_later_packet_delay_seconds", "Later-packet delay.",
+	reg.RegisterSummary("test_later_packet_delay_seconds", "Later-packet delay.",
 		func() SummaryView { return DistSummary(&d) })
 	return reg
 }

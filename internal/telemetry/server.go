@@ -36,9 +36,11 @@ func (s *Snapshot) Value(name string) (float64, bool) {
 //	/metrics       Prometheus text exposition
 //	/vars          expvar-style JSON scrape
 //	/trace         flight-recorder dump (JSON), filterable via query params
+//	/journeys      sampled packets' end-to-end journeys (JSON)
 //	/debug/pprof/  the standard profiling endpoints
 //
-// plus any extra handlers the caller mounts (wire adds /status).
+// plus any extra handlers the caller mounts (wire adds /status, /ha,
+// /convergence and /health).
 type Server struct {
 	ln  net.Listener
 	srv *http.Server

@@ -389,8 +389,8 @@ func TestHeaderRoundTripForDeployment(t *testing.T) {
 // Promotion withdraws, and counts, the partition rules that exist: a
 // partition with one authority was installed without a backup rule, so
 // promoting away from that authority sends one delete per partition (it
-// sent, and difane_failovers_promoted_total counted, a second one for the
-// backup rule that was never there), and restoring puts the same rules back.
+// sent, and FailoversPromoted counted, a second one for the backup rule
+// that was never there), and restoring puts the same rules back.
 func TestPromoteAndRestoreMoveTheInstalledRules(t *testing.T) {
 	cfg := slack(failoverConfig())
 	cfg.Authorities = []uint32{2}

@@ -22,10 +22,14 @@ type TelemetryConfig struct {
 	// address (":0" picks an ephemeral port — read it back with
 	// Cluster.TelemetryAddr):
 	//
-	//	/metrics      Prometheus text exposition
+	//	/metrics      Prometheus text exposition (docs/METRICS.md lists the series)
 	//	/vars         expvar-style JSON
 	//	/trace        flight-recorder dump with filters
+	//	/journeys     sampled packets' end-to-end journeys
 	//	/status       the cluster status report
+	//	/ha           controller replicas and per-switch BFD sessions
+	//	/convergence  policy-update timelines
+	//	/health       the SLO watchdog's rule statuses
 	//	/debug/pprof  the standard profiling endpoints
 	Addr string
 	// Tracing starts the flight recorder enabled. Off, the data plane pays
@@ -185,32 +189,12 @@ func (c *Cluster) TelemetryAddr() string {
 
 // registerMetrics registers the shared measurement schema (collected from
 // a Measurements() merge per series: O(shards × buckets), never the
-// forwarding path's cost) and what only wire mode has: injection, HA and
-// epoch state, the per-switch series and BFD churn.
+// forwarding path's cost) and what only wire mode has: the per-switch
+// series and BFD churn.
 func (c *Cluster) registerMetrics() {
 	reg := c.Registry()
 	core.RegisterMeasurements(reg, c.Measurements)
 	c.cache.RegisterMetrics(reg)
-	counter := func(name, help string, fn func() float64) {
-		reg.RegisterFunc(name, help, telemetry.TypeCounter, fn)
-	}
-	gauge := func(name, help string, fn func() float64) {
-		reg.RegisterFunc(name, help, telemetry.TypeGauge, fn)
-	}
-
-	counter("difane_injected_total", "Packets accepted at an ingress queue.",
-		func() float64 { return float64(c.injected.Load()) })
-	gauge("difane_ha_leader", "Current leader replica id (-1 when none holds office).",
-		func() float64 { return float64(c.Leader()) })
-	gauge("difane_epoch", "Controller fencing epoch.",
-		func() float64 { return float64(c.Epoch()) })
-	gauge("difane_controller_down", "1 while a simulated controller outage is active.",
-		func() float64 {
-			if c.ctrlDown.Load() {
-				return 1
-			}
-			return 0
-		})
 
 	// Per-switch series, labeled by switch ID.
 	ids := make([]uint32, 0, len(c.switches))
@@ -237,30 +221,19 @@ func (c *Cluster) registerMetrics() {
 		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Stats.AuthorityHits.Load()) })
 	perSwitch("difane_switch_partition_hits_total", "Classifications terminated by the partition table.",
 		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Stats.PartitionHits.Load()) })
-	perSwitch("difane_switch_misses_total", "Classifications matching no table (unreachable: partition rules withdrawn).",
-		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Stats.Misses.Load()) })
 	perSwitch("difane_switch_cache_entries", "Installed cache rules.",
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.sw.Table(proto.TableCache).Len()) })
 	perSwitch("difane_switch_cache_evictions_total", "Cache entries evicted for capacity.",
 		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Table(proto.TableCache).Evictions.Load()) })
 	perSwitch("difane_switch_queue_depth", "Occupancy of the deepest input ring (each holds at most QueueDepth frames).",
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.queueLen()) })
-	perSwitch("difane_switch_peak_queue_depth", "High-water mark of difane_switch_queue_depth: the deepest any input ring has been.",
+	perSwitch("difane_switch_peak_queue_depth", "High-water mark of the queue depth: the deepest any input ring has been.",
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.peakQueue.Load()) })
-	perSwitch("difane_switch_epoch", "The switch's accepted install fence.",
-		telemetry.TypeGauge, func(n *node) float64 { return float64(n.epoch.Load()) })
-	perSwitch("difane_switch_alive", "1 while the failure detector believes the switch serves traffic.",
-		telemetry.TypeGauge, func(n *node) float64 {
-			if !n.killed.Load() && n.alive.Load() {
-				return 1
-			}
-			return 0
-		})
 
 	// BFD session churn, summed across every controller-side session — the
 	// bfd-flap health rule's input.
-	counter("difane_bfd_transitions_total", "BFD session state transitions across all sessions.",
-		func() float64 {
+	reg.RegisterFunc("difane_bfd_transitions_total", "BFD session state transitions across all sessions.",
+		telemetry.TypeCounter, func() float64 {
 			var total uint64
 			for _, info := range c.BFDSessions() {
 				total += info.Transitions

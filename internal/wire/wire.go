@@ -65,7 +65,6 @@ type Cluster struct {
 	Deliveries chan Delivery
 
 	dropped   atomic.Uint64
-	injected  atomic.Uint64
 	completed atomic.Uint64
 
 	// awaited is the lowest completed count a caller blocked in
@@ -431,10 +430,8 @@ func (c *Cluster) openInjection(ingress uint32) (*node, *frameRing) {
 }
 
 // commitInjected publishes the k frames written into n's injection ring:
-// counted injected first, so completed never runs ahead of it, then one
-// tail store and one wakeup.
+// one tail store and one wakeup.
 func (c *Cluster) commitInjected(n *node, ring *frameRing, k int) {
-	c.injected.Add(uint64(k))
 	ring.commit(k)
 	n.noteQueueDepth(int64(ring.len()))
 	n.wake()

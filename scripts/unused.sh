@@ -8,6 +8,17 @@
 #     file outside the declaring package sets, as `Field:` in a composite
 #     literal or as `.Field =`. A knob nobody turns is a constant.
 #
+# and fails outright, with no list to excuse it, on a third:
+#
+#   - a difane_* series registered in non-test Go that nothing reads. A
+#     registration is the name as a call's first argument, followed by a
+#     comma (`RegisterFunc("difane_x", ...`, `counter("difane_x", ...`); a
+#     read is any other string literal, in any .go file (tests and bench/
+#     included), that starts with the name: the name itself, a scraped line
+#     `difane_x 1` or `difane_x{switch="1"} 2`. A registration in a test
+#     (a synthetic registry) reads nothing, nor does a comment or a help
+#     string that mentions the name in passing.
+#
 # A name used (or set) only from bench/ is pinned by the benchmark, which
 # only a benchmark change may touch, so it must be listed too. A listed
 # name that has gained a caller or a setter (or is gone) also fails, so
@@ -20,10 +31,11 @@
 set -eu
 cd "$(dirname "$0")/.."
 # One awk over every file at once: the uses are counted across all of them.
-files=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' | sort)
+files=$(find . -name '*.go' ! -path './.git/*' | sort)
 # shellcheck disable=SC2086
 awk -v allow=scripts/unused.allow '
 	FNR == 1 {
+		test = FILENAME ~ /_test\.go$/
 		internal = FILENAME ~ /^\.\/internal\//
 		bench = FILENAME ~ /^\.\/bench\//
 		n = split(FILENAME, p, "/"); pkg = p[n-1]
@@ -31,6 +43,24 @@ awk -v allow=scripts/unused.allow '
 		config = ""
 	}
 	{
+		# Series: the string literals before any line comment.
+		s = $0
+		while (match(s, /"([^"\\]|\\.)*"|`[^`]*`|\x27([^\x27\\]|\\.)*\x27|\/\//)) {
+			lit = substr(s, RSTART + 1, RLENGTH - 2)
+			if (substr(s, RSTART, 2) == "//") break
+			pre = substr(s, 1, RSTART - 1)
+			s = substr(s, RSTART + RLENGTH)
+			if (lit !~ /^difane_[a-z0-9_]+([ {]|$)/) continue
+			name = lit
+			sub(/[ {].*$/, "", name)
+			if (lit == name && pre ~ /\($/ && s ~ /^,/) {
+				if (!test) { series[name] = FILENAME ":" FNR }
+				continue
+			}
+			reads[name]++
+		}
+		if (test) next
+
 		line = $0
 		sub(/\/\/.*/, "", line)
 		if (internal && match(line, /^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*[[(]/)) {
@@ -109,5 +139,7 @@ awk -v allow=scripts/unused.allow '
 		}
 		for (k in listed)
 			if (!(k in found)) { print allow ": " k " is listed but has a caller or setter outside bench/ (or is gone)"; bad = 1 }
+		for (name in series)
+			if (!(name in reads)) { print series[name] ": series " name " is registered but nothing reads it"; bad = 1 }
 		exit bad
 	}' $files
