@@ -86,7 +86,8 @@ check:
 # an authority whose data plane stalls while its control plane still
 # answers (caught by the unacknowledged redirects alone),
 # plus the wire HA suite with its leader-churn goroutine-leak check, a
-# leader killed between an update's phases, an election that must
+# leader killed between an update's phases (at each of its boundaries, in
+# runs of their own), an election that must
 # reconcile without churn (also after a load rebalance), a killed switch
 # declared dead by BFD within twice its detect time, and
 # the controller-free install path (new flows cached with the controller
@@ -97,7 +98,7 @@ check:
 chaos-smoke:
 	go test -race ./internal/scencheck -run TestChaosSmoke -timeout 10m
 	go test -race ./internal/wire -timeout 10m \
-		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectsKillWithinTwiceDetectTime|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestElectionReconcilesWithoutChurn|TestRebalanceSurvivesElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic|TestStalledAuthorityDetectedByRedirectAck'
+		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectsKillWithinTwiceDetectTime|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestLeaderKillAtEveryPhaseBoundary|TestElectionReconcilesWithoutChurn|TestRebalanceSurvivesElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic|TestStalledAuthorityDetectedByRedirectAck'
 
 # Subscriber-scale soak — not part of tier-1. Streams ≥1M modeled
 # subscriber sessions (Poisson churn, host mobility, a flash crowd and a
@@ -129,7 +130,8 @@ soak-diff:
 		-artifacts artifacts -timeout 30m
 
 # Non-test Go lines: the three packages ROADMAP item 8 tracks, their sum,
-# the two rule-table packages it quotes beside them, the cost-aware caching
+# the two rule-table packages it quotes beside them, the controller
+# journal, the cost-aware caching
 # stack (internal/cachepolicy and the two files that hold it in a
 # deployment) with its sum, and the whole repo outside bench/. The last
 # line is the schema's size: the distinct difane_* names non-test Go
@@ -142,7 +144,7 @@ loc:
 		printf '%-28s %6d\n' $$d $$n; sum=$$((sum + n)); done; \
 	printf '%-28s %6d\n' 'wire+core+telemetry' $$sum; \
 	printf '%-28s %6d\n' 'core+wire' $$(( $$($(call LOC,internal/core)) + $$($(call LOC,internal/wire)) )); \
-	for d in internal/tcam internal/flowspace; do \
+	for d in internal/tcam internal/flowspace internal/journal; do \
 		printf '%-28s %6d\n' $$d $$($(call LOC,$$d)); done; \
 	sum=0; for d in internal/cachepolicy internal/core/adapt.go internal/wire/cacheadapt.go; do \
 		n=$$($(call LOC,$$d)); \

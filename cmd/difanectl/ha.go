@@ -75,7 +75,7 @@ func printHA(st difane.HAStatus) {
 			}
 			state := "dead"
 			if r.Alive {
-				state = fmt.Sprintf("alive  journal next-seq %d", r.NextSeq)
+				state = fmt.Sprintf("alive  journal seq %d", r.Seq)
 			}
 			fmt.Printf("  replica %d: %s%s\n", r.ID, state, role)
 		}

@@ -38,7 +38,7 @@
 //	kill <switch>                                 crash a switch (wire)
 //	alive                                         failure detector verdicts (wire)
 //	ha                                            replica set, leader, BFD sessions (wire)
-//	snapshot <dir>                                checkpoint controller state to a journal (sim)
+//	snapshot <dir>                                journal the controller's state in dir, sealed at every commit (sim)
 //	restore <dir>                                 recover the controller from a journal (sim)
 //	epoch                                         print the controller's fencing epoch
 //	load <file>                                   replace the policy from a file (sim)
@@ -448,17 +448,15 @@ func (s *session) command(fields []string) {
 			fmt.Println("usage: snapshot <dir>")
 			return
 		}
-		if s.ctl.Journal() == nil {
-			if err := s.ctl.AttachJournal(fields[1]); err != nil {
-				fmt.Println(err)
-				return
-			}
+		if j := s.ctl.Journal(); j != nil {
+			fmt.Printf("the journal at %s already holds the state; it is sealed at every commit\n", j.Dir())
+			return
 		}
-		if err := s.ctl.Checkpoint(); err != nil {
+		if err := s.ctl.AttachJournal(fields[1]); err != nil {
 			fmt.Println(err)
 			return
 		}
-		fmt.Printf("checkpointed epoch %d, policy version %d to %s\n",
+		fmt.Printf("sealed epoch %d, policy version %d in %s\n",
 			s.ctl.Epoch, s.ctl.PolicyVersion, s.ctl.Journal().Dir())
 	case "restore":
 		if s.net == nil {

@@ -33,7 +33,6 @@ import (
 	"difane/internal/baseline"
 	"difane/internal/core"
 	"difane/internal/flowspace"
-	"difane/internal/journal"
 	"difane/internal/oracle"
 	"difane/internal/policyio"
 	"difane/internal/scencheck"
@@ -193,13 +192,6 @@ type ControllerState = core.ControllerState
 // RecoveryReport summarizes what NewControllerFromJournal had to repair.
 type RecoveryReport = core.RecoveryReport
 
-// Journal is the write-ahead log + snapshot store backing controller
-// crash recovery.
-type Journal = journal.Journal
-
-// OpenJournal opens (or creates) a journal directory.
-func OpenJournal(dir string) (*Journal, error) { return journal.Open(dir) }
-
 // NewControllerWithJournal attaches a controller that persists its state
 // to a journal in dir on every mutation.
 func NewControllerWithJournal(n *Network, dir string) (*Controller, error) {
@@ -207,14 +199,14 @@ func NewControllerWithJournal(n *Network, dir string) (*Controller, error) {
 }
 
 // NewControllerFromJournal recovers a controller from a journal written
-// by a previous incarnation: state is replayed, the epoch is bumped to
+// by a previous incarnation: its state is loaded, the epoch is bumped to
 // fence the dead controller, and the live switch tables are reconciled
 // against the recovered assignment instead of blindly reinstalled.
 func NewControllerFromJournal(n *Network, dir string) (*Controller, RecoveryReport, error) {
 	return core.NewControllerFromJournal(n, dir)
 }
 
-// LoadState replays a journal directory without touching any network.
+// LoadState reads a journal directory's state without touching any network.
 func LoadState(dir string) (ControllerState, bool, error) { return core.LoadState(dir) }
 
 // CompactPolicy removes shadowed (dead) rules without changing semantics.

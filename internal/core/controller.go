@@ -51,9 +51,9 @@ type Controller struct {
 	// disjoint generation bands instead of colliding.
 	gen uint64
 
-	// jour, when set, records every committed state change; JournalErr
-	// holds the most recent append failure (appends happen inside
-	// scheduled commit callbacks, which cannot return errors).
+	// jour, when set, seals the state at every commit; JournalErr holds
+	// the most recent seal failure (seals happen inside scheduled commit
+	// callbacks, which cannot return errors).
 	jour       *journal.Journal
 	JournalErr error
 }

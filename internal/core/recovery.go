@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"difane/internal/flowspace"
@@ -10,8 +9,10 @@ import (
 )
 
 // ControllerState is the controller's durable state: everything a restarted
-// controller needs to pick up exactly where its predecessor stopped. It is
-// what the journal records on every commit and what recovery replays.
+// controller needs to pick up exactly where its predecessor stopped. The
+// journal seals it in full on every commit, replacing the one before:
+// states are small (the policy plus the partition tree), and recovery
+// needs only the last.
 type ControllerState struct {
 	Epoch         uint64           `json:"epoch"`
 	PolicyVersion int              `json:"policy_version"`
@@ -21,13 +22,7 @@ type ControllerState struct {
 	Assignment    Assignment       `json:"assignment"`
 }
 
-// stateKind is the WAL record kind for full controller states. Each commit
-// journals the complete state rather than a delta: states are small (the
-// policy plus the partition tree), and full records make replay trivially
-// idempotent — the last valid record wins.
-const stateKind = "state"
-
-// State returns c's state as a journal records it.
+// State returns c's state as a journal seals it.
 func (c *Controller) State() ControllerState {
 	return ControllerState{
 		Epoch:         c.Epoch,
@@ -39,25 +34,16 @@ func (c *Controller) State() ControllerState {
 	}
 }
 
-// logState appends the current state to the journal, if one is attached.
-// Append failures land in JournalErr because commits run inside scheduled
+// logState seals the current state into the journal, if one is attached.
+// Failures land in JournalErr because commits run inside scheduled
 // callbacks that cannot return errors.
 func (c *Controller) logState() {
 	if c.jour == nil {
 		return
 	}
-	if _, err := c.jour.Append(stateKind, c.State()); err != nil {
+	if err := c.jour.Seal(c.State()); err != nil {
 		c.JournalErr = err
 	}
-}
-
-// Checkpoint folds the journal into a snapshot of the current state,
-// truncating the WAL. Call it periodically to bound recovery time.
-func (c *Controller) Checkpoint() error {
-	if c.jour == nil {
-		return fmt.Errorf("core: controller has no journal")
-	}
-	return c.jour.WriteSnapshot(c.State())
 }
 
 // Journal returns the attached journal, or nil.
@@ -96,31 +82,15 @@ func (c *Controller) AttachJournal(dir string) error {
 	return nil
 }
 
-// ReadState loads the newest durable ControllerState from an open journal:
-// the last valid WAL state record, or else the snapshot. Only that one is
-// decoded. ok is false when the journal holds no state.
+// ReadState loads the durable ControllerState an open journal holds. ok is
+// false when it holds none.
 func ReadState(j *journal.Journal) (ControllerState, bool, error) {
 	var st ControllerState
-	var last *journal.Record
-	_, hadSnap, err := j.Replay(&st, func(rec journal.Record) error {
-		if rec.Kind == stateKind {
-			last = &rec
-		}
-		return nil
-	})
-	if err == nil && last != nil {
-		st = ControllerState{}
-		if err = json.Unmarshal(last.Data, &st); err != nil {
-			err = fmt.Errorf("core: journal record %d: %w", last.Seq, err)
-		}
-	}
-	if err != nil {
-		return ControllerState{}, false, err
-	}
-	return st, last != nil || hadSnap, nil
+	ok, err := j.Load(&st)
+	return st, ok, err
 }
 
-// LoadState reads the newest durable controller state from a journal
+// LoadState reads the durable controller state from a journal
 // directory without attaching to it. ok is false when the journal holds no
 // state (fresh directory).
 func LoadState(dir string) (ControllerState, bool, error) {

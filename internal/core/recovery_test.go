@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -184,23 +186,31 @@ func TestEpochMonotonicAcrossRestarts(t *testing.T) {
 	}
 }
 
+// TestCheckpointThenRecover: attaching a journal to a running controller
+// seals its current state at once, and a commit after that replaces it;
+// recovery resumes the later state.
 func TestCheckpointThenRecover(t *testing.T) {
 	dir := t.TempDir()
 	n := testNet(t, NetworkConfig{})
-	c1, err := NewControllerWithJournal(n, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1 := NewController(n)
 	c1.PolicyPushDelay = 0.05
 	_, cleanupAt, err := c1.UpdatePolicyConsistent(recoveredPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.Run(cleanupAt + 0.01)
-	if err := c1.Checkpoint(); err != nil {
+	if err := c1.AttachJournal(dir); err != nil {
 		t.Fatal(err)
 	}
-	// One more committed change after the checkpoint lands in the WAL.
+	if err := c1.AttachJournal(t.TempDir()); err == nil {
+		t.Fatal("a second journal was attached")
+	}
+	st, ok, err := ReadState(c1.Journal())
+	if err != nil || !ok || st.PolicyVersion != c1.PolicyVersion || st.Epoch != c1.Epoch {
+		t.Fatalf("attach sealed version %d at epoch %d (ok=%v, %v), want the running %d at %d",
+			st.PolicyVersion, st.Epoch, ok, err, c1.PolicyVersion, c1.Epoch)
+	}
+	// One more committed change after the attach replaces the sealed state.
 	at, err := c1.UpdatePolicy(testNetPolicy())
 	if err != nil {
 		t.Fatal(err)
@@ -210,6 +220,7 @@ func TestCheckpointThenRecover(t *testing.T) {
 		t.Fatal(c1.JournalErr)
 	}
 	wantVer := c1.PolicyVersion
+	c1.Journal().Close()
 
 	c2, rep, err := NewControllerFromJournal(n, dir)
 	if err != nil {
@@ -220,10 +231,70 @@ func TestCheckpointThenRecover(t *testing.T) {
 		t.Fatal("recovery saw no state")
 	}
 	if c2.PolicyVersion != wantVer {
-		t.Fatalf("version = %d, want %d (WAL record after snapshot lost)", c2.PolicyVersion, wantVer)
+		t.Fatalf("version = %d, want %d (commit after the attach lost)", c2.PolicyVersion, wantVer)
 	}
 	if !PoliciesEqual(n.Policy(), testNetPolicy()) {
-		t.Fatal("recovered policy is not the post-checkpoint one")
+		t.Fatal("recovered policy is not the post-attach one")
+	}
+}
+
+// TestJournalHoldsStateNotHistory: a journal keeps the controller's last
+// state, not one record per commit. After 100 commits its directory holds
+// one file, about one encoded state long, and recovery resumes the 100th.
+func TestJournalHoldsStateNotHistory(t *testing.T) {
+	dir := t.TempDir()
+	n := testNet(t, NetworkConfig{})
+	c1, err := NewControllerWithJournal(n, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.PolicyPushDelay = 0.05
+	policies := [][]flowspace.Rule{recoveredPolicy(), testNetPolicy()}
+	start := c1.PolicyVersion
+	for i := 0; i < 100; i++ {
+		_, cleanupAt, err := c1.UpdatePolicyConsistent(policies[i%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run(cleanupAt + 0.01)
+	}
+	if c1.JournalErr != nil {
+		t.Fatal(c1.JournalErr)
+	}
+	if c1.PolicyVersion != start+100 {
+		t.Fatalf("%d commits, want 100", c1.PolicyVersion-start)
+	}
+	want := c1.State()
+	encoded, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "state.json" {
+		t.Fatalf("journal directory holds %v, want state.json alone", ents)
+	}
+	info, err := ents[0].Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := int64(float64(len(encoded)) * 1.1); info.Size() > limit {
+		t.Fatalf("state.json is %d bytes after 100 commits; one state is %d (limit %d)", info.Size(), len(encoded), limit)
+	}
+
+	c2, rep, err := NewControllerFromJournal(n, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Journal().Close()
+	if !rep.HadState || c2.PolicyVersion != want.PolicyVersion || c2.Epoch != want.Epoch+1 {
+		t.Fatalf("recovered version %d at epoch %d (had state %v), want the 100th commit's %d at %d",
+			c2.PolicyVersion, c2.Epoch, rep.HadState, want.PolicyVersion, want.Epoch+1)
+	}
+	if !PoliciesEqual(n.Policy(), policies[1]) {
+		t.Fatal("recovered policy is not the 100th commit's")
 	}
 }
 

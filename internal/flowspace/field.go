@@ -66,10 +66,11 @@ func (f FieldID) String() string {
 }
 
 // Field is a ternary value over a single header field. Bits above the
-// field's width are always zero in both Value and Mask.
+// field's width are always zero in both Value and Mask. A wildcard, most
+// fields of most rules, encodes to JSON as {} (the controller journal).
 type Field struct {
-	Value uint64
-	Mask  uint64
+	Value uint64 `json:",omitempty"`
+	Mask  uint64 `json:",omitempty"`
 }
 
 // WildcardField matches any value of the field.

@@ -1,23 +1,15 @@
-// Package journal gives the DIFANE controller a crash-safe, file-backed
-// record of its state: an append-only write-ahead log of JSON records plus
-// an atomically replaced snapshot. A restarted controller replays the
-// snapshot and then every WAL record written after it, recovering the
-// policy, partition tree, assignments, and generation/epoch counters it
-// held before the crash.
-//
-// The format is deliberately simple and self-describing:
-//
-//   - wal.log — one record per line: {"seq":N,"kind":K,"data":D,"crc":C}
-//     where C is the IEEE CRC32 of the kind and raw data bytes. A torn or
-//     corrupt tail line (the crash case) terminates replay cleanly instead
-//     of erroring: everything before it is the durable prefix.
-//   - snapshot.json — {"seq":N,"state":S}, written to a temp file, fsynced,
-//     and renamed into place. Writing a snapshot truncates the WAL, so the
-//     journal never grows without bound.
+// Package journal keeps the DIFANE controller's state crash-safe on disk.
+// Recovery needs only the last state, so a journal directory holds one
+// file, state.json = {"seq":N,"crc":C,"state":S}: C is the IEEE CRC32 of
+// S's bytes, N counts the seals. A seal writes a temp file, fsyncs it,
+// renames it into place and fsyncs the directory, so a crash leaves the
+// previous state or the new one. The sealed bytes stay in memory, and a
+// replicating leader ships them to its followers as they are (Sealed,
+// Adopt). The older WAL + snapshot format is refused, not migrated.
 package journal
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -26,312 +18,151 @@ import (
 	"sync"
 )
 
-// Record is one durable WAL entry.
-type Record struct {
-	Seq  uint64          `json:"seq"`
-	Kind string          `json:"kind"`
-	Data json.RawMessage `json:"data"`
-	CRC  uint32          `json:"crc"`
-}
+const stateName, tmpName = "state.json", "state.json.tmp"
 
-// checksum covers the kind and the raw data bytes (not the seq, which the
-// reader validates by monotonicity instead).
-func (r *Record) checksum() uint32 {
-	h := crc32.NewIEEE()
-	h.Write([]byte(r.Kind))
-	h.Write(r.Data)
-	return h.Sum32()
-}
-
-const (
-	walName  = "wal.log"
-	snapName = "snapshot.json"
-	tmpName  = "snapshot.json.tmp"
-)
-
-type snapshotFile struct {
-	Seq   uint64          `json:"seq"`
-	State json.RawMessage `json:"state"`
-}
-
-// Journal is an open journal directory. All methods are safe for
-// concurrent use.
+// Journal is an open journal directory, safe for concurrent use.
 type Journal struct {
-	mu   sync.Mutex
-	dir  string
-	wal  *os.File
-	next uint64 // seq of the next record to append
+	mu     sync.Mutex
+	dir    string
+	seq    uint64 // of the sealed state; 0 when none is held
+	sealed []byte // state.json's bytes, never written to once sealed
+	closed bool
 }
 
-// Open opens (creating if needed) the journal rooted at dir and positions
-// the appender after the last durable record.
+// Open opens (creating if needed) the journal rooted at dir and reads its
+// state. A CRC mismatch fails it; a leftover temp file is removed.
 func Open(dir string) (*Journal, error) {
+	for _, old := range []string{"wal.log", "snapshot.json"} {
+		p := filepath.Join(dir, old)
+		if _, err := os.Stat(p); err == nil {
+			return nil, fmt.Errorf("journal: %s is in the old WAL + snapshot format, which is no longer read; remove it to start from an empty journal", p)
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	_ = os.Remove(filepath.Join(dir, tmpName)) // failing, the next seal truncates it
 	j := &Journal{dir: dir}
-	snapSeq, _, err := j.readSnapshot()
-	if err != nil {
-		return nil, err
+	buf, err := os.ReadFile(filepath.Join(dir, stateName))
+	if err == nil {
+		j.seq, _, err = parse(buf)
+		j.sealed = buf
 	}
-	recs, err := j.readWAL(snapSeq)
-	if err != nil {
-		return nil, err
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("journal: %s: %w", filepath.Join(dir, stateName), err)
 	}
-	j.next = snapSeq + 1
-	if n := len(recs); n > 0 {
-		j.next = recs[n-1].Seq + 1
-	}
-	wal, err := os.OpenFile(filepath.Join(dir, walName),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	j.wal = wal
 	return j, nil
 }
 
-// Append durably writes one record and returns its sequence number.
-func (j *Journal) Append(kind string, payload any) (uint64, error) {
-	rec, err := j.AppendEntry(kind, payload)
-	return rec.Seq, err
+// parse reads the header Seal writes and checks the state's CRC: the
+// state's bytes are summed, not scanned.
+func parse(sealed []byte) (uint64, []byte, error) {
+	head, state, ok := bytes.Cut(sealed, []byte(`,"state":`))
+	var seq uint64
+	var crc uint32
+	if _, err := fmt.Sscanf(string(head), `{"seq":%d,"crc":%d`, &seq, &crc); err != nil || !ok || !bytes.HasSuffix(state, []byte("}")) {
+		return 0, nil, fmt.Errorf("corrupt state file")
+	}
+	state = state[:len(state)-1]
+	if crc32.ChecksumIEEE(state) != crc {
+		return 0, nil, fmt.Errorf("state %d: checksum mismatch", seq)
+	}
+	return seq, state, nil
 }
 
-// AppendEntry durably writes one record and returns it sealed (seq and
-// CRC assigned) — the form a replicating leader ships verbatim to its
-// followers via AppendReplica.
-func (j *Journal) AppendEntry(kind string, payload any) (Record, error) {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return Record{}, fmt.Errorf("journal: marshal %s: %w", kind, err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.wal == nil {
-		return Record{}, fmt.Errorf("journal: closed")
-	}
-	rec := Record{Seq: j.next, Kind: kind, Data: data}
-	rec.CRC = rec.checksum()
-	if err := j.writeLocked(&rec); err != nil {
-		return Record{}, err
-	}
-	j.next = rec.Seq + 1
-	return rec, nil
-}
-
-// AppendReplica durably writes a record sealed elsewhere (log shipping's
-// follower side). The CRC is verified, and the follower's appender adopts
-// the record's sequence so it stays aligned with the leader. Records at or
-// below the durable position are ignored (idempotent re-ship); a gap
-// beyond it is an error — the follower must catch up first.
-func (j *Journal) AppendReplica(rec Record) error {
-	if rec.CRC != rec.checksum() {
-		return fmt.Errorf("journal: replica record %d: checksum mismatch", rec.Seq)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.wal == nil {
-		return fmt.Errorf("journal: closed")
-	}
-	if rec.Seq < j.next {
-		return nil
-	}
-	if rec.Seq > j.next {
-		return fmt.Errorf("journal: replica gap: have %d, got %d", j.next, rec.Seq)
-	}
-	if err := j.writeLocked(&rec); err != nil {
-		return err
-	}
-	j.next = rec.Seq + 1
-	return nil
-}
-
-// writeLocked serializes, writes, and fsyncs one sealed record. Caller
-// holds j.mu with j.wal non-nil.
-func (j *Journal) writeLocked(rec *Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := j.wal.Write(line); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	if err := j.wal.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
-	}
-	return nil
-}
-
-// RecordsAfter returns every durable WAL record with seq > after, in
-// order — the catch-up feed a leader streams to a lagging follower.
-// Records folded into a snapshot are no longer individually available;
-// callers needing pre-snapshot state use Replay.
-func (j *Journal) RecordsAfter(after uint64) ([]Record, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.readWAL(after)
-}
-
-// WriteSnapshot atomically replaces the snapshot with state and truncates
-// the WAL: records up to now are folded into the snapshot.
-func (j *Journal) WriteSnapshot(state any) error {
+// Seal durably replaces the state with state, under the next seq: a commit.
+func (j *Journal) Seal(state any) error {
 	data, err := json.Marshal(state)
 	if err != nil {
-		return fmt.Errorf("journal: marshal snapshot: %w", err)
+		return fmt.Errorf("journal: marshal state: %w", err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.wal == nil {
+	sealed := fmt.Appendf(nil, `{"seq":%d,"crc":%d,"state":`, j.seq+1, crc32.ChecksumIEEE(data))
+	return j.replaceLocked(j.seq+1, append(append(sealed, data...), '}'))
+}
+
+// Sealed returns state.json's bytes (nil: none), not to be modified.
+func (j *Journal) Sealed() []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.sealed
+}
+
+// Adopt durably makes another journal's Sealed bytes this one's, as they
+// are: the follower side. The CRC is verified; a seq at or below the one
+// held is ignored (a re-ship).
+func (j *Journal) Adopt(sealed []byte) error {
+	seq, _, err := parse(sealed)
+	if err != nil {
+		return fmt.Errorf("journal: adopt: %w", err)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if seq <= j.seq {
+		return nil
+	}
+	return j.replaceLocked(seq, sealed)
+}
+
+// replaceLocked makes sealed state.json and j's state. Caller holds j.mu.
+func (j *Journal) replaceLocked(seq uint64, sealed []byte) error {
+	if j.closed {
 		return fmt.Errorf("journal: closed")
 	}
-	snap := snapshotFile{Seq: j.next, State: data}
-	buf, err := json.Marshal(&snap)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
 	tmp := filepath.Join(j.dir, tmpName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	err := os.WriteFile(tmp, sealed, 0o644)
+	if err == nil {
+		err = syncPath(tmp)
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(j.dir, stateName))
+	}
+	if err == nil {
+		err = syncPath(j.dir)
+	}
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return fmt.Errorf("journal: seal: %w", err)
 	}
-	if _, err := f.Write(buf); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, snapName)); err != nil {
-		return fmt.Errorf("journal: snapshot rename: %w", err)
-	}
-	// The snapshot now covers every appended record: restart the WAL. The
-	// snapshot carries j.next as its seq, so older WAL records — had the
-	// truncate been lost — would be skipped on replay anyway.
-	if err := j.wal.Close(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	wal, err := os.OpenFile(filepath.Join(j.dir, walName),
-		os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		j.wal = nil
-		return fmt.Errorf("journal: %w", err)
-	}
-	j.wal = wal
-	j.next = snap.Seq + 1
+	j.seq, j.sealed = seq, sealed
 	return nil
 }
 
-// Replay loads the durable state: the snapshot (if any) is unmarshalled
-// into snap when snap is non-nil, then apply is called for every WAL
-// record after it, in order. It returns the number of WAL records applied
-// and whether a snapshot existed.
-func (j *Journal) Replay(snap any, apply func(Record) error) (applied int, hadSnapshot bool, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	snapSeq, raw, err := j.readSnapshot()
+func syncPath(path string) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return 0, false, err
-	}
-	if raw != nil {
-		hadSnapshot = true
-		if snap != nil {
-			if err := json.Unmarshal(raw, snap); err != nil {
-				return 0, true, fmt.Errorf("journal: snapshot state: %w", err)
-			}
-		}
-	}
-	recs, err := j.readWAL(snapSeq)
-	if err != nil {
-		return 0, hadSnapshot, err
-	}
-	for _, rec := range recs {
-		if apply != nil {
-			if err := apply(rec); err != nil {
-				return applied, hadSnapshot, err
-			}
-		}
-		applied++
-	}
-	return applied, hadSnapshot, nil
-}
-
-// readSnapshot returns the snapshot's seq and raw state, or (0, nil) when
-// no snapshot exists.
-func (j *Journal) readSnapshot() (uint64, json.RawMessage, error) {
-	buf, err := os.ReadFile(filepath.Join(j.dir, snapName))
-	if os.IsNotExist(err) {
-		return 0, nil, nil
-	}
-	if err != nil {
-		return 0, nil, fmt.Errorf("journal: %w", err)
-	}
-	var snap snapshotFile
-	if err := json.Unmarshal(buf, &snap); err != nil {
-		return 0, nil, fmt.Errorf("journal: corrupt snapshot: %w", err)
-	}
-	return snap.Seq, snap.State, nil
-}
-
-// readWAL scans the WAL, returning every valid record with seq > after. A
-// torn or corrupt line ends the scan without error (crash-consistent
-// prefix); a record whose seq goes backwards does too.
-func (j *Journal) readWAL(after uint64) ([]Record, error) {
-	f, err := os.Open(filepath.Join(j.dir, walName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+		return err
 	}
 	defer f.Close()
-	var out []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	last := uint64(0)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // torn tail
-		}
-		if rec.CRC != rec.checksum() {
-			break // corrupt tail
-		}
-		if rec.Seq <= last && last != 0 {
-			break // sequence went backwards: stale bytes past a crash
-		}
-		last = rec.Seq
-		if rec.Seq > after {
-			out = append(out, rec)
-		}
-	}
-	return out, nil
+	return f.Sync()
 }
 
-// NextSeq returns the sequence number the next Append will use.
-func (j *Journal) NextSeq() uint64 {
+// Seq returns the sealed state's sequence number (0: no state held).
+func (j *Journal) Seq() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.next
+	return j.seq
+}
+
+// Load decodes the sealed state into v; ok is false when none is held.
+func (j *Journal) Load(v any) (ok bool, err error) {
+	sealed := j.Sealed()
+	if sealed == nil {
+		return false, nil
+	}
+	_, state, err := parse(sealed)
+	if err == nil {
+		err = json.Unmarshal(state, v)
+	}
+	return true, err
 }
 
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// Close releases the WAL file handle. Further appends fail.
-func (j *Journal) Close() error {
+// Close makes further seals and adoptions fail; the state stays readable.
+func (j *Journal) Close() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.wal == nil {
-		return nil
-	}
-	err := j.wal.Close()
-	j.wal = nil
-	return err
+	j.closed = true
 }

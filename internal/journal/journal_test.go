@@ -1,9 +1,9 @@
 package journal
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"difane/internal/testutil"
@@ -14,191 +14,179 @@ type fakeState struct {
 	Policy string `json:"policy"`
 }
 
-func mustAppend(t *testing.T, j *Journal, kind string, payload any) uint64 {
+func mustOpen(t *testing.T, dir string) *Journal {
 	t.Helper()
-	seq, err := j.Append(kind, payload)
+	j, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return seq
+	return j
 }
 
-func replayStates(t *testing.T, j *Journal) (snap fakeState, recs []fakeState, hadSnap bool) {
+func mustSeal(t *testing.T, j *Journal, st fakeState) {
 	t.Helper()
-	n, had, err := j.Replay(&snap, func(r Record) error {
-		var st fakeState
-		if err := json.Unmarshal(r.Data, &st); err != nil {
-			return err
-		}
-		recs = append(recs, st)
-		return nil
-	})
+	if err := j.Seal(st); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustLoad(t *testing.T, j *Journal) fakeState {
+	t.Helper()
+	var st fakeState
+	ok, err := j.Load(&st)
+	if err != nil || !ok {
+		t.Fatalf("load: ok=%v %v", ok, err)
+	}
+	return st
+}
+
+// dirFiles lists the names in dir.
+func dirFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(recs) {
-		t.Fatalf("applied %d, collected %d", n, len(recs))
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
 	}
-	return snap, recs, had
+	return names
 }
 
-func TestAppendReplayRoundTrip(t *testing.T) {
+func TestSealReopenRoundTrip(t *testing.T) {
 	defer testutil.CheckGoroutineLeaks(t, 2)()
 	dir := t.TempDir()
-	j, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	j := mustOpen(t, dir)
+	if ok, err := j.Load(&fakeState{}); ok || err != nil || j.Seq() != 0 {
+		t.Fatalf("fresh journal: ok=%v err=%v seq=%d", ok, err, j.Seq())
 	}
 	for i := 1; i <= 3; i++ {
-		mustAppend(t, j, "state", fakeState{Epoch: uint64(i), Policy: "p"})
+		mustSeal(t, j, fakeState{Epoch: uint64(i), Policy: "p"})
 	}
 	j.Close()
 
-	j2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j2 := mustOpen(t, dir)
 	defer j2.Close()
-	_, recs, hadSnap := replayStates(t, j2)
-	if hadSnap {
-		t.Fatal("no snapshot was written")
+	if st := mustLoad(t, j2); st.Epoch != 3 || st.Policy != "p" {
+		t.Fatalf("reopened state = %+v, want the third", st)
 	}
-	if len(recs) != 3 || recs[2].Epoch != 3 {
-		t.Fatalf("replay = %+v", recs)
+	if j2.Seq() != 3 {
+		t.Fatalf("seq = %d, want 3", j2.Seq())
 	}
-	if j2.NextSeq() != 4 {
-		t.Fatalf("next seq = %d, want 4", j2.NextSeq())
+	if names := dirFiles(t, dir); len(names) != 1 || names[0] != stateName {
+		t.Fatalf("journal directory holds %v, want only %s", names, stateName)
 	}
 }
 
+// A crash in the middle of a seal leaves a torn temp file beside the
+// previous state.json: Open keeps that state and removes the temp file.
+// TestSnapshotTruncatesWAL: every seal replaces the one before, so after
+// many commits the directory holds one file, exactly the last sealed
+// state, and a reopen loads it.
 func TestSnapshotTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	j := mustOpen(t, dir)
+	for i := 1; i <= 50; i++ {
+		mustSeal(t, j, fakeState{Epoch: uint64(i), Policy: "p"})
 	}
-	mustAppend(t, j, "state", fakeState{Epoch: 1})
-	mustAppend(t, j, "state", fakeState{Epoch: 2})
-	if err := j.WriteSnapshot(fakeState{Epoch: 2, Policy: "snap"}); err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, j, "state", fakeState{Epoch: 3})
+	last := j.Sealed()
 	j.Close()
 
-	j2, err := Open(dir)
+	if names := dirFiles(t, dir); len(names) != 1 || names[0] != stateName {
+		t.Fatalf("journal directory holds %v after 50 seals, want only %s", names, stateName)
+	}
+	onDisk, err := os.ReadFile(filepath.Join(dir, stateName))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if string(onDisk) != string(last) {
+		t.Fatalf("%s holds %d bytes, want the last seal's %d:\n%s", stateName, len(onDisk), len(last), onDisk)
+	}
+	j2 := mustOpen(t, dir)
 	defer j2.Close()
-	snap, recs, hadSnap := replayStates(t, j2)
-	if !hadSnap || snap.Policy != "snap" || snap.Epoch != 2 {
-		t.Fatalf("snapshot = %+v (had=%v)", snap, hadSnap)
-	}
-	if len(recs) != 1 || recs[0].Epoch != 3 {
-		t.Fatalf("post-snapshot records = %+v", recs)
-	}
-	wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := countLines(wal); lines != 1 {
-		t.Fatalf("WAL holds %d records after snapshot, want 1", lines)
+	if st := mustLoad(t, j2); st.Epoch != 50 || j2.Seq() != 50 {
+		t.Fatalf("reopened journal holds %+v at seq %d, want epoch 50 at seq 50", st, j2.Seq())
 	}
 }
 
-func TestTornTailStopsReplayCleanly(t *testing.T) {
+func TestTornTempFileLeavesPreviousState(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, j, "state", fakeState{Epoch: 1})
-	mustAppend(t, j, "state", fakeState{Epoch: 2})
+	j := mustOpen(t, dir)
+	mustSeal(t, j, fakeState{Epoch: 1})
+	mustSeal(t, j, fakeState{Epoch: 2})
 	j.Close()
-
-	// Simulate a crash mid-append: a truncated JSON line at the tail.
-	walPath := filepath.Join(dir, "wal.log")
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, tmpName), []byte(`{"seq":3,"crc":1,"state":{"ep`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"seq":3,"kind":"state","da`)
-	f.Close()
 
-	j2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j2 := mustOpen(t, dir)
 	defer j2.Close()
-	_, recs, _ := replayStates(t, j2)
-	if len(recs) != 2 || recs[1].Epoch != 2 {
-		t.Fatalf("replay after torn tail = %+v", recs)
+	if st := mustLoad(t, j2); st.Epoch != 2 || j2.Seq() != 2 {
+		t.Fatalf("state after a torn seal = %+v at seq %d, want epoch 2 at seq 2", st, j2.Seq())
 	}
-	// New appends continue the sequence past the durable prefix.
-	if seq := mustAppend(t, j2, "state", fakeState{Epoch: 3}); seq != 3 {
-		t.Fatalf("seq after torn tail = %d, want 3", seq)
+	if names := dirFiles(t, dir); len(names) != 1 || names[0] != stateName {
+		t.Fatalf("journal directory holds %v after Open, want only %s", names, stateName)
+	}
+	mustSeal(t, j2, fakeState{Epoch: 3})
+	if j2.Seq() != 3 {
+		t.Fatalf("seq after a torn seal = %d, want 3", j2.Seq())
 	}
 }
 
-func TestCorruptCRCStopsReplay(t *testing.T) {
+func TestCorruptCRCFailsOpen(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, j, "state", fakeState{Epoch: 1})
+	j := mustOpen(t, dir)
+	mustSeal(t, j, fakeState{Epoch: 1})
 	j.Close()
 
-	// Flip a byte inside the record's data without touching framing.
-	walPath := filepath.Join(dir, "wal.log")
-	buf, err := os.ReadFile(walPath)
+	// Flip a byte inside the state without touching the framing.
+	path := filepath.Join(dir, stateName)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated := []byte(string(buf))
-	idx := len(`{"seq":1,"kind":"state","data":{"epoch":`)
-	if idx >= len(mutated) || mutated[idx] != '1' {
-		t.Fatalf("unexpected WAL layout: %s", buf)
+	i := strings.Index(string(buf), `"epoch":1`)
+	if i < 0 {
+		t.Fatalf("unexpected state file: %s", buf)
 	}
-	mutated[idx] = '7'
-	if err := os.WriteFile(walPath, mutated, 0o644); err != nil {
+	buf[i+len(`"epoch":`)] = '7'
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("Open of a corrupt state = %v, want a checksum error", err)
+	}
+}
 
-	j2, err := Open(dir)
-	if err != nil {
+// A directory the WAL + snapshot journal wrote is refused with an error
+// that names the file, not read as an empty journal.
+func TestOldFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte(`{"seq":1,"kind":"state","data":{},"crc":0}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	_, recs, _ := replayStates(t, j2)
-	if len(recs) != 0 {
-		t.Fatalf("corrupt record must not replay: %+v", recs)
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, "wal.log")) {
+		t.Fatalf("Open of an old-format directory = %v, want an error naming wal.log", err)
 	}
 }
 
 func TestClosedJournalRejectsWrites(t *testing.T) {
-	j, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := mustOpen(t, t.TempDir())
+	mustSeal(t, j, fakeState{Epoch: 1})
+	sealed := j.Sealed()
 	j.Close()
-	if _, err := j.Append("state", fakeState{}); err == nil {
-		t.Fatal("append after close must fail")
+	if err := j.Seal(fakeState{Epoch: 2}); err == nil {
+		t.Fatal("seal after close must fail")
 	}
-	if err := j.WriteSnapshot(fakeState{}); err == nil {
-		t.Fatal("snapshot after close must fail")
+	other := mustOpen(t, t.TempDir())
+	mustSeal(t, other, fakeState{Epoch: 5})
+	mustSeal(t, other, fakeState{Epoch: 6})
+	if err := j.Adopt(other.Sealed()); err == nil {
+		t.Fatal("adopt after close must fail")
 	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("double close: %v", err)
+	if st := mustLoad(t, j); st.Epoch != 1 || string(j.Sealed()) != string(sealed) {
+		t.Fatalf("closed journal reads %+v, want its last seal", st)
 	}
-}
-
-func countLines(b []byte) int {
-	n := 0
-	for _, c := range b {
-		if c == '\n' {
-			n++
-		}
-	}
-	return n
+	j.Close() // a second close is harmless
 }

@@ -1,154 +1,121 @@
 package journal
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
 func TestLogShippingReplicates(t *testing.T) {
-	leader, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	leader := mustOpen(t, t.TempDir())
 	defer leader.Close()
-	follower, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	follower := mustOpen(t, t.TempDir())
 	defer follower.Close()
 
 	for i := 0; i < 5; i++ {
-		rec, err := leader.AppendEntry("policy", map[string]int{"gen": i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := follower.AppendReplica(rec); err != nil {
-			t.Fatalf("ship record %d: %v", rec.Seq, err)
+		mustSeal(t, leader, fakeState{Epoch: uint64(i)})
+		if err := follower.Adopt(leader.Sealed()); err != nil {
+			t.Fatalf("ship state %d: %v", leader.Seq(), err)
 		}
 	}
-	if l, f := leader.NextSeq(), follower.NextSeq(); l != f {
-		t.Fatalf("appenders diverged: leader next=%d follower next=%d", l, f)
+	if l, f := leader.Seq(), follower.Seq(); l != 5 || f != 5 {
+		t.Fatalf("seqs: leader %d, follower %d, want 5 each", l, f)
 	}
-	lr, err := leader.RecordsAfter(0)
+	lb, err := os.ReadFile(filepath.Join(leader.Dir(), stateName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := follower.RecordsAfter(0)
+	fb, err := os.ReadFile(filepath.Join(follower.Dir(), stateName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lr) != 5 || len(fr) != 5 {
-		t.Fatalf("record counts: leader=%d follower=%d, want 5 each", len(lr), len(fr))
-	}
-	for i := range lr {
-		if lr[i].Seq != fr[i].Seq || lr[i].CRC != fr[i].CRC || string(lr[i].Data) != string(fr[i].Data) {
-			t.Fatalf("record %d differs: leader=%+v follower=%+v", i, lr[i], fr[i])
-		}
+	if !bytes.Equal(lb, fb) || !bytes.Equal(fb, leader.Sealed()) {
+		t.Fatalf("follower's state file differs from the leader's:\n%s\n%s", lb, fb)
 	}
 }
 
+// TestAppendReplicaIdempotentAndGapChecked keeps the name of the test of
+// the follower's per-record append; Adopt is its successor. A follower that
+// missed a state takes the next one whole, and a re-shipped or older state
+// is a no-op.
 func TestAppendReplicaIdempotentAndGapChecked(t *testing.T) {
-	leader, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	leader := mustOpen(t, t.TempDir())
 	defer leader.Close()
-	follower, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	follower := mustOpen(t, t.TempDir())
 	defer follower.Close()
 
-	r1, _ := leader.AppendEntry("a", 1)
-	r2, _ := leader.AppendEntry("b", 2)
-	r3, _ := leader.AppendEntry("c", 3)
+	mustSeal(t, leader, fakeState{Epoch: 1})
+	s1 := leader.Sealed()
+	mustSeal(t, leader, fakeState{Epoch: 2})
+	mustSeal(t, leader, fakeState{Epoch: 3})
+	s3 := leader.Sealed()
 
-	if err := follower.AppendReplica(r1); err != nil {
+	// A follower that missed state 2 takes state 3 directly: one state is
+	// all there is to ship, so there is no gap to refuse.
+	if err := follower.Adopt(s3); err != nil {
 		t.Fatal(err)
 	}
-	// Re-shipping a durable record is a no-op, not an error.
-	if err := follower.AppendReplica(r1); err != nil {
-		t.Fatalf("duplicate replica append: %v", err)
+	// Re-shipping it, or shipping an older one, is a no-op, not an error.
+	for _, s := range [][]byte{s3, s1} {
+		if err := follower.Adopt(s); err != nil {
+			t.Fatalf("re-ship: %v", err)
+		}
 	}
-	// A gap (skipping r2) must be rejected.
-	if err := follower.AppendReplica(r3); err == nil {
-		t.Fatalf("gap append accepted; follower would hold a hole")
-	}
-	if err := follower.AppendReplica(r2); err != nil {
-		t.Fatal(err)
-	}
-	if err := follower.AppendReplica(r3); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := follower.NextSeq(), leader.NextSeq(); got != want {
-		t.Fatalf("follower next=%d, want %d", got, want)
+	if st := mustLoad(t, follower); st.Epoch != 3 || follower.Seq() != 3 {
+		t.Fatalf("follower holds %+v at seq %d, want epoch 3 at seq 3", st, follower.Seq())
 	}
 }
 
+// TestAppendReplicaRejectsBadChecksum: a shipped state whose CRC does not
+// match its bytes is refused and leaves the follower as it was.
 func TestAppendReplicaRejectsBadChecksum(t *testing.T) {
-	j, err := Open(t.TempDir())
-	if err != nil {
+	leader := mustOpen(t, t.TempDir())
+	defer leader.Close()
+	follower := mustOpen(t, t.TempDir())
+	defer follower.Close()
+
+	mustSeal(t, leader, fakeState{Epoch: 3})
+	if err := follower.Adopt(leader.Sealed()); err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	rec := Record{Seq: 1, Kind: "x", Data: []byte(`"y"`), CRC: 0xdeadbeef}
-	if err := j.AppendReplica(rec); err == nil {
-		t.Fatal("corrupt replica record accepted")
+	bad := bytes.Replace(leader.Sealed(), []byte(`"epoch":3`), []byte(`"epoch":9`), 1)
+	bad = bytes.Replace(bad, []byte(`"seq":1`), []byte(`"seq":2`), 1)
+	if err := follower.Adopt(bad); err == nil {
+		t.Fatal("a state whose CRC does not match was adopted")
+	}
+	if st := mustLoad(t, follower); st.Epoch != 3 || follower.Seq() != 1 {
+		t.Fatalf("a rejected adopt changed the follower: %+v at seq %d", st, follower.Seq())
 	}
 }
 
+// A follower restarted while behind catches up with one shipment of the
+// leader's state, and reopens to it.
 func TestCatchUpFeedAfterRestart(t *testing.T) {
-	dir := t.TempDir()
-	leader, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []Record
-	for i := 0; i < 4; i++ {
-		r, err := leader.AppendEntry("k", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, r)
-	}
-	// A follower that only saw the first two records catches up from the
-	// leader's RecordsAfter feed.
-	follower, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
-	for _, r := range recs[:2] {
-		if err := follower.AppendReplica(r); err != nil {
-			t.Fatal(err)
+	leader := mustOpen(t, t.TempDir())
+	defer leader.Close()
+	follower := mustOpen(t, t.TempDir())
+	for i := 1; i <= 4; i++ {
+		mustSeal(t, leader, fakeState{Epoch: uint64(i)})
+		if i == 2 {
+			if err := follower.Adopt(leader.Sealed()); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	missing, err := leader.RecordsAfter(follower.NextSeq() - 1)
-	if err != nil {
+	follower.Close()
+
+	restarted := mustOpen(t, follower.Dir())
+	if restarted.Seq() != 2 {
+		t.Fatalf("restarted follower at seq %d, want 2", restarted.Seq())
+	}
+	if err := restarted.Adopt(leader.Sealed()); err != nil {
 		t.Fatal(err)
 	}
-	if len(missing) != 2 {
-		t.Fatalf("catch-up feed returned %d records, want 2", len(missing))
-	}
-	for _, r := range missing {
-		if err := follower.AppendReplica(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := follower.NextSeq(), leader.NextSeq(); got != want {
-		t.Fatalf("follower next=%d, want %d", got, want)
-	}
-	leader.Close()
-	// The follower's WAL must replay like the leader's would.
-	reopened, err := Open(follower.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	restarted.Close()
+	reopened := mustOpen(t, follower.Dir())
 	defer reopened.Close()
-	n := 0
-	if _, _, err := reopened.Replay(nil, func(Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("follower replayed %d records, want 4", n)
+	if st := mustLoad(t, reopened); st.Epoch != 4 || reopened.Seq() != leader.Seq() {
+		t.Fatalf("caught-up follower holds %+v at seq %d, want the leader's epoch 4 at seq %d", st, reopened.Seq(), leader.Seq())
 	}
 }

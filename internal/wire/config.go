@@ -144,9 +144,10 @@ func (b BFDConfig) redirectTimeout() time.Duration {
 var SlackBFD = BFDConfig{Interval: 25 * time.Millisecond, DetectMult: 20}
 
 // HAConfig configures controller replication. With Replicas ≥ 2 the
-// cluster runs that many controller replicas, each owning a WAL journal.
-// The leader's journal is its controller's, and each state record reaches
-// the live followers before the controller acts on it. Killing the leader
+// cluster runs that many controller replicas, each owning a journal that
+// holds one sealed state. The leader's journal is its controller's, and
+// each state it seals reaches the live followers before the controller
+// acts on it. Killing the leader
 // deposes its controller; after ElectionDelay the most caught-up live
 // follower resumes it from its own journal under the next epoch, which
 // fences out what the deposed one left in flight (core.Controller.Resume),

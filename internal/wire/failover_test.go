@@ -56,6 +56,14 @@ func primaryFor(t *testing.T, c *Cluster, k flowspace.Key) uint32 {
 	return 0
 }
 
+// markDeadOnly flips n's verdict to dead without markDead's promotion. It
+// stamps the death time first, as markDead does, so checkLiveness holds
+// the verdict for its holddown instead of reviving n on its next tick.
+func markDeadOnly(n *node) {
+	n.deadAt.Store(nowNS())
+	n.alive.Store(false)
+}
+
 // awaitDead waits for the failure detector's formal death verdict (not
 // just the killed flag, which flips synchronously).
 func awaitDead(t *testing.T, c *Cluster, id uint32) {
@@ -305,7 +313,7 @@ func TestIngressLocalFailover(t *testing.T) {
 	primary := primaryFor(t, c, missKey)
 	// Flip the verdict directly, bypassing markDead so promoteBackups
 	// never runs and only the ingress-local path can save the packet.
-	c.switches[primary].alive.Store(false)
+	markDeadOnly(c.switches[primary])
 
 	if !c.Inject(1, httpHeader(50), 100) {
 		t.Fatal("inject failed")
@@ -400,7 +408,7 @@ func TestPromoteAndRestoreMoveTheInstalledRules(t *testing.T) {
 	if len(installed) != parts {
 		t.Fatalf("switch 0 holds %d partition rules for %d single-authority partitions", len(installed), parts)
 	}
-	c.switches[2].alive.Store(false) // the verdict alone: promoteBackups is called by hand
+	markDeadOnly(c.switches[2]) // the verdict alone: promoteBackups is called by hand
 	c.promoteBackups(2)
 	fence := func(xid uint32) {
 		t.Helper()

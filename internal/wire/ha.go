@@ -12,9 +12,10 @@ import (
 )
 
 // Replicated controller HA. With cfg.HA.Replicas ≥ 2 the cluster runs a
-// set of controller replicas, each owning a WAL journal (internal/journal).
-// The leader's journal is its controller's, and each state record in it
-// reaches the live followers before the controller acts on it (replicate).
+// set of controller replicas, each owning a journal (internal/journal) that
+// holds one sealed state. The leader's journal is its controller's, and
+// each state it seals reaches the live followers before the controller
+// acts on it (replicate).
 // Killing the leader deposes its controller; after ElectionDelay the most
 // caught-up live follower resumes the controller from its own journal
 // (elect, seat). RestoreController only revives dead replicas, and seats
@@ -77,32 +78,14 @@ func (c *Cluster) initHA() error {
 	return nil
 }
 
-// catchUpLocked streams the source replica's records to every other live
-// replica that is behind, reading them once. Caller holds haMu.
+// catchUpLocked ships the source replica's sealed state, from memory, to
+// every other live replica that is behind. Caller holds haMu.
 func (c *Cluster) catchUpLocked(src int) {
 	leader := c.replicas[src].jrnl
-	next := leader.NextSeq()
-	from := next
+	seq, sealed := leader.Seq(), leader.Sealed()
 	for _, r := range c.replicas {
-		if r.id != src && r.alive {
-			from = min(from, r.jrnl.NextSeq())
-		}
-	}
-	if from == next {
-		return
-	}
-	missing, err := leader.RecordsAfter(from - 1)
-	if err != nil {
-		return
-	}
-	for _, r := range c.replicas {
-		if r.id == src || !r.alive {
-			continue
-		}
-		for _, rec := range missing {
-			if r.jrnl.AppendReplica(rec) != nil { // one it holds already is skipped
-				break
-			}
+		if r.id != src && r.alive && r.jrnl.Seq() < seq {
+			_ = r.jrnl.Adopt(sealed) // a follower that fails to take it stays behind
 		}
 	}
 }
@@ -151,7 +134,7 @@ func (c *Cluster) pickWinnerLocked() int {
 		if !r.alive {
 			continue
 		}
-		if seq := r.jrnl.NextSeq(); winner < 0 || seq > best {
+		if seq := r.jrnl.Seq(); winner < 0 || seq > best {
 			winner, best = r.id, seq
 		}
 	}

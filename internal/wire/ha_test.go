@@ -2,7 +2,7 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -11,6 +11,7 @@ import (
 	"difane/internal/flowspace"
 	"difane/internal/proto"
 	"difane/internal/testutil"
+	"difane/internal/workload"
 )
 
 // newHACluster builds a cluster with three controller replicas and a fast
@@ -28,7 +29,7 @@ func newHACluster(t *testing.T) *Cluster {
 }
 
 // awaitLeader waits for some replica to hold office.
-func awaitLeader(t *testing.T, c *Cluster) int {
+func awaitLeader(t testing.TB, c *Cluster) int {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -260,8 +261,8 @@ func TestHAStatusSurface(t *testing.T) {
 		if !r.Alive {
 			t.Errorf("replica %d not alive", r.ID)
 		}
-		if r.NextSeq == 0 {
-			t.Errorf("replica %d journal empty (the boot's state record never shipped)", r.ID)
+		if r.Seq == 0 {
+			t.Errorf("replica %d journal empty (the boot's state never shipped)", r.ID)
 		}
 	}
 	if len(st.BFD) != 5 {
@@ -279,9 +280,9 @@ func TestHAStatusSurface(t *testing.T) {
 
 // TestJournalReplicationAcrossElection: the leader's journal is its
 // controller's, and the winner of the election resumes from its own copy:
-// it holds the leader's last state record (shipped before the leader's
-// operation returned), and the controller it seats runs that state under
-// the record's epoch + 1, itself journaled.
+// it held the leader's last sealed state byte for byte (shipped before the
+// leader's operation returned), and the controller it seats runs that state
+// under its epoch + 1, itself sealed.
 func TestJournalReplicationAcrossElection(t *testing.T) {
 	c := newHACluster(t)
 	awaitLeader(t, c)
@@ -290,26 +291,31 @@ func TestJournalReplicationAcrossElection(t *testing.T) {
 	if err := c.UpdatePolicyConsistent(policy); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := c.replicas[0].jrnl.RecordsAfter(0)
-	if err != nil || len(recs) == 0 {
-		t.Fatalf("leader journal: %d records, %v", len(recs), err)
+	c.haMu.Lock()
+	leader := c.replicas[0].jrnl
+	last, lastSeq := leader.Sealed(), leader.Seq()
+	held := make([][]byte, len(c.replicas))
+	for i, r := range c.replicas {
+		held[i] = r.jrnl.Sealed()
 	}
-	last := recs[len(recs)-1]
-	var leaderState core.ControllerState
-	if err := json.Unmarshal(last.Data, &leaderState); last.Kind != "state" || err != nil {
-		t.Fatalf("leader's last record is %q (%v), want a state", last.Kind, err)
+	c.haMu.Unlock()
+	leaderState, ok, err := core.ReadState(leader)
+	if err != nil || !ok || leaderState.PolicyVersion == 0 {
+		t.Fatalf("leader journal: ok=%v %v, state %+v", ok, err, leaderState)
 	}
 
 	if !c.KillController() {
 		t.Fatal("KillController failed")
 	}
 	lid := awaitLeader(t, c)
+	if !bytes.Equal(held[lid], last) {
+		t.Fatalf("winner %d did not hold the leader's last sealed state %d when the leader died", lid, lastSeq)
+	}
 	c.haMu.Lock()
 	j := c.replicas[lid].jrnl
 	c.haMu.Unlock()
-	shipped, err := j.RecordsAfter(last.Seq - 1)
-	if err != nil || len(shipped) == 0 || shipped[0].Seq != last.Seq || !bytes.Equal(shipped[0].Data, last.Data) {
-		t.Fatalf("winner %d lacks the leader's last state record %d (%v)", lid, last.Seq, err)
+	if j.Seq() <= lastSeq {
+		t.Fatalf("winner %d at seq %d: its resume was not sealed past the leader's %d", lid, j.Seq(), lastSeq)
 	}
 	st, ok, err := core.ReadState(j)
 	if err != nil || !ok {
@@ -428,5 +434,45 @@ func TestHADirResumesEpoch(t *testing.T) {
 	}
 	if d := awaitDelivery(t, second); d.Egress != 4 {
 		t.Fatalf("delivery on the resumed cluster: %+v", d)
+	}
+}
+
+// BenchmarkElect prices an election on a 1k-rule policy after a number of
+// commits: from KillController to the successor in office (ElectionDelay
+// 1 ms included), the dead replica revived between elections. A journal
+// holds the last state only, so commits=100 elects as fast as commits=1.
+// Each commit is an update to the running policy, which seals the full
+// state and ships it to both followers.
+func BenchmarkElect(b *testing.B) {
+	switches := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
+	policy := workload.ClassBenchLike(workload.ACLConfig{
+		Rules: 1024, MaxDepth: 4, PortRangeFrac: 0.1, DropFrac: 0.1,
+		Egresses: switches, Seed: 1,
+	})
+	for _, commits := range []int{1, 100} {
+		b.Run(fmt.Sprintf("commits=%d", commits), func(b *testing.B) {
+			c := startCluster(b, slack(ClusterConfig{
+				Switches:    switches,
+				Authorities: []uint32{2, 6},
+				Policy:      policy,
+				Strategy:    core.StrategyCover,
+				HA:          HAConfig{Replicas: 3, ElectionDelay: time.Millisecond},
+			}))
+			for range commits {
+				if err := c.UpdatePolicyConsistent(policy); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for range b.N {
+				if !c.KillController() {
+					b.Fatal("KillController failed")
+				}
+				awaitLeader(b, c)
+				b.StopTimer()
+				c.RestoreController()
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -86,11 +86,12 @@ func (s *southbound) Barrier(sw uint32) error {
 	return err
 }
 
-// replicate ships the leader journal's records its live followers lack,
-// before each phase, FlowMod and commit and at the end of each operation, and
-// reports whether s is still in office. What it ships survives the leader,
-// and is what committed counts; with no replicas the deposed controller's
-// memory, which RestoreController resumes from, survives whole.
+// replicate ships the leader journal's sealed state, from memory, to the
+// live followers that lack it, before each phase, FlowMod and commit and at
+// the end of each operation, and reports whether s is still in office. What
+// it ships survives the leader, and is what committed counts; with no
+// replicas the deposed controller's memory, which RestoreController resumes
+// from, survives whole.
 func (s *southbound) replicate() bool {
 	c := s.c
 	c.haMu.Lock()
@@ -118,7 +119,7 @@ func (s *southbound) Up(sw uint32) bool { return !s.c.switches[sw].killed.Load()
 func (s *southbound) Commit(r core.Running, flush bool) {
 	c := s.c
 	g := core.NextGeneration(c.run.Load(), r, flush, c.cfg.Strategy, c.cache, c.cfg.CacheIdle, c.cfg.CacheHard)
-	// Published only once the followers hold the commit's record, and never
+	// Published only once the followers hold the commit's state, and never
 	// by a deposed controller: its successor's Resume commits.
 	if !s.replicate() {
 		return
@@ -211,7 +212,7 @@ func (c *Cluster) control(op func(*core.Controller)) *southbound {
 }
 
 // run runs op on s's controller and returns once every switch has applied
-// what it sent and its journal records have reached the followers.
+// what it sent and its journal's state has reached the followers.
 func (s *southbound) run(op func(*core.Controller)) {
 	op(s.ctl)
 	for _, id := range s.c.SwitchIDs() {

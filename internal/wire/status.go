@@ -82,10 +82,10 @@ func (c *Cluster) StatusHandler() http.Handler {
 
 // ReplicaStatus is one controller replica's state in the HA report.
 type ReplicaStatus struct {
-	ID      int    `json:"id"`
-	Alive   bool   `json:"alive"`
-	Leader  bool   `json:"leader"`
-	NextSeq uint64 `json:"next_seq"`
+	ID     int    `json:"id"`
+	Alive  bool   `json:"alive"`
+	Leader bool   `json:"leader"`
+	Seq    uint64 `json:"seq"` // of the state its journal holds
 }
 
 // BFDSessionStatus is one switch's controller-side BFD session in the HA
@@ -123,7 +123,7 @@ func (c *Cluster) HAStatus() HAStatus {
 	for _, r := range c.replicas {
 		rs := ReplicaStatus{ID: r.id, Alive: r.alive, Leader: r.id == st.Leader}
 		if r.alive && r.jrnl != nil {
-			rs.NextSeq = r.jrnl.NextSeq()
+			rs.Seq = r.jrnl.Seq()
 		}
 		st.Replicas = append(st.Replicas, rs)
 	}

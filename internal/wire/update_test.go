@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"difane/internal/core"
 	"difane/internal/flowspace"
+	"difane/internal/journal"
 	"difane/internal/oracle"
 	"difane/internal/packet"
 	"difane/internal/proto"
@@ -317,6 +319,110 @@ func ruleTables(c *Cluster) map[uint32][2][]flowspace.Rule {
 	return out
 }
 
+// deposedUpdate is what killMidUpdate observed of a live update whose
+// leader it killed.
+type deposedUpdate struct {
+	c         *Cluster
+	oldAssign core.Assignment
+	before    int // the policy version the update started from
+	// shipped is the most caught-up follower's state at the kill: what the
+	// successor resumes from.
+	shipped core.ControllerState
+	err     error // the deposed update's result
+}
+
+// killMidUpdate boots a one-authority cluster of three controller replicas
+// on oldPol, streams numbered packets into switch 0, starts a live update
+// to newPol and kills the leader once phases of its phases are done. It
+// fails t unless the deposed update returns within 100 ms of its release,
+// before the successor is elected, with every table as the kill left it
+// (no FlowMod accepted under the deposed epoch), and unless, once the
+// election is over, every packet reached its verdict with none lost.
+func killMidUpdate(t *testing.T, oldPol, newPol []flowspace.Rule, phases int) deposedUpdate {
+	c := startCluster(t, slack(ClusterConfig{
+		Switches:    []uint32{0, 1, 2, 3},
+		Authorities: []uint32{1},
+		Policy:      oldPol,
+		Strategy:    core.StrategyExact,
+		QueueDepth:  1 << 14,
+		// Long enough that the deposed update returns first.
+		HA: HAConfig{Replicas: 3, ElectionDelay: 300 * time.Millisecond},
+	}))
+	d := deposedUpdate{c: c, oldAssign: c.Assignment(), before: c.sb.Load().ctl.PolicyVersion}
+	var stop atomic.Bool
+	var sent atomic.Uint64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for src := uint32(1); !stop.Load(); src++ {
+			for !c.tryInject(0, httpHeader(src), 100, 0) {
+				time.Sleep(50 * time.Microsecond)
+			}
+			sent.Add(1)
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	defer func() { stop.Store(true); wg.Wait() }()
+
+	wait, release := phaseGate(c)
+	done := make(chan error, 1)
+	go func() { done <- c.UpdatePolicyConsistent(newPol) }()
+	wait()
+	for range phases {
+		release()
+		wait()
+	}
+	// Kill at the boundary itself: once what the phases before it sent is
+	// applied (the barriers the next phase starts with), so that whatever
+	// changes a table after the kill was sent after it.
+	s := c.sb.Load()
+	for _, id := range c.SwitchIDs() {
+		if err := s.Barrier(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.KillController() {
+		t.Fatal("KillController failed")
+	}
+	atKill := ruleTables(c)
+	c.haMu.Lock()
+	var best *journal.Journal
+	for _, r := range c.replicas {
+		if r.alive && (best == nil || r.jrnl.Seq() > best.Seq()) {
+			best = r.jrnl
+		}
+	}
+	c.haMu.Unlock()
+	var err error
+	if d.shipped, _, err = core.ReadState(best); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	select {
+	case d.err = <-done:
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("the deposed update is still running")
+	}
+	if lid := c.Leader(); lid >= 0 {
+		t.Fatalf("replica %d was seated before the deposed update returned", lid)
+	}
+	if got := ruleTables(c); !reflect.DeepEqual(got, atKill) {
+		t.Fatalf("the deposed controller changed the tables after its kill:\n%v\n%v", atKill, got)
+	}
+
+	waitMeasure(t, c, "the election", func(m *core.Measurements) bool { return m.LeaderElections == 1 })
+	stop.Store(true)
+	wg.Wait()
+	if !c.awaitQuiescence(sent.Load(), 10*time.Second) {
+		t.Fatalf("%d packets did not reach a verdict", sent.Load())
+	}
+	if m := c.Measurements(); m.Drops.Lost() != 0 || m.Delivered != sent.Load() {
+		t.Fatalf("%d packets: delivered %d, drops %+v", sent.Load(), m.Delivered, m.Drops)
+	}
+	return d
+}
+
 // A controller deposed in the middle of a live update sends nothing after
 // its kill: the call returns as soon as it is released, before the
 // successor is elected, and every table is as the kill left it. The
@@ -340,76 +446,17 @@ func TestDeposedUpdateIsFenced(t *testing.T) {
 		{"killed before the cleanup", 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := startCluster(t, slack(ClusterConfig{
-				Switches:    []uint32{0, 1, 2, 3},
-				Authorities: []uint32{1},
-				Policy:      oldPol,
-				Strategy:    core.StrategyExact,
-				QueueDepth:  1 << 14,
-				// Long enough that the deposed update returns first.
-				HA: HAConfig{Replicas: 3, ElectionDelay: 300 * time.Millisecond},
-			}))
-			oldAssign := c.Assignment()
-			var stop atomic.Bool
-			var sent atomic.Uint64
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for src := uint32(1); !stop.Load(); src++ {
-					for !c.tryInject(0, httpHeader(src), 100, 0) {
-						time.Sleep(50 * time.Microsecond)
-					}
-					sent.Add(1)
-					time.Sleep(200 * time.Microsecond)
-				}
-			}()
-			defer func() { stop.Store(true); wg.Wait() }()
-
-			wait, release := phaseGate(c)
-			done := make(chan error, 1)
-			go func() { done <- c.UpdatePolicyConsistent(newPol) }()
-			wait()
-			for range tc.phases {
-				release()
-				wait()
+			d := killMidUpdate(t, oldPol, newPol, tc.phases)
+			c := d.c
+			if (d.err == nil) != tc.committed {
+				t.Fatalf("the deposed update returned %v; committed %v", d.err, tc.committed)
 			}
-			if !c.KillController() {
-				t.Fatal("KillController failed")
-			}
-			atKill := ruleTables(c)
-			release()
-			select {
-			case err := <-done:
-				if (err == nil) != tc.committed {
-					t.Fatalf("the deposed update returned %v; committed %v", err, tc.committed)
-				}
-			case <-time.After(100 * time.Millisecond):
-				t.Fatal("the deposed update is still running")
-			}
-			if lid := c.Leader(); lid >= 0 {
-				t.Fatalf("replica %d was seated before the deposed update returned", lid)
-			}
-			if got := ruleTables(c); !reflect.DeepEqual(got, atKill) {
-				t.Fatalf("the deposed controller changed the tables after its kill:\n%v\n%v", atKill, got)
-			}
-
-			waitMeasure(t, c, "the election", func(m *core.Measurements) bool { return m.LeaderElections == 1 })
-			stop.Store(true)
-			wg.Wait()
-			if !c.awaitQuiescence(sent.Load(), 10*time.Second) {
-				t.Fatalf("%d packets did not reach a verdict", sent.Load())
-			}
-			if m := c.Measurements(); m.Drops.Lost() != 0 || m.Delivered != sent.Load() {
-				t.Fatalf("%d packets: delivered %d, drops %+v", sent.Load(), m.Delivered, m.Drops)
-			}
-
 			want, egress := oldPol, uint32(3)
 			if tc.committed {
 				want, egress = newPol, 2
 			}
 			run := c.run.Load()
-			if !core.PoliciesEqual(run.Policy, want) || (!tc.committed && !reflect.DeepEqual(run.Assignment, oldAssign)) {
+			if !core.PoliciesEqual(run.Policy, want) || (!tc.committed && !reflect.DeepEqual(run.Assignment, d.oldAssign)) {
 				t.Fatalf("the successor runs %v, want %v", run.Policy, want)
 			}
 			for _, id := range c.SwitchIDs() {
@@ -425,16 +472,48 @@ func TestDeposedUpdateIsFenced(t *testing.T) {
 			for len(c.Deliveries) > 0 {
 				<-c.Deliveries
 			}
-			d := Deploy(c)
+			dep := Deploy(c)
 			const probes = 10
 			for i := uint32(0); i < probes; i++ {
-				d.InjectPacket(0, 0, httpHeader(1<<24+i).Key(), 100, 0)
+				dep.InjectPacket(0, 0, httpHeader(1<<24+i).Key(), 100, 0)
 			}
-			d.Run(5)
+			dep.Run(5)
 			for i := 0; i < probes; i++ {
 				if dl := awaitDelivery(t, c); dl.Egress != egress {
 					t.Fatalf("after the election a packet left at %d, want %d", dl.Egress, egress)
 				}
+			}
+		})
+	}
+}
+
+// TestLeaderKillAtEveryPhaseBoundary kills the leader of one live update at
+// each boundary between its phases (k phases done: before the install, the
+// commit and the cleanup), each in a run of its own, under traffic. At
+// every boundary the outcome is the state the followers were shipped: the
+// call returns nil exactly when that state holds the commit, the successor
+// runs its policy under its epoch + 1, no FlowMod is accepted under the
+// deposed epoch, and no packet is lost (killMidUpdate).
+func TestLeaderKillAtEveryPhaseBoundary(t *testing.T) {
+	oldPol := portPolicy(1, 3, map[uint64]int{80: 2, 22: -1})
+	newPol := portPolicy(100, 2, map[uint64]int{80: 3, 443: 3})
+	for k := range 3 {
+		t.Run(fmt.Sprintf("phases=%d", k), func(t *testing.T) {
+			d := killMidUpdate(t, oldPol, newPol, k)
+			c := d.c
+			// The commit is shipped before the cleanup phase starts.
+			committed := d.shipped.PolicyVersion > d.before
+			if committed != (k == 2) || core.PoliciesEqual(d.shipped.Policy, newPol) != committed {
+				t.Fatalf("%d phases done: the shipped state holds version %d (%d before the update)", k, d.shipped.PolicyVersion, d.before)
+			}
+			if (d.err == nil) != committed {
+				t.Fatalf("the deposed update returned %v; its commit shipped %v", d.err, committed)
+			}
+			if c.Epoch() != d.shipped.Epoch+1 {
+				t.Fatalf("the successor runs epoch %d, want the shipped state's %d + 1", c.Epoch(), d.shipped.Epoch)
+			}
+			if run := c.run.Load(); !core.PoliciesEqual(run.Policy, d.shipped.Policy) {
+				t.Fatalf("the successor runs %v, want the shipped state's %v", run.Policy, d.shipped.Policy)
 			}
 		})
 	}
