@@ -11,8 +11,8 @@ vet:
 	go vet ./...
 
 # Exported functions and methods under internal/ with no caller outside
-# tests (or none outside bench/), and exported *Config / RetryPolicy fields
-# that no caller outside their package sets, must be named, with a reason,
+# tests (or none outside bench/), and exported *Config fields that no
+# caller outside their package sets, must be named, with a reason,
 # in scripts/unused.allow: what nothing calls or turns either goes or says
 # why not. A registered difane_* series that no string literal anywhere
 # reads (a health rule, the soak, difanectl, bench/, a test) fails with no

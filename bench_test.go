@@ -196,9 +196,8 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 
 // --- W1: wire-path microbenchmarks -------------------------------------------
 //
-// The only timing of the TCP control transport. Wire-mode throughput,
-// latency and allocation numbers come from the bench/ module
-// (go run -C bench .).
+// Wire-mode throughput, latency and allocation numbers come from the bench/
+// module (go run -C bench .).
 
 // BenchmarkWirePath measures end-to-end wire-mode flow setups: inject a
 // new flow, it detours via the authority, and is delivered.
@@ -213,41 +212,6 @@ func BenchmarkWirePath(b *testing.B) {
 		Policy:      policy,
 		Strategy:    difane.StrategyExact, // every flow takes the full path
 		QueueDepth:  4096,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	b.ResetTimer()
-	delivered := 0
-	for i := 0; delivered < b.N; i++ {
-		h := packet.Header{IPSrc: uint32(i + 1), TPDst: 80}
-		for !c.Inject(0, h, 100) {
-			time.Sleep(time.Microsecond)
-		}
-		select {
-		case <-c.Deliveries:
-			delivered++
-		case <-time.After(5 * time.Second):
-			b.Fatal("delivery timeout")
-		}
-	}
-}
-
-// BenchmarkWirePathTCP is BenchmarkWirePath with the control plane over
-// real loopback TCP sockets.
-func BenchmarkWirePathTCP(b *testing.B) {
-	policy := []difane.Rule{
-		{ID: 1, Priority: 1, Match: difane.MatchAll(),
-			Action: difane.Action{Kind: difane.ActForward, Arg: 3}},
-	}
-	c, err := difane.NewCluster(difane.ClusterConfig{
-		Switches:    []uint32{0, 1, 2, 3},
-		Authorities: []uint32{2},
-		Policy:      policy,
-		Strategy:    difane.StrategyExact,
-		QueueDepth:  4096,
-		UseTCP:      true,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -315,10 +315,6 @@ type HAConfig = wire.HAConfig
 // the telemetry endpoint's /ha and rendered by `difanectl ha`.
 type HAStatus = wire.HAStatus
 
-// RetryPolicy bounds wire mode's control-plane retries (reconnect backoff,
-// FlowMod installs).
-type RetryPolicy = wire.RetryPolicy
-
 // OverloadConfig tunes wire mode's miss-storm protection (token-bucket
 // redirect/install budgets).
 type OverloadConfig = wire.OverloadConfig

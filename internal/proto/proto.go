@@ -21,10 +21,8 @@ import (
 type MsgType uint8
 
 const (
-	// MsgHello introduces a node and its role after connecting.
-	MsgHello MsgType = iota + 1
 	// MsgFlowMod adds or removes a rule in one of a switch's tables.
-	MsgFlowMod
+	MsgFlowMod MsgType = iota + 1
 	// MsgCacheInstall carries cache rules from an authority switch to an
 	// ingress switch.
 	MsgCacheInstall
@@ -51,7 +49,7 @@ const (
 )
 
 var msgNames = map[MsgType]string{
-	MsgHello: "hello", MsgFlowMod: "flow-mod", MsgCacheInstall: "cache-install",
+	MsgFlowMod: "flow-mod", MsgCacheInstall: "cache-install",
 	MsgBarrierReq: "barrier-req", MsgBarrierReply: "barrier-reply",
 	MsgStatsReq: "stats-req", MsgStatsReply: "stats-reply",
 	MsgEpochReport: "epoch-report",
@@ -64,15 +62,6 @@ func (t MsgType) String() string {
 	}
 	return fmt.Sprintf("msg(%d)", uint8(t))
 }
-
-// Role identifies what a connecting node is.
-type Role uint8
-
-const (
-	RoleIngress Role = iota + 1
-	RoleAuthority
-	RoleController
-)
 
 // Table identifies which of a switch's rule tables a FlowMod targets.
 type Table uint8
@@ -120,12 +109,6 @@ type Message interface {
 	Type() MsgType
 	appendPayload(b []byte) []byte
 	decodePayload(b []byte) error
-}
-
-// Hello introduces a node.
-type Hello struct {
-	Node uint32
-	Role Role
 }
 
 // FlowMod adds or deletes a rule with timeouts (seconds; 0 = none).
@@ -195,7 +178,6 @@ type BFDControl struct {
 	DetectMult    uint8
 }
 
-func (*Hello) Type() MsgType        { return MsgHello }
 func (*FlowMod) Type() MsgType      { return MsgFlowMod }
 func (*CacheInstall) Type() MsgType { return MsgCacheInstall }
 func (*BarrierReq) Type() MsgType   { return MsgBarrierReq }
@@ -307,17 +289,6 @@ func decodeRule(r *reader) flowspace.Rule {
 }
 
 // --- Per-message payloads ---------------------------------------------------
-
-func (m *Hello) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.Node)
-	return append(b, byte(m.Role))
-}
-func (m *Hello) decodePayload(b []byte) error {
-	r := &reader{b: b}
-	m.Node = r.u32()
-	m.Role = Role(r.u8())
-	return r.err
-}
 
 func appendFlowModBody(b []byte, m *FlowMod) []byte {
 	b = append(b, byte(m.Table), byte(m.Op))
@@ -548,8 +519,6 @@ func decodeBody(t MsgType, payload []byte) (Message, error) {
 
 func newMessage(t MsgType) (Message, error) {
 	switch t {
-	case MsgHello:
-		return &Hello{}, nil
 	case MsgFlowMod:
 		return &FlowMod{}, nil
 	case MsgCacheInstall:

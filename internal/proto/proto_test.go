@@ -24,7 +24,7 @@ func sampleRule(id uint64) flowspace.Rule {
 
 func allMessages() []Message {
 	return []Message{
-		&Hello{Node: 7, Role: RoleAuthority},
+		&FlowMod{Table: TableCache, Op: OpDelete, Rule: sampleRule(6), Epoch: 1},
 		&FlowMod{Table: TableCache, Op: OpAdd, Rule: sampleRule(1), Idle: 10, Hard: 60},
 		&FlowMod{Table: TablePartition, Op: OpDelete, Rule: sampleRule(2)},
 		&CacheInstall{Ingress: 5, Rules: []FlowMod{
@@ -37,7 +37,7 @@ func allMessages() []Message {
 		&StatsReq{XID: 12, RuleID: 99},
 		&StatsReply{XID: 12, Packets: 1000, Bytes: 123456, OK: true},
 		&StatsReply{XID: 13, OK: false},
-		&Hello{},
+		&StatsReq{},
 		&BarrierReq{},
 		&FlowMod{Table: TableAuthority, Op: OpAdd, Rule: sampleRule(5), Epoch: 3},
 		&EpochReport{Node: 2, Epoch: 7},

@@ -502,11 +502,6 @@ func wireClusterConfig(sc Scenario, policy []flowspace.Rule) wire.ClusterConfig 
 			Replicas:      3,
 			ElectionDelay: 10 * time.Millisecond,
 		},
-		Retry: wire.RetryPolicy{
-			MaxAttempts: 4,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    5 * time.Millisecond,
-		},
 		Partition: core.PartitionConfig{MaxRulesPerPartition: maxRulesPerPartition},
 	}
 }

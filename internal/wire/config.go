@@ -3,7 +3,7 @@ package wire
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"net"
 	"time"
 
 	"difane/internal/core"
@@ -41,9 +41,6 @@ type ClusterConfig struct {
 	// QueueDepth sizes the delivery-notification channel and, rounded up
 	// to a power of two, each per-producer data ring (see ringDepth).
 	QueueDepth int
-	// UseTCP runs the control plane over loopback TCP sockets instead of
-	// in-process pipes, exercising real kernel socket framing.
-	UseTCP bool
 	// Heartbeat is ignored: the heartbeat prober is gone, and BFD is the
 	// one liveness detector.
 	//
@@ -57,9 +54,6 @@ type ClusterConfig struct {
 	// shipped to every replica's journal, and an election that resumes the
 	// controller from the winner's.
 	HA HAConfig
-	// Retry bounds control-plane retries: reconnect backoff and FlowMod
-	// installs.
-	Retry RetryPolicy
 	// Overload tunes miss-storm protection.
 	Overload OverloadConfig
 	// Partition tunes the partitioner.
@@ -68,8 +62,18 @@ type ClusterConfig struct {
 	// endpoint.
 	Telemetry TelemetryConfig
 
-	// trans overrides the control transport (tests only).
-	trans transport
+	// pipe makes each control channel's switch and controller ends (tests
+	// only; nil is net.Pipe).
+	pipe func() (sw, ctrl net.Conn)
+}
+
+// newPipe returns the two ends of a new control channel: the switch side
+// and the controller side.
+func (cfg *ClusterConfig) newPipe() (net.Conn, net.Conn) {
+	if cfg.pipe != nil {
+		return cfg.pipe()
+	}
+	return net.Pipe()
 }
 
 // fabricBurst caps how many frames a switch pulls from its input rings and
@@ -206,51 +210,27 @@ func (o *OverloadConfig) applyDefaults() {
 	}
 }
 
-// RetryPolicy bounds retried control operations: each operation is
-// attempted at most MaxAttempts times with exponential backoff between
-// attempts, up to retryJitter of each delay randomized away to avoid
-// synchronized retry storms.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per operation, including
-	// the first (default 4).
-	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt; it doubles each
-	// further attempt (default 10ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 500ms).
-	MaxDelay time.Duration
-}
+// send backs off between writes to a closed control pipe, which is
+// replaced within one BFD interval: retryBaseDelay before the second
+// attempt, doubling each further attempt up to retryMaxDelay, with up to
+// retryJitter of each delay randomized away to avoid synchronized retry
+// storms.
+const (
+	retryBaseDelay = time.Millisecond
+	retryMaxDelay  = 5 * time.Millisecond
+	retryJitter    = 0.2
+)
 
-// retryJitter is the fraction of each backoff delay randomized away.
-const retryJitter = 0.2
-
-func (p *RetryPolicy) applyDefaults() {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 500 * time.Millisecond
-	}
-}
-
-// Backoff returns the delay to sleep after failed attempt n (n ≥ 1):
-// BaseDelay·2^(n-1), capped at MaxDelay, with up to retryJitter of it
-// subtracted at random.
-func (p RetryPolicy) Backoff(attempt int) time.Duration {
-	return p.backoff(attempt, rand.Float64)
-}
-
-// backoff is Backoff with an injectable randomness source, for tests.
-func (p RetryPolicy) backoff(attempt int, rnd func() float64) time.Duration {
+// backoff returns the delay to sleep after failed attempt n (n ≥ 1):
+// retryBaseDelay·2^(n-1), capped at retryMaxDelay, less up to retryJitter
+// of it as rnd draws.
+func backoff(attempt int, rnd func() float64) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := p.MaxDelay
+	d := retryMaxDelay
 	if shift := uint(attempt - 1); shift < 30 {
-		if scaled := p.BaseDelay << shift; scaled < p.MaxDelay {
+		if scaled := retryBaseDelay << shift; scaled < retryMaxDelay {
 			d = scaled
 		}
 	}
@@ -258,8 +238,8 @@ func (p RetryPolicy) backoff(attempt int, rnd func() float64) time.Duration {
 }
 
 // Validate checks the configuration and fills defaulted fields in place
-// (queue depth, detector timers, retry policy). NewCluster calls it; use
-// it directly to surface configuration errors before building anything.
+// (queue depth, detector timers). NewCluster calls it; use it directly to
+// surface configuration errors before building anything.
 func (cfg *ClusterConfig) Validate() error {
 	if len(cfg.Switches) == 0 || len(cfg.Authorities) == 0 {
 		return fmt.Errorf("wire: need switches and authorities")
@@ -285,7 +265,6 @@ func (cfg *ClusterConfig) Validate() error {
 	}
 	cfg.BFD.applyDefaults()
 	cfg.HA.applyDefaults(cfg.BFD)
-	cfg.Retry.applyDefaults()
 	cfg.Overload.applyDefaults()
 	if depth := cfg.ringDepth(); depth < fabricBurst {
 		return fmt.Errorf("wire: queue depth %d gives ring depth %d, below the burst size %d",

@@ -32,7 +32,6 @@ import (
 const (
 	deathBFD         uint64 = iota + 1 // the BFD session's detect timer expired
 	deathRedirectAck                   // a redirect went unanswered past the timeout
-	deathReconnect                     // the control connection could not be redialled
 )
 
 // checkLiveness is the redirect-ack check: it holds an authority with a

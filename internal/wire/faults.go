@@ -41,7 +41,7 @@ func (c *Cluster) PartitionControl(id uint32) bool {
 }
 
 // HealControl lifts a control-plane partition; the connection manager
-// re-establishes the control connection with backoff. Returns false for an
+// makes a new control pipe within one BFD interval. Returns false for an
 // unknown switch.
 func (c *Cluster) HealControl(id uint32) bool {
 	n, ok := c.switches[id]

@@ -173,14 +173,23 @@ func (c *Cluster) seat(st core.ControllerState, j *journal.Journal, lead int) *s
 }
 
 // restoreReplicas is RestoreController's HA path: revive every dead
-// replica (reopening its journal) and catch it up from the leader. Only
-// when no leader holds office — every replica was killed, or restore
-// raced ahead of the election — does it seat one itself.
+// replica (reopening its journal) and catch it up from the leader. A
+// replica revived while a leader holds office is a follower, and the
+// state it held when it died has no standing: it may be one the deposed
+// leader sealed and never shipped, at the leader's Seq or past it, which
+// catch-up would not replace. So it restarts from an empty journal and
+// takes the leader's state whole. Only when no leader holds office —
+// every replica was killed, or restore raced ahead of the election — does
+// it seat one itself, from the replicas' own journals.
 func (c *Cluster) restoreReplicas() bool {
 	c.haMu.Lock()
+	lid := c.Leader()
 	revived := false
 	for _, r := range c.replicas {
 		if r.alive {
+			continue
+		}
+		if lid >= 0 && os.RemoveAll(r.dir) != nil {
 			continue
 		}
 		j, err := journal.Open(r.dir)
@@ -191,7 +200,7 @@ func (c *Cluster) restoreReplicas() bool {
 		r.alive = true
 		revived = true
 	}
-	if lid := c.Leader(); lid >= 0 {
+	if lid >= 0 {
 		c.catchUpLocked(lid)
 	}
 	c.haMu.Unlock()

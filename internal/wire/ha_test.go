@@ -3,12 +3,14 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"difane/internal/core"
 	"difane/internal/flowspace"
+	"difane/internal/journal"
 	"difane/internal/proto"
 	"difane/internal/testutil"
 	"difane/internal/workload"
@@ -326,6 +328,68 @@ func TestJournalReplicationAcrossElection(t *testing.T) {
 	}
 	if st.PolicyVersion != leaderState.PolicyVersion || !core.PoliciesEqual(st.Policy, policy) {
 		t.Fatalf("winner resumed version %d, want the leader's %d and its policy", st.PolicyVersion, leaderState.PolicyVersion)
+	}
+}
+
+// TestRevivedReplicaTakesLeaderState: a replica revived while a leader
+// holds office is a follower, so the state its journal held when it died
+// has no standing, even at the leader's Seq. The dead replica here holds a
+// state the new leader never sealed, at the new leader's Seq; once it is
+// revived and the new leader dies, the successor (the revived replica, the
+// lowest id on a Seq tie) runs the new leader's policy.
+func TestRevivedReplicaTakesLeaderState(t *testing.T) {
+	cfg := slack(failoverConfig())
+	cfg.HA = HAConfig{Replicas: 3, ElectionDelay: 5 * time.Millisecond, Dir: t.TempDir()}
+	c := startCluster(t, cfg)
+	if lid := awaitLeader(t, c); lid != 0 {
+		t.Fatalf("initial leader = %d, want 0", lid)
+	}
+	if !c.KillController() {
+		t.Fatal("KillController failed")
+	}
+	lid := awaitLeader(t, c)
+	c.haMu.Lock()
+	leader := c.replicas[lid].jrnl
+	c.haMu.Unlock()
+	want, ok, err := core.ReadState(leader)
+	if err != nil || !ok {
+		t.Fatalf("new leader's journal: ok=%v %v", ok, err)
+	}
+
+	// The deposed leader's unshipped state: another policy, sealed into the
+	// dead replica's journal up to the new leader's Seq.
+	unshipped := want
+	unshipped.Policy = portPolicy(100, 4, map[uint64]int{80: 4, 443: -1})
+	dead, err := journal.Open(filepath.Join(cfg.HA.Dir, "replica-0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dead.Seq() < leader.Seq() {
+		if err := dead.Seal(unshipped); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead.Close()
+	if dead.Seq() != leader.Seq() {
+		t.Fatalf("dead replica at seq %d, want the new leader's %d", dead.Seq(), leader.Seq())
+	}
+
+	if !c.RestoreController() {
+		t.Fatal("RestoreController revived nothing")
+	}
+	if !c.KillController() {
+		t.Fatal("second KillController failed")
+	}
+	succ := awaitLeader(t, c)
+	c.haMu.Lock()
+	j := c.replicas[succ].jrnl
+	c.haMu.Unlock()
+	st, ok, err := core.ReadState(j)
+	if err != nil || !ok {
+		t.Fatalf("successor %d's journal: ok=%v %v", succ, ok, err)
+	}
+	if !core.PoliciesEqual(st.Policy, want.Policy) {
+		t.Fatalf("successor %d runs %v, want the new leader's policy %v", succ, st.Policy, want.Policy)
 	}
 }
 

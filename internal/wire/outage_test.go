@@ -227,7 +227,7 @@ func TestStaleEpochInstallRejected(t *testing.T) {
 // collapse) with every packet accounted for: injected = delivered +
 // policy-dropped + shed + other drops.
 func TestMissStormShedding(t *testing.T) {
-	cfg := reconnectCfg(false)
+	cfg := reconnectCfg()
 	cfg.Overload = OverloadConfig{RedirectRate: 50, RedirectBurst: 4,
 		CacheInstallRate: 50, CacheInstallBurst: 4}
 	c, err := NewCluster(cfg)
@@ -276,7 +276,7 @@ func TestMissStormShedding(t *testing.T) {
 // TestCacheInstallShedding: the authority-side token bucket suppresses
 // cache installs under a storm without hurting reachability.
 func TestCacheInstallShedding(t *testing.T) {
-	cfg := reconnectCfg(false)
+	cfg := reconnectCfg()
 	cfg.Overload = OverloadConfig{CacheInstallRate: 10, CacheInstallBurst: 2}
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -412,33 +412,28 @@ func TestInstallQueueShedding(t *testing.T) {
 // a controller kill) with Close to check the shutdown path tolerates
 // faults firing mid-teardown without leaking goroutines.
 func TestNoGoroutineLeaksFaultDuringClose(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		useTCP bool
-	}{{"pipe", false}, {"tcp", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			check := testutil.CheckGoroutineLeaks(t, 2)
-			c, err := NewCluster(reconnectCfg(tc.useTCP))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Inject(0, httpHeader(1), 100)
-			awaitDelivery(t, c)
-			// Race the fault hooks against Close.
-			done := make(chan struct{})
-			go func() {
-				c.KillSwitch(2)
-				c.PartitionControl(1)
-				c.KillController()
-				c.RestoreController()
-				c.KillSwitch(3)
-				close(done)
-			}()
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-			<-done
-			check()
-		})
-	}
+	t.Run("pipe", func(t *testing.T) {
+		check := testutil.CheckGoroutineLeaks(t, 2)
+		c, err := NewCluster(reconnectCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Inject(0, httpHeader(1), 100)
+		awaitDelivery(t, c)
+		// Race the fault hooks against Close.
+		done := make(chan struct{})
+		go func() {
+			c.KillSwitch(2)
+			c.PartitionControl(1)
+			c.KillController()
+			c.RestoreController()
+			c.KillSwitch(3)
+			close(done)
+		}()
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		check()
+	})
 }

@@ -12,14 +12,12 @@ import (
 	"difane/internal/testutil"
 )
 
-func reconnectCfg(useTCP bool) ClusterConfig {
+func reconnectCfg() ClusterConfig {
 	return ClusterConfig{
 		Switches:    []uint32{0, 1, 2, 3, 4},
 		Authorities: []uint32{2, 3},
 		Policy:      failoverPolicy(),
 		Strategy:    core.StrategyExact,
-		UseTCP:      useTCP,
-		Retry:       RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	}
 }
 
@@ -36,55 +34,50 @@ func awaitReconnects(t *testing.T, c *Cluster, want uint64) {
 }
 
 // TestPartitionHealReconnects exercises the full partition → detect dead →
-// heal → reconnect → revive cycle, over both transports.
+// heal → reconnect → revive cycle.
 func TestPartitionHealReconnects(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		useTCP bool
-	}{{"pipe", false}, {"tcp", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewCluster(reconnectCfg(tc.useTCP))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			awaitBFDUp(t, c)
+	t.Run("pipe", func(t *testing.T) {
+		c, err := NewCluster(reconnectCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		awaitBFDUp(t, c)
 
-			if !c.PartitionControl(1) {
-				t.Fatal("PartitionControl failed")
+		if !c.PartitionControl(1) {
+			t.Fatal("PartitionControl failed")
+		}
+		// BFD packets are suppressed: the session expires and marks 1
+		// dead.
+		deadline := time.Now().Add(5 * time.Second)
+		for c.NodeAlive(1) {
+			if time.Now().After(deadline) {
+				t.Fatal("partitioned switch never detected dead")
 			}
-			// BFD packets are suppressed: the session expires and marks 1
-			// dead.
-			deadline := time.Now().Add(5 * time.Second)
-			for c.NodeAlive(1) {
-				if time.Now().After(deadline) {
-					t.Fatal("partitioned switch never detected dead")
-				}
-				time.Sleep(time.Millisecond)
-			}
+			time.Sleep(time.Millisecond)
+		}
 
-			if !c.HealControl(1) {
-				t.Fatal("HealControl failed")
+		if !c.HealControl(1) {
+			t.Fatal("HealControl failed")
+		}
+		awaitReconnects(t, c, 1)
+		// The BFD session comes back Up; after the holddown the verdict
+		// flips back.
+		deadline = time.Now().Add(5 * time.Second)
+		for !c.NodeAlive(1) {
+			if time.Now().After(deadline) {
+				t.Fatal("healed switch never revived")
 			}
-			awaitReconnects(t, c, 1)
-			// The BFD session comes back Up; after the holddown the verdict
-			// flips back.
-			deadline = time.Now().Add(5 * time.Second)
-			for !c.NodeAlive(1) {
-				if time.Now().After(deadline) {
-					t.Fatal("healed switch never revived")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			// The healed switch serves traffic again.
-			if !c.Inject(1, httpHeader(9), 100) {
-				t.Fatal("inject after heal failed")
-			}
-			if d := awaitDelivery(t, c); d.Egress != 4 {
-				t.Fatalf("delivery after heal: %+v", d)
-			}
-		})
-	}
+			time.Sleep(time.Millisecond)
+		}
+		// The healed switch serves traffic again.
+		if !c.Inject(1, httpHeader(9), 100) {
+			t.Fatal("inject after heal failed")
+		}
+		if d := awaitDelivery(t, c); d.Egress != 4 {
+			t.Fatalf("delivery after heal: %+v", d)
+		}
+	})
 }
 
 // flakyConn wraps a net.Conn and fails permanently after a set number of
@@ -102,49 +95,44 @@ func (f *flakyConn) Write(b []byte) (int, error) {
 	return f.Conn.Write(b)
 }
 
-// flakyTransport hands out pipe connections whose switch side dies after
-// writesPerConn writes; after maxDrops connections it hands out healthy
-// ones, so the cluster eventually stabilizes.
-type flakyTransport struct {
+// flakyPipes hands out pipes whose switch side dies after writesPerConn
+// writes; after maxDrops pipes it hands out healthy ones, so the cluster
+// eventually stabilizes.
+type flakyPipes struct {
 	writesPerConn int64
 	maxDrops      int64
 	handed        atomic.Int64
-	dialAttempts  atomic.Int64
 }
 
-func (f *flakyTransport) connect(ctx context.Context, id uint32) (net.Conn, net.Conn, error) {
-	f.dialAttempts.Add(1)
+func (f *flakyPipes) pipe() (net.Conn, net.Conn) {
 	a, b := net.Pipe()
 	if f.handed.Add(1) > f.maxDrops {
-		return a, b, nil
+		return a, b
 	}
 	left := &atomic.Int64{}
 	left.Store(f.writesPerConn)
-	return &flakyConn{Conn: a, writesLeft: left}, b, nil
+	return &flakyConn{Conn: a, writesLeft: left}, b
 }
 
-func (f *flakyTransport) close() {}
-
 // TestReconnectWithFlakyConn drives the connection manager through
-// repeated link deaths: each flaky conn fails mid-session, the manager
-// backs off and redials, and once the transport stops sabotaging the
-// cluster works normally.
+// repeated link deaths: each flaky pipe fails mid-session and is replaced,
+// and once the pipes stop sabotaging the cluster works normally.
 func TestReconnectWithFlakyConn(t *testing.T) {
-	ft := &flakyTransport{writesPerConn: 3, maxDrops: int64(5 + 3)} // 5 initial conns + 3 flaky redials
-	cfg := reconnectCfg(false)
-	cfg.trans = ft
+	fp := &flakyPipes{writesPerConn: 3, maxDrops: int64(5 + 3)} // 5 initial pipes + 3 flaky replacements
+	cfg := reconnectCfg()
+	cfg.pipe = fp.pipe
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 
-	// The switch side's BFD packets burn the write budget; every flaky conn
-	// dies and is re-established.
+	// The switch side's BFD packets burn the write budget; every flaky pipe
+	// dies and is replaced.
 	awaitReconnects(t, c, 3)
 
-	// With healthy connections handed out, the full miss path (redirect,
-	// cache install over the control plane, delivery) works.
+	// With healthy pipes handed out, the full miss path (redirect, cache
+	// install, delivery) works.
 	deadline := time.Now().Add(5 * time.Second)
 	for c.CacheLen(0) == 0 {
 		if time.Now().After(deadline) {
@@ -158,41 +146,39 @@ func TestReconnectWithFlakyConn(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if ft.dialAttempts.Load() < 8 {
-		t.Errorf("dial attempts = %d, want ≥ 8", ft.dialAttempts.Load())
+	if fp.handed.Load() < 8 {
+		t.Errorf("pipes made = %d, want ≥ 8", fp.handed.Load())
 	}
 }
 
 // TestBackoffDeterministic pins the backoff schedule with an injected
 // randomness source.
 func TestBackoffDeterministic(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond,
-		MaxDelay: 80 * time.Millisecond}
 	zero := func() float64 { return 0 }
 	want := []time.Duration{
-		10 * time.Millisecond, // attempt 1
-		20 * time.Millisecond,
-		40 * time.Millisecond,
-		80 * time.Millisecond, // capped
-		80 * time.Millisecond,
+		1 * time.Millisecond, // attempt 1
+		2 * time.Millisecond,
+		4 * time.Millisecond,
+		5 * time.Millisecond, // capped
+		5 * time.Millisecond,
 	}
 	for i, w := range want {
-		if got := p.backoff(i+1, zero); got != w {
+		if got := backoff(i+1, zero); got != w {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
 	// A full jitter draw (rnd = 1) takes retryJitter of every delay away.
 	one := func() float64 { return 1 }
 	for i, w := range want {
-		if got, jw := p.backoff(i+1, one), w-time.Duration(float64(w)*retryJitter); got != jw {
+		if got, jw := backoff(i+1, one), w-time.Duration(float64(w)*retryJitter); got != jw {
 			t.Errorf("jittered backoff(%d) = %v, want %v", i+1, got, jw)
 		}
 	}
 	// Out-of-range attempts clamp instead of misbehaving.
-	if got := p.backoff(0, zero); got != 10*time.Millisecond {
+	if got := backoff(0, zero); got != time.Millisecond {
 		t.Errorf("backoff(0) = %v", got)
 	}
-	if got := p.backoff(64, zero); got != 80*time.Millisecond {
+	if got := backoff(64, zero); got != 5*time.Millisecond {
 		t.Errorf("backoff(64) = %v", got)
 	}
 }
@@ -236,9 +222,6 @@ func TestValidateDefaults(t *testing.T) {
 	if err := shallow.Validate(); err == nil {
 		t.Error("a queue shallower than one burst must fail validation")
 	}
-	if cfg.Retry.MaxAttempts != 4 || cfg.Retry.BaseDelay != 10*time.Millisecond {
-		t.Errorf("retry defaults: %+v", cfg.Retry)
-	}
 
 	dup := ClusterConfig{Switches: []uint32{0, 0}, Authorities: []uint32{0},
 		Policy: failoverPolicy()}
@@ -261,7 +244,7 @@ func TestValidateDefaults(t *testing.T) {
 
 func TestNewClusterContextCancelShutsDown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	c, err := NewClusterContext(ctx, reconnectCfg(false))
+	c, err := NewClusterContext(ctx, reconnectCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,55 +262,23 @@ func TestNewClusterContextCancelShutsDown(t *testing.T) {
 }
 
 // TestNoGoroutineLeaks runs a full lifecycle — traffic, faults, reconnect,
-// close — over both transports and checks the goroutine count returns to
-// its baseline (a goleak-style check that also guards dialControlTCP's
-// successor against leaking on partial failure).
+// close — and checks the goroutine count returns to its baseline (a
+// goleak-style check).
 func TestNoGoroutineLeaks(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		useTCP bool
-	}{{"pipe", false}, {"tcp", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			check := testutil.CheckGoroutineLeaks(t, 2)
-			c, err := NewCluster(reconnectCfg(tc.useTCP))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Inject(0, httpHeader(1), 100)
-			awaitDelivery(t, c)
-			c.PartitionControl(1)
-			c.HealControl(1)
-			c.KillSwitch(4)
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-			check()
-		})
-	}
-}
-
-// TestTCPTransportConnectFailureCleansUp covers the dial-path error
-// branches: a cancelled context and a closed transport both fail fast
-// without leaving pending state behind.
-func TestTCPTransportConnectFailureCleansUp(t *testing.T) {
-	tr, err := newTCPTransport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := tr.connect(ctx, 7); err == nil {
-		t.Fatal("connect with cancelled context must fail")
-	}
-	tr.mu.Lock()
-	pending := len(tr.pending)
-	tr.mu.Unlock()
-	if pending != 0 {
-		t.Errorf("pending waiters leaked: %d", pending)
-	}
-	tr.close()
-	if _, _, err := tr.connect(context.Background(), 7); err == nil {
-		t.Fatal("connect after close must fail")
-	}
-	tr.close() // idempotent
+	t.Run("pipe", func(t *testing.T) {
+		check := testutil.CheckGoroutineLeaks(t, 2)
+		c, err := NewCluster(reconnectCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Inject(0, httpHeader(1), 100)
+		awaitDelivery(t, c)
+		c.PartitionControl(1)
+		c.HealControl(1)
+		c.KillSwitch(4)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check()
+	})
 }

@@ -30,13 +30,8 @@ func TestTraceVerdictsMatchOracle(t *testing.T) {
 			Strategy:      sc.Strategy,
 			CacheCapacity: 8,
 			BFD:           wire.SlackBFD,
-			Retry: wire.RetryPolicy{
-				MaxAttempts: 4,
-				BaseDelay:   time.Millisecond,
-				MaxDelay:    5 * time.Millisecond,
-			},
-			Partition: core.PartitionConfig{MaxRulesPerPartition: 4},
-			Telemetry: wire.TelemetryConfig{Tracing: true},
+			Partition:     core.PartitionConfig{MaxRulesPerPartition: 4},
+			Telemetry:     wire.TelemetryConfig{Tracing: true},
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -2,22 +2,23 @@
 // data goroutine per switch, data-plane frames handed between switches as
 // parsed packets over per-producer rings, cache installs handed from the
 // authority switch straight to the ingress switch beside them, and
-// control-plane messages as framed proto messages over net.Pipe or
-// loopback-TCP connections — the prototype-style counterpart to the
-// discrete-event simulator in internal/core. It validates that the
-// protocol, the pipeline, and the cache-install feedback loop work under
-// real concurrency, and adds the resilience layer the paper's failover
-// story requires: BFD sessions over every control channel, redirect
-// acknowledgement for a stalled data plane, pre-installed backup authority
-// rules with ingress-local failover, reconnecting control connections, and
-// fault-injection hooks for testing all of it. A miss never leaves the
-// data plane: nothing on the packet or install path touches a control
-// connection, so traffic and caching ride out a dead controller.
+// control-plane messages as framed proto messages over in-process pipes —
+// the prototype-style counterpart to the discrete-event simulator in
+// internal/core. It validates that the protocol, the pipeline, and the
+// cache-install feedback loop work under real concurrency, and adds the
+// resilience layer the paper's failover story requires: BFD sessions over
+// every control channel, redirect acknowledgement for a stalled data
+// plane, pre-installed backup authority rules with ingress-local failover,
+// control pipes replaced after a failure, and fault-injection hooks for
+// testing all of it. A miss never leaves the data plane: nothing on the
+// packet or install path touches a control connection, so traffic and
+// caching ride out a dead controller.
 package wire
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -87,7 +88,6 @@ type Cluster struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	trans  transport
 
 	// replicas holds the controller replica set when cfg.HA.Replicas ≥ 2;
 	// empty means single-controller (legacy) mode. haMu serializes
@@ -276,23 +276,9 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		cancel:     cancel,
 		cache:      core.NewCacheAdapter(cfg.CacheEviction),
 	}
-	switch {
-	case cfg.trans != nil:
-		c.trans = cfg.trans
-	case cfg.UseTCP:
-		t, err := newTCPTransport()
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		c.trans = t
-	default:
-		c.trans = pipeTransport{}
-	}
 	// fail tears down whatever construction has built so far.
 	fail := func(err error) (*Cluster, error) {
 		cancel()
-		c.trans.close()
 		for _, n := range c.switches {
 			n.ctrl.Close()
 			n.ctrlPeer.Close()
@@ -301,10 +287,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	}
 	c.injSlot = len(cfg.Switches)
 	for slot, id := range cfg.Switches {
-		swConn, ctrlConn, err := c.trans.connect(cctx, id)
-		if err != nil {
-			return fail(err)
-		}
+		swConn, ctrlConn := cfg.newPipe()
 		n := &node{
 			id:   id,
 			slot: slot,
@@ -669,9 +652,9 @@ func (n *node) closeConns() {
 	}
 }
 
-// ctrlManager owns a node's control-connection lifecycle: it runs one
-// reader per side, and when either side fails it tears the session down
-// and re-establishes the connection with exponential backoff and jitter.
+// ctrlManager owns a node's control-channel lifecycle: it runs one reader
+// per side, and when either side fails it tears the session down and has
+// reconnect replace the pipe.
 func (c *Cluster) ctrlManager(n *node) {
 	defer c.wg.Done()
 	for {
@@ -693,58 +676,41 @@ func (c *Cluster) ctrlManager(n *node) {
 		sw.Close()
 		peer.Close()
 		session.Wait()
-		if c.ctx.Err() != nil || n.killed.Load() {
-			return
-		}
 		if !c.reconnect(n) {
 			return
 		}
 	}
 }
 
-// reconnect re-establishes a node's control connection: while a partition
-// fault is injected it holds and re-checks; otherwise it retries per the
-// cluster's RetryPolicy and, when attempts are exhausted, marks the node
-// dead so the failover machinery takes over.
+// reconnect gives a node a new control pipe. While a partition fault is
+// injected or the controller is down it waits, re-checking every BFD
+// interval. It reports false, making none, once the cluster is closing or
+// the switch was killed.
 func (c *Cluster) reconnect(n *node) bool {
-	attempt := 0
 	for {
 		if c.ctx.Err() != nil || n.killed.Load() {
 			return false
 		}
-		if n.partitioned.Load() || c.ctrlDown.Load() {
-			// A severed control link or a dead controller is not a dial
-			// failure: hold until the fault is healed, without burning
-			// retry attempts.
-			if !sleepCtx(c.ctx, c.cfg.BFD.Interval) {
-				return false
-			}
-			continue
+		if !n.partitioned.Load() && !c.ctrlDown.Load() {
+			break
 		}
-		sw, peer, err := c.trans.connect(c.ctx, n.id)
-		if err == nil {
-			n.connMu.Lock()
-			n.ctrl, n.ctrlPeer = sw, peer
-			n.connMu.Unlock()
-			if c.ctx.Err() != nil {
-				// Close cancelled the context before it closed each
-				// node's connections; this pair may have missed that.
-				n.closeConns()
-				return false
-			}
-			c.cold.controlReconnects.Add(1)
-			c.Span(telemetry.Event{Kind: telemetry.EvReconnect, Node: n.id})
-			return true
-		}
-		attempt++
-		if attempt >= c.cfg.Retry.MaxAttempts {
-			c.markDead(n, deathReconnect)
-			return false
-		}
-		if !sleepCtx(c.ctx, c.cfg.Retry.Backoff(attempt)) {
+		if !sleepCtx(c.ctx, c.cfg.BFD.Interval) {
 			return false
 		}
 	}
+	sw, peer := c.cfg.newPipe()
+	n.connMu.Lock()
+	n.ctrl, n.ctrlPeer = sw, peer
+	n.connMu.Unlock()
+	if c.ctx.Err() != nil {
+		// Close cancelled the context before it closed each node's
+		// connections; this pair may have missed that.
+		n.closeConns()
+		return false
+	}
+	c.cold.controlReconnects.Add(1)
+	c.Span(telemetry.Event{Kind: telemetry.EvReconnect, Node: n.id})
+	return true
 }
 
 // switchCtrlRead is the switch side of the control connection: it applies
@@ -904,9 +870,10 @@ func (c *Cluster) InstallRule(sw uint32, mod proto.FlowMod) error {
 const replyTimeout = 5 * time.Second
 
 // send writes msg to n, and again, with backoff, while the write fails on
-// a control connection that is being re-established (after a controller
-// restart, say) — until it goes through, n turns unreachable, replyTimeout
-// passes or ctx ends (the sender deposed, or the cluster closing).
+// a control pipe that is closed and about to be replaced (after a
+// controller restart, say) — until it goes through, n turns unreachable,
+// replyTimeout passes or ctx ends (the sender deposed, or the cluster
+// closing).
 func (c *Cluster) send(ctx context.Context, n *node, msg proto.Message) error {
 	deadline := time.Now().Add(replyTimeout)
 	for attempt := 1; ; attempt++ {
@@ -917,7 +884,7 @@ func (c *Cluster) send(ctx context.Context, n *node, msg proto.Message) error {
 		if err == nil || n.killed.Load() || n.partitioned.Load() || time.Now().After(deadline) {
 			return err
 		}
-		if !sleepCtx(ctx, c.cfg.Retry.Backoff(attempt)) {
+		if !sleepCtx(ctx, backoff(attempt, rand.Float64)) {
 			return ctx.Err()
 		}
 	}
@@ -997,7 +964,6 @@ func (c *Cluster) Close() error {
 		c.closed.Store(true)
 		c.awaitQuiescence(0, drainTimeout)
 		c.cancel()
-		c.trans.close()
 		for _, n := range c.switches {
 			n.closeConns()
 		}

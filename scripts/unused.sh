@@ -4,8 +4,8 @@
 #
 #   - an exported function or method whose name appears in no non-test
 #     .go file of the repository outside its own definition;
-#   - an exported field of a *Config or RetryPolicy struct that no non-test
-#     file outside the declaring package sets, as `Field:` in a composite
+#   - an exported field of a *Config struct that no non-test file outside
+#     the declaring package sets, as `Field:` in a composite
 #     literal or as `.Field =`. A knob nobody turns is a constant.
 #
 # and fails outright, with no list to excuse it, on a third:
@@ -76,7 +76,7 @@ awk -v allow=scripts/unused.allow '
 			where[owner "." name] = FILENAME ":" FNR
 		}
 
-		# Config fields: one-tab lines of a *Config / RetryPolicy struct.
+		# Config fields: one-tab lines of a *Config struct.
 		if (config != "" && line ~ /^}/) config = ""
 		if (config != "" && match(line, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Z][A-Za-z0-9_]*)* +[^ ]/)) {
 			names = substr(line, 2, RLENGTH - 2)
@@ -88,7 +88,7 @@ awk -v allow=scripts/unused.allow '
 				fwhere[nf] = FILENAME ":" FNR
 			}
 		}
-		if (internal && match(line, /^type (([A-Z][A-Za-z0-9_]*)?Config|RetryPolicy) struct/))
+		if (internal && match(line, /^type ([A-Z][A-Za-z0-9_]*)?Config struct/))
 			config = substr(line, 6, RLENGTH - 12)
 
 		# Setters: `Name:` (not `:=`) and `.Name =` (not `==`).
