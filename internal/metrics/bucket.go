@@ -38,8 +38,9 @@ func NewTokenBucket(rate float64, burst int) *TokenBucket {
 }
 
 // Allow consumes one token if available, reporting whether the event is
-// admitted. Nil-safe: a nil bucket always admits.
-func (b *TokenBucket) Allow() bool { return b.AllowAt(time.Now()) }
+// admitted. Nil-safe: a nil bucket always admits, without reading the
+// clock.
+func (b *TokenBucket) Allow() bool { return b == nil || b.AllowAt(time.Now()) }
 
 // AllowAt is Allow with an explicit clock, for tests.
 func (b *TokenBucket) AllowAt(now time.Time) bool {

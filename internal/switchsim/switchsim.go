@@ -69,7 +69,9 @@ type Switch struct {
 	// SetAuthorityBand.
 	authMask, authBand uint64
 
-	memo tcam.Memo // ClassifyBurst's, for the cache table
+	// ClassifyBurst's memos: for the cache table, and for the authority
+	// table's band, which answers a packet entering at an authority switch.
+	memo, authMemo tcam.Memo
 
 	Stats Stats
 }
@@ -203,14 +205,15 @@ func (s *Switch) Classify(now float64, k flowspace.Key, size int) Result {
 // misses against one authority view, then one partition view — each table's
 // state is consistent across the whole burst, and a concurrent install is
 // observed by all of a burst's packets or none of them (per table).
-// Allocation-free: all scratch state lives in out. The cache lookups go
-// through the switch's one memo, so calls on one switch must not overlap.
+// Allocation-free: all scratch state lives in out. The cache and authority
+// lookups go through the switch's memos, so calls on one switch must not
+// overlap.
 func (s *Switch) ClassifyBurst(now float64, keys []flowspace.Key, sizes []int, out []Result) {
 	remaining := len(keys)
 	v := s.cache.AcquireView()
 	hits := uint64(0)
 	for i := range keys {
-		if r := v.LookupMemo(now, &keys[i], sizes[i], &s.memo); r != nil {
+		if r := v.LookupMemo(now, &keys[i], sizes[i], 0, 0, &s.memo); r != nil {
 			out[i] = Result{Rule: r, Table: proto.TableCache, OK: true}
 			hits++
 			remaining--
@@ -230,7 +233,7 @@ func (s *Switch) ClassifyBurst(now float64, keys []flowspace.Key, sizes []int, o
 			if out[i].OK {
 				continue
 			}
-			if r := v.LookupBand(now, &keys[i], sizes[i], mask, band); r != nil {
+			if r := v.LookupMemo(now, &keys[i], sizes[i], mask, band, &s.authMemo); r != nil {
 				out[i] = Result{Rule: r, Table: proto.TableAuthority, OK: true}
 				hits++
 				remaining--

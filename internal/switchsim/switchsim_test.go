@@ -175,7 +175,10 @@ func TestStringRenders(t *testing.T) {
 
 // TestClassifyBurstMatchesClassify cross-checks the burst cascade against
 // the scalar pipeline on a mixed workload: cache hits, authority hits,
-// partition hits, and misses.
+// partition hits, and misses. The keys are classified twice on each side,
+// so the second burst is answered from both memos, and the memo path must
+// keep the counters the scalar one keeps: Stats, each table's hits and
+// misses, and every rule's packets and bytes.
 func TestClassifyBurstMatchesClassify(t *testing.T) {
 	mk := func() *Switch {
 		s := New(1, Config{})
@@ -192,25 +195,37 @@ func TestClassifyBurstMatchesClassify(t *testing.T) {
 		sizes[i] = 100 + i
 	}
 
-	scalar := mk()
-	want := make([]Result, len(ports))
-	for i := range keys {
-		want[i] = scalar.Classify(0, keys[i], sizes[i])
-	}
-
-	burst := mk()
-	got := make([]Result, len(ports))
-	burst.ClassifyBurst(0, keys, sizes, got)
-
-	for i := range want {
-		w, g := want[i], got[i]
-		if w.OK != g.OK || w.Table != g.Table || (w.OK && *w.Rule != *g.Rule) {
-			t.Fatalf("packet %d: scalar %+v != burst %+v", i, w, g)
+	scalar, burst := mk(), mk()
+	for pass := 0; pass < 2; pass++ {
+		want := make([]Result, len(ports))
+		for i := range keys {
+			want[i] = scalar.Classify(float64(pass), keys[i], sizes[i])
+		}
+		got := make([]Result, len(ports))
+		burst.ClassifyBurst(float64(pass), keys, sizes, got)
+		for i := range want {
+			w, g := want[i], got[i]
+			if w.OK != g.OK || w.Table != g.Table || (w.OK && *w.Rule != *g.Rule) {
+				t.Fatalf("pass %d packet %d: scalar %+v != burst %+v", pass, i, w, g)
+			}
 		}
 	}
-	ss, bs := scalar.Stats.Snapshot(), burst.Stats.Snapshot()
-	if ss != bs {
+	if ss, bs := scalar.Stats.Snapshot(), burst.Stats.Snapshot(); ss != bs {
 		t.Fatalf("stats diverge: scalar %+v burst %+v", ss, bs)
+	}
+	for _, table := range []proto.Table{proto.TableCache, proto.TableAuthority, proto.TablePartition} {
+		st, bt := scalar.Table(table), burst.Table(table)
+		if st.Hits.Load() != bt.Hits.Load() || st.Misses.Load() != bt.Misses.Load() {
+			t.Fatalf("%s: scalar %d hits %d misses, burst %d hits %d misses",
+				st.Name(), st.Hits.Load(), st.Misses.Load(), bt.Hits.Load(), bt.Misses.Load())
+		}
+		for _, e := range st.Entries() {
+			sp, sb, _ := st.Counters(e.Rule.ID)
+			bp, bb, _ := bt.Counters(e.Rule.ID)
+			if sp != bp || sb != bb {
+				t.Fatalf("rule %d: scalar %d packets %d bytes, burst %d packets %d bytes", e.Rule.ID, sp, sb, bp, bb)
+			}
+		}
 	}
 }
 
@@ -311,32 +326,50 @@ func TestClassifyBurstDuringInstall(t *testing.T) {
 	<-installerDone
 }
 
-// TestRepeatedBurstWalksNoIndex: a burst of cache hits classified again
-// with no write to the cache in between is answered from the switch's memo,
-// without one walk of the cache's index, and answers the same rules.
+// TestRepeatedBurstWalksNoIndex: a burst of cache and authority hits
+// classified again with no write in between is answered from the switch's
+// memos and answers the same rules: a cache hit walks no index, and an
+// authority hit walks only the cache's, where it misses (a miss is not
+// remembered), not the authority table's. After SetAuthorityBand to a band
+// holding other rules, the next burst answers that band's rules.
 func TestRepeatedBurstWalksNoIndex(t *testing.T) {
 	s := New(1, Config{})
 	for p := uint64(80); p <= 82; p++ {
 		add(t, s, proto.TableCache, mkRule(p, 0, p, flowspace.ActForward))
 	}
-	keys := []flowspace.Key{keyPort(80), keyPort(81), keyPort(82), keyPort(80)}
-	sizes := []int{64, 64, 64, 64}
+	// Authority rules in two bands of the ID's low bit, matching the same
+	// ports: 92 and 90 (ports 443, 444) under band 0, 93 and 91 under band 1.
+	for id := uint64(90); id <= 93; id++ {
+		add(t, s, proto.TableAuthority, mkRule(id, 0, 443+id/2%2, flowspace.ActForward))
+	}
+	s.SetAuthorityBand(1, 0)
+	keys := []flowspace.Key{keyPort(80), keyPort(443), keyPort(81), keyPort(82), keyPort(444), keyPort(80)}
+	sizes := []int{64, 64, 64, 64, 64, 64}
 	first, second := make([]Result, len(keys)), make([]Result, len(keys))
 	s.ClassifyBurst(0, keys, sizes, first)
-	walks := s.memo.Walks()
-	if walks == 0 {
-		t.Fatal("the first burst's cache lookups did not go through the memo")
+	walks, authWalks := s.memo.Walks(), s.authMemo.Walks()
+	if walks == 0 || authWalks == 0 {
+		t.Fatalf("the first burst walked %d cache and %d authority indexes: its lookups did not go through the memos", walks, authWalks)
 	}
 	s.ClassifyBurst(1, keys, sizes, second)
-	if w := s.memo.Walks() - walks; w != 0 {
-		t.Fatalf("second burst walked the cache index %d times, want 0", w)
+	if w, a := s.memo.Walks()-walks, s.authMemo.Walks()-authWalks; w != 2 || a != 0 {
+		t.Fatalf("second burst walked the cache index %d and the authority index %d times, want 2 (its cache misses) and 0", w, a)
 	}
 	for i := range first {
 		if !second[i].OK || second[i].Rule != first[i].Rule {
 			t.Fatalf("packet %d: first burst %+v, second %+v", i, first[i], second[i])
 		}
 	}
-	if hits := s.Stats.CacheHits.Load(); hits != 2*uint64(len(keys)) {
-		t.Fatalf("cache hits = %d, want %d", hits, 2*len(keys))
+	if hits, auth := s.Stats.CacheHits.Load(), s.Stats.AuthorityHits.Load(); hits != 2*4 || auth != 2*2 {
+		t.Fatalf("cache hits = %d, authority hits = %d, want 8 and 4", hits, auth)
+	}
+	s.SetAuthorityBand(1, 1)
+	s.ClassifyBurst(2, keys, sizes, second)
+	for i, want := range map[int][2]uint64{1: {92, 93}, 4: {90, 91}} {
+		for band, out := range [][]Result{first, second} {
+			if r := out[i]; !r.OK || r.Table != proto.TableAuthority || r.Rule.ID != want[band] {
+				t.Fatalf("packet %d under band %d: %+v, want authority rule %d", i, band, r, want[band])
+			}
+		}
 	}
 }

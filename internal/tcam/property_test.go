@@ -92,12 +92,13 @@ func (m *refModel) deleteWhere(pred func(flowspace.Rule) bool) {
 	m.entries = kept
 }
 
-// lookup scans for the best match; touch updates its counters as a
-// Lookup does and a Peek does not.
-func (m *refModel) lookup(now float64, k flowspace.Key, touch bool) (flowspace.Rule, bool) {
+// lookup scans for the best match among the entries whose ID reads band
+// under mask; touch updates its counters as a Lookup does and a Peek does
+// not.
+func (m *refModel) lookup(now float64, k flowspace.Key, touch bool, mask, band uint64) (flowspace.Rule, bool) {
 	best := -1
 	for i := range m.entries {
-		if !m.entries[i].rule.Match.Matches(k) {
+		if m.entries[i].rule.ID&mask != band || !m.entries[i].rule.Match.Matches(k) {
 			continue
 		}
 		if best < 0 || m.entries[i].rule.Before(m.entries[best].rule) {
@@ -197,14 +198,16 @@ func keyIn(rng *rand.Rand, m flowspace.Match) flowspace.Key {
 // stamps them) a little before it — through the table and
 // the brute-force model and requires identical observable behaviour: every
 // Lookup, View.Lookup, View.LookupMemo (on keys mostly drawn again from
-// the last few looked up, so the memo answers some) and Peek returns what
-// the model's scan returns and
+// the last few looked up, so the memo answers some, and each burst of them
+// under a band drawn from the whole table and either half of the rule IDs)
+// and Peek returns what the model's scan of that band returns and
 // what flowspace.EvalTable (the scan internal/oracle runs) returns over
-// Rules(), every capacity eviction and SetCapacity shrink takes the
+// the band's Rules(), every capacity eviction and SetCapacity shrink takes the
 // victims the model's scan of the policy's total order takes, in its
 // order, the resident sets agree, and the structural invariants of the
 // index and the eviction heap hold after every step.
 func TestTableMatchesReferenceModel(t *testing.T) {
+	memoBands := [][2]uint64{{0, 0}, {1, 0}, {1, 1}} // mask, band
 	for _, pool := range rulePools() {
 		for _, policy := range []EvictionPolicy{EvictNone, EvictLRU, EvictLFU} {
 			rng := rand.New(rand.NewSource(149 + int64(policy)))
@@ -242,8 +245,11 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					}
 				case 4, 5, 6, 7: // lookup, by each of the four read calls, the memo's in a burst
 					reps := 1
+					var mask, band uint64
 					if op == 7 {
 						reps = 4
+						b := memoBands[rng.Intn(len(memoBands))]
+						mask, band = b[0], b[1]
 					}
 					for range reps {
 						k := pool.key(rng)
@@ -261,7 +267,8 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 						if rng.Intn(3) == 0 {
 							at -= rng.Float64() * 0.4
 						}
-						scan, scanOK := flowspace.EvalTable(tb.Rules(), k)
+						inBand := slices.DeleteFunc(tb.Rules(), func(r flowspace.Rule) bool { return r.ID&mask != band })
+						scan, scanOK := flowspace.EvalTable(inBand, k)
 						var got flowspace.Rule
 						var gotOK bool
 						switch op {
@@ -275,13 +282,13 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 							got, gotOK = tb.Lookup(at, k, 64)
 						case 7:
 							v := tb.AcquireView()
-							if r := v.LookupMemo(at, &k, 64, &memo); r != nil {
+							if r := v.LookupMemo(at, &k, 64, mask, band, &memo); r != nil {
 								got, gotOK = *r, true
 							}
 							v.Release()
 							memoLookups++
 						}
-						want, wantOK := ref.lookup(at, k, op != 4)
+						want, wantOK := ref.lookup(at, k, op != 4, mask, band)
 						if gotOK != wantOK || (gotOK && got.ID != want.ID) {
 							fail(step, "lookup %v/%v want %v/%v", got, gotOK, want, wantOK)
 						}

@@ -62,16 +62,21 @@ func (d *Deployment) injectRetry(ingress uint32, h packet.Header, size int, trac
 		}
 		n, ok := d.C.switches[ingress]
 		if !ok || n.killed.Load() || d.C.closed.Load() || time.Now().After(deadline) {
-			// Open and close the journey at the rejecting ingress, so a
-			// sampled packet lost to injection failure still assembles.
-			d.C.traceIngress(ingress, &h, trace)
-			d.C.drop(d.C.ext, ingress, core.VerdictUnreachable, 0, &dataFrame{hdr: h, trace: trace})
-			d.C.wakeIfQuiet()
-			d.injected.Add(1)
+			d.lose(ingress, h, trace)
 			return
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+}
+
+// lose records a packet that could not be injected at ingress as
+// unreachable, opening and closing its journey at the rejecting ingress so
+// that a sampled packet lost to injection failure still assembles.
+func (d *Deployment) lose(ingress uint32, h packet.Header, trace uint64) {
+	d.C.traceIngress(ingress, &h, trace)
+	d.C.drop(d.C.ext, ingress, core.VerdictUnreachable, 0, &dataFrame{hdr: h, trace: trace})
+	d.C.wakeIfQuiet()
+	d.injected.Add(1)
 }
 
 // injectChunk is how many packets InjectBatch groups at a time, so that
@@ -81,43 +86,64 @@ const injectChunk = 1024
 // InjectBatch injects a burst of packets grouped by ingress, allocating
 // nothing: each ingress's packets keep their order (none across ingresses
 // is observable, each injection ring having a consumer of its own), and
-// each ingress takes its injectMu once per chunk. Packets that do not fit
+// each ingress takes its injectMu once per chunk. A chunk is grouped by a
+// counting sort on switch slot: one pass looks each packet's ingress up
+// once and counts per slot, a second places the indices. A packet whose
+// ingress names no switch is lost at that lookup; packets that do not fit
 // go through injectRetry, with its loss accounting.
 func (d *Deployment) InjectBatch(batch []core.PacketIn) {
-	var left, group [injectChunk]int32
+	c := d.C
+	var slot, order, starts [injectChunk]int32
+	next := starts[:]
+	if len(c.nodes) > len(next) {
+		next = make([]int32, len(c.nodes)) // over injectChunk switches: the one allocation
+	}
+	next = next[:len(c.nodes)]
 	for len(batch) > 0 {
 		chunk := batch[:min(len(batch), injectChunk)]
 		batch = batch[len(chunk):]
-		rest := left[:len(chunk)]
-		for i := range rest {
-			rest[i] = int32(i)
-		}
-		// One shrinking pass over the remaining indices per ingress.
-		for len(rest) > 0 {
-			ingress := chunk[rest[0]].Ingress
-			g, keep := group[:0], rest[:0]
-			for _, i := range rest {
-				if chunk[i].Ingress == ingress {
-					g = append(g, i)
-				} else {
-					keep = append(keep, i)
-				}
+		clear(next)
+		for i := range chunk {
+			p := &chunk[i]
+			n, ok := c.switches[p.Ingress]
+			if !ok {
+				slot[i] = -1
+				d.lose(p.Ingress, packet.HeaderFromKey(p.Key), c.TraceID(p.Key, p.Seq))
+				continue
 			}
-			rest = keep
-			d.injectGroup(ingress, chunk, g)
+			slot[i] = int32(n.slot)
+			next[n.slot]++
+		}
+		sum := int32(0)
+		for s, k := range next {
+			next[s], sum = sum, sum+k
+		}
+		for i, s := range slot[:len(chunk)] {
+			if s >= 0 {
+				order[next[s]] = int32(i)
+				next[s]++
+			}
+		}
+		// next[s] is now where slot s's run ends, and the next slot's starts.
+		lo := int32(0)
+		for s, hi := range next {
+			if hi > lo {
+				d.injectGroup(c.nodes[s], chunk, order[lo:hi])
+			}
+			lo = hi
 		}
 	}
 }
 
-// injectGroup injects batch[idx...], all entering at ingress, in order:
+// injectGroup injects batch[idx...], all entering at n, in order:
 // written straight into the injection ring's free slots, every fabricBurst
 // of them published with one clock stamp, one tail store and one wakeup,
 // so the switch starts on the first burst while the rest are written.
-func (d *Deployment) injectGroup(ingress uint32, batch []core.PacketIn, idx []int32) {
-	c := d.C
+func (d *Deployment) injectGroup(n *node, batch []core.PacketIn, idx []int32) {
+	c, ingress := d.C, n.id
 	sampling := c.TraceSampleRate() != 0
 	sent := 0
-	if n, ring := c.openInjection(ingress); ring != nil {
+	if ring := c.openInjection(n); ring != nil {
 		for sent < len(idx) {
 			stamp := nowNS()
 			k := 0

@@ -312,7 +312,8 @@ func injectRedirects(t *testing.T, c *Cluster, ingress, firstSrc uint32, n int) 
 	for i := 0; i < n; i++ {
 		h := httpHeader(firstSrc + uint32(i))
 		auth := primaryFor(t, c, h.Key())
-		n, ring := c.openInjection(auth)
+		n := c.switches[auth]
+		ring := c.openInjection(n)
 		if ring == nil {
 			t.Fatalf("authority %d takes no injection", auth)
 		}

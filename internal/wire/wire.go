@@ -383,7 +383,8 @@ func (c *Cluster) traceIngress(ingress uint32, h *packet.Header, trace uint64) {
 // on backpressure and record the loss themselves. trace is the packet's
 // sampled trace ID (0 = unsampled), minted by the caller via TraceID.
 func (c *Cluster) tryInject(ingress uint32, h packet.Header, size int, trace uint64) bool {
-	n, ring := c.openInjection(ingress)
+	n := c.switches[ingress]
+	ring := c.openInjection(n)
 	if ring == nil {
 		return false
 	}
@@ -398,18 +399,16 @@ func (c *Cluster) tryInject(ingress uint32, h packet.Header, size int, trace uin
 	return true
 }
 
-// openInjection returns the ingress switch's injection ring with its
-// injectMu held, for the caller to reserve, write, commitInjected and
-// unlock — or a nil ring, with no lock held, when the switch is unknown or
-// killed or the cluster is closing.
-func (c *Cluster) openInjection(ingress uint32) (*node, *frameRing) {
-	n, ok := c.switches[ingress]
-	if !ok || n.killed.Load() || c.closed.Load() {
-		return nil, nil
+// openInjection returns switch n's injection ring with n's injectMu held,
+// for the caller to reserve, write, commitInjected and unlock — or nil,
+// with no lock held, when n is nil (an unknown switch) or killed or the
+// cluster is closing.
+func (c *Cluster) openInjection(n *node) *frameRing {
+	if n == nil || n.killed.Load() || c.closed.Load() {
+		return nil
 	}
-	ring := n.in[c.injSlot]
 	n.injectMu.Lock()
-	return n, ring
+	return n.in[c.injSlot]
 }
 
 // commitInjected publishes the k frames written into n's injection ring:
