@@ -129,9 +129,10 @@ soak-diff:
 	go test ./internal/scencheck -run TestDifferential -seeds $(SOAK_SEEDS) \
 		-artifacts artifacts -timeout 30m
 
-# Non-test Go lines: the three packages ROADMAP item 8 tracks, their sum,
-# the two rule-table packages it quotes beside them, the controller
-# journal, the cost-aware caching
+# Non-test Go lines: the three packages ROADMAP item 9 tracks, their sum,
+# the rule-table, switch and wire-format packages it quotes beside them
+# with the switchsim+tcam sum item 15 counts, the controller journal, the
+# cost-aware caching
 # stack (internal/cachepolicy and the two files that hold it in a
 # deployment) with its sum, and the whole repo outside bench/. The last
 # line is the schema's size: the distinct difane_* names non-test Go
@@ -144,8 +145,9 @@ loc:
 		printf '%-28s %6d\n' $$d $$n; sum=$$((sum + n)); done; \
 	printf '%-28s %6d\n' 'wire+core+telemetry' $$sum; \
 	printf '%-28s %6d\n' 'core+wire' $$(( $$($(call LOC,internal/core)) + $$($(call LOC,internal/wire)) )); \
-	for d in internal/tcam internal/flowspace internal/journal; do \
+	for d in internal/tcam internal/flowspace internal/switchsim internal/proto internal/journal; do \
 		printf '%-28s %6d\n' $$d $$($(call LOC,$$d)); done; \
+	printf '%-28s %6d\n' 'switchsim+tcam' $$(( $$($(call LOC,internal/switchsim)) + $$($(call LOC,internal/tcam)) )); \
 	sum=0; for d in internal/cachepolicy internal/core/adapt.go internal/wire/cacheadapt.go; do \
 		n=$$($(call LOC,$$d)); \
 		printf '%-28s %6d\n' $$d $$n; sum=$$((sum + n)); done; \

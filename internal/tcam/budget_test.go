@@ -79,7 +79,7 @@ func TestSetCapacityShrinksAndGrows(t *testing.T) {
 		mustInsert(t, tb, float64(i), rule(i, 10, 79+i))
 	}
 	var evicted []uint64
-	tb.OnEvict = func(e Entry) { evicted = append(evicted, e.Rule.ID) }
+	tb.OnEvict = func(id uint64) { evicted = append(evicted, id) }
 	if n := tb.SetCapacity(5, 2); n != 2 {
 		t.Fatalf("SetCapacity evicted %d, want 2", n)
 	}

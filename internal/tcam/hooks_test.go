@@ -5,8 +5,8 @@ import "testing"
 func TestInstallEvictHooks(t *testing.T) {
 	tb := New("test", 2, EvictLRU)
 	var installs, evicts []uint64
-	tb.OnInstall = func(e Entry) { installs = append(installs, e.Rule.ID) }
-	tb.OnEvict = func(e Entry) { evicts = append(evicts, e.Rule.ID) }
+	tb.OnInstall = func(id uint64) { installs = append(installs, id) }
+	tb.OnEvict = func(id uint64) { evicts = append(evicts, id) }
 
 	mustInsert(t, tb, 0, rule(1, 10, 80))
 	mustInsert(t, tb, 1, rule(2, 10, 81))
@@ -33,7 +33,7 @@ func TestInstallHookMayReenterTable(t *testing.T) {
 	// not deadlock.
 	tb := New("test", 0, EvictNone)
 	var sawLen int
-	tb.OnInstall = func(Entry) { sawLen = tb.Len() }
+	tb.OnInstall = func(uint64) { sawLen = tb.Len() }
 	mustInsert(t, tb, 0, rule(1, 10, 80))
 	if sawLen != 1 {
 		t.Fatalf("hook saw len %d", sawLen)
@@ -43,8 +43,8 @@ func TestInstallHookMayReenterTable(t *testing.T) {
 func TestEvictNoneFullFiresNoHooks(t *testing.T) {
 	tb := New("test", 1, EvictNone)
 	fired := 0
-	tb.OnInstall = func(Entry) { fired++ }
-	tb.OnEvict = func(Entry) { fired++ }
+	tb.OnInstall = func(uint64) { fired++ }
+	tb.OnEvict = func(uint64) { fired++ }
 	mustInsert(t, tb, 0, rule(1, 10, 80))
 	if err := tb.Insert(0, rule(2, 10, 81), 0, 0); err != ErrFull {
 		t.Fatalf("err = %v", err)

@@ -214,7 +214,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			tb := New("prop", pool.capacity, policy)
 			ref := &refModel{capacity: pool.capacity, policy: policy}
 			var evicted []uint64
-			tb.OnEvict = func(e Entry) { evicted = append(evicted, e.Rule.ID) }
+			tb.OnEvict = func(id uint64) { evicted = append(evicted, id) }
 			var memo Memo
 			var recent []flowspace.Key
 			memoLookups := uint64(0)

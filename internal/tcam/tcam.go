@@ -40,8 +40,7 @@ import (
 var ErrFull = errors.New("tcam: table full")
 
 // Entry is a point-in-time view of one installed rule plus its runtime
-// state, as returned by Entries and passed to OnExpire and DeleteWhere
-// predicates.
+// state, as returned by Entries and passed to DeleteWhere predicates.
 type Entry struct {
 	Rule flowspace.Rule
 
@@ -200,18 +199,19 @@ type Table struct {
 	// victimFn, when set, overrides the policy's victim ordering.
 	victimFn VictimFunc
 
-	// OnExpire, if non-nil, is invoked for each entry removed by Advance.
-	// Set it before the table is shared across goroutines.
-	OnExpire func(Entry)
-
-	// OnInstall, if non-nil, is invoked after Insert commits a rule
-	// (including replace-in-place). OnEvict is invoked for each entry a
-	// capacity eviction removes. Both run outside the table's mutex, after
-	// the mutation is visible, so they may call back into the table; like
-	// OnExpire they must be set before the table is shared across
+	// OnExpire, if non-nil, is invoked with the rule ID of each entry
+	// removed by Advance. Set it before the table is shared across
 	// goroutines.
-	OnInstall func(Entry)
-	OnEvict   func(Entry)
+	OnExpire func(id uint64)
+
+	// OnInstall, if non-nil, is invoked with the rule ID after Insert
+	// commits a rule (including replace-in-place). OnEvict is invoked with
+	// the rule ID of each entry a capacity eviction removes. Both run
+	// outside the table's mutex, after the mutation is visible, so they may
+	// call back into the table; like OnExpire they must be set before the
+	// table is shared across goroutines.
+	OnInstall func(id uint64)
+	OnEvict   func(id uint64)
 
 	// Misses counts lookups that matched no entry.
 	Misses atomic.Uint64
@@ -271,7 +271,7 @@ func (t *Table) SetCapacity(now float64, capacity int) int {
 	t.mu.Unlock()
 	if t.OnEvict != nil {
 		for _, e := range evicted {
-			t.OnEvict(e.snapshot())
+			t.OnEvict(e.rule.ID)
 		}
 	}
 	return len(evicted)
@@ -343,10 +343,10 @@ func (t *Table) Insert(now float64, r flowspace.Rule, idle, hard float64) error 
 	// Hooks fire outside mu, after the mutation is visible (same contract
 	// as Advance's OnExpire).
 	if evicted != nil && t.OnEvict != nil {
-		t.OnEvict(evicted.snapshot())
+		t.OnEvict(evicted.rule.ID)
 	}
 	if t.OnInstall != nil {
-		t.OnInstall(e.snapshot())
+		t.OnInstall(e.rule.ID)
 	}
 	return nil
 }
@@ -730,7 +730,7 @@ func (t *Table) Advance(now float64) {
 	t.mu.Unlock()
 	if t.OnExpire != nil {
 		for _, e := range expired {
-			t.OnExpire(e.snapshot())
+			t.OnExpire(e.rule.ID)
 		}
 	}
 }

@@ -158,7 +158,7 @@ func TestCapacityEvictLFU(t *testing.T) {
 func TestIdleTimeout(t *testing.T) {
 	tb := New("test", 0, EvictNone)
 	var expired []uint64
-	tb.OnExpire = func(e Entry) { expired = append(expired, e.Rule.ID) }
+	tb.OnExpire = func(id uint64) { expired = append(expired, id) }
 	if err := tb.Insert(0, rule(1, 1, 80), 10, 0); err != nil {
 		t.Fatal(err)
 	}

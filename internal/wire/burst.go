@@ -271,7 +271,7 @@ func (c *Cluster) queueInstall(n *node, ingress uint32, m core.Install, h *packe
 		n.stats.cacheInstallsShed.Add(1)
 		c.traceShed(n.id, telemetry.VShedInstall, h, m.Trace)
 	}
-	dst, ok := c.switches[ingress]
+	dst, ok := c.node(ingress)
 	if !ok || dst.killed.Load() || !n.installTB.Allow() {
 		shed()
 		return
@@ -327,12 +327,13 @@ func (c *Cluster) stageTunnel(n *node, s *burstScratch, egress uint32, f *dataFr
 // dead: its ring stopped draining), both counted here; a destination killed
 // before the commit is handled there.
 func (c *Cluster) stageForward(src *node, s *burstScratch, to uint32, f *dataFrame) {
-	dst, ok := c.switches[to]
-	if !ok {
+	d := c.index.slot(to)
+	if d < 0 {
 		c.drop(src.stats, src.id, core.VerdictUnreachable, 0, f)
 		return
 	}
-	k := s.staged[dst.slot]
+	dst := c.nodes[d]
+	k := s.staged[d]
 	slot := dst.in[src.slot].reserve(k)
 	if slot == nil {
 		kind := core.VerdictQueueDrop
@@ -344,9 +345,9 @@ func (c *Cluster) stageForward(src *node, s *burstScratch, to uint32, f *dataFra
 	}
 	*slot = *f
 	if k == 0 {
-		s.touched = append(s.touched, dst.slot)
+		s.touched = append(s.touched, int(d))
 	}
-	s.staged[dst.slot] = k + 1
+	s.staged[d] = k + 1
 }
 
 // flushDeliveries records the burst's deliveries against the node's

@@ -52,7 +52,7 @@ func TestAdaptationRoundOnLiveCluster(t *testing.T) {
 	if got := value("difane_cache_aggregated_entries_total"); got != 3 {
 		t.Fatalf("aggregation replaced %v entries, want the 3 exact ones", got)
 	}
-	entries := c.switches[0].sw.Table(proto.TableCache).Entries()
+	entries := c.byID(0).sw.Table(proto.TableCache).Entries()
 	if len(entries) != 1 {
 		t.Fatalf("ingress cache holds %d entries, want the one cover", len(entries))
 	}

@@ -60,7 +60,7 @@ func (d *Deployment) injectRetry(ingress uint32, h packet.Header, size int, trac
 			d.injected.Add(1)
 			return
 		}
-		n, ok := d.C.switches[ingress]
+		n, ok := d.C.node(ingress)
 		if !ok || n.killed.Load() || d.C.closed.Load() || time.Now().After(deadline) {
 			d.lose(ingress, h, trace)
 			return
@@ -105,14 +105,13 @@ func (d *Deployment) InjectBatch(batch []core.PacketIn) {
 		clear(next)
 		for i := range chunk {
 			p := &chunk[i]
-			n, ok := c.switches[p.Ingress]
-			if !ok {
-				slot[i] = -1
+			s := c.index.slot(p.Ingress)
+			slot[i] = s
+			if s < 0 {
 				d.lose(p.Ingress, packet.HeaderFromKey(p.Key), c.TraceID(p.Key, p.Seq))
 				continue
 			}
-			slot[i] = int32(n.slot)
-			next[n.slot]++
+			next[s]++
 		}
 		sum := int32(0)
 		for s, k := range next {

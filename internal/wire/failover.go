@@ -113,7 +113,7 @@ func (c *Cluster) promoteBackups(dead uint32) {
 // notePending records a redirect sent toward an authority, keeping only
 // the oldest unanswered one.
 func (c *Cluster) notePending(auth uint32) {
-	if n, ok := c.switches[auth]; ok && n.redirectSince.Load() == 0 {
+	if n, ok := c.node(auth); ok && n.redirectSince.Load() == 0 {
 		n.redirectSince.CompareAndSwap(0, nowNS())
 	}
 }

@@ -136,7 +136,7 @@ func TestDeathNamesTheDetector(t *testing.T) {
 	// Wedge an authority's data loop inside the burst that takes the
 	// first miss; the second goes unanswered.
 	h := httpHeader(50)
-	stalled := c.switches[primaryFor(t, c, h.Key())]
+	stalled := c.byID(primaryFor(t, c, h.Key()))
 	stalled.mu.Lock()
 	defer stalled.mu.Unlock()
 	c.Inject(0, h, 100)
@@ -270,7 +270,7 @@ func TestStalledAuthorityDetectedByRedirectAck(t *testing.T) {
 	if len(keys) < 3 || a.Primary[part] == a.Backup[part] {
 		t.Fatalf("no partition with a distinct backup and three keys (%d)", len(keys))
 	}
-	primary, backup := c.switches[a.Primary[part]], c.switches[a.Backup[part]]
+	primary, backup := c.byID(a.Primary[part]), c.byID(a.Backup[part])
 	backupHits := backup.sw.Stats.AuthorityHits.Load()
 
 	primary.mu.Lock()
@@ -313,7 +313,7 @@ func TestIngressLocalFailover(t *testing.T) {
 	primary := primaryFor(t, c, missKey)
 	// Flip the verdict directly, bypassing markDead so promoteBackups
 	// never runs and only the ingress-local path can save the packet.
-	markDeadOnly(c.switches[primary])
+	markDeadOnly(c.byID(primary))
 
 	if !c.Inject(1, httpHeader(50), 100) {
 		t.Fatal("inject failed")
@@ -408,7 +408,7 @@ func TestPromoteAndRestoreMoveTheInstalledRules(t *testing.T) {
 	if len(installed) != parts {
 		t.Fatalf("switch 0 holds %d partition rules for %d single-authority partitions", len(installed), parts)
 	}
-	markDeadOnly(c.switches[2]) // the verdict alone: promoteBackups is called by hand
+	markDeadOnly(c.byID(2)) // the verdict alone: promoteBackups is called by hand
 	c.promoteBackups(2)
 	fence := func(xid uint32) {
 		t.Helper()
@@ -428,7 +428,7 @@ func TestPromoteAndRestoreMoveTheInstalledRules(t *testing.T) {
 	if kept := c.TableRules(2, proto.TablePartition); len(kept) != parts {
 		t.Fatalf("the dead switch itself was sent the withdrawal: %d rules left", len(kept))
 	}
-	c.switches[2].alive.Store(true)
+	c.byID(2).alive.Store(true)
 	c.control(func(ctl *core.Controller) { ctl.OnTopologyChange() }) // markAlive's restore
 	fence(2)
 	if back := c.TableRules(0, proto.TablePartition); len(back) != parts || back[0] != installed[0] {

@@ -10,7 +10,7 @@ import "time"
 // notices the silence and the failover machinery takes over. Returns false
 // for an unknown switch.
 func (c *Cluster) KillSwitch(id uint32) bool {
-	n, ok := c.switches[id]
+	n, ok := c.node(id)
 	if !ok {
 		return false
 	}
@@ -30,7 +30,7 @@ func (c *Cluster) KillSwitch(id uint32) bool {
 // switch keeps forwarding with whatever rules it has — DIFANE's data-plane
 // resilience to control-plane loss. Returns false for an unknown switch.
 func (c *Cluster) PartitionControl(id uint32) bool {
-	n, ok := c.switches[id]
+	n, ok := c.node(id)
 	if !ok {
 		return false
 	}
@@ -44,7 +44,7 @@ func (c *Cluster) PartitionControl(id uint32) bool {
 // makes a new control pipe within one BFD interval. Returns false for an
 // unknown switch.
 func (c *Cluster) HealControl(id uint32) bool {
-	n, ok := c.switches[id]
+	n, ok := c.node(id)
 	if !ok {
 		return false
 	}
@@ -57,7 +57,7 @@ func (c *Cluster) HealControl(id uint32) bool {
 // the switch (both directions); d ≤ 0 removes it. Returns false for an
 // unknown switch.
 func (c *Cluster) DelayControl(id uint32, d time.Duration) bool {
-	n, ok := c.switches[id]
+	n, ok := c.node(id)
 	if !ok {
 		return false
 	}

@@ -440,7 +440,7 @@ func TestElectionReconcilesWithoutChurn(t *testing.T) {
 	counters := func() map[[2]uint64]uint64 {
 		out := map[[2]uint64]uint64{}
 		for _, id := range []uint32{3, 4} {
-			for _, e := range c.switches[id].sw.Table(proto.TableAuthority).Entries() {
+			for _, e := range c.byID(id).sw.Table(proto.TableAuthority).Entries() {
 				out[[2]uint64{uint64(id), e.Rule.ID}] = e.Packets
 			}
 		}

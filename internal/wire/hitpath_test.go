@@ -199,7 +199,7 @@ func TestOneCoverOneCacheEntry(t *testing.T) {
 	}
 	var hits, misses uint64
 	for _, id := range []uint32{2, 5} {
-		tb := d.C.switches[id].sw.Table(proto.TableAuthority)
+		tb := d.C.byID(id).sw.Table(proto.TableAuthority)
 		hits, misses = hits+tb.Hits.Load(), misses+tb.Misses.Load()
 	}
 	if hits != flows || misses != 0 {

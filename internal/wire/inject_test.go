@@ -75,7 +75,7 @@ func TestStagedForwardToKilledDestination(t *testing.T) {
 		Authorities: []uint32{2},
 		Policy:      testPolicy(),
 	}))
-	src, dst := c.switches[0], c.switches[3]
+	src, dst := c.byID(0), c.byID(3)
 	s := newBurstScratch(c)
 	const staged = 3
 	for i := 0; i < staged; i++ {
@@ -102,19 +102,37 @@ func TestStagedForwardToKilledDestination(t *testing.T) {
 // BenchmarkInjectBatch prices the injection path end to end: 4096-packet
 // batches of warm cache hits, each injected and run to quiescence, in ns
 // per packet — entering at one ingress, and cycling all eight packet by
-// packet, the bench traces' shape.
+// packet, the bench traces' shape. The sparse case gives the eight
+// switches IDs 1<<20 apart, so the ID→slot table's lookups probe past
+// collisions instead of landing on the dense IDs 0–7 every bench workload
+// uses.
 func BenchmarkInjectBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name      string
 		ingresses int
-	}{{"one-ingress", 1}, {"interleaved-8", 8}} {
+		spacing   uint32
+	}{{"one-ingress", 1, 1}, {"interleaved-8", 8, 1}, {"interleaved-8-sparse", 8, 1 << 20}} {
 		b.Run(bc.name, func(b *testing.B) {
-			d := hitPathDeployment(b, core.PartitionConfig{})
+			ids := make([]uint32, 8)
+			for i := range ids {
+				ids[i] = uint32(i) * bc.spacing
+			}
+			policy := egressPolicy()
+			for i := range policy {
+				policy[i].Action.Arg = ids[policy[i].Action.Arg]
+			}
+			d := Deploy(startCluster(b, slack(ClusterConfig{
+				Switches:    ids,
+				Authorities: []uint32{ids[2], ids[5]},
+				Policy:      policy,
+				Strategy:    core.StrategyExact,
+				QueueDepth:  4096,
+			})))
 			batch := make([]core.PacketIn, 4096)
 			for i := range batch {
 				var k flowspace.Key
 				k[flowspace.FIPSrc], k[flowspace.FTPDst] = uint64(i%64), uint64(1000+i%8)
-				batch[i] = core.PacketIn{Ingress: uint32(i % bc.ingresses), Key: k, Size: 64}
+				batch[i] = core.PacketIn{Ingress: ids[i%bc.ingresses], Key: k, Size: 64}
 			}
 			warmUntilQuiet(b, d, batch)
 			b.ResetTimer()

@@ -13,7 +13,7 @@ import (
 // authority rules they claim to stand for; it is safe to call while the
 // cluster is running.
 func (c *Cluster) TableRules(sw uint32, t proto.Table) []flowspace.Rule {
-	n, ok := c.switches[sw]
+	n, ok := c.node(sw)
 	if !ok {
 		return nil
 	}
@@ -24,10 +24,7 @@ func (c *Cluster) TableRules(sw uint32, t proto.Table) []flowspace.Rule {
 
 // SwitchIDs returns every switch ID in the cluster, sorted.
 func (c *Cluster) SwitchIDs() []uint32 {
-	out := make([]uint32, 0, len(c.switches))
-	for id := range c.switches {
-		out = append(out, id)
-	}
+	out := append([]uint32(nil), c.cfg.Switches...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -48,7 +48,7 @@ func (c *Cluster) KillController() bool {
 	})
 	// The controller's connections are gone: switches reconnect once a
 	// successor is seated.
-	for _, n := range c.switches {
+	for _, n := range c.nodes {
 		n.closeConns()
 	}
 	if elect {
@@ -94,7 +94,7 @@ func (c *Cluster) Epoch() uint64 { return c.sb.Load().ctl.Epoch }
 // the bounded-queue evidence the miss-storm bench reports.
 func (c *Cluster) PeakQueueDepth() int {
 	max := int64(0)
-	for _, n := range c.switches {
+	for _, n := range c.nodes {
 		if d := n.peakQueue.Load(); d > max {
 			max = d
 		}

@@ -312,7 +312,7 @@ func injectRedirects(t *testing.T, c *Cluster, ingress, firstSrc uint32, n int) 
 	for i := 0; i < n; i++ {
 		h := httpHeader(firstSrc + uint32(i))
 		auth := primaryFor(t, c, h.Key())
-		n := c.switches[auth]
+		n := c.byID(auth)
 		ring := c.openInjection(n)
 		if ring == nil {
 			t.Fatalf("authority %d takes no injection", auth)
@@ -326,7 +326,7 @@ func injectRedirects(t *testing.T, c *Cluster, ingress, firstSrc uint32, n int) 
 			hdr:      h,
 			size:     100,
 			reason:   packet.EncapRedirect,
-			encapBy:  uint16(c.switches[ingress].slot),
+			encapBy:  uint16(c.byID(ingress).slot),
 			injected: nowNS(),
 			via:      1,
 		}
@@ -355,7 +355,7 @@ func TestInstallQueueShedding(t *testing.T) {
 
 	t.Run("full queue", func(t *testing.T) {
 		c := startCluster(t, slack(failoverConfig()))
-		ingress := c.switches[1]
+		ingress := c.byID(1)
 		depth := cap(ingress.installQ)
 		// Stall the ingress between popping an install and applying it: its
 		// data goroutine waits for the cache table's write lock behind this

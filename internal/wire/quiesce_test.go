@@ -54,7 +54,7 @@ func TestRunReturnsAtQuiescence(t *testing.T) {
 // since nothing polls any more.
 func TestRunWakesWhenSwitchKilled(t *testing.T) {
 	c := startCluster(t, slack(failoverConfig()))
-	ingress := c.switches[1]
+	ingress := c.byID(1)
 	// Stall the ingress between popping an install and applying it, as
 	// TestInstallQueueShedding does. (No call on that table from here until
 	// Release; the data goroutine has to get past the write to exit, so

@@ -67,9 +67,9 @@ func wave(d *Deployment, regions []flowspace.Match, seq, count int) {
 // authorityHits reads each switch's cumulative count of the redirects its
 // authority table answered.
 func authorityHits(c *Cluster) map[uint32]uint64 {
-	out := make(map[uint32]uint64, len(c.switches))
-	for id, n := range c.switches {
-		out[id] = n.sw.Stats.AuthorityHits.Load()
+	out := make(map[uint32]uint64, len(c.nodes))
+	for _, n := range c.nodes {
+		out[n.id] = n.sw.Stats.AuthorityHits.Load()
 	}
 	return out
 }

@@ -64,7 +64,7 @@ func (s *southbound) At(_ float64, fn func()) {
 }
 
 func (s *southbound) FlowMod(sw uint32, mod proto.FlowMod) error {
-	n := s.c.switches[sw]
+	n, _ := s.c.node(sw)
 	if !s.live {
 		return n.apply(&mod)
 	}
@@ -76,7 +76,7 @@ func (s *southbound) FlowMod(sw uint32, mod proto.FlowMod) error {
 }
 
 func (s *southbound) Barrier(sw uint32) error {
-	n := s.c.switches[sw]
+	n, _ := s.c.node(sw)
 	if !s.live || n.killed.Load() {
 		return nil
 	}
@@ -107,10 +107,14 @@ func (s *southbound) replicate() bool {
 }
 
 func (s *southbound) Stats(sw uint32, t proto.Table) []tcam.Entry {
-	return s.c.switches[sw].sw.Table(t).Entries()
+	n, _ := s.c.node(sw)
+	return n.sw.Table(t).Entries()
 }
 
-func (s *southbound) Up(sw uint32) bool { return !s.c.switches[sw].killed.Load() }
+func (s *southbound) Up(sw uint32) bool {
+	n, _ := s.c.node(sw)
+	return !n.killed.Load()
+}
 
 // Commit publishes the generation r describes with one store, and returns
 // once every data plane has moved onto it between two bursts (dataLoop):

@@ -94,8 +94,8 @@ func TestMeasurementsMergeAllFields(t *testing.T) {
 	// What wire mode has no source for: stretch needs a topology.
 	simOnly := map[string]bool{"Stretch": true}
 
-	c := &Cluster{ext: &nodeStats{}, switches: map[uint32]*node{
-		1: {stats: &nodeStats{}}, 2: {stats: &nodeStats{}},
+	c := &Cluster{ext: &nodeStats{}, nodes: []*node{
+		{stats: &nodeStats{}}, {stats: &nodeStats{}},
 	}}
 	var wantCount, wantSamples uint64
 	next := uint64(1)
@@ -122,8 +122,8 @@ func TestMeasurementsMergeAllFields(t *testing.T) {
 		}
 	}
 	fill(c.ext)
-	fill(c.switches[1].stats)
-	fill(c.switches[2].stats)
+	fill(c.nodes[0].stats)
+	fill(c.nodes[1].stats)
 	fill(&c.cold)
 
 	m := reflect.ValueOf(c.Measurements()).Elem()

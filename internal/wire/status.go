@@ -38,18 +38,13 @@ type Status struct {
 
 // Status snapshots the cluster's state.
 func (c *Cluster) Status() Status {
-	ids := make([]uint32, 0, len(c.switches))
-	for id := range c.switches {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	st := Status{
 		Dropped:        c.dropped.Load(),
 		Epoch:          c.Epoch(),
 		ControllerDown: c.ctrlDown.Load(),
 	}
-	for _, id := range ids {
-		n := c.switches[id]
+	for _, id := range c.SwitchIDs() {
+		n, _ := c.node(id)
 		stats := n.sw.Stats.Snapshot()
 		ss := SwitchStatus{
 			ID:             id,

@@ -100,8 +100,8 @@ func TestStatusHandlerServesJSON(t *testing.T) {
 // QueueDepth.
 func TestQueueGaugesShareOneDefinition(t *testing.T) {
 	c, d := verdictCluster(t, core.StrategyExact, testPolicy())
-	auth := c.switches[2]
-	ingresses := []*node{c.switches[0], c.switches[1]}
+	auth := c.byID(2)
+	ingresses := []*node{c.byID(0), c.byID(1)}
 	const per = 100
 	auth.mu.Lock()
 	for i := uint32(0); i < per; i++ {

@@ -2,14 +2,12 @@ package wire
 
 import (
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
 	"difane/internal/core"
 	"difane/internal/packet"
 	"difane/internal/proto"
-	"difane/internal/tcam"
 	"difane/internal/telemetry"
 )
 
@@ -70,7 +68,7 @@ func (c *Cluster) initTelemetry() {
 		Nodes:       append(append([]uint32(nil), c.cfg.Switches...), telemetry.ClusterNode),
 		TraceBuffer: t.TraceBuffer, Tracing: t.Tracing, TraceSample: t.TraceSample,
 	})
-	for _, n := range c.switches {
+	for _, n := range c.nodes {
 		c.attachTableHooks(n)
 	}
 	c.registerMetrics()
@@ -85,7 +83,7 @@ func (c *Cluster) counterTotals() telemetry.CounterTotals {
 		t.Shed += s.dropRedirectShed.Load() + s.cacheInstallsShed.Load()
 	}
 	add(c.ext)
-	for _, n := range c.switches {
+	for _, n := range c.nodes {
 		add(n.stats)
 	}
 	return t
@@ -120,24 +118,24 @@ func (c *Cluster) attachTableHooks(n *node) {
 	for _, t := range []proto.Table{proto.TableCache, proto.TableAuthority, proto.TablePartition} {
 		table := n.sw.Table(t)
 		code := uint8(t) // proto table numbering matches the telemetry codes
-		table.OnInstall = func(e tcam.Entry) {
+		table.OnInstall = func(rule uint64) {
 			if record() {
 				c.Span(telemetry.Event{
-					Kind: telemetry.EvInstall, Node: id, Table: code, RuleID: e.Rule.ID,
+					Kind: telemetry.EvInstall, Node: id, Table: code, RuleID: rule,
 				})
 			}
 		}
-		table.OnEvict = func(e tcam.Entry) {
+		table.OnEvict = func(rule uint64) {
 			if record() {
 				c.Span(telemetry.Event{
-					Kind: telemetry.EvEvict, Node: id, Table: code, RuleID: e.Rule.ID,
+					Kind: telemetry.EvEvict, Node: id, Table: code, RuleID: rule,
 				})
 			}
 		}
-		table.OnExpire = func(e tcam.Entry) {
+		table.OnExpire = func(rule uint64) {
 			if record() {
 				c.Span(telemetry.Event{
-					Kind: telemetry.EvExpire, Node: id, Table: code, RuleID: e.Rule.ID,
+					Kind: telemetry.EvExpire, Node: id, Table: code, RuleID: rule,
 				})
 			}
 		}
@@ -197,16 +195,12 @@ func (c *Cluster) registerMetrics() {
 	c.cache.RegisterMetrics(reg)
 
 	// Per-switch series, labeled by switch ID.
-	ids := make([]uint32, 0, len(c.switches))
-	for id := range c.switches {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := c.SwitchIDs()
 	perSwitch := func(name, help string, typ telemetry.MetricType, fn func(*node) float64) {
 		reg.Register(name, help, typ, func() []telemetry.Point {
 			pts := make([]telemetry.Point, 0, len(ids))
 			for _, id := range ids {
-				n := c.switches[id]
+				n, _ := c.node(id)
 				pts = append(pts, telemetry.Point{
 					Labels: []telemetry.Label{{Key: "switch", Value: switchLabel(id)}},
 					Value:  fn(n),

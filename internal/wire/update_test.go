@@ -95,7 +95,7 @@ func TestConsistentUpdateAnswersFromOwnGeneration(t *testing.T) {
 	if m := c.Measurements(); m.Delivered != 1 || m.Drops.Policy != 1 || m.Drops.Lost() != 0 {
 		t.Fatalf("a miss after the commit must follow the new policy: delivered %d, drops %+v", m.Delivered, m.Drops)
 	}
-	entries := c.switches[1].sw.Table(proto.TableAuthority).Entries()
+	entries := c.byID(1).sw.Table(proto.TableAuthority).Entries()
 	for _, e := range entries {
 		if e.Packets != 1 {
 			t.Fatalf("authority entry %#x matched %d packets, want 1 (of %d entries)", e.Rule.ID, e.Packets, len(entries))
@@ -136,7 +136,7 @@ func TestConsistentUpdateAtAuthorityIngress(t *testing.T) {
 			}
 			d.InjectPacket(0, 1, httpHeader(1).Key(), 100, 0) // ingress 1 is the authority
 			d.Run(5)
-			if got := c.switches[1].sw.Table(proto.TableAuthority).Len(); got != 1+len(deny) {
+			if got := c.byID(1).sw.Table(proto.TableAuthority).Len(); got != 1+len(deny) {
 				t.Fatalf("authority table holds %d rules, want both generations", got)
 			}
 			m := c.Measurements()

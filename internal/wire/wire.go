@@ -56,11 +56,12 @@ type Cluster struct {
 	// xids numbers the controller's barriers.
 	xids atomic.Uint32
 
-	switches map[uint32]*node
-	// nodes lists the switches in cfg.Switches order; node.slot indexes it.
-	// Per-producer data rings are addressed by slot, and injSlot (== the
-	// number of switches) is every node's extra injection ring.
+	// nodes lists the switches in cfg.Switches order; node.slot indexes it,
+	// and index maps an ID to its slot (c.node). Per-producer data rings
+	// are addressed by slot, and injSlot (== the number of switches) is
+	// every node's extra injection ring.
 	nodes   []*node
+	index   slotIndex
 	injSlot int
 	// Deliveries receives every packet that reaches an egress.
 	Deliveries chan Delivery
@@ -268,7 +269,6 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	cctx, cancel := context.WithCancel(ctx)
 	c := &Cluster{
 		cfg:        cfg,
-		switches:   make(map[uint32]*node),
 		Deliveries: make(chan Delivery, cfg.QueueDepth),
 		woken:      make(chan struct{}),
 		ext:        &nodeStats{},
@@ -279,7 +279,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	// fail tears down whatever construction has built so far.
 	fail := func(err error) (*Cluster, error) {
 		cancel()
-		for _, n := range c.switches {
+		for _, n := range c.nodes {
 			n.ctrl.Close()
 			n.ctrlPeer.Close()
 		}
@@ -313,9 +313,9 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		}
 		n.alive.Store(true)
 		c.initNodeBFD(n)
-		c.switches[id] = n
 		c.nodes = append(c.nodes, n)
 	}
+	c.index = newSlotIndex(cfg.Switches)
 	c.awaited.Store(noWaiter)
 	// The controller boots the switches in place, before any goroutine
 	// runs; from here on it reaches them over their control connections.
@@ -335,7 +335,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	if err := c.startTelemetryServer(); err != nil {
 		return fail(err)
 	}
-	for _, n := range c.switches {
+	for _, n := range c.nodes {
 		c.wg.Add(3)
 		go c.dataLoop(n)
 		go c.ctrlManager(n)
@@ -383,7 +383,7 @@ func (c *Cluster) traceIngress(ingress uint32, h *packet.Header, trace uint64) {
 // on backpressure and record the loss themselves. trace is the packet's
 // sampled trace ID (0 = unsampled), minted by the caller via TraceID.
 func (c *Cluster) tryInject(ingress uint32, h packet.Header, size int, trace uint64) bool {
-	n := c.switches[ingress]
+	n, _ := c.node(ingress)
 	ring := c.openInjection(n)
 	if ring == nil {
 		return false
@@ -447,7 +447,7 @@ func (c *Cluster) Dropped() uint64 { return c.dropped.Load() }
 func (c *Cluster) Measurements() *core.Measurements {
 	m := &core.Measurements{}
 	c.ext.mergeInto(m)
-	for _, n := range c.switches {
+	for _, n := range c.nodes {
 		n.stats.mergeInto(m)
 	}
 	c.cold.mergeInto(m)
@@ -614,7 +614,7 @@ func (c *Cluster) failoverLocal(n *node, g *core.Generation, r flowspace.Rule, d
 // nodeUsable reports whether the failure detector currently believes the
 // switch can serve traffic.
 func (c *Cluster) nodeUsable(id uint32) bool {
-	n, ok := c.switches[id]
+	n, ok := c.node(id)
 	return ok && !n.killed.Load() && n.alive.Load()
 }
 
@@ -857,7 +857,7 @@ func (c *Cluster) writeControl(n *node, msg proto.Message, switchSide bool) erro
 // (a stale one is how tests provoke, and how a deposed controller would
 // suffer, a rejection).
 func (c *Cluster) InstallRule(sw uint32, mod proto.FlowMod) error {
-	n, ok := c.switches[sw]
+	n, ok := c.node(sw)
 	if !ok {
 		return fmt.Errorf("wire: no switch %d", sw)
 	}
@@ -892,7 +892,7 @@ func (c *Cluster) send(ctx context.Context, n *node, msg proto.Message) error {
 // request sends req to switch sw and returns its reply, the one carrying
 // xid: a reply to an earlier request that timed out is skipped.
 func (c *Cluster) request(ctx context.Context, sw uint32, req proto.Message, xid uint32) (proto.Message, error) {
-	n, ok := c.switches[sw]
+	n, ok := c.node(sw)
 	if !ok {
 		return nil, fmt.Errorf("wire: no switch %d", sw)
 	}
@@ -944,7 +944,7 @@ func (c *Cluster) Stats(sw uint32, ruleID uint64, xid uint32) (*proto.StatsReply
 
 // CacheLen returns the number of cache entries at a switch.
 func (c *Cluster) CacheLen(sw uint32) int {
-	n, ok := c.switches[sw]
+	n, ok := c.node(sw)
 	if !ok {
 		return 0
 	}
@@ -963,7 +963,7 @@ func (c *Cluster) Close() error {
 		c.closed.Store(true)
 		c.awaitQuiescence(0, drainTimeout)
 		c.cancel()
-		for _, n := range c.switches {
+		for _, n := range c.nodes {
 			n.closeConns()
 		}
 		c.wg.Wait()
@@ -1034,7 +1034,7 @@ func (c *Cluster) wakeIfQuiet() {
 // frames a burst has peeked and not yet released included — and every
 // cache install queued for it has been applied.
 func (c *Cluster) drained() bool {
-	for _, n := range c.switches {
+	for _, n := range c.nodes {
 		if n.killed.Load() {
 			continue
 		}
