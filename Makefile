@@ -7,8 +7,10 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# bench/ is a module of its own, so ./... does not reach it.
 vet:
 	go vet ./...
+	go vet -C bench ./...
 
 # Exported functions and methods under internal/ with no caller outside
 # tests (or none outside bench/), and exported *Config fields that no

@@ -15,7 +15,7 @@ func malformedFrames() [][]byte {
 	}})
 	cut := install[:len(install)-1]
 
-	short := Encode(nil, &EpochReport{Node: 8, Epoch: 42})
+	short := Encode(nil, &BarrierReply{XID: 42})
 	short = short[:len(short)-3]
 	short[3] -= 3 // header length matches the shortened payload
 

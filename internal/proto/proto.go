@@ -30,15 +30,6 @@ const (
 	MsgBarrierReq
 	// MsgBarrierReply acknowledges a barrier.
 	MsgBarrierReply
-	// MsgStatsReq asks for a rule's counters.
-	MsgStatsReq
-	// MsgStatsReply returns a rule's counters.
-	MsgStatsReply
-	// MsgEpochReport carries a switch's current controller epoch upstream.
-	// A switch sends it when it rejects a FlowMod carrying a stale epoch,
-	// telling the (recovered or lagging) controller what epoch currently
-	// fences its tables.
-	MsgEpochReport
 	// MsgBFDControl carries one BFD-style session control packet (state,
 	// poll/final/demand flags, discriminators, timing parameters) in either
 	// direction of a controller↔switch pair. The async session state
@@ -51,9 +42,7 @@ const (
 var msgNames = map[MsgType]string{
 	MsgFlowMod: "flow-mod", MsgCacheInstall: "cache-install",
 	MsgBarrierReq: "barrier-req", MsgBarrierReply: "barrier-reply",
-	MsgStatsReq: "stats-req", MsgStatsReply: "stats-reply",
-	MsgEpochReport: "epoch-report",
-	MsgBFDControl:  "bfd-control",
+	MsgBFDControl: "bfd-control",
 }
 
 func (t MsgType) String() string {
@@ -114,9 +103,8 @@ type Message interface {
 // FlowMod adds or deletes a rule with timeouts (seconds; 0 = none).
 //
 // Epoch fences the install: a switch tracks the highest epoch it has
-// accepted and rejects any FlowMod carrying a lower, nonzero epoch —
-// answering with an EpochReport — so a recovered (or lagging pre-crash)
-// controller cannot clobber newer state. Epoch 0 means unfenced: installs
+// accepted and rejects any FlowMod carrying a lower, nonzero epoch, so a
+// recovered (or lagging pre-crash) controller cannot clobber newer state. Epoch 0 means unfenced: installs
 // originating in the data plane (authority cache installs, local
 // failover) bypass the fence.
 type FlowMod struct {
@@ -143,27 +131,6 @@ type BarrierReq struct{ XID uint32 }
 // BarrierReply acknowledges a BarrierReq.
 type BarrierReply struct{ XID uint32 }
 
-// StatsReq asks for rule counters.
-type StatsReq struct {
-	XID    uint32
-	RuleID uint64
-}
-
-// StatsReply returns rule counters; OK is false if the rule was unknown.
-type StatsReply struct {
-	XID     uint32
-	Packets uint64
-	Bytes   uint64
-	OK      bool
-}
-
-// EpochReport tells the controller which epoch currently fences a switch's
-// tables (sent when the switch rejects a stale-epoch FlowMod).
-type EpochReport struct {
-	Node  uint32
-	Epoch uint64
-}
-
 // BFDControl is one BFD session control packet. Node routes the packet to
 // the right per-switch session on the controller side; the remaining
 // fields mirror internal/bfd's Packet (State uses bfd.State's encoding,
@@ -182,9 +149,6 @@ func (*FlowMod) Type() MsgType      { return MsgFlowMod }
 func (*CacheInstall) Type() MsgType { return MsgCacheInstall }
 func (*BarrierReq) Type() MsgType   { return MsgBarrierReq }
 func (*BarrierReply) Type() MsgType { return MsgBarrierReply }
-func (*StatsReq) Type() MsgType     { return MsgStatsReq }
-func (*StatsReply) Type() MsgType   { return MsgStatsReply }
-func (*EpochReport) Type() MsgType  { return MsgEpochReport }
 func (*BFDControl) Type() MsgType   { return MsgBFDControl }
 
 // --- Encoding helpers -------------------------------------------------------
@@ -372,47 +336,6 @@ func (m *BarrierReply) decodePayload(b []byte) error {
 	return r.err
 }
 
-func (m *StatsReq) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.XID)
-	return appendU64(b, m.RuleID)
-}
-func (m *StatsReq) decodePayload(b []byte) error {
-	r := &reader{b: b}
-	m.XID = r.u32()
-	m.RuleID = r.u64()
-	return r.err
-}
-
-func (m *StatsReply) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.XID)
-	b = appendU64(b, m.Packets)
-	b = appendU64(b, m.Bytes)
-	ok := byte(0)
-	if m.OK {
-		ok = 1
-	}
-	return append(b, ok)
-}
-func (m *StatsReply) decodePayload(b []byte) error {
-	r := &reader{b: b}
-	m.XID = r.u32()
-	m.Packets = r.u64()
-	m.Bytes = r.u64()
-	m.OK = r.u8() != 0
-	return r.err
-}
-
-func (m *EpochReport) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.Node)
-	return appendU64(b, m.Epoch)
-}
-func (m *EpochReport) decodePayload(b []byte) error {
-	r := &reader{b: b}
-	m.Node = r.u32()
-	m.Epoch = r.u64()
-	return r.err
-}
-
 func (m *BFDControl) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.Node)
 	b = append(b, m.State)
@@ -527,12 +450,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &BarrierReq{}, nil
 	case MsgBarrierReply:
 		return &BarrierReply{}, nil
-	case MsgStatsReq:
-		return &StatsReq{}, nil
-	case MsgStatsReply:
-		return &StatsReply{}, nil
-	case MsgEpochReport:
-		return &EpochReport{}, nil
 	case MsgBFDControl:
 		return &BFDControl{}, nil
 	default:

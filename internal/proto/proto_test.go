@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -34,14 +35,17 @@ func allMessages() []Message {
 		&CacheInstall{Ingress: 6}, // empty rule list
 		&BarrierReq{XID: 11},
 		&BarrierReply{XID: 11},
-		&StatsReq{XID: 12, RuleID: 99},
-		&StatsReply{XID: 12, Packets: 1000, Bytes: 123456, OK: true},
-		&StatsReply{XID: 13, OK: false},
-		&StatsReq{},
+		&BarrierReply{},
+		&BarrierReq{XID: math.MaxUint32},
+		&CacheInstall{Ingress: 9, Trace: 0xDEADBEEF, Rules: []FlowMod{
+			{Table: TableCache, Op: OpAdd, Rule: flowspace.Rule{ID: 8}}, // every field wildcarded
+		}},
+		&FlowMod{Table: TableAuthority, Op: OpDelete, Rule: sampleRule(7), Epoch: math.MaxUint64},
 		&BarrierReq{},
 		&FlowMod{Table: TableAuthority, Op: OpAdd, Rule: sampleRule(5), Epoch: 3},
-		&EpochReport{Node: 2, Epoch: 7},
-		&EpochReport{},
+		&FlowMod{Table: TablePartition, Op: OpAdd, Idle: 0.5, Hard: 1.5,
+			Rule: flowspace.Rule{ID: 9, Priority: -1, Action: flowspace.Action{Kind: flowspace.ActDrop}}},
+		&BFDControl{Node: math.MaxUint32, State: 2, DetectMult: 255},
 		&BFDControl{
 			Node: 3, State: 3,
 			MyDiscr: 0x1001, YourDiscr: 0x2002,

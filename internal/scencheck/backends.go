@@ -112,7 +112,7 @@ func newSimBackend(sc Scenario, opt Options) (*simBackend, error) {
 	return b, nil
 }
 
-func (b *simBackend) totals() Totals   { return measTotals(&b.n.M) }
+func (b *simBackend) totals() Totals   { return TotalsOf(&b.n.M) }
 func (b *simBackend) injected() uint64 { return b.nInj }
 
 func (b *simBackend) packet(st Step) (observed, error) {
@@ -122,7 +122,7 @@ func (b *simBackend) packet(st Step) (observed, error) {
 	b.seq++
 	b.nInj++
 	b.n.Run(b.n.Eng.Now() + 1.0)
-	obs := observedFromDelta(b.totals().sub(before))
+	obs := observedFromDelta(b.totals().Sub(before))
 	if ev := b.lastEvent; ev != nil && ev.Kind == core.VerdictDelivered {
 		obs.egress, obs.hasEgress = ev.Egress, true
 	}
@@ -357,7 +357,6 @@ type baselineBackend struct {
 
 	n      *baseline.Network
 	policy []flowspace.Rule
-	acc    Totals // totals of torn-down incarnations (policy updates rebuild)
 
 	lastEvent *core.VerdictEvent
 	seq       uint64
@@ -387,7 +386,7 @@ func (b *baselineBackend) deploy(policy []flowspace.Rule) error {
 	return nil
 }
 
-func (b *baselineBackend) totals() Totals   { return b.acc.add(measTotals(&b.n.M)) }
+func (b *baselineBackend) totals() Totals   { return TotalsOf(&b.n.M) }
 func (b *baselineBackend) injected() uint64 { return b.nInj }
 
 func (b *baselineBackend) packet(st Step) (observed, error) {
@@ -397,7 +396,7 @@ func (b *baselineBackend) packet(st Step) (observed, error) {
 	b.seq++
 	b.nInj++
 	b.n.Run(b.n.Eng.Now() + 1.0)
-	obs := observedFromDelta(b.totals().sub(before))
+	obs := observedFromDelta(b.totals().Sub(before))
 	if ev := b.lastEvent; ev != nil && ev.Kind == core.VerdictDelivered {
 		obs.egress, obs.hasEgress = ev.Egress, true
 	}
@@ -406,9 +405,15 @@ func (b *baselineBackend) packet(st Step) (observed, error) {
 
 // update rebuilds the deployment: an Ethane-style controller installs only
 // exact microflow rules, so a policy change is a restart with clean caches.
+// The new incarnation keeps the old one's measurements, so the run's totals
+// span every incarnation.
 func (b *baselineBackend) update(policy []flowspace.Rule) error {
-	b.acc = b.acc.add(measTotals(&b.n.M))
-	return b.deploy(policy)
+	m := b.n.M
+	if err := b.deploy(policy); err != nil {
+		return err
+	}
+	b.n.M = m
+	return nil
 }
 
 func (b *baselineBackend) killSwitch(uint32) error  { return nil }
@@ -447,17 +452,6 @@ func (b *baselineBackend) audit() []string {
 }
 
 func (b *baselineBackend) close() {}
-
-func (t Totals) add(o Totals) Totals {
-	return Totals{
-		Delivered:   t.Delivered + o.Delivered,
-		PolicyDrops: t.PolicyDrops + o.PolicyDrops,
-		Holes:       t.Holes + o.Holes,
-		QueueDrops:  t.QueueDrops + o.QueueDrops,
-		Shed:        t.Shed + o.Shed,
-		Unreachable: t.Unreachable + o.Unreachable,
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Wire backend
@@ -516,7 +510,7 @@ func newWireBackend(sc Scenario, opt Options) (*wireBackend, error) {
 		lastEpoch: d.C.Epoch()}, nil
 }
 
-func (b *wireBackend) totals() Totals   { return measTotals(b.d.Measurements()) }
+func (b *wireBackend) totals() Totals   { return TotalsOf(b.d.Measurements()) }
 func (b *wireBackend) injected() uint64 { return b.nInj }
 
 func (b *wireBackend) packet(st Step) (observed, error) {
@@ -535,7 +529,7 @@ func (b *wireBackend) packet(st Step) (observed, error) {
 	b.seq++
 	b.nInj++
 	b.d.Run(5.0)
-	obs := observedFromDelta(b.totals().sub(before))
+	obs := observedFromDelta(b.totals().Sub(before))
 	if obs.kind == core.VerdictDelivered && obs.accounted == 1 {
 		select {
 		case del := <-b.d.C.Deliveries:

@@ -63,8 +63,8 @@ func (f Failure) String() string {
 	return fmt.Sprintf("[%s] %s @ %s: %s", f.Mode, f.Invariant, at, f.Msg)
 }
 
-// Totals is the terminal-outcome accounting of one replay — the five ways
-// a packet can end, per the accounting identity.
+// Totals is the terminal-outcome accounting of one run — the six ways a
+// packet can end, per the accounting identity the soak audits too.
 type Totals struct {
 	Delivered, PolicyDrops, Holes, QueueDrops, Shed, Unreachable uint64
 }
@@ -74,7 +74,8 @@ func (t Totals) Sum() uint64 {
 	return t.Delivered + t.PolicyDrops + t.Holes + t.QueueDrops + t.Shed + t.Unreachable
 }
 
-func (t Totals) sub(o Totals) Totals {
+// Sub is the outcomes between two readings of one run.
+func (t Totals) Sub(o Totals) Totals {
 	return Totals{
 		Delivered:   t.Delivered - o.Delivered,
 		PolicyDrops: t.PolicyDrops - o.PolicyDrops,
@@ -85,7 +86,8 @@ func (t Totals) sub(o Totals) Totals {
 	}
 }
 
-func measTotals(m *core.Measurements) Totals {
+// TotalsOf reads the terminal outcomes out of a run's measurements.
+func TotalsOf(m *core.Measurements) Totals {
 	return Totals{
 		Delivered:   m.Delivered,
 		PolicyDrops: m.Drops.Policy,
@@ -293,7 +295,7 @@ func replayMode(sc Scenario, mode string, opt Options, res *Result) {
 			res.Traces[mode] = append(res.Traces[mode], TraceEntry{Step: i, Kind: obs.kind, Egress: obs.egress})
 			if obs.accounted != 1 {
 				fail(i, "accounting", "packet moved %d terminal counters, want exactly 1 (delta %+v)",
-					obs.accounted, b.totals().sub(before))
+					obs.accounted, b.totals().Sub(before))
 				continue
 			}
 			exp := expectedVerdict(oraclePolicy, st, dead)

@@ -10,6 +10,7 @@ import (
 	"difane/internal/core"
 	"difane/internal/flowspace"
 	"difane/internal/oracle"
+	"difane/internal/scencheck"
 	"difane/internal/telemetry"
 	"difane/internal/wire"
 	"difane/internal/workload"
@@ -59,38 +60,6 @@ func (c SoakConfig) withDefaults() SoakConfig {
 		c.Phases = DefaultScript(30)
 	}
 	return c
-}
-
-// totals is the terminal-outcome accounting vector (the same five-way
-// split scencheck audits; redirect sheds fold into queue drops).
-type totals struct {
-	delivered, policyDrops, holes, queueDrops, shed, unreachable uint64
-}
-
-func measTotals(m *core.Measurements) totals {
-	return totals{
-		delivered:   m.Delivered,
-		policyDrops: m.Drops.Policy,
-		holes:       m.Drops.Hole,
-		queueDrops:  m.Drops.AuthorityQueue,
-		shed:        m.Drops.RedirectShed,
-		unreachable: m.Drops.Unreachable,
-	}
-}
-
-func (t totals) sum() uint64 {
-	return t.delivered + t.policyDrops + t.holes + t.queueDrops + t.shed + t.unreachable
-}
-
-func (t totals) sub(o totals) totals {
-	return totals{
-		delivered:   t.delivered - o.delivered,
-		policyDrops: t.policyDrops - o.policyDrops,
-		holes:       t.holes - o.holes,
-		queueDrops:  t.queueDrops - o.queueDrops,
-		shed:        t.shed - o.shed,
-		unreachable: t.unreachable - o.unreachable,
-	}
 }
 
 // SeriesPoint is one telemetry sample: rates are over the wall-clock
@@ -514,12 +483,12 @@ func (s *soak) run() (*Report, error) {
 	// identity: every packet we injected must have reached exactly one
 	// terminal counter.
 	s.d.Run(quiesceTimeout)
-	final := measTotals(s.d.Measurements())
-	if final.sum() != s.injected {
+	final := scencheck.TotalsOf(s.d.Measurements())
+	if final.Sum() != s.injected {
 		rep.AccountingError = fmt.Sprintf(
 			"identity: injected %d but accounted %d (delivered=%d policy=%d hole=%d queue=%d shed=%d unreachable=%d)",
-			s.injected, final.sum(), final.delivered, final.policyDrops,
-			final.holes, final.queueDrops, final.shed, final.unreachable)
+			s.injected, final.Sum(), final.Delivered, final.PolicyDrops,
+			final.Holes, final.QueueDrops, final.Shed, final.Unreachable)
 	}
 
 	// Forensics: fold the run's journeys, convergence timelines, and
@@ -566,8 +535,8 @@ func (s *soak) run() (*Report, error) {
 // than risk attributing a straggler's counter to the probe.
 func (s *soak) probe(p core.PacketIn, tick Tick, rep *Report) {
 	s.d.Run(quiesceTimeout)
-	before := measTotals(s.d.Measurements())
-	if before.sum() != s.injected {
+	before := scencheck.TotalsOf(s.d.Measurements())
+	if before.Sum() != s.injected {
 		rep.ProbesSkipped++
 		return
 	}
@@ -583,7 +552,7 @@ func (s *soak) probe(p core.PacketIn, tick Tick, rep *Report) {
 	s.d.InjectPacket(0, p.Ingress, p.Key, p.Size, 0)
 	s.injected++
 	s.d.Run(quiesceTimeout)
-	delta := measTotals(s.d.Measurements()).sub(before)
+	delta := scencheck.TotalsOf(s.d.Measurements()).Sub(before)
 	s.probes.Add(1)
 
 	want := oracle.Evaluate(s.policy, p.Key)
@@ -610,28 +579,28 @@ func (s *soak) probe(p core.PacketIn, tick Tick, rep *Report) {
 		T: tick.Now, Phase: tick.Phase, Ingress: p.Ingress, Key: p.Key,
 		Want: want.String(), Got: msg,
 		Delta: map[string]int{
-			"delivered": int(delta.delivered), "policy": int(delta.policyDrops),
-			"hole": int(delta.holes), "queue": int(delta.queueDrops),
-			"shed": int(delta.shed), "unreachable": int(delta.unreachable),
+			"delivered": int(delta.Delivered), "policy": int(delta.PolicyDrops),
+			"hole": int(delta.Holes), "queue": int(delta.QueueDrops),
+			"shed": int(delta.Shed), "unreachable": int(delta.Unreachable),
 		},
 	})
 }
 
 // classify names the single terminal counter a probe moved.
-func classify(d totals) (string, bool) {
-	if d.sum() != 1 {
+func classify(d scencheck.Totals) (string, bool) {
+	if d.Sum() != 1 {
 		return "", false
 	}
 	switch {
-	case d.delivered == 1:
+	case d.Delivered == 1:
 		return "delivered", true
-	case d.policyDrops == 1:
+	case d.PolicyDrops == 1:
 		return "policy-drop", true
-	case d.holes == 1:
+	case d.Holes == 1:
 		return "hole", true
-	case d.queueDrops == 1:
+	case d.QueueDrops == 1:
 		return "queue-drop", true
-	case d.shed == 1:
+	case d.Shed == 1:
 		return "shed", true
 	default:
 		return "unreachable", true
@@ -640,7 +609,7 @@ func classify(d totals) (string, bool) {
 
 // verdictMismatch compares the oracle's expectation against the observed
 // terminal class (plus the delivery's egress), returning "" on agreement.
-func (s *soak) verdictMismatch(want oracle.Verdict, got string, delta totals) string {
+func (s *soak) verdictMismatch(want oracle.Verdict, got string, delta scencheck.Totals) string {
 	switch want.Kind {
 	case oracle.Deliver:
 		if got != "delivered" {

@@ -314,16 +314,6 @@ func (s *Switch) Advance(now float64) {
 	s.EnforceBudget(now) // mandatory-table expiry frees TCAM back to the cache
 }
 
-// Counters answers a stats request by searching all tables.
-func (s *Switch) Counters(ruleID uint64) (packets, bytes uint64, ok bool) {
-	for _, tb := range []*tcam.Table{s.cache, s.authority, s.partition} {
-		if p, b, found := tb.Counters(ruleID); found {
-			return p, b, true
-		}
-	}
-	return 0, 0, false
-}
-
 // ClearCache empties the cache table (used on policy changes) and returns
 // the number of entries removed.
 func (s *Switch) ClearCache() int {

@@ -140,19 +140,6 @@ func TestAdvanceExpiresCaches(t *testing.T) {
 	}
 }
 
-func TestCountersAcrossTables(t *testing.T) {
-	s := New(1, Config{})
-	add(t, s, proto.TableAuthority, mkRule(7, 0, 80, flowspace.ActForward))
-	s.Classify(1, keyPort(80), 500)
-	p, b, ok := s.Counters(7)
-	if !ok || p != 1 || b != 500 {
-		t.Fatalf("counters = %d/%d ok=%v", p, b, ok)
-	}
-	if _, _, ok := s.Counters(99); ok {
-		t.Fatal("unknown rule must report !ok")
-	}
-}
-
 func TestClearCache(t *testing.T) {
 	s := New(1, Config{})
 	add(t, s, proto.TableCache, mkRule(1, 0, 1, flowspace.ActForward))
@@ -219,11 +206,14 @@ func TestClassifyBurstMatchesClassify(t *testing.T) {
 			t.Fatalf("%s: scalar %d hits %d misses, burst %d hits %d misses",
 				st.Name(), st.Hits.Load(), st.Misses.Load(), bt.Hits.Load(), bt.Misses.Load())
 		}
-		for _, e := range st.Entries() {
-			sp, sb, _ := st.Counters(e.Rule.ID)
-			bp, bb, _ := bt.Counters(e.Rule.ID)
-			if sp != bp || sb != bb {
-				t.Fatalf("rule %d: scalar %d packets %d bytes, burst %d packets %d bytes", e.Rule.ID, sp, sb, bp, bb)
+		se, be := st.Entries(), bt.Entries()
+		if len(se) != len(be) {
+			t.Fatalf("%s: scalar %d entries, burst %d", st.Name(), len(se), len(be))
+		}
+		for i, e := range se {
+			if b := be[i]; e.Rule.ID != b.Rule.ID || e.Packets != b.Packets || e.Bytes != b.Bytes {
+				t.Fatalf("rule %d: scalar %d packets %d bytes, burst rule %d %d packets %d bytes",
+					e.Rule.ID, e.Packets, e.Bytes, b.Rule.ID, b.Packets, b.Bytes)
 			}
 		}
 	}

@@ -26,10 +26,10 @@ func TestVictimFuncOverridesPolicy(t *testing.T) {
 	if picked < 0 {
 		t.Fatal("victim fn was never consulted")
 	}
-	if _, _, ok := tb.Counters(2); ok {
+	if _, _, ok := counters(tb, 2); ok {
 		t.Fatal("MRU entry 2 survived; custom picker should have evicted it")
 	}
-	if _, _, ok := tb.Counters(1); !ok {
+	if _, _, ok := counters(tb, 1); !ok {
 		t.Fatal("LRU entry 1 evicted despite custom picker choosing MRU")
 	}
 }
@@ -40,7 +40,7 @@ func TestVictimFuncDeclineFallsBack(t *testing.T) {
 	mustInsert(t, tb, 0, rule(1, 10, 80))
 	// Decline → built-in LRU picks entry 1; the insert must still land.
 	mustInsert(t, tb, 1, rule(2, 10, 81))
-	if _, _, ok := tb.Counters(2); !ok {
+	if _, _, ok := counters(tb, 2); !ok {
 		t.Fatal("insert failed after victim fn declined")
 	}
 	if tb.Len() != 1 {

@@ -746,17 +746,6 @@ func (t *Table) Entries() []Entry {
 	return out
 }
 
-// Counters returns the packet/byte counters for rule id.
-func (t *Table) Counters(id uint64) (packets, bytes uint64, ok bool) {
-	t.mu.RLock()
-	e, found := t.byID[id]
-	t.mu.RUnlock()
-	if !found {
-		return 0, 0, false
-	}
-	return e.packets.Load(), e.bytes.Load(), true
-}
-
 // Rules returns the installed rules in TCAM order.
 func (t *Table) Rules() []flowspace.Rule {
 	t.mu.RLock()

@@ -48,6 +48,17 @@ func mustInsert(t *testing.T, tb *Table, now float64, r flowspace.Rule) {
 	}
 }
 
+// counters reads rule id's packet and byte counters from the table's
+// entries.
+func counters(tb *Table, id uint64) (packets, bytes uint64, ok bool) {
+	for _, e := range tb.Entries() {
+		if e.Rule.ID == id {
+			return e.Packets, e.Bytes, true
+		}
+	}
+	return 0, 0, false
+}
+
 func TestLookupMissCounts(t *testing.T) {
 	tb := New("test", 0, EvictNone)
 	mustInsert(t, tb, 0, rule(1, 10, 80))
@@ -64,11 +75,11 @@ func TestCountersAccumulate(t *testing.T) {
 	mustInsert(t, tb, 0, rule(1, 10, 80))
 	tb.Lookup(1, keyPort(80), 100)
 	tb.Lookup(2, keyPort(80), 150)
-	pkts, bytes, ok := tb.Counters(1)
+	pkts, bytes, ok := counters(tb, 1)
 	if !ok || pkts != 2 || bytes != 250 {
 		t.Fatalf("counters = %d/%d ok=%v", pkts, bytes, ok)
 	}
-	if _, _, ok := tb.Counters(99); ok {
+	if _, _, ok := counters(tb, 99); ok {
 		t.Fatal("counters for unknown rule must report !ok")
 	}
 }
@@ -78,7 +89,7 @@ func TestReplaceResetsCounters(t *testing.T) {
 	mustInsert(t, tb, 0, rule(1, 10, 80))
 	tb.Lookup(1, keyPort(80), 100)
 	mustInsert(t, tb, 2, rule(1, 20, 80)) // same ID, re-installed
-	pkts, _, _ := tb.Counters(1)
+	pkts, _, _ := counters(tb, 1)
 	if pkts != 0 {
 		t.Fatalf("replacement must reset counters, got %d", pkts)
 	}
@@ -131,10 +142,10 @@ func TestCapacityEvictLRU(t *testing.T) {
 	mustInsert(t, tb, 1, rule(2, 2, 2))
 	tb.Lookup(5, keyPort(1), 64) // rule 1 recently used
 	mustInsert(t, tb, 6, rule(3, 3, 3))
-	if _, _, ok := tb.Counters(2); ok {
+	if _, _, ok := counters(tb, 2); ok {
 		t.Fatal("LRU must evict rule 2 (least recently hit)")
 	}
-	if _, _, ok := tb.Counters(1); !ok {
+	if _, _, ok := counters(tb, 1); !ok {
 		t.Fatal("rule 1 must survive")
 	}
 	if tb.Evictions.Load() != 1 {
@@ -150,7 +161,7 @@ func TestCapacityEvictLFU(t *testing.T) {
 	tb.Lookup(2, keyPort(2), 64)
 	tb.Lookup(3, keyPort(1), 64)
 	mustInsert(t, tb, 4, rule(3, 3, 3))
-	if _, _, ok := tb.Counters(1); ok {
+	if _, _, ok := counters(tb, 1); ok {
 		t.Fatal("LFU must evict rule 1 (fewest packets)")
 	}
 }
@@ -236,7 +247,7 @@ func TestPeekDoesNotTouchCounters(t *testing.T) {
 	if _, ok := tb.Peek(keyPort(80)); !ok {
 		t.Fatal("peek must find the rule")
 	}
-	pkts, _, _ := tb.Counters(1)
+	pkts, _, _ := counters(tb, 1)
 	if pkts != 0 || tb.Hits.Load() != 0 {
 		t.Fatal("peek must not update counters")
 	}

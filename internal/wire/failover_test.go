@@ -359,7 +359,7 @@ func TestDelayControlSlowsInstalls(t *testing.T) {
 		t.Fatal("DelayControl failed")
 	}
 	startT := time.Now()
-	if err := c.Barrier(0, 1); err != nil {
+	if err := c.barrier(c.ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Request and reply each cross the delayed control plane once.
@@ -410,15 +410,15 @@ func TestPromoteAndRestoreMoveTheInstalledRules(t *testing.T) {
 	}
 	markDeadOnly(c.byID(2)) // the verdict alone: promoteBackups is called by hand
 	c.promoteBackups(2)
-	fence := func(xid uint32) {
+	fence := func() {
 		t.Helper()
 		for _, sw := range []uint32{0, 2} { // what was sent has been applied
-			if err := c.Barrier(sw, xid); err != nil {
+			if err := c.barrier(c.ctx, sw); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	fence(1)
+	fence()
 	if got := c.Measurements().FailoversPromoted; got != uint64(parts) {
 		t.Fatalf("promotion counted %d rules, want the %d that were installed", got, parts)
 	}
@@ -430,7 +430,7 @@ func TestPromoteAndRestoreMoveTheInstalledRules(t *testing.T) {
 	}
 	c.byID(2).alive.Store(true)
 	c.control(func(ctl *core.Controller) { ctl.OnTopologyChange() }) // markAlive's restore
-	fence(2)
+	fence()
 	if back := c.TableRules(0, proto.TablePartition); len(back) != parts || back[0] != installed[0] {
 		t.Fatalf("restore left %v, want %v", back, installed)
 	}

@@ -9,6 +9,7 @@ import (
 	"difane/internal/core"
 	"difane/internal/flowspace"
 	"difane/internal/packet"
+	"difane/internal/proto"
 	"difane/internal/telemetry"
 )
 
@@ -62,8 +63,15 @@ func TestRedirectTunnelKeepsWhatLeavesThePlane(t *testing.T) {
 	if d := awaitDelivery(t, c); d.Header != h || !d.Detour || d.Egress != egress {
 		t.Fatalf("first packet delivered as %+v (header %#v), want header %#v, detour, egress %d", d, d.Header, h, egress)
 	}
-	if rep, err := c.Stats(authority, 1, 1); err != nil || !rep.OK || rep.Packets != 1 || rep.Bytes != size {
-		t.Fatalf("authority counted %+v (err %v), want 1 packet of %d bytes", rep, err, size)
+	var pkts, bytes uint64
+	for _, e := range c.byID(authority).sw.Table(proto.TableAuthority).Entries() {
+		if core.AuthorityEntryRuleID(e.Rule.ID) == 1 {
+			pkts += e.Packets
+			bytes += e.Bytes
+		}
+	}
+	if pkts != 1 || bytes != size {
+		t.Fatalf("authority counted %d packets of %d bytes for rule 1, want 1 packet of %d bytes", pkts, bytes, size)
 	}
 
 	js, _ := c.Journeys(telemetry.JourneyFilter{Flow: flowOf(&h).Hash})

@@ -174,9 +174,9 @@ func TestLeaderKillStillCaches(t *testing.T) {
 }
 
 // TestStaleEpochInstallRejected: a FlowMod carrying an epoch older than
-// the switch's fence must be refused, counted, and answered with an
-// EpochReport — the invariant that keeps a zombie controller's stragglers
-// out of the tables.
+// the switch's fence must be refused and counted, and the fence must stay
+// where the fresh install raised it — the invariant that keeps a zombie
+// controller's stragglers out of the tables.
 func TestStaleEpochInstallRejected(t *testing.T) {
 	c := newFailoverCluster(t)
 	fresh := proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Epoch: 5,
@@ -191,34 +191,26 @@ func TestStaleEpochInstallRejected(t *testing.T) {
 	if err := c.InstallRule(2, stale); err != nil {
 		t.Fatal(err) // the write succeeds; the switch rejects on receipt
 	}
-	if err := c.Barrier(2, 1); err != nil {
+	if err := c.barrier(c.ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := c.Stats(2, 777, 2); err != nil || !rep.OK {
-		t.Fatalf("fenced install with current epoch missing: %v %+v", err, rep)
+	present := map[uint64]bool{}
+	for _, r := range c.TableRules(2, proto.TableAuthority) {
+		present[r.ID] = true
 	}
-	if rep, err := c.Stats(2, 778, 3); err != nil || rep.OK {
-		t.Fatalf("stale-epoch install must not land: %v %+v", err, rep)
+	if !present[777] {
+		t.Fatal("fenced install with current epoch missing")
+	}
+	if present[778] {
+		t.Fatal("stale-epoch install must not land")
 	}
 	waitMeasure(t, c, "stale-install rejection", func(m *core.Measurements) bool {
 		return m.StaleInstallsRejected == 1
 	})
-	// The EpochReport surfaces the switch's fence to the controller.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var got uint64
-		for _, ss := range c.Status().Switches {
-			if ss.ID == 2 {
-				got = ss.ReportedEpoch
-			}
+	for _, ss := range c.Status().Switches {
+		if ss.ID == 2 && ss.Epoch != 5 {
+			t.Fatalf("switch 2's fence reads %d, want the fresh install's 5", ss.Epoch)
 		}
-		if got == 5 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("epoch report never arrived (got %d)", got)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 // switch's control connection, stamped by the controller with its epoch,
 // and a phase starts when every switch has answered a barrier; while the
 // cluster boots, before any goroutine runs, FlowMods apply in place, so a
-// boot pays no frame codec. The controller reads the tables in process:
-// proto has per-rule stats (Cluster.Stats), no dump.
+// boot pays no frame codec. The controller reads the tables in process
+// (Stats); nothing but barrier replies and BFD comes back over the control
+// connection.
 type southbound struct {
 	c   *Cluster
 	ctl *core.Controller
@@ -80,8 +81,7 @@ func (s *southbound) Barrier(sw uint32) error {
 	if !s.live || n.killed.Load() {
 		return nil
 	}
-	xid := s.c.xids.Add(1) | 1<<31 // clear of the XIDs callers pick
-	_, err := s.c.request(s.ctx, sw, &proto.BarrierReq{XID: xid}, xid)
+	err := s.c.barrier(s.ctx, sw)
 	s.c.awaitDrain(s.ctx, n)
 	return err
 }

@@ -23,7 +23,6 @@ type SwitchStatus struct {
 	QueueDepth     int    `json:"queue_depth"`
 	PeakQueueDepth int    `json:"peak_queue_depth"`
 	Epoch          uint64 `json:"epoch"`
-	ReportedEpoch  uint64 `json:"reported_epoch,omitempty"`
 	Alive          bool   `json:"alive"`
 	Killed         bool   `json:"killed"`
 }
@@ -58,7 +57,6 @@ func (c *Cluster) Status() Status {
 			QueueDepth:     n.queueLen(),
 			PeakQueueDepth: int(n.peakQueue.Load()),
 			Epoch:          n.epoch.Load(),
-			ReportedEpoch:  n.reportedEpoch.Load(),
 			Alive:          n.alive.Load(),
 			Killed:         n.killed.Load(),
 		}

@@ -55,7 +55,7 @@ func TestUnmatchedIngressIsUnreachable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Barrier(0, 1); err != nil {
+	if err := c.barrier(c.ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	d.InjectPacket(0, 0, httpHeader(1).Key(), 100, 0)

@@ -155,14 +155,14 @@ type node struct {
 	// connMu guards the current control-connection pair. ctrl is the
 	// switch side and ctrlPeer the controller side; the connection manager
 	// replaces both on reconnect. Only controller traffic rides it
-	// (FlowMods, barriers, stats, BFD); cache installs never do.
+	// (FlowMods, barriers, BFD); cache installs never do.
 	connMu   sync.Mutex
 	ctrl     net.Conn
 	ctrlPeer net.Conn
 
-	// replies carries barrier/stats replies back to controller-side
-	// callers (Barrier, Stats); replyMu lets one wait on it at a time.
-	replies chan proto.Message
+	// replies carries the XIDs of barrier replies back to the
+	// controller-side caller (barrier); replyMu lets one wait at a time.
+	replies chan uint32
 	replyMu sync.Mutex
 
 	// done is closed by KillSwitch: the node's goroutines stop, simulating
@@ -192,9 +192,6 @@ type node struct {
 	// accepted a fenced FlowMod under. Epoch-0 FlowMods (data-plane cache
 	// installs) bypass the fence.
 	epoch atomic.Uint64
-	// reportedEpoch is the last fence this switch reported upstream in an
-	// EpochReport (after rejecting a stale install).
-	reportedEpoch atomic.Uint64
 	// peakQueue is the high-water mark of queueLen (see noteQueueDepth).
 	peakQueue atomic.Int64
 	// redirectSince is the nowNS send time of the oldest redirect toward
@@ -302,7 +299,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 			notify:     make(chan struct{}, 1),
 			ctrl:       swConn,
 			ctrlPeer:   ctrlConn,
-			replies:    make(chan proto.Message, 16),
+			replies:    make(chan uint32, 16),
 			done:       make(chan struct{}),
 			installQ:   make(chan core.Install, 256),
 			redirectTB: metrics.NewTokenBucket(cfg.Overload.RedirectRate, cfg.Overload.RedirectBurst),
@@ -436,9 +433,6 @@ func (n *node) queueLen() int {
 	}
 	return deepest
 }
-
-// Dropped returns packets shed by full queues or failed paths.
-func (c *Cluster) Dropped() uint64 { return c.dropped.Load() }
 
 // Measurements returns a snapshot of the cluster's recorded statistics
 // (latency distributions, delivery and drop counts, failover counters),
@@ -714,7 +708,8 @@ func (c *Cluster) reconnect(n *node) bool {
 
 // switchCtrlRead is the switch side of the control connection: it applies
 // commands from the controller, feeds BFD packets to the switch's session,
-// and answers barriers and stats requests.
+// and answers barriers. Nothing else goes upstream: a switch's tables and
+// fence are read in process.
 func (c *Cluster) switchCtrlRead(n *node, conn net.Conn) {
 	for {
 		msg, err := proto.ReadMessage(conn)
@@ -725,8 +720,8 @@ func (c *Cluster) switchCtrlRead(n *node, conn net.Conn) {
 		case *proto.FlowMod:
 			// Epoch fencing: a fenced install (Epoch != 0) older than the
 			// highest epoch this switch has accepted is a straggler from a
-			// dead controller — reject it and report the current fence.
-			// Epoch-0 installs (data-plane origin) bypass the fence.
+			// dead controller — reject it. Epoch-0 installs (data-plane
+			// origin) bypass the fence.
 			if m.Epoch != 0 {
 				before := n.epoch.Load()
 				if !n.raiseEpoch(m.Epoch) {
@@ -735,8 +730,6 @@ func (c *Cluster) switchCtrlRead(n *node, conn net.Conn) {
 					c.Span(telemetry.Event{
 						Kind: telemetry.EvEpochReject, Node: n.id, Value: m.Epoch,
 					})
-					rep := &proto.EpochReport{Node: n.id, Epoch: n.epoch.Load()}
-					go func() { _ = c.writeToController(n, rep) }()
 					continue
 				}
 				if m.Epoch > before {
@@ -754,22 +747,6 @@ func (c *Cluster) switchCtrlRead(n *node, conn net.Conn) {
 			// until read, and a reply written inline from this loop could
 			// deadlock against the controller writing toward this switch.
 			reply := &proto.BarrierReply{XID: m.XID}
-			go func() { _ = c.writeToController(n, reply) }()
-		case *proto.StatsReq:
-			pkts, bytes, ok := n.sw.Counters(m.RuleID)
-			if !ok {
-				// A policy-rule query: aggregate the banded per-partition
-				// clips of that rule across the authority table, keeping
-				// rule counters transparent to the controller.
-				for _, e := range n.sw.Table(proto.TableAuthority).Entries() {
-					if core.AuthorityEntryRuleID(e.Rule.ID) == m.RuleID {
-						pkts += e.Packets
-						bytes += e.Bytes
-						ok = true
-					}
-				}
-			}
-			reply := &proto.StatsReply{XID: m.XID, Packets: pkts, Bytes: bytes, OK: ok}
 			go func() { _ = c.writeToController(n, reply) }()
 		case *proto.BFDControl:
 			n.bfdSw.Handle(protoToBFD(m), time.Now())
@@ -792,8 +769,8 @@ func (n *node) raiseEpoch(e uint64) bool {
 }
 
 // ctrlPeerRead is the controller side: it reads what the switch sends
-// upstream (BFD, epoch reports, replies) and feeds the failure detector or
-// hands the message to a waiting caller.
+// upstream (BFD, barrier replies) and feeds the failure detector or hands
+// the reply to the waiting barrier.
 func (c *Cluster) ctrlPeerRead(n *node, conn net.Conn) {
 	for {
 		msg, err := proto.ReadMessage(conn)
@@ -803,13 +780,9 @@ func (c *Cluster) ctrlPeerRead(n *node, conn net.Conn) {
 		switch m := msg.(type) {
 		case *proto.BFDControl:
 			n.bfdCtrl.Handle(protoToBFD(m), time.Now())
-		case *proto.EpochReport:
-			// A switch rejected a stale install and is telling us its
-			// current fence — surfaced in Status for the operator.
-			n.reportedEpoch.Store(m.Epoch)
-		case *proto.BarrierReply, *proto.StatsReply:
+		case *proto.BarrierReply:
 			select {
-			case n.replies <- m:
+			case n.replies <- m.XID:
 			default:
 			}
 		}
@@ -889,57 +862,33 @@ func (c *Cluster) send(ctx context.Context, n *node, msg proto.Message) error {
 	}
 }
 
-// request sends req to switch sw and returns its reply, the one carrying
-// xid: a reply to an earlier request that timed out is skipped.
-func (c *Cluster) request(ctx context.Context, sw uint32, req proto.Message, xid uint32) (proto.Message, error) {
+// barrier round-trips a barrier through switch sw's control connection,
+// fencing the control messages sent to it before. Each barrier mints its
+// own XID, so a reply to an earlier one that timed out is skipped.
+func (c *Cluster) barrier(ctx context.Context, sw uint32) error {
 	n, ok := c.node(sw)
 	if !ok {
-		return nil, fmt.Errorf("wire: no switch %d", sw)
+		return fmt.Errorf("wire: no switch %d", sw)
 	}
+	xid := c.xids.Add(1)
 	n.replyMu.Lock()
 	defer n.replyMu.Unlock()
-	if err := c.send(ctx, n, req); err != nil {
-		return nil, err
+	if err := c.send(ctx, n, &proto.BarrierReq{XID: xid}); err != nil {
+		return err
 	}
 	timeout := time.After(replyTimeout)
 	for {
 		select {
-		case msg := <-n.replies:
-			switch rep := msg.(type) {
-			case *proto.BarrierReply:
-				if rep.XID == xid {
-					return rep, nil
-				}
-			case *proto.StatsReply:
-				if rep.XID == xid {
-					return rep, nil
-				}
+		case got := <-n.replies:
+			if got == xid {
+				return nil
 			}
 		case <-timeout:
-			return nil, fmt.Errorf("wire: no reply from switch %d", sw)
+			return fmt.Errorf("wire: no reply from switch %d", sw)
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
-}
-
-// Barrier round-trips a barrier through a switch's control connection,
-// fencing previously sent control messages.
-func (c *Cluster) Barrier(sw uint32, xid uint32) error {
-	_, err := c.request(c.ctx, sw, &proto.BarrierReq{XID: xid}, xid)
-	return err
-}
-
-// Stats fetches a rule's counters from a switch over the control plane.
-func (c *Cluster) Stats(sw uint32, ruleID uint64, xid uint32) (*proto.StatsReply, error) {
-	rep, err := c.request(c.ctx, sw, &proto.StatsReq{XID: xid, RuleID: ruleID}, xid)
-	if err != nil {
-		return nil, err
-	}
-	if rep, ok := rep.(*proto.StatsReply); ok {
-		return rep, nil
-	}
-	return nil, fmt.Errorf("wire: unexpected reply %v to stats request %d", rep, xid)
 }
 
 // CacheLen returns the number of cache entries at a switch.

@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -8,6 +11,7 @@ import (
 	"difane/internal/core"
 	"difane/internal/flowspace"
 	"difane/internal/packet"
+	"difane/internal/proto"
 )
 
 func testPolicy() []flowspace.Rule {
@@ -150,30 +154,108 @@ func TestPolicyDropNeverDelivers(t *testing.T) {
 
 func TestBarrierRoundTrip(t *testing.T) {
 	c := newCluster(t, core.StrategyCover)
-	for xid := uint32(1); xid <= 5; xid++ {
-		if err := c.Barrier(0, xid); err != nil {
+	for i := 0; i < 5; i++ {
+		if err := c.barrier(c.ctx, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Barrier(99, 1); err == nil {
+	if err := c.barrier(c.ctx, 99); err == nil {
 		t.Fatal("barrier to unknown switch must fail")
 	}
 }
 
-func TestStatsOverControlPlane(t *testing.T) {
-	c := newCluster(t, core.StrategyCover)
-	c.Inject(0, httpHeader(1), 100)
-	awaitDelivery(t, c)
-	// The authority switch (2) served the miss from its authority table.
-	rep, err := c.Stats(2, 1, 7)
+// upstreamTap hands out control pipes whose switch end decodes every
+// frame the switch writes, counting them by type.
+type upstreamTap struct {
+	mu   sync.Mutex
+	seen map[proto.MsgType]int
+	bad  error
+}
+
+func (u *upstreamTap) pipe() (net.Conn, net.Conn) {
+	sw, ctrl := net.Pipe()
+	return &tapConn{Conn: sw, tap: u}, ctrl
+}
+
+func (u *upstreamTap) counts() (map[proto.MsgType]int, error) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	out := make(map[proto.MsgType]int, len(u.seen))
+	for t, n := range u.seen {
+		out[t] = n
+	}
+	return out, u.bad
+}
+
+// tapConn is a switch end of a control pipe. proto.WriteMessage writes
+// one whole frame per Write, so each Write decodes to exactly one message.
+type tapConn struct {
+	net.Conn
+	tap *upstreamTap
+}
+
+func (t *tapConn) Write(b []byte) (int, error) {
+	m, n, err := proto.DecodeFrame(b)
+	t.tap.mu.Lock()
+	if err == nil && n != len(b) {
+		err = fmt.Errorf("%d bytes past a %v frame", len(b)-n, m.Type())
+	}
 	if err != nil {
-		t.Fatal(err)
+		t.tap.bad = err
+	} else {
+		t.tap.seen[m.Type()]++
 	}
-	if !rep.OK {
-		t.Fatal("authority must know rule 1")
+	t.tap.mu.Unlock()
+	return t.Conn.Write(b)
+}
+
+// Upstream, a switch sends barrier replies and BFD packets and nothing
+// else: what the controller knows of a switch's tables and fence it reads
+// in process. The run sends traffic, a fenced FlowMod, one that raises
+// the fence, a stale one the switch rejects, and barriers to every switch.
+func TestOnlyBarrierRepliesAndBFDGoUpstream(t *testing.T) {
+	tap := &upstreamTap{seen: map[proto.MsgType]int{}}
+	cfg := slack(failoverConfig())
+	cfg.pipe = tap.pipe
+	c := startCluster(t, cfg)
+	for i := uint32(0); i < 8; i++ {
+		if !c.Inject(i%2, httpHeader(10+i), 100) {
+			t.Fatal("inject failed")
+		}
+		awaitDelivery(t, c)
 	}
-	if rep, err := c.Stats(2, 424242, 8); err != nil || rep.OK {
-		t.Fatalf("unknown rule must reply !OK (err=%v)", err)
+	mod := func(id, epoch uint64) proto.FlowMod {
+		return proto.FlowMod{Table: proto.TableAuthority, Op: proto.OpAdd, Epoch: epoch,
+			Rule: flowspace.Rule{ID: id, Priority: 99, Match: flowspace.MatchAll().WithExact(flowspace.FTPDst, uint64(id)),
+				Action: flowspace.Action{Kind: flowspace.ActDrop}}}
+	}
+	e := c.Epoch()
+	for _, m := range []proto.FlowMod{mod(901, e), mod(902, e+2), mod(903, e+1)} {
+		if err := c.InstallRule(2, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitMeasure(t, c, "stale-install rejection", func(m *core.Measurements) bool {
+		return m.StaleInstallsRejected == 1
+	})
+	for round := 0; round < 2; round++ {
+		for _, sw := range c.SwitchIDs() {
+			if err := c.barrier(c.ctx, sw); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	seen, err := tap.counts()
+	if err != nil {
+		t.Fatalf("a switch wrote an undecodable frame: %v", err)
+	}
+	if seen[proto.MsgBarrierReply] < 2*len(c.SwitchIDs()) || seen[proto.MsgBFDControl] == 0 {
+		t.Fatalf("upstream frames %v: want every barrier reply and BFD", seen)
+	}
+	for typ, n := range seen {
+		if typ != proto.MsgBarrierReply && typ != proto.MsgBFDControl {
+			t.Errorf("a switch sent %d %v frame(s) upstream", n, typ)
+		}
 	}
 }
 
