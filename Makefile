@@ -100,7 +100,7 @@ check:
 chaos-smoke:
 	go test -race ./internal/scencheck -run TestChaosSmoke -timeout 10m
 	go test -race ./internal/wire -timeout 10m \
-		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectsKillWithinTwiceDetectTime|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestLeaderKillAtEveryPhaseBoundary|TestElectionReconcilesWithoutChurn|TestRebalanceSurvivesElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic|TestStalledAuthorityDetectedByRedirectAck'
+		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectsKillWithinTwiceDetectTime|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestLeaderKillAtEveryPhaseBoundary|TestElectionReconcilesWithoutChurn|TestResumeOnUnchangedClusterSendsNoFlowMod|TestRebalanceSurvivesElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic|TestStalledAuthorityDetectedByRedirectAck'
 
 # Subscriber-scale soak — not part of tier-1. Streams ≥1M modeled
 # subscriber sessions (Poisson churn, host mobility, a flash crowd and a
@@ -136,7 +136,8 @@ soak-diff:
 # with the switchsim+tcam sum item 15 counts, the controller journal, the
 # cost-aware caching
 # stack (internal/cachepolicy and the two files that hold it in a
-# deployment) with its sum, and the whole repo outside bench/. The last
+# deployment) with its sum, the root package's facade (difane.go), and
+# the whole repo outside bench/. The last
 # line is the schema's size: the distinct difane_* names non-test Go
 # registers (a name as a call's first argument, as scripts/unused.sh reads
 # a registration).
@@ -154,6 +155,7 @@ loc:
 		n=$$($(call LOC,$$d)); \
 		printf '%-28s %6d\n' $$d $$n; sum=$$((sum + n)); done; \
 	printf '%-28s %6d\n' 'cost-aware stack' $$sum; \
+	printf '%-28s %6d\n' difane.go $$(wc -l < difane.go); \
 	printf '%-28s %6d\n' 'repo outside bench/' $$($(call LOC,.,! -path './bench/*')); \
 	printf '%-28s %6d\n' 'difane_* names registered' \
 		$$(grep -rhoE --include='*.go' --exclude='*_test.go' '\("difane_[a-z0-9_]+",' . | sort -u | wc -l)

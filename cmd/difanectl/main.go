@@ -481,7 +481,7 @@ func (s *session) command(fields []string) {
 				fields[1], ctl.Epoch)
 			return
 		}
-		fmt.Printf("recovered epoch %d, policy version %d; reconciliation installed %d, deleted %d rules\n",
+		fmt.Printf("recovered epoch %d, policy version %d; reconciliation installed %d, deleted %d authority rules\n",
 			ctl.Epoch, ctl.PolicyVersion, rep.Installed, rep.Deleted)
 	case "epoch":
 		switch {

@@ -106,12 +106,6 @@ func NewGraph() *Graph { return topo.NewGraph() }
 // LinearTopology builds a chain of n switches.
 func LinearTopology(n int, latency float64) *Graph { return topo.Linear(n, latency) }
 
-// CampusTopology builds a three-tier campus topology, returning the graph
-// and the access-layer switches.
-func CampusTopology(cores, distPerCore, accessPerDist int, lat float64) (*Graph, []NodeID) {
-	return topo.Campus(cores, distPerCore, accessPerDist, lat)
-}
-
 // --- DIFANE ------------------------------------------------------------------
 
 // Config tunes a simulated DIFANE deployment.
@@ -192,12 +186,6 @@ type ControllerState = core.ControllerState
 // RecoveryReport summarizes what NewControllerFromJournal had to repair.
 type RecoveryReport = core.RecoveryReport
 
-// NewControllerWithJournal attaches a controller that persists its state
-// to a journal in dir on every mutation.
-func NewControllerWithJournal(n *Network, dir string) (*Controller, error) {
-	return core.NewControllerWithJournal(n, dir)
-}
-
 // NewControllerFromJournal recovers a controller from a journal written
 // by a previous incarnation: its state is loaded, the epoch is bumped to
 // fence the dead controller, and the live switch tables are reconciled
@@ -205,9 +193,6 @@ func NewControllerWithJournal(n *Network, dir string) (*Controller, error) {
 func NewControllerFromJournal(n *Network, dir string) (*Controller, RecoveryReport, error) {
 	return core.NewControllerFromJournal(n, dir)
 }
-
-// LoadState reads a journal directory's state without touching any network.
-func LoadState(dir string) (ControllerState, bool, error) { return core.LoadState(dir) }
 
 // CompactPolicy removes shadowed (dead) rules without changing semantics.
 func CompactPolicy(rules []Rule) (kept []Rule, removedIDs []uint64) {
@@ -268,9 +253,6 @@ func IPTVNetwork(seed int64, s NetworkScale) *Spec { return workload.IPTVNetwork
 
 // ISPNetwork approximates the ISP backbone.
 func ISPNetwork(seed int64, s NetworkScale) *Spec { return workload.ISPNetwork(seed, s) }
-
-// AllNetworks returns all four canonical networks.
-func AllNetworks(seed int64, s NetworkScale) []*Spec { return workload.AllNetworks(seed, s) }
 
 // ClassBenchLike generates an ACL-shaped policy.
 func ClassBenchLike(cfg ACLConfig) []Rule { return workload.ClassBenchLike(cfg) }
@@ -361,9 +343,6 @@ type TraceFilter = telemetry.Filter
 
 // MetricRegistry is the pull-model registry behind /metrics and /vars.
 type MetricRegistry = telemetry.Registry
-
-// TraceNode wraps a switch ID for TraceFilter.Node (nil means any node).
-func TraceNode(id uint32) *uint32 { return telemetry.Node(id) }
 
 // Journey is one sampled packet's end-to-end story: its spans from every
 // node it touched, joined on a shared trace ID and told in causal order.
@@ -462,9 +441,6 @@ func RunTrace(n Deployment, flows []Flow, horizon float64) {
 // machinery involved.
 type Verdict = oracle.Verdict
 
-// EvaluatePolicy runs the reference single-table semantics over a policy.
-func EvaluatePolicy(policy []Rule, k Key) Verdict { return oracle.Evaluate(policy, k) }
-
 // Scenario is a seeded, deterministic differential-test scenario: a
 // topology, a policy, and a schedule of packets, policy updates, and
 // faults.
@@ -478,11 +454,6 @@ type CheckOptions = scencheck.Options
 
 // CheckResult is the outcome of one differential check.
 type CheckResult = scencheck.Result
-
-// GenerateScenario derives a deterministic scenario from a seed.
-func GenerateScenario(seed int64, cfg ScenarioConfig) Scenario {
-	return scencheck.Generate(seed, cfg)
-}
 
 // CheckScenario replays a scenario through the selected deployments and
 // diffs every packet verdict against the reference oracle, plus the
@@ -525,22 +496,12 @@ type SoakSetup = subscriber.Setup
 // sampled-verdict divergences, and the accounting audit.
 type SoakReport = subscriber.Report
 
-// NewSubscriberEngine builds a session engine over a spec's policy and
-// edge switches.
-func NewSubscriberEngine(spec *Spec, cfg SubscriberConfig, phases []SoakPhase) *SubscriberEngine {
-	return subscriber.NewEngine(spec, cfg, phases)
-}
-
 // RunSoak streams the subscriber workload through a live wire deployment,
 // sampling ~1-in-N packet verdicts against the oracle and reporting cache
 // miss rate, TCAM occupancy, and redirect load as time series per phase.
 func RunSoak(d *WireDeployment, spec *Spec, cfg SoakConfig) (*SoakReport, error) {
 	return subscriber.RunSoak(d, spec, cfg)
 }
-
-// DefaultSoakScript is the standard soak storyline: steady → churn spike
-// → flash crowd → scan → settle, over the given modeled duration.
-func DefaultSoakScript(total float64) []SoakPhase { return subscriber.DefaultScript(total) }
 
 // SmokeSoakScript is the CI-sized storyline: steady, churn, flash crowd,
 // settle.

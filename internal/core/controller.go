@@ -324,9 +324,18 @@ func (c *Controller) adopt(a Assignment, flush bool) {
 // host: every partition's clipped rules at each of its replicas, re-keyed
 // (AuthorityEntryID) so clips of one rule from two partitions coexist.
 func authorityTables(a Assignment) map[uint32][]flowspace.Rule {
-	out := make(map[uint32][]flowspace.Rule)
+	size := make(map[uint32]int) // sized first: the rules are wide
 	for i, p := range a.Partitions {
 		for _, host := range a.ReplicasFor(i) {
+			size[host] += len(p.Rules)
+		}
+	}
+	out := make(map[uint32][]flowspace.Rule, len(size))
+	for i, p := range a.Partitions {
+		for _, host := range a.ReplicasFor(i) {
+			if out[host] == nil {
+				out[host] = make([]flowspace.Rule, 0, size[host])
+			}
 			for _, r := range p.Rules {
 				r.ID = AuthorityEntryID(i, r.ID)
 				out[host] = append(out[host], r)
@@ -349,23 +358,12 @@ func (c *Controller) installAuthorityRules(a Assignment) (installed uint64) {
 	return installed
 }
 
-// installPartitionRules (re)writes every switch's partition table from the
-// running assignment (routes). Inserting with a fixed per-partition ID
-// replaces any previous rule, so the same path serves initial install and
-// topology refresh.
+// installPartitionRules syncs every switch's partition table to the
+// running assignment's routes. A leftover of an older assignment goes: it
+// would redirect to an authority that can only drop the packet as a hole.
 func (c *Controller) installPartitionRules() {
 	for _, sw := range c.sb.Switches() {
-		want := c.routes(sw)
-		installed := make(map[uint64]bool, len(want))
-		for _, r := range want {
-			_ = c.send(sw, proto.TablePartition, proto.OpAdd, r)
-			installed[r.ID] = true
-		}
-		// Withdraw leftovers from a previous, larger assignment (or backup
-		// rules of partitions that collapsed to a single replica): a stale
-		// redirect sends packets to an authority that no longer hosts the
-		// region, which the authority can only drop as a hole.
-		c.withdraw(sw, proto.TablePartition, func(r *flowspace.Rule) bool { return !installed[r.ID] })
+		c.sync(sw, proto.TablePartition, c.routes(sw))
 	}
 }
 
@@ -385,13 +383,39 @@ func (c *Controller) routes(sw uint32) []flowspace.Rule {
 	})
 }
 
+// sync brings switch sw's table t to want, reading it once: it withdraws
+// each entry want lacks or holds otherwise and adds only the rules then
+// missing, so an entry as wanted keeps its counters and its place in the
+// index. It returns the FlowMods sent each way.
+func (c *Controller) sync(sw uint32, t proto.Table, want []flowspace.Rule) (installed, deleted int) {
+	at := make(map[uint64]int, len(want))
+	for i := range want {
+		at[want[i].ID] = i
+	}
+	kept := make([]bool, len(want))
+	deleted = len(c.withdraw(sw, t, func(r *flowspace.Rule) bool {
+		if i, ok := at[r.ID]; ok && want[i] == *r {
+			kept[i] = true
+			return false
+		}
+		return true
+	}))
+	for i := range want {
+		if !kept[i] && c.send(sw, t, proto.OpAdd, want[i]) == nil {
+			installed++
+		}
+	}
+	return installed, deleted
+}
+
 // withdraw deletes every entry of switch sw's table t that drop picks, and
 // returns the IDs of those the switch was sent a delete for.
 func (c *Controller) withdraw(sw uint32, t proto.Table, drop func(*flowspace.Rule) bool) []uint64 {
 	var gone []uint64
-	for _, e := range c.sb.Stats(sw, t) {
-		if drop(&e.Rule) && c.send(sw, t, proto.OpDelete, e.Rule) == nil {
-			gone = append(gone, e.Rule.ID)
+	es := c.sb.Stats(sw, t)
+	for i := range es {
+		if r := &es[i].Rule; drop(r) && c.send(sw, t, proto.OpDelete, *r) == nil {
+			gone = append(gone, r.ID)
 		}
 	}
 	return gone

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"difane/internal/flowspace"
@@ -55,19 +56,38 @@ func TestOnTopologyChangeRetargetsNearestReplica(t *testing.T) {
 	}
 }
 
+// flowModCounter counts the FlowMods a controller sends through it.
+type flowModCounter struct {
+	Southbound
+	mods int
+}
+
+func (f *flowModCounter) FlowMod(sw uint32, mod proto.FlowMod) error {
+	f.mods++
+	return f.Southbound.FlowMod(sw, mod)
+}
+
+// TestOnTopologyChangeNoChangeIsStable: a refresh with nothing to change
+// sends no FlowMod, and the partition rules keep their counters.
 func TestOnTopologyChangeNoChangeIsStable(t *testing.T) {
 	n, c := ringNet(t)
-	before := n.Switches[2].Table(proto.TablePartition).Rules()
+	for i := uint32(0); i < 3; i++ {
+		n.InjectPacket(0, 2, flowKey(i+1, 80), 100, 0)
+	}
+	n.Run(0.5)
+	before := partitionEntries(n)
+	if !counted(before) {
+		t.Fatal("no partition rule counted a redirected packet")
+	}
+	sb := &flowModCounter{Southbound: c.sb}
+	c.sb = sb
 	at := c.OnTopologyChange()
 	n.Run(at + 0.01)
-	after := n.Switches[2].Table(proto.TablePartition).Rules()
-	if len(before) != len(after) {
-		t.Fatalf("rule count changed: %d -> %d", len(before), len(after))
+	if sb.mods != 0 {
+		t.Fatalf("a refresh with no topology change sent %d FlowMods", sb.mods)
 	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("rule %d changed without topology change:\n%v\n%v", i, before[i], after[i])
-		}
+	if after := partitionEntries(n); !reflect.DeepEqual(after, before) {
+		t.Fatalf("partition rules or their counters changed without topology change:\n%v\n%v", before, after)
 	}
 }
 

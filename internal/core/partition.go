@@ -334,7 +334,7 @@ func (a Assignment) PartitionRules(idBase uint64) []flowspace.Rule {
 // redirects is PartitionRules with partition i's two targets named by
 // target; a partition whose targets are one switch gets no backup rule.
 func (a Assignment) redirects(idBase uint64, target func(i int) (near, far uint32)) []flowspace.Rule {
-	var out []flowspace.Rule
+	out := make([]flowspace.Rule, 0, 2*len(a.Partitions))
 	for i, p := range a.Partitions {
 		near, far := target(i)
 		out = append(out, flowspace.Rule{

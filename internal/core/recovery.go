@@ -90,25 +90,14 @@ func ReadState(j *journal.Journal) (ControllerState, bool, error) {
 	return st, ok, err
 }
 
-// LoadState reads the durable controller state from a journal
-// directory without attaching to it. ok is false when the journal holds no
-// state (fresh directory).
-func LoadState(dir string) (ControllerState, bool, error) {
-	j, err := journal.Open(dir)
-	if err != nil {
-		return ControllerState{}, false, err
-	}
-	defer j.Close()
-	return ReadState(j)
-}
-
 // RecoveryReport says what a journal recovery found and repaired.
 type RecoveryReport struct {
 	// HadState is false when the journal was empty (fresh start).
 	HadState bool
 	// Installed / Deleted count the authority rules reconciliation had to
-	// add or withdraw. Both are zero when the switches never diverged from
-	// the journaled state — the common crash-restart case.
+	// add or withdraw; the partition rules it syncs are not counted. Both
+	// are zero when the switches never diverged from the journaled state —
+	// the common crash-restart case.
 	Installed int
 	Deleted   int
 }
@@ -158,46 +147,24 @@ func (c *Controller) Resume(st ControllerState, j *journal.Journal) RecoveryRepo
 	return rep
 }
 
-// Reconcile makes every switch's installed state match the controller's
-// desired state while leaving already-correct entries untouched: ingress
-// caches survive, matching authority rules keep their counters, and only
-// genuinely stale rules are withdrawn or missing ones added. It is the
-// recovery path's alternative to tearing everything down and reinstalling,
-// and is also the repair for any detected divergence between controller
-// intent and switch reality. Returns the authority rules added and the
-// stale rules removed.
+// Reconcile syncs every switch's authority and partition tables to the
+// controller's desired state: ingress caches survive, entries already as
+// wanted keep their counters, and only stale rules are withdrawn or missing
+// ones added. It is recovery's alternative to tearing everything down and
+// reinstalling, and the repair for any divergence between controller
+// intent and switch reality. Returns the authority rules added and
+// withdrawn, which is also all it notes: no caller counts partition rules.
 func (c *Controller) Reconcile() (installed, deleted int) {
-	a := c.run.Assignment
-	tables := authorityTables(a)
-	// Partition rules use fixed per-partition IDs; anything beyond the
-	// current partition count is a leftover from a larger old assignment.
-	maxPartID := partitionIDBase + uint64(2*len(a.Partitions))
-	for _, id := range c.sb.Switches() {
-		desired := make(map[uint64]flowspace.Rule, len(tables[id]))
-		for _, r := range tables[id] {
-			desired[r.ID] = r
-		}
-		kept := make(map[uint64]bool, len(desired))
-		deleted += len(c.withdraw(id, proto.TableAuthority, func(r *flowspace.Rule) bool {
-			if d, ok := desired[r.ID]; ok && d == *r {
-				kept[r.ID] = true // already installed and identical: keep counters
-				return false
-			}
-			return true
-		}))
-		for _, r := range tables[id] {
-			if !kept[r.ID] && c.send(id, proto.TableAuthority, proto.OpAdd, r) == nil {
-				installed++
-			}
-		}
-		deleted += len(c.withdraw(id, proto.TablePartition, func(r *flowspace.Rule) bool {
-			return r.ID >= maxPartID
-		}))
+	tables := authorityTables(c.run.Assignment)
+	for _, sw := range c.sb.Switches() {
+		i, d := c.sync(sw, proto.TableAuthority, tables[sw])
+		installed += i
+		deleted += d
 	}
 	c.sb.Note(0, false, uint64(installed))
 	c.sb.Note(0, true, uint64(deleted))
-	// Fresh miss handlers for the recovered assignment, and its partition
-	// rules (fixed IDs replace in place: no churn when targets are unchanged).
-	c.adopt(a, false)
+	// Fresh miss handlers for the recovered assignment, then its partition
+	// rules.
+	c.adopt(c.run.Assignment, false)
 	return installed, deleted
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"difane/internal/flowspace"
+	"difane/internal/journal"
 	"difane/internal/proto"
 	"difane/internal/testutil"
 )
@@ -21,6 +22,31 @@ func recoveredPolicy() []flowspace.Rule {
 		{ID: 4, Priority: 0, Match: flowspace.MatchAll(),
 			Action: flowspace.Action{Kind: flowspace.ActDrop}},
 	}
+}
+
+// partitionEntries maps each switch's partition rules to their packet
+// counters.
+func partitionEntries(n *Network) map[uint32]map[flowspace.Rule]uint64 {
+	out := map[uint32]map[flowspace.Rule]uint64{}
+	for id, sw := range n.Switches {
+		out[id] = map[flowspace.Rule]uint64{}
+		for _, e := range sw.Table(proto.TablePartition).Entries() {
+			out[id][e.Rule] = e.Packets
+		}
+	}
+	return out
+}
+
+// counted reports whether some partition entry has counted a packet.
+func counted(entries map[uint32]map[flowspace.Rule]uint64) bool {
+	for _, tb := range entries {
+		for _, p := range tb {
+			if p > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // authorityRuleIDs collects the authority-table rule IDs of one switch.
@@ -56,7 +82,10 @@ func TestRecoveryConvergesWithoutChurn(t *testing.T) {
 		t.Fatal("expected a populated ingress cache before the crash")
 	}
 	caches := n.CacheEntries()
-	authBefore := authorityRuleIDs(n, 2)
+	authBefore, partBefore := authorityRuleIDs(n, 2), partitionEntries(n)
+	if !counted(partBefore) {
+		t.Fatal("no partition rule counted the redirected packet")
+	}
 	wantEpoch, wantVer, wantGen := c1.Epoch, c1.PolicyVersion, c1.gen
 	wantAssign := n.Assignment()
 	installs, deletes := n.M.PolicyRuleInstalls, n.M.PolicyRuleDeletes
@@ -87,6 +116,9 @@ func TestRecoveryConvergesWithoutChurn(t *testing.T) {
 	}
 	if got := authorityRuleIDs(n, 2); !reflect.DeepEqual(got, authBefore) {
 		t.Fatalf("authority rules changed across recovery: %v vs %v", got, authBefore)
+	}
+	if got := partitionEntries(n); !reflect.DeepEqual(got, partBefore) {
+		t.Fatalf("partition rules or their counters changed across recovery:\n%v\n%v", partBefore, got)
 	}
 	if n.M.PolicyRuleInstalls != installs || n.M.PolicyRuleDeletes != deletes {
 		t.Fatalf("churn counters moved on a clean recovery: %d/%d then %d/%d",
@@ -139,6 +171,35 @@ func TestRecoveryRepairsDivergedSwitch(t *testing.T) {
 	}
 }
 
+// TestRecoveryWithdrawsStrayPartitionRule: a partition entry the
+// controller never installed is withdrawn by recovery, and the report,
+// which counts authority rules alone, reads nothing.
+func TestRecoveryWithdrawsStrayPartitionRule(t *testing.T) {
+	dir := t.TempDir()
+	n := testNet(t, NetworkConfig{})
+	if _, err := NewControllerWithJournal(n, dir); err != nil {
+		t.Fatal(err)
+	}
+	want := partitionEntries(n)
+	stray := flowspace.Rule{ID: PartitionIDBase + 100, Priority: 1, Match: flowspace.MatchAll(),
+		Action: flowspace.Action{Kind: flowspace.ActRedirect, Arg: 3}}
+	if err := n.Switches[0].Table(proto.TablePartition).Insert(0, stray, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	c, rep, err := NewControllerFromJournal(n, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Journal().Close()
+	if rep != (RecoveryReport{HadState: true}) {
+		t.Fatalf("report = %+v, want no authority rule installed or deleted", rep)
+	}
+	if got := partitionEntries(n); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stray partition rule survived recovery:\n%v\nwant %v", got, want)
+	}
+}
+
 func TestRecoveryFromEmptyJournal(t *testing.T) {
 	n := testNet(t, NetworkConfig{})
 	c, rep, err := NewControllerFromJournal(n, t.TempDir())
@@ -176,10 +237,15 @@ func TestEpochMonotonicAcrossRestarts(t *testing.T) {
 			t.Fatalf("epochs not strictly increasing: %v", epochs)
 		}
 	}
-	// LoadState sees the last restart's epoch without attaching.
-	st, ok, err := LoadState(dir)
+	// The journal holds the last restart's epoch.
+	j, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	st, ok, err := ReadState(j)
 	if err != nil || !ok {
-		t.Fatalf("LoadState: ok=%v err=%v", ok, err)
+		t.Fatalf("ReadState: ok=%v err=%v", ok, err)
 	}
 	if st.Epoch != epochs[len(epochs)-1] {
 		t.Fatalf("durable epoch = %d, want %d", st.Epoch, epochs[len(epochs)-1])

@@ -160,9 +160,6 @@ type Filter struct {
 	Limit   int    // keep only the most recent Limit events, 0 = all
 }
 
-// Node is a convenience for building a Filter.Node value.
-func Node(id uint32) *uint32 { return &id }
-
 func (f *Filter) match(ev *Event) bool {
 	if f.Node != nil && *f.Node != ev.Node {
 		return false

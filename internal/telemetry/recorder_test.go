@@ -107,7 +107,8 @@ func TestRecorderFilter(t *testing.T) {
 		got[0].Kind != EvRedirect || got[1].Kind != EvAuthority {
 		t.Fatalf("flow filter: %+v", got)
 	}
-	if got := rec.Events(Filter{Node: Node(1)}); len(got) != 2 {
+	node := uint32(1)
+	if got := rec.Events(Filter{Node: &node}); len(got) != 2 {
 		t.Fatalf("node filter: %+v", got)
 	}
 	if got := rec.Events(Filter{Kinds: []EventKind{EvVerdict}}); len(got) != 1 ||

@@ -103,7 +103,8 @@ func serveTrace(w http.ResponseWriter, r *http.Request, rec *Recorder) {
 		if perr != nil {
 			err = fmt.Errorf("bad node %q", v)
 		} else {
-			f.Node = Node(uint32(n))
+			id := uint32(n)
+			f.Node = &id
 		}
 	}
 	if v := q.Get("kind"); v != "" && err == nil {

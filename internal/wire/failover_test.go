@@ -93,7 +93,7 @@ func awaitCache(t *testing.T, c *Cluster, sw uint32) {
 func deathCauses(c *Cluster, id uint32) []uint64 {
 	var causes []uint64
 	for _, ev := range c.TraceEvents(telemetry.Filter{
-		Node: telemetry.Node(id), Kinds: []telemetry.EventKind{telemetry.EvDeath},
+		Node: &id, Kinds: []telemetry.EventKind{telemetry.EvDeath},
 	}) {
 		causes = append(causes, ev.Value)
 	}

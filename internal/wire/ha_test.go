@@ -471,6 +471,47 @@ func TestElectionReconcilesWithoutChurn(t *testing.T) {
 	}
 }
 
+// TestResumeOnUnchangedClusterSendsNoFlowMod: a successor resuming a
+// cluster that nothing changed, every switch up, finds each table as it
+// wants it and writes no FlowMod to any switch, whether an election seats
+// it or RestoreController does.
+func TestResumeOnUnchangedClusterSendsNoFlowMod(t *testing.T) {
+	for _, replicas := range []int{3, 0} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			tap := &frameTap{seen: map[proto.MsgType]int{}, downstream: true}
+			cfg := slack(failoverConfig())
+			cfg.HA = HAConfig{Replicas: replicas, ElectionDelay: 5 * time.Millisecond}
+			cfg.pipe = tap.pipe
+			c := startCluster(t, cfg)
+			for i := uint32(0); i < 4; i++ {
+				if !c.Inject(i%2, httpHeader(10+i), 100) {
+					t.Fatal("inject failed")
+				}
+				awaitDelivery(t, c)
+			}
+			before, _ := tap.counts()
+			if !c.KillController() {
+				t.Fatal("KillController failed")
+			}
+			if replicas > 0 {
+				waitMeasure(t, c, "the election", func(m *core.Measurements) bool { return m.LeaderElections == 1 })
+			} else if !c.RestoreController() {
+				t.Fatal("RestoreController failed")
+			}
+			after, err := tap.counts()
+			if err != nil {
+				t.Fatalf("the controller wrote an undecodable frame: %v", err)
+			}
+			if after[proto.MsgBarrierReq] == before[proto.MsgBarrierReq] {
+				t.Fatal("the successor's barriers never crossed a tapped pipe")
+			}
+			if n := after[proto.MsgFlowMod] - before[proto.MsgFlowMod]; n != 0 {
+				t.Fatalf("the successor sent %d FlowMods to an unchanged cluster", n)
+			}
+		})
+	}
+}
+
 // TestHADirResumesEpoch: a cluster booted on the journal directory of one
 // that ran before resumes from it, so its epoch is past every epoch the
 // first cluster reached.

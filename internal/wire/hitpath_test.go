@@ -323,7 +323,7 @@ func TestCacheIdleTimeoutExpires(t *testing.T) {
 		t.Fatalf("flow idle for 6x CacheIdle still hit the ingress cache")
 	}
 	expired := c.TraceEvents(telemetry.Filter{
-		Node: telemetry.Node(0), Kinds: []telemetry.EventKind{telemetry.EvExpire},
+		Node: new(uint32), Kinds: []telemetry.EventKind{telemetry.EvExpire},
 	})
 	if len(expired) == 0 || expired[0].Table != telemetry.TableCache {
 		t.Fatalf("no cache-table expire event at ingress 0: %+v", expired)

@@ -86,7 +86,7 @@ func TestTraceRecordsDifaneArc(t *testing.T) {
 	// The authority's cache install back at the ingress shows up via the
 	// TCAM hook (no flow context there, so query by kind).
 	installs := c.TraceEvents(telemetry.Filter{
-		Node: telemetry.Node(0), Kinds: []telemetry.EventKind{telemetry.EvInstall},
+		Node: new(uint32), Kinds: []telemetry.EventKind{telemetry.EvInstall},
 	})
 	found := false
 	for _, ev := range installs {

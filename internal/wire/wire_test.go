@@ -164,20 +164,26 @@ func TestBarrierRoundTrip(t *testing.T) {
 	}
 }
 
-// upstreamTap hands out control pipes whose switch end decodes every
-// frame the switch writes, counting them by type.
-type upstreamTap struct {
-	mu   sync.Mutex
-	seen map[proto.MsgType]int
-	bad  error
+// frameTap hands out control pipes one end of which decodes every frame
+// written into it, counting them by type: the switch end (what a switch
+// sends upstream), or with downstream the controller end (what the
+// controller sends a switch).
+type frameTap struct {
+	mu         sync.Mutex
+	seen       map[proto.MsgType]int
+	bad        error
+	downstream bool
 }
 
-func (u *upstreamTap) pipe() (net.Conn, net.Conn) {
+func (u *frameTap) pipe() (net.Conn, net.Conn) {
 	sw, ctrl := net.Pipe()
+	if u.downstream {
+		return sw, &tapConn{Conn: ctrl, tap: u}
+	}
 	return &tapConn{Conn: sw, tap: u}, ctrl
 }
 
-func (u *upstreamTap) counts() (map[proto.MsgType]int, error) {
+func (u *frameTap) counts() (map[proto.MsgType]int, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	out := make(map[proto.MsgType]int, len(u.seen))
@@ -187,11 +193,11 @@ func (u *upstreamTap) counts() (map[proto.MsgType]int, error) {
 	return out, u.bad
 }
 
-// tapConn is a switch end of a control pipe. proto.WriteMessage writes
+// tapConn is a tapped end of a control pipe. proto.WriteMessage writes
 // one whole frame per Write, so each Write decodes to exactly one message.
 type tapConn struct {
 	net.Conn
-	tap *upstreamTap
+	tap *frameTap
 }
 
 func (t *tapConn) Write(b []byte) (int, error) {
@@ -214,7 +220,7 @@ func (t *tapConn) Write(b []byte) (int, error) {
 // in process. The run sends traffic, a fenced FlowMod, one that raises
 // the fence, a stale one the switch rejects, and barriers to every switch.
 func TestOnlyBarrierRepliesAndBFDGoUpstream(t *testing.T) {
-	tap := &upstreamTap{seen: map[proto.MsgType]int{}}
+	tap := &frameTap{seen: map[proto.MsgType]int{}}
 	cfg := slack(failoverConfig())
 	cfg.pipe = tap.pipe
 	c := startCluster(t, cfg)
