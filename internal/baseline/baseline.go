@@ -126,6 +126,7 @@ func NewNetwork(g *topo.Graph, policy []flowspace.Rule, cfg Config) (*Network, e
 			CacheCapacity: cfg.CacheCapacity,
 			CacheEviction: cfg.CacheEviction.TCAMPolicy(),
 			TCAMBudget:    cfg.TCAMBudget,
+			DisjointCache: true, // exact microflows
 		})
 		nodes = append(nodes, uint32(id))
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"difane/internal/cachepolicy"
@@ -165,7 +167,13 @@ func (a *CacheAdapter) Round(now float64, m *Measurements, switches []*switchsim
 	a.pol.SetPriors(m.FirstPacketDelay.Mean(), m.Delivered, m.Redirects)
 
 	for _, sw := range switches {
-		for _, e := range sw.Table(proto.TableCache).Entries() {
+		// The EWMA weighs samples by when it sees them: TCAM order keeps
+		// a round's result independent of the table's own order.
+		es := sw.Table(proto.TableCache).Entries()
+		slices.SortFunc(es, func(a, b tcam.Entry) int {
+			return cmp.Or(cmp.Compare(b.Rule.Priority, a.Rule.Priority), cmp.Compare(a.Rule.ID, b.Rule.ID))
+		})
+		for _, e := range es {
 			if e.Packets < 2 {
 				continue
 			}

@@ -263,6 +263,7 @@ func NewNetwork(g *topo.Graph, authorities []uint32, policy []flowspace.Rule, cf
 			CacheEviction: cfg.CacheEviction.TCAMPolicy(),
 			CacheVictim:   n.cache.VictimFn(),
 			TCAMBudget:    cfg.TCAMBudget,
+			DisjointCache: cfg.Strategy != StrategyDependent,
 		})
 	}
 	for _, id := range authorities {

@@ -208,7 +208,7 @@ func (b *simBackend) audit() []string {
 	}
 	return auditTables(b.n.Assignment(), fresh, b.sc.Switches, b.sc.Authorities, func(sw uint32, t proto.Table) []flowspace.Rule {
 		return b.n.Switches[sw].Table(t).Rules()
-	}, true)
+	}, true, b.sc.Strategy != core.StrategyDependent)
 }
 
 // auditTables checks what a deployment's switches hold once the scenario
@@ -219,24 +219,38 @@ func (b *simBackend) audit() []string {
 //     region with the same action: a cache can only ever specialize the
 //     authority tables, never invent behaviour;
 //   - (d) the deployed assignment, each authority switch's table and each
-//     switch's partition rules are what that controller would install.
+//     switch's partition rules are what that controller would install;
+//   - (e) with disjoint set (every strategy but StrategyDependent), any two
+//     cache entries of one switch that overlap carry the same action and
+//     priority. A cover holds only keys its rule is the top rule for, so
+//     two entries that share a key stand for that key's one rule, whatever
+//     generation minted them; the ingress cache's unordered band
+//     (tcam.NewDisjoint) may then answer with either.
 //
 // A deployment whose kills never heal (wire) leaves the dead switches out
 // of switches and passes primaries false when there are any: promotion
 // withdrew the partition rules redirecting to them.
 func auditTables(deployed, fresh core.Assignment, switches, authorities []uint32,
-	read func(sw uint32, t proto.Table) []flowspace.Rule, primaries bool) []string {
+	read func(sw uint32, t proto.Table) []flowspace.Rule, primaries, disjoint bool) []string {
 	var out []string
 	partRules := make([][]flowspace.Rule, len(deployed.Partitions))
 	for i, p := range deployed.Partitions {
 		partRules[i] = p.Rules
 	}
 	for _, swID := range switches {
-		for _, r := range read(swID, proto.TableCache) {
+		cache := read(swID, proto.TableCache)
+		for i, r := range cache {
 			if !oracle.CacheRuleSound(r, partRules) {
 				out = append(out, fmt.Sprintf(
 					"cache-soundness: switch %d cache rule %d (%v -> %v) not contained in any authority rule",
 					swID, r.ID, r.Match, r.Action))
+			}
+			for _, o := range cache[i+1:] {
+				if disjoint && r.Match.Overlaps(o.Match) && (r.Action != o.Action || r.Priority != o.Priority) {
+					out = append(out, fmt.Sprintf(
+						"cache-overlap: switch %d cache rules %d (%v -> %v p=%d) and %d (%v -> %v p=%d) overlap and disagree",
+						swID, r.ID, r.Match, r.Action, r.Priority, o.ID, o.Match, o.Action, o.Priority))
+				}
 			}
 		}
 	}
@@ -595,7 +609,8 @@ func (b *wireBackend) audit() []string {
 			live = append(live, id)
 		}
 	}
-	return auditTables(b.d.C.Assignment(), fresh, live, b.sc.Authorities, b.d.C.TableRules, len(b.killed) == 0)
+	return auditTables(b.d.C.Assignment(), fresh, live, b.sc.Authorities, b.d.C.TableRules, len(b.killed) == 0,
+		b.sc.Strategy != core.StrategyDependent)
 }
 
 func (b *wireBackend) close() { _ = b.d.Close() }

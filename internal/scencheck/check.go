@@ -50,7 +50,7 @@ type Failure struct {
 	// Step indexes Scenario.Steps (-1 for scenario-level audits).
 	Step int
 	// Invariant names what broke: "oracle", "accounting", "epoch",
-	// "cache-soundness", "convergence", or "deploy".
+	// "cache-soundness", "cache-overlap", "convergence", or "deploy".
 	Invariant string
 	Msg       string
 }
@@ -350,7 +350,7 @@ func replayMode(sc Scenario, mode string, opt Options, res *Result) {
 func auditInvariant(msg string) string {
 	if i := strings.Index(msg, ":"); i > 0 {
 		switch tag := msg[:i]; tag {
-		case "cache-soundness", "convergence", "accounting", "epoch":
+		case "cache-soundness", "cache-overlap", "convergence", "accounting", "epoch":
 			return tag
 		}
 	}

@@ -93,13 +93,23 @@ type Config struct {
 	// the cache, evicting via CacheEviction/CacheVictim). CacheCapacity
 	// still applies as an additional cap when set.
 	TCAMBudget int
+	// DisjointCache builds the cache with tcam.NewDisjoint, whose lookups
+	// return any entry that holds the key: for a deployment whose
+	// overlapping cache rules always agree on action and priority (DIFANE's
+	// covers and exact entries, the baseline's microflows), not for one
+	// that caches overlapping rules (core.StrategyDependent).
+	DisjointCache bool
 }
 
 // New creates a switch with the given table sizing.
 func New(id uint32, cfg Config) *Switch {
+	newCache := tcam.New
+	if cfg.DisjointCache {
+		newCache = tcam.NewDisjoint
+	}
 	s := &Switch{
 		ID:         id,
-		cache:      tcam.New(fmt.Sprintf("sw%d/cache", id), cfg.CacheCapacity, cfg.CacheEviction),
+		cache:      newCache(fmt.Sprintf("sw%d/cache", id), cfg.CacheCapacity, cfg.CacheEviction),
 		authority:  tcam.New(fmt.Sprintf("sw%d/authority", id), 0, tcam.EvictNone),
 		partition:  tcam.New(fmt.Sprintf("sw%d/partition", id), 0, tcam.EvictNone),
 		tcamBudget: cfg.TCAMBudget,

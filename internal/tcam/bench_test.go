@@ -36,7 +36,9 @@ func BenchmarkLookup(b *testing.B) {
 // a miss storm drives it: every insert picks a victim, removes it from the
 // index and adds the newcomer. 256 is the benchmark's cache; 10000 shows
 // the cost does not follow the table's size; cost-aware has a VictimFunc
-// score every entry per eviction, as cachepolicy's does.
+// score every entry per eviction, as cachepolicy's does; disjoint is 256
+// on what an ingress cache holds, an authority's carved covers, in a
+// NewDisjoint table.
 func BenchmarkInsertEvict(b *testing.B) {
 	costAware := func(now float64, cands []VictimCandidate) int {
 		best, bestScore := -1, 0.0
@@ -53,9 +55,12 @@ func BenchmarkInsertEvict(b *testing.B) {
 		name   string
 		n      int
 		victim VictimFunc
-	}{{"256", 256, nil}, {"10000", 10000, nil}, {"256/cost-aware", 256, costAware}} {
+	}{{"256", 256, nil}, {"10000", 10000, nil}, {"256/cost-aware", 256, costAware}, {"256/disjoint", 256, nil}} {
 		b.Run(bc.name, func(b *testing.B) {
 			tb, insert := fullCache(b, bc.n)
+			if bc.name == "256/disjoint" {
+				tb, insert = filled(b, NewDisjoint("evict", bc.n, EvictLRU), classBenchCovers(1024))
+			}
 			tb.SetVictimFn(bc.victim)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -64,4 +69,31 @@ func BenchmarkInsertEvict(b *testing.B) {
 			}
 		})
 	}
+}
+
+// classBenchCovers returns n distinct covers carved around random keys of
+// classBenchPolicy(1024), as an authority carves them, each with its
+// rule's priority and action: the rules a miss storm installs, pairwise
+// disjoint.
+func classBenchCovers(n int) []flowspace.Rule {
+	policy := classBenchPolicy(1024)
+	rng := rand.New(rand.NewSource(17))
+	seen := map[flowspace.Match]bool{}
+	var out []flowspace.Rule
+	for len(out) < n {
+		k := keyIn(rng, policy[rng.Intn(len(policy))].Match)
+		hit := -1
+		for i := range policy {
+			if policy[i].Match.Holds(&k) && (hit < 0 || policy[i].Precedes(&policy[hit])) {
+				hit = i
+			}
+		}
+		if cover, ok := flowspace.CoverFor(policy, hit, flowspace.MatchAll(), k); ok && !seen[cover] {
+			seen[cover] = true
+			r := policy[hit]
+			r.Match = cover
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -66,7 +66,7 @@ func (s *slot) holds(k *packed) bool {
 // tests one bit of one field: rules that pin the bit to 0 live under
 // kids[0], to 1 under kids[1], and rules that wildcard it under kids[2],
 // so every rule sits in exactly one leaf. A leaf holds its slots in TCAM
-// order and splits once it holds more than limit of them; an inner node
+// order (a disjoint tree's in none) and splits past limit; an inner node
 // counts the entries below it, so a removal sees on its way down when a
 // subtree has shrunk to a leaf's worth.
 type node struct {
@@ -94,12 +94,15 @@ func position(slots []slot, e *entry) int {
 	return sort.Search(len(slots), func(i int) bool { return !slots[i].e.rule.Precedes(&e.rule) })
 }
 
-func (n *node) insert(e *entry) {
+func (n *node) insert(e *entry, disjoint bool) {
 	for n.mask != 0 {
 		n.count++
 		n = n.kids[n.kid(&e.rule.Match)]
 	}
-	i := position(n.slots, e)
+	i := len(n.slots)
+	if !disjoint {
+		i = position(n.slots, e)
+	}
 	if len(n.slots) == cap(n.slots) {
 		// Grow by a few slots, not by doubling: leaves are small and
 		// many, and their slack is most of what the index adds to a
@@ -109,6 +112,7 @@ func (n *node) insert(e *entry) {
 		n.slots = grown
 	}
 	n.slots = slices.Insert(n.slots, i, slotOf(e))
+	e.leaf = int32(i)
 	n.split()
 }
 
@@ -117,24 +121,34 @@ func (n *node) insert(e *entry) {
 // of its bit, in which case the node no longer cuts anything and its
 // subtree is indexed again without e: it folds into a leaf, or splits on
 // bits that separate the entries it holds now.
-func (n *node) remove(e *entry) {
+func (n *node) remove(e *entry, disjoint bool) {
 	for n.mask != 0 {
 		n.count--
 		k := n.kid(&e.rule.Match)
 		if n.count <= collapseAt || k != 2 && n.kids[k].size() == 1 {
-			*n = indexed(n.gather(make([]slot, 0, n.count), e))
+			*n = indexed(n.gather(make([]slot, 0, n.count), e), disjoint)
 			return
 		}
 		n = n.kids[k]
+	}
+	if disjoint { // the leaf's last slot fills e's, which e.leaf names
+		last := len(n.slots) - 1
+		n.slots[e.leaf] = n.slots[last]
+		n.slots[e.leaf].e.leaf = e.leaf
+		n.slots[last] = slot{}
+		n.slots = n.slots[:last]
+		return
 	}
 	i := position(n.slots, e)
 	n.slots = slices.Delete(n.slots, i, i+1)
 }
 
-// indexed returns a tree over slots, built from scratch: one leaf in TCAM
-// order, split as far as it goes.
-func indexed(slots []slot) node {
-	slices.SortFunc(slots, func(a, b slot) int { return tcamOrder(a.e, b.e) })
+// indexed returns a tree over slots, built from scratch: one leaf, in TCAM
+// order unless the tree is disjoint, split as far as it goes.
+func indexed(slots []slot, disjoint bool) node {
+	if !disjoint {
+		slices.SortFunc(slots, func(a, b slot) int { return tcamOrder(a.e, b.e) })
+	}
 	n := node{limit: leafLimit, slots: slots}
 	n.split()
 	return n
@@ -148,7 +162,8 @@ func (n *node) size() int {
 	return len(n.slots)
 }
 
-// gather appends the subtree's slots, except gone's, to into.
+// gather appends the subtree's slots, except gone's, to into, stamping
+// each entry with its index there.
 func (n *node) gather(into []slot, gone *entry) []slot {
 	if n.mask != 0 {
 		for _, k := range n.kids {
@@ -158,6 +173,7 @@ func (n *node) gather(into []slot, gone *entry) []slot {
 	}
 	for i := range n.slots {
 		if n.slots[i].e != gone {
+			n.slots[i].e.leaf = int32(len(into))
 			into = append(into, n.slots[i])
 		}
 	}
@@ -219,6 +235,7 @@ func (n *node) split() {
 	}
 	for i := range slots {
 		k := n.kids[n.kid(&slots[i].e.rule.Match)]
+		slots[i].e.leaf = int32(len(k.slots))
 		k.slots = append(k.slots, slots[i])
 	}
 	for _, k := range n.kids {
@@ -226,25 +243,22 @@ func (n *node) split() {
 	}
 }
 
-// find returns the first entry in TCAM order matching k among the tree's
-// rules whose ID reads band under bandMask (a zero mask takes every rule).
-// The key is packed once here, for every leaf the walk tests.
-func (n *node) find(k *flowspace.Key, bandMask, band uint64) *entry {
-	p := pack(k)
-	return n.search(k, &p, nil, bandMask, band)
-}
-
-// search is find below n, p being k packed and best the first match found
-// so far: at each inner node it searches the child the key's bit selects,
-// then carries on down the wildcard child. Compares go through pointers:
-// by value, each order test copies two 200-byte Rules.
-func (n *node) search(k *flowspace.Key, p *packed, best *entry, bandMask, band uint64) *entry {
+// search returns the first entry in TCAM order matching k, packed as p,
+// among the rules below n whose ID reads band under bandMask (a zero mask
+// takes every rule), best being the first match found so far: at each
+// inner node it searches the child the key's bit selects,
+// then carries on down the wildcard child. In a disjoint tree any match
+// is the answer, so the walk ends at the first. Compares go through
+// pointers: by value, each order test copies two 200-byte Rules.
+func (n *node) search(k *flowspace.Key, p *packed, best *entry, bandMask, band uint64, disjoint bool) *entry {
 	for n.mask != 0 {
 		side := 0
 		if k[n.field]&n.mask != 0 {
 			side = 1
 		}
-		best = n.kids[side].search(k, p, best, bandMask, band)
+		if best = n.kids[side].search(k, p, best, bandMask, band, disjoint); best != nil && disjoint {
+			return best
+		}
 		n = n.kids[2]
 	}
 	if best != nil && len(n.slots) > 0 && !n.slots[0].e.rule.Precedes(&best.rule) {

@@ -13,7 +13,8 @@ import (
 // checkIndex verifies the index's structural invariants against the
 // table's entry list: every entry sits in exactly one leaf, on the path
 // its match selects, with its match packed; the slots add up to Len();
-// every leaf is in TCAM order; every inner node counts the entries below
+// every leaf is in TCAM order, or in a disjoint table every entry knows
+// its index in its leaf; every inner node counts the entries below
 // it, holds more than collapseAt of them and has some on each side of its
 // bit; and the entry list is a heap
 // in eviction order by the keys it was ranked by, none of which has
@@ -48,7 +49,10 @@ func checkIndex(tb *Table) error {
 			if s != slotOf(s.e) {
 				return 0, fmt.Errorf("rule %d: packed match differs from the entry's", s.e.rule.ID)
 			}
-			if i > 0 && !n.slots[i-1].e.rule.Before(s.e.rule) {
+			if tb.disjoint && int(s.e.leaf) != i {
+				return 0, fmt.Errorf("rule %d at leaf slot %d believes it is at %d", s.e.rule.ID, i, s.e.leaf)
+			}
+			if !tb.disjoint && i > 0 && !n.slots[i-1].e.rule.Before(s.e.rule) {
 				return 0, fmt.Errorf("leaf out of TCAM order at rule %d", s.e.rule.ID)
 			}
 			at := n
@@ -82,7 +86,7 @@ func checkIndex(tb *Table) error {
 		if tb.byID[e.rule.ID] != e {
 			return fmt.Errorf("rule %d missing from byID", e.rule.ID)
 		}
-		if e.pos != i {
+		if int(e.pos) != i {
 			return fmt.Errorf("rule %d at heap slot %d believes it is at %d", e.rule.ID, i, e.pos)
 		}
 		if r.lastHit > e.lastHit() || r.packets > e.packets.Load() {
@@ -102,12 +106,12 @@ func build(entries []*entry) *node {
 	for i, e := range entries {
 		slots[i] = slotOf(e)
 	}
-	n := indexed(slots)
+	n := indexed(slots, false)
 	return &n
 }
 
-// slotsCompared walks the tree as find does and counts the slots a lookup
-// of k tests against the key at most (find also skips a leaf whose first
+// slotsCompared walks the tree as search does and counts the slots a lookup
+// of k tests against the key at most (search also skips a leaf whose first
 // slot cannot beat the match it already holds), and the leaves it visits.
 func slotsCompared(n *node, k flowspace.Key) (slots, leaves int) {
 	for n.mask != 0 {
@@ -247,22 +251,65 @@ func TestRemovalsRebuildIndex(t *testing.T) {
 	}
 }
 
+// A disjoint table's entries know their index in their leaf, so a removal
+// moves one slot instead of searching for one: that index must stay right
+// as leaves fill and split, as removals move slots into holes, and as
+// subtrees fold back into one leaf. checkIndex holds every entry to it
+// after each write.
+func TestDisjointLeafIndexSurvivesSplitAndCollapse(t *testing.T) {
+	const n, left = 600, 10
+	rng := rand.New(rand.NewSource(13))
+	covers := disjointCovers(rng, n)
+	tb := NewDisjoint("disjoint", 0, EvictNone)
+	for i, j := range rng.Perm(n) {
+		mustInsert(t, tb, 0, flowspace.Rule{ID: uint64(j + 1), Priority: int32(j % 3), Match: covers[j]})
+		if err := checkIndex(tb); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if tb.root.mask == 0 {
+		t.Fatalf("%d disjoint covers left the root a leaf: nothing split", n)
+	}
+	for i, j := range rng.Perm(n)[left:] {
+		if i%25 == 0 {
+			k := keyIn(rng, covers[rng.Intn(n)])
+			want, wantOK := flowspace.EvalTable(tb.Rules(), k)
+			if got, ok := tb.Peek(k); ok != wantOK || got.ID != want.ID {
+				t.Fatalf("delete %d, key %v: got %v/%v, the scan %v/%v", i, k, got, ok, want, wantOK)
+			}
+		}
+		tb.Delete(uint64(j + 1))
+		if err := checkIndex(tb); err != nil {
+			t.Fatalf("delete %d: %v", i, err)
+		}
+	}
+	if tb.root.mask != 0 || len(tb.root.slots) != left {
+		t.Fatalf("%d entries left: root inner=%v with %d slots, want one leaf holding them all",
+			tb.Len(), tb.root.mask != 0, len(tb.root.slots))
+	}
+}
+
 // fullCache returns a full n-entry LRU cache of ClassBench rules under
 // never-repeated IDs, and the function that makes its next evicting
 // insert — the miss storm's write, as BenchmarkInsertEvict drives it.
 func fullCache(tb testing.TB, n int) (*Table, func()) {
-	policy := classBenchPolicy(1024)
-	t := New("evict", n, EvictLRU)
+	return filled(tb, New("evict", n, EvictLRU), classBenchPolicy(1024))
+}
+
+// filled fills t, which must have a capacity, with rules in turn under
+// never-repeated IDs, and returns it with the function that makes its next
+// evicting insert.
+func filled(tb testing.TB, t *Table, rules []flowspace.Rule) (*Table, func()) {
 	i := 0
 	insert := func() {
-		r := policy[i%len(policy)]
+		r := rules[i%len(rules)]
 		r.ID = 1<<50 + uint64(i) // the rules repeat; their IDs may not
 		if err := t.Insert(float64(i), r, 0, 0); err != nil {
 			tb.Fatal(err)
 		}
 		i++
 	}
-	for i < n {
+	for i < t.Capacity() {
 		insert()
 	}
 	return t, insert
@@ -327,7 +374,8 @@ func TestChurnKeepsIndexShallow(t *testing.T) {
 			kept += s
 			s, _ = slotsCompared(fresh, k)
 			rebuilt += s
-			if got, want := tb.root.find(&k, 0, 0), fresh.find(&k, 0, 0); got != want {
+			p := pack(&k)
+			if got, want := tb.root.search(&k, &p, nil, 0, 0, false), fresh.search(&k, &p, nil, 0, 0, false); got != want {
 				t.Fatalf("cycle %d key %v: kept index finds %v, fresh one %v", i, k, got, want)
 			}
 		}

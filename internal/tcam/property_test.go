@@ -140,12 +140,33 @@ func (m *refModel) ids() map[uint64]bool {
 	return out
 }
 
-// rulePool is one source of rules and keys for the property test.
+// rulePool is one source of rules and keys for the property test; a
+// disjoint pool's rules never overlap, and it drives a NewDisjoint table.
 type rulePool struct {
 	name     string
 	capacity int
+	disjoint bool
 	rule     func(rng *rand.Rand) flowspace.Rule
 	key      func(rng *rand.Rand) flowspace.Key
+}
+
+// disjointCovers returns n pairwise-disjoint matches tiling the key space,
+// the leaves of a random decision tree over the low bytes of three fields:
+// arbitrary (non-prefix) masks, as an authority's carved covers have.
+func disjointCovers(rng *rand.Rand, n int) []flowspace.Match {
+	fields := []flowspace.FieldID{flowspace.FIPSrc, flowspace.FIPDst, flowspace.FTPDst}
+	covers := []flowspace.Match{flowspace.MatchAll()}
+	for len(covers) < n {
+		i, f, b := rng.Intn(len(covers)), fields[rng.Intn(len(fields))], uint64(1)<<rng.Intn(8)
+		fd := covers[i].Fields[f]
+		if fd.Mask&b != 0 {
+			continue
+		}
+		m := covers[i]
+		covers[i] = m.With(f, flowspace.Field{Value: fd.Value, Mask: fd.Mask | b})
+		covers = append(covers, m.With(f, flowspace.Field{Value: fd.Value | b, Mask: fd.Mask | b}))
+	}
+	return covers
 }
 
 func rulePools() []rulePool {
@@ -163,13 +184,14 @@ func rulePools() []rulePool {
 			Action: flowspace.Action{Kind: flowspace.ActForward, Arg: uint32(id)}}
 	}
 	acl := classBenchPolicy(400)
+	covers := disjointCovers(rand.New(rand.NewSource(7)), 60)
 	return []rulePool{
-		{"ports", 8,
+		{"ports", 8, false,
 			func(rng *rand.Rand) flowspace.Rule {
 				return rule(uint64(1+rng.Intn(20)), int32(rng.Intn(5)), uint64(rng.Intn(8)))
 			},
 			func(rng *rand.Rand) flowspace.Key { return keyPort(uint64(rng.Intn(8))) }},
-		{"ternary", 24, ternary,
+		{"ternary", 24, false, ternary,
 			func(rng *rand.Rand) flowspace.Key {
 				var k flowspace.Key
 				for _, f := range ternaryFields {
@@ -177,9 +199,18 @@ func rulePools() []rulePool {
 				}
 				return k
 			}},
-		{"classbench", 150,
+		{"classbench", 150, false,
 			func(rng *rand.Rand) flowspace.Rule { return acl[rng.Intn(len(acl))] },
 			func(rng *rand.Rand) flowspace.Key { return keyIn(rng, acl[rng.Intn(len(acl))].Match) }},
+		// An ingress cache's covers: rule i is always cover i, so any set
+		// of them resident at once is disjoint.
+		{"covers", 12, true,
+			func(rng *rand.Rand) flowspace.Rule {
+				id := uint64(1 + rng.Intn(len(covers)))
+				return flowspace.Rule{ID: id, Priority: int32(rng.Intn(5)), Match: covers[id-1],
+					Action: flowspace.Action{Kind: flowspace.ActForward, Arg: uint32(id)}}
+			},
+			func(rng *rand.Rand) flowspace.Key { return keyIn(rng, covers[rng.Intn(len(covers))]) }},
 	}
 }
 
@@ -205,13 +236,18 @@ func keyIn(rng *rand.Rand, m flowspace.Match) flowspace.Key {
 // the band's Rules(), every capacity eviction and SetCapacity shrink takes the
 // victims the model's scan of the policy's total order takes, in its
 // order, the resident sets agree, and the structural invariants of the
-// index and the eviction heap hold after every step.
+// index and the eviction heap hold after every step. The "covers" pool
+// runs it on a NewDisjoint table, whose unordered leaves must read the same.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	memoBands := [][2]uint64{{0, 0}, {1, 0}, {1, 1}} // mask, band
 	for _, pool := range rulePools() {
 		for _, policy := range []EvictionPolicy{EvictNone, EvictLRU, EvictLFU} {
 			rng := rand.New(rand.NewSource(149 + int64(policy)))
-			tb := New("prop", pool.capacity, policy)
+			newTable := New
+			if pool.disjoint {
+				newTable = NewDisjoint
+			}
+			tb := newTable("prop", pool.capacity, policy)
 			ref := &refModel{capacity: pool.capacity, policy: policy}
 			var evicted []uint64
 			tb.OnEvict = func(id uint64) { evicted = append(evicted, id) }

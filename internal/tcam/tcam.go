@@ -12,7 +12,8 @@
 // place — an insert or a removal touches one root-to-leaf path, and a
 // subtree that removals shrink to a leaf's worth folds back into a leaf on
 // that path. A capacity eviction is as local: the entries sit in a min-heap
-// in the eviction policy's order, so no write walks the table.
+// in the eviction policy's order, so no write walks the table. A NewDisjoint
+// table's leaves keep no order: an insert appends, a lookup takes any match.
 //
 // Concurrency: the table is safe for concurrent use behind one
 // sync.RWMutex. Reads (Lookup, Peek, Len, Entries, Rules, and
@@ -78,9 +79,10 @@ type entry struct {
 	bytes       atomic.Uint64
 	lastHitBits atomic.Uint64 // math.Float64bits of the last-hit time
 
-	// pos is the entry's index in Table.entries, written under the
-	// table's write lock.
-	pos int
+	// pos is the entry's index in Table.entries and leaf its index in its
+	// leaf (current in a disjoint table only), written under the write
+	// lock; int32s keep the entry in the 240-byte size class.
+	pos, leaf int32
 }
 
 func (e *entry) lastHit() float64 { return math.Float64frombits(e.lastHitBits.Load()) }
@@ -174,6 +176,7 @@ type Table struct {
 	name     string
 	capacity int // 0 = unlimited
 	policy   EvictionPolicy
+	disjoint bool // see NewDisjoint
 
 	// mu guards everything below it up to the hooks. entries holds every
 	// installed entry as a min-heap in eviction order (pickVictimLocked),
@@ -232,6 +235,16 @@ func New(name string, capacity int, policy EvictionPolicy) *Table {
 		ver:      1,
 	}
 	t.expiryBound.Store(math.Float64bits(never))
+	return t
+}
+
+// NewDisjoint is New for entries whose overlaps always agree (any two that
+// hold for one key carry one action and priority, as an ingress cache's
+// covers do), so any match may answer: its leaves keep no order, an insert
+// appends and a lookup returns the first entry it finds that holds the key.
+func NewDisjoint(name string, capacity int, policy EvictionPolicy) *Table {
+	t := New(name, capacity, policy)
+	t.disjoint = true
 	return t
 }
 
@@ -334,7 +347,7 @@ func (t *Table) Insert(now float64, r flowspace.Rule, idle, hard float64) error 
 	e.lastHitBits.Store(math.Float64bits(now))
 	t.rankLocked(e)
 	t.byID[r.ID] = e
-	t.root.insert(e)
+	t.root.insert(e, t.disjoint)
 	t.ver++
 	if at := e.expiresAt(); at < math.Float64frombits(t.expiryBound.Load()) {
 		t.expiryBound.Store(math.Float64bits(at))
@@ -373,7 +386,7 @@ func (t *Table) DeleteWhere(pred func(Entry) bool) int {
 // removeLocked takes one entry out of the table.
 func (t *Table) removeLocked(e *entry) {
 	delete(t.byID, e.rule.ID)
-	t.root.remove(e)
+	t.root.remove(e, t.disjoint)
 	t.ver++
 	t.unrankLocked(e)
 }
@@ -392,8 +405,8 @@ func (t *Table) unrankLocked(e *entry) {
 	t.entries = t.entries[:last]
 	if moved.e != e {
 		t.entries[e.pos] = moved
-		t.siftDown(e.pos)
-		t.siftUp(moved.e.pos)
+		t.siftDown(int(e.pos))
+		t.siftUp(int(moved.e.pos))
 	}
 }
 
@@ -407,7 +420,7 @@ func (t *Table) dropLocked(doomed func(*entry) bool) []*entry {
 			delete(t.byID, r.e.rule.ID)
 			gone = append(gone, r.e)
 		} else {
-			r.e.pos = len(kept)
+			r.e.pos = int32(len(kept))
 			kept = append(kept, r)
 		}
 	}
@@ -421,7 +434,7 @@ func (t *Table) dropLocked(doomed func(*entry) bool) []*entry {
 		t.root = &node{limit: leafLimit} // cleared: no index to take them out of one by one
 	} else {
 		for _, e := range gone {
-			t.root.remove(e)
+			t.root.remove(e, t.disjoint)
 		}
 	}
 	for i := len(kept)/2 - 1; i >= 0; i-- {
@@ -484,11 +497,11 @@ func (t *Table) siftUp(i int) {
 			break
 		}
 		h[i] = h[up]
-		h[i].e.pos = i
+		h[i].e.pos = int32(i)
 		i = up
 	}
 	h[i] = r
-	r.e.pos = i
+	r.e.pos = int32(i)
 }
 
 func (t *Table) siftDown(i int) {
@@ -505,11 +518,11 @@ func (t *Table) siftDown(i int) {
 			break
 		}
 		h[i] = h[kid]
-		h[i].e.pos = i
+		h[i].e.pos = int32(i)
 		i = kid
 	}
 	h[i] = r
-	r.e.pos = i
+	r.e.pos = int32(i)
 }
 
 // pickVictimLocked returns the entry to evict, nil only when the table is
@@ -595,7 +608,8 @@ func (v *View) Lookup(now float64, k flowspace.Key, size int) (flowspace.Rule, b
 // entry. It returns the entry's own rule, nil on a miss: an installed rule
 // never changes, so the pointer may outlive the view, but is read-only.
 func (v *View) LookupBand(now float64, k *flowspace.Key, size int, mask, band uint64) *flowspace.Rule {
-	e := v.t.root.find(k, mask, band)
+	p := pack(k)
+	e := v.t.root.search(k, &p, nil, mask, band, v.t.disjoint)
 	if e == nil {
 		v.misses++
 		return nil
@@ -678,7 +692,7 @@ func (v *View) LookupMemo(now float64, k *flowspace.Key, size int, mask, band ui
 	e := s.e
 	if e == nil || s.k != p {
 		m.walks++
-		if e = v.t.root.search(k, &p, nil, mask, band); e == nil {
+		if e = v.t.root.search(k, &p, nil, mask, band, v.t.disjoint); e == nil {
 			v.misses++
 			return nil
 		}
@@ -704,7 +718,8 @@ func (t *Table) Peek(k flowspace.Key) (flowspace.Rule, bool) {
 func (t *Table) PeekBand(k flowspace.Key, mask, band uint64) *flowspace.Rule {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if e := t.root.find(&k, mask, band); e != nil {
+	p := pack(&k)
+	if e := t.root.search(&k, &p, nil, mask, band, t.disjoint); e != nil {
 		return &e.rule
 	}
 	return nil
@@ -735,13 +750,14 @@ func (t *Table) Advance(now float64) {
 	}
 }
 
-// Entries returns a snapshot of the entries in TCAM order.
+// Entries returns a snapshot of the entries in no order (Rules keeps TCAM
+// order): a caller that shows the order sorts its copy.
 func (t *Table) Entries() []Entry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]Entry, len(t.entries))
-	for i, e := range t.sortedLocked() {
-		out[i] = e.snapshot()
+	for i := range t.entries {
+		out[i] = t.entries[i].e.snapshot()
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package tcam
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"difane/internal/flowspace"
@@ -283,7 +284,10 @@ func TestLookupAgreesWithEvalTable(t *testing.T) {
 	}
 }
 
-func TestEntriesAndRulesSnapshotsInTCAMOrder(t *testing.T) {
+// Rules shows the table in TCAM order; Entries, which the controller's
+// diffs and counter sums read, holds the same entries in no order it
+// promises, and sorts nothing.
+func TestRulesInTCAMOrderEntriesUnordered(t *testing.T) {
 	tb := New("test", 0, EvictNone)
 	mustInsert(t, tb, 0, rule(1, 5, 1))
 	mustInsert(t, tb, 0, rule(2, 50, 2))
@@ -293,7 +297,8 @@ func TestEntriesAndRulesSnapshotsInTCAMOrder(t *testing.T) {
 		t.Fatalf("rules not in TCAM order: %v", rs)
 	}
 	es := tb.Entries()
-	if len(es) != 3 || es[0].Rule.ID != 2 {
+	slices.SortFunc(es, func(a, b Entry) int { return int(a.Rule.ID) - int(b.Rule.ID) })
+	if len(es) != 3 || es[0].Rule.ID != 1 || es[1].Rule.ID != 2 || es[2].Rule.ID != 3 {
 		t.Fatalf("entries snapshot wrong: %v", es)
 	}
 	if tb.String() == "" {

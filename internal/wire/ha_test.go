@@ -512,6 +512,47 @@ func TestResumeOnUnchangedClusterSendsNoFlowMod(t *testing.T) {
 	}
 }
 
+// TestPartitionCountersSurviveResume: the successor's commit finds every
+// partition rule a switch holds as it wants it, so the data plane's adopt
+// leaves them in place and their hit counters carry on, whether an
+// election seats the successor or RestoreController does.
+func TestPartitionCountersSurviveResume(t *testing.T) {
+	for _, replicas := range []int{3, 0} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			cfg := slack(failoverConfig())
+			cfg.HA = HAConfig{Replicas: replicas, ElectionDelay: 5 * time.Millisecond}
+			c := startCluster(t, cfg)
+			for i := uint32(0); i < 4; i++ {
+				if !c.Inject(0, httpHeader(10+i), 100) {
+					t.Fatal("inject failed")
+				}
+				awaitDelivery(t, c)
+			}
+			hits := func() (n uint64) {
+				for _, e := range c.byID(0).sw.Table(proto.TablePartition).Entries() {
+					n += e.Packets
+				}
+				return n
+			}
+			before := hits()
+			if before == 0 {
+				t.Fatal("no packet hit ingress 0's partition rules")
+			}
+			if !c.KillController() {
+				t.Fatal("KillController failed")
+			}
+			if replicas > 0 {
+				waitMeasure(t, c, "the election", func(m *core.Measurements) bool { return m.LeaderElections == 1 })
+			} else if !c.RestoreController() {
+				t.Fatal("RestoreController failed")
+			}
+			if after := hits(); after != before {
+				t.Fatalf("ingress 0's partition rules counted %d packets before the successor's commit, %d after", before, after)
+			}
+		})
+	}
+}
+
 // TestHADirResumesEpoch: a cluster booted on the journal directory of one
 // that ran before resumes from it, so its epoch is past every epoch the
 // first cluster reached.

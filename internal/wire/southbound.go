@@ -169,17 +169,27 @@ func (n *node) apply(mod *proto.FlowMod) error { return n.sw.ApplyFlowMod(nowSec
 // partition rules are those the controller sends after the commit (wire
 // has no topology: primary, then backup), taken here so that no redirect
 // reaches a switch that hosts its region in the other generation alone.
+// Like the controller's sync, it reads the table once and writes only what
+// differs, so a partition rule the commit keeps keeps its counters.
 func (c *Cluster) adopt(n *node, g *core.Generation) {
 	if g.Flush {
 		n.sw.ClearCache()
 	}
 	n.sw.SetAuthorityBand(core.GenerationMask, g.Generation)
-	rules := g.Assignment.PartitionRules(core.PartitionIDBase)
-	n.sw.Table(proto.TablePartition).DeleteWhere(func(e tcam.Entry) bool {
-		return e.Rule.ID >= core.PartitionIDBase+uint64(2*len(g.Assignment.Partitions))
-	})
-	for _, r := range rules {
-		_ = n.apply(&proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: r})
+	stale := core.PartitionIDBase + uint64(2*len(g.Assignment.Partitions))
+	have := make(map[uint64]*flowspace.Rule)
+	es := n.sw.Table(proto.TablePartition).Entries()
+	for i := range es {
+		if r := &es[i].Rule; r.ID >= stale {
+			_ = n.apply(&proto.FlowMod{Table: proto.TablePartition, Op: proto.OpDelete, Rule: *r})
+		} else {
+			have[r.ID] = r
+		}
+	}
+	for _, r := range g.Assignment.PartitionRules(core.PartitionIDBase) {
+		if old := have[r.ID]; old == nil || *old != r {
+			_ = n.apply(&proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: r})
+		}
 	}
 	n.cur.Store(g)
 }

@@ -293,6 +293,7 @@ func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 				CacheEviction: cfg.CacheEviction.TCAMPolicy(),
 				CacheVictim:   c.cache.VictimFn(),
 				TCAMBudget:    cfg.TCAMBudget,
+				DisjointCache: cfg.Strategy != core.StrategyDependent,
 			}),
 			stats:      &nodeStats{},
 			in:         make([]*frameRing, len(cfg.Switches)+1),
