@@ -90,8 +90,10 @@ check:
 # plus the wire HA suite with its leader-churn goroutine-leak check, a
 # leader killed between an update's phases (at each of its boundaries, in
 # runs of their own), an election that must
-# reconcile without churn (also after a load rebalance) and keep the
-# partition rules' counters (no rewrite at adopt), a killed switch
+# reconcile without churn (also after a load rebalance, and with a dead
+# authority promoted away from) and keep the partition rules' counters
+# (no rewrite at adopt), a rebalance that skips an authority the detector
+# holds dead though it runs, a killed switch
 # declared dead by BFD within twice its detect time, and
 # the controller-free install path (new flows cached with the controller
 # dead; Run returning only once installs are applied, woken by a switch's
@@ -101,7 +103,7 @@ check:
 chaos-smoke:
 	go test -race ./internal/scencheck -run TestChaosSmoke -timeout 10m
 	go test -race ./internal/wire -timeout 10m \
-		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectsKillWithinTwiceDetectTime|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestLeaderKillAtEveryPhaseBoundary|TestElectionReconcilesWithoutChurn|TestResumeOnUnchangedClusterSendsNoFlowMod|TestPartitionCountersSurviveResume|TestRebalanceSurvivesElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic|TestStalledAuthorityDetectedByRedirectAck'
+		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectsKillWithinTwiceDetectTime|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestLeaderKillAtEveryPhaseBoundary|TestElectionReconcilesWithoutChurn|TestResumeOnUnchangedClusterSendsNoFlowMod|TestResumeAfterFailoverSendsNoFlowMod|TestRebalanceSkipsFailedAuthorities|TestPartitionCountersSurviveResume|TestRebalanceSurvivesElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic|TestStalledAuthorityDetectedByRedirectAck'
 
 # Subscriber-scale soak — not part of tier-1. Streams ≥1M modeled
 # subscriber sessions (Poisson churn, host mobility, a flash crowd and a

@@ -416,7 +416,7 @@ func (s *session) command(fields []string) {
 			return
 		}
 		s.net.FailAuthority(uint32(id))
-		at := s.ctl.OnAuthorityFailure(uint32(id))
+		at := s.ctl.OnTopologyChange()
 		s.now = at + 0.01
 		s.net.Run(s.now)
 		fmt.Printf("failed switch %d; failover converged at t=%.2fs\n", id, at)

@@ -45,7 +45,7 @@ func main() {
 	// lose their misses until the failover converges at t=2.2.
 	net.Eng.At(2.0, func() {
 		net.FailAuthority(1)
-		convergeAt := ctl.OnAuthorityFailure(1)
+		convergeAt := ctl.OnTopologyChange()
 		fmt.Printf("t=2.00s authority 1 failed; failover converges at t=%.2fs\n", convergeAt)
 	})
 	net.Run(8)

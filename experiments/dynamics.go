@@ -64,7 +64,7 @@ func FigFailover(o Options) *FailoverResult {
 		primary := n.Assignment().Primary[0]
 		n.Eng.At(failAt, func() {
 			n.FailAuthority(primary)
-			c.OnAuthorityFailure(primary)
+			c.OnTopologyChange()
 		})
 		// Fresh flows every 10ms from rotating non-authority ingresses,
 		// only counting the post-failure window.

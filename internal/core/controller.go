@@ -1,13 +1,12 @@
 package core
 
 import (
-	"cmp"
-	"math"
 	"slices"
 
 	"difane/internal/flowspace"
 	"difane/internal/journal"
 	"difane/internal/proto"
+	"difane/internal/tcam"
 	"difane/internal/topo"
 )
 
@@ -111,35 +110,6 @@ func (c *Controller) phase(t float64, fn func()) {
 	})
 }
 
-// OnAuthorityFailure schedules the failover: after FailoverDelay the
-// primary partition rules pointing at the failed switch are withdrawn from
-// every switch, exposing the pre-installed backup rules. Returns the time
-// at which the data plane converges.
-func (c *Controller) OnAuthorityFailure(failed uint32) float64 {
-	at := c.sb.Now() + c.FailoverDelay
-	c.phase(at, func() { c.PromoteBackups(failed) })
-	return at
-}
-
-// PromoteBackups withdraws every partition rule redirecting to the failed
-// authority from every other switch, exposing the lower-priority rules that
-// point at a surviving replica — DIFANE's failover mechanism. It returns
-// how many distinct rules it withdrew.
-func (c *Controller) PromoteBackups(failed uint32) int {
-	gone := make(map[uint64]bool)
-	for _, sw := range c.sb.Switches() {
-		if sw == failed {
-			continue
-		}
-		for _, id := range c.withdraw(sw, proto.TablePartition, func(r *flowspace.Rule) bool {
-			return r.Action.Kind == flowspace.ActRedirect && r.Action.Arg == failed
-		}) {
-			gone[id] = true
-		}
-	}
-	return len(gone)
-}
-
 // UpdatePolicy replaces the global policy: recompute partitions on the
 // same authority set, push the new authority and partition rules after
 // PolicyPushDelay, and invalidate all caches (stale cache rules would
@@ -157,7 +127,6 @@ func (c *Controller) UpdatePolicy(policy []flowspace.Rule) (float64, error) {
 		var deleted uint64
 		for _, sw := range c.sb.Switches() {
 			deleted += uint64(len(c.withdraw(sw, proto.TableAuthority, everything)))
-			c.withdraw(sw, proto.TablePartition, everything)
 		}
 		c.sb.Note(generation, true, deleted)
 		c.sb.Note(generation, false, c.installAuthorityRules(a))
@@ -285,15 +254,35 @@ func generationOf(a Assignment) uint64 {
 	return g
 }
 
-// OnTopologyChange re-derives every switch's nearest-replica partition
-// rules after link or node state changed (a failed link can make a
-// different replica closest, or the previous target unreachable). The
-// refresh lands after FailoverDelay, modeling detection + push. Returns
-// the convergence time.
+// OnTopologyChange re-derives the partition table of every switch that is
+// up (SyncRoutes) after link or node state changed: a failed link can make
+// a different replica closest, a failed authority takes its redirects with
+// it, and a revived one gets them back. The refresh lands after
+// FailoverDelay, modeling detection + push. Returns the convergence time.
 func (c *Controller) OnTopologyChange() float64 {
 	at := c.sb.Now() + c.FailoverDelay
-	c.phase(at, c.installPartitionRules)
+	c.phase(at, func() { c.SyncRoutes() })
 	return at
+}
+
+// SyncRoutes brings the partition table of every switch that is up to its
+// routes (Running.Routes), which redirect to no switch that is down: the
+// backup rule, pre-installed at lower priority, takes over from a dead
+// primary, DIFANE's failover. A switch that is down keeps its table until
+// a sync after it is up again. It returns how many distinct partition
+// rules it withdrew.
+func (c *Controller) SyncRoutes() int {
+	gone := make(map[uint64]bool)
+	for _, sw := range c.sb.Switches() {
+		if !c.sb.Up(sw) {
+			continue
+		}
+		_, ids := c.sync(sw, proto.TablePartition, c.run.Routes(sw, c.topo, c.sb.Up))
+		for _, id := range ids {
+			gone[id] = true
+		}
+	}
+	return len(gone)
 }
 
 // InvalidateHost withdraws the cache rules whose match could apply to the
@@ -312,12 +301,12 @@ func (c *Controller) InvalidateHost(ip uint32) int {
 }
 
 // adopt makes a, whose authority rules are installed, the running
-// assignment: the commit (handlers and band, and with flush every ingress
-// cache), then the partition rules that redirect to it.
+// assignment: the commit, which moves the handlers and band, writes every
+// live switch's partition table (Running.Routes) and, with flush, empties
+// every ingress cache.
 func (c *Controller) adopt(a Assignment, flush bool) {
 	c.run.Assignment, c.run.Generation = a, generationOf(a)
 	c.sb.Commit(c.run, flush)
-	c.installPartitionRules()
 }
 
 // authorityTables returns the authority-table entries a places at each
@@ -358,54 +347,40 @@ func (c *Controller) installAuthorityRules(a Assignment) (installed uint64) {
 	return installed
 }
 
-// installPartitionRules syncs every switch's partition table to the
-// running assignment's routes. A leftover of an older assignment goes: it
-// would redirect to an authority that can only drop the packet as a hole.
-func (c *Controller) installPartitionRules() {
-	for _, sw := range c.sb.Switches() {
-		c.sync(sw, proto.TablePartition, c.routes(sw))
-	}
-}
-
-// routes returns switch sw's partition rules. Routed by topology, the
-// high-priority rule of each partition targets sw's nearest reachable
-// replica (the paper's nearest-replica redirection, which is what makes
-// stretch shrink as authority switches are added) and the low-priority one
-// the second nearest, the pre-installed failover path; pinned, they target
-// the primary and the backup.
-func (c *Controller) routes(sw uint32) []flowspace.Rule {
-	a := c.run.Assignment
-	if c.topo == nil || c.run.PinRouting {
-		return a.PartitionRules(PartitionIDBase)
-	}
-	return a.redirects(PartitionIDBase, func(i int) (uint32, uint32) {
-		return c.orderByDistance(sw, a.ReplicasFor(i))
+// sync brings switch sw's table t to want (SyncTable), read through Stats
+// and written with fenced FlowMods.
+func (c *Controller) sync(sw uint32, t proto.Table, want []flowspace.Rule) (installed int, withdrawn []uint64) {
+	return SyncTable(c.sb.Stats(sw, t), want, func(op proto.FlowModOp, r flowspace.Rule) error {
+		return c.send(sw, t, op, r)
 	})
 }
 
-// sync brings switch sw's table t to want, reading it once: it withdraws
+// SyncTable brings a table holding have to want, the one diff every writer
+// of a switch's authority or partition table goes through: it withdraws
 // each entry want lacks or holds otherwise and adds only the rules then
 // missing, so an entry as wanted keeps its counters and its place in the
-// index. It returns the FlowMods sent each way.
-func (c *Controller) sync(sw uint32, t proto.Table, want []flowspace.Rule) (installed, deleted int) {
+// index. write sends one FlowMod. It returns how many adds and the IDs of
+// the deletes that write took.
+func SyncTable(have []tcam.Entry, want []flowspace.Rule, write func(proto.FlowModOp, flowspace.Rule) error) (installed int, withdrawn []uint64) {
 	at := make(map[uint64]int, len(want))
 	for i := range want {
 		at[want[i].ID] = i
 	}
 	kept := make([]bool, len(want))
-	deleted = len(c.withdraw(sw, t, func(r *flowspace.Rule) bool {
-		if i, ok := at[r.ID]; ok && want[i] == *r {
-			kept[i] = true
-			return false
+	for i := range have {
+		r := &have[i].Rule
+		if j, ok := at[r.ID]; ok && want[j] == *r {
+			kept[j] = true
+		} else if write(proto.OpDelete, *r) == nil {
+			withdrawn = append(withdrawn, r.ID)
 		}
-		return true
-	}))
+	}
 	for i := range want {
-		if !kept[i] && c.send(sw, t, proto.OpAdd, want[i]) == nil {
+		if !kept[i] && write(proto.OpAdd, want[i]) == nil {
 			installed++
 		}
 	}
-	return installed, deleted
+	return installed, withdrawn
 }
 
 // withdraw deletes every entry of switch sw's table t that drop picks, and
@@ -427,21 +402,6 @@ func (c *Controller) send(sw uint32, t proto.Table, op proto.FlowModOp, r flowsp
 }
 
 func everything(*flowspace.Rule) bool { return true }
-
-// orderByDistance returns the nearest and second-nearest replica hosts
-// from the given switch, breaking ties toward the lower ID. With a single
-// host, both returns are that host.
-func (c *Controller) orderByDistance(from uint32, hosts []uint32) (near, far uint32) {
-	dist := func(id uint32) float64 {
-		if d, ok := c.topo.Dist(topo.NodeID(from), topo.NodeID(id)); ok {
-			return d
-		}
-		return math.Inf(1)
-	}
-	order := slices.Clone(hosts)
-	slices.SortFunc(order, func(a, b uint32) int { return cmp.Or(cmp.Compare(dist(a), dist(b)), cmp.Compare(a, b)) })
-	return order[0], order[min(1, len(order)-1)]
-}
 
 // sortedIDs returns the keys of a map by switch ID in ascending order:
 // what every walk whose order shows in the result (FlowMod order, minted

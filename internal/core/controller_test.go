@@ -117,12 +117,54 @@ func TestControllerFailoverConvergenceTime(t *testing.T) {
 	c.FailoverDelay = 0.3
 	n.Eng.At(1, func() {
 		n.FailAuthority(1)
-		at := c.OnAuthorityFailure(1)
+		at := c.OnTopologyChange()
 		if at < 1.29 || at > 1.31 {
 			t.Errorf("convergence at %v, want 1.3", at)
 		}
 	})
 	n.Run(2)
+}
+
+// TestNoLiveSwitchRedirectsToAFailedAuthority: once authority 1 has
+// failed and the controller has failed over, neither a later topology
+// refresh nor a controller restarted from the journal sealed before the
+// failure puts a redirect to it back on any live switch.
+func TestNoLiveSwitchRedirectsToAFailedAuthority(t *testing.T) {
+	for _, then := range []string{"refresh", "restart"} {
+		t.Run(then, func(t *testing.T) {
+			n, c := ringNet(t)
+			dir := t.TempDir()
+			if err := c.AttachJournal(dir); err != nil {
+				t.Fatal(err)
+			}
+			n.FailAuthority(1)
+			n.Run(c.OnTopologyChange() + 0.01)
+			if then == "refresh" {
+				n.Run(c.OnTopologyChange() + 0.01)
+			} else {
+				c.Journal().Close()
+				c2, _, err := NewControllerFromJournal(n, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c2.Journal().Close()
+			}
+			stale := 0
+			for id, sw := range n.Switches {
+				if !n.Topo.NodeUp(topo.NodeID(id)) {
+					continue
+				}
+				for _, r := range sw.Table(proto.TablePartition).Rules() {
+					if r.Action.Kind == flowspace.ActRedirect && r.Action.Arg == 1 {
+						stale++
+					}
+				}
+			}
+			if stale != 0 {
+				t.Fatalf("%d partition rules on live switches redirect to failed authority 1", stale)
+			}
+		})
+	}
 }
 
 func TestUpdatePolicyRespectsReplication(t *testing.T) {

@@ -327,17 +327,24 @@ const partitionIDBase uint64 = 1 << 50
 // Assignment.PartitionOfRuleID.
 const PartitionIDBase = partitionIDBase
 
-// commit is the simulator's Southbound.Commit: the next generation, and the
-// band each switch's own classification reads of its authority table, move
-// together at one virtual instant, the commit point for both. A redirect in
-// flight across it is answered by the generation it was sent under.
+// commit is the simulator's Southbound.Commit: the next generation, the
+// band each switch's own classification reads of its authority table, and
+// the partition table of every switch that is up move together at one
+// virtual instant, the commit point for all three. A redirect in flight
+// across it is answered by the generation it was sent under.
 func (n *Network) commit(r Running, flush bool) {
 	n.cache.SetAssignment(r.Assignment)
 	n.gen = NextGeneration(n.gen, r, flush, n.cfg.Strategy, n.cache, n.cfg.CacheIdle, n.cfg.CacheHard)
-	for _, sw := range n.Switches {
+	up := func(id uint32) bool { return n.Topo.NodeUp(topo.NodeID(id)) }
+	for id, sw := range n.Switches {
 		sw.SetAuthorityBand(GenerationMask, r.Generation)
 		if flush {
 			sw.ClearCache()
+		}
+		if up(id) {
+			SyncTable(sw.Table(proto.TablePartition).Entries(), r.Routes(id, n.Topo, up), func(op proto.FlowModOp, rule flowspace.Rule) error {
+				return sw.ApplyFlowMod(n.Eng.Now(), &proto.FlowMod{Table: proto.TablePartition, Op: op, Rule: rule})
+			})
 		}
 	}
 }
@@ -511,8 +518,9 @@ func (n *Network) Measurements() *Measurements { return &n.M }
 func (n *Network) Close() error { return nil }
 
 // FailAuthority marks an authority switch down in the topology. Data-plane
-// redirects to it start failing immediately; Controller.PromoteBackups (the
-// controller's failover action) shifts its partitions to their backups.
+// redirects to it start failing immediately; Controller.OnTopologyChange
+// (the controller's failover action) withdraws them, so each partition's
+// other replica takes over.
 func (n *Network) FailAuthority(id uint32) {
 	n.Topo.SetNode(topo.NodeID(id), false)
 }

@@ -156,7 +156,7 @@ func TestFailoverToBackupAuthority(t *testing.T) {
 	const failed, survivor = 1, 3
 	n.Eng.At(1, func() {
 		n.FailAuthority(failed)
-		c.OnAuthorityFailure(failed)
+		c.OnTopologyChange()
 	})
 	// Flow A before the failure: served by authority 1. Flow B during the
 	// failover window: redirected at the dead authority → lost. Flow C

@@ -223,8 +223,8 @@ func (a Assignment) FailoverList(i int) []uint32 {
 	return out
 }
 
-// PartitionOfRuleID maps a partition-table rule ID (as generated by
-// PartitionRules with the given idBase) back to its partition index.
+// PartitionOfRuleID maps a partition-table rule ID (as Running.Routes
+// numbers them from idBase) back to its partition index.
 func (a Assignment) PartitionOfRuleID(idBase, ruleID uint64) (int, bool) {
 	if ruleID < idBase {
 		return 0, false
@@ -322,38 +322,6 @@ const (
 	PriPartitionPrimary = 100
 	PriPartitionBackup  = 50
 )
-
-// PartitionRules generates the redirect rules every switch's partition
-// table receives: for each partition, a primary rule pointing at its
-// authority switch and a lower-priority backup rule pointing at the backup.
-// Rule IDs are deterministic: base+2i for primary, base+2i+1 for backup.
-func (a Assignment) PartitionRules(idBase uint64) []flowspace.Rule {
-	return a.redirects(idBase, func(i int) (uint32, uint32) { return a.Primary[i], a.Backup[i] })
-}
-
-// redirects is PartitionRules with partition i's two targets named by
-// target; a partition whose targets are one switch gets no backup rule.
-func (a Assignment) redirects(idBase uint64, target func(i int) (near, far uint32)) []flowspace.Rule {
-	out := make([]flowspace.Rule, 0, 2*len(a.Partitions))
-	for i, p := range a.Partitions {
-		near, far := target(i)
-		out = append(out, flowspace.Rule{
-			ID:       idBase + uint64(2*i),
-			Priority: PriPartitionPrimary,
-			Match:    p.Region,
-			Action:   flowspace.Action{Kind: flowspace.ActRedirect, Arg: near},
-		})
-		if far != near {
-			out = append(out, flowspace.Rule{
-				ID:       idBase + uint64(2*i) + 1,
-				Priority: PriPartitionBackup,
-				Match:    p.Region,
-				Action:   flowspace.Action{Kind: flowspace.ActRedirect, Arg: far},
-			})
-		}
-	}
-	return out
-}
 
 // AssignWithReplication distributes partitions like Assign but places each
 // partition at r distinct authority switches (clamped to the authority

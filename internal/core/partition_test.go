@@ -223,7 +223,7 @@ func TestPartitionRulesGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prules := a.PartitionRules(1 << 50)
+	prules := Running{Assignment: a}.Routes(0, nil, func(uint32) bool { return true })
 	// Every key must match exactly one primary partition rule, whose
 	// redirect target is that partition's primary authority.
 	for i := 0; i < 1000; i++ {

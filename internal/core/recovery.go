@@ -95,9 +95,9 @@ type RecoveryReport struct {
 	// HadState is false when the journal was empty (fresh start).
 	HadState bool
 	// Installed / Deleted count the authority rules reconciliation had to
-	// add or withdraw; the partition rules it syncs are not counted. Both
-	// are zero when the switches never diverged from the journaled state —
-	// the common crash-restart case.
+	// add or withdraw. The partition tables are the resume's commit's to
+	// write and are not counted. Both are zero when the switches never
+	// diverged from the journaled state — the common crash-restart case.
 	Installed int
 	Deleted   int
 }
@@ -147,24 +147,23 @@ func (c *Controller) Resume(st ControllerState, j *journal.Journal) RecoveryRepo
 	return rep
 }
 
-// Reconcile syncs every switch's authority and partition tables to the
-// controller's desired state: ingress caches survive, entries already as
-// wanted keep their counters, and only stale rules are withdrawn or missing
-// ones added. It is recovery's alternative to tearing everything down and
-// reinstalling, and the repair for any divergence between controller
-// intent and switch reality. Returns the authority rules added and
-// withdrawn, which is also all it notes: no caller counts partition rules.
+// Reconcile syncs every switch's authority table to the controller's
+// desired state, then commits it, which writes the partition tables the
+// same way: ingress caches survive, entries already as wanted keep their
+// counters, and only stale rules are withdrawn or missing ones added. It is
+// recovery's alternative to tearing everything down and reinstalling, and
+// the repair for any divergence between controller intent and switch
+// reality. Returns the authority rules added and withdrawn, which is also
+// all it notes.
 func (c *Controller) Reconcile() (installed, deleted int) {
 	tables := authorityTables(c.run.Assignment)
 	for _, sw := range c.sb.Switches() {
 		i, d := c.sync(sw, proto.TableAuthority, tables[sw])
 		installed += i
-		deleted += d
+		deleted += len(d)
 	}
 	c.sb.Note(0, false, uint64(installed))
 	c.sb.Note(0, true, uint64(deleted))
-	// Fresh miss handlers for the recovered assignment, then its partition
-	// rules.
 	c.adopt(c.run.Assignment, false)
 	return installed, deleted
 }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"math"
+	"slices"
+
 	"difane/internal/flowspace"
 	"difane/internal/proto"
 	"difane/internal/tcam"
@@ -27,12 +31,17 @@ type Southbound interface {
 	Barrier(sw uint32) error
 	// Stats returns switch sw's table t, each entry with its counters.
 	Stats(sw uint32, t proto.Table) []tcam.Entry
-	// Up reports whether switch sw is running.
+	// Up is the deployment's verdict on switch sw: its node state in the
+	// topology on the simulator, the failure detector's on wire. No
+	// partition rule redirects to a switch that is not up, and load
+	// rebalancing places nothing on one.
 	Up(sw uint32) bool
 	// Commit makes r what the data plane answers from: the authority
-	// switches' miss handlers, and the band of the authority tables that
-	// both a redirected packet and one entering at an authority switch
-	// read. With flush, every ingress cache empties at the same point.
+	// switches' miss handlers, the band of the authority tables that both
+	// a redirected packet and one entering at an authority switch read, and
+	// the partition table of every switch that is up (r.Routes, written
+	// through SyncTable). With flush, every ingress cache empties at the
+	// same point.
 	Commit(r Running, flush bool)
 	// Note counts n FlowMods of generation (withdraw: deletions) on the
 	// policy-churn counters and, for a staged generation, on that update's
@@ -53,6 +62,50 @@ type Running struct {
 	// load, at the cost of longer detours (the stretch/throughput trade-off).
 	// A deployment without a topology always routes this way.
 	PinRouting bool
+}
+
+// Routes returns switch sw's partition table under r: per partition i, a
+// redirect at PriPartitionPrimary (ID PartitionIDBase+2i) and one at
+// PriPartitionBackup (+1), the pre-installed failover path. Routed by
+// topology g they target sw's nearest and second-nearest replica (the
+// paper's nearest-replica redirection); pinned (r.PinRouting, or no
+// topology), the primary and the backup. A target that is not up gets no
+// rule, and the other takes over: targets are never re-picked. A partition
+// whose two targets are one switch has no backup rule.
+func (r Running) Routes(sw uint32, g *topo.Graph, up func(uint32) bool) []flowspace.Rule {
+	a := r.Assignment
+	out := make([]flowspace.Rule, 0, 2*len(a.Partitions))
+	for i, p := range a.Partitions {
+		near, far := a.Primary[i], a.Backup[i]
+		if g != nil && !r.PinRouting {
+			near, far = orderByDistance(g, sw, a.ReplicasFor(i))
+		}
+		rule := flowspace.Rule{ID: PartitionIDBase + uint64(2*i), Priority: PriPartitionPrimary, Match: p.Region,
+			Action: flowspace.Action{Kind: flowspace.ActRedirect, Arg: near}}
+		if up(near) {
+			out = append(out, rule)
+		}
+		rule.ID, rule.Priority, rule.Action.Arg = rule.ID+1, PriPartitionBackup, far
+		if far != near && up(far) {
+			out = append(out, rule)
+		}
+	}
+	return out
+}
+
+// orderByDistance returns the nearest and second-nearest of hosts from
+// switch from in g, breaking ties toward the lower ID. With a single host,
+// both returns are that host.
+func orderByDistance(g *topo.Graph, from uint32, hosts []uint32) (near, far uint32) {
+	dist := func(id uint32) float64 {
+		if d, ok := g.Dist(topo.NodeID(from), topo.NodeID(id)); ok {
+			return d
+		}
+		return math.Inf(1)
+	}
+	order := slices.Clone(hosts)
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Or(cmp.Compare(dist(a), dist(b)), cmp.Compare(a, b)) })
+	return order[0], order[min(1, len(order)-1)]
 }
 
 // simSouthbound is the simulator's side of the seam: the push delay orders

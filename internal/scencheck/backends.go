@@ -145,9 +145,6 @@ func (b *simBackend) update(policy []flowspace.Rule) error {
 func (b *simBackend) killSwitch(id uint32) error {
 	b.n.FailAuthority(id)
 	if b.ctl != nil {
-		if isAuthority(b.sc, id) {
-			b.ctl.OnAuthorityFailure(id)
-		}
 		b.ctl.OnTopologyChange()
 	}
 	b.n.Run(b.n.Eng.Now() + 1.0)
@@ -191,47 +188,31 @@ func (b *simBackend) restoreController() error {
 	return nil
 }
 
-func isAuthority(sc Scenario, id uint32) bool {
-	for _, a := range sc.Authorities {
-		if a == id {
-			return true
-		}
+func (b *simBackend) audit(final bool) []string {
+	read := func(sw uint32, t proto.Table) []flowspace.Rule { return b.n.Switches[sw].Table(t).Rules() }
+	out := auditCaches(b.n.Assignment(), b.sc.Switches, read, b.sc.Strategy != core.StrategyDependent)
+	if !final {
+		return out
 	}
-	return false
+	place := func(parts []core.Partition, auths []uint32) (core.Assignment, error) {
+		return core.AssignWithReplication(parts, auths, replication)
+	}
+	return append(out, auditTables(b.n.Assignment(), b.policy, place, b.sc.Switches, b.sc.Authorities, read, true)...)
 }
 
-func (b *simBackend) audit() []string {
-	parts := core.BuildPartitions(b.policy, core.PartitionConfig{MaxRulesPerPartition: maxRulesPerPartition})
-	fresh, err := core.AssignWithReplication(parts, b.sc.Authorities, replication)
-	if err != nil {
-		return []string{fmt.Sprintf("convergence: fresh assignment: %v", err)}
-	}
-	return auditTables(b.n.Assignment(), fresh, b.sc.Switches, b.sc.Authorities, func(sw uint32, t proto.Table) []flowspace.Rule {
-		return b.n.Switches[sw].Table(t).Rules()
-	}, true, b.sc.Strategy != core.StrategyDependent)
-}
-
-// auditTables checks what a deployment's switches hold once the scenario
-// quiesces (switches healed, controller live) against fresh, the assignment
-// a fresh controller computes from the current policy:
+// auditCaches checks what switches' caches hold against the deployed
+// assignment, after every step:
 //
 //   - (c) every cached rule sits inside some authority rule's clipped
 //     region with the same action: a cache can only ever specialize the
 //     authority tables, never invent behaviour;
-//   - (d) the deployed assignment, each authority switch's table and each
-//     switch's partition rules are what that controller would install;
 //   - (e) with disjoint set (every strategy but StrategyDependent), any two
 //     cache entries of one switch that overlap carry the same action and
 //     priority. A cover holds only keys its rule is the top rule for, so
 //     two entries that share a key stand for that key's one rule, whatever
 //     generation minted them; the ingress cache's unordered band
 //     (tcam.NewDisjoint) may then answer with either.
-//
-// A deployment whose kills never heal (wire) leaves the dead switches out
-// of switches and passes primaries false when there are any: promotion
-// withdrew the partition rules redirecting to them.
-func auditTables(deployed, fresh core.Assignment, switches, authorities []uint32,
-	read func(sw uint32, t proto.Table) []flowspace.Rule, primaries, disjoint bool) []string {
+func auditCaches(deployed core.Assignment, switches []uint32, read func(sw uint32, t proto.Table) []flowspace.Rule, disjoint bool) []string {
 	var out []string
 	partRules := make([][]flowspace.Rule, len(deployed.Partitions))
 	for i, p := range deployed.Partitions {
@@ -254,12 +235,29 @@ func auditTables(deployed, fresh core.Assignment, switches, authorities []uint32
 			}
 		}
 	}
+	return out
+}
+
+// auditTables checks (d), once the scenario quiesces (switches healed,
+// controller live): the deployed assignment, each authority switch's table
+// and each switch's partition rules are what a fresh controller, placing
+// with place, would install from policy.
+//
+// A deployment whose kills never heal (wire) leaves the dead switches out
+// of switches and passes primaries false when there are any: promotion
+// withdrew the partition rules redirecting to them.
+func auditTables(deployed core.Assignment, policy []flowspace.Rule, place func([]core.Partition, []uint32) (core.Assignment, error),
+	switches, authorities []uint32, read func(sw uint32, t proto.Table) []flowspace.Rule, primaries bool) []string {
+	var out []string
+	fresh, err := place(core.BuildPartitions(policy, core.PartitionConfig{MaxRulesPerPartition: maxRulesPerPartition}), authorities)
+	if err != nil {
+		return []string{fmt.Sprintf("convergence: fresh assignment: %v", err)}
+	}
 	got := normalizeAssignment(deployed)
 	want := normalizeAssignment(fresh)
 	if !reflect.DeepEqual(got, want) {
-		out = append(out, fmt.Sprintf(
-			"convergence: deployed assignment differs from a fresh controller's: got %+v want %+v", got, want))
-		return out // downstream table checks would only echo the same skew
+		return []string{fmt.Sprintf(
+			"convergence: deployed assignment differs from a fresh controller's: got %+v want %+v", got, want)}
 	}
 	a := deployed
 	for _, swID := range switches {
@@ -437,7 +435,8 @@ func (b *baselineBackend) restoreController() error { return nil }
 
 // audit checks the baseline's cache-soundness analogue: every installed
 // microflow rule must agree with the oracle's verdict for its exact key.
-func (b *baselineBackend) audit() []string {
+// The baseline converges to nothing else, so final adds no check.
+func (b *baselineBackend) audit(bool) []string {
 	var out []string
 	for _, swID := range b.sc.Switches {
 		for _, r := range b.n.Switches[swID].Table(proto.TableCache).Rules() {
@@ -597,20 +596,18 @@ func (b *wireBackend) restoreController() error {
 
 // audit runs the simulator's table checks on the live switches, against
 // the assignment wire's controller places (a primary and a backup each).
-func (b *wireBackend) audit() []string {
-	parts := core.BuildPartitions(b.policy, core.PartitionConfig{MaxRulesPerPartition: maxRulesPerPartition})
-	fresh, err := core.Assign(parts, b.sc.Authorities)
-	if err != nil {
-		return []string{fmt.Sprintf("convergence: fresh assignment: %v", err)}
-	}
+func (b *wireBackend) audit(final bool) []string {
 	var live []uint32
 	for _, id := range b.d.C.SwitchIDs() {
 		if !b.killed[id] {
 			live = append(live, id)
 		}
 	}
-	return auditTables(b.d.C.Assignment(), fresh, live, b.sc.Authorities, b.d.C.TableRules, len(b.killed) == 0,
-		b.sc.Strategy != core.StrategyDependent)
+	out := auditCaches(b.d.C.Assignment(), live, b.d.C.TableRules, b.sc.Strategy != core.StrategyDependent)
+	if !final {
+		return out
+	}
+	return append(out, auditTables(b.d.C.Assignment(), b.policy, core.Assign, live, b.sc.Authorities, b.d.C.TableRules, len(b.killed) == 0)...)
 }
 
 func (b *wireBackend) close() { _ = b.d.Close() }

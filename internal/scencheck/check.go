@@ -232,8 +232,9 @@ type backend interface {
 	// restoreController restarts the controller and enforces the epoch
 	// invariant internally (it has the pre-crash epoch).
 	restoreController() error
-	// audit runs scenario-end invariants; each message is a failure.
-	audit() []string
+	// audit runs the cache invariants, after every step, and with final
+	// the scenario-end ones too; each message is a failure.
+	audit(final bool) []string
 	// totals is the accumulated terminal accounting (across redeploys).
 	totals() Totals
 	// injected is how many packets this backend was asked to carry.
@@ -280,6 +281,17 @@ func replayMode(sc Scenario, mode string, opt Options, res *Result) {
 	}
 	defer b.close()
 
+	// An audit message is a failure the first time it reads; a bad cache
+	// entry stays until evicted, and names the step that left it.
+	reported := make(map[string]bool)
+	audit := func(step int, final bool) {
+		for _, msg := range b.audit(final) {
+			if !reported[msg] {
+				reported[msg] = true
+				fail(step, auditInvariant(msg), "%s", msg)
+			}
+		}
+	}
 	oraclePolicy := sc.Policy
 	dead := make(map[uint32]bool)
 	for i, st := range sc.Steps {
@@ -289,14 +301,14 @@ func replayMode(sc Scenario, mode string, opt Options, res *Result) {
 			obs, err := b.packet(st)
 			if err != nil {
 				fail(i, "deploy", "packet: %v", err)
-				continue
+				break
 			}
 			res.PacketsChecked++
 			res.Traces[mode] = append(res.Traces[mode], TraceEntry{Step: i, Kind: obs.kind, Egress: obs.egress})
 			if obs.accounted != 1 {
 				fail(i, "accounting", "packet moved %d terminal counters, want exactly 1 (delta %+v)",
 					obs.accounted, b.totals().Sub(before))
-				continue
+				break
 			}
 			exp := expectedVerdict(oraclePolicy, st, dead)
 			if msg := verdictMismatch(exp, obs); msg != "" {
@@ -331,10 +343,9 @@ func replayMode(sc Scenario, mode string, opt Options, res *Result) {
 				fail(i, "epoch", "restore controller: %v", err)
 			}
 		}
+		audit(i, false)
 	}
-	for _, msg := range b.audit() {
-		fail(-1, auditInvariant(msg), "%s", msg)
-	}
+	audit(-1, true)
 	tot := b.totals()
 	res.Finals[mode] = tot
 	if inj := b.injected(); tot.Sum() != inj {

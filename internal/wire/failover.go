@@ -24,9 +24,14 @@ import (
 //   - ingress-local: the next redirect toward the dead authority re-points
 //     the partition rule at the first live host on the partition's
 //     failover list, purely in the data plane (failoverLocal in wire.go);
-//   - controller-driven: the controller withdraws the dead switch's
-//     partition rules from every other switch (promoteBackups) so backups
-//     (pre-installed at lower priority) take over cluster-wide.
+//   - controller-driven: the controller syncs every live switch's
+//     partition table to its routes (promoteBackups), which redirect to no
+//     switch the detector holds dead, so the backups (pre-installed at
+//     lower priority) take over cluster-wide.
+//
+// The verdict is also what the controller's Southbound.Up reads, so every
+// later commit, an election's or a restore's included, writes the same
+// tables: no resume puts back a redirect to a dead switch.
 
 // Death causes, carried in an EvDeath event's Value: which detector fired.
 const (
@@ -77,9 +82,9 @@ func (c *Cluster) markDead(n *node, cause uint64) {
 }
 
 // markAlive reinstates a recovered switch: besides flipping the verdict it
-// has the controller rewrite every switch's partition rules from the running
-// assignment, restoring those promoteBackups withdrew (and, OpAdd replacing
-// in place, any that failoverLocal re-pointed), so a flapping authority
+// has the controller sync every live switch's partition table again,
+// restoring the redirects promoteBackups withdrew (and, OpAdd replacing in
+// place, any that failoverLocal re-pointed), so a flapping authority
 // degrades service only while it is actually down. Without the reinstall, a
 // switch that was ever suspected — even spuriously — would serve no
 // redirects again, and a partition whose replicas were each suspected once
@@ -96,12 +101,14 @@ func (c *Cluster) markAlive(n *node) {
 	}()
 }
 
-// promoteBackups is the controller-driven half of failover
-// (core.Controller.PromoteBackups). A partition with a single authority has
-// no backup rule, so none is withdrawn or counted for it.
+// promoteBackups is the controller-driven half of failover: the sync of
+// every live switch's partition table (core.Controller.SyncRoutes), which
+// withdraws the redirects to dead, and counts the distinct rules it
+// withdrew. A partition with a single authority has no backup rule, so
+// none is withdrawn or counted for it.
 func (c *Cluster) promoteBackups(dead uint32) {
 	var rules int
-	c.control(func(ctl *core.Controller) { rules = ctl.PromoteBackups(dead) })
+	c.control(func(ctl *core.Controller) { rules = ctl.SyncRoutes() })
 	if rules > 0 {
 		c.cold.failoversPromoted.Add(uint64(rules))
 		c.Span(telemetry.Event{

@@ -146,9 +146,9 @@ func (c *Cluster) pickWinnerLocked() int {
 // single-controller mode), for the caller to put in office. The old
 // sessions' silence was administrative: BFD sessions return to Down,
 // quietly, and the switches reconnect. The successor then resumes
-// (core.Controller.Resume), and withdraws again the redirects to every
-// switch the detector holds dead, which the resume re-installed. Caller
-// holds ctlMu.
+// (core.Controller.Resume), whose commit writes what each partition table
+// lacks and withdraws what it should not hold, a redirect to a switch the
+// detector holds dead among them. Caller holds ctlMu.
 func (c *Cluster) seat(st core.ControllerState, j *journal.Journal, lead int) *southbound {
 	now := time.Now()
 	for _, n := range c.nodes {
@@ -157,14 +157,7 @@ func (c *Cluster) seat(st core.ControllerState, j *journal.Journal, lead int) *s
 	}
 	c.ctrlDown.Store(false)
 	s := c.incarnation(true, lead)
-	s.run(func(ctl *core.Controller) {
-		ctl.Resume(st, j)
-		for _, n := range c.nodes {
-			if !n.alive.Load() {
-				ctl.PromoteBackups(n.id)
-			}
-		}
-	})
+	s.run(func(ctl *core.Controller) { ctl.Resume(st, j) })
 	c.Span(telemetry.Event{
 		Kind: telemetry.EvControllerUp, Node: telemetry.ClusterNode,
 		Value: s.ctl.Epoch,

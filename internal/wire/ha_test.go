@@ -393,6 +393,65 @@ func TestRevivedReplicaTakesLeaderState(t *testing.T) {
 	}
 }
 
+// churnConfig is the cluster the resume-churn tests run: authorities 3
+// and 4, one partition per policy rule, exact caching, and with replicas
+// an HA controller set that elects in 5 ms.
+func churnConfig(replicas int) ClusterConfig {
+	return slack(ClusterConfig{
+		Switches:    []uint32{0, 1, 2, 3, 4},
+		Authorities: []uint32{3, 4},
+		Policy:      portPolicy(1, 2, map[uint64]int{80: 1}),
+		Strategy:    core.StrategyExact,
+		Partition:   core.PartitionConfig{MaxRulesPerPartition: 1},
+		HA:          HAConfig{Replicas: replicas, ElectionDelay: 5 * time.Millisecond},
+	})
+}
+
+// redirectsTo counts the partition rules of every switch but target that
+// redirect to it.
+func redirectsTo(c *Cluster, target uint32) int {
+	n := 0
+	for _, id := range c.SwitchIDs() {
+		if id == target {
+			continue
+		}
+		for _, r := range c.TableRules(id, proto.TablePartition) {
+			if r.Action.Kind == flowspace.ActRedirect && r.Action.Arg == target {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// killAndPromote kills authority id and returns once the detector has
+// declared it dead and no other switch redirects to it.
+func killAndPromote(t *testing.T, c *Cluster, id uint32) {
+	t.Helper()
+	if redirectsTo(c, id) == 0 {
+		t.Fatalf("no partition rule redirects to switch %d before the kill", id)
+	}
+	if !c.KillSwitch(id) {
+		t.Fatal("kill failed")
+	}
+	awaitDead(t, c, id)
+	waitMeasure(t, c, fmt.Sprintf("promotion away from switch %d", id), func(*core.Measurements) bool { return redirectsTo(c, id) == 0 })
+}
+
+// awaitResume deposes the controller in office and returns once its
+// successor holds office: elected with replicas, restored without.
+func awaitResume(t *testing.T, c *Cluster, replicas int) {
+	t.Helper()
+	if !c.KillController() {
+		t.Fatal("KillController failed")
+	}
+	if replicas > 0 {
+		waitMeasure(t, c, "the election", func(m *core.Measurements) bool { return m.LeaderElections == 1 })
+	} else if !c.RestoreController() {
+		t.Fatal("RestoreController failed")
+	}
+}
+
 // TestElectionReconcilesWithoutChurn is the wire counterpart of
 // core.TestRecoveryConvergesWithoutChurn: on a converged cluster an
 // election's Reconcile installs and withdraws no authority rule, and the
@@ -400,31 +459,7 @@ func TestRevivedReplicaTakesLeaderState(t *testing.T) {
 // stays promoted away from: once the election returns, no partition rule
 // redirects to it.
 func TestElectionReconcilesWithoutChurn(t *testing.T) {
-	c := startCluster(t, slack(ClusterConfig{
-		Switches:    []uint32{0, 1, 2, 3, 4},
-		Authorities: []uint32{3, 4},
-		Policy:      portPolicy(1, 2, map[uint64]int{80: 1}),
-		Strategy:    core.StrategyExact,
-		Partition:   core.PartitionConfig{MaxRulesPerPartition: 1},
-		HA:          HAConfig{Replicas: 3, ElectionDelay: 5 * time.Millisecond},
-	}))
-	redirectsTo := func(target uint32) int {
-		n := 0
-		for _, id := range c.SwitchIDs() {
-			if id == target {
-				continue
-			}
-			for _, r := range c.TableRules(id, proto.TablePartition) {
-				if r.Action.Kind == flowspace.ActRedirect && r.Action.Arg == target {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	if redirectsTo(4) == 0 {
-		t.Fatal("no partition rule redirects to switch 4 at boot")
-	}
+	c := startCluster(t, churnConfig(3))
 	d := Deploy(c)
 	for i := uint32(0); i < 20; i++ { // first packets: each hits an authority rule
 		h := httpHeader(i + 1)
@@ -432,11 +467,7 @@ func TestElectionReconcilesWithoutChurn(t *testing.T) {
 		d.InjectPacket(0, 0, h.Key(), 100, 0)
 	}
 	d.Run(5)
-	if !c.KillSwitch(4) {
-		t.Fatal("kill failed")
-	}
-	awaitDead(t, c, 4)
-	waitMeasure(t, c, "promotion away from switch 4", func(*core.Measurements) bool { return redirectsTo(4) == 0 })
+	killAndPromote(t, c, 4)
 	counters := func() map[[2]uint64]uint64 {
 		out := map[[2]uint64]uint64{}
 		for _, id := range []uint32{3, 4} {
@@ -455,10 +486,7 @@ func TestElectionReconcilesWithoutChurn(t *testing.T) {
 		t.Fatal("no authority rule counted a packet before the election")
 	}
 
-	if !c.KillController() {
-		t.Fatal("KillController failed")
-	}
-	waitMeasure(t, c, "the election", func(m *core.Measurements) bool { return m.LeaderElections == 1 })
+	awaitResume(t, c, 3)
 	m := c.Measurements()
 	if ins, del := m.PolicyRuleInstalls-m0.PolicyRuleInstalls, m.PolicyRuleDeletes-m0.PolicyRuleDeletes; ins != 0 || del != 0 {
 		t.Fatalf("the election's Reconcile installed %d and withdrew %d authority rules on a converged cluster", ins, del)
@@ -466,8 +494,36 @@ func TestElectionReconcilesWithoutChurn(t *testing.T) {
 	if after := counters(); !reflect.DeepEqual(after, before) {
 		t.Fatalf("authority rules or their counters changed across the election:\n%v\n%v", before, after)
 	}
-	if n := redirectsTo(4); n != 0 {
+	if n := redirectsTo(c, 4); n != 0 {
 		t.Fatalf("%d partition rules redirect to dead switch 4 after the election", n)
+	}
+}
+
+// TestResumeAfterFailoverSendsNoFlowMod: with authority 4 killed and
+// promoted away from, the successor's commit writes each partition table
+// as the promotion left it, with no redirect to the dead switch, so
+// neither an election nor a single controller's restore sends a FlowMod.
+func TestResumeAfterFailoverSendsNoFlowMod(t *testing.T) {
+	for _, replicas := range []int{3, 0} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			tap := &frameTap{seen: map[proto.MsgType]int{}, downstream: true}
+			cfg := churnConfig(replicas)
+			cfg.pipe = tap.pipe
+			c := startCluster(t, cfg)
+			killAndPromote(t, c, 4)
+			before, _ := tap.counts()
+			awaitResume(t, c, replicas)
+			after, err := tap.counts()
+			if err != nil {
+				t.Fatalf("the controller wrote an undecodable frame: %v", err)
+			}
+			if n := after[proto.MsgFlowMod] - before[proto.MsgFlowMod]; n != 0 {
+				t.Fatalf("the successor sent %d FlowMods to a cluster failed over from switch 4", n)
+			}
+			if n := redirectsTo(c, 4); n != 0 {
+				t.Fatalf("%d partition rules redirect to dead switch 4 after the resume", n)
+			}
+		})
 	}
 }
 
@@ -490,14 +546,7 @@ func TestResumeOnUnchangedClusterSendsNoFlowMod(t *testing.T) {
 				awaitDelivery(t, c)
 			}
 			before, _ := tap.counts()
-			if !c.KillController() {
-				t.Fatal("KillController failed")
-			}
-			if replicas > 0 {
-				waitMeasure(t, c, "the election", func(m *core.Measurements) bool { return m.LeaderElections == 1 })
-			} else if !c.RestoreController() {
-				t.Fatal("RestoreController failed")
-			}
+			awaitResume(t, c, replicas)
 			after, err := tap.counts()
 			if err != nil {
 				t.Fatalf("the controller wrote an undecodable frame: %v", err)
@@ -538,14 +587,7 @@ func TestPartitionCountersSurviveResume(t *testing.T) {
 			if before == 0 {
 				t.Fatal("no packet hit ingress 0's partition rules")
 			}
-			if !c.KillController() {
-				t.Fatal("KillController failed")
-			}
-			if replicas > 0 {
-				waitMeasure(t, c, "the election", func(m *core.Measurements) bool { return m.LeaderElections == 1 })
-			} else if !c.RestoreController() {
-				t.Fatal("RestoreController failed")
-			}
+			awaitResume(t, c, replicas)
 			if after := hits(); after != before {
 				t.Fatalf("ingress 0's partition rules counted %d packets before the successor's commit, %d after", before, after)
 			}

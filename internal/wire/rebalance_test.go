@@ -101,29 +101,37 @@ func TestRebalanceByLoadSpreadsMissTraffic(t *testing.T) {
 	}
 }
 
-// A killed authority hosts no partition after a rebalance, and no
-// partition rule redirects to it.
+// An authority that is not up hosts no partition after a rebalance, and
+// no partition rule redirects to it: one killed, and one the failure
+// detector holds dead though its goroutines run (a gray failure).
 func TestRebalanceSkipsFailedAuthorities(t *testing.T) {
-	c := startCluster(t, rebalanceConfig())
-	d := Deploy(c)
-	wave(d, primaryRegions(t, c, 3), 1, 10)
-	if !c.KillSwitch(3) {
-		t.Fatal("kill failed")
-	}
-	awaitDead(t, c, 3)
-	c.RebalanceByLoad()
-	a := c.Assignment()
-	for i := range a.Partitions {
-		if slices.Contains(a.ReplicasFor(i), 3) {
-			t.Fatalf("the rebalance placed partition %d on killed switch 3: %v", i, a.ReplicasFor(i))
-		}
-	}
-	for _, sw := range []uint32{0, 1, 2, 4} {
-		for _, r := range c.TableRules(sw, proto.TablePartition) {
-			if r.Action.Kind == flowspace.ActRedirect && r.Action.Arg == 3 {
-				t.Fatalf("switch %d redirects to killed switch 3: %+v", sw, r)
+	for _, how := range []string{"killed", "held-dead"} {
+		t.Run(how, func(t *testing.T) {
+			c := startCluster(t, rebalanceConfig())
+			d := Deploy(c)
+			wave(d, primaryRegions(t, c, 3), 1, 10)
+			if how == "held-dead" {
+				markDeadOnly(c.byID(3))
+			} else if !c.KillSwitch(3) {
+				t.Fatal("kill failed")
+			} else {
+				awaitDead(t, c, 3)
 			}
-		}
+			c.RebalanceByLoad()
+			a := c.Assignment()
+			for i := range a.Partitions {
+				if slices.Contains(a.ReplicasFor(i), 3) {
+					t.Fatalf("the rebalance placed partition %d on %s switch 3: %v", i, how, a.ReplicasFor(i))
+				}
+			}
+			for _, sw := range []uint32{0, 1, 2, 4} {
+				for _, r := range c.TableRules(sw, proto.TablePartition) {
+					if r.Action.Kind == flowspace.ActRedirect && r.Action.Arg == 3 {
+						t.Fatalf("switch %d redirects to %s switch 3: %+v", sw, how, r)
+					}
+				}
+			}
+		})
 	}
 }
 

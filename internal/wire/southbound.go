@@ -111,10 +111,7 @@ func (s *southbound) Stats(sw uint32, t proto.Table) []tcam.Entry {
 	return n.sw.Table(t).Entries()
 }
 
-func (s *southbound) Up(sw uint32) bool {
-	n, _ := s.c.node(sw)
-	return !n.killed.Load()
-}
+func (s *southbound) Up(sw uint32) bool { return s.c.nodeUsable(sw) }
 
 // Commit publishes the generation r describes with one store, and returns
 // once every data plane has moved onto it between two bursts (dataLoop):
@@ -131,9 +128,8 @@ func (s *southbound) Commit(r core.Running, flush bool) {
 	c.cache.SetAssignment(r.Assignment)
 	c.run.Store(g)
 	for _, n := range c.nodes {
-		if !s.live { // the boot's: in place, its partition rules to follow
-			n.sw.SetAuthorityBand(core.GenerationMask, g.Generation)
-			n.cur.Store(g)
+		if !s.live { // the boot's, before any data loop runs: in place
+			c.adopt(n, g)
 		}
 		n.wake()
 	}
@@ -158,7 +154,8 @@ func (s *southbound) Note(generation uint64, withdraw bool, n uint64) {
 
 // apply writes one FlowMod into the switch's tables: the only write to its
 // authority and partition tables, whether the controller's (in place at
-// boot, from a control frame after) or the ingress-local failover's.
+// boot, from a control frame after), the commit's (adopt) or the
+// ingress-local failover's.
 func (n *node) apply(mod *proto.FlowMod) error { return n.sw.ApplyFlowMod(nowSec(), mod) }
 
 // adopt moves n's data plane onto g, the generation published by the last
@@ -166,31 +163,20 @@ func (n *node) apply(mod *proto.FlowMod) error { return n.sw.ApplyFlowMod(nowSec
 // lookups read g's band, its redirects carry g's via and follow g's
 // partition rules, and, if g flushes, its cache holds no rule from before
 // (applyInstalls drops one answered under another generation). The
-// partition rules are those the controller sends after the commit (wire
-// has no topology: primary, then backup), taken here so that no redirect
-// reaches a switch that hosts its region in the other generation alone.
-// Like the controller's sync, it reads the table once and writes only what
-// differs, so a partition rule the commit keeps keeps its counters.
+// partition rules are g's routes (wire has no topology: primary, then
+// backup, none to a switch the detector holds dead), written here through
+// the controller's diff (core.SyncTable), so that no redirect reaches a
+// switch that hosts its region in the other generation alone and a rule
+// the commit keeps keeps its counters.
 func (c *Cluster) adopt(n *node, g *core.Generation) {
 	if g.Flush {
 		n.sw.ClearCache()
 	}
 	n.sw.SetAuthorityBand(core.GenerationMask, g.Generation)
-	stale := core.PartitionIDBase + uint64(2*len(g.Assignment.Partitions))
-	have := make(map[uint64]*flowspace.Rule)
-	es := n.sw.Table(proto.TablePartition).Entries()
-	for i := range es {
-		if r := &es[i].Rule; r.ID >= stale {
-			_ = n.apply(&proto.FlowMod{Table: proto.TablePartition, Op: proto.OpDelete, Rule: *r})
-		} else {
-			have[r.ID] = r
-		}
-	}
-	for _, r := range g.Assignment.PartitionRules(core.PartitionIDBase) {
-		if old := have[r.ID]; old == nil || *old != r {
-			_ = n.apply(&proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: r})
-		}
-	}
+	core.SyncTable(n.sw.Table(proto.TablePartition).Entries(), g.Routes(n.id, nil, c.nodeUsable),
+		func(op proto.FlowModOp, r flowspace.Rule) error {
+			return n.apply(&proto.FlowMod{Table: proto.TablePartition, Op: op, Rule: r})
+		})
 	n.cur.Store(g)
 }
 
