@@ -178,9 +178,11 @@ func PlaceAuthorities(g *Graph, k int) []uint32 { return core.PlaceAuthorities(g
 
 // --- Crash recovery ----------------------------------------------------------
 
-// ControllerState is the controller state persisted to the journal: the
-// fencing epoch, policy, assignment, and generation counters a restarted
-// controller needs to resume without churning the network.
+// ControllerState is the controller state persisted to the journal: what
+// the controller decided (fencing epoch, counters, running band, policy,
+// partition config and placement). The partitions themselves are not
+// sealed; reading a journal rebuilds them from the policy and refuses a
+// state whose rebuild does not match.
 type ControllerState = core.ControllerState
 
 // RecoveryReport summarizes what NewControllerFromJournal had to repair.

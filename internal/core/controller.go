@@ -94,7 +94,7 @@ func (c *Controller) Boot(policy []flowspace.Rule) error {
 	}
 	c.run.Policy = append([]flowspace.Rule(nil), policy...)
 	c.sb.Note(0, false, c.installAuthorityRules(a))
-	c.adopt(a, false)
+	c.adopt(a, 0, false)
 	return nil
 }
 
@@ -131,7 +131,7 @@ func (c *Controller) UpdatePolicy(policy []flowspace.Rule) (float64, error) {
 		c.sb.Note(generation, true, deleted)
 		c.sb.Note(generation, false, c.installAuthorityRules(a))
 		c.run.Policy = append([]flowspace.Rule(nil), policy...)
-		c.adopt(a, true)
+		c.adopt(a, 0, true)
 		c.PolicyVersion++
 		c.logState()
 	})
@@ -187,7 +187,7 @@ func (c *Controller) UpdatePolicyConsistent(policy []flowspace.Rule) (float64, f
 		c.run.Assignment, c.run.Generation = staged, generation
 		c.PolicyVersion++
 		c.logState()
-		c.adopt(staged, true)
+		c.adopt(staged, generation, true)
 	})
 	// Phase 3: garbage-collect the previous generation's authority rules.
 	cleanupAt := switchAt + c.PolicyPushDelay
@@ -243,17 +243,6 @@ func stageAssignment(a Assignment, generation uint64) Assignment {
 	return out
 }
 
-// generationOf reads the generation band an assignment's rules carry.
-func generationOf(a Assignment) uint64 {
-	var g uint64
-	for _, p := range a.Partitions {
-		if len(p.Rules) > 0 {
-			g = p.Rules[0].ID & GenerationMask
-		}
-	}
-	return g
-}
-
 // OnTopologyChange re-derives the partition table of every switch that is
 // up (SyncRoutes) after link or node state changed: a failed link can make
 // a different replica closest, a failed authority takes its redirects with
@@ -300,12 +289,12 @@ func (c *Controller) InvalidateHost(ip uint32) int {
 	return total
 }
 
-// adopt makes a, whose authority rules are installed, the running
+// adopt makes a, whose authority rules are installed in band, the running
 // assignment: the commit, which moves the handlers and band, writes every
 // live switch's partition table (Running.Routes) and, with flush, empties
 // every ingress cache.
-func (c *Controller) adopt(a Assignment, flush bool) {
-	c.run.Assignment, c.run.Generation = a, generationOf(a)
+func (c *Controller) adopt(a Assignment, band uint64, flush bool) {
+	c.run.Assignment, c.run.Generation = a, band
 	c.sb.Commit(c.run, flush)
 }
 

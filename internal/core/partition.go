@@ -188,7 +188,7 @@ func TotalEntries(parts []Partition) int {
 
 // Assignment maps partitions onto authority switches.
 type Assignment struct {
-	Partitions []Partition
+	Partitions []Partition `json:"-"` // not sealed: ReadState rebuilds them
 	// Primary[i] and Backup[i] are the authority switches serving
 	// Partitions[i]. Backup equals Primary when only one authority exists.
 	Primary []uint32

@@ -110,7 +110,7 @@ func (c *Controller) RebalanceByLoad() int {
 	}
 	c.sb.Note(0, true, deleted)
 	c.sb.Note(0, false, c.installAuthorityRules(next))
-	c.adopt(next, false)
+	c.adopt(next, c.run.Generation, false)
 	c.logState()
 	return moved
 }

@@ -1,25 +1,40 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"difane/internal/flowspace"
 	"difane/internal/journal"
 	"difane/internal/proto"
 )
 
-// ControllerState is the controller's durable state: everything a restarted
-// controller needs to pick up exactly where its predecessor stopped. The
-// journal seals it in full on every commit, replacing the one before:
-// states are small (the policy plus the partition tree), and recovery
-// needs only the last.
+// ControllerState is the controller's durable state: what a restarted
+// controller needs to pick up exactly where its predecessor stopped, sealed
+// whole at every commit. It holds decisions only: the partitions' clipped
+// rules are not sealed, and ReadState rebuilds them from Policy and Partition.
 type ControllerState struct {
 	Epoch         uint64           `json:"epoch"`
 	PolicyVersion int              `json:"policy_version"`
-	Generation    uint64           `json:"generation"`
+	Generation    uint64           `json:"generation"` // the staging counter
+	Band          uint64           `json:"band"`       // Running.Generation
 	PinRouting    bool             `json:"pin_routing,omitempty"`
 	Policy        []flowspace.Rule `json:"policy"`
+	Partition     PartitionConfig  `json:"partition"`
 	Assignment    Assignment       `json:"assignment"`
+	Regions       [2]uint32        `json:"regions"` // digestOf(Assignment.Partitions)
+}
+
+// digestOf returns the count of parts and the CRC32-IEEE of their regions.
+func digestOf(parts []Partition) [2]uint32 {
+	buf := make([]byte, 0, len(parts)*16*int(flowspace.NumFields))
+	for i := range parts {
+		for _, f := range parts[i].Region.Fields {
+			buf = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, f.Value), f.Mask)
+		}
+	}
+	return [2]uint32{uint32(len(parts)), crc32.ChecksumIEEE(buf)}
 }
 
 // State returns c's state as a journal seals it.
@@ -28,9 +43,12 @@ func (c *Controller) State() ControllerState {
 		Epoch:         c.Epoch,
 		PolicyVersion: c.PolicyVersion,
 		Generation:    c.gen,
+		Band:          c.run.Generation,
 		PinRouting:    c.run.PinRouting,
 		Policy:        append([]flowspace.Rule(nil), c.run.Policy...),
+		Partition:     c.partition,
 		Assignment:    c.run.Assignment,
+		Regions:       digestOf(c.run.Assignment.Partitions),
 	}
 }
 
@@ -48,18 +66,6 @@ func (c *Controller) logState() {
 
 // Journal returns the attached journal, or nil.
 func (c *Controller) Journal() *journal.Journal { return c.jour }
-
-// NewControllerWithJournal attaches a fresh controller to the network and
-// to a journal at dir: every committed policy update, rebalance, and
-// recovery is durably recorded. The initial state is journaled immediately
-// so a crash before the first update still recovers the running epoch.
-func NewControllerWithJournal(n *Network, dir string) (*Controller, error) {
-	c := NewController(n)
-	if err := c.AttachJournal(dir); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
 
 // AttachJournal starts journaling an existing controller to dir: the
 // current state is recorded immediately, and every later commit follows.
@@ -82,12 +88,25 @@ func (c *Controller) AttachJournal(dir string) error {
 	return nil
 }
 
-// ReadState loads the durable ControllerState an open journal holds. ok is
-// false when it holds none.
+// ReadState loads the durable ControllerState an open journal holds, its
+// partitions rebuilt and staged into the sealed band. ok is false when it
+// holds none. A state whose rebuild does not match its digest or placement
+// (another partitioner's, or an older format's) is refused.
 func ReadState(j *journal.Journal) (ControllerState, bool, error) {
 	var st ControllerState
-	ok, err := j.Load(&st)
-	return st, ok, err
+	if ok, err := j.Load(&st); !ok || err != nil {
+		return st, ok, err
+	}
+	a := &st.Assignment
+	a.Partitions = BuildPartitions(st.Policy, st.Partition)
+	if d, n := digestOf(a.Partitions), len(a.Partitions); d != st.Regions ||
+		len(a.Primary) != n || len(a.Backup) != n || a.Replicas != nil && len(a.Replicas) != n {
+		return st, true, fmt.Errorf("core: sealed state in %s does not match its rebuild (regions %v sealed, %v rebuilt; placement of %d): sealed by another partitioner or in an older format", j.Dir(), st.Regions, d, len(a.Primary))
+	}
+	if st.Band != 0 {
+		*a = stageAssignment(*a, st.Band)
+	}
+	return st, true, nil
 }
 
 // RecoveryReport says what a journal recovery found and repaired.
@@ -133,14 +152,15 @@ func NewControllerFromJournal(n *Network, dir string) (*Controller, RecoveryRepo
 
 // Resume makes c the successor of the incarnation whose durable state st
 // is, the one recovery step of both backends: c takes over st's policy,
-// assignment and generation under epoch st.Epoch+1, journals that to j
-// (nil: no journal), and only then reconciles the switches against it.
+// partition config, assignment, band and generation counter under epoch
+// st.Epoch+1, journals that to j (nil: no journal), and only then
+// reconciles the switches against it.
 func (c *Controller) Resume(st ControllerState, j *journal.Journal) RecoveryReport {
 	c.jour = j
 	c.Epoch = st.Epoch + 1
 	c.PolicyVersion = st.PolicyVersion
-	c.gen = st.Generation
-	c.run = Running{Policy: st.Policy, Assignment: st.Assignment, PinRouting: st.PinRouting}
+	c.gen, c.partition = st.Generation, st.Partition
+	c.run = Running{Policy: st.Policy, Assignment: st.Assignment, Generation: st.Band, PinRouting: st.PinRouting}
 	c.logState()
 	rep := RecoveryReport{HadState: true}
 	rep.Installed, rep.Deleted = c.Reconcile()
@@ -164,6 +184,6 @@ func (c *Controller) Reconcile() (installed, deleted int) {
 	}
 	c.sb.Note(0, false, uint64(installed))
 	c.sb.Note(0, true, uint64(deleted))
-	c.adopt(c.run.Assignment, false)
+	c.adopt(c.run.Assignment, c.run.Generation, false)
 	return installed, deleted
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"difane/internal/journal"
 	"difane/internal/proto"
 	"difane/internal/testutil"
+	"difane/internal/workload"
 )
 
 // recoveredPolicy is a second policy distinct from testNet's, so recovery
@@ -65,7 +67,7 @@ func TestRecoveryConvergesWithoutChurn(t *testing.T) {
 	defer testutil.CheckGoroutineLeaks(t, 2)()
 	dir := t.TempDir()
 	n := testNet(t, NetworkConfig{})
-	c1, err := NewControllerWithJournal(n, dir)
+	c1, _, err := NewControllerFromJournal(n, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,6 @@ func TestRecoveryConvergesWithoutChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Journal().Close()
 	if !rep.HadState {
 		t.Fatal("journal held state; recovery saw none")
 	}
@@ -124,6 +125,25 @@ func TestRecoveryConvergesWithoutChurn(t *testing.T) {
 		t.Fatalf("churn counters moved on a clean recovery: %d/%d then %d/%d",
 			installs, deletes, n.M.PolicyRuleInstalls, n.M.PolicyRuleDeletes)
 	}
+	// A second restart, from the state the first one sealed, finds the
+	// switches as that state wants them too: the resume sealed the band
+	// the update staged, not an unstaged rebuild of it.
+	c2.Journal().Close()
+	c3, rep, err := NewControllerFromJournal(n, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Journal().Close()
+	if rep != (RecoveryReport{HadState: true}) {
+		t.Fatalf("second clean restart must not churn rules: %+v", rep)
+	}
+	if got := authorityRuleIDs(n, 2); !reflect.DeepEqual(got, authBefore) {
+		t.Fatalf("authority rules changed across the second recovery: %v vs %v", got, authBefore)
+	}
+	if n.M.PolicyRuleInstalls != installs || n.M.PolicyRuleDeletes != deletes {
+		t.Fatalf("churn counters moved on the second recovery: %d/%d then %d/%d",
+			installs, deletes, n.M.PolicyRuleInstalls, n.M.PolicyRuleDeletes)
+	}
 	// And the recovered controller still works: new flows set up fine.
 	before := n.M.Delivered
 	n.InjectPacket(n.Eng.Now()+0.001, 1, flowKey(77, 443), 100, 0)
@@ -136,7 +156,7 @@ func TestRecoveryConvergesWithoutChurn(t *testing.T) {
 func TestRecoveryRepairsDivergedSwitch(t *testing.T) {
 	dir := t.TempDir()
 	n := testNet(t, NetworkConfig{})
-	c1, err := NewControllerWithJournal(n, dir)
+	c1, _, err := NewControllerFromJournal(n, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +197,7 @@ func TestRecoveryRepairsDivergedSwitch(t *testing.T) {
 func TestRecoveryWithdrawsStrayPartitionRule(t *testing.T) {
 	dir := t.TempDir()
 	n := testNet(t, NetworkConfig{})
-	if _, err := NewControllerWithJournal(n, dir); err != nil {
+	if _, _, err := NewControllerFromJournal(n, dir); err != nil {
 		t.Fatal(err)
 	}
 	want := partitionEntries(n)
@@ -218,7 +238,7 @@ func TestRecoveryFromEmptyJournal(t *testing.T) {
 func TestEpochMonotonicAcrossRestarts(t *testing.T) {
 	dir := t.TempDir()
 	n := testNet(t, NetworkConfig{})
-	c, err := NewControllerWithJournal(n, dir)
+	c, _, err := NewControllerFromJournal(n, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +330,7 @@ func TestCheckpointThenRecover(t *testing.T) {
 func TestJournalHoldsStateNotHistory(t *testing.T) {
 	dir := t.TempDir()
 	n := testNet(t, NetworkConfig{})
-	c1, err := NewControllerWithJournal(n, dir)
+	c1, _, err := NewControllerFromJournal(n, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,5 +392,153 @@ func testNetPolicy() []flowspace.Rule {
 			Action: flowspace.Action{Kind: flowspace.ActForward, Arg: 4}},
 		{ID: 2, Priority: 0, Match: flowspace.MatchAll(),
 			Action: flowspace.Action{Kind: flowspace.ActDrop}},
+	}
+}
+
+// TestReadStateRefusesWhatItCannotRebuild: ReadState rebuilds the
+// partitions a state does not seal, and a state whose rebuild does not
+// match what it sealed is refused, as is one in the format that sealed the
+// partitions themselves (it carries no digest): recovery from it fails
+// instead of resuming a controller on it.
+func TestReadStateRefusesWhatItCannotRebuild(t *testing.T) {
+	n := testNet(t, NetworkConfig{Partition: PartitionConfig{MaxRulesPerPartition: 1}})
+	sealed := NewController(n).State()
+	if len(sealed.Assignment.Partitions) < 2 {
+		t.Fatalf("want a policy cut into several partitions, got %d", len(sealed.Assignment.Partitions))
+	}
+	edit := func(change func(*ControllerState)) ControllerState {
+		st := sealed
+		change(&st)
+		return st
+	}
+	type oldAssignment struct {
+		Partitions      []Partition
+		Primary, Backup []uint32
+		Replicas        [][]uint32
+	}
+	old := struct {
+		Epoch         uint64           `json:"epoch"`
+		PolicyVersion int              `json:"policy_version"`
+		Generation    uint64           `json:"generation"`
+		PinRouting    bool             `json:"pin_routing,omitempty"`
+		Policy        []flowspace.Rule `json:"policy"`
+		Assignment    oldAssignment    `json:"assignment"`
+	}{sealed.Epoch, sealed.PolicyVersion, sealed.Generation, sealed.PinRouting, sealed.Policy, oldAssignment{
+		sealed.Assignment.Partitions, sealed.Assignment.Primary, sealed.Assignment.Backup, sealed.Assignment.Replicas}}
+	for _, tc := range []struct {
+		name   string
+		state  any
+		refuse bool
+	}{
+		{"as sealed", sealed, false},
+		{"partition config edited", edit(func(st *ControllerState) { st.Partition.MaxRulesPerPartition = 2 }), true},
+		{"primaries short", edit(func(st *ControllerState) { st.Assignment.Primary = st.Assignment.Primary[1:] }), true},
+		{"backups short", edit(func(st *ControllerState) { st.Assignment.Backup = st.Assignment.Backup[1:] }), true},
+		{"partitions sealed, no digest", old, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := journal.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Seal(tc.state); err != nil {
+				t.Fatal(err)
+			}
+			st, ok, err := ReadState(j)
+			j.Close()
+			if !ok {
+				t.Fatal("ReadState found no state")
+			}
+			if refused := err != nil; refused != tc.refuse {
+				t.Fatalf("ReadState error %v, want refused=%v", err, tc.refuse)
+			}
+			if !tc.refuse && !reflect.DeepEqual(st, sealed) {
+				t.Fatalf("rebuilt state differs from the one sealed:\n%+v\n%+v", st, sealed)
+			}
+			c, _, err := NewControllerFromJournal(n, dir)
+			if refused := err != nil; refused != tc.refuse || refused != (c == nil) {
+				t.Fatalf("recovery returned controller %v and error %v, want refused=%v", c != nil, err, tc.refuse)
+			}
+			if c != nil {
+				c.Journal().Close()
+			}
+		})
+	}
+}
+
+// classBenchState seals the state of a controller running a 1,000-rule
+// ClassBench-like policy, cut into leaves of at most leaves rules, placed
+// twice over on three authorities and staged in a generation band as a
+// consistent update leaves it, into a fresh journal. It returns the
+// journal, the policy and the state sealed.
+func classBenchState(tb testing.TB, leaves int) (*journal.Journal, []flowspace.Rule, ControllerState) {
+	tb.Helper()
+	policy := workload.ClassBenchLike(workload.ACLConfig{
+		Rules: 1000, MaxDepth: 6, PortRangeFrac: 0.2, DropFrac: 0.1,
+		Egresses: []uint32{1, 2, 3, 4}, Seed: 1,
+	})
+	c := Attach(nil, nil, []uint32{1, 2, 3}, PartitionConfig{MaxRulesPerPartition: leaves}, func(parts []Partition, auths []uint32) (Assignment, error) {
+		return AssignWithReplication(parts, auths, 2)
+	})
+	a, err := c.assign(policy)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c.run = Running{Policy: policy, Assignment: stageAssignment(a, 1<<32), Generation: 1 << 32}
+	j, err := journal.Open(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(j.Close)
+	st := c.State()
+	if err := j.Seal(st); err != nil {
+		tb.Fatal(err)
+	}
+	return j, policy, st
+}
+
+// TestSealedStateIsAboutThePolicy: a state seals no partition's clipped
+// rules, so at 1,000 ClassBench rules in leaves of 4 (thousands of
+// partitions, tens of thousands of clipped rules) it is at most twice the
+// policy's JSON, and what ReadState rebuilds from it is the state sealed.
+func TestSealedStateIsAboutThePolicy(t *testing.T) {
+	j, policy, want := classBenchState(t, 4)
+	encoded, err := json.Marshal(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := len(j.Sealed()); size > 2*len(encoded) {
+		t.Fatalf("sealed state is %d bytes for %d partitions, the policy %d: want at most twice the policy",
+			size, len(want.Assignment.Partitions), len(encoded))
+	}
+	got, ok, err := ReadState(j)
+	if err != nil || !ok {
+		t.Fatalf("ReadState: ok=%v err=%v", ok, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the rebuilt state differs from the one sealed")
+	}
+}
+
+var readStateSink ControllerState
+
+// BenchmarkReadState prices a recovery's read: decoding the sealed
+// decisions and rebuilding the partitions from them, for the policy of
+// TestSealedStateIsAboutThePolicy in small and large leaves.
+func BenchmarkReadState(b *testing.B) {
+	for _, leaves := range []int{4, 50} {
+		b.Run(fmt.Sprintf("leaves=%d", leaves), func(b *testing.B) {
+			j, _, _ := classBenchState(b, leaves)
+			b.SetBytes(int64(len(j.Sealed())))
+			b.ResetTimer()
+			for range b.N {
+				st, _, err := ReadState(j)
+				if err != nil {
+					b.Fatal(err)
+				}
+				readStateSink = st
+			}
+		})
 	}
 }

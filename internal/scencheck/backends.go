@@ -103,7 +103,7 @@ func newSimBackend(sc Scenario, opt Options) (*simBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.ctl, err = core.NewControllerWithJournal(n, b.jdir)
+	b.ctl, _, err = core.NewControllerFromJournal(n, b.jdir)
 	if err != nil {
 		os.RemoveAll(b.jdir)
 		return nil, err
@@ -263,7 +263,7 @@ func auditTables(deployed core.Assignment, policy []flowspace.Rule, place func([
 	for _, swID := range switches {
 		// Authority tables hold exactly the union of hosted partitions' rules.
 		if contains(authorities, swID) {
-			want := map[string]bool{}
+			want := map[flowspace.Rule]bool{}
 			for i := range a.Partitions {
 				if !contains(a.ReplicasFor(i), swID) {
 					continue
@@ -272,19 +272,19 @@ func auditTables(deployed core.Assignment, policy []flowspace.Rule, place func([
 					want[ruleKey(r)] = true
 				}
 			}
-			seen := map[string]bool{}
+			seen := map[flowspace.Rule]bool{}
 			for _, r := range read(swID, proto.TableAuthority) {
 				k := ruleKey(r)
 				seen[k] = true
 				if !want[k] {
 					out = append(out, fmt.Sprintf(
-						"convergence: authority %d holds unexpected rule %s", swID, k))
+						"convergence: authority %d holds unexpected rule %v", swID, k))
 				}
 			}
 			for k := range want {
 				if !seen[k] {
 					out = append(out, fmt.Sprintf(
-						"convergence: authority %d missing rule %s", swID, k))
+						"convergence: authority %d missing rule %v", swID, k))
 				}
 			}
 		}
@@ -301,7 +301,7 @@ func auditTables(deployed core.Assignment, policy []flowspace.Rule, place func([
 				out = append(out, fmt.Sprintf(
 					"convergence: switch %d partition %d redirects to non-replica %v", swID, i, r.Action))
 			}
-			if !reflect.DeepEqual(r.Match, a.Partitions[i].Region) {
+			if r.Match != a.Partitions[i].Region {
 				out = append(out, fmt.Sprintf(
 					"convergence: switch %d partition %d rule region %v != %v", swID, i, r.Match, a.Partitions[i].Region))
 			}
@@ -336,8 +336,11 @@ func normalizeAssignment(a core.Assignment) core.Assignment {
 	return out
 }
 
-func ruleKey(r flowspace.Rule) string {
-	return fmt.Sprintf("id=%d pri=%d match=%v act=%v", r.ID&0xFFFFFFFF, r.Priority, r.Match, r.Action)
+// ruleKey is r without its generation band and partition: the rule itself
+// keys the audit's sets, and is formatted only when the audit fails.
+func ruleKey(r flowspace.Rule) flowspace.Rule {
+	r.ID &= 0xFFFFFFFF
+	return r
 }
 
 func contains(ids []uint32, id uint32) bool {
