@@ -99,11 +99,16 @@ check:
 # dead; Run returning only once installs are applied, woken by a switch's
 # death, and waited in by several goroutines at once), and the one
 # registration of the metric schema: the three backends' series compared,
-# and a scraper looping against 200k forwarded packets.
+# and a scraper looping against 200k forwarded packets. Last, fifty runs
+# each of the ring-page hand-overs (a page a consumer frees feeding
+# another ring's producer, a drain to head == tail racing the producer's
+# next burst), so that a rare interleaving of the drained-page lease shows.
 chaos-smoke:
 	go test -race ./internal/scencheck -run TestChaosSmoke -timeout 10m
 	go test -race ./internal/wire -timeout 10m \
 		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectsKillWithinTwiceDetectTime|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestLeaderKillAtEveryPhaseBoundary|TestElectionReconcilesWithoutChurn|TestResumeOnUnchangedClusterSendsNoFlowMod|TestResumeAfterFailoverSendsNoFlowMod|TestRebalanceSkipsFailedAuthorities|TestPartitionCountersSurviveResume|TestRebalanceSurvivesElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic|TestStalledAuthorityDetectedByRedirectAck'
+	go test -race ./internal/wire -timeout 10m -count 50 \
+		-run 'TestFrameRingRecyclesPages|TestRingPagesPassBetweenRings'
 
 # Subscriber-scale soak — not part of tier-1. Streams ≥1M modeled
 # subscriber sessions (Poisson churn, host mobility, a flash crowd and a

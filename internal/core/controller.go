@@ -234,13 +234,21 @@ func stageAssignment(a Assignment, generation uint64) Assignment {
 	out.Partitions = make([]Partition, len(a.Partitions))
 	for i, p := range a.Partitions {
 		rules := make([]flowspace.Rule, len(p.Rules))
-		for j, r := range p.Rules {
-			r.ID = generation | (r.ID & 0xFFFFFFFF)
-			rules[j] = r
-		}
+		copy(rules, p.Rules)
 		out.Partitions[i] = Partition{Region: p.Region, Rules: rules}
 	}
+	keyIntoBand(out.Partitions, generation)
 	return out
+}
+
+// keyIntoBand is stageAssignment's re-key, in place, for partitions no
+// running generation shares (ReadState's fresh rebuild).
+func keyIntoBand(parts []Partition, generation uint64) {
+	for _, p := range parts {
+		for j := range p.Rules {
+			p.Rules[j].ID = generation | p.Rules[j].ID&0xFFFFFFFF
+		}
+	}
 }
 
 // OnTopologyChange re-derives the partition table of every switch that is

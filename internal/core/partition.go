@@ -57,16 +57,23 @@ func BuildPartitions(rules []flowspace.Rule, cfg PartitionConfig) []Partition {
 	sorted := append([]flowspace.Rule(nil), rules...)
 	flowspace.SortRules(sorted)
 
+	// A tree node names its rules by index into sorted, so a split copies
+	// indices, not rules; only a leaf's clipped rules are built whole.
 	type node struct {
 		region flowspace.Match
-		rules  []flowspace.Rule // overlapping, TCAM order
+		rules  []int32 // overlapping, TCAM order
 	}
 	var leaves []Partition
-	stack := []node{{region: flowspace.MatchAll(), rules: sorted}}
+	all := make([]int32, len(sorted))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	stack := []node{{region: flowspace.MatchAll(), rules: all}}
 
 	emit := func(n node) {
 		clipped := make([]flowspace.Rule, 0, len(n.rules))
-		for _, r := range n.rules {
+		for _, i := range n.rules {
+			r := sorted[i]
 			m, ok := r.Match.Intersect(n.region)
 			if !ok {
 				continue
@@ -86,24 +93,26 @@ func BuildPartitions(rules []flowspace.Rule, cfg PartitionConfig) []Partition {
 			emit(n)
 			continue
 		}
-		field, bit, ok := chooseCut(n.region, n.rules)
+		field, bit, ok := chooseCut(n.region, sorted, n.rules)
 		if !ok {
 			emit(n) // no cut separates anything further
 			continue
 		}
 		zero, one := cutRegion(n.region, field, bit)
-		zn := node{region: zero, rules: overlapping(n.rules, zero)}
-		on := node{region: one, rules: overlapping(n.rules, one)}
+		zn := node{region: zero, rules: overlapping(sorted, n.rules, zero)}
+		on := node{region: one, rules: overlapping(sorted, n.rules, one)}
 		stack = append(stack, on, zn)
 	}
 	return leaves
 }
 
-func overlapping(rules []flowspace.Rule, region flowspace.Match) []flowspace.Rule {
-	out := make([]flowspace.Rule, 0, len(rules)/2+1)
-	for _, r := range rules {
-		if r.Match.Overlaps(region) {
-			out = append(out, r)
+// overlapping returns those of rules[idx...] that overlap region, as
+// indices into rules.
+func overlapping(rules []flowspace.Rule, idx []int32, region flowspace.Match) []int32 {
+	out := make([]int32, 0, len(idx)/2+1)
+	for _, i := range idx {
+		if rules[i].Match.Overlaps(region) {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -131,10 +140,10 @@ func cutRegion(region flowspace.Match, f flowspace.FieldID, bit uint) (zero, one
 // free bit of each candidate field is considered — cutting high bits first
 // mirrors prefix structure and keeps regions expressible as single ternary
 // matches.
-func chooseCut(region flowspace.Match, rules []flowspace.Rule) (flowspace.FieldID, uint, bool) {
+func chooseCut(region flowspace.Match, rules []flowspace.Rule, idx []int32) (flowspace.FieldID, uint, bool) {
 	bestField := flowspace.FieldID(-1)
 	var bestBit uint
-	bestMax, bestSum := len(rules)+1, 0
+	bestMax, bestSum := len(idx)+1, 0
 	for _, f := range cutFields {
 		w := f.Width()
 		fd := region.Fields[f]
@@ -151,15 +160,15 @@ func chooseCut(region flowspace.Match, rules []flowspace.Rule) (flowspace.FieldI
 		}
 		zero, one := cutRegion(region, f, uint(bit))
 		l, r := 0, 0
-		for _, rule := range rules {
-			if rule.Match.Overlaps(zero) {
+		for _, i := range idx {
+			if rules[i].Match.Overlaps(zero) {
 				l++
 			}
-			if rule.Match.Overlaps(one) {
+			if rules[i].Match.Overlaps(one) {
 				r++
 			}
 		}
-		if l == len(rules) && r == len(rules) {
+		if l == len(idx) && r == len(idx) {
 			continue // cut separates nothing
 		}
 		mx := l

@@ -104,7 +104,7 @@ func ReadState(j *journal.Journal) (ControllerState, bool, error) {
 		return st, true, fmt.Errorf("core: sealed state in %s does not match its rebuild (regions %v sealed, %v rebuilt; placement of %d): sealed by another partitioner or in an older format", j.Dir(), st.Regions, d, len(a.Primary))
 	}
 	if st.Band != 0 {
-		*a = stageAssignment(*a, st.Band)
+		keyIntoBand(a.Partitions, st.Band)
 	}
 	return st, true, nil
 }

@@ -39,6 +39,7 @@ type burstScratch struct {
 	// release once the burst is through.
 	frames []*dataFrame
 	held   []heldRun
+	pages  pageStash // the ring pages its releases give and reserves take
 
 	// Classification vectors: cidx holds the frames[] indices being
 	// classified, keys/sizes their lookup inputs, results the verdicts.
@@ -78,6 +79,7 @@ func newBurstScratch(c *Cluster) *burstScratch {
 	return &burstScratch{
 		frames:       make([]*dataFrame, b),
 		held:         make([]heldRun, 0, c.injSlot+1),
+		pages:        pageStash{pool: &c.pool, batch: stashBatch},
 		cidx:         make([]int, 0, b),
 		keys:         make([]flowspace.Key, 0, b),
 		sizes:        make([]int, 0, b),
@@ -334,7 +336,7 @@ func (c *Cluster) stageForward(src *node, s *burstScratch, to uint32, f *dataFra
 	}
 	dst := c.nodes[d]
 	k := s.staged[d]
-	slot := dst.in[src.slot].reserve(k)
+	slot := dst.in[src.slot].reserve(k, &s.pages)
 	if slot == nil {
 		kind := core.VerdictQueueDrop
 		if dst.killed.Load() {
@@ -414,7 +416,7 @@ func (c *Cluster) flushForwards(src *node, s *burstScratch) {
 			// wait. Leave them unpublished and account them as unreachable,
 			// exactly like the simulator's dead-egress path.
 			for i := 0; i < k; i++ {
-				c.drop(src.stats, src.id, core.VerdictUnreachable, 0, ring.reserve(i))
+				c.drop(src.stats, src.id, core.VerdictUnreachable, 0, ring.reserve(i, &s.pages))
 			}
 			continue
 		}

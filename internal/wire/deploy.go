@@ -147,7 +147,7 @@ func (d *Deployment) injectGroup(n *node, batch []core.PacketIn, idx []int32) {
 			stamp := nowNS()
 			k := 0
 			for ; k < fabricBurst && sent+k < len(idx); k++ {
-				f := ring.reserve(k)
+				f := ring.reserve(k, &n.injPages)
 				if f == nil {
 					break
 				}

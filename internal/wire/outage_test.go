@@ -309,7 +309,7 @@ func injectRedirects(t *testing.T, c *Cluster, ingress, firstSrc uint32, n int) 
 		if ring == nil {
 			t.Fatalf("authority %d takes no injection", auth)
 		}
-		f := ring.reserve(0)
+		f := ring.reserve(0, &n.injPages)
 		if f == nil {
 			n.injectMu.Unlock()
 			t.Fatalf("redirect %d not accepted at authority %d", i, auth)
