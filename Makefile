@@ -13,14 +13,22 @@ vet:
 	go vet -C bench ./...
 
 # Exported functions and methods under internal/ with no caller outside
-# tests (or none outside bench/), and exported *Config fields that no
-# caller outside their package sets, must be named, with a reason,
-# in scripts/unused.allow: what nothing calls or turns either goes or says
-# why not. A registered difane_* series that no string literal anywhere
-# reads (a health rule, the soak, difanectl, bench/, a test) fails with no
-# list to excuse it.
+# tests (or none outside bench/), exported *Config fields that no
+# caller outside their package sets, and exported names of the difane
+# facade with no user, must be named, with a reason, in
+# scripts/unused.allow: what nothing calls, turns or uses either goes or
+# says why not. A registered difane_* series that no string literal
+# anywhere reads (a health rule, the soak, difanectl, bench/, a test)
+# fails with no list to excuse it. Then the gate runs on each fixture
+# tree under scripts/testdata/unused, a canary it must fail with exactly
+# the lines of the tree's want file.
 unused:
 	sh scripts/unused.sh
+	@for t in scripts/testdata/unused/*/; do \
+		if out=$$(sh scripts/unused.sh $$t); then echo "$$t: the gate passed its canary"; exit 1; fi; \
+		if [ "$$out" != "$$(cat $$t/want)" ]; then \
+			printf '%s: want\n%s\ngot\n%s\n' $$t "$$(cat $$t/want)" "$$out"; exit 1; fi; \
+	done
 
 build:
 	go build ./...

@@ -17,6 +17,7 @@ import (
 	"difane/internal/flowspace"
 	"difane/internal/packet"
 	"difane/internal/proto"
+	"difane/internal/workload"
 )
 
 // benchOpts runs the full-size workloads.
@@ -256,7 +257,7 @@ func BenchmarkProtoEncodeDecode(b *testing.B) {
 
 // BenchmarkPartitioner measures partitioning a 10k-rule ACL.
 func BenchmarkPartitioner(b *testing.B) {
-	policy := difane.ClassBenchLike(difane.ACLConfig{
+	policy := workload.ClassBenchLike(workload.ACLConfig{
 		Rules: 10000, MaxDepth: 8, PortRangeFrac: 0.25, DropFrac: 0.3,
 		Egresses: []uint32{1, 2, 3, 4}, Seed: 9,
 	})
@@ -271,7 +272,7 @@ func BenchmarkPartitioner(b *testing.B) {
 
 // BenchmarkTCAMLookup measures single-table classification.
 func BenchmarkTCAMLookup(b *testing.B) {
-	policy := difane.ClassBenchLike(difane.ACLConfig{
+	policy := workload.ClassBenchLike(workload.ACLConfig{
 		Rules: 1000, MaxDepth: 6, Egresses: []uint32{1}, Seed: 11,
 	})
 	var k difane.Key

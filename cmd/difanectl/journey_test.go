@@ -95,10 +95,12 @@ func checkJourneyOutput(t *testing.T, backend, out string) {
 func TestJourneyCommandRendersAllBackends(t *testing.T) {
 	t.Run("sim", func(t *testing.T) {
 		n, err := core.NewNetwork(topo.Linear(5, 0.001), []uint32{2}, journeyPolicy(),
-			core.NetworkConfig{Tracing: true, TraceSample: 1})
+			core.NetworkConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		n.SetTracing(true)
+		n.SetTraceSample(1)
 		n.InjectPacket(0, 0, journeyKey(), 100, 0)
 		n.Run(1)
 		addr := serveRecorder(t, n.Recorder())
@@ -112,10 +114,12 @@ func TestJourneyCommandRendersAllBackends(t *testing.T) {
 
 	t.Run("baseline", func(t *testing.T) {
 		n, err := baseline.NewNetwork(topo.Linear(5, 0.001), journeyPolicy(),
-			baseline.Config{ControllerNode: 2, Tracing: true, TraceSample: 1})
+			baseline.Config{ControllerNode: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		n.SetTracing(true)
+		n.SetTraceSample(1)
 		n.InjectPacket(0, 0, journeyKey(), 100, 0)
 		n.Run(1)
 		addr := serveRecorder(t, n.Recorder())

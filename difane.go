@@ -23,17 +23,17 @@
 //
 // The deeper packages stay internal; this package re-exports the stable
 // surface via type aliases, so the full method sets of the underlying
-// types are available to callers.
+// types are available to callers. It keeps only what its users call (the
+// examples, cmd/, the Example functions and README): `make unused` fails
+// on a name that loses its last user.
 package difane
 
 import (
-	"context"
 	"io"
 
 	"difane/internal/baseline"
 	"difane/internal/core"
 	"difane/internal/flowspace"
-	"difane/internal/oracle"
 	"difane/internal/policyio"
 	"difane/internal/scencheck"
 	"difane/internal/subscriber"
@@ -52,37 +52,24 @@ type Rule = flowspace.Rule
 // Match is a ternary predicate over the header tuple.
 type Match = flowspace.Match
 
-// Field is one ternary header field.
-type Field = flowspace.Field
-
 // Key is a concrete header tuple.
 type Key = flowspace.Key
 
 // Action is what a rule does with matching packets.
 type Action = flowspace.Action
 
-// FieldID names a header field.
-type FieldID = flowspace.FieldID
-
-// Header field identifiers.
+// Header field identifiers, the index of a field in a Key.
 const (
-	FInPort  = flowspace.FInPort
-	FEthSrc  = flowspace.FEthSrc
-	FEthDst  = flowspace.FEthDst
-	FEthType = flowspace.FEthType
-	FVLAN    = flowspace.FVLAN
 	FIPProto = flowspace.FIPProto
 	FIPSrc   = flowspace.FIPSrc
 	FIPDst   = flowspace.FIPDst
-	FTPSrc   = flowspace.FTPSrc
 	FTPDst   = flowspace.FTPDst
 )
 
 // Action kinds.
 const (
-	ActDrop     = flowspace.ActDrop
-	ActForward  = flowspace.ActForward
-	ActRedirect = flowspace.ActRedirect
+	ActDrop    = flowspace.ActDrop
+	ActForward = flowspace.ActForward
 )
 
 // MatchAll returns the match covering the entire flow space.
@@ -132,21 +119,6 @@ type CacheStrategy = core.CacheStrategy
 // Measurements aggregates a run's recorded statistics.
 type Measurements = core.Measurements
 
-// EvictionChoice selects the ingress-cache eviction policy.
-type EvictionChoice = core.EvictionChoice
-
-// Cache eviction policies.
-const (
-	EvictLRU  = core.EvictDefaultLRU
-	EvictLFU  = core.EvictLFU
-	EvictNone = core.EvictNone
-	// EvictCostAware scores victims by predicted miss cost and enables
-	// per-region idle-timeout adaptation and cover-rule aggregation, one
-	// round every CacheAdaptInterval. The cost model itself has no
-	// settings.
-	EvictCostAware = core.EvictCostAware
-)
-
 // Cache-rule generation strategies.
 const (
 	StrategyCover     = core.StrategyCover
@@ -177,13 +149,6 @@ func Assign(parts []Partition, authorities []uint32) (Assignment, error) {
 func PlaceAuthorities(g *Graph, k int) []uint32 { return core.PlaceAuthorities(g, k) }
 
 // --- Crash recovery ----------------------------------------------------------
-
-// ControllerState is the controller state persisted to the journal: what
-// the controller decided (fencing epoch, counters, running band, policy,
-// partition config and placement). The partitions themselves are not
-// sealed; reading a journal rebuilds them from the policy and refuses a
-// state whose rebuild does not match.
-type ControllerState = core.ControllerState
 
 // RecoveryReport summarizes what NewControllerFromJournal had to repair.
 type RecoveryReport = core.RecoveryReport
@@ -232,17 +197,11 @@ type Flow = workload.Flow
 // TrafficConfig tunes the trace generator.
 type TrafficConfig = workload.TrafficConfig
 
-// ACLConfig tunes the ClassBench-style policy generator.
-type ACLConfig = workload.ACLConfig
-
 // NetworkScale shrinks canonical networks for tests vs benches.
 type NetworkScale = workload.NetworkScale
 
-// Canonical scales.
-const (
-	ScaleTest  = workload.ScaleTest
-	ScaleBench = workload.ScaleBench
-)
+// ScaleTest is the canonical networks' test scale.
+const ScaleTest = workload.ScaleTest
 
 // The four canonical evaluation networks.
 func CampusNetwork(seed int64, s NetworkScale) *Spec { return workload.CampusNetwork(seed, s) }
@@ -255,9 +214,6 @@ func IPTVNetwork(seed int64, s NetworkScale) *Spec { return workload.IPTVNetwork
 
 // ISPNetwork approximates the ISP backbone.
 func ISPNetwork(seed int64, s NetworkScale) *Spec { return workload.ISPNetwork(seed, s) }
-
-// ClassBenchLike generates an ACL-shaped policy.
-func ClassBenchLike(cfg ACLConfig) []Rule { return workload.ClassBenchLike(cfg) }
 
 // GenerateTraffic builds a Zipf-popularity flow trace over a spec.
 func GenerateTraffic(spec *Spec, cfg TrafficConfig) []Flow {
@@ -284,9 +240,6 @@ type Cluster = wire.Cluster
 // ClusterConfig sizes a wire-mode deployment.
 type ClusterConfig = wire.ClusterConfig
 
-// Delivery reports a packet reaching its egress in wire mode.
-type Delivery = wire.Delivery
-
 // BFDConfig tunes wire mode's BFD-style failure detector, and with it how
 // long an authority may leave a redirect unanswered.
 type BFDConfig = wire.BFDConfig
@@ -299,20 +252,11 @@ type HAConfig = wire.HAConfig
 // the telemetry endpoint's /ha and rendered by `difanectl ha`.
 type HAStatus = wire.HAStatus
 
-// OverloadConfig tunes wire mode's miss-storm protection (token-bucket
-// redirect/install budgets).
-type OverloadConfig = wire.OverloadConfig
-
 // WireDeployment adapts a wire-mode Cluster to the Deployment interface.
 type WireDeployment = wire.Deployment
 
 // NewCluster builds and starts a wire-mode cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return wire.NewCluster(cfg) }
-
-// NewClusterContext is NewCluster with a caller-controlled lifetime.
-func NewClusterContext(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
-	return wire.NewClusterContext(ctx, cfg)
-}
 
 // NewWireDeployment builds a wire-mode cluster and wraps it as a
 // Deployment, so traces drive it like the simulated backends.
@@ -331,50 +275,6 @@ type TelemetryConfig = wire.TelemetryConfig
 // TelemetrySnapshot is one scrape of a deployment's metric registry plus
 // its flight-recorder accounting.
 type TelemetrySnapshot = telemetry.Snapshot
-
-// TraceEvent is one fixed-size flight-recorder record: a packet verdict,
-// redirect, rule install/evict, failover, or epoch transition.
-type TraceEvent = telemetry.Event
-
-// TraceEventKind identifies what a TraceEvent records.
-type TraceEventKind = telemetry.EventKind
-
-// TraceFilter selects flight-recorder events by node, kind, flow, and
-// time.
-type TraceFilter = telemetry.Filter
-
-// MetricRegistry is the pull-model registry behind /metrics and /vars.
-type MetricRegistry = telemetry.Registry
-
-// Journey is one sampled packet's end-to-end story: its spans from every
-// node it touched, joined on a shared trace ID and told in causal order.
-type Journey = telemetry.Journey
-
-// JourneyFilter selects assembled journeys by flow, trace ID, and
-// outcome, and controls ordering and truncation.
-type JourneyFilter = telemetry.JourneyFilter
-
-// JourneyStats classifies one assembly pass — complete, gapped (a trace
-// ring wrapped over the window), in-flight, unexplained — and yields the
-// completeness ratio the soak gate enforces.
-type JourneyStats = telemetry.JourneyStats
-
-// EpochTimeline is one policy update's convergence window: first fenced
-// FlowMod to quiescence, with the installs, withdrawals, rejects, and
-// disturbed traffic attributed to it.
-type EpochTimeline = telemetry.EpochTimeline
-
-// HealthRule is one declarative SLO judged by the runtime watchdog over
-// windowed metric deltas.
-type HealthRule = telemetry.HealthRule
-
-// RuleStatus is a watchdog rule's latest verdict: firing, value, detail,
-// and since when.
-type RuleStatus = telemetry.RuleStatus
-
-// HealthSummary aggregates the watchdog's state — evals, firing, and
-// critical counts; soak runs fail on a critical rule still firing.
-type HealthSummary = telemetry.HealthSummary
 
 // --- Drivers -----------------------------------------------------------------
 
@@ -438,11 +338,6 @@ func RunTrace(n Deployment, flows []Flow, horizon float64) {
 
 // --- Differential verification -----------------------------------------------
 
-// Verdict is the reference oracle's authoritative answer for one packet:
-// evaluate the raw prioritized policy with a single linear scan, no DIFANE
-// machinery involved.
-type Verdict = oracle.Verdict
-
 // Scenario is a seeded, deterministic differential-test scenario: a
 // topology, a policy, and a schedule of packets, policy updates, and
 // faults.
@@ -473,26 +368,9 @@ func ShrinkScenario(sc Scenario, opt CheckOptions) Scenario { return scencheck.S
 
 // --- Subscriber-scale soaking -------------------------------------------------
 
-// SubscriberConfig tunes the BNG-style session engine: population size,
-// Zipf popularity, Poisson churn, host mobility, and diurnal swings.
-type SubscriberConfig = subscriber.Config
-
-// SubscriberEngine streams a modeled subscriber population — arrivals,
-// departures, moves, and per-session traffic — as deterministic packet
-// batches.
-type SubscriberEngine = subscriber.Engine
-
-// SoakPhase is one segment of a soak script (steady, churn spike, flash
-// crowd, or cache-thrashing scan).
-type SoakPhase = subscriber.Phase
-
 // SoakConfig tunes a soak run: the engine, the phase script, the verdict
 // sampling rate, and the wall-clock budget.
 type SoakConfig = subscriber.SoakConfig
-
-// SoakSetup describes the deterministic soak test-bed (switch chain,
-// policy size, cache capacity).
-type SoakSetup = subscriber.Setup
 
 // SoakReport is a finished soak: phase summaries, telemetry time series,
 // sampled-verdict divergences, and the accounting audit.
@@ -504,7 +382,3 @@ type SoakReport = subscriber.Report
 func RunSoak(d *WireDeployment, spec *Spec, cfg SoakConfig) (*SoakReport, error) {
 	return subscriber.RunSoak(d, spec, cfg)
 }
-
-// SmokeSoakScript is the CI-sized storyline: steady, churn, flash crowd,
-// settle.
-func SmokeSoakScript(total float64) []SoakPhase { return subscriber.SmokeScript(total) }

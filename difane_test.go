@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"difane"
+	"difane/internal/core"
+	"difane/internal/workload"
 )
 
 // TestPublicAPIQuickstart walks the README quickstart path end to end.
@@ -71,7 +73,7 @@ func TestBaselineComparableInterface(t *testing.T) {
 
 // TestPartitioningAPI exercises the partitioner through the facade.
 func TestPartitioningAPI(t *testing.T) {
-	policy := difane.ClassBenchLike(difane.ACLConfig{
+	policy := workload.ClassBenchLike(workload.ACLConfig{
 		Rules: 300, MaxDepth: 6, Egresses: []uint32{1}, Seed: 5,
 	})
 	parts := difane.BuildPartitions(policy, difane.PartitionConfig{MaxRulesPerPartition: 50})
@@ -154,7 +156,7 @@ func TestEvictionChoiceFacade(t *testing.T) {
 	n, err := difane.New(g, []uint32{1}, policy, difane.Config{
 		Strategy:      difane.StrategyExact,
 		CacheCapacity: 2,
-		CacheEviction: difane.EvictLFU,
+		CacheEviction: core.EvictLFU,
 	})
 	if err != nil {
 		t.Fatal(err)

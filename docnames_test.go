@@ -47,6 +47,46 @@ func TestDocNames(t *testing.T) {
 	}
 }
 
+// inventoryRow is a module named in DESIGN.md §2's table: `name`
+// (internal) for internal/name, or `cmd/name`.
+var inventoryRow = regexp.MustCompile("(?m)^\\| `([^`]+)`( \\(internal\\))? \\|")
+
+// TestModuleInventory holds DESIGN.md §2's module inventory to the tree:
+// it names exactly the directories under internal/ and cmd/.
+func TestModuleInventory(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(design), "\n## 2. Module inventory\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	named := map[string]bool{}
+	for _, m := range inventoryRow.FindAllStringSubmatch(section, -1) {
+		switch {
+		case m[2] != "":
+			named["internal/"+m[1]] = true
+		case strings.HasPrefix(m[1], "cmd/"):
+			named[m[1]] = true
+		}
+	}
+	for _, parent := range []string{"internal", "cmd"} {
+		entries, err := os.ReadDir(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if dir := parent + "/" + e.Name(); e.IsDir() && !named[dir] {
+				t.Errorf("DESIGN.md §2 does not list %s", dir)
+			} else {
+				delete(named, dir)
+			}
+		}
+	}
+	for dir := range named {
+		t.Errorf("DESIGN.md §2 lists %s, which is not a directory", dir)
+	}
+}
+
 // goPackage is one package's non-test files, parsed: its top-level names
 // (a type's with its spec, nil for the rest), and the files' imports by
 // local name.

@@ -45,14 +45,6 @@ type Config struct {
 	// RuleIdle is the microflow rules' idle timeout; they have no hard
 	// timeout.
 	RuleIdle float64
-
-	// Tracing enables the flight recorder from construction (also
-	// toggleable via SetTracing); each node's event ring holds 4096 events.
-	Tracing bool
-	// TraceSample is the 1-in-N per-packet trace-ID sampling rate feeding
-	// journey assembly (0 = off). The same hash as the DIFANE backends, so
-	// all three sample the same packets of a replayed workload.
-	TraceSample int
 }
 
 // Network is a reactive-controller deployment over a topology.
@@ -131,8 +123,7 @@ func NewNetwork(g *topo.Graph, policy []flowspace.Rule, cfg Config) (*Network, e
 		nodes = append(nodes, uint32(id))
 	}
 	n.Probe = telemetry.NewProbe(telemetry.ProbeConfig{
-		Nodes: nodes, Tracing: cfg.Tracing, TraceSample: cfg.TraceSample,
-		Now: telemetry.VirtualClock(n.Eng.Now),
+		Nodes: nodes, Now: telemetry.VirtualClock(n.Eng.Now),
 	})
 	// The same schema core.RegisterMeasurements gives the DIFANE backends.
 	core.RegisterMeasurements(n.Registry(), n.Measurements)

@@ -12,7 +12,9 @@ import (
 // authority hit, and the microflow install closes the loop — so journey
 // assembly reads identically across all three backends.
 func TestBaselineJourneyPuntStory(t *testing.T) {
-	n := newNet(t, Config{Tracing: true, TraceSample: 1})
+	n := newNet(t, Config{})
+	n.SetTracing(true)
+	n.SetTraceSample(1)
 	n.InjectPacket(0, 0, flowKey(1, 80), 100, 0)
 	n.Run(1)
 
@@ -47,7 +49,9 @@ func TestBaselineJourneyPuntStory(t *testing.T) {
 // installed, a sampled later packet's journey is just ingress → forward →
 // delivered, with no controller involvement.
 func TestBaselineSecondPacketJourneyIsCacheHit(t *testing.T) {
-	n := newNet(t, Config{Tracing: true, TraceSample: 1})
+	n := newNet(t, Config{})
+	n.SetTracing(true)
+	n.SetTraceSample(1)
 	n.InjectPacket(0, 0, flowKey(1, 80), 100, 0)
 	n.InjectPacket(0.5, 0, flowKey(1, 80), 100, 1)
 	n.Run(1)

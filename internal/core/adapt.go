@@ -157,10 +157,10 @@ func (a *CacheAdapter) RegisterMetrics(reg *telemetry.Registry) {
 // materially-changed idle timeouts to setIdle (which reaches the region's
 // authority handlers, under whatever lock the deployment keeps them), and
 // aggregate near-microflow cache entries into cover rules with the region's
-// idle timeout (idle until adapted) and hard. Switches are visited in the
+// idle timeout (idle until adapted). Switches are visited in the
 // caller's order: a deterministic order makes runs replay identically.
 func (a *CacheAdapter) Round(now float64, m *Measurements, switches []*switchsim.Switch,
-	idle, hard float64, setIdle func(region int, idle float64)) {
+	idle float64, setIdle func(region int, idle float64)) {
 	if a == nil {
 		return
 	}
@@ -203,25 +203,21 @@ func (a *CacheAdapter) Round(now float64, m *Measurements, switches []*switchsim
 			for _, rid := range p.Replace {
 				tb.Delete(rid)
 			}
-			mod := proto.FlowMod{
-				Table: proto.TableCache, Op: proto.OpAdd, Rule: p.Cover,
-				Idle: a.Idle(p.Region, idle), Hard: hard,
-			}
+			mod := proto.FlowMod{Table: proto.TableCache, Op: proto.OpAdd, Rule: p.Cover, Idle: a.Idle(p.Region, idle)}
 			_ = sw.ApplyFlowMod(now, &mod)
 		}
 	}
 }
 
-// SetCacheTimeouts changes the deployment-wide cache timeouts and
-// propagates them to every live authority handler. The handlers keep the
+// SetCacheTimeouts changes the deployment-wide cache idle timeout and
+// propagates it to every live authority handler. The handlers keep the
 // fully-built FlowMods they minted, so propagation must go through
 // Authority.SetCacheTimeouts (which flushes them) — a config write alone
 // would not reach rules already being issued.
-func (n *Network) SetCacheTimeouts(idle, hard float64) {
+func (n *Network) SetCacheTimeouts(idle float64) {
 	n.cfg.CacheIdle = idle
-	n.cfg.CacheHard = hard
 	for _, a := range n.gen.Handlers {
-		a.SetCacheTimeouts(n.cache.Idle(a.RegionIndex, idle), hard)
+		a.SetCacheTimeouts(n.cache.Idle(a.RegionIndex, idle))
 	}
 }
 
@@ -230,7 +226,7 @@ func (n *Network) SetCacheTimeouts(idle, hard float64) {
 func (n *Network) SetRegionIdleTimeout(region int, idle float64) {
 	for _, a := range n.gen.Handlers {
 		if a.RegionIndex == region {
-			a.SetCacheTimeouts(idle, a.CacheHardTimeout)
+			a.SetCacheTimeouts(idle)
 		}
 	}
 }
@@ -253,7 +249,7 @@ func (n *Network) startCacheAdaptation() {
 	}
 	var tick func()
 	tick = func() {
-		n.cache.Round(n.Eng.Now(), &n.M, switches, n.cfg.CacheIdle, n.cfg.CacheHard, n.SetRegionIdleTimeout)
+		n.cache.Round(n.Eng.Now(), &n.M, switches, n.cfg.CacheIdle, n.SetRegionIdleTimeout)
 		n.Eng.After(interval, tick)
 	}
 	n.Eng.After(interval, tick)

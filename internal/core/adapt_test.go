@@ -35,7 +35,7 @@ func TestNilCacheAdapter(t *testing.T) {
 	a.ObserveHit(&mod.Rule.Match)
 	a.ObserveMiss(0, 0.01)
 	a.RegisterMetrics(nil)
-	a.Round(1, nil, []*switchsim.Switch{sw}, 1, 1, nil)
+	a.Round(1, nil, []*switchsim.Switch{sw}, 1, nil)
 	if got := sw.Table(proto.TableCache).Len(); got != 1 {
 		t.Fatalf("a nil adapter's round left %d cache entries, want the 1 it found", got)
 	}
@@ -122,7 +122,7 @@ func TestAggregationInstallsTheMissPathCover(t *testing.T) {
 	}
 
 	var m Measurements
-	a.Round(1, &m, []*switchsim.Switch{sw}, 10, 0, func(int, float64) {})
+	a.Round(1, &m, []*switchsim.Switch{sw}, 10, func(int, float64) {})
 
 	folded := 0
 	for i, f := range flows {

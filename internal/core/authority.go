@@ -74,13 +74,12 @@ type Authority struct {
 	// when unknown): the key the cost-aware cache policy tracks per-region
 	// statistics and adapted idle timeouts under.
 	RegionIndex int
-	// CacheIdleTimeout / CacheHardTimeout are applied to generated cache
-	// rules (seconds, 0 = none). Change them only through
-	// SetCacheTimeouts: minted rules bake the values into their FlowMods,
-	// so a bare field write keeps issuing the old ones for every cover
+	// CacheIdleTimeout is applied to generated cache rules (seconds, 0 =
+	// none); they carry no hard timeout. Change it only through
+	// SetCacheTimeouts: minted rules bake the value into their FlowMods,
+	// so a bare field write keeps issuing the old one for every cover
 	// already generated.
 	CacheIdleTimeout float64
-	CacheHardTimeout float64
 
 	// Misses counts handled cache misses; CacheRulesSent counts generated
 	// cache rules.
@@ -140,15 +139,14 @@ func NewAuthority(switchID uint32, p Partition, strategy CacheStrategy) *Authori
 	}
 }
 
-// SetCacheTimeouts updates the timeouts stamped onto generated cache
+// SetCacheTimeouts updates the idle timeout stamped onto generated cache
 // rules. On a material change the minted rules are flushed: they are
-// fully-built FlowMods with the old Idle/Hard baked in.
-func (a *Authority) SetCacheTimeouts(idle, hard float64) {
-	if a.CacheIdleTimeout == idle && a.CacheHardTimeout == hard {
+// fully-built FlowMods with the old Idle baked in.
+func (a *Authority) SetCacheTimeouts(idle float64) {
+	if a.CacheIdleTimeout == idle {
 		return
 	}
 	a.CacheIdleTimeout = idle
-	a.CacheHardTimeout = hard
 	clear(a.minted)
 }
 
@@ -277,8 +275,7 @@ func (a *Authority) Answer(entry *flowspace.Rule, k *flowspace.Key) MissResult {
 }
 
 func (a *Authority) cacheMod(r flowspace.Rule) proto.FlowMod {
-	return proto.FlowMod{Table: proto.TableCache, Op: proto.OpAdd, Rule: r,
-		Idle: a.CacheIdleTimeout, Hard: a.CacheHardTimeout}
+	return proto.FlowMod{Table: proto.TableCache, Op: proto.OpAdd, Rule: r, Idle: a.CacheIdleTimeout}
 }
 
 // dependencies returns deps[hit], filling it on first use: the rules are in

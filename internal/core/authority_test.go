@@ -188,9 +188,8 @@ func TestOriginTracking(t *testing.T) {
 func TestCacheModsCarryTimeouts(t *testing.T) {
 	a := NewAuthority(1, firewallPartition(3), StrategyCover)
 	a.CacheIdleTimeout = 10
-	a.CacheHardTimeout = 60
 	res := a.HandleMiss(portKey(500))
-	if res.CacheMods[0].Idle != 10 || res.CacheMods[0].Hard != 60 {
+	if res.CacheMods[0].Idle != 10 || res.CacheMods[0].Hard != 0 {
 		t.Fatalf("timeouts not propagated: %+v", res.CacheMods[0])
 	}
 }

@@ -33,15 +33,14 @@ type Generation struct {
 // NextGeneration is the generation a commit of r publishes after prev (nil
 // at boot). Each handler times its cache rules out after idle — or the idle
 // timeout the cost-aware policy has adapted for the region, so handlers
-// rebuilt by an update, rebalancing or recovery keep the adapted value —
-// and hard.
-func NextGeneration(prev *Generation, r Running, flush bool, strategy CacheStrategy, cache *CacheAdapter, idle, hard float64) *Generation {
+// rebuilt by an update, rebalancing or recovery keep the adapted value.
+func NextGeneration(prev *Generation, r Running, flush bool, strategy CacheStrategy, cache *CacheAdapter, idle float64) *Generation {
 	g := &Generation{Running: r, Flush: flush, Handlers: make(map[HandlerKey]*Authority)}
 	for i, p := range r.Assignment.Partitions {
 		for _, host := range r.Assignment.ReplicasFor(i) {
 			auth := NewAuthority(host, p, strategy)
 			auth.RegionIndex = i
-			auth.SetCacheTimeouts(cache.Idle(i, idle), hard)
+			auth.SetCacheTimeouts(cache.Idle(i, idle))
 			g.Handlers[HandlerKey{host, i}] = auth
 		}
 	}

@@ -11,7 +11,9 @@ import (
 // complete journey — ingress → redirect → authority → delivered — with
 // virtual-time timestamps.
 func TestSimJourneyRedirectedFlow(t *testing.T) {
-	n := testNet(t, NetworkConfig{Tracing: true, TraceSample: 1})
+	n := testNet(t, NetworkConfig{})
+	n.SetTracing(true)
+	n.SetTraceSample(1)
 	n.InjectPacket(0, 0, flowKey(1, 80), 100, 0)
 	n.Run(1)
 
@@ -49,7 +51,8 @@ func TestSimJourneyRedirectedFlow(t *testing.T) {
 // per-packet spans must not record (only trace-stamped packets do once a
 // sampler exists — and rate 0 stamps nothing).
 func TestSimSamplingOffLeavesNoSpans(t *testing.T) {
-	n := testNet(t, NetworkConfig{Tracing: true})
+	n := testNet(t, NetworkConfig{})
+	n.SetTracing(true)
 	n.InjectPacket(0, 0, flowKey(1, 80), 100, 0)
 	n.Run(1)
 	if _, stats := n.Journeys(telemetry.JourneyFilter{}); stats.Total != 0 {

@@ -95,7 +95,7 @@ func checkAgainstReference(t *testing.T, a *Authority, ref Partition, keys []flo
 		}
 		for i, mod := range res.CacheMods {
 			if mod.Table != proto.TableCache || mod.Op != proto.OpAdd ||
-				mod.Idle != a.CacheIdleTimeout || mod.Hard != a.CacheHardTimeout {
+				mod.Idle != a.CacheIdleTimeout || mod.Hard != 0 {
 				t.Fatalf("%v key %v: bad mod %+v", a.Strategy, k, mod)
 			}
 			got := mod.Rule
@@ -143,7 +143,7 @@ func TestHandleMissMatchesReference(t *testing.T) {
 				a.RegionIndex = pi
 				minted := make(map[uint64]flowspace.Match)
 				checkAgainstReference(t, a, p, keys, minted)
-				a.SetCacheTimeouts(5, 50)
+				a.SetCacheTimeouts(5)
 				checkAgainstReference(t, a, p, keys, minted)
 				if a.Misses != uint64(2*len(keys)) {
 					t.Fatalf("misses = %d, want %d", a.Misses, 2*len(keys))

@@ -20,9 +20,9 @@ type NetworkConfig struct {
 	Strategy CacheStrategy
 	// CacheCapacity bounds each ingress switch's cache table (0 = unlimited).
 	CacheCapacity int
-	// CacheIdle / CacheHard are timeouts for generated cache rules.
+	// CacheIdle is the idle timeout of generated cache rules (0 = none);
+	// they carry no hard timeout.
 	CacheIdle float64
-	CacheHard float64
 	// CacheEviction picks the victim policy for full caches.
 	CacheEviction EvictionChoice
 	// TCAMBudget, when >0, bounds each switch's *total* TCAM occupancy
@@ -54,16 +54,6 @@ type NetworkConfig struct {
 	HopByHop bool
 	// Partition tunes the flow-space partitioner.
 	Partition PartitionConfig
-
-	// Tracing enables the flight recorder from construction (also
-	// toggleable at runtime via SetTracing); each node's event ring holds
-	// 4096 events.
-	Tracing bool
-	// TraceSample is the 1-in-N per-packet trace-ID sampling rate feeding
-	// journey assembly (0 = off). The sampling decision is a pure hash of
-	// the flow tuple and packet sequence, so the simulated, baseline, and
-	// wire backends replaying the same workload sample the same packets.
-	TraceSample int
 }
 
 // EvictionChoice selects the ingress-cache eviction policy. The zero
@@ -277,8 +267,7 @@ func NewNetwork(g *topo.Graph, authorities []uint32, policy []flowspace.Rule, cf
 		nodes = append(nodes, id)
 	}
 	n.Probe = telemetry.NewProbe(telemetry.ProbeConfig{
-		Nodes: nodes, Tracing: cfg.Tracing, TraceSample: cfg.TraceSample,
-		Now: telemetry.VirtualClock(n.Eng.Now),
+		Nodes: nodes, Now: telemetry.VirtualClock(n.Eng.Now),
 	})
 	RegisterMeasurements(n.Registry(), n.Measurements)
 	n.cache.RegisterMetrics(n.Registry())
@@ -334,7 +323,7 @@ const PartitionIDBase = partitionIDBase
 // across it is answered by the generation it was sent under.
 func (n *Network) commit(r Running, flush bool) {
 	n.cache.SetAssignment(r.Assignment)
-	n.gen = NextGeneration(n.gen, r, flush, n.cfg.Strategy, n.cache, n.cfg.CacheIdle, n.cfg.CacheHard)
+	n.gen = NextGeneration(n.gen, r, flush, n.cfg.Strategy, n.cache, n.cfg.CacheIdle)
 	up := func(id uint32) bool { return n.Topo.NodeUp(topo.NodeID(id)) }
 	for id, sw := range n.Switches {
 		sw.SetAuthorityBand(GenerationMask, r.Generation)

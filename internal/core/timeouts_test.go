@@ -6,8 +6,8 @@ import (
 	"difane/internal/flowspace"
 )
 
-// Regression tests for the timeout-propagation bug: cfg.CacheIdle/CacheHard
-// used to be copied into each Authority once at build time, so changing
+// Regression tests for the timeout-propagation bug: cfg.CacheIdle used to
+// be copied into each Authority once at build time, so changing
 // them later silently kept issuing the old timeouts — and even a direct
 // Authority field write kept serving stale FlowMods out of the miss memo.
 
@@ -21,7 +21,7 @@ func missIdle(t *testing.T, a *Authority, k flowspace.Key) float64 {
 }
 
 func TestSetCacheTimeoutsPropagatesToAuthorities(t *testing.T) {
-	n := testNet(t, NetworkConfig{CacheIdle: 5, CacheHard: 60})
+	n := testNet(t, NetworkConfig{CacheIdle: 5})
 	auths := n.AllAuthorities()
 	if len(auths) == 0 {
 		t.Fatal("no authorities")
@@ -31,14 +31,13 @@ func TestSetCacheTimeoutsPropagatesToAuthorities(t *testing.T) {
 		t.Fatalf("initial miss Idle = %g, want 5", got)
 	}
 
-	n.SetCacheTimeouts(1.5, 30)
-	if n.cfg.CacheIdle != 1.5 || n.cfg.CacheHard != 30 {
-		t.Fatalf("cfg timeouts = (%g,%g), want (1.5,30) (rebuilt authorities would revert)", n.cfg.CacheIdle, n.cfg.CacheHard)
+	n.SetCacheTimeouts(1.5)
+	if n.cfg.CacheIdle != 1.5 {
+		t.Fatalf("cfg.CacheIdle = %g, want 1.5 (rebuilt authorities would revert)", n.cfg.CacheIdle)
 	}
 	for _, a := range auths {
-		if a.CacheIdleTimeout != 1.5 || a.CacheHardTimeout != 30 {
-			t.Fatalf("authority %d timeouts = (%g,%g), want (1.5,30)",
-				a.SwitchID, a.CacheIdleTimeout, a.CacheHardTimeout)
+		if a.CacheIdleTimeout != 1.5 {
+			t.Fatalf("authority %d idle timeout = %g, want 1.5", a.SwitchID, a.CacheIdleTimeout)
 		}
 	}
 	// The same key was already memoized: the new timeout must reach its
@@ -53,7 +52,7 @@ func TestSetCacheTimeoutsPropagatesToAuthorities(t *testing.T) {
 func TestControllerSetCacheTimeouts(t *testing.T) {
 	n := testNet(t, NetworkConfig{CacheIdle: 5})
 	c := NewController(n)
-	n.SetCacheTimeouts(2, 0)
+	n.SetCacheTimeouts(2)
 	if n.cfg.CacheIdle != 2 {
 		t.Fatalf("cfg.CacheIdle = %g, want 2 (rebuilt authorities would revert)", n.cfg.CacheIdle)
 	}
@@ -73,12 +72,12 @@ func TestAuthoritySetCacheTimeoutsFlushesMemo(t *testing.T) {
 	idBefore := a.HandleMiss(k).CacheMods[0].Rule.ID
 
 	// No-op set: memo intact, the generated rule ID is stable.
-	a.SetCacheTimeouts(5, 0)
+	a.SetCacheTimeouts(5)
 	if id := a.HandleMiss(k).CacheMods[0].Rule.ID; id != idBefore {
 		t.Fatalf("no-op SetCacheTimeouts flushed the memo (rule ID %d → %d)", idBefore, id)
 	}
 
-	a.SetCacheTimeouts(1, 0)
+	a.SetCacheTimeouts(1)
 	if got := missIdle(t, a, k); got != 1 {
 		t.Fatalf("miss Idle after change = %g, want 1", got)
 	}

@@ -27,11 +27,10 @@ import (
 
 // Config tunes the session engine. All rates are per modeled second.
 type Config struct {
-	// Subscribers is the population size popularity is drawn over. Memory
-	// does not scale with it — only the active session set is stored.
+	// Subscribers is the population size popularity is drawn over, Zipf
+	// with exponent zipfAlpha. Memory does not scale with it — only the
+	// active session set is stored.
 	Subscribers int
-	// ZipfAlpha skews subscriber popularity (>1; default 1.3).
-	ZipfAlpha float64
 	// ArrivalRate is the Poisson session arrival rate (sessions/sec,
 	// before diurnal and phase modulation; default 1000).
 	ArrivalRate float64
@@ -59,12 +58,12 @@ type Config struct {
 	Seed int64
 }
 
+// zipfAlpha skews subscriber popularity.
+const zipfAlpha = 1.3
+
 func (c Config) withDefaults() Config {
 	if c.Subscribers < 1 {
 		c.Subscribers = 1 << 20
-	}
-	if c.ZipfAlpha <= 1 {
-		c.ZipfAlpha = 1.3
 	}
 	if c.ArrivalRate <= 0 {
 		c.ArrivalRate = 1000
@@ -155,7 +154,7 @@ func NewEngine(spec *workload.Spec, cfg Config, phases []Phase) *Engine {
 		spec:   spec,
 		phases: phases,
 		rng:    rng,
-		zipf:   rand.NewZipf(rng, cfg.ZipfAlpha, 1, uint64(cfg.Subscribers-1)),
+		zipf:   rand.NewZipf(rng, zipfAlpha, 1, uint64(cfg.Subscribers-1)),
 		// The flash crowd converges on one rule's region (→ one partition
 		// neighborhood); scans walk a different rule so the two adversarial
 		// patterns stress different flow-space corners.

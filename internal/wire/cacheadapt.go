@@ -29,7 +29,7 @@ func (c *Cluster) cacheAdaptLoop() {
 				live = append(live, n.sw)
 			}
 		}
-		c.cache.Round(nowSec(), c.Measurements(), live, c.cfg.CacheIdle, c.cfg.CacheHard, c.setRegionIdle)
+		c.cache.Round(nowSec(), c.Measurements(), live, c.cfg.CacheIdle, c.setRegionIdle)
 	}
 }
 
@@ -40,7 +40,7 @@ func (c *Cluster) setRegionIdle(region int, idle float64) {
 	for _, n := range c.nodes {
 		n.mu.Lock()
 		if a := c.run.Load().Handlers[core.HandlerKey{Host: n.id, Part: region}]; a != nil {
-			a.SetCacheTimeouts(idle, a.CacheHardTimeout)
+			a.SetCacheTimeouts(idle)
 		}
 		n.mu.Unlock()
 	}

@@ -31,10 +31,9 @@ type ClusterConfig struct {
 	// cache capacity is continuously derived as the budget minus the
 	// authority/partition-rule footprint (see switchsim.Config.TCAMBudget).
 	TCAMBudget int
-	// CacheIdle / CacheHard are the timeouts authorities stamp onto
-	// generated cache rules, in seconds (0 = none).
+	// CacheIdle is the idle timeout authorities stamp onto generated cache
+	// rules, in seconds (0 = none); they carry no hard timeout.
 	CacheIdle float64
-	CacheHard float64
 	// CacheAdaptInterval paces the cost-aware adaptation loop (default
 	// 250ms; only runs under core.EvictCostAware).
 	CacheAdaptInterval time.Duration

@@ -119,7 +119,7 @@ func (s *southbound) Up(sw uint32) bool { return s.c.nodeUsable(sw) }
 // answering from the generation before.
 func (s *southbound) Commit(r core.Running, flush bool) {
 	c := s.c
-	g := core.NextGeneration(c.run.Load(), r, flush, c.cfg.Strategy, c.cache, c.cfg.CacheIdle, c.cfg.CacheHard)
+	g := core.NextGeneration(c.run.Load(), r, flush, c.cfg.Strategy, c.cache, c.cfg.CacheIdle)
 	// Published only once the followers hold the commit's state, and never
 	// by a deposed controller: its successor's Resume commits.
 	if !s.replicate() {

@@ -27,7 +27,8 @@ type SwitchStatus struct {
 	Killed         bool   `json:"killed"`
 }
 
-// Status is the cluster-wide state report served at /status.
+// Status is the cluster-wide state report served at /status. Dropped is
+// Measurements().Drops.Lost(): a refused Inject is no loss.
 type Status struct {
 	Switches       []SwitchStatus `json:"switches"`
 	Dropped        uint64         `json:"dropped"`
@@ -38,7 +39,7 @@ type Status struct {
 // Status snapshots the cluster's state.
 func (c *Cluster) Status() Status {
 	st := Status{
-		Dropped:        c.dropped.Load(),
+		Dropped:        c.counterTotals().Dropped,
 		Epoch:          c.Epoch(),
 		ControllerDown: c.ctrlDown.Load(),
 	}

@@ -39,6 +39,46 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 }
 
+// TestRetriedInjectIsNotALoss: an Inject the ingress ring refuses and the
+// caller retries loses no packet, so Status().Dropped and the convergence
+// window's drop total read Measurements().Drops.Lost(), not the refusals.
+// The ingress's data loop is held while its ring fills, so refusals are
+// certain.
+func TestRetriedInjectIsNotALoss(t *testing.T) {
+	c := startCluster(t, slack(ClusterConfig{
+		Switches:    []uint32{0, 1, 2, 3, 4},
+		Authorities: []uint32{2},
+		Policy:      testPolicy(),
+		QueueDepth:  64,
+	}))
+	const total = 20000
+	refused := 0
+	ingress := c.byID(0)
+	ingress.mu.Lock()
+	sent := 0
+	for ; refused < 100; refused++ {
+		for c.Inject(0, httpHeader(uint32(sent)), 100) {
+			sent++
+		}
+	}
+	ingress.mu.Unlock()
+	for ; sent < total; sent++ {
+		for !c.Inject(0, httpHeader(uint32(sent)), 100) {
+			refused++
+		}
+	}
+	if !c.awaitQuiescence(total, 10*time.Second) {
+		t.Fatalf("%d packets did not reach a verdict", total)
+	}
+	lost := c.Measurements().Drops.Lost()
+	if st := c.Status(); st.Dropped != lost {
+		t.Errorf("Status().Dropped = %d, Drops.Lost() = %d (%d Injects refused)", st.Dropped, lost, refused)
+	}
+	if d := c.counterTotals().Dropped; d != lost {
+		t.Errorf("counterTotals().Dropped = %d, Drops.Lost() = %d (%d Injects refused)", d, lost, refused)
+	}
+}
+
 func TestStatusHandlerServesJSON(t *testing.T) {
 	c := newCluster(t, core.StrategyCover)
 	c.Inject(0, httpHeader(1), 100)

@@ -75,10 +75,12 @@ func (c *Cluster) initTelemetry() {
 }
 
 // counterTotals snapshots the disturbed-traffic counters the convergence
-// tracker diffs across a policy-update window.
+// tracker diffs across a policy-update window. Dropped sums the shards'
+// Drops.Lost, as Measurements does.
 func (c *Cluster) counterTotals() telemetry.CounterTotals {
-	t := telemetry.CounterTotals{Dropped: c.dropped.Load()}
+	var t telemetry.CounterTotals
 	add := func(s *nodeStats) {
+		t.Dropped += s.dropHole.Load() + s.dropQueue.Load() + s.dropUnreachable.Load() + s.dropRedirectShed.Load()
 		t.Redirects += s.redirects.Load()
 		t.Shed += s.dropRedirectShed.Load() + s.cacheInstallsShed.Load()
 	}

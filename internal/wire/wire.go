@@ -67,7 +67,6 @@ type Cluster struct {
 	// Deliveries receives every packet that reaches an egress.
 	Deliveries chan Delivery
 
-	dropped   atomic.Uint64
 	completed atomic.Uint64
 
 	// awaited is the lowest completed count a caller blocked in
@@ -362,13 +361,10 @@ func (c *Cluster) Assignment() core.Assignment { return c.run.Load().Assignment 
 
 // Inject enqueues a packet at the ingress switch's injection ring. It
 // returns false if the ring is full (backpressure), the switch is unknown
-// or killed, or the cluster is closing.
+// or killed, or the cluster is closing. A refused packet is not counted
+// lost: the caller retries it or gives it up.
 func (c *Cluster) Inject(ingress uint32, h packet.Header, size int) bool {
-	if !c.tryInject(ingress, h, size, c.TraceID(h.Key(), 0)) {
-		c.dropped.Add(1)
-		return false
-	}
-	return true
+	return c.tryInject(ingress, h, size, c.TraceID(h.Key(), 0))
 }
 
 // traceIngress publishes the ingress span that opens a sampled packet's
@@ -382,9 +378,8 @@ func (c *Cluster) traceIngress(ingress uint32, h *packet.Header, trace uint64) {
 	})
 }
 
-// tryInject is Inject without the drop accounting, for callers that retry
-// on backpressure and record the loss themselves. trace is the packet's
-// sampled trace ID (0 = unsampled), minted by the caller via TraceID.
+// tryInject is Inject with the packet's sampled trace ID (0 = unsampled),
+// minted by the caller via TraceID.
 func (c *Cluster) tryInject(ingress uint32, h packet.Header, size int, trace uint64) bool {
 	n, _ := c.node(ingress)
 	ring := c.openInjection(n)
@@ -483,9 +478,6 @@ func (c *Cluster) drop(s *nodeStats, node uint32, kind core.VerdictKind, ruleID 
 	default:
 		s.dropUnreachable.Add(1)
 	}
-	if kind != core.VerdictPolicyDrop {
-		c.dropped.Add(1)
-	}
 	c.completed.Add(1)
 	c.traceVerdict(node, core.VerdictCode(kind), ruleID, &f.hdr, 0, f.trace)
 }
@@ -493,7 +485,6 @@ func (c *Cluster) drop(s *nodeStats, node uint32, kind core.VerdictKind, ruleID 
 // shedRedirect records frame f deliberately shed by ingress n's redirect
 // token bucket under a miss storm.
 func (c *Cluster) shedRedirect(n *node, f *dataFrame) {
-	c.dropped.Add(1)
 	n.stats.dropRedirectShed.Add(1)
 	c.completed.Add(1)
 	c.traceShed(n.id, telemetry.VShedRedirect, &f.hdr, f.trace)

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"difane"
+	"difane/internal/core"
+	"difane/internal/subscriber"
 	"difane/internal/telemetry"
 )
 
@@ -34,8 +36,8 @@ func TestMetricReference(t *testing.T) {
 	}
 	evictions := []struct {
 		name  string
-		evict difane.EvictionChoice
-	}{{"LRU", difane.EvictLRU}, {"cost-aware", difane.EvictCostAware}}
+		evict core.EvictionChoice
+	}{{"LRU", core.EvictDefaultLRU}, {"cost-aware", core.EvictCostAware}}
 
 	// scrape closes d after one snapshot of its registry.
 	scrape := func(d difane.Deployment, err error) []telemetry.MetricSnapshot {
@@ -58,14 +60,14 @@ func TestMetricReference(t *testing.T) {
 				CacheEviction: e.evict,
 			}))})
 	}
-	setup := difane.SoakSetup{Switches: 4, Rules: 32, Seed: 5}
+	setup := subscriber.Setup{Switches: 4, Rules: 32, Seed: 5}
 	d, spec, err := setup.Deploy()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := difane.RunSoak(d, spec, difane.SoakConfig{
-		Engine: difane.SubscriberConfig{ArrivalRate: 200, MeanSessionLife: 0.5, Seed: 5},
-		Phases: difane.SmokeSoakScript(1),
+		Engine: subscriber.Config{ArrivalRate: 200, MeanSessionLife: 0.5, Seed: 5},
+		Phases: subscriber.SmokeScript(1),
 	}); err != nil {
 		t.Fatal(err)
 	}
