@@ -110,13 +110,19 @@ check:
 # and a scraper looping against 200k forwarded packets. Last, fifty runs
 # each of the ring-page hand-overs (a page a consumer frees feeding
 # another ring's producer, a drain to head == tail racing the producer's
-# next burst), so that a rare interleaving of the drained-page lease shows.
+# next burst), so that a rare interleaving of the drained-page lease shows;
+# and twenty each of the batch install path: a table's batched inserts
+# written into the entries they evict, held to the reference model and run
+# beside Table.Insert from another goroutine, and a live miss window whose
+# every install evicts.
 chaos-smoke:
 	go test -race ./internal/scencheck -run TestChaosSmoke -timeout 10m
 	go test -race ./internal/wire -timeout 10m \
 		-run 'TestLeaderKillAutoFailover|TestKillAllReplicasNeedsRestore|TestLeaderChurnNoGoroutineLeak|TestStaleLeaderInstallFenced|TestBFDDetectsKillWithinTwiceDetectTime|TestJournalReplicationAcrossElection|TestDeposedUpdateIsFenced|TestLeaderKillAtEveryPhaseBoundary|TestElectionReconcilesWithoutChurn|TestResumeOnUnchangedClusterSendsNoFlowMod|TestResumeAfterFailoverSendsNoFlowMod|TestRebalanceSkipsFailedAuthorities|TestPartitionCountersSurviveResume|TestRebalanceSurvivesElection|TestControllerOutageRideThrough|TestRunQuiescesInstalls|TestRunWakesWhenSwitchKilled|TestConcurrentRun|TestSharedSchemaAcrossBackends|TestScrapeWhileForwarding|TestConsistentUpdateUnderTraffic|TestStalledAuthorityDetectedByRedirectAck'
 	go test -race ./internal/wire -timeout 10m -count 50 \
 		-run 'TestFrameRingRecyclesPages|TestRingPagesPassBetweenRings'
+	go test -race ./internal/tcam -timeout 10m -count 20 -run 'TestInsertBatch'
+	go test -race ./internal/wire -timeout 10m -count 20 -run 'TestCacheMissAllocBudget'
 
 # Subscriber-scale soak — not part of tier-1. Streams ≥1M modeled
 # subscriber sessions (Poisson churn, host mobility, a flash crowd and a

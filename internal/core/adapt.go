@@ -209,24 +209,12 @@ func (a *CacheAdapter) Round(now float64, m *Measurements, switches []*switchsim
 	}
 }
 
-// SetCacheTimeouts changes the deployment-wide cache idle timeout and
-// propagates it to every live authority handler. The handlers keep the
-// fully-built FlowMods they minted, so propagation must go through
-// Authority.SetCacheTimeouts (which flushes them) — a config write alone
-// would not reach rules already being issued.
-func (n *Network) SetCacheTimeouts(idle float64) {
-	n.cfg.CacheIdle = idle
-	for _, a := range n.gen.Handlers {
-		a.SetCacheTimeouts(n.cache.Idle(a.RegionIndex, idle))
-	}
-}
-
 // SetRegionIdleTimeout overrides the idle timeout of one region's cache
 // rules on every authority handler serving it.
 func (n *Network) SetRegionIdleTimeout(region int, idle float64) {
 	for _, a := range n.gen.Handlers {
 		if a.RegionIndex == region {
-			a.SetCacheTimeouts(idle)
+			a.CacheIdleTimeout = idle
 		}
 	}
 }

@@ -75,10 +75,9 @@ type Authority struct {
 	// statistics and adapted idle timeouts under.
 	RegionIndex int
 	// CacheIdleTimeout is applied to generated cache rules (seconds, 0 =
-	// none); they carry no hard timeout. Change it only through
-	// SetCacheTimeouts: minted rules bake the value into their FlowMods,
-	// so a bare field write keeps issuing the old one for every cover
-	// already generated.
+	// none); they carry no hard timeout. Every miss reads it afresh, so a
+	// change reaches a cover already minted at its next miss, under its
+	// old ID: the ingress replaces its entry rather than keep a duplicate.
 	CacheIdleTimeout float64
 
 	// Misses counts handled cache misses; CacheRulesSent counts generated
@@ -90,15 +89,14 @@ type Authority struct {
 	// originOf maps generated cache-rule IDs back to the policy rule they
 	// stand for, preserving per-policy-rule accounting.
 	originOf map[uint64]uint64
-	// minted holds the cache rules generated so far, keyed by the match
-	// generated (under StrategyDependent, the matched rule's own) and not
-	// by the packet that asked: every key inside a cover gets the FlowMods,
-	// and so the rule ID, its first miss minted. Flows waiting on one cover
-	// then refresh one ingress cache entry instead of adding a duplicate
-	// each, and a cover already minted costs no ID, no originOf entry and
-	// no allocation. It dies with the Authority, which is rebuilt on every
-	// partition or policy change, so it never serves a stale answer.
-	minted map[flowspace.Match][]proto.FlowMod
+	// minted maps each match generated so far, packed (Match.Pack: 64
+	// bytes, a full compare), to the ID its first miss minted, which every
+	// key inside it then gets: flows waiting on one cover refresh one
+	// ingress cache entry, and a cover minted before costs no ID and no
+	// originOf entry; its FlowMod is built at each miss. It dies with the
+	// Authority, rebuilt on every partition or policy change, so it never
+	// answers stale. StrategyDependent caches rules under their own IDs.
+	minted map[[2]flowspace.Packed]uint64
 	// deps[i] holds the indices of the higher-precedence rules overlapping
 	// Partition.Rules[i] — what a cover of rule i is carved out of and what
 	// the dependent strategy caches beside it. It is a property of the
@@ -135,19 +133,8 @@ func NewAuthority(switchID uint32, p Partition, strategy CacheStrategy) *Authori
 		Strategy:    strategy,
 		RegionIndex: -1,
 		originOf:    make(map[uint64]uint64),
-		minted:      make(map[flowspace.Match][]proto.FlowMod),
+		minted:      make(map[[2]flowspace.Packed]uint64),
 	}
-}
-
-// SetCacheTimeouts updates the idle timeout stamped onto generated cache
-// rules. On a material change the minted rules are flushed: they are
-// fully-built FlowMods with the old Idle baked in.
-func (a *Authority) SetCacheTimeouts(idle float64) {
-	if a.CacheIdleTimeout == idle {
-		return
-	}
-	a.CacheIdleTimeout = idle
-	clear(a.minted)
 }
 
 // OriginOf maps a generated cache-rule ID back to its policy rule ID (the
@@ -187,7 +174,7 @@ func (a *Authority) HandleMiss(k flowspace.Key) MissResult {
 	if !ok {
 		return MissResult{}
 	}
-	return a.Answer(&entry, &k)
+	return a.Answer(&entry, &k, nil)
 }
 
 // CoverOf is the answer HandleMiss would give k under StrategyCover, without
@@ -229,53 +216,53 @@ func (a *Authority) ruleIndex(entry *flowspace.Rule) int {
 
 // Answer processes a redirected packet k that the authority table matched
 // to entry, one of Partition.Rules under the ID it was installed by (any
-// other is a hole): decide the action, and generate ingress cache rules per
-// the strategy, or hand out again the ones minted for the same cover.
-// Callers must treat the returned CacheMods as read-only.
-func (a *Authority) Answer(entry *flowspace.Rule, k *flowspace.Key) MissResult {
+// other is a hole): decide the action, and append the ingress cache rules
+// the strategy generates to mods, a slice the caller owns, returning it as
+// CacheMods (mods itself when there are none). A cover minted before keeps
+// its ID.
+func (a *Authority) Answer(entry *flowspace.Rule, k *flowspace.Key, mods []proto.FlowMod) MissResult {
 	a.Misses++
 	rules := a.Partition.Rules
 	hit := a.ruleIndex(entry)
 	if hit < 0 {
-		return MissResult{}
+		return MissResult{CacheMods: mods}
 	}
-	r := &rules[hit]
-
-	// StrategyDependent caches the matched rule and everything above it
-	// that overlaps verbatim; the others generate one match.
-	match := r.Match
-	if a.Strategy != StrategyDependent {
-		ok := false
+	r, n := &rules[hit], len(mods)
+	if a.Strategy == StrategyDependent {
+		// The matched rule and everything above it that overlaps, verbatim
+		// (already clipped to the partition).
+		mods = append(mods, a.cacheMod(r, r.ID, &r.Match))
+		for _, j := range a.dependencies(hit) {
+			mods = append(mods, a.cacheMod(&rules[j], rules[j].ID, &rules[j].Match))
+		}
+	} else {
+		match, ok := flowspace.Match{}, false
 		if a.Strategy == StrategyCover {
 			match, ok = a.cover(hit, k)
 		}
 		if !ok { // StrategyExact, or a packet outside the region
 			match = exactMatch(*k)
 		}
-	}
-	mods, ok := a.minted[match]
-	if !ok {
-		own := *r
-		if a.Strategy != StrategyDependent {
-			own.ID, own.Match = a.allocID(r.ID), match
-		}
-		mods = []proto.FlowMod{a.cacheMod(own)}
-		if a.Strategy == StrategyDependent {
-			for _, j := range a.dependencies(hit) { // already clipped to the partition
-				mods = append(mods, a.cacheMod(rules[j]))
+		key := match.Pack()
+		id, ok := a.minted[key]
+		if !ok {
+			if len(a.minted) >= memoCap {
+				clear(a.minted)
 			}
+			id = a.allocID(r.ID)
+			a.minted[key] = id
 		}
-		if len(a.minted) >= memoCap {
-			clear(a.minted)
-		}
-		a.minted[match] = mods
+		mods = append(mods, a.cacheMod(r, id, &match))
 	}
-	a.CacheRulesSent += uint64(len(mods))
+	a.CacheRulesSent += uint64(len(mods) - n)
 	return MissResult{Rule: *r, CacheMods: mods, OK: true}
 }
 
-func (a *Authority) cacheMod(r flowspace.Rule) proto.FlowMod {
-	return proto.FlowMod{Table: proto.TableCache, Op: proto.OpAdd, Rule: r, Idle: a.CacheIdleTimeout}
+// cacheMod is the FlowMod caching r as rule id over match.
+func (a *Authority) cacheMod(r *flowspace.Rule, id uint64, match *flowspace.Match) proto.FlowMod {
+	m := proto.FlowMod{Table: proto.TableCache, Op: proto.OpAdd, Rule: *r, Idle: a.CacheIdleTimeout}
+	m.Rule.ID, m.Rule.Match = id, *match
+	return m
 }
 
 // dependencies returns deps[hit], filling it on first use: the rules are in

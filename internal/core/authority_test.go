@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"difane/internal/flowspace"
@@ -202,4 +203,45 @@ func TestStrategyString(t *testing.T) {
 	if CacheStrategy(9).String() == "" {
 		t.Fatal("unknown strategy must render")
 	}
+}
+
+// mintedBytesPerCover is the ceiling on the live heap one minted cover
+// holds in its handler: the memo's 64-byte packed key and 8-byte ID and the
+// originOf entry's 16 bytes, in maps that have just doubled. Go's maps grow
+// by doubling, so these read 120-215 B a cover between 3,000 and 8,192
+// covers, and 196 B at the 4,096 minted here, where both have just
+// doubled. A memo that kept a FlowMod per cover, as it once did, held over
+// 400.
+const mintedBytesPerCover = 224
+
+// TestMintedCoverMemory mints 4096 distinct covers on one handler (each
+// deny of a wide firewall answers with a cover of its own) and holds
+// the live heap they add to mintedBytesPerCover each.
+func TestMintedCoverMemory(t *testing.T) {
+	const covers = 4096
+	part := firewallPartition(covers)
+	for i := range part.Rules[:covers] {
+		part.Rules[i].Priority = 10 // every deny above the permit
+	}
+	a := NewAuthority(1, part, StrategyCover)
+	a.HandleMiss(portKey(covers + 1)) // builds the handler's table and deps
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for p := uint64(1); p <= covers; p++ {
+		if res := a.HandleMiss(portKey(p)); !res.OK || len(res.CacheMods) != 1 {
+			t.Fatalf("port %d: %+v", p, res)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if len(a.minted) != 1+covers { // the permit's, then one per deny
+		t.Fatalf("%d covers minted, want %d", len(a.minted), 1+covers)
+	}
+	perCover := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / covers
+	t.Logf("%.0f B of live heap per minted cover", perCover)
+	if perCover > mintedBytesPerCover {
+		t.Fatalf("a minted cover holds %.0f B, budget %d", perCover, mintedBytesPerCover)
+	}
+	runtime.KeepAlive(a)
 }

@@ -40,7 +40,7 @@ func NextGeneration(prev *Generation, r Running, flush bool, strategy CacheStrat
 		for _, host := range r.Assignment.ReplicasFor(i) {
 			auth := NewAuthority(host, p, strategy)
 			auth.RegionIndex = i
-			auth.SetCacheTimeouts(cache.Idle(i, idle))
+			auth.CacheIdleTimeout = cache.Idle(i, idle)
 			g.Handlers[HandlerKey{host, i}] = auth
 		}
 	}
@@ -70,20 +70,20 @@ func (g *Generation) Answering(via uint8) *Generation {
 
 // Answer is authority switch sw's answer under g to a redirected packet k:
 // its authority table, read through v in g's band alone, says which rule,
-// and the hit's partition band which handler generates the cache rules. A
-// hit counts in sw's AuthorityHits. Answer mutates the handler, so calls for
-// one switch must not overlap.
-func (g *Generation) Answer(sw *switchsim.Switch, v *tcam.View, k *flowspace.Key, size int, now float64) (*Authority, MissResult) {
+// and the hit's partition band which handler appends the cache rules to mods
+// (Authority.Answer). A hit counts in sw's AuthorityHits. Answer mutates the
+// handler, so calls for one switch must not overlap.
+func (g *Generation) Answer(sw *switchsim.Switch, v *tcam.View, k *flowspace.Key, size int, now float64, mods []proto.FlowMod) (*Authority, MissResult) {
 	entry := v.LookupBand(now, k, size, GenerationMask, g.Generation)
 	if entry == nil {
-		return nil, MissResult{}
+		return nil, MissResult{CacheMods: mods}
 	}
 	sw.Stats.AuthorityHits.Add(1)
 	a := g.Handlers[HandlerKey{sw.ID, AuthorityEntryPartition(entry.ID)}]
 	if a == nil {
-		return nil, MissResult{}
+		return nil, MissResult{CacheMods: mods}
 	}
-	return a, a.Answer(entry, k)
+	return a, a.Answer(entry, k, mods)
 }
 
 // Step is what a switch does with one packet: with Kind VerdictDelivered it
@@ -126,9 +126,10 @@ func actionStep(a flowspace.Action) Step {
 	return Step{Kind: VerdictHole} // DIFANE never punts to the controller
 }
 
-// Install is the cache rules an authority switch answered a redirect with,
-// on their way to its ingress: Seq numbers the generation that answered,
-// and Trace is the packet's trace ID (0 when unsampled).
+// Install is the cache rules an authority switch answered redirects with,
+// on their way to their ingress: Seq numbers the generation that answered,
+// and Trace is the packet's trace ID when one sampled packet's rules travel
+// alone (0 otherwise).
 type Install struct {
 	Seq, Trace uint64
 	Mods       []proto.FlowMod
@@ -143,15 +144,14 @@ func (in *Install) Sent(p *telemetry.Probe, from, to uint32, flow telemetry.Flow
 
 // Apply applies in at ingress switch sw, whose data plane answers from run,
 // unless another generation answered: its rules are then of a policy the
-// ingress no longer follows. A sampled packet's install lands in its
-// journey.
+// ingress no longer follows. It is sw's data plane's, between packets
+// (switchsim.Switch.ApplyCacheBatch). A sampled packet's install lands in
+// its journey.
 func (in *Install) Apply(p *telemetry.Probe, sw *switchsim.Switch, run *Generation, now float64) {
 	if in.Seq != run.Seq {
 		return
 	}
-	for i := range in.Mods {
-		_ = sw.ApplyFlowMod(now, &in.Mods[i])
-	}
+	_ = sw.ApplyCacheBatch(now, in.Mods)
 	if in.Trace != 0 {
 		p.Span(telemetry.Event{Kind: telemetry.EvInstall, Node: sw.ID,
 			Table: uint8(proto.TableCache), RuleID: in.Mods[0].Rule.ID, Trace: in.Trace})

@@ -78,12 +78,11 @@ func referenceMiss(p Partition, strat CacheStrategy, k flowspace.Key) (flowspace
 // checkAgainstReference holds a's answers for keys to referenceMiss over
 // ref, mod for mod, and the minted IDs to their origin and to being minted
 // once per generated match: two keys share an ID iff their matches are
-// equal. minted, ID → match, lives as long as a does (an ID never comes to
-// stand for a second match); the converse is held per call, since a timeout
-// change between two calls has every match minted afresh.
-func checkAgainstReference(t *testing.T, a *Authority, ref Partition, keys []flowspace.Key, minted map[uint64]flowspace.Match) {
+// equal. minted, ID → match, and idOf, match → ID, live as long as a does:
+// an ID never comes to stand for a second match, and a timeout change
+// between two calls mints no match afresh.
+func checkAgainstReference(t *testing.T, a *Authority, ref Partition, keys []flowspace.Key, minted map[uint64]flowspace.Match, idOf map[flowspace.Match]uint64) {
 	t.Helper()
-	idOf := make(map[flowspace.Match]uint64)
 	for _, k := range keys {
 		rule, want := referenceMiss(ref, a.Strategy, k)
 		res := a.HandleMiss(k)
@@ -123,8 +122,8 @@ func checkAgainstReference(t *testing.T, a *Authority, ref Partition, keys []flo
 // The miss path — one indexed lookup, then a carve over the matched rule's
 // dependency list, minted once per cover — must answer exactly as the three
 // whole-list walks it replaced, for every strategy, on rules handed over in
-// TCAM order and in any other, and again after a timeout change flushes
-// what was minted.
+// TCAM order and in any other, and again after a timeout change, which
+// keeps every ID minted.
 func TestHandleMissMatchesReference(t *testing.T) {
 	parts := classBenchParts(t)
 	for _, strat := range []CacheStrategy{StrategyCover, StrategyDependent, StrategyExact} {
@@ -141,10 +140,10 @@ func TestHandleMissMatchesReference(t *testing.T) {
 			for _, in := range []Partition{p, shuffled} {
 				a := NewAuthority(7, in, strat)
 				a.RegionIndex = pi
-				minted := make(map[uint64]flowspace.Match)
-				checkAgainstReference(t, a, p, keys, minted)
-				a.SetCacheTimeouts(5)
-				checkAgainstReference(t, a, p, keys, minted)
+				minted, idOf := make(map[uint64]flowspace.Match), make(map[flowspace.Match]uint64)
+				checkAgainstReference(t, a, p, keys, minted, idOf)
+				a.CacheIdleTimeout = 5
+				checkAgainstReference(t, a, p, keys, minted, idOf)
 				if a.Misses != uint64(2*len(keys)) {
 					t.Fatalf("misses = %d, want %d", a.Misses, 2*len(keys))
 				}

@@ -438,7 +438,7 @@ func (n *Network) authorityHandle(injected float64, ingress, authority uint32, v
 	g := n.gen.Answering(via)
 	sw := n.Switches[authority]
 	v := sw.Table(proto.TableAuthority).AcquireView()
-	auth, res := g.Answer(sw, &v, &k, size, now)
+	auth, res := g.Answer(sw, &v, &k, size, now, nil)
 	v.Release()
 	if res.OK {
 		if trace != 0 {

@@ -35,6 +35,35 @@ func (m Match) WithPrefix(f FieldID, v uint64, plen uint) Match {
 // onto the match fields.
 type Key [NumFields]uint64
 
+// Packed is a key, or one half of a match, with all 244 bits of the header
+// tuple in four words: IPSrc|IPDst, TPSrc|TPDst|IPProto|VLAN,
+// InPort|EthSrc, EthType|EthDst. The TCAM index's leaves and the authority's
+// cover memo share the layout; TestPackedLayout holds it to the field
+// widths.
+type Packed [4]uint64
+
+// Pack lays k out as a Packed, each field cut to its width: bits above it
+// would spill into the next field, and Holds ignores them.
+func (k *Key) Pack() Packed {
+	const w8, w12, w16, w32, w48 = 1<<8 - 1, 1<<12 - 1, 1<<16 - 1, 1<<32 - 1, 1<<48 - 1
+	return Packed{
+		k[FIPSrc]&w32<<32 | k[FIPDst]&w32,
+		k[FTPSrc]&w16<<48 | k[FTPDst]&w16<<32 | k[FIPProto]&w8<<24 | k[FVLAN]&w12,
+		k[FInPort]&w16<<48 | k[FEthSrc]&w48,
+		k[FEthType]&w16<<48 | k[FEthDst]&w48,
+	}
+}
+
+// Pack returns m's values cut to its mask, then its mask, each packed: 64
+// bytes in which two matches that hold for the same keys are equal.
+func (m *Match) Pack() [2]Packed {
+	var v, mask Key
+	for f, fd := range m.Fields {
+		v[f], mask[f] = fd.Value&fd.Mask, fd.Mask
+	}
+	return [2]Packed{v.Pack(), mask.Pack()}
+}
+
 // Matches reports whether the concrete header k satisfies m.
 func (m Match) Matches(k Key) bool { return m.Holds(&k) }
 

@@ -172,8 +172,9 @@ func (s *Switch) Table(t proto.Table) *tcam.Table {
 }
 
 // Result is the outcome of classifying one packet. Rule is the matched
-// entry's own rule (nil on a miss): an installed rule never changes, so it
-// stays valid after the entry is replaced or evicted, but it is read-only.
+// entry's own rule (nil on a miss), read-only, and good until the switch's
+// next ApplyCacheBatch, which may write another rule into the entry: no
+// Result outlives the burst it was classified in.
 type Result struct {
 	Rule  *flowspace.Rule
 	Table proto.Table
@@ -314,6 +315,16 @@ func (s *Switch) ApplyFlowMod(now float64, m *proto.FlowMod) error {
 	default:
 		return fmt.Errorf("switch %d: unknown flow-mod op %d", s.ID, m.Op)
 	}
+}
+
+// ApplyCacheBatch adds the rules of mods, cache-table adds all, to the cache
+// under one write lock (tcam.Table.InsertBatch), each written into the entry
+// it evicts or replaces. Call it between bursts, from the goroutine that
+// classifies, as ClassifyBurst: every Result handed out before it is spent.
+func (s *Switch) ApplyCacheBatch(now float64, mods []proto.FlowMod) error {
+	return s.cache.InsertBatch(now, len(mods), func(i int) (*flowspace.Rule, float64, float64) {
+		return &mods[i].Rule, mods[i].Idle, mods[i].Hard
+	})
 }
 
 // Advance expires timed-out entries in all tables.

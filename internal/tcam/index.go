@@ -18,44 +18,24 @@ const (
 	collapseAt = leafLimit / 2
 )
 
-// packed is a key, or one half of a match, with all 244 bits of the header
-// tuple in four words, laid out by pack.
-type packed [4]uint64
-
-// pack lays k out as a packed, each field cut to its width: bits above it
-// would spill into the next field, and Match.Holds ignores them.
-// TestPackedLayout holds the layout to flowspace's field widths.
-func pack(k *flowspace.Key) packed {
-	const w8, w12, w16, w32, w48 = 1<<8 - 1, 1<<12 - 1, 1<<16 - 1, 1<<32 - 1, 1<<48 - 1
-	return packed{
-		k[flowspace.FIPSrc]&w32<<32 | k[flowspace.FIPDst]&w32,
-		k[flowspace.FTPSrc]&w16<<48 | k[flowspace.FTPDst]&w16<<32 | k[flowspace.FIPProto]&w8<<24 | k[flowspace.FVLAN]&w12,
-		k[flowspace.FInPort]&w16<<48 | k[flowspace.FEthSrc]&w48,
-		k[flowspace.FEthType]&w16<<48 | k[flowspace.FEthDst]&w48,
-	}
-}
-
 // slot is one rule in a leaf: its match packed, so a leaf scan reads 72
 // contiguous bytes a rule and tests one with four XOR-AND-ORs; the entry
 // pointer is followed only on a match.
 type slot struct {
-	v, m packed
+	v, m flowspace.Packed
 	e    *entry
 }
 
 // slotOf returns e's slot, its match's values cut to its mask.
 func slotOf(e *entry) slot {
-	var v, m flowspace.Key
-	for f, fd := range e.rule.Match.Fields {
-		v[f], m[f] = fd.Value&fd.Mask, fd.Mask
-	}
-	return slot{v: pack(&v), m: pack(&m), e: e}
+	p := e.rule.Match.Pack()
+	return slot{v: p[0], m: p[1], e: e}
 }
 
 // holds reports whether the slot's match holds for the packed key k, as
 // Match.Holds does for the key it was packed from.
 // Most slots fail on word 0, the IPs, so the test leaves there when it can.
-func (s *slot) holds(k *packed) bool {
+func (s *slot) holds(k *flowspace.Packed) bool {
 	if (k[0]^s.v[0])&s.m[0] != 0 {
 		return false
 	}
@@ -250,7 +230,7 @@ func (n *node) split() {
 // then carries on down the wildcard child. In a disjoint tree any match
 // is the answer, so the walk ends at the first. Compares go through
 // pointers: by value, each order test copies two 200-byte Rules.
-func (n *node) search(k *flowspace.Key, p *packed, best *entry, bandMask, band uint64, disjoint bool) *entry {
+func (n *node) search(k *flowspace.Key, p *flowspace.Packed, best *entry, bandMask, band uint64, disjoint bool) *entry {
 	for n.mask != 0 {
 		side := 0
 		if k[n.field]&n.mask != 0 {

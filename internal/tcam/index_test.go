@@ -123,7 +123,7 @@ func slotsCompared(n *node, k flowspace.Key) (slots, leaves int) {
 		slots, leaves = slots+s, leaves+l
 		n = n.kids[2]
 	}
-	p := pack(&k)
+	p := k.Pack()
 	for i := range n.slots {
 		slots++
 		if n.slots[i].holds(&p) {
@@ -374,7 +374,7 @@ func TestChurnKeepsIndexShallow(t *testing.T) {
 			kept += s
 			s, _ = slotsCompared(fresh, k)
 			rebuilt += s
-			p := pack(&k)
+			p := k.Pack()
 			if got, want := tb.root.search(&k, &p, nil, 0, 0, false), fresh.search(&k, &p, nil, 0, 0, false); got != want {
 				t.Fatalf("cycle %d key %v: kept index finds %v, fresh one %v", i, k, got, want)
 			}

@@ -3,16 +3,11 @@ package tcam
 import (
 	"bytes"
 	"encoding/binary"
-	"math/bits"
 	"testing"
 	"unsafe"
 
 	"difane/internal/flowspace"
 )
-
-// headerBits is the width of the header tuple, every bit of which has a
-// place of its own in a packed.
-const headerBits = 244
 
 // A leaf scan reads every byte of the slots it tests: two packed halves and
 // the entry pointer are 72 bytes, where the inlined Match they replace made
@@ -20,35 +15,6 @@ const headerBits = 244
 func TestSlotIsPacked(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got != 72 {
 		t.Fatalf("slot is %d bytes, want 72", got)
-	}
-}
-
-// Each field, every bit set, lands on as many bits as its width, none of
-// them another field's, and the fields fill 244 bits between them. A field
-// widened in flowspace without a place made for its new bits fails here
-// rather than silently sharing bits with its neighbour.
-func TestPackedLayout(t *testing.T) {
-	var taken packed
-	total := 0
-	for f := flowspace.FieldID(0); f < flowspace.NumFields; f++ {
-		var k flowspace.Key
-		k[f] = ^uint64(0)
-		p := pack(&k)
-		n := 0
-		for w := range p {
-			if p[w]&taken[w] != 0 {
-				t.Fatalf("%v shares bits %#x of word %d with an earlier field", f, p[w]&taken[w], w)
-			}
-			taken[w] |= p[w]
-			n += bits.OnesCount64(p[w])
-		}
-		if n != int(f.Width()) {
-			t.Fatalf("%v packs into %d bits, its width is %d", f, n, f.Width())
-		}
-		total += n
-	}
-	if total != headerBits {
-		t.Fatalf("the fields pack into %d bits, want %d", total, headerBits)
 	}
 }
 
@@ -90,7 +56,7 @@ func FuzzPackedMatchAgreesWithHolds(f *testing.F) {
 		flipped[b/64] ^= 1 << (b % 64)
 		s := slotOf(&e)
 		for _, key := range []flowspace.Key{k, inside, flipped} {
-			p := pack(&key)
+			p := key.Pack()
 			if got, want := s.holds(&p), m.Holds(&key); got != want {
 				t.Fatalf("match %v, key %v: packed slot holds=%v, Match.Holds=%v", m, key, got, want)
 			}

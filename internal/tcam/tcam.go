@@ -16,12 +16,12 @@
 // table's leaves keep no order: an insert appends, a lookup takes any match.
 //
 // Concurrency: the table is safe for concurrent use behind one
-// sync.RWMutex. Reads (Lookup, Peek, Len, Entries, Rules, and
-// a View for a whole packet burst) take the read lock and update per-entry
-// counters with atomics, so data planes read side by side; mutations
-// (Insert, Delete, DeleteWhere, SetCapacity, Advance) take the write lock,
-// so a lookup observes a mutation either fully applied or not at all, and
-// a writer waits for at most one burst. Hooks fire outside the lock.
+// sync.RWMutex. Reads (Lookup, Peek, Len, Entries, Rules, and a View for a
+// whole packet burst) take the read lock and update per-entry counters with
+// atomics, so data planes read side by side; mutations (Insert,
+// InsertBatch, Delete, DeleteWhere, SetCapacity, Advance) take the write
+// lock, so a lookup observes a mutation either fully applied or not at all,
+// and a writer waits for at most one burst. Hooks fire outside the lock.
 package tcam
 
 import (
@@ -183,7 +183,8 @@ type Table struct {
 	// and root indexes exactly those; ver moves on every change to root,
 	// so a Memo knows when what it remembers may be wrong. examined counts
 	// the comparisons of heap keys, for the test that holds eviction
-	// sub-linear; cands is pickVictimLocked's scratch.
+	// sub-linear; cands is pickVictimLocked's scratch, and fired
+	// InsertBatch's (its caller's alone: it is used after mu is released).
 	mu       sync.RWMutex
 	entries  []ranked
 	byID     map[uint64]*entry
@@ -191,6 +192,7 @@ type Table struct {
 	ver      uint64
 	examined uint64
 	cands    []VictimCandidate
+	fired    []hooks
 
 	// expiryBound (math.Float64bits) is a lower bound on the earliest
 	// expiry of any entry, so Advance returns without the lock until
@@ -269,17 +271,11 @@ func (t *Table) SetCapacity(now float64, capacity int) int {
 	t.mu.Lock()
 	t.capacity = capacity
 	var evicted []*entry
-	if capacity != 0 {
-		limit := capacity
-		if limit < 0 {
-			limit = 0
-		}
-		for len(t.entries) > limit {
-			victim := t.pickVictimLocked(now)
-			t.removeLocked(victim)
-			t.Evictions.Add(1)
-			evicted = append(evicted, victim)
-		}
+	for capacity != 0 && len(t.entries) > max(capacity, 0) {
+		victim := t.pickVictimLocked(now)
+		t.removeLocked(victim)
+		t.Evictions.Add(1)
+		evicted = append(evicted, victim)
 	}
 	t.mu.Unlock()
 	if t.OnEvict != nil {
@@ -292,14 +288,7 @@ func (t *Table) SetCapacity(now float64, capacity int) int {
 
 // atLimitLocked reports whether an insert would exceed the entry limit.
 func (t *Table) atLimitLocked() bool {
-	if t.capacity == 0 {
-		return false
-	}
-	limit := t.capacity
-	if limit < 0 {
-		limit = 0
-	}
-	return len(t.entries) >= limit
+	return t.capacity != 0 && len(t.entries) >= max(t.capacity, 0)
 }
 
 // Len returns the number of installed entries.
@@ -322,28 +311,70 @@ func (t *Table) Capacity() int {
 // the table is full the eviction policy picks a victim; with EvictNone the
 // insert fails with ErrFull.
 func (t *Table) Insert(now float64, r flowspace.Rule, idle, hard float64) error {
-	var evicted *entry
 	t.mu.Lock()
-	if old, ok := t.byID[r.ID]; ok {
-		t.removeLocked(old)
+	h, err := t.insertLocked(now, &r, idle, hard, false)
+	t.mu.Unlock()
+	if err == nil {
+		t.fire(h) // outside mu, after the mutation is visible, like OnExpire
 	}
-	if t.atLimitLocked() {
+	return err
+}
+
+// InsertBatch is Insert for n rules, rule(i) giving the i-th and its idle
+// and hard timeouts, under one write lock, the hooks fired after it; ErrFull
+// if any did not fit. An entry an insert evicts or replaces takes the new
+// rule in place, so a rule pointer a lookup returned before it may read the
+// new rule: only a switch's data goroutine calls it, between bursts, when
+// neither it nor any other goroutine holds such a pointer.
+func (t *Table) InsertBatch(now float64, n int, rule func(i int) (*flowspace.Rule, float64, float64)) error {
+	var err error
+	t.fired = t.fired[:0]
+	t.mu.Lock()
+	for i := 0; i < n; i++ {
+		r, idle, hard := rule(i)
+		h, e := t.insertLocked(now, r, idle, hard, true)
+		if e != nil {
+			err = e
+			continue
+		}
+		t.fired = append(t.fired, h)
+	}
+	t.mu.Unlock()
+	for _, h := range t.fired {
+		t.fire(h)
+	}
+	return err
+}
+
+// hooks is what one insert tells the hooks: the rule it installed and the
+// one it evicted, if it did.
+type hooks struct {
+	id, victim uint64
+	evicted    bool
+}
+
+// insertLocked is Insert's mutation. With reuse, an evicted or replaced
+// entry takes the rule in place (see InsertBatch).
+func (t *Table) insertLocked(now float64, r *flowspace.Rule, idle, hard float64, reuse bool) (hooks, error) {
+	h := hooks{id: r.ID}
+	e, ok := t.byID[r.ID]
+	if ok {
+		t.removeLocked(e)
+	} else if t.atLimitLocked() {
 		if t.policy != EvictNone {
-			evicted = t.pickVictimLocked(now)
+			e = t.pickVictimLocked(now)
 		}
-		if evicted == nil {
-			t.mu.Unlock()
-			return ErrFull
+		if e == nil {
+			return h, ErrFull
 		}
-		t.removeLocked(evicted)
+		h.victim, h.evicted = e.rule.ID, true // before the rule is written over
+		t.removeLocked(e)
 		t.Evictions.Add(1)
 	}
-	e := &entry{
-		rule:        r,
-		idleTimeout: idle,
-		hardTimeout: hard,
-		installed:   now,
+	if e == nil || !reuse {
+		e = new(entry)
 	}
+	*e = entry{rule: *r, idleTimeout: idle, hardTimeout: hard, installed: now}
 	e.lastHitBits.Store(math.Float64bits(now))
 	t.rankLocked(e)
 	t.byID[r.ID] = e
@@ -352,16 +383,17 @@ func (t *Table) Insert(now float64, r flowspace.Rule, idle, hard float64) error 
 	if at := e.expiresAt(); at < math.Float64frombits(t.expiryBound.Load()) {
 		t.expiryBound.Store(math.Float64bits(at))
 	}
-	t.mu.Unlock()
-	// Hooks fire outside mu, after the mutation is visible (same contract
-	// as Advance's OnExpire).
-	if evicted != nil && t.OnEvict != nil {
-		t.OnEvict(evicted.rule.ID)
+	return h, nil
+}
+
+// fire runs one insert's hooks.
+func (t *Table) fire(h hooks) {
+	if h.evicted && t.OnEvict != nil {
+		t.OnEvict(h.victim)
 	}
 	if t.OnInstall != nil {
-		t.OnInstall(e.rule.ID)
+		t.OnInstall(h.id)
 	}
-	return nil
 }
 
 // Delete removes the rule with the given ID, reporting whether it existed.
@@ -605,10 +637,11 @@ func (v *View) Lookup(now float64, k flowspace.Key, size int) (flowspace.Rule, b
 // LookupBand is Lookup among the entries whose rule ID reads band under
 // mask — rule sets that share one table and are told apart by a band of
 // their IDs, each looked up as if it were alone; a zero mask takes every
-// entry. It returns the entry's own rule, nil on a miss: an installed rule
-// never changes, so the pointer may outlive the view, but is read-only.
+// entry. It returns the entry's own rule, nil on a miss: read-only, and
+// good until the caller's next InsertBatch on the table (Insert never
+// writes over an entry), so it may outlive the view but not the burst.
 func (v *View) LookupBand(now float64, k *flowspace.Key, size int, mask, band uint64) *flowspace.Rule {
-	p := pack(k)
+	p := k.Pack()
 	e := v.t.root.search(k, &p, nil, mask, band, v.t.disjoint)
 	if e == nil {
 		v.misses++
@@ -658,7 +691,7 @@ type Memo struct {
 	ver        uint64
 	mask, band uint64
 	slots      [1 << memoBits]struct {
-		k packed
+		k flowspace.Packed
 		e *entry
 	}
 	filled [1 << memoBits]uint8 // the slots in use, filled[:n]
@@ -671,7 +704,7 @@ type Memo struct {
 func (m *Memo) Walks() uint64 { return m.walks }
 
 // memoSlotOf picks p's slot from the top bits of its words' product mix.
-func memoSlotOf(p *packed) uint8 {
+func memoSlotOf(p *flowspace.Packed) uint8 {
 	h := (p[0] ^ p[1]*0x9e3779b97f4a7c15 ^ p[2]*0xc2b2ae3d27d4eb4f ^ p[3]*0x165667b19e3779f9) * 0xff51afd7ed558ccd
 	return uint8(h >> (64 - memoBits))
 }
@@ -686,7 +719,7 @@ func (v *View) LookupMemo(now float64, k *flowspace.Key, size int, mask, band ui
 		}
 		m.ver, m.mask, m.band, m.n = v.t.ver, mask, band, 0
 	}
-	p := pack(k)
+	p := k.Pack()
 	i := memoSlotOf(&p)
 	s := &m.slots[i]
 	e := s.e
@@ -718,7 +751,7 @@ func (t *Table) Peek(k flowspace.Key) (flowspace.Rule, bool) {
 func (t *Table) PeekBand(k flowspace.Key, mask, band uint64) *flowspace.Rule {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	p := pack(&k)
+	p := k.Pack()
 	if e := t.root.search(&k, &p, nil, mask, band, t.disjoint); e != nil {
 		return &e.rule
 	}

@@ -9,12 +9,16 @@ package wire
 // (redirects targeting here), and fresh classifications; the
 // classification vector runs through one TCAM read-lock acquisition per
 // table (switchsim.ClassifyBurst), authority misses are answered under one
-// node lock and one view, and everything leaving the switch is written
-// straight into a slot reserved on its destination's ring, each
-// destination's reservations published with one commit at the end of the
-// burst. Measurement shards likewise take one update per burst for the
-// deliveries. All scratch state lives in a per-goroutine burstScratch, so
-// the steady-state cache-hit path allocates nothing.
+// node lock and one view, their cache rules leaving in one core.Install
+// per ingress (the burst's one allocation per ingress on the miss path),
+// and everything leaving the switch is written straight into a slot
+// reserved on its destination's ring, each destination's reservations
+// published with one commit at the end of the burst. Measurement shards
+// likewise take one update per burst for the deliveries. All scratch state
+// lives in a per-goroutine burstScratch, so the steady-state cache-hit
+// path allocates nothing. Installs are applied between bursts
+// (applyInstalls), each rule written into the cache entry it evicts: no
+// rule pointer a burst's lookups returned may outlive the burst.
 
 import (
 	"time"
@@ -49,9 +53,15 @@ type burstScratch struct {
 	results []switchsim.Result
 
 	// authIdx holds frames[] indices of redirects targeting this switch;
-	// authRes the authority's answers, resolved under one node lock.
-	authIdx []int
-	authRes []core.MissResult
+	// authRes the authority's answers, resolved under one node lock, whose
+	// cache rules all go into mods. installs gathers them into one
+	// core.Install per ingress and answering generation (a sampled
+	// packet's alone), and member names the install each answer joined.
+	authIdx  []int
+	authRes  []core.MissResult
+	mods     []proto.FlowMod
+	installs []installTo
+	member   []int
 
 	// deliv holds frames[] indices delivered at this switch; first/later
 	// collect their latencies (seconds) for one batched shard update.
@@ -86,6 +96,7 @@ func newBurstScratch(c *Cluster) *burstScratch {
 		results:      make([]switchsim.Result, b),
 		authIdx:      make([]int, 0, b),
 		authRes:      make([]core.MissResult, b),
+		member:       make([]int, b),
 		deliv:        make([]int, 0, b),
 		first:        make([]float64, 0, b),
 		later:        make([]float64, 0, b),
@@ -215,8 +226,8 @@ func (c *Cluster) ingressStep(n *node, s *burstScratch, f *dataFrame, i int, res
 // authorityBurst answers the burst's redirected packets: each from the
 // generation its ingress classified it under (core.Generation.Answer), all
 // under one view of the authority table and one acquisition of the node
-// lock (taken before the table's read lock, never inside it). Installs and
-// the steps core decides come after both.
+// lock (taken before the table's read lock, never inside it), their cache
+// rules appended to s.mods. Installs and steps come after both.
 func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []*dataFrame) {
 	// Processing redirected packets is the data-plane liveness signal the
 	// redirect-ack detector watches for; once per burst is enough, and
@@ -232,65 +243,107 @@ func (c *Cluster) authorityBurst(n *node, s *burstScratch, frames []*dataFrame) 
 	}
 	res := s.authRes[:len(s.authIdx)]
 	now := frameSec(frames[s.authIdx[0]])
+	mods := s.mods[:0]
 	n.mu.Lock()
 	v := n.sw.Table(proto.TableAuthority).AcquireView()
 	for j, i := range s.authIdx {
-		_, res[j] = s.run.Answering(frames[i].via).Answer(n.sw, &v, &keys[j], int(frames[i].size), now)
+		lo := len(mods)
+		_, res[j] = s.run.Answering(frames[i].via).Answer(n.sw, &v, &keys[j], int(frames[i].size), now, mods)
+		mods, res[j].CacheMods = res[j].CacheMods, res[j].CacheMods[lo:]
 	}
 	v.Release()
 	n.mu.Unlock()
+	s.mods = mods
+	c.queueInstalls(n, s, frames, res) // before stageTunnel re-encapsulates
 	for j, i := range s.authIdx {
 		f := frames[i]
-		ingress := c.nodes[f.encapBy].id
 		f.reason = 0 // decapsulate
-		r := &res[j]
-		if r.OK && c.TracePkt(f.trace) {
-			c.Span(telemetry.Event{
-				Kind: telemetry.EvAuthority, Node: n.id, Peer: ingress,
-				Table: uint8(proto.TableAuthority), RuleID: r.Rule.ID,
-				Flow: flowOf(&f.hdr), Trace: f.trace,
-			})
-		}
-		if len(r.CacheMods) > 0 {
-			c.queueInstall(n, ingress, core.Install{Seq: s.run.Answering(f.via).Seq, Trace: f.trace, Mods: r.CacheMods}, &f.hdr)
-		}
-		if st := core.AnswerStep(r); st.Kind == core.VerdictDelivered {
+		if st := core.AnswerStep(&res[j]); st.Kind == core.VerdictDelivered {
 			c.stageTunnel(n, s, st.To, f, i)
 		} else {
-			c.drop(n.stats, n.id, st.Kind, r.Rule.ID, f)
+			c.drop(n.stats, n.id, st.Kind, res[j].Rule.ID, f)
 		}
 	}
 }
 
-// queueInstall hands a cache install from authority switch n straight to
-// the ingress switch's install queue — the paper's authority→ingress path,
-// no controller in it — shedding (and counting) when the authority is over
-// its install budget, the ingress is unknown or killed, or its queue is
-// full. The packet itself still forwards, so shedding costs future
+// installTo is one core.Install a burst gathers for the ingress in slot.
+type installTo struct {
+	core.Install
+	slot uint16
+	mods int // FlowMods gathered
+}
+
+// queueInstalls traces the burst's answers and hands their cache rules from
+// authority switch n straight to the ingresses' install queues (the paper's
+// authority→ingress path, no controller in it): one core.Install, send and
+// wake-up per ingress and answering generation, a sampled packet's rules
+// alone so that its journey shows them. Each redirect's rules are shed, and
+// counted, when n is over its install budget or the ingress is killed or
+// its queue full. The packets still forward: shedding costs future
 // redirects, not reachability.
-func (c *Cluster) queueInstall(n *node, ingress uint32, m core.Install, h *packet.Header) {
-	shed := func() {
-		n.stats.cacheInstallsShed.Add(1)
-		c.traceShed(n.id, telemetry.VShedInstall, h, m.Trace)
+func (c *Cluster) queueInstalls(n *node, s *burstScratch, frames []*dataFrame, res []core.MissResult) {
+	ins := s.installs[:0]
+	for j, i := range s.authIdx {
+		f := frames[i]
+		s.member[j] = -1
+		if res[j].OK && c.TracePkt(f.trace) {
+			c.Span(telemetry.Event{
+				Kind: telemetry.EvAuthority, Node: n.id, Peer: c.nodes[f.encapBy].id,
+				Table: uint8(proto.TableAuthority), RuleID: res[j].Rule.ID,
+				Flow: flowOf(&f.hdr), Trace: f.trace,
+			})
+		}
+		if len(res[j].CacheMods) == 0 {
+			continue
+		}
+		if c.nodes[f.encapBy].killed.Load() || !n.installTB.Allow() {
+			c.shedInstall(n, f)
+			continue
+		}
+		seq, g := s.run.Answering(f.via).Seq, 0
+		for g < len(ins) && (ins[g].slot != f.encapBy || ins[g].Seq != seq || ins[g].Trace != f.trace) {
+			g++
+		}
+		if g == len(ins) {
+			ins = append(ins, installTo{Install: core.Install{Seq: seq, Trace: f.trace}, slot: f.encapBy})
+		}
+		ins[g].mods += len(res[j].CacheMods)
+		s.member[j] = g
 	}
-	dst, ok := c.node(ingress)
-	if !ok || dst.killed.Load() || !n.installTB.Allow() {
-		shed()
-		return
+	for g := range ins {
+		in, dst, at := &ins[g], c.nodes[ins[g].slot], 0
+		in.Mods = make([]proto.FlowMod, 0, in.mods) // the ingress owns it
+		for j, i := range s.authIdx {
+			if s.member[j] == g {
+				in.Mods, at = append(in.Mods, res[j].CacheMods...), i
+			}
+		}
+		if in.Trace != 0 {
+			in.Sent(c.Probe, n.id, dst.id, flowOf(&frames[at].hdr))
+		}
+		// Counted before the send, so drained() never sees the install in
+		// neither place; the ingress's applyInstalls applies it.
+		dst.installsPending.Add(1)
+		select {
+		case dst.installQ <- in.Install:
+			dst.wake()
+		default:
+			dst.installsPending.Add(-1)
+			for j, i := range s.authIdx {
+				if s.member[j] == g {
+					c.shedInstall(n, frames[i])
+				}
+			}
+		}
 	}
-	if m.Trace != 0 {
-		m.Sent(c.Probe, n.id, ingress, flowOf(h))
-	}
-	// Counted before the send, so drained() never sees the install in
-	// neither place; the ingress's data goroutine applies it (applyInstalls).
-	dst.installsPending.Add(1)
-	select {
-	case dst.installQ <- m:
-		dst.wake()
-	default:
-		dst.installsPending.Add(-1)
-		shed()
-	}
+	clear(ins) // the Mods are the ingresses' now
+	s.installs = ins[:0]
+}
+
+// shedInstall counts, and traces, the shedding of f's cache install.
+func (c *Cluster) shedInstall(n *node, f *dataFrame) {
+	n.stats.cacheInstallsShed.Add(1)
+	c.traceShed(n.id, telemetry.VShedInstall, &f.hdr, f.trace)
 }
 
 // applyInstalls applies every cache install queued for this switch, whose

@@ -40,7 +40,7 @@ func (c *Cluster) setRegionIdle(region int, idle float64) {
 	for _, n := range c.nodes {
 		n.mu.Lock()
 		if a := c.run.Load().Handlers[core.HandlerKey{Host: n.id, Part: region}]; a != nil {
-			a.SetCacheTimeouts(idle)
+			a.CacheIdleTimeout = idle
 		}
 		n.mu.Unlock()
 	}
