@@ -245,7 +245,7 @@ func BenchmarkProtoEncodeDecode(b *testing.B) {
 				WithExact(flowspace.FTPDst, 80),
 			Action: flowspace.Action{Kind: flowspace.ActForward, Arg: 3},
 		},
-		Idle: 10, Hard: 60,
+		Idle: 10,
 	}
 	var buf []byte
 	b.ResetTimer()

@@ -290,7 +290,7 @@ func AblationRebalance(o Options) *RebalanceResult {
 	authorityHits := func() map[uint32]uint64 {
 		out := make(map[uint32]uint64, len(dn.Switches))
 		for id, sw := range dn.Switches {
-			out[id] = sw.Stats.AuthorityHits.Load()
+			out[id] = sw.Table(proto.TableAuthority).Hits.Load()
 		}
 		return out
 	}

@@ -42,8 +42,7 @@ type Config struct {
 	// baseline installs only microflow cache rules, so it acts as an
 	// additional cache cap (see switchsim.Config.TCAMBudget).
 	TCAMBudget int
-	// RuleIdle is the microflow rules' idle timeout; they have no hard
-	// timeout.
+	// RuleIdle is the microflow rules' idle timeout.
 	RuleIdle float64
 }
 
@@ -156,12 +155,13 @@ func (n *Network) process(injected float64, ingress uint32, k flowspace.Key, siz
 		return
 	}
 	sw.Advance(now)
-	if res := sw.Classify(now, k, size); res.OK {
+	var res [1]switchsim.Result
+	if sw.ClassifyBurst(now, []flowspace.Key{k}, []int{size}, res[:]); res[0].OK {
 		if trace != 0 {
-			n.Span(telemetry.Event{Kind: telemetry.EvForward, Node: ingress, Peer: res.Rule.Action.Arg,
-				Table: uint8(proto.TableCache), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
+			n.Span(telemetry.Event{Kind: telemetry.EvForward, Node: ingress, Peer: res[0].Rule.Action.Arg,
+				Table: uint8(proto.TableCache), RuleID: res[0].Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 		}
-		n.applyAction(injected, ingress, k, res.Rule.Action, seq, trace)
+		n.applyAction(injected, ingress, k, res[0].Rule.Action, seq, trace)
 		return
 	}
 	// Miss: punt to the controller (packet-in), wait for service, then the

@@ -126,23 +126,23 @@ func TestAggregationInstallsTheMissPathCover(t *testing.T) {
 
 	folded := 0
 	for i, f := range flows {
-		got := sw.Peek(f.key)
-		if !got.OK || got.Table != proto.TableCache {
+		got, ok := sw.Table(proto.TableCache).Lookup(1, f.key, 0)
+		if !ok {
 			t.Fatalf("flow %d: key %v no longer hits the cache", i, f.key)
 		}
 		if group[f.cover] < 3 || f.cover == exactMatch(f.key) {
-			if got.Rule.ID != uint64(1000+i) {
+			if got.ID != uint64(1000+i) {
 				t.Fatalf("flow %d: %d entries share cover %v, yet rule %#x answers in place of its own entry",
-					i, group[f.cover], f.cover, got.Rule.ID)
+					i, group[f.cover], f.cover, got.ID)
 			}
 			continue
 		}
 		folded++
-		if got.Rule.ID <= aggIDBase {
-			t.Fatalf("flow %d: %d entries share cover %v, yet entry %#x was not folded", i, group[f.cover], f.cover, got.Rule.ID)
+		if got.ID <= aggIDBase {
+			t.Fatalf("flow %d: %d entries share cover %v, yet entry %#x was not folded", i, group[f.cover], f.cover, got.ID)
 		}
-		if got.Rule.Match != f.cover || got.Rule.Priority != f.rule.Priority || got.Rule.Action != f.rule.Action {
-			t.Fatalf("flow %d: installed %v, want cover %v of rule %v", i, got.Rule, f.cover, f.rule)
+		if got.Match != f.cover || got.Priority != f.rule.Priority || got.Action != f.rule.Action {
+			t.Fatalf("flow %d: installed %v, want cover %v of rule %v", i, got, f.cover, f.rule)
 		}
 	}
 	if folded == 0 {

@@ -183,7 +183,7 @@ func (a *Authority) HandleMiss(k flowspace.Key) MissResult {
 // matches or the subtraction isolates no cover around k (the miss path then
 // caches an exact match).
 func (a *Authority) CoverOf(k flowspace.Key) (flowspace.Rule, flowspace.Match, bool) {
-	entry, ok := a.ownTable().Peek(k)
+	entry, ok := a.ownTable().Lookup(0, k, 0) // nothing reads this table's counters
 	if !ok {
 		return flowspace.Rule{}, flowspace.Match{}, false
 	}

@@ -35,8 +35,8 @@ func TestOnTopologyChangeRetargetsNearestReplica(t *testing.T) {
 	// Ingress 2's nearest replica is authority 1 (distance 1 vs 2).
 	n.InjectPacket(0, 2, flowKey(1, 80), 100, 0)
 	n.Run(0.5)
-	if n.Switches[1].Stats.AuthorityHits.Load() != 1 {
-		t.Fatalf("authority 1 must serve ingress 2 first: %+v", n.Switches[1].Stats.Snapshot())
+	if hits := n.Switches[1].Table(proto.TableAuthority).Hits.Load(); hits != 1 {
+		t.Fatalf("authority 1 must serve ingress 2 first: %d authority hits", hits)
 	}
 
 	// A shortcut 2-4 makes authority 4 ingress 2's nearest replica.
@@ -47,9 +47,8 @@ func TestOnTopologyChangeRetargetsNearestReplica(t *testing.T) {
 	// A fresh flow from ingress 2 must now go to authority 4.
 	n.InjectPacket(at+0.1, 2, flowKey(2, 80), 100, 0)
 	n.Run(at + 1)
-	if n.Switches[4].Stats.AuthorityHits.Load() != 1 {
-		t.Fatalf("authority 4 must serve ingress 2 after the shortcut: %+v",
-			n.Switches[4].Stats.Snapshot())
+	if hits := n.Switches[4].Table(proto.TableAuthority).Hits.Load(); hits != 1 {
+		t.Fatalf("authority 4 must serve ingress 2 after the shortcut: %d authority hits", hits)
 	}
 	if n.M.Delivered != 2 {
 		t.Fatalf("delivered = %d drops=%+v", n.M.Delivered, n.M.Drops)

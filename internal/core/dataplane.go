@@ -71,14 +71,13 @@ func (g *Generation) Answering(via uint8) *Generation {
 // Answer is authority switch sw's answer under g to a redirected packet k:
 // its authority table, read through v in g's band alone, says which rule,
 // and the hit's partition band which handler appends the cache rules to mods
-// (Authority.Answer). A hit counts in sw's AuthorityHits. Answer mutates the
-// handler, so calls for one switch must not overlap.
+// (Authority.Answer); v's table counts the hit. Answer mutates the handler,
+// so calls for one switch must not overlap.
 func (g *Generation) Answer(sw *switchsim.Switch, v *tcam.View, k *flowspace.Key, size int, now float64, mods []proto.FlowMod) (*Authority, MissResult) {
 	entry := v.LookupBand(now, k, size, GenerationMask, g.Generation)
 	if entry == nil {
 		return nil, MissResult{CacheMods: mods}
 	}
-	sw.Stats.AuthorityHits.Add(1)
 	a := g.Handlers[HandlerKey{sw.ID, AuthorityEntryPartition(entry.ID)}]
 	if a == nil {
 		return nil, MissResult{CacheMods: mods}

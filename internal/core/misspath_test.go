@@ -94,7 +94,7 @@ func checkAgainstReference(t *testing.T, a *Authority, ref Partition, keys []flo
 		}
 		for i, mod := range res.CacheMods {
 			if mod.Table != proto.TableCache || mod.Op != proto.OpAdd ||
-				mod.Idle != a.CacheIdleTimeout || mod.Hard != 0 {
+				mod.Idle != a.CacheIdleTimeout {
 				t.Fatalf("%v key %v: bad mod %+v", a.Strategy, k, mod)
 			}
 			got := mod.Rule

@@ -385,11 +385,12 @@ func (n *Network) processAtIngress(injected float64, ingress uint32, k flowspace
 		return
 	}
 	sw.Advance(now)
-	res := sw.Classify(now, k, size)
-	if res.OK && res.Table == proto.TableCache {
-		n.cache.ObserveHit(&res.Rule.Match)
+	var res [1]switchsim.Result
+	sw.ClassifyBurst(now, []flowspace.Key{k}, []int{size}, res[:])
+	if res[0].OK && res[0].Table == proto.TableCache {
+		n.cache.ObserveHit(&res[0].Rule.Match)
 	}
-	st := IngressStep(&res)
+	st := IngressStep(&res[0])
 	if st.Kind != VerdictDelivered {
 		n.finish(st.Kind, ingress, k, seq, trace, false, 0)
 		return
@@ -400,7 +401,7 @@ func (n *Network) processAtIngress(injected float64, ingress uint32, k flowspace
 			ev = telemetry.EvRedirect
 		}
 		n.Span(telemetry.Event{Kind: ev, Node: ingress, Peer: st.To,
-			Table: uint8(res.Table), RuleID: res.Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
+			Table: uint8(res[0].Table), RuleID: res[0].Rule.ID, Trace: trace, Flow: telemetry.TupleOfKey(k)})
 	}
 	if st.Redirect {
 		n.redirect(injected, ingress, st.To, k, size, seq, trace)

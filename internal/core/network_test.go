@@ -70,8 +70,8 @@ func TestSecondPacketHitsCache(t *testing.T) {
 		t.Fatalf("later packet delay = %v", d)
 	}
 	sw := n.Switches[0]
-	if sw.Stats.CacheHits.Load() != 1 {
-		t.Fatalf("cache hits = %d", sw.Stats.CacheHits.Load())
+	if hits := sw.Table(proto.TableCache).Hits.Load(); hits != 1 {
+		t.Fatalf("cache hits = %d", hits)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestFailoverToBackupAuthority(t *testing.T) {
 	}
 	// After convergence, redirects land on the survivor: its authority
 	// table must have seen traffic.
-	if n.Switches[survivor].Stats.AuthorityHits.Load() == 0 {
+	if n.Switches[survivor].Table(proto.TableAuthority).Hits.Load() == 0 {
 		t.Fatal("surviving authority must have served the post-failover flow")
 	}
 }

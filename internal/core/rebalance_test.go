@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"difane/internal/flowspace"
+	"difane/internal/proto"
 	"difane/internal/topo"
 )
 
@@ -56,7 +57,7 @@ func injectSpread(n *Network, from, count int, start float64) {
 func authorityHits(n *Network) map[uint32]uint64 {
 	out := make(map[uint32]uint64, len(n.Switches))
 	for id, sw := range n.Switches {
-		out[id] = sw.Stats.AuthorityHits.Load()
+		out[id] = sw.Table(proto.TableAuthority).Hits.Load()
 	}
 	return out
 }

@@ -100,7 +100,7 @@ type Message interface {
 	decodePayload(b []byte) error
 }
 
-// FlowMod adds or deletes a rule with timeouts (seconds; 0 = none).
+// FlowMod adds or deletes a rule with an idle timeout (seconds; 0 = none).
 //
 // Epoch fences the install: a switch tracks the highest epoch it has
 // accepted and rejects any FlowMod carrying a lower, nonzero epoch, so a
@@ -112,7 +112,6 @@ type FlowMod struct {
 	Op    FlowModOp
 	Rule  flowspace.Rule
 	Idle  float64
-	Hard  float64
 	Epoch uint64
 }
 
@@ -258,15 +257,14 @@ func appendFlowModBody(b []byte, m *FlowMod) []byte {
 	b = append(b, byte(m.Table), byte(m.Op))
 	b = AppendRule(b, m.Rule)
 	b = appendF64(b, m.Idle)
-	b = appendF64(b, m.Hard)
 	b = appendU64(b, m.Epoch)
 	return b
 }
 
 // flowModMinSize is the smallest possible encoded FlowMod body (all match
-// fields wildcarded): table+op (2) + rule header (19) + idle/hard/epoch
-// (24). Used to bound CacheInstall preallocation against forged counts.
-const flowModMinSize = 2 + 19 + 24
+// fields wildcarded): table+op (2) + rule header (19) + idle/epoch (16).
+// Used to bound CacheInstall preallocation against forged counts.
+const flowModMinSize = 2 + 19 + 16
 
 func decodeFlowModBody(r *reader) FlowMod {
 	var m FlowMod
@@ -274,7 +272,6 @@ func decodeFlowModBody(r *reader) FlowMod {
 	m.Op = FlowModOp(r.u8())
 	m.Rule = decodeRule(r)
 	m.Idle = r.f64()
-	m.Hard = r.f64()
 	m.Epoch = r.u64()
 	return m
 }

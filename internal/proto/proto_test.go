@@ -26,11 +26,11 @@ func sampleRule(id uint64) flowspace.Rule {
 func allMessages() []Message {
 	return []Message{
 		&FlowMod{Table: TableCache, Op: OpDelete, Rule: sampleRule(6), Epoch: 1},
-		&FlowMod{Table: TableCache, Op: OpAdd, Rule: sampleRule(1), Idle: 10, Hard: 60},
+		&FlowMod{Table: TableCache, Op: OpAdd, Rule: sampleRule(1), Idle: 10},
 		&FlowMod{Table: TablePartition, Op: OpDelete, Rule: sampleRule(2)},
 		&CacheInstall{Ingress: 5, Rules: []FlowMod{
 			{Table: TableCache, Op: OpAdd, Rule: sampleRule(3), Idle: 5},
-			{Table: TableCache, Op: OpAdd, Rule: sampleRule(4), Hard: 30},
+			{Table: TableCache, Op: OpAdd, Rule: sampleRule(4), Idle: 30},
 		}},
 		&CacheInstall{Ingress: 6}, // empty rule list
 		&BarrierReq{XID: 11},
@@ -43,7 +43,7 @@ func allMessages() []Message {
 		&FlowMod{Table: TableAuthority, Op: OpDelete, Rule: sampleRule(7), Epoch: math.MaxUint64},
 		&BarrierReq{},
 		&FlowMod{Table: TableAuthority, Op: OpAdd, Rule: sampleRule(5), Epoch: 3},
-		&FlowMod{Table: TablePartition, Op: OpAdd, Idle: 0.5, Hard: 1.5,
+		&FlowMod{Table: TablePartition, Op: OpAdd, Idle: 0.5,
 			Rule: flowspace.Rule{ID: 9, Priority: -1, Action: flowspace.Action{Kind: flowspace.ActDrop}}},
 		&BFDControl{Node: math.MaxUint32, State: 2, DetectMult: 255},
 		&BFDControl{

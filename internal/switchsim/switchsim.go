@@ -3,52 +3,20 @@
 // rules, partition rules — exactly the rule hierarchy of the paper. The
 // forwarding decisions themselves (where a redirect goes, what cache rule
 // to generate) belong to the control logic in internal/core; this package
-// owns classification, table management via FlowMods, and counters.
+// owns classification and table management via FlowMods. There is one
+// classifier, ClassifyBurst, which the simulator, the baseline and wire
+// mode all run, and one set of counters, the tables' own: a switch keeps
+// none beside them, as an OpenFlow switch's flow and table stats are its
+// tables'.
 package switchsim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"difane/internal/flowspace"
 	"difane/internal/proto"
 	"difane/internal/tcam"
 )
-
-// Stats aggregates a switch's data-plane counters. The fields are atomics
-// so wire mode's concurrent data planes can bump them from the
-// classification path; single-threaded users (the simulator) pay only an
-// uncontended atomic add.
-type Stats struct {
-	// CacheHits/AuthorityHits/PartitionHits count which table terminated
-	// classification; AuthorityHits also counts the redirects the
-	// authority table answered (core.Generation.Answer).
-	CacheHits     atomic.Uint64
-	AuthorityHits atomic.Uint64
-	PartitionHits atomic.Uint64
-	// Misses counts packets matching no table (unreachable: their
-	// partition rules were withdrawn).
-	Misses atomic.Uint64
-}
-
-// StatsSnapshot is a point-in-time copy of Stats.
-type StatsSnapshot struct {
-	CacheHits     uint64
-	AuthorityHits uint64
-	PartitionHits uint64
-	Misses        uint64
-}
-
-// Snapshot returns a consistent-enough point-in-time copy (each counter is
-// loaded atomically; the set is not a single linearized cut).
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		CacheHits:     s.CacheHits.Load(),
-		AuthorityHits: s.AuthorityHits.Load(),
-		PartitionHits: s.PartitionHits.Load(),
-		Misses:        s.Misses.Load(),
-	}
-}
 
 // Switch is one switch's rule state.
 type Switch struct {
@@ -64,7 +32,7 @@ type Switch struct {
 	cacheCap   int
 
 	// authMask / authBand restrict the switch's own pass over its authority
-	// table (Classify, ClassifyBurst, Peek) to the entries whose rule ID
+	// table (ClassifyBurst) to the entries whose rule ID
 	// reads authBand under authMask; the zero mask takes every entry. See
 	// SetAuthorityBand.
 	authMask, authBand uint64
@@ -72,8 +40,6 @@ type Switch struct {
 	// ClassifyBurst's memos: for the cache table, and for the authority
 	// table's band, which answers a packet entering at an authority switch.
 	memo, authMemo tcam.Memo
-
-	Stats Stats
 }
 
 // Config sizes a switch's tables.
@@ -181,115 +147,56 @@ type Result struct {
 	OK    bool
 }
 
-// Classify runs the pipeline: cache, then authority, then partition. The
-// matching table's counters are updated; earlier tables record misses.
-// Classify is safe for concurrent use with rule installs: each table
-// lookup runs under the table's read lock (see internal/tcam), so a
-// concurrent FlowMod is observed either fully applied or not at all.
-func (s *Switch) Classify(now float64, k flowspace.Key, size int) Result {
-	lookup := func(t *tcam.Table, mask, band uint64) *flowspace.Rule {
-		v := t.AcquireView()
-		defer v.Release()
-		return v.LookupBand(now, &k, size, mask, band)
-	}
-	if r := lookup(s.cache, 0, 0); r != nil {
-		s.Stats.CacheHits.Add(1)
-		return Result{Rule: r, Table: proto.TableCache, OK: true}
-	}
-	if r := lookup(s.authority, s.authMask, s.authBand); r != nil {
-		s.Stats.AuthorityHits.Add(1)
-		return Result{Rule: r, Table: proto.TableAuthority, OK: true}
-	}
-	if r := lookup(s.partition, 0, 0); r != nil {
-		s.Stats.PartitionHits.Add(1)
-		return Result{Rule: r, Table: proto.TablePartition, OK: true}
-	}
-	s.Stats.Misses.Add(1)
-	return Result{}
-}
-
-// ClassifyBurst classifies a vector of packets through the pipeline with
-// one read-lock acquisition per table per burst (instead of per packet) and
-// one Stats update per table per burst. keys, sizes, and out must have
-// equal length; out[i] receives packet i's result. The cascade runs
+// ClassifyBurst runs the pipeline — cache, then authority, then partition —
+// over a vector of packets, with one read-lock acquisition per table per
+// burst; a packet is classified as a burst of one. keys, sizes, and out must
+// have equal length; out[i] receives packet i's result. The cascade runs
 // table-at-a-time: all cache lookups against one cache view, then the
 // misses against one authority view, then one partition view — each table's
 // state is consistent across the whole burst, and a concurrent install is
-// observed by all of a burst's packets or none of them (per table).
+// observed by all of a burst's packets or none of them (per table). The
+// tables count what they answer: Table(t).Hits per table, and
+// Table(proto.TablePartition).Misses for the packets no table matched.
 // Allocation-free: all scratch state lives in out. The cache and authority
 // lookups go through the switch's memos, so calls on one switch must not
 // overlap.
 func (s *Switch) ClassifyBurst(now float64, keys []flowspace.Key, sizes []int, out []Result) {
 	remaining := len(keys)
 	v := s.cache.AcquireView()
-	hits := uint64(0)
 	for i := range keys {
 		if r := v.LookupMemo(now, &keys[i], sizes[i], 0, 0, &s.memo); r != nil {
 			out[i] = Result{Rule: r, Table: proto.TableCache, OK: true}
-			hits++
 			remaining--
 		} else {
 			out[i] = Result{}
 		}
 	}
 	v.Release()
-	if hits > 0 {
-		s.Stats.CacheHits.Add(hits)
-	}
 	if remaining > 0 {
 		v = s.authority.AcquireView()
-		mask, band := s.authMask, s.authBand
-		hits = 0
 		for i := range keys {
 			if out[i].OK {
 				continue
 			}
-			if r := v.LookupMemo(now, &keys[i], sizes[i], mask, band, &s.authMemo); r != nil {
+			if r := v.LookupMemo(now, &keys[i], sizes[i], s.authMask, s.authBand, &s.authMemo); r != nil {
 				out[i] = Result{Rule: r, Table: proto.TableAuthority, OK: true}
-				hits++
 				remaining--
 			}
 		}
 		v.Release()
-		if hits > 0 {
-			s.Stats.AuthorityHits.Add(hits)
-		}
 	}
 	if remaining > 0 {
 		v = s.partition.AcquireView()
-		hits = 0
 		for i := range keys {
 			if out[i].OK {
 				continue
 			}
 			if r := v.LookupBand(now, &keys[i], sizes[i], 0, 0); r != nil {
 				out[i] = Result{Rule: r, Table: proto.TablePartition, OK: true}
-				hits++
-				remaining--
 			}
 		}
 		v.Release()
-		if hits > 0 {
-			s.Stats.PartitionHits.Add(hits)
-		}
 	}
-	if remaining > 0 {
-		s.Stats.Misses.Add(uint64(remaining))
-	}
-}
-
-// Peek classifies without touching any counters.
-func (s *Switch) Peek(k flowspace.Key) Result {
-	if r := s.cache.PeekBand(k, 0, 0); r != nil {
-		return Result{Rule: r, Table: proto.TableCache, OK: true}
-	}
-	if r := s.authority.PeekBand(k, s.authMask, s.authBand); r != nil {
-		return Result{Rule: r, Table: proto.TableAuthority, OK: true}
-	}
-	if r := s.partition.PeekBand(k, 0, 0); r != nil {
-		return Result{Rule: r, Table: proto.TablePartition, OK: true}
-	}
-	return Result{}
 }
 
 // ApplyFlowMod installs or removes a rule per the message.
@@ -305,7 +212,7 @@ func (s *Switch) ApplyFlowMod(now float64, m *proto.FlowMod) error {
 			// cache's share first so the insert lands inside the budget.
 			defer s.EnforceBudget(now)
 		}
-		return tb.Insert(now, m.Rule, m.Idle, m.Hard)
+		return tb.Insert(now, m.Rule, m.Idle, 0)
 	case proto.OpDelete:
 		tb.Delete(m.Rule.ID)
 		if m.Table != proto.TableCache {
@@ -322,8 +229,8 @@ func (s *Switch) ApplyFlowMod(now float64, m *proto.FlowMod) error {
 // it evicts or replaces. Call it between bursts, from the goroutine that
 // classifies, as ClassifyBurst: every Result handed out before it is spent.
 func (s *Switch) ApplyCacheBatch(now float64, mods []proto.FlowMod) error {
-	return s.cache.InsertBatch(now, len(mods), func(i int) (*flowspace.Rule, float64, float64) {
-		return &mods[i].Rule, mods[i].Idle, mods[i].Hard
+	return s.cache.InsertBatch(now, len(mods), func(i int) (*flowspace.Rule, float64) {
+		return &mods[i].Rule, mods[i].Idle
 	})
 }
 

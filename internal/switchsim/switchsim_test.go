@@ -31,6 +31,14 @@ func add(t *testing.T, s *Switch, table proto.Table, r flowspace.Rule) {
 	}
 }
 
+// classify is ClassifyBurst for one packet, as the simulator and the
+// baseline classify.
+func classify(s *Switch, now float64, k flowspace.Key, size int) Result {
+	var out [1]Result
+	s.ClassifyBurst(now, []flowspace.Key{k}, []int{size}, out[:])
+	return out[0]
+}
+
 func TestPipelineOrder(t *testing.T) {
 	s := New(1, Config{})
 	add(t, s, proto.TablePartition, mkRule(1, 0, 0, flowspace.ActRedirect))
@@ -38,46 +46,28 @@ func TestPipelineOrder(t *testing.T) {
 	add(t, s, proto.TableCache, mkRule(3, 0, 80, flowspace.ActDrop))
 
 	// Port 80 hits the cache first even though authority also matches.
-	res := s.Classify(0, keyPort(80), 100)
+	res := classify(s, 0, keyPort(80), 100)
 	if !res.OK || res.Table != proto.TableCache || res.Rule.ID != 3 {
 		t.Fatalf("res = %+v", res)
 	}
 	// Port 22 falls through cache and authority to the partition rule.
-	res = s.Classify(0, keyPort(22), 100)
+	res = classify(s, 0, keyPort(22), 100)
 	if !res.OK || res.Table != proto.TablePartition || res.Rule.ID != 1 {
 		t.Fatalf("res = %+v", res)
 	}
-	if s.Stats.CacheHits.Load() != 1 || s.Stats.PartitionHits.Load() != 1 {
-		t.Fatalf("stats = %+v", s.Stats.Snapshot())
+	if c, p := s.Table(proto.TableCache).Hits.Load(), s.Table(proto.TablePartition).Hits.Load(); c != 1 || p != 1 {
+		t.Fatalf("cache hits = %d, partition hits = %d, want 1 and 1", c, p)
 	}
 }
 
 func TestClassifyMiss(t *testing.T) {
 	s := New(1, Config{})
-	res := s.Classify(0, keyPort(80), 100)
+	res := classify(s, 0, keyPort(80), 100)
 	if res.OK {
 		t.Fatal("empty switch must miss")
 	}
-	if s.Stats.Misses.Load() != 1 {
-		t.Fatalf("stats = %+v", s.Stats.Snapshot())
-	}
-}
-
-func TestPeekDoesNotCount(t *testing.T) {
-	s := New(1, Config{})
-	add(t, s, proto.TableAuthority, mkRule(1, 0, 80, flowspace.ActForward))
-	res := s.Peek(keyPort(80))
-	if !res.OK || res.Table != proto.TableAuthority {
-		t.Fatalf("res = %+v", res)
-	}
-	if s.Stats.AuthorityHits.Load() != 0 {
-		t.Fatal("peek must not count hits")
-	}
-	if !s.Peek(keyPort(80)).OK {
-		t.Fatal("peek must be repeatable")
-	}
-	if res := s.Peek(keyPort(22)); res.OK {
-		t.Fatal("peek miss must report !OK")
+	if m := s.Table(proto.TablePartition).Misses.Load(); m != 1 {
+		t.Fatalf("partition misses = %d, want 1", m)
 	}
 }
 
@@ -90,7 +80,7 @@ func TestFlowModDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Peek(keyPort(80)).OK {
+	if classify(s, 1, keyPort(80), 64).OK {
 		t.Fatal("deleted rule must not match")
 	}
 }
@@ -111,12 +101,12 @@ func TestCacheCapacityEviction(t *testing.T) {
 	s := New(1, Config{CacheCapacity: 2, CacheEviction: tcam.EvictLRU})
 	add(t, s, proto.TableCache, mkRule(1, 0, 1, flowspace.ActForward))
 	add(t, s, proto.TableCache, mkRule(2, 0, 2, flowspace.ActForward))
-	s.Classify(1, keyPort(1), 64) // rule 1 is now more recent
+	classify(s, 1, keyPort(1), 64) // rule 1 is now more recent
 	add(t, s, proto.TableCache, mkRule(3, 0, 3, flowspace.ActForward))
 	if s.Table(proto.TableCache).Len() != 2 {
 		t.Fatal("cache must stay at capacity")
 	}
-	if s.Peek(keyPort(2)).OK {
+	if classify(s, 2, keyPort(2), 64).OK {
 		t.Fatal("LRU victim (rule 2) must be gone")
 	}
 }
@@ -131,11 +121,11 @@ func TestAdvanceExpiresCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Advance(4)
-	if !s.Peek(keyPort(80)).OK {
+	if s.Table(proto.TableCache).Len() != 1 {
 		t.Fatal("entry must survive before timeout")
 	}
 	s.Advance(6)
-	if s.Peek(keyPort(80)).OK {
+	if s.Table(proto.TableCache).Len() != 0 {
 		t.Fatal("entry must idle-expire")
 	}
 }
@@ -148,7 +138,7 @@ func TestClearCache(t *testing.T) {
 	if n := s.ClearCache(); n != 2 {
 		t.Fatalf("cleared %d", n)
 	}
-	if !s.Peek(keyPort(3)).OK {
+	if !classify(s, 0, keyPort(3), 64).OK {
 		t.Fatal("authority table must survive a cache clear")
 	}
 }
@@ -160,12 +150,25 @@ func TestStringRenders(t *testing.T) {
 	}
 }
 
+// reference is the pipeline as a cascade of Table.Lookup calls, one packet
+// at a time and with no memo, for a switch with no authority band set.
+func reference(s *Switch, now float64, k flowspace.Key, size int) (flowspace.Rule, proto.Table, bool) {
+	for _, table := range []proto.Table{proto.TableCache, proto.TableAuthority, proto.TablePartition} {
+		if r, ok := s.Table(table).Lookup(now, k, size); ok {
+			return r, table, true
+		}
+	}
+	return flowspace.Rule{}, 0, false
+}
+
 // TestClassifyBurstMatchesClassify cross-checks the burst cascade against
-// the scalar pipeline on a mixed workload: cache hits, authority hits,
-// partition hits, and misses. The keys are classified twice on each side,
-// so the second burst is answered from both memos, and the memo path must
-// keep the counters the scalar one keeps: Stats, each table's hits and
-// misses, and every rule's packets and bytes.
+// the reference on a mixed workload: cache hits, authority hits, partition
+// hits, and misses. The keys are classified twice on each side, so the
+// second burst is answered from both memos, and the memo path must keep
+// the counters the reference keeps: each table's hits and misses, which
+// must also be the tally of the reference's outcomes (a table is looked up
+// by every packet that the tables before it missed), and every rule's
+// packets and bytes.
 func TestClassifyBurstMatchesClassify(t *testing.T) {
 	mk := func() *Switch {
 		s := New(1, Config{})
@@ -182,37 +185,43 @@ func TestClassifyBurstMatchesClassify(t *testing.T) {
 		sizes[i] = 100 + i
 	}
 
+	tables := []proto.Table{proto.TableCache, proto.TableAuthority, proto.TablePartition}
+	var hits, misses [3]uint64 // the reference's outcomes, by position in tables
 	scalar, burst := mk(), mk()
 	for pass := 0; pass < 2; pass++ {
-		want := make([]Result, len(ports))
-		for i := range keys {
-			want[i] = scalar.Classify(float64(pass), keys[i], sizes[i])
-		}
 		got := make([]Result, len(ports))
 		burst.ClassifyBurst(float64(pass), keys, sizes, got)
-		for i := range want {
-			w, g := want[i], got[i]
-			if w.OK != g.OK || w.Table != g.Table || (w.OK && *w.Rule != *g.Rule) {
-				t.Fatalf("pass %d packet %d: scalar %+v != burst %+v", pass, i, w, g)
+		for i, g := range got {
+			r, table, ok := reference(scalar, float64(pass), keys[i], sizes[i])
+			if ok != g.OK || table != g.Table || (ok && r != *g.Rule) {
+				t.Fatalf("pass %d packet %d: reference %v in table %d (ok=%v) != burst %+v", pass, i, r, table, ok, g)
+			}
+			for j, tt := range tables {
+				if ok && tt == table {
+					hits[j]++
+					break
+				}
+				misses[j]++
 			}
 		}
 	}
-	if ss, bs := scalar.Stats.Snapshot(), burst.Stats.Snapshot(); ss != bs {
-		t.Fatalf("stats diverge: scalar %+v burst %+v", ss, bs)
-	}
-	for _, table := range []proto.Table{proto.TableCache, proto.TableAuthority, proto.TablePartition} {
+	for j, table := range tables {
 		st, bt := scalar.Table(table), burst.Table(table)
+		if bt.Hits.Load() != hits[j] || bt.Misses.Load() != misses[j] {
+			t.Fatalf("%s: burst %d hits %d misses, the reference's outcomes %d and %d",
+				bt.Name(), bt.Hits.Load(), bt.Misses.Load(), hits[j], misses[j])
+		}
 		if st.Hits.Load() != bt.Hits.Load() || st.Misses.Load() != bt.Misses.Load() {
-			t.Fatalf("%s: scalar %d hits %d misses, burst %d hits %d misses",
+			t.Fatalf("%s: reference %d hits %d misses, burst %d hits %d misses",
 				st.Name(), st.Hits.Load(), st.Misses.Load(), bt.Hits.Load(), bt.Misses.Load())
 		}
 		se, be := st.Entries(), bt.Entries()
 		if len(se) != len(be) {
-			t.Fatalf("%s: scalar %d entries, burst %d", st.Name(), len(se), len(be))
+			t.Fatalf("%s: reference %d entries, burst %d", st.Name(), len(se), len(be))
 		}
 		for i, e := range se {
 			if b := be[i]; e.Rule.ID != b.Rule.ID || e.Packets != b.Packets || e.Bytes != b.Bytes {
-				t.Fatalf("rule %d: scalar %d packets %d bytes, burst rule %d %d packets %d bytes",
+				t.Fatalf("rule %d: reference %d packets %d bytes, burst rule %d %d packets %d bytes",
 					e.Rule.ID, e.Packets, e.Bytes, b.Rule.ID, b.Packets, b.Bytes)
 			}
 		}
@@ -220,18 +229,18 @@ func TestClassifyBurstMatchesClassify(t *testing.T) {
 }
 
 // TestResultPointsAtInstalledRule: every classification of a packet hitting
-// one entry — Classify, a burst of ClassifyBurst, Peek — answers with that
-// entry's own rule, not a copy, and allocates nothing; the rule stays
-// readable after the entry is deleted.
+// one entry — in a burst, or as a burst of one — answers with that entry's
+// own rule, not a copy, and allocates nothing; the rule stays readable after
+// the entry is deleted.
 func TestResultPointsAtInstalledRule(t *testing.T) {
 	s := New(1, Config{})
 	add(t, s, proto.TableCache, mkRule(7, 0, 80, flowspace.ActDrop))
 	keys := []flowspace.Key{keyPort(80), keyPort(80)}
 	out := make([]Result, len(keys))
 	s.ClassifyBurst(0, keys, []int{64, 64}, out)
-	one, peek := s.Classify(0, keys[0], 64), s.Peek(keys[0])
-	if !one.OK || out[0].Rule != one.Rule || out[1].Rule != one.Rule || peek.Rule != one.Rule {
-		t.Fatalf("one entry answered with different rules: %p %p %p %p", out[0].Rule, out[1].Rule, one.Rule, peek.Rule)
+	one := classify(s, 0, keys[0], 64)
+	if !one.OK || out[0].Rule != one.Rule || out[1].Rule != one.Rule {
+		t.Fatalf("one entry answered with different rules: %p %p %p", out[0].Rule, out[1].Rule, one.Rule)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s.ClassifyBurst(0, keys, []int{64, 64}, out) }); allocs != 0 {
 		t.Fatalf("ClassifyBurst allocates %.1f per burst", allocs)
@@ -350,7 +359,7 @@ func TestRepeatedBurstWalksNoIndex(t *testing.T) {
 			t.Fatalf("packet %d: first burst %+v, second %+v", i, first[i], second[i])
 		}
 	}
-	if hits, auth := s.Stats.CacheHits.Load(), s.Stats.AuthorityHits.Load(); hits != 2*4 || auth != 2*2 {
+	if hits, auth := s.Table(proto.TableCache).Hits.Load(), s.Table(proto.TableAuthority).Hits.Load(); hits != 2*4 || auth != 2*2 {
 		t.Fatalf("cache hits = %d, authority hits = %d, want 8 and 4", hits, auth)
 	}
 	s.SetAuthorityBand(1, 1)

@@ -71,7 +71,7 @@ func TestInsertBatchMatchesReferenceModel(t *testing.T) {
 					keys[i] = pool.key(rng)
 					at := now - rng.Float64()*0.2
 					got := v.LookupMemo(at, &keys[i], 64, 0, 0, &memo)
-					want, ok := ref.lookup(at, keys[i], true, 0, 0)
+					want, ok := ref.lookup(at, keys[i], 0, 0)
 					if (got != nil) != ok || ok && got.ID != want.ID {
 						fail(step, "memo lookup %v, want %v/%v", got, want, ok)
 					}
@@ -84,8 +84,8 @@ func TestInsertBatchMatchesReferenceModel(t *testing.T) {
 					batch[i], idle[i] = fresh(), float64(rng.Intn(3))*10
 					ref.insert(now, batch[i], idle[i], 0)
 				}
-				err := tb.InsertBatch(now, len(batch), func(i int) (*flowspace.Rule, float64, float64) {
-					return &batch[i], idle[i], 0
+				err := tb.InsertBatch(now, len(batch), func(i int) (*flowspace.Rule, float64) {
+					return &batch[i], idle[i]
 				})
 				if err != nil {
 					fail(step, "InsertBatch: %v", err)
@@ -108,7 +108,7 @@ func TestInsertBatchMatchesReferenceModel(t *testing.T) {
 						k = pool.key(rng)
 					}
 					got := v.LookupMemo(now, &k, 64, 0, 0, &memo)
-					want, ok := ref.lookup(now, k, true, 0, 0)
+					want, ok := ref.lookup(now, k, 0, 0)
 					if (got != nil) != ok || ok && (got.ID != want.ID || !got.Match.Holds(&k)) {
 						fail(step, "memo lookup after the batch %v, want %v/%v", got, want, ok)
 					}
@@ -206,8 +206,8 @@ func TestInsertBatchBesideInsert(t *testing.T) {
 			id := 1<<30 + 4*i + uint64(j)
 			batch[j] = rule(id, 1, port(id))
 		}
-		if err := tb.InsertBatch(float64(i), len(batch), func(j int) (*flowspace.Rule, float64, float64) {
-			return &batch[j], 0, 0
+		if err := tb.InsertBatch(float64(i), len(batch), func(j int) (*flowspace.Rule, float64) {
+			return &batch[j], 0
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -96,8 +96,9 @@ func TestWriterWaitsForViewRelease(t *testing.T) {
 		t.Fatal("insert completed while a View was held")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if got, ok := v.Lookup(0, keyPort(80), 64); !ok || got.ID != 1 {
-		t.Fatalf("lookup under the held View: got %v/%v, want rule 1", got, ok)
+	k := keyPort(80)
+	if got := v.LookupBand(0, &k, 64, 0, 0); got == nil || got.ID != 1 {
+		t.Fatalf("lookup under the held View: got %v, want rule 1", got)
 	}
 	v.Release()
 	select {

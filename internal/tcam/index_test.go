@@ -182,7 +182,7 @@ func TestAllOverlappingRulesStayLinear(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		k := keyIn(rng, flowspace.MatchAll())
 		want, wantOK := flowspace.EvalTable(rules, k)
-		if got, ok := tb.Peek(k); ok != wantOK || got.ID != want.ID {
+		if got, ok := tb.Lookup(0, k, 0); ok != wantOK || got.ID != want.ID {
 			t.Fatalf("key %v: got %v/%v want %v/%v", k, got, ok, want, wantOK)
 		}
 	}
@@ -205,7 +205,7 @@ func lookupCost(t *testing.T) (slots, leaves float64) {
 		s, l = s+ds, l+dl
 		if i%100 == 0 {
 			want, _ := flowspace.EvalTable(policy, k)
-			if got, ok := tb.Peek(k); !ok || got.ID != want.ID {
+			if got, ok := tb.Lookup(0, k, 0); !ok || got.ID != want.ID {
 				t.Fatalf("key %v: got %v/%v want %v", k, got, ok, want)
 			}
 		}
@@ -274,7 +274,7 @@ func TestDisjointLeafIndexSurvivesSplitAndCollapse(t *testing.T) {
 		if i%25 == 0 {
 			k := keyIn(rng, covers[rng.Intn(n)])
 			want, wantOK := flowspace.EvalTable(tb.Rules(), k)
-			if got, ok := tb.Peek(k); ok != wantOK || got.ID != want.ID {
+			if got, ok := tb.Lookup(0, k, 0); ok != wantOK || got.ID != want.ID {
 				t.Fatalf("delete %d, key %v: got %v/%v, the scan %v/%v", i, k, got, ok, want, wantOK)
 			}
 		}

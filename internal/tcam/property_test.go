@@ -93,9 +93,8 @@ func (m *refModel) deleteWhere(pred func(flowspace.Rule) bool) {
 }
 
 // lookup scans for the best match among the entries whose ID reads band
-// under mask; touch updates its counters as a Lookup does and a Peek does
-// not.
-func (m *refModel) lookup(now float64, k flowspace.Key, touch bool, mask, band uint64) (flowspace.Rule, bool) {
+// under mask and updates its counters as a Lookup does.
+func (m *refModel) lookup(now float64, k flowspace.Key, mask, band uint64) (flowspace.Rule, bool) {
 	best := -1
 	for i := range m.entries {
 		if m.entries[i].rule.ID&mask != band || !m.entries[i].rule.Match.Matches(k) {
@@ -108,10 +107,8 @@ func (m *refModel) lookup(now float64, k flowspace.Key, touch bool, mask, band u
 	if best < 0 {
 		return flowspace.Rule{}, false
 	}
-	if touch {
-		m.entries[best].packets++
-		m.entries[best].lastHit = max(now, m.entries[best].lastHit)
-	}
+	m.entries[best].packets++
+	m.entries[best].lastHit = max(now, m.entries[best].lastHit)
 	return m.entries[best].rule, true
 }
 
@@ -228,10 +225,11 @@ func keyIn(rng *rand.Rand, m flowspace.Match) flowspace.Key {
 // Advance, with hits in between stamped now or (as a wire-mode burst
 // stamps them) a little before it — through the table and
 // the brute-force model and requires identical observable behaviour: every
-// Lookup, View.Lookup, View.LookupMemo (on keys mostly drawn again from
+// Lookup, View.LookupBand (under the whole table, and under a band drawn as
+// the memo's are) and View.LookupMemo (on keys mostly drawn again from
 // the last few looked up, so the memo answers some, and each burst of them
 // under a band drawn from the whole table and either half of the rule IDs)
-// and Peek returns what the model's scan of that band returns and
+// returns what the model's scan of that band returns and
 // what flowspace.EvalTable (the scan internal/oracle runs) returns over
 // the band's Rules(), every capacity eviction and SetCapacity shrink takes the
 // victims the model's scan of the policy's total order takes, in its
@@ -279,13 +277,15 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					if gotErr != wantErr {
 						fail(step, "insert err=%v want %v", gotErr, wantErr)
 					}
-				case 4, 5, 6, 7: // lookup, by each of the four read calls, the memo's in a burst
+				case 4, 5, 6, 7: // lookup, by each of the read calls, the memo's in a burst
 					reps := 1
 					var mask, band uint64
-					if op == 7 {
-						reps = 4
+					if op == 4 || op == 7 {
 						b := memoBands[rng.Intn(len(memoBands))]
 						mask, band = b[0], b[1]
+					}
+					if op == 7 {
+						reps = 4
 					}
 					for range reps {
 						k := pool.key(rng)
@@ -308,11 +308,11 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 						var got flowspace.Rule
 						var gotOK bool
 						switch op {
-						case 4:
-							got, gotOK = tb.Peek(k)
-						case 5:
+						case 4, 5:
 							v := tb.AcquireView()
-							got, gotOK = v.Lookup(at, k, 64)
+							if r := v.LookupBand(at, &k, 64, mask, band); r != nil {
+								got, gotOK = *r, true
+							}
 							v.Release()
 						case 6:
 							got, gotOK = tb.Lookup(at, k, 64)
@@ -324,7 +324,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 							v.Release()
 							memoLookups++
 						}
-						want, wantOK := ref.lookup(at, k, op != 4, mask, band)
+						want, wantOK := ref.lookup(at, k, mask, band)
 						if gotOK != wantOK || (gotOK && got.ID != want.ID) {
 							fail(step, "lookup %v/%v want %v/%v", got, gotOK, want, wantOK)
 						}

@@ -16,7 +16,7 @@
 // table's leaves keep no order: an insert appends, a lookup takes any match.
 //
 // Concurrency: the table is safe for concurrent use behind one
-// sync.RWMutex. Reads (Lookup, Peek, Len, Entries, Rules, and a View for a
+// sync.RWMutex. Reads (Lookup, Len, Entries, Rules, and a View for a
 // whole packet burst) take the read lock and update per-entry counters with
 // atomics, so data planes read side by side; mutations (Insert,
 // InsertBatch, Delete, DeleteWhere, SetCapacity, Advance) take the write
@@ -321,18 +321,18 @@ func (t *Table) Insert(now float64, r flowspace.Rule, idle, hard float64) error 
 }
 
 // InsertBatch is Insert for n rules, rule(i) giving the i-th and its idle
-// and hard timeouts, under one write lock, the hooks fired after it; ErrFull
+// timeout (a batch arms no hard timeout), under one write lock, the hooks fired after it; ErrFull
 // if any did not fit. An entry an insert evicts or replaces takes the new
 // rule in place, so a rule pointer a lookup returned before it may read the
 // new rule: only a switch's data goroutine calls it, between bursts, when
 // neither it nor any other goroutine holds such a pointer.
-func (t *Table) InsertBatch(now float64, n int, rule func(i int) (*flowspace.Rule, float64, float64)) error {
+func (t *Table) InsertBatch(now float64, n int, rule func(i int) (*flowspace.Rule, float64)) error {
 	var err error
 	t.fired = t.fired[:0]
 	t.mu.Lock()
 	for i := 0; i < n; i++ {
-		r, idle, hard := rule(i)
-		h, e := t.insertLocked(now, r, idle, hard, true)
+		r, idle := rule(i)
+		h, e := t.insertLocked(now, r, idle, 0, true)
 		if e != nil {
 			err = e
 			continue
@@ -598,9 +598,11 @@ func (t *Table) pickVictimLocked(now float64) *entry {
 // with the packet's size, and false on a miss.
 func (t *Table) Lookup(now float64, k flowspace.Key, size int) (flowspace.Rule, bool) {
 	v := t.AcquireView()
-	r, ok := v.Lookup(now, k, size)
-	v.Release()
-	return r, ok
+	defer v.Release()
+	if r := v.LookupBand(now, &k, size, 0, 0); r != nil {
+		return *r, true
+	}
+	return flowspace.Rule{}, false
 }
 
 // View is a per-burst hold of the table's read lock: one acquisition
@@ -622,16 +624,6 @@ type View struct {
 func (t *Table) AcquireView() View {
 	t.mu.RLock()
 	return View{t: t}
-}
-
-// Lookup is Table.Lookup under the view's lock; per-entry counters update
-// immediately (they are atomics), table-level hit/miss tallies accumulate
-// locally until Release.
-func (v *View) Lookup(now float64, k flowspace.Key, size int) (flowspace.Rule, bool) {
-	if r := v.LookupBand(now, &k, size, 0, 0); r != nil {
-		return *r, true
-	}
-	return flowspace.Rule{}, false
 }
 
 // LookupBand is Lookup among the entries whose rule ID reads band under
@@ -736,26 +728,6 @@ func (v *View) LookupMemo(now float64, k *flowspace.Key, size int, mask, band ui
 		s.k, s.e = p, e
 	}
 	return v.hit(now, e, size)
-}
-
-// Peek is Lookup without counter updates — for analysis passes.
-func (t *Table) Peek(k flowspace.Key) (flowspace.Rule, bool) {
-	if r := t.PeekBand(k, 0, 0); r != nil {
-		return *r, true
-	}
-	return flowspace.Rule{}, false
-}
-
-// PeekBand is Peek among the entries LookupBand searches for mask and
-// band, returning the entry's own rule like LookupBand (nil on a miss).
-func (t *Table) PeekBand(k flowspace.Key, mask, band uint64) *flowspace.Rule {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	p := k.Pack()
-	if e := t.root.search(&k, &p, nil, mask, band, t.disjoint); e != nil {
-		return &e.rule
-	}
-	return nil
 }
 
 // Advance expires entries whose idle or hard timeout has passed by time

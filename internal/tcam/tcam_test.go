@@ -242,18 +242,6 @@ func TestNextExpiry(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotTouchCounters(t *testing.T) {
-	tb := New("test", 0, EvictNone)
-	mustInsert(t, tb, 0, rule(1, 1, 80))
-	if _, ok := tb.Peek(keyPort(80)); !ok {
-		t.Fatal("peek must find the rule")
-	}
-	pkts, _, _ := counters(tb, 1)
-	if pkts != 0 || tb.Hits.Load() != 0 {
-		t.Fatal("peek must not update counters")
-	}
-}
-
 // Property: table lookup always agrees with the reference evaluator over
 // the installed rule set.
 func TestLookupAgreesWithEvalTable(t *testing.T) {
@@ -277,7 +265,7 @@ func TestLookupAgreesWithEvalTable(t *testing.T) {
 		k[flowspace.FIPSrc] = rng.Uint64() & 0xFFFFFFFF
 		k[flowspace.FIPDst] = rng.Uint64() & 0xFFFFFFFF
 		want, wantOK := flowspace.EvalTable(rules, k)
-		got, gotOK := tb.Peek(k)
+		got, gotOK := tb.Lookup(0, k, 0)
 		if wantOK != gotOK || (gotOK && got.ID != want.ID) {
 			t.Fatalf("lookup mismatch for %v: got %v/%v want %v/%v", k, got, gotOK, want, wantOK)
 		}

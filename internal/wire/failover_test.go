@@ -271,7 +271,7 @@ func TestStalledAuthorityDetectedByRedirectAck(t *testing.T) {
 		t.Fatalf("no partition with a distinct backup and three keys (%d)", len(keys))
 	}
 	primary, backup := c.byID(a.Primary[part]), c.byID(a.Backup[part])
-	backupHits := backup.sw.Stats.AuthorityHits.Load()
+	backupHits := backup.sw.Table(proto.TableAuthority).Hits.Load()
 
 	primary.mu.Lock()
 	locked := true
@@ -297,7 +297,7 @@ func TestStalledAuthorityDetectedByRedirectAck(t *testing.T) {
 	if d := awaitDelivery(t, c); !d.Detour || d.Header.Key() != keys[2] {
 		t.Fatalf("fresh miss while the authority is stalled: %+v", d)
 	}
-	if got := backup.sw.Stats.AuthorityHits.Load(); got == backupHits {
+	if got := backup.sw.Table(proto.TableAuthority).Hits.Load(); got == backupHits {
 		t.Fatal("the fresh miss was not answered by the backup authority")
 	}
 	primary.mu.Unlock()

@@ -69,7 +69,7 @@ func wave(d *Deployment, regions []flowspace.Match, seq, count int) {
 func authorityHits(c *Cluster) map[uint32]uint64 {
 	out := make(map[uint32]uint64, len(c.nodes))
 	for _, n := range c.nodes {
-		out[n.id] = n.sw.Stats.AuthorityHits.Load()
+		out[n.id] = n.sw.Table(proto.TableAuthority).Hits.Load()
 	}
 	return out
 }

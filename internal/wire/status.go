@@ -45,16 +45,15 @@ func (c *Cluster) Status() Status {
 	}
 	for _, id := range c.SwitchIDs() {
 		n, _ := c.node(id)
-		stats := n.sw.Stats.Snapshot()
 		ss := SwitchStatus{
 			ID:             id,
 			CacheEntries:   n.sw.Table(proto.TableCache).Len(),
 			AuthorityRules: n.sw.Table(proto.TableAuthority).Len(),
 			PartitionRules: n.sw.Table(proto.TablePartition).Len(),
-			CacheHits:      stats.CacheHits,
-			AuthorityHits:  stats.AuthorityHits,
-			PartitionHits:  stats.PartitionHits,
-			Misses:         stats.Misses,
+			CacheHits:      n.sw.Table(proto.TableCache).Hits.Load(),
+			AuthorityHits:  n.sw.Table(proto.TableAuthority).Hits.Load(),
+			PartitionHits:  n.sw.Table(proto.TablePartition).Hits.Load(),
+			Misses:         n.sw.Table(proto.TablePartition).Misses.Load(),
 			QueueDepth:     n.queueLen(),
 			PeakQueueDepth: int(n.peakQueue.Load()),
 			Epoch:          n.epoch.Load(),

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"difane/internal/core"
+	"difane/internal/proto"
 )
 
 func TestStatusSnapshot(t *testing.T) {
@@ -36,6 +37,80 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if !sawAuthorityRules || !sawPartitionHit {
 		t.Fatalf("status missing activity: %+v", st)
+	}
+}
+
+// TestStatusCountsUnmatchedPacketOnce: a packet that no table at its
+// ingress matches, its partition rules withdrawn, counts once in that
+// switch's Misses and in no other switch's. The ingress has missed its
+// cache before (first packets, redirected), so a Misses read off any table
+// but the partition table reads more than the packets no table matched.
+// Each switch's hits, in Status and in the three
+// difane_switch_*_hits_total series, are its tables' own Hits.
+func TestStatusCountsUnmatchedPacketOnce(t *testing.T) {
+	c, d := verdictCluster(t, core.StrategyCover, testPolicy())
+	for round := 0; round < 2; round++ { // the second round hits the cache
+		for i := uint32(0); i < 8; i++ {
+			d.InjectPacket(0, []uint32{0, 1, 3}[i%3], httpHeader(i).Key(), 100, 0)
+		}
+		d.Run(5)
+	}
+	for _, r := range c.TableRules(0, proto.TablePartition) {
+		if err := c.InstallRule(0, proto.FlowMod{Table: proto.TablePartition, Op: proto.OpDelete, Rule: r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.barrier(c.ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	unmatched := httpHeader(99)
+	unmatched.TPDst = 443 // port 80's cover is cached at 0
+	d.InjectPacket(0, 0, unmatched.Key(), 100, 0)
+	d.Run(5)
+	if m := c.Measurements(); m.Drops.Unreachable != 1 {
+		t.Fatalf("drops %+v, want one unreachable", m.Drops)
+	}
+
+	series := map[string]map[string]float64{}
+	for _, m := range c.Telemetry().Metrics {
+		for _, p := range m.Points {
+			if len(p.Labels) == 1 && p.Labels[0].Key == "switch" {
+				if series[m.Name] == nil {
+					series[m.Name] = map[string]float64{}
+				}
+				series[m.Name][p.Labels[0].Value] = p.Value
+			}
+		}
+	}
+	var total [3]uint64
+	for _, ss := range c.Status().Switches {
+		want := uint64(0)
+		if ss.ID == 0 {
+			want = 1
+		}
+		if ss.Misses != want {
+			t.Errorf("switch %d: Misses = %d, want %d", ss.ID, ss.Misses, want)
+		}
+		sw := c.byID(ss.ID).sw
+		for i, f := range []struct {
+			table  proto.Table
+			status uint64
+			name   string
+		}{
+			{proto.TableCache, ss.CacheHits, "difane_switch_cache_hits_total"},
+			{proto.TableAuthority, ss.AuthorityHits, "difane_switch_authority_hits_total"},
+			{proto.TablePartition, ss.PartitionHits, "difane_switch_partition_hits_total"},
+		} {
+			hits := sw.Table(f.table).Hits.Load()
+			if f.status != hits || series[f.name][switchLabel(ss.ID)] != float64(hits) {
+				t.Errorf("switch %d: Status %d and %s %v, the table's Hits %d",
+					ss.ID, f.status, f.name, series[f.name][switchLabel(ss.ID)], hits)
+			}
+			total[i] += hits
+		}
+	}
+	if total[0] == 0 || total[1] == 0 || total[2] == 0 {
+		t.Fatalf("cache, authority and partition hits %v: the comparison is vacuous", total)
 	}
 }
 

@@ -212,11 +212,11 @@ func (c *Cluster) registerMetrics() {
 		})
 	}
 	perSwitch("difane_switch_cache_hits_total", "Classifications terminated by the cache table.",
-		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Stats.CacheHits.Load()) })
+		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Table(proto.TableCache).Hits.Load()) })
 	perSwitch("difane_switch_authority_hits_total", "Packets the authority table answered: redirects served, and classifications at an authority switch.",
-		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Stats.AuthorityHits.Load()) })
+		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Table(proto.TableAuthority).Hits.Load()) })
 	perSwitch("difane_switch_partition_hits_total", "Classifications terminated by the partition table.",
-		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Stats.PartitionHits.Load()) })
+		telemetry.TypeCounter, func(n *node) float64 { return float64(n.sw.Table(proto.TablePartition).Hits.Load()) })
 	perSwitch("difane_switch_cache_entries", "Installed cache rules.",
 		telemetry.TypeGauge, func(n *node) float64 { return float64(n.sw.Table(proto.TableCache).Len()) })
 	perSwitch("difane_switch_cache_evictions_total", "Cache entries evicted for capacity.",
